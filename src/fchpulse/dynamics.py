@@ -20,6 +20,7 @@ from .core import (
     AdmissibilityError,
     ExtractionError,
     FchError,
+    GridMismatchError,
     ScalarField,
     StiffnessError,
     cosine_coeffs,
@@ -206,7 +207,9 @@ def read_checkpoint(path_prefix, grid):
         header = json.load(fh)
     vals = np.fromfile(f"{path_prefix}.bin", dtype="<f8")
     if vals.size != grid.num_points:
-        raise ExtractionError("checkpoint resolution mismatch")
+        raise GridMismatchError(
+            f"checkpoint has {vals.size} points, the grid {grid.num_points}"
+        )
     state = SimulationState(
         time=header["time"], u=ScalarField(grid, vals), dt=header["dt"],
         step_index=header["step_index"],

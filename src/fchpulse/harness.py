@@ -382,7 +382,8 @@ def experiment_diagnose(config, out_dir):
         man, sample=sample, s_values=s_checks, seed=config.seed
     )
     profiles = [man.build(c) for c in sample[:6]]
-    el = el_bounds(man, profiles, delta1=lab.params.tail_scale)
+    el = el_bounds(man, profiles, delta1=lab.params.tail_scale,
+                   coercivity=report.coercivity[0])
     report.add(
         "trapping_radius", -1, el.eta_star, el.eta_upper, el.window_ok,
         delta0=el.delta0, delta1=el.delta1, delta2=el.delta2, mu2=el.mu2,
@@ -587,7 +588,7 @@ def fit_deviation_envelope(t, w, delta):
         resid = float(np.sqrt(np.mean((shape(t, eta0, k, plateau) - w) ** 2)))
         return {"fitted": True, "eta0": float(eta0), "k": float(k),
                 "M0": float(plateau / delta), "rms_residual": resid}
-    except Exception:
+    except (RuntimeError, ValueError):
         return {"fitted": False}
 
 

@@ -60,19 +60,18 @@ def dense_spectral_multiplier(grid, multipliers):
     return (q * np.asarray(multipliers)[None, :]) @ q.T
 
 
+@lru_cache(maxsize=8)
 def dense_second_derivative(grid):
-    return dense_spectral_multiplier(grid, -grid.wavenumbers**2)
+    """Weighted matrix of d^2/dz^2, built once per grid and read-only."""
+    mat = dense_spectral_multiplier(grid, -grid.wavenumbers**2)
+    mat.flags.writeable = False
+    return mat
 
 
 def dense_zero_mass_projection(grid):
     c = np.sqrt(grid.quad_weights)
     c = c / np.linalg.norm(c)
     return np.eye(grid.num_points) - np.outer(c, c)
-
-
-def dense_sobolev_gram(grid, max_order=4):
-    """Weighted-coordinate Gram matrix of the H^max_order inner product."""
-    return dense_spectral_multiplier(grid, h_mode_multipliers(grid, max_order))
 
 
 def to_weighted(field):
@@ -221,13 +220,6 @@ def linearization(phi, well):
         return -(p0 @ sv.dense_weighted() @ p0)
 
     return LinearMap(grid, apply, True, builder)
-
-
-def constrained_second_variation_dense(phi, well):
-    """Symmetric weighted matrix of Pi_0 L Pi_0 (= -linearization on X_0)."""
-    sv = second_variation(phi, well)
-    p0 = dense_zero_mass_projection(phi.grid)
-    return p0 @ sv.dense_weighted() @ p0
 
 
 def nonlinear_remainder(phi, v, well):

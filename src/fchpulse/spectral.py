@@ -19,20 +19,21 @@ from .core import (
     DomainError,
     ScalarField,
     ToleranceError,
+    cosine_coeffs,
+    h_mode_multipliers,
     inner_product_x,
     norm,
 )
 from .ansatz import h4_norm_from_stack
 from .operators import (
     GradientFamily,
-    dense_sobolev_gram,
     dense_spectral_multiplier,
     from_weighted,
     second_variation,
     to_weighted,
+    weighted_cosine_basis,
     zero_mass_projection,
 )
-from .wellmodel import stable_edge_floor
 
 # Pinned diagnostic thresholds. The delta-relative caps absorb the large
 # order-one constants this well family carries (phi_max^2 ~ 70 and secular
@@ -151,15 +152,6 @@ def eigs(linear_map, k, on_zero_mass=True, extra_constraints=(), residual_tol=1e
     )
 
 
-def minus_linearization_matrix(manifold, profile):
-    """Dense weighted matrix of -L = Pi0*(second variation)*Pi0."""
-    sv = second_variation(profile.phi, manifold.well)
-    mat = sv.dense_weighted()
-    c = constant_direction(manifold.grid)
-    p0 = np.eye(manifold.grid.num_points) - np.outer(c, c)
-    return p0 @ mat @ p0
-
-
 def spectral_gap_report(manifold, profile, num_stable=4, k_s=None):
     """Spectrum of -L on the zero-mass space with the slow/stable split.
 
@@ -172,7 +164,7 @@ def spectral_gap_report(manifold, profile, num_stable=4, k_s=None):
     n = manifold.n
     delta = manifold.params.tail_scale
     if k_s is None:
-        k_s, _ = stable_edge_floor(manifold.well, manifold.pulse)
+        k_s = manifold.pulse.edge_floor
     mat = second_variation(profile.phi, manifold.well).dense_weighted()
     basis = householder_complement(constant_direction(grid))
     reduced = basis.T @ mat @ basis
@@ -306,6 +298,24 @@ class CoercivityReport:
         return self.mu >= self.bound - slack
 
 
+def _deflate(mat, cols):
+    """mat on the orthogonal complement of span(cols), in O(N^2 n).
+
+    With T an orthonormal basis of the columns and P = I - T T^T this is
+    P mat P + c T T^T. The Gershgorin bound c lies above the spectrum of mat,
+    so the lifted directions never come first and the lowest eigenvalue is
+    the minimum over the complement.
+    """
+    t, _ = np.linalg.qr(cols)
+    mt = mat @ t
+    lift = t.T @ mt + np.max(np.sum(np.abs(mat), axis=1)) * np.eye(t.shape[1])
+    return mat - t @ mt.T - mt @ t.T + t @ lift @ t.T
+
+
+def _lowest(mat):
+    return float(sla.eigh(mat, subset_by_index=[0, 0], eigvals_only=True)[0])
+
+
 def coercivity_constant(
     manifold, profile, tangents=None, k_s=None,
     gamma_sweep=(0.05, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0),
@@ -313,53 +323,48 @@ def coercivity_constant(
     """Normal coercivity constants of the constrained second variation.
 
     mu is the exact discrete minimum of <L v, v>/||v||_{H4}^2 over zero-mass
-    v orthogonal to the tangent plane (generalized eigenproblem with the H4
-    Gram); (mu_e, gamma_e) fit the shifted-form coercivity on the zero-mass
-    space, and the report carries the chained lower bound
-    mu_tilde*mu_e/(mu_tilde + gamma_e). mu_h2 is the same minimum in the H2
-    Gram, which is the resolution-stable constant used by the trapping radii.
+    v orthogonal to the tangent plane; (mu_e, gamma_e) fit the shifted-form
+    coercivity on the zero-mass space, and the report carries the chained
+    lower bound mu_tilde*mu_e/(mu_tilde + gamma_e). mu_h2 is the same minimum
+    in the H2 Gram, which is the resolution-stable constant used by the
+    trapping radii.
+
+    Everything is solved in cosine-mode coordinates: mode 0 is the constant
+    direction, so zero mass means dropping it, and the Sobolev Grams are the
+    diagonal h_mode_multipliers, so each generalized problem becomes a
+    standard one after diagonal whitening. The tangent constraints are
+    deflated (see _deflate).
     """
     grid = manifold.grid
     if tangents is None:
         tangents = manifold.tangent_basis(profile.config)
     if k_s is None:
-        k_s, _ = stable_edge_floor(manifold.well, manifold.pulse)
+        k_s = manifold.pulse.edge_floor
     mu_tilde = 0.75 * k_s
 
+    q = weighted_cosine_basis(grid)
     lw = second_variation(profile.phi, manifold.well).dense_weighted()
-    t_w = [to_weighted(t) for t in tangents]
-    basis = constrained_complement(grid, t_w)
-    a_c = basis.T @ lw @ basis
-    g4 = dense_sobolev_gram(grid, 4)
-    g2 = dense_sobolev_gram(grid, 2)
+    a = (q.T @ lw @ q)[1:, 1:]
+    t_modes = (q.T @ np.stack([to_weighted(t) for t in tangents], axis=1))[1:]
 
-    mu_x = float(sla.eigh(a_c, subset_by_index=[0, 0], eigvals_only=True)[0])
-    mu = float(
-        sla.eigh(a_c, basis.T @ g4 @ basis, subset_by_index=[0, 0],
-                 eigvals_only=True)[0]
-    )
-    mu_h2 = float(
-        sla.eigh(a_c, basis.T @ g2 @ basis, subset_by_index=[0, 0],
-                 eigvals_only=True)[0]
-    )
+    def whitened(order):
+        s = 1.0 / np.sqrt(h_mode_multipliers(grid, order)[1:])
+        return s[:, None] * a * s[None, :], s
 
-    basis0 = householder_complement(constant_direction(grid))
-    a_0 = basis0.T @ lw @ basis0
-    g4_0 = basis0.T @ g4 @ basis0
-    unconstrained_x = float(
-        sla.eigh(a_0, subset_by_index=[0, 0], eigvals_only=True)[0]
-    )
+    m4, s4 = whitened(4)
+    m2, s2 = whitened(2)
+    mu_x = _lowest(_deflate(a, t_modes))
+    mu = _lowest(_deflate(m4, s4[:, None] * t_modes))
+    mu_h2 = _lowest(_deflate(m2, s2[:, None] * t_modes))
+    unconstrained_x = _lowest(a)
+
     best_bound, best = -np.inf, (np.nan, np.nan)
-    eye0 = np.eye(a_0.shape[0])
     for ge in gamma_sweep:
-        mu_e = float(
-            sla.eigh(a_0 + ge * eye0, g4_0, subset_by_index=[0, 0],
-                     eigvals_only=True)[0]
-        )
+        mu_e = _lowest(m4 + np.diag(ge * s4**2))
         bound = mu_tilde * mu_e / (mu_tilde + ge)
         if bound > best_bound:
             best_bound, best = bound, (mu_e, ge)
-    report = CoercivityReport(
+    return CoercivityReport(
         mu=mu,
         mu_e=best[0],
         gamma_e=best[1],
@@ -370,7 +375,6 @@ def coercivity_constant(
         unconstrained_x_min=unconstrained_x,
         passed=mu > 0.0,
     )
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -453,12 +457,14 @@ def tangent_alignment(manifold, profile, report=None, tangent_stacks=None):
 # ---------------------------------------------------------------------------
 
 
-def symmetrized_gap(manifold, profile, family, num_stable=3, mu_gap=None):
+def symmetrized_gap(manifold, profile, family, num_stable=3, mu_gap=None,
+                    tangents=None):
     """Spectrum of G1*L*G1 on the zero-mass space and its slow alignment.
 
     Asserts n slow eigenvalues of size O(delta_g), a stable remainder, and
-    alignment of the slow eigenfields with the normalized G1^{-1} tangents.
-    At s = 0 this reproduces the plain spectral gap report exactly.
+    alignment of the slow eigenfields with the normalized G1^{-1} tangents
+    (computed at the profile unless given). At s = 0 this reproduces the
+    plain spectral gap report exactly.
     """
     params = manifold.params
     s = family.s
@@ -493,7 +499,8 @@ def symmetrized_gap(manifold, profile, family, num_stable=3, mu_gap=None):
 
     # alignment of slow eigenfields with normalized G1^{-1} tangents
     g1inv = dense_spectral_multiplier(grid, family.multipliers("G1_inv"))
-    tangents = manifold.tangent_basis(profile.config)
+    if tangents is None:
+        tangents = manifold.tangent_basis(profile.config)
     t_g = [g1inv @ to_weighted(t) for t in tangents]
     beta, rotated, t_mat = _procrustes_align(vecs[:, :n], t_g)
     errors = np.array(
@@ -551,18 +558,6 @@ def eta_star_formula(delta0, delta1, delta2, mu2):
     return lin + np.sqrt(lin**2 + 2.0 * (delta0 + delta1) / mu2)
 
 
-def h4_inner(u, v):
-    """H4 inner product of smooth fields via spectral derivatives."""
-    from .core import spectral_derivative
-
-    total = 0.0
-    for m in range(5):
-        total += inner_product_x(
-            spectral_derivative(u, m), spectral_derivative(v, m)
-        )
-    return total
-
-
 def dual_h4_norm(field):
     """Norm of the pairing v -> <field, v> over the H4 unit ball.
 
@@ -570,8 +565,6 @@ def dual_h4_norm(field):
     small-residual inequality, and the inverse weights make it insensitive to
     high-mode sampling noise.
     """
-    from .core import cosine_coeffs, h_mode_multipliers
-
     grid = field.grid
     a = cosine_coeffs(field.values)
     weights = np.full(grid.num_points, grid.length / 2.0)
@@ -581,69 +574,15 @@ def dual_h4_norm(field):
     return float(np.sqrt(np.sum(a**2 * weights / m)))
 
 
-def project_to_manifold(manifold, u, p_start, max_iter=12, tol=1e-10):
-    """Tangency projection: solve <u - Phi(q), dPhi/dq_i>_X = 0 by Newton.
-
-    Returns (q, Phi(q)-profile). The Jacobian is approximated by the negative
-    tangent Gram matrix, which is accurate to O(distance).
-    """
-    q = np.asarray(p_start, dtype=float).copy()
-    profile = manifold.build(manifold.configuration(q))
-    for _ in range(max_iter):
-        tangents = manifold.tangent_basis(profile.config)
-        diff = ScalarField(manifold.grid, u.values - profile.phi.values)
-        f = np.array([inner_product_x(diff, t) for t in tangents])
-        gram = np.array(
-            [[inner_product_x(a, b) for b in tangents] for a in tangents]
-        )
-        step = np.linalg.solve(gram, f)
-        q = q + step
-        profile = manifold.build(manifold.configuration(q))
-        if np.linalg.norm(step) < tol:
-            break
-    return q, profile
-
-
-def projection_constant(manifold, profile, v, scan_width=0.4, scan_points=17):
-    """c1-proxy: H-norm of the tangency-projection residue over the H-distance.
-
-    The denominator is a line-scan estimate of min_q ||u - Phi(q)||_{H4}
-    around the tangency point.
-    """
-    u = ScalarField(manifold.grid, profile.phi.values + v.values)
-    q, proj = project_to_manifold(manifold, u, profile.config.positions)
-    res_h = norm(ScalarField(manifold.grid, u.values - proj.phi.values), "h4")
-    best = res_h
-    for i in range(manifold.n):
-        for theta in np.linspace(-scan_width, scan_width, scan_points):
-            if theta == 0.0:
-                continue
-            try:
-                cand = manifold.build(
-                    manifold.configuration(
-                        q + theta * np.eye(manifold.n)[i]
-                    )
-                )
-            except Exception:
-                continue
-            best = min(
-                best,
-                norm(ScalarField(manifold.grid,
-                                 u.values - cand.phi.values), "h4"),
-            )
-    return res_h / best
-
-
 def el_bounds(manifold, profiles, delta1=None, eta=1.0, coercivity=None,
-              nonlinearity_probes=4, seed=0, measure_c1=False):
+              nonlinearity_probes=4, seed=0):
     """Measured trapping-radius ingredients over a manifold sample.
 
     delta0: max energy variation over the sample; delta2: max residual
     projection constant (the H4-dual norm of Pi_0 grad J, the sharp constant
     of the small-residual pairing bound); mu2: the H2-Gram coercivity minimum
-    (resolution-stable); c2 fits the cubic remainder bound; c1 the projection
-    Lipschitz constant (measured by the tangency projection when measure_c1
-    is set, else the unit proxy).
+    (resolution-stable); c2 fits the cubic remainder bound; c1, the
+    projection Lipschitz constant, is the unit proxy.
     """
     params = manifold.params
     if delta1 is None:
@@ -668,7 +607,6 @@ def el_bounds(manifold, profiles, delta1=None, eta=1.0, coercivity=None,
     sv = second_variation(base.phi, well)
     c2 = 0.0
     c1 = 1.0
-    probes = []
     for _ in range(nonlinearity_probes):
         coeffs = np.zeros(grid.num_points)
         kmax = min(grid.num_points // 4, 160)
@@ -677,16 +615,12 @@ def el_bounds(manifold, profiles, delta1=None, eta=1.0, coercivity=None,
         )
         v = ScalarField(grid, cosine_synth(coeffs))
         v = v * (0.1 / max(norm(v, "h4"), 1e-300))
-        probes.append(v)
         j_full = energy(base.phi + v, well)
         j_base = energy(base.phi, well)
         lin_term = inner_product_x(variational_derivative(base.phi, well), v)
         quad_term = 0.5 * inner_product_x(sv.apply(v), v)
         rem = abs(j_full - j_base - lin_term - quad_term)
         c2 = max(c2, rem / norm(v, "h4") ** 3)
-    if measure_c1:
-        for v in probes[:2]:
-            c1 = max(c1, projection_constant(manifold, base, v * 0.3))
     rho_exp = 3.0
     eta_upper = min(eta, (1.0 / c1) * (mu2 / (2.0 * c2)) ** (1.0 / (rho_exp - 2.0)))
     eta_star = float(eta_star_formula(delta0, delta1, delta2, mu2))
@@ -826,6 +760,7 @@ def _plain(v):
 @dataclass
 class DiagnosticsReport:
     records: list = field(default_factory=list)
+    coercivity: list = field(default_factory=list)
 
     def add(self, hypothesis, config_id, constant, threshold, passed, **details):
         self.records.append(
@@ -868,7 +803,8 @@ def run_hypothesis_suite(
     decay, tangent alignment, eigenfield regularity, energy flatness,
     invariant-plane membership, normal coercivity, the scaled-nonlinearity
     and scaled-residual bounds, tangent amplification, and the symmetrized
-    gap for each requested s.
+    gap for each requested s. The coercivity reports of the spectral subset
+    are kept in order in `report.coercivity`.
     """
     report = DiagnosticsReport()
     params = manifold.params
@@ -876,7 +812,7 @@ def run_hypothesis_suite(
     if sample is None:
         sample = manifold.sample_configurations(8, seed=seed)
     profiles = [manifold.build(c) for c in sample]
-    k_s, _ = stable_edge_floor(manifold.well, manifold.pulse)
+    k_s = manifold.pulse.edge_floor
 
     # residual smallness
     c0 = 0.0
@@ -916,13 +852,19 @@ def run_hypothesis_suite(
             THRESHOLDS["slow_cap_over_delta"], gap.passed,
             failures=gap.failures, stable_edge=gap.stable_edge, k_s=gap.k_s,
         )
-        align = tangent_alignment(manifold, p, gap)
+        tangents, stacks = manifold.tangent_basis(
+            p.config, with_stacks=True, max_order=4
+        )
+        align = tangent_alignment(
+            manifold, p, gap, tangent_stacks=(tangents, stacks)
+        )
         report.add(
             "tangent_alignment", i, align.max_error / delta,
             THRESHOLDS["alignment_cap_over_delta"], align.passed,
             beta_defect=align.beta_defect,
         )
-        coer = coercivity_constant(manifold, p, k_s=k_s)
+        coer = coercivity_constant(manifold, p, tangents=tangents, k_s=k_s)
+        report.coercivity.append(coer)
         report.add(
             "normal_coercivity", i, coer.mu, 0.0,
             coer.passed and coer.relation_holds(),
@@ -997,7 +939,7 @@ def run_hypothesis_suite(
             c_tan <= THRESHOLDS["eh3_tangent_cap"], s=s,
         )
         if s > 0.0:
-            sym = symmetrized_gap(manifold, base, fam)
+            sym = symmetrized_gap(manifold, base, fam, tangents=tangents)
             report.add(
                 "symmetrized_gap", 0, sym.extras["fitted_c"],
                 THRESHOLDS["symmetrized_cap_over_delta_g"], sym.passed,

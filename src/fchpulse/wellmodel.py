@@ -289,6 +289,11 @@ class PulseProfile:
         """Pair interaction energy of two translates under J, tabulated once."""
         return _tabulate_pair_energy(self)
 
+    @cached_property
+    def edge_floor(self):
+        """The stable-edge floor k_s of `stable_edge_floor`, computed once."""
+        return stable_edge_floor(self.well, self)[0]
+
     def to_csv(self, path):
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)

@@ -370,6 +370,17 @@ class TestRun:
         assert_allclose(st2.u.values, prof.phi.values, atol=0)
         assert header["params"]["s"] == 0.0
 
+    def test_checkpoint_resolution_mismatch(self, small_manifold, tmp_path):
+        from fchpulse import Grid, GridMismatchError
+        from fchpulse.dynamics import read_checkpoint, write_checkpoint
+
+        prof = small_manifold.build(small_manifold.configuration([4.5, 12.0]))
+        write_checkpoint(tmp_path / "ck", SimulationState(0.0, prof.phi, 3e-4),
+                         {})
+        coarse = Grid(small_manifold.grid.length, 129, h_max=0.4)
+        with pytest.raises(GridMismatchError, match="256 points.* 129"):
+            read_checkpoint(tmp_path / "ck", coarse)
+
 
 class TestPdeRepulsion:
     def test_extracted_velocity_pushes_pulses_apart(self, small_manifold):

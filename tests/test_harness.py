@@ -8,7 +8,7 @@ import pytest
 
 from fchpulse import ConfigError, ExperimentConfig, ValidationError, parse_config
 from fchpulse.cli import main as cli_main
-from fchpulse.harness import config_hash, run_experiment
+from fchpulse.harness import config_hash, fit_deviation_envelope, run_experiment
 
 SMALL = dict(
     epsilon=0.05, domain_d=0.8, n_pulses=2, min_spacing=5.0, grid_points=256,
@@ -234,3 +234,25 @@ class TestCompareStationary:
         )
         manifest = run_experiment(cfg)
         assert manifest.summary["pass"] is True, manifest.summary
+
+
+class TestDeviationEnvelope:
+    T = np.linspace(0.0, 10.0, 40)
+    W = 0.3 * np.exp(-0.7 * T) + 1e-3
+
+    def test_fit_recovers_envelope(self):
+        fit = fit_deviation_envelope(self.T, self.W, 1e-4)
+        assert fit["fitted"]
+        assert fit["k"] == pytest.approx(0.7, rel=1e-4)
+        assert fit["M0"] == pytest.approx(10.0, rel=1e-3)
+
+    def test_non_convergent_fit_is_unfitted(self, monkeypatch):
+        # the real least-squares fit, stopped after two evaluations
+        import scipy.optimize
+
+        real = scipy.optimize.curve_fit
+        monkeypatch.setattr(
+            scipy.optimize, "curve_fit",
+            lambda *args, **kw: real(*args, **{**kw, "maxfev": 2}),
+        )
+        assert fit_deviation_envelope(self.T, self.W, 1e-4) == {"fitted": False}

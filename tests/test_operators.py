@@ -19,6 +19,7 @@ from fchpulse import (
 )
 from fchpulse.core import cosine_coeffs, cosine_synth
 from fchpulse.operators import (
+    dense_second_derivative,
     dump_dense,
     linearization,
     load_dense,
@@ -283,6 +284,12 @@ class TestDenseMachinery:
     def test_weighted_basis_orthogonal(self, grid):
         q = weighted_cosine_basis(grid)
         assert np.max(np.abs(q.T @ q - np.eye(grid.num_points))) < 1e-12
+
+    def test_second_derivative_cached_read_only(self, grid):
+        d2 = dense_second_derivative(grid)
+        assert d2 is dense_second_derivative(grid)
+        with pytest.raises(ValueError):
+            d2[0, 0] = 1.0
 
     def test_apply_matches_dense(self, diag_manifold, well):
         prof = diag_manifold.build(diag_manifold.equispaced())

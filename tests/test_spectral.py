@@ -1,7 +1,12 @@
 """Eigenstructure diagnostics: splitting, indices, coercivity, alignment."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+import scipy.linalg as sla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from fchpulse import (
@@ -17,11 +22,20 @@ from fchpulse import (
     symmetrized_gap,
     tangent_alignment,
 )
+from fchpulse.core import h_mode_multipliers
+from fchpulse.operators import (
+    dense_spectral_multiplier,
+    to_weighted,
+    weighted_cosine_basis,
+)
 from fchpulse.spectral import (
     ShiftError,
+    constant_direction,
+    constrained_complement,
     dual_h4_norm,
     eigenfield_continuity,
     eta_star_formula,
+    householder_complement,
     semigroup_decay_check,
 )
 from conftest import cluster_config, moderate_config
@@ -195,6 +209,114 @@ class TestCoercivity:
             prof = man.build(man.equispaced())
             vals[n_pts] = coercivity_constant(man, prof, k_s=edge_floor).mu_h2
         assert vals[1024] == pytest.approx(vals[512], rel=0.05)
+
+
+def dense_generalized_coercivity(manifold, profile, tangents, k_s,
+                                 gamma_sweep=(0.05, 0.25, 0.5, 1.0, 2.0, 4.0,
+                                              8.0)):
+    """Reference coercivity: nodal complements and generalized eigensolves
+    with the dense Sobolev Grams (the direct form of the definitions)."""
+    grid = manifold.grid
+    lw = second_variation(profile.phi, manifold.well).dense_weighted()
+    g4, g2 = (dense_spectral_multiplier(grid, h_mode_multipliers(grid, k))
+              for k in (4, 2))
+
+    def lowest(*mats):
+        return sla.eigh(*mats, subset_by_index=[0, 0], eigvals_only=True)[0]
+
+    basis = constrained_complement(grid, [to_weighted(t) for t in tangents])
+    a_c = basis.T @ lw @ basis
+    basis0 = householder_complement(constant_direction(grid))
+    a_0 = basis0.T @ lw @ basis0
+    g4_0 = basis0.T @ g4 @ basis0
+    mu_tilde = 0.75 * k_s
+    best_bound, best = -np.inf, (np.nan, np.nan)
+    for ge in gamma_sweep:
+        mu_e = lowest(a_0 + ge * np.eye(a_0.shape[0]), g4_0)
+        bound = mu_tilde * mu_e / (mu_tilde + ge)
+        if bound > best_bound:
+            best_bound, best = bound, (mu_e, ge)
+    return {
+        "mu": lowest(a_c, basis.T @ g4 @ basis),
+        "mu_h2": lowest(a_c, basis.T @ g2 @ basis),
+        "mu_x": lowest(a_c),
+        "mu_e": best[0],
+        "gamma_e": best[1],
+        "bound": best_bound,
+        "unconstrained_x_min": lowest(a_0),
+        "norm_a": np.linalg.norm(lw, 2),
+    }
+
+
+class TestCoercivityOracle:
+    @pytest.mark.parametrize("setup", ["testbed", "desk"])
+    def test_matches_dense_generalized_solves(self, setup, small_manifold,
+                                              diag_manifold, edge_floor):
+        if setup == "testbed":
+            man = small_manifold
+            cfg = man.configuration([4.5, 12.0])
+        else:
+            man = diag_manifold
+            cfg = moderate_config(man)
+        prof = man.build(cfg)
+        tangents = man.tangent_basis(cfg)
+        ref = dense_generalized_coercivity(man, prof, tangents, edge_floor)
+        rep = coercivity_constant(man, prof, tangents=tangents, k_s=edge_floor)
+        for key in ("mu", "mu_h2", "mu_e", "bound"):
+            assert getattr(rep, key) == pytest.approx(ref[key], rel=1e-9), key
+        # mu_x is a standard eigenvalue of the unwhitened matrix, so both
+        # solves carry the eps*||a|| backward error of a dense eigensolver
+        # (1.4e-9 at N = 256, where mu_x ~ 0.4)
+        eps_a = np.finfo(float).eps * ref["norm_a"]
+        assert abs(rep.mu_x - ref["mu_x"]) <= 1e-9 * ref["mu_x"] + 2 * eps_a
+        assert rep.gamma_e == ref["gamma_e"]
+        assert abs(rep.unconstrained_x_min - ref["unconstrained_x_min"]) <= 1e-10
+
+
+class TestModeCoordinates:
+    """The cosine-mode facts the coercivity solve rests on."""
+
+    grids = st.builds(
+        lambda n, length: Grid(length, n, h_max=length),
+        st.integers(16, 512), st.floats(1.0, 500.0),
+    )
+
+    @settings(max_examples=25, deadline=None)
+    @given(grid=grids)
+    def test_mode_zero_is_the_constant_direction(self, grid):
+        q = weighted_cosine_basis(grid)
+        assert np.max(np.abs(q[:, 0] - constant_direction(grid))) <= 1e-14
+
+    @settings(max_examples=25, deadline=None)
+    @given(grid=grids)
+    def test_basis_orthogonal(self, grid):
+        q = weighted_cosine_basis(grid)
+        assert np.max(np.abs(q.T @ q - np.eye(grid.num_points))) <= 1e-12
+
+    @settings(max_examples=25, deadline=None)
+    @given(grid=grids, order=st.integers(0, 4))
+    def test_multipliers_diagonal_in_modes(self, grid, order):
+        m = h_mode_multipliers(grid, order)
+        q = weighted_cosine_basis(grid)
+        modal = q.T @ dense_spectral_multiplier(grid, m) @ q
+        assert np.max(np.abs(modal - np.diag(m))) <= 1e-12 * np.max(m)
+
+    def test_edge_floor_solved_once_per_pulse(self, pulse, monkeypatch):
+        from fchpulse import wellmodel
+
+        calls = []
+        real = wellmodel.single_pulse_point_spectrum
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(wellmodel, "single_pulse_point_spectrum", counted)
+        fresh = dataclasses.replace(pulse)
+        first, second = fresh.edge_floor, fresh.edge_floor
+        assert len(calls) == 1
+        assert first == second == wellmodel.stable_edge_floor(pulse.well,
+                                                              pulse)[0]
 
 
 class TestAlignment:
