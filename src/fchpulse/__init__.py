@@ -82,7 +82,6 @@ from .dynamics import (
     alpha_scaling,
     extract_pulse_positions,
     integrate_reduced,
-    pulse_velocity,
     pulse_velocity_projection,
     run,
     step,

@@ -21,7 +21,6 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import asdict, dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.stats import qmc
@@ -33,6 +32,7 @@ from .core import (
     ScalarField,
     integral,
 )
+from .wellmodel import leibniz, well_jet
 
 BC_TOL = 1e-8
 MASS_RTOL = 1e-10
@@ -151,41 +151,6 @@ def _boundary_term(z, amplitude, slope, p_ref, rate, sign, order):
     if order == 0:
         return base * (1.0 + slope * z)
     return base * (s**order * (1.0 + slope * z) + order * s ** (order - 1) * slope)
-
-
-@lru_cache(maxsize=8)
-def _el_gradient_lambdas(max_order=4):
-    """Symbolic z-derivatives of grad J for the quartic well family.
-
-    Returns callables g_m(phi0, ..., phi_{4+m}, tau) for m = 0..max_order,
-    where grad J = phi'''' - 2 W''(phi) phi'' - W'''(phi) (phi')^2
-                   + W''(phi) W'(phi).
-    """
-    import sympy as sp
-
-    z, tau = sp.symbols("z tau")
-    phi = sp.Function("phi")(z)
-    w1 = (phi**2 - 1) * (phi - tau)
-    w2 = 3 * phi**2 - 2 * tau * phi - 1
-    w3 = 6 * phi - 2 * tau
-    grad = (
-        sp.diff(phi, z, 4)
-        - 2 * w2 * sp.diff(phi, z, 2)
-        - w3 * sp.diff(phi, z) ** 2
-        + w2 * w1
-    )
-    top = 4 + max_order
-    symbols = sp.symbols(f"d0:{top + 1}")
-    lambdas = []
-    expr = grad
-    for m in range(max_order + 1):
-        if m > 0:
-            expr = sp.diff(expr, z)
-        sub = expr
-        for j in range(top, -1, -1):
-            sub = sub.subs(sp.diff(phi, z, j) if j else phi, symbols[j])
-        lambdas.append(sp.lambdify(list(symbols) + [tau], sub, "numpy"))
-    return lambdas
 
 
 def h4_norm_from_stack(grid, stack):
@@ -509,14 +474,21 @@ class PulseManifold:
         return stack
 
     def gradient_stack(self, profile, max_order=4):
-        """Exact derivative samples of grad J(Phi), orders 0..max_order."""
-        phi_stack = self.derivative_stack(profile, max_order=4 + max_order)
-        lambdas = _el_gradient_lambdas(max_order)
-        out = np.empty((max_order + 1, self.grid.num_points))
-        for m in range(max_order + 1):
-            args = [phi_stack[j] for j in range(4 + max_order + 1)]
-            out[m] = lambdas[m](*args, self.well.tau)
-        return out
+        """Exact derivative samples of grad J(Phi), orders 0..max_order.
+
+        grad J = Phi'''' - 2 W''(Phi) Phi'' - W'''(Phi) Phi'^2 + W''(Phi) W'(Phi),
+        assembled from the jets of Phi and of W^(j)(Phi).
+        """
+        phi = self.derivative_stack(profile, max_order=4 + max_order)
+        # the jet of the k-th derivative of Phi is phi[k:], cut to max_order
+        d0, d1, d2, d4 = (phi[k : k + max_order + 1] for k in (0, 1, 2, 4))
+        w1, w2, w3 = (well_jet(self.well, j, d0, 0.0) for j in (1, 2, 3))
+        return (
+            d4
+            - 2.0 * leibniz(w2, d2)
+            - leibniz(w3, leibniz(d1, d1))
+            + leibniz(w2, w1)
+        )
 
     def residual_h4(self, profile):
         """(R field, ||R||_H4, ||R||_L2) with R = -Pi_0 grad J(Phi), assembled

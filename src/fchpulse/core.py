@@ -240,10 +240,6 @@ class ScalarField:
         return ScalarField(self.grid, -self.values)
 
 
-def field_from_callable(grid, fn):
-    return ScalarField(grid, np.asarray(fn(grid.nodes), dtype=float))
-
-
 # ---------------------------------------------------------------------------
 # Cosine-basis transforms. Coefficients a_k satisfy
 #   u(z_j) = sum_{k=0}^{N-1} a_k cos(k*pi*z_j/L)

@@ -29,7 +29,7 @@ from .core import (
     norm,
 )
 from .ansatz import mass as field_mass
-from .operators import variational_derivative, zero_mass_projection
+from .operators import energy, variational_derivative, zero_mass_projection
 from .wellmodel import PairEnergy
 
 DT_MIN = 1e-12
@@ -63,12 +63,6 @@ class SimulationState:
     dissipation: float = np.nan
 
 
-def _energy(u, well):
-    from .operators import energy
-
-    return energy(u, well)
-
-
 def dissipation_rate(u, well, family):
     """||G1 grad J||_X^2 = <G grad J, grad J>, the instantaneous energy decay."""
     g = variational_derivative(u, well)
@@ -93,13 +87,13 @@ def step(state, well, family, controls):
 
     e_old = state.energy
     if not np.isfinite(e_old):
-        e_old = _energy(state.u, well)
+        e_old = energy(state.u, well)
 
     dt = state.dt
     while True:
         new_hat = u_hat - dt * flow_hat / (1.0 + dt * denom_base)
         u_new = ScalarField(grid, cosine_synth(new_hat))
-        e_new = _energy(u_new, well)
+        e_new = energy(u_new, well)
         if e_new <= e_old + ENERGY_SLACK:
             break
         dt *= 0.5
@@ -243,7 +237,7 @@ def run(
         controls = StepControls.for_initial_state(u0, well)
 
     state = SimulationState(
-        time=0.0, u=u0, dt=dt0, energy=_energy(u0, well),
+        time=0.0, u=u0, dt=dt0, energy=energy(u0, well),
         dissipation=dissipation_rate(u0, well, family),
     )
     traj = Trajectory()
@@ -392,11 +386,6 @@ class ReducedModel:
         k = np.arange(1, n + 1)
         closed = -gamma * (1.0 + np.cos(k * np.pi / (n + 1)))
         return mat, np.sort(eigs), np.sort(closed)
-
-
-def pulse_velocity(model, p):
-    """Closed-form reduced velocity (module-level alias)."""
-    return model.velocity(p)
 
 
 def pulse_velocity_projection(manifold, config):

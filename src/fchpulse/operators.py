@@ -162,11 +162,6 @@ def flow_field(u, well, family=None):
     return -family.apply(g, "G")
 
 
-def residual_field(u, well):
-    """Quasi-steady residual R = -Pi_0 grad J(u)."""
-    return flow_field(u, well)
-
-
 def schroedinger_map(grid, potential_values):
     """L = d^2/dz^2 - q(z) as a LinearMap (used for L_n and the local maps)."""
     pot = np.asarray(potential_values, dtype=float)
@@ -386,11 +381,10 @@ def scaled_nonlinearity_constant(phi, well, family, rho, probes):
     return worst
 
 
-def scaled_residual_constant(phi, well, family, rho, delta, residual=None):
+def scaled_residual_constant(residual, family, rho, delta):
     """c in ||G1 R||_{H_G1} <= c rho^2 delta, band-limited."""
-    r = residual_field(phi, well) if residual is None else residual
     mult = family.multipliers("G")
-    return band_limited_h_norm(r, mult) / (rho**2 * delta)
+    return band_limited_h_norm(residual, mult) / (rho**2 * delta)
 
 
 def tangent_amplification_constant(tangents, family, rho):

@@ -926,8 +926,7 @@ def run_hypothesis_suite(
         )
 
         r_base, _, _ = manifold.residual_h4(base)
-        c_res = scaled_residual_constant(base.phi, manifold.well, fam, rho,
-                                         delta, residual=r_base)
+        c_res = scaled_residual_constant(r_base, fam, rho, delta)
         report.add(
             "scaled_residual", -1, c_res, THRESHOLDS["eh3_residual_cap"],
             c_res <= THRESHOLDS["eh3_residual_cap"], s=s,

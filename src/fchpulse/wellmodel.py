@@ -12,11 +12,12 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from math import comb
+from math import comb, factorial
 
 import numpy as np
 from numpy.polynomial import chebyshev
 from scipy.interpolate import CubicHermiteSpline
+from scipy.linalg import lu_factor, lu_solve
 from scipy.optimize import brentq
 
 from .core import (
@@ -98,27 +99,46 @@ def default_well(tau):
 
 
 # ---------------------------------------------------------------------------
-# Homoclinic pulse.
+# Derivative jets: stacks of derivatives of orders 0..K along axis 0.
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=16)
-def _chain_derivative(order):
-    """phi^(order) as a function of (u, phi', tau) for the quartic well.
+def leibniz(f, g):
+    """Jet of the product f*g by the Leibniz rule.
 
-    Built by repeated symbolic differentiation of the pulse equation
-    phi'' = W'(phi); every derivative reduces to a polynomial in (u, phi').
+    A jet is the stack of derivatives of orders 0..K along axis 0; the product
+    jet is as long as the shorter factor.
     """
-    import sympy as sp
+    f, g = np.asarray(f, dtype=float), np.asarray(g, dtype=float)
+    size = min(len(f), len(g))
+    out = np.zeros((size,) + np.broadcast_shapes(f.shape[1:], g.shape[1:]))
+    for m in range(size):
+        for k in range(m + 1):
+            out[m] += comb(m, k) * f[k] * g[m - k]
+    return out
 
-    u, d1, tau = sp.symbols("u d1 tau")
-    w1 = (u**2 - 1) * (u - tau)
-    exprs = [sp.Integer(0), d1, w1]
-    for _ in range(3, order + 1):
-        prev = exprs[-1]
-        nxt = sp.diff(prev, u) * d1 + sp.diff(prev, d1) * w1
-        exprs.append(sp.expand(nxt))
-    return sp.lambdify((u, d1, tau), exprs[order], "numpy")
 
+def well_jet(well, j, f, base):
+    """Jet of W^(j)(base + f) from the jet f.
+
+    The quartic equals its Taylor series about base,
+        W^(j)(base + y) = sum_i W^(j+i)(base) y^i / i!,  i = 0..4-j,
+    which is summed in Horner form with Leibniz products. Expanding about a
+    well keeps relative accuracy where f is tiny.
+    """
+    f = np.asarray(f, dtype=float)
+    derivs = (well.W, well.dW, well.d2W, well.d3W, well.d4W)[j:]
+    coeffs = [d(base) / factorial(i) for i, d in enumerate(derivs)]
+    out = np.zeros(np.broadcast_shapes(f.shape, np.shape(base)))
+    out[0] = coeffs[-1]
+    for c in reversed(coeffs[:-1]):
+        out = leibniz(out, f)
+        out[0] += c
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Homoclinic pulse.
+# ---------------------------------------------------------------------------
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
 
@@ -263,7 +283,8 @@ class PulseProfile:
         """d^order/dx^order of phi_bar(x) via the first integral, orders 0..8.
 
         Orders through 4 are the hand-derived chain formulas; higher orders
-        come from the same recursion generated symbolically once per module.
+        grow the jet of phi_bar by phi_bar^(k) = [W'(b_minus + phi_bar)]^(k-2),
+        expanded about b_minus so that the tail keeps its relative accuracy.
         """
         x = np.asarray(x, dtype=float)
         e = self.pulse_bar(x)
@@ -281,7 +302,10 @@ class PulseProfile:
         if order == 4:
             return well.d3W(u) * dphi**2 + well.d2W(u) * well.dW(u)
         if order <= 8:
-            return _chain_derivative(order)(u, dphi, well.tau)
+            jet = [e, dphi]
+            for k in range(2, order + 1):
+                jet.append(well_jet(well, 1, jet[: k - 1], well.b_minus)[k - 2])
+            return jet[order]
         raise DomainError("pulse derivatives available for orders 0..8")
 
     @cached_property
@@ -589,16 +613,8 @@ class BackgroundProfile:
                 writer.writerow([f"{zi:.17g}", f"{vi:.17g}"])
 
 
-def _lu_factor(a):
-    from scipy.linalg import lu_factor
-
-    return lu_factor(a)
-
-
 def _refined_solve(a, lu_piv, rhs):
     """LU solve with one step of iterative refinement."""
-    from scipy.linalg import lu_solve
-
     x = lu_solve(lu_piv, rhs)
     x += lu_solve(lu_piv, rhs - a @ x)
     return x
@@ -633,7 +649,7 @@ def solve_background(well, profile, j, num_points=512, window_factor=2.0):
     q = well.d2W(well.b_minus + profile.pulse_bar(z))
     lmat = _half_line_second_derivative(window, num_points) - np.diag(q)
 
-    lu_piv = _lu_factor(lmat)
+    lu_piv = lu_factor(lmat)
     rhs = np.ones(num_points)
     b = _refined_solve(lmat, lu_piv, rhs)
     if j == 2:

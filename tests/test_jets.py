@@ -1,0 +1,182 @@
+"""Derivative jets: Leibniz products, the well's Taylor jets, and the pulse
+and grad J derivatives built from them.
+
+The symbolic generators the jets replaced are kept here as oracles; they
+need sympy, which is a test-only dependency.
+"""
+
+import os
+import subprocess
+import sys
+import textwrap
+from functools import lru_cache
+from math import factorial
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import fchpulse
+from fchpulse.wellmodel import DoubleWell, leibniz, well_jet
+
+from conftest import moderate_config
+
+
+@lru_cache(maxsize=16)
+def chain_derivative_oracle(order):
+    """phi^(order) as a function of (u, phi', tau), by symbolic recursion on
+    the pulse equation phi'' = W'(phi)."""
+    sp = pytest.importorskip("sympy")
+    u, d1, tau = sp.symbols("u d1 tau")
+    w1 = (u**2 - 1) * (u - tau)
+    exprs = [sp.Integer(0), d1, w1]
+    for _ in range(3, order + 1):
+        prev = exprs[-1]
+        exprs.append(sp.expand(sp.diff(prev, u) * d1 + sp.diff(prev, d1) * w1))
+    return sp.lambdify((u, d1, tau), exprs[order], "numpy")
+
+
+@lru_cache(maxsize=8)
+def gradient_oracle(max_order=4):
+    """Callables g_m(phi0, ..., phi_{4+max_order}, tau), m = 0..max_order, for
+    the z-derivatives of grad J, generated symbolically."""
+    sp = pytest.importorskip("sympy")
+    z, tau = sp.symbols("z tau")
+    phi = sp.Function("phi")(z)
+    w1 = (phi**2 - 1) * (phi - tau)
+    w2 = 3 * phi**2 - 2 * tau * phi - 1
+    w3 = 6 * phi - 2 * tau
+    grad = (
+        sp.diff(phi, z, 4)
+        - 2 * w2 * sp.diff(phi, z, 2)
+        - w3 * sp.diff(phi, z) ** 2
+        + w2 * w1
+    )
+    top = 4 + max_order
+    symbols = sp.symbols(f"d0:{top + 1}")
+    lambdas = []
+    expr = grad
+    for m in range(max_order + 1):
+        if m > 0:
+            expr = sp.diff(expr, z)
+        sub = expr
+        for j in range(top, -1, -1):
+            sub = sub.subs(sp.diff(phi, z, j) if j else phi, symbols[j])
+        lambdas.append(sp.lambdify(list(symbols) + [tau], sub, "numpy"))
+    return lambdas
+
+
+class TestAgainstSymbolicOracles:
+    @pytest.mark.parametrize("order", [5, 6, 7, 8])
+    def test_pulse_orders_5_to_8(self, pulse, order):
+        x = np.linspace(-20.0, 20.0, 801)
+        u = pulse.well.b_minus + pulse.pulse_bar(x)
+        ref = chain_derivative_oracle(order)(
+            u, pulse.pulse_bar_deriv(x, 1), pulse.well.tau
+        )
+        got = pulse.pulse_bar_deriv(x, order)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_gradient_stack_at_desk_point(self, desk_manifold):
+        man = desk_manifold
+        prof = man.build(moderate_config(man))
+        phi = man.derivative_stack(prof, max_order=8)
+        ref = np.array([g(*phi, man.well.tau) for g in gradient_oracle(4)])
+        got = man.gradient_stack(prof, max_order=4)
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-11
+
+
+class TestPulseTail:
+    @pytest.mark.parametrize("order", [5, 6, 7, 8])
+    def test_relative_accuracy_in_the_tail(self, pulse, order):
+        """phi_bar^(k) / ((-sign x * r)^k phi_bar) -> 1 far from the core."""
+        x = np.array([30.0, 40.0, 60.0, 100.0, 150.0, -40.0])
+        rate = np.sqrt(pulse.well.alpha_minus)
+        asymptote = (-np.sign(x) * rate) ** order * pulse.pulse_bar(x)
+        ratio = pulse.pulse_bar_deriv(x, order) / asymptote
+        assert np.max(np.abs(ratio - 1.0)) <= 1e-10
+
+
+def _exp_jet(a, z, size):
+    return np.array([a**k * np.exp(a * z) for k in range(size)])
+
+
+def _abs_power_bound(f, i):
+    """Largest entry of the jet of |f|^i: bounds every partial product."""
+    acc = np.zeros_like(f)
+    acc[0] = 1.0
+    for _ in range(i):
+        acc = leibniz(acc, np.abs(f))
+    return np.max(acc)
+
+
+def _largest_term(well, j, f, base):
+    """max_i |W^(j+i)(base) / i!| * |f|^i over the Taylor terms of well_jet."""
+    derivs = (well.W, well.dW, well.d2W, well.d3W, well.d4W)[j:]
+    return max(
+        abs(float(d(base))) / factorial(i) * _abs_power_bound(f, i)
+        for i, d in enumerate(derivs)
+    )
+
+
+coord = st.floats(-3.0, 3.0)
+jets = st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=7).map(np.array)
+
+
+class TestJetProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(a=coord, b=coord, z=st.floats(-2.0, 2.0))
+    def test_leibniz_on_exponentials(self, a, b, z):
+        size = 9
+        got = leibniz(_exp_jet(a, z, size), _exp_jet(b, z, size))
+        exact = _exp_jet(a + b, z, size)
+        # the Leibniz sum of |terms| is (|a| + |b|)^m e^{(a+b)z}
+        scale = np.array([(abs(a) + abs(b)) ** m for m in range(size)])
+        assert np.all(np.abs(got - exact) <= 1e-12 * scale * np.exp((a + b) * z))
+
+    @settings(max_examples=60, deadline=None)
+    @given(tau=st.floats(-0.95, -0.05), j=st.integers(1, 3), f=jets,
+           base=st.floats(-2.0, 2.0))
+    def test_well_jet_value_and_shift(self, tau, j, f, base):
+        well = DoubleWell(tau)
+        got = well_jet(well, j, f, base)
+        shifted = f.copy()
+        shifted[0] += base
+        scale = max(_largest_term(well, j, f, base),
+                    _largest_term(well, j, shifted, 0.0))
+        direct = (well.dW, well.d2W, well.d3W)[j - 1](base + f[0])
+        assert abs(got[0] - direct) <= 1e-12 * scale
+        assert np.all(np.abs(got - well_jet(well, j, shifted, 0.0))
+                      <= 1e-12 * scale)
+
+
+def test_runtime_does_not_import_sympy():
+    """Residuals and pulse derivatives of every order run without sympy."""
+    script = textwrap.dedent("""
+        import sys
+        import numpy as np
+        from fchpulse import (Grid, PulseManifold, SystemParams, default_well,
+                              solve_background, solve_homoclinic)
+        well = default_well(-0.3)
+        pulse = solve_homoclinic(well)
+        bg1 = solve_background(well, pulse, 1)
+        bg2 = solve_background(well, pulse, 2)
+        params = SystemParams(epsilon=0.05, domain_d=16.0 * 0.05, n_pulses=2,
+                              total_mass=2.01 * pulse.mass_h, min_spacing=5.0,
+                              alpha_minus=well.alpha_minus)
+        man = PulseManifold(well, pulse, bg1, bg2, params,
+                            Grid(16.0, 256, h_max=0.4))
+        man.residual_h4(man.build(man.configuration([4.5, 12.0])))
+        pulse.pulse_bar_deriv(np.linspace(-5.0, 5.0, 11), 8)
+        assert "sympy" not in sys.modules, "sympy was imported"
+    """)
+    src = os.path.dirname(os.path.dirname(fchpulse.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
