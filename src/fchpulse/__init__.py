@@ -52,7 +52,6 @@ from .ansatz import (
 from .operators import (
     GradientFamily,
     LinearMap,
-    OperatorBundle,
     energy,
     linearization,
     nonlinear_remainder,
@@ -67,7 +66,6 @@ from .spectral import (
     SpectrumReport,
     coercivity_constant,
     constrained_negative_index,
-    eigs,
     el_bounds,
     run_hypothesis_suite,
     spectral_gap_report,

@@ -262,6 +262,14 @@ def _start(config, out_dir):
     return out, manifest
 
 
+def _finish(out, manifest, summary):
+    """Record the summary and write the manifest, which comes last."""
+    manifest.summary = summary
+    manifest.write(out)
+    manifest.files.append("manifest.json")
+    return manifest
+
+
 # ---------------------------------------------------------------------------
 # Experiments.
 # ---------------------------------------------------------------------------
@@ -291,10 +299,7 @@ def experiment_profile(config, out_dir):
     if config.plot_data:
         _write_plot_data(out / "pulse.dat", lab.pulse.z, lab.pulse.values)
         manifest.files.append("pulse.dat")
-    manifest.summary = {"pass": True, **summary}
-    manifest.write(out)
-    manifest.files.append("manifest.json")
-    return manifest
+    return _finish(out, manifest, {"pass": True, **summary})
 
 
 def experiment_ansatz(config, out_dir):
@@ -328,14 +333,11 @@ def experiment_ansatz(config, out_dir):
     prof.export_csv(out / "ansatz_profile.csv")
     prof.export_internal_json(out / "ansatz_internal.json")
     manifest.files += ["ansatz_profile.csv", "ansatz_internal.json"]
-    manifest.summary = {
+    return _finish(out, manifest, {
         "pass": True,
         "max_bc_residual": max(r[man.n + 3] for r in rows),
         "max_mass_error": max(r[man.n + 4] for r in rows),
-    }
-    manifest.write(out)
-    manifest.files.append("manifest.json")
-    return manifest
+    })
 
 
 def experiment_spectrum(config, out_dir):
@@ -363,10 +365,7 @@ def experiment_spectrum(config, out_dir):
         rows,
     )
     manifest.files.append("spectrum.csv")
-    manifest.summary = {"pass": bool(passed)}
-    manifest.write(out)
-    manifest.files.append("manifest.json")
-    return manifest
+    return _finish(out, manifest, {"pass": bool(passed)})
 
 
 def experiment_diagnose(config, out_dir):
@@ -377,13 +376,14 @@ def experiment_diagnose(config, out_dir):
     sample = man.sample_configurations(
         min(config.sample_size, 8), seed=config.seed
     )
+    profiles = [man.build(c) for c in sample]
     s_checks = tuple(s for s in config.s_values if s > 0.0) or (0.5, 1.0)
     report = run_hypothesis_suite(
-        man, sample=sample, s_values=s_checks, seed=config.seed
+        man, profiles, s_values=s_checks, seed=config.seed
     )
-    profiles = [man.build(c) for c in sample[:6]]
-    el = el_bounds(man, profiles, delta1=lab.params.tail_scale,
-                   coercivity=report.coercivity[0])
+    el = el_bounds(man, profiles[:6], delta1=lab.params.tail_scale,
+                   coercivity=report.coercivity[0],
+                   residuals=report.residuals[:6])
     report.add(
         "trapping_radius", -1, el.eta_star, el.eta_upper, el.window_ok,
         delta0=el.delta0, delta1=el.delta1, delta2=el.delta2, mu2=el.mu2,
@@ -391,13 +391,10 @@ def experiment_diagnose(config, out_dir):
     report.to_json(out / "diagnostics.json")
     report.to_csv(out / "diagnostics.csv")
     manifest.files += ["diagnostics.json", "diagnostics.csv"]
-    manifest.summary = {
+    return _finish(out, manifest, {
         "pass": bool(report.all_passed),
         "failed_hypotheses": [r.hypothesis for r in report.failures()],
-    }
-    manifest.write(out)
-    manifest.files.append("manifest.json")
-    return manifest
+    })
 
 
 def _single_pde_run(lab, s, t_final=None, perturbation=None, start=None,
@@ -458,26 +455,27 @@ def experiment_simulate(config, out_dir):
             manifest.files.append(f"position_{i+1}.dat")
     mass_drift = float(np.max(np.abs(m - m[0])) / abs(m[0]))
     energy_monotone = bool(np.all(np.diff(e) <= 1e-10))
-    manifest.summary = {
+    return _finish(out, manifest, {
         "pass": energy_monotone and mass_drift < 1e-9,
         "steps": traj.final_state.step_index,
         "mass_drift": mass_drift,
         "energy_monotone": energy_monotone,
         "t_exit": traj.t_exit,
         "exit_reason": traj.exit_reason,
-    }
-    manifest.write(out)
-    manifest.files.append("manifest.json")
-    return manifest
+    })
+
+
+def scale_of(lab, s):
+    """Reduced-velocity factor alpha(0)^2 / alpha(s)^2 of the s-flow."""
+    if s == 0.0:
+        return 1.0
+    alpha0 = alpha_scaling(0.0, lab.grid, lab.pulse)
+    return alpha0**2 / alpha_scaling(s, lab.grid, lab.pulse) ** 2
 
 
 def _reduced_trajectory(lab, s, p0, t_final, n_out=201):
     model = ReducedModel.from_pulse(lab.pulse, lab.params)
-    alpha0 = alpha_scaling(0.0, lab.grid, lab.pulse)
-    if s == 0.0:
-        scale = 1.0
-    else:
-        scale = alpha0**2 / alpha_scaling(s, lab.grid, lab.pulse) ** 2
+    scale = scale_of(lab, s)
     t_eval = np.linspace(0.0, t_final, n_out)
     sol, t_exit = integrate_reduced(
         model, p0, t_final, s=s, velocity_scale=scale, t_eval=t_eval
@@ -503,14 +501,11 @@ def experiment_reduce(config, out_dir):
         rows,
     )
     manifest.files.append("reduced_trajectory.csv")
-    manifest.summary = {
+    return _finish(out, manifest, {
         "pass": True,
         "t_exit": t_exit,
         "velocity_scale": scale,
-    }
-    manifest.write(out)
-    manifest.files.append("manifest.json")
-    return manifest
+    })
 
 
 def experiment_compare(config, out_dir):
@@ -552,17 +547,14 @@ def experiment_compare(config, out_dir):
 
     # deviation envelope fit ||w|| ~ M0*(eta0*exp(-k t) + delta)
     fit = fit_deviation_envelope(t, w, lab.params.tail_scale)
-    manifest.summary = {
+    return _finish(out, manifest, {
         "pass": True,
         "velocity_pde": v_pde,
         "velocity_reduced": list(map(float, v_red)),
         "velocity_projection": list(map(float, v_proj)),
         "deviation_fit": fit,
         "t_exit": traj.t_exit,
-    }
-    manifest.write(out)
-    manifest.files.append("manifest.json")
-    return manifest
+    })
 
 
 def fit_deviation_envelope(t, w, delta):
@@ -610,13 +602,14 @@ def experiment_invariance(config, out_dir):
     ref = base_sol.sol(t_ref)
     defects = {}
     for s in config.s_values:
-        model, sol, t_exit, scale = _reduced_trajectory(lab, s, p0, t_final / scale_of(lab, s))
+        scale = scale_of(lab, s)
+        _, sol, _, _ = _reduced_trajectory(lab, s, p0, t_final / scale)
         # map the s-trajectory onto reference time: t_ref = t_s * scale
-        t_s = t_ref / scale_of(lab, s)
+        t_s = t_ref / scale
         vals = sol.sol(t_s)
         defect = float(np.max(np.abs(vals - ref)))
         defects[s] = defect
-        rows = [[t_s[j] * scale_of(lab, s), *vals[:, j]] for j in range(len(t_s))]
+        rows = [[t_s[j] * scale, *vals[:, j]] for j in range(len(t_s))]
         name = f"trajectory_s{s:g}.csv"
         _write_csv(
             out / name,
@@ -632,21 +625,11 @@ def experiment_invariance(config, out_dir):
         [[s, d, threshold] for s, d in sorted(defects.items())],
     )
     manifest.files.append("invariance_summary.csv")
-    manifest.summary = {
+    return _finish(out, manifest, {
         "pass": bool(worst < threshold),
         "defects": {f"{s:g}": d for s, d in defects.items()},
         "threshold": threshold,
-    }
-    manifest.write(out)
-    manifest.files.append("manifest.json")
-    return manifest
-
-
-def scale_of(lab, s):
-    if s == 0.0:
-        return 1.0
-    alpha0 = alpha_scaling(0.0, lab.grid, lab.pulse)
-    return alpha0**2 / alpha_scaling(s, lab.grid, lab.pulse) ** 2
+    })
 
 
 RUNNERS = {

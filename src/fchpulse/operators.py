@@ -9,7 +9,6 @@ plain `eigh` returns X-orthonormal eigenfields.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -23,7 +22,6 @@ from .core import (
     cosine_coeffs,
     cosine_synth,
     h_mode_multipliers,
-    inner_product_x,
     mean_value,
     norm,
     spectral_derivative,
@@ -68,12 +66,6 @@ def dense_second_derivative(grid):
     return mat
 
 
-def dense_zero_mass_projection(grid):
-    c = np.sqrt(grid.quad_weights)
-    c = c / np.linalg.norm(c)
-    return np.eye(grid.num_points) - np.outer(c, c)
-
-
 def to_weighted(field):
     return np.sqrt(field.grid.quad_weights) * field.values
 
@@ -88,7 +80,6 @@ class LinearMap:
 
     grid: Grid
     apply: object
-    self_adjoint: bool = True
     dense_builder: object = None
     _dense: np.ndarray | None = field(default=None, repr=False)
 
@@ -101,33 +92,8 @@ class LinearMap:
             if self.dense_builder is None:
                 raise DomainError("this LinearMap has no dense realization")
             mat = self.dense_builder()
-            if self.self_adjoint:
-                mat = 0.5 * (mat + mat.T)
-            self._dense = mat
+            self._dense = 0.5 * (mat + mat.T)
         return self._dense
-
-    def check_self_adjoint(self, rng=None, trials=4, tol=1e-10):
-        rng = np.random.default_rng(0) if rng is None else rng
-        n = self.grid.num_points
-        kmax = min(n // 3, 200)
-        scale = 0.0
-        worst = 0.0
-        for _ in range(trials):
-            u = _random_smooth(self.grid, rng, kmax)
-            v = _random_smooth(self.grid, rng, kmax)
-            au_v = inner_product_x(self.apply(u), v)
-            u_av = inner_product_x(u, self.apply(v))
-            worst = max(worst, abs(au_v - u_av))
-            scale = max(scale, abs(au_v), 1.0)
-        return worst <= tol * scale, worst / scale
-
-
-def _random_smooth(grid, rng, kmax):
-    coeffs = np.zeros(grid.num_points)
-    coeffs[: kmax + 1] = rng.standard_normal(kmax + 1) / (
-        1.0 + np.arange(kmax + 1) ** 2
-    )
-    return ScalarField(grid, cosine_synth(coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -162,21 +128,6 @@ def flow_field(u, well, family=None):
     return -family.apply(g, "G")
 
 
-def schroedinger_map(grid, potential_values):
-    """L = d^2/dz^2 - q(z) as a LinearMap (used for L_n and the local maps)."""
-    pot = np.asarray(potential_values, dtype=float)
-
-    def apply(fld):
-        return ScalarField(
-            grid, spectral_derivative(fld, 2).values - pot * fld.values
-        )
-
-    def builder():
-        return dense_second_derivative(grid) - np.diag(pot)
-
-    return LinearMap(grid, apply, True, builder)
-
-
 def second_variation(phi, well):
     """Second variation at phi: (d^2 - W''(phi))^2 - (phi'' - W'(phi)) W'''(phi)."""
     grid = phi.grid
@@ -194,7 +145,7 @@ def second_variation(phi, well):
         a = dense_second_derivative(grid) - np.diag(w2)
         return a @ a - np.diag(zeroth)
 
-    return LinearMap(grid, apply, True, builder)
+    return LinearMap(grid, apply, builder)
 
 
 def linearization(phi, well):
@@ -205,16 +156,11 @@ def linearization(phi, well):
     annihilates constants exactly.
     """
     sv = second_variation(phi, well)
-    grid = phi.grid
 
     def apply(fld):
         return -zero_mass_projection(sv.apply(zero_mass_projection(fld)))
 
-    def builder():
-        p0 = dense_zero_mass_projection(grid)
-        return -(p0 @ sv.dense_weighted() @ p0)
-
-    return LinearMap(grid, apply, True, builder)
+    return LinearMap(phi.grid, apply)
 
 
 def nonlinear_remainder(phi, v, well):
@@ -246,10 +192,6 @@ class GradientFamily:
         if not 0.0 <= self.s <= 1.0:
             raise DomainError("gradient exponent s must lie in [0,1]")
 
-    def eigenvalue_d(self, k):
-        k = np.asarray(k, dtype=float)
-        return (self.grid.length / (np.pi * k)) ** 2
-
     def multipliers(self, which):
         k = np.arange(self.grid.num_points, dtype=float)
         k[0] = 1.0  # placeholder; mode 0 handled below
@@ -276,59 +218,9 @@ class GradientFamily:
         out = coeffs * self.multipliers(which)
         return ScalarField(fld.grid, cosine_synth(out))
 
-    def linear_map(self, which="G"):
-        mult = self.multipliers(which)
-        return LinearMap(
-            self.grid,
-            lambda fld: self.apply(fld, which),
-            True,
-            lambda: dense_spectral_multiplier(self.grid, mult),
-        )
-
     def h_norm(self, fld):
         """The norm ||w||_{H_G1} = ||G1 w||_{H^4}."""
         return norm(self.apply(fld, "G1"), "h4")
-
-
-# ---------------------------------------------------------------------------
-# Operator bundle for one manifold point.
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class OperatorBundle:
-    """Second variation, flow linearization, superposition operator L_n, and
-    the gradient family, all sharing one grid and one cosine basis."""
-
-    grid: Grid
-    well: object
-    phi: ScalarField
-    u_n: ScalarField
-    family: GradientFamily
-    second_variation: LinearMap
-    linearization: LinearMap
-    l_n: LinearMap
-
-    @classmethod
-    def from_ansatz(cls, ansatz, well, family):
-        phi = ansatz.phi
-        return cls(
-            grid=phi.grid,
-            well=well,
-            phi=phi,
-            u_n=ansatz.u_n,
-            family=family,
-            second_variation=second_variation(phi, well),
-            linearization=linearization(phi, well),
-            l_n=schroedinger_map(phi.grid, well.d2W(ansatz.u_n.values)),
-        )
-
-    def n_pulse_residual(self):
-        """R_n = u_n'' - W'(u_n)."""
-        return ScalarField(
-            self.grid,
-            spectral_derivative(self.u_n, 2).values - self.well.dW(self.u_n.values),
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -396,35 +288,3 @@ def tangent_amplification_constant(tangents, family, rho):
             worst, norm(family.apply(t0, "G1"), "l2") / (rho * norm(t0, "l2"))
         )
     return worst
-
-
-# ---------------------------------------------------------------------------
-# Dense-matrix dump (offline eigensolver cross-checks).
-# ---------------------------------------------------------------------------
-
-_DUMP_MAGIC = b"FPDENSE1"
-
-
-def dump_dense(matrix, path):
-    """Binary row-major dump: magic, int64 N, 8-byte dtype tag, payload."""
-    mat = np.ascontiguousarray(matrix, dtype="<f8")
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise DomainError("dense dump expects a square matrix")
-    with open(path, "wb") as fh:
-        fh.write(_DUMP_MAGIC)
-        fh.write(struct.pack("<q", mat.shape[0]))
-        fh.write(b"<f8".ljust(8))
-        fh.write(mat.tobytes(order="C"))
-
-
-def load_dense(path):
-    with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != _DUMP_MAGIC:
-            raise DomainError("not a dense-matrix dump")
-        (n,) = struct.unpack("<q", fh.read(8))
-        tag = fh.read(8).rstrip()
-        if tag != b"<f8":
-            raise DomainError(f"unsupported dtype tag {tag!r}")
-        data = np.frombuffer(fh.read(8 * n * n), dtype="<f8")
-    return data.reshape(n, n).copy()

@@ -18,7 +18,6 @@ import scipy.linalg as sla
 from .core import (
     DomainError,
     ScalarField,
-    ToleranceError,
     cosine_coeffs,
     h_mode_multipliers,
     inner_product_x,
@@ -60,7 +59,7 @@ class ShiftError(DomainError):
 
 
 # ---------------------------------------------------------------------------
-# Basic dense eigensolving on the zero-mass (and further constrained) space.
+# Dense eigensolving on the zero-mass space.
 # ---------------------------------------------------------------------------
 
 
@@ -83,12 +82,21 @@ def householder_complement(vec):
     return h[:, 1:]
 
 
-def constrained_complement(grid, extra_weighted=()):
-    """Orthonormal basis of {constants + extra constraints}^perp (weighted)."""
-    cols = [constant_direction(grid)]
-    cols.extend(extra_weighted)
-    mat = np.stack(cols, axis=0)
-    return sla.null_space(mat)
+def zero_mass_eigh(mat, grid, k=None):
+    """Eigenpairs of a weighted-coordinate matrix on the zero-mass space.
+
+    The matrix is reduced to the Householder complement of the constant
+    direction and diagonalized, in full or for its lowest k pairs. Returns
+    the eigenvalues, the eigenvectors in the complement basis, and the basis
+    (so basis @ vecs gives weighted-coordinate eigenvectors).
+    """
+    basis = householder_complement(constant_direction(grid))
+    reduced = basis.T @ mat @ basis
+    if k is None:
+        evals, evecs = sla.eigh(reduced)
+    else:
+        evals, evecs = sla.eigh(reduced, subset_by_index=[0, k - 1])
+    return evals, evecs, basis
 
 
 @dataclass
@@ -112,46 +120,6 @@ class SpectrumReport:
         return self.eigenvalues[: self.slow_dim]
 
 
-def eigs(linear_map, k, on_zero_mass=True, extra_constraints=(), residual_tol=1e-6):
-    """Lowest-k eigenpairs of a self-adjoint LinearMap via its dense form.
-
-    With on_zero_mass the solve is deflated against constants exactly (the
-    problem is reduced to an orthonormal basis of the complement).
-    """
-    grid = linear_map.grid
-    n = grid.num_points
-    if k > n // 4:
-        raise DomainError(f"k = {k} exceeds N/4 = {n // 4}")
-    mat = linear_map.dense_weighted()
-    if on_zero_mass or extra_constraints:
-        extras = [to_weighted(f) for f in extra_constraints]
-        if on_zero_mass:
-            basis = constrained_complement(grid, extras)
-        else:
-            matc = np.stack(extras, axis=0)
-            basis = sla.null_space(matc) if extras else np.eye(n)
-        reduced = basis.T @ mat @ basis
-        evals, evecs = sla.eigh(reduced, subset_by_index=[0, k - 1])
-        vecs = basis @ evecs
-    else:
-        evals, vecs = sla.eigh(mat, subset_by_index=[0, k - 1])
-    fields = [from_weighted(grid, vecs[:, j]) for j in range(k)]
-    residuals = np.empty(k)
-    for j in range(k):
-        av = linear_map.apply(fields[j])
-        residuals[j] = norm(
-            ScalarField(grid, av.values - evals[j] * fields[j].values), "l2"
-        )
-    if np.any(residuals > residual_tol):
-        raise ToleranceError(
-            f"eigenpair residuals up to {residuals.max():.2e} exceed "
-            f"{residual_tol:g}"
-        )
-    return SpectrumReport(
-        eigenvalues=evals, eigenfields=fields, residuals=residuals
-    )
-
-
 def spectral_gap_report(manifold, profile, num_stable=4, k_s=None):
     """Spectrum of -L on the zero-mass space with the slow/stable split.
 
@@ -165,11 +133,9 @@ def spectral_gap_report(manifold, profile, num_stable=4, k_s=None):
     delta = manifold.params.tail_scale
     if k_s is None:
         k_s = manifold.pulse.edge_floor
-    mat = second_variation(profile.phi, manifold.well).dense_weighted()
-    basis = householder_complement(constant_direction(grid))
-    reduced = basis.T @ mat @ basis
+    sv = second_variation(profile.phi, manifold.well)
     k = n + num_stable
-    evals, evecs = sla.eigh(reduced, subset_by_index=[0, k - 1])
+    evals, evecs, basis = zero_mass_eigh(sv.dense_weighted(), grid, k)
     vecs = basis @ evecs
     fields = [from_weighted(grid, vecs[:, j]) for j in range(k)]
 
@@ -195,7 +161,6 @@ def spectral_gap_report(manifold, profile, num_stable=4, k_s=None):
             f"stable edge {stable_edge:.4f} outside {band:.0%} band of "
             f"k_s = {k_s:.4f}"
         )
-    sv = second_variation(profile.phi, manifold.well)
     residuals = np.empty(k)
     for j in range(k):
         av = zero_mass_projection(sv.apply(fields[j]))
@@ -474,11 +439,8 @@ def symmetrized_gap(manifold, profile, family, num_stable=3, mu_gap=None,
 
     lw = second_variation(profile.phi, manifold.well).dense_weighted()
     g1 = dense_spectral_multiplier(grid, family.multipliers("G1"))
-    mat = g1 @ lw @ g1
-    basis = householder_complement(constant_direction(grid))
-    reduced = basis.T @ mat @ basis
     k = n + num_stable
-    evals, evecs = sla.eigh(reduced, subset_by_index=[0, k - 1])
+    evals, evecs, basis = zero_mass_eigh(g1 @ lw @ g1, grid, k)
     vecs = basis @ evecs
 
     failures = []
@@ -575,23 +537,27 @@ def dual_h4_norm(field):
 
 
 def el_bounds(manifold, profiles, delta1=None, eta=1.0, coercivity=None,
-              nonlinearity_probes=4, seed=0):
+              residuals=None, nonlinearity_probes=4, seed=0):
     """Measured trapping-radius ingredients over a manifold sample.
 
     delta0: max energy variation over the sample; delta2: max residual
     projection constant (the H4-dual norm of Pi_0 grad J, the sharp constant
     of the small-residual pairing bound); mu2: the H2-Gram coercivity minimum
     (resolution-stable); c2 fits the cubic remainder bound; c1, the
-    projection Lipschitz constant, is the unit proxy.
+    projection Lipschitz constant, is the unit proxy. A caller that already
+    has the coercivity report of profiles[0], or the residual fields of
+    `residual_h4` for the profiles in order, passes them instead of having
+    them computed again.
     """
     params = manifold.params
     if delta1 is None:
         delta1 = params.tail_scale
     energies = [manifold.energy_value(p) for p in profiles]
     delta0 = float(np.max(energies) - np.min(energies))
+    if residuals is None:
+        residuals = [manifold.residual_h4(p)[0] for p in profiles]
     delta2 = 0.0
-    for p in profiles:
-        r_field, _, _ = manifold.residual_h4(p)
+    for r_field in residuals:
         delta2 = max(delta2, dual_h4_norm(r_field))
     if coercivity is None:
         coercivity = coercivity_constant(manifold, profiles[0])
@@ -650,18 +616,15 @@ def semigroup_decay_check(manifold, profile, times=(0.5, 1.0, 2.0), seed=0):
     ||exp(t L) u|| <= exp(-edge * t) ||u|| for random u orthogonal to the
     slow eigenspace.
     """
-    grid = manifold.grid
     n = manifold.n
     mat = second_variation(profile.phi, manifold.well).dense_weighted()
-    basis = householder_complement(constant_direction(grid))
-    reduced = basis.T @ mat @ basis
-    evals, evecs = sla.eigh(reduced)
+    evals, evecs, basis = zero_mass_eigh(mat, manifold.grid)
     edge = evals[n]
     rng = np.random.default_rng(seed)
     ok = True
     worst = 0.0
     for _ in range(4):
-        u = rng.standard_normal(reduced.shape[0])
+        u = rng.standard_normal(basis.shape[1])
         u -= evecs[:, :n] @ (evecs[:, :n].T @ u)
         u /= np.linalg.norm(u)
         coeffs = evecs.T @ u
@@ -674,24 +637,28 @@ def semigroup_decay_check(manifold, profile, times=(0.5, 1.0, 2.0), seed=0):
     return ok, worst, float(edge)
 
 
-def eigenfield_continuity(manifold, config, direction=None, step=0.05):
+def eigenfield_continuity(manifold, config, direction=None, step=0.05,
+                          center_report=None):
     """Slow-eigenfield continuity and p-Hessian magnitude along a p-path.
 
     Eigenfields at the shifted points are matched to the center fields by
     best overlap (nearly degenerate slow eigenvalues may reorder along the
     path, and continuity is a statement about the continued fields, not
-    about a fixed index). Returns (min matched overlap, max
+    about a fixed index). center_report is the spectral gap report at config
+    when the caller already has it. Returns (min matched overlap, max
     second-difference H4 norm).
     """
     n = manifold.n
     if direction is None:
         direction = np.zeros(n)
         direction[0] = 1.0
+    if center_report is None:
+        center_report = spectral_gap_report(manifold, manifold.build(config))
     reps = []
-    for shift in (-step, 0.0, step):
+    for shift in (-step, step):
         cfg = manifold.configuration(config.positions + shift * direction)
         reps.append(spectral_gap_report(manifold, manifold.build(cfg)))
-    center = [to_weighted(f) for f in reps[1].eigenfields[:n]]
+    center = [to_weighted(f) for f in center_report.eigenfields[:n]]
 
     def matched(rep):
         cands = [to_weighted(f) for f in rep.eigenfields[:n]]
@@ -706,13 +673,13 @@ def eigenfield_continuity(manifold, config, direction=None, step=0.05):
             out.append((score, v))
         return out
 
-    left, right = matched(reps[0]), matched(reps[2])
+    left, right = matched(reps[0]), matched(reps[1])
     # subspace continuity: individual eigenvectors may rotate arbitrarily
     # fast inside a nearly degenerate slow cluster, but the slow subspace
     # itself turns at a rate controlled by the gap to the stable part
     u_c = np.stack(center, axis=1)
     sub_overlap = 1.0
-    for rep in (reps[0], reps[2]):
+    for rep in reps:
         u_s = np.stack([to_weighted(f) for f in rep.eigenfields[:n]], axis=1)
         sub_overlap = min(
             sub_overlap, float(np.min(np.linalg.svd(u_c.T @ u_s)[1]))
@@ -761,6 +728,7 @@ def _plain(v):
 class DiagnosticsReport:
     records: list = field(default_factory=list)
     coercivity: list = field(default_factory=list)
+    residuals: list = field(default_factory=list)
 
     def add(self, hypothesis, config_id, constant, threshold, passed, **details):
         self.records.append(
@@ -795,29 +763,28 @@ class DiagnosticsReport:
 
 
 def run_hypothesis_suite(
-    manifold, sample=None, s_values=(0.5, 1.0), seed=0, spectral_subset=3,
+    manifold, profiles, s_values=(0.5, 1.0), seed=0, spectral_subset=3,
 ):
-    """Numerical verification of the standing hypotheses over a sample of P.
+    """Numerical verification of the standing hypotheses over built profiles.
 
     Covers: quasi-steady residual smallness, slow/stable dichotomy, semigroup
     decay, tangent alignment, eigenfield regularity, energy flatness,
     invariant-plane membership, normal coercivity, the scaled-nonlinearity
     and scaled-residual bounds, tangent amplification, and the symmetrized
-    gap for each requested s. The coercivity reports of the spectral subset
-    are kept in order in `report.coercivity`.
+    gap for each requested s. The residual fields of all profiles and the
+    coercivity reports of the spectral subset are kept in order in
+    `report.residuals` and `report.coercivity`.
     """
     report = DiagnosticsReport()
     params = manifold.params
     delta = params.tail_scale
-    if sample is None:
-        sample = manifold.sample_configurations(8, seed=seed)
-    profiles = [manifold.build(c) for c in sample]
     k_s = manifold.pulse.edge_floor
 
     # residual smallness
     c0 = 0.0
-    for i, p in enumerate(profiles):
-        _, h4, _ = manifold.residual_h4(p)
+    for p in profiles:
+        r_field, h4, _ = manifold.residual_h4(p)
+        report.residuals.append(r_field)
         c0 = max(c0, h4 / delta)
     report.add(
         "residual_smallness", -1, c0, THRESHOLDS["residual_cap_over_delta"],
@@ -844,9 +811,10 @@ def run_hypothesis_suite(
     report.add("invariant_plane", -1, worst_mass, 1e-9, worst_mass <= 1e-9)
 
     # spectral checks on a subset
-    subset = profiles[:spectral_subset]
-    for i, p in enumerate(subset):
+    gaps = []
+    for i, p in enumerate(profiles[:spectral_subset]):
         gap = spectral_gap_report(manifold, p, k_s=k_s)
+        gaps.append(gap)
         report.add(
             "slow_stable_split", i, gap.extras.get("fitted_c0", np.nan),
             THRESHOLDS["slow_cap_over_delta"], gap.passed,
@@ -875,7 +843,8 @@ def run_hypothesis_suite(
     ok, worst, edge = semigroup_decay_check(manifold, profiles[0])
     report.add("semigroup_decay", 0, worst, 1.0 + 1e-10, ok, edge=edge)
 
-    overlap, hess = eigenfield_continuity(manifold, sample[0])
+    overlap, hess = eigenfield_continuity(manifold, profiles[0].config,
+                                          center_report=gaps[0])
     report.add(
         "eigenfield_regularity", 0, overlap, THRESHOLDS["overlap_floor"],
         overlap >= THRESHOLDS["overlap_floor"], hessian_norm=hess,
@@ -891,8 +860,17 @@ def run_hypothesis_suite(
     rng = np.random.default_rng(seed)
     # the gradient-family bounds are interior statements: measure them at the
     # equispaced point, away from the admissibility boundary where the
-    # ansatz's residual boundary layer dominates the strong norms
-    base = manifold.build(manifold.equispaced())
+    # ansatz's residual boundary layer dominates the strong norms; a sample
+    # that contains that point already has its profile and residual
+    equi = manifold.equispaced()
+    at_equi = next((i for i, p in enumerate(profiles)
+                    if np.array_equal(p.config.positions, equi.positions)),
+                   None)
+    if at_equi is None:
+        base = manifold.build(equi)
+        r_base, _, _ = manifold.residual_h4(base)
+    else:
+        base, r_base = profiles[at_equi], report.residuals[at_equi]
     tangents = manifold.tangent_basis(base.config)
     for s in s_values:
         fam = GradientFamily(manifold.grid, s)
@@ -925,7 +903,6 @@ def run_hypothesis_suite(
             s=s, c_small_rho=c_a, c_large_rho=c_b,
         )
 
-        r_base, _, _ = manifold.residual_h4(base)
         c_res = scaled_residual_constant(r_base, fam, rho, delta)
         report.add(
             "scaled_residual", -1, c_res, THRESHOLDS["eh3_residual_cap"],

@@ -6,7 +6,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fchpulse import ConfigError, ExperimentConfig, ValidationError, parse_config
+from fchpulse import (
+    ConfigError,
+    ExperimentConfig,
+    Laboratory,
+    ValidationError,
+    parse_config,
+)
 from fchpulse.cli import main as cli_main
 from fchpulse.harness import config_hash, fit_deviation_envelope, run_experiment
 
@@ -133,6 +139,37 @@ class TestExperiments:
         for rec in records:
             assert set(rec) >= {"hypothesis", "config_id", "constant",
                                 "threshold", "pass"}
+
+    def test_diagnose_builds_each_profile_once(self, tmp_path, monkeypatch):
+        # the sample (which ends with the equispaced point) is built once,
+        # and residual_h4 runs once per sample profile
+        from fchpulse.ansatz import PulseManifold
+
+        builds, residuals = [], []
+        build, residual_h4 = PulseManifold.build, PulseManifold.residual_h4
+
+        def counted_build(self, config):
+            builds.append(tuple(config.positions))
+            return build(self, config)
+
+        def counted_residual(self, profile):
+            residuals.append(tuple(profile.config.positions))
+            return residual_h4(self, profile)
+
+        monkeypatch.setattr(PulseManifold, "build", counted_build)
+        monkeypatch.setattr(PulseManifold, "residual_h4", counted_residual)
+        cfg = ExperimentConfig(
+            experiment="diagnose", domain_d=1.6, n_pulses=2, min_spacing=8.0,
+            grid_points=256, diagnostic_grid_points=256, sample_size=2,
+            output_dir=str(tmp_path / "diag"),
+        )
+        run_experiment(cfg)
+        lab = Laboratory.from_config(cfg)
+        sample = lab.diag_manifold.sample_configurations(2, seed=cfg.seed)
+        for c in sample:
+            assert builds.count(tuple(c.positions)) == 1, c.positions
+        assert sorted(residuals) == sorted(set(residuals))
+        assert set(residuals) == {tuple(c.positions) for c in sample}
 
     def test_gap_collapse_reported_not_fatal(self, tmp_path):
         # deliberately tiny spacing: the dichotomy fails, the run completes

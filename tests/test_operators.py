@@ -20,9 +20,7 @@ from fchpulse import (
 from fchpulse.core import cosine_coeffs, cosine_synth
 from fchpulse.operators import (
     dense_second_derivative,
-    dump_dense,
     linearization,
-    load_dense,
     to_weighted,
     weighted_cosine_basis,
 )
@@ -128,8 +126,18 @@ class TestSecondVariation:
     def test_self_adjoint(self, desk_manifold, well):
         prof = desk_manifold.build(desk_manifold.equispaced())
         sv = second_variation(prof.phi, well)
-        ok, defect = sv.check_self_adjoint()
-        assert ok, f"self-adjointness defect {defect}"
+        grid = desk_manifold.grid
+        kmax = min(grid.num_points // 3, 200)
+        rng = np.random.default_rng(0)
+        worst = scale = 0.0
+        for _ in range(4):
+            u = smooth_field(grid, rng, kmax)
+            v = smooth_field(grid, rng, kmax)
+            au_v = inner_product_x(sv.apply(u), v)
+            u_av = inner_product_x(u, sv.apply(v))
+            worst = max(worst, abs(au_v - u_av))
+            scale = max(scale, abs(au_v), 1.0)
+        assert worst <= 1e-10 * scale, f"self-adjointness defect {worst / scale}"
 
     def test_superposition_square_dominates(self, manifold_factory, well):
         # at small excess mass the second variation is the square of the
@@ -316,31 +324,6 @@ class TestDenseMachinery:
             )
             vals[n] = inner_product_x(sv.apply(v), v)
         assert abs(vals[2048] - vals[1024]) < 1e-8 * max(abs(vals[2048]), 1.0)
-
-    def test_dense_dump_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(0)
-        mat = rng.standard_normal((32, 32))
-        path = tmp_path / "op.bin"
-        dump_dense(mat, path)
-        back = load_dense(path)
-        assert_allclose(back, mat, atol=0)
-
-
-class TestOperatorBundle:
-    def test_bundle_shares_grid_and_residual(self, diag_manifold, well):
-        from fchpulse import OperatorBundle
-
-        prof = diag_manifold.build(diag_manifold.equispaced())
-        fam = GradientFamily(diag_manifold.grid, 0.5)
-        bundle = OperatorBundle.from_ansatz(prof, well, fam)
-        assert bundle.grid is diag_manifold.grid
-        r_n = bundle.n_pulse_residual()
-        # the raw superposition residual is tail-sized
-        assert norm(r_n, "l2") < 1.0
-        # L_n annihilates a centered pulse derivative up to tail terms
-        lead = diag_manifold.analytic_tangent_leading(prof.config, 1)
-        out = bundle.l_n.apply(lead)
-        assert norm(out, "l2") <= 0.05 * norm(lead, "l2")
 
 
 class TestResidualIdentity:

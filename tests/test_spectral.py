@@ -15,67 +15,68 @@ from fchpulse import (
     ScalarField,
     coercivity_constant,
     constrained_negative_index,
-    eigs,
     el_bounds,
     second_variation,
     spectral_gap_report,
     symmetrized_gap,
     tangent_alignment,
 )
-from fchpulse.core import h_mode_multipliers
+from fchpulse.core import h_mode_multipliers, integral
 from fchpulse.operators import (
     dense_spectral_multiplier,
+    from_weighted,
     to_weighted,
     weighted_cosine_basis,
 )
 from fchpulse.spectral import (
     ShiftError,
     constant_direction,
-    constrained_complement,
     dual_h4_norm,
     eigenfield_continuity,
     eta_star_formula,
     householder_complement,
     semigroup_decay_check,
+    zero_mass_eigh,
 )
 from conftest import cluster_config, moderate_config
 
 
-class TestEigs:
+class TestZeroMassEigh:
     def test_constant_state_spectrum(self, well):
         # (d^2 - alpha)^2 on the zero-mass space: ((k pi/L)^2 + alpha)^2
         grid = Grid(160.0, 512, h_max=0.4)
         u = ScalarField(grid, np.full(grid.num_points, well.b_minus))
-        sv = second_variation(u, well)
-        report = eigs(sv, k=6, on_zero_mass=True)
+        evals, _, _ = zero_mass_eigh(
+            second_variation(u, well).dense_weighted(), grid, 6
+        )
         expected = sorted(
             ((k * np.pi / grid.length) ** 2 + well.alpha_minus) ** 2
             for k in range(1, 7)
         )
-        assert_allclose(report.eigenvalues, expected, atol=1e-8)
+        assert_allclose(evals, expected, atol=1e-8)
 
     def test_dense_cross_check(self, well):
-        # same spectrum from brute-force diagonalization at N = 256
+        # the lowest pairs, the full solve, and a brute-force diagonalization
+        # in another orthonormal basis of the zero-mass space agree at N = 256
         grid = Grid(160.0, 256, h_max=0.7)
         u = ScalarField(grid, np.full(grid.num_points, well.b_minus))
-        sv = second_variation(u, well)
-        report = eigs(sv, k=8, on_zero_mass=True)
-        import scipy.linalg as sla
-
-        from fchpulse.spectral import constant_direction, householder_complement
-
-        mat = sv.dense_weighted()
-        basis = householder_complement(constant_direction(grid))
-        brute = np.sort(np.linalg.eigvalsh(basis.T @ mat @ basis))[:8]
-        assert np.max(np.abs(report.eigenvalues - brute)) < 1e-8
+        mat = second_variation(u, well).dense_weighted()
+        evals, _, _ = zero_mass_eigh(mat, grid, 8)
+        full, _, _ = zero_mass_eigh(mat, grid)
+        assert full.size == grid.num_points - 1
+        other = sla.null_space(constant_direction(grid)[None, :])
+        brute = np.linalg.eigvalsh(other.T @ mat @ other)[:8]
+        assert np.max(np.abs(evals - brute)) < 1e-8
+        assert np.max(np.abs(full[:8] - brute)) < 1e-8
 
     def test_deflation_removes_constants(self, well):
         grid = Grid(160.0, 512, h_max=0.4)
         u = ScalarField(grid, np.full(grid.num_points, well.b_minus))
-        report = eigs(second_variation(u, well), k=4, on_zero_mass=True)
-        from fchpulse.core import integral
-
-        for f in report.eigenfields:
+        _, evecs, basis = zero_mass_eigh(
+            second_variation(u, well).dense_weighted(), grid, 4
+        )
+        for vec in (basis @ evecs).T:
+            f = from_weighted(grid, vec)
             assert abs(integral(f)) / grid.length < 1e-10
 
 
@@ -224,7 +225,9 @@ def dense_generalized_coercivity(manifold, profile, tangents, k_s,
     def lowest(*mats):
         return sla.eigh(*mats, subset_by_index=[0, 0], eigvals_only=True)[0]
 
-    basis = constrained_complement(grid, [to_weighted(t) for t in tangents])
+    basis = sla.null_space(np.stack(
+        [constant_direction(grid), *(to_weighted(t) for t in tangents)]
+    ))
     a_c = basis.T @ lw @ basis
     basis0 = householder_complement(constant_direction(grid))
     a_0 = basis0.T @ lw @ basis0
@@ -405,16 +408,6 @@ class TestProxies:
         )
         assert overlap > 0.99
         assert np.isfinite(hessian)
-
-
-class TestEigsGuards:
-    def test_k_cap(self, well):
-        grid = Grid(160.0, 256, h_max=0.7)
-        u = ScalarField(grid, np.full(grid.num_points, well.b_minus))
-        from fchpulse import DomainError, second_variation
-
-        with pytest.raises(DomainError):
-            eigs(second_variation(u, well), k=100, on_zero_mass=True)
 
 
 class TestEigenfieldOrthonormality:
