@@ -326,12 +326,19 @@ class PulseManifold:
         r[4] = total_mass - self.params.total_mass
         return r
 
-    def internal_parameters(self, config):
-        """Closed-form seeds plus damped Newton on the 5-parameter closure."""
+    def internal_parameters(self, config, fields=None):
+        """Closed-form seeds plus damped Newton on the 5-parameter closure.
+
+        A caller that already has the grid fields (n_pulse(config),
+        _background_sum(grid nodes, config)) passes them as `fields` instead
+        of having them evaluated again; the result is the same.
+        """
         length = self.params.domain_length
-        z = self.grid.nodes
         ends = np.array([0.0, length])
-        bar_bg = self._background_sum(z, config)
+        if fields is None:
+            fields = (self.n_pulse(config),
+                      self._background_sum(self.grid.nodes, config))
+        u_n, bar_bg = fields
         cached = {
             "pulse_ends": {
                 order: self._pulse_sum_deriv(ends, config, order) for order in (1, 3)
@@ -340,10 +347,7 @@ class PulseManifold:
                 order: self._background_sum(ends, config, order) for order in (1, 3)
             },
             "mass_pulse": float(
-                np.sum(
-                    self.grid.quad_weights
-                    * (self.n_pulse(config).values - self.well.b_minus)
-                )
+                np.sum(self.grid.quad_weights * (u_n.values - self.well.b_minus))
             ),
             "mass_bg": float(np.sum(self.grid.quad_weights * bar_bg)),
         }
@@ -404,10 +408,10 @@ class PulseManifold:
 
     def build(self, config):
         """Assemble Phi and verify the closure invariants."""
-        internal = self.internal_parameters(config)
         z = self.grid.nodes
         u_n = self.n_pulse(config)
         bg = self._background_sum(z, config)
+        internal = self.internal_parameters(config, (u_n, bg))
         x = internal.as_vector()
         e_vals = self._e_term(z, x)
         phi = ScalarField(self.grid, u_n.values + internal.lam * bg + e_vals)

@@ -383,7 +383,8 @@ def experiment_diagnose(config, out_dir):
     )
     el = el_bounds(man, profiles[:6], delta1=lab.params.tail_scale,
                    coercivity=report.coercivity[0],
-                   residuals=report.residuals[:6])
+                   residuals=report.residuals[:6],
+                   energies=report.energies[:6])
     report.add(
         "trapping_radius", -1, el.eta_star, el.eta_upper, el.window_ok,
         delta0=el.delta0, delta1=el.delta1, delta2=el.delta2, mu2=el.mu2,
@@ -429,15 +430,21 @@ def experiment_simulate(config, out_dir):
     if config.restart_from:
         from .dynamics import read_checkpoint
 
-        state, _ = read_checkpoint(config.restart_from, lab.grid)
+        # the checkpoint's state, s and controls continue the run that wrote
+        # it; t_final is absolute
+        state, header = read_checkpoint(config.restart_from, lab.grid)
+        s = header.get("s", s)
         family = GradientFamily(lab.grid, s)
-        controls = StepControls.for_initial_state(
-            state.u, lab.well, dt_max=config.dt_max
-        )
+        if "kappa" in header:
+            controls = StepControls(kappa=header["kappa"],
+                                    dt_max=header["dt_max"])
+        else:
+            controls = StepControls.for_initial_state(
+                state.u, lab.well, dt_max=config.dt_max
+            )
         traj = run_pde(
-            lab.manifold, family, state.u, config.t_final,
-            dt0=state.dt, output_every=config.output_every,
-            controls=controls,
+            lab.manifold, family, state, config.t_final,
+            output_every=config.output_every, controls=controls,
             checkpoint_prefix=str(out / "checkpoint"),
             checkpoint_stride=config.checkpoint_stride,
         )

@@ -537,7 +537,7 @@ def dual_h4_norm(field):
 
 
 def el_bounds(manifold, profiles, delta1=None, eta=1.0, coercivity=None,
-              residuals=None, nonlinearity_probes=4, seed=0):
+              residuals=None, energies=None, nonlinearity_probes=4, seed=0):
     """Measured trapping-radius ingredients over a manifold sample.
 
     delta0: max energy variation over the sample; delta2: max residual
@@ -546,13 +546,14 @@ def el_bounds(manifold, profiles, delta1=None, eta=1.0, coercivity=None,
     (resolution-stable); c2 fits the cubic remainder bound; c1, the
     projection Lipschitz constant, is the unit proxy. A caller that already
     has the coercivity report of profiles[0], or the residual fields of
-    `residual_h4` for the profiles in order, passes them instead of having
-    them computed again.
+    `residual_h4` or the values of `energy_value` for the profiles in order,
+    passes them instead of having them computed again.
     """
     params = manifold.params
     if delta1 is None:
         delta1 = params.tail_scale
-    energies = [manifold.energy_value(p) for p in profiles]
+    if energies is None:
+        energies = [manifold.energy_value(p) for p in profiles]
     delta0 = float(np.max(energies) - np.min(energies))
     if residuals is None:
         residuals = [manifold.residual_h4(p)[0] for p in profiles]
@@ -729,6 +730,7 @@ class DiagnosticsReport:
     records: list = field(default_factory=list)
     coercivity: list = field(default_factory=list)
     residuals: list = field(default_factory=list)
+    energies: list = field(default_factory=list)
 
     def add(self, hypothesis, config_id, constant, threshold, passed, **details):
         self.records.append(
@@ -771,9 +773,9 @@ def run_hypothesis_suite(
     decay, tangent alignment, eigenfield regularity, energy flatness,
     invariant-plane membership, normal coercivity, the scaled-nonlinearity
     and scaled-residual bounds, tangent amplification, and the symmetrized
-    gap for each requested s. The residual fields of all profiles and the
-    coercivity reports of the spectral subset are kept in order in
-    `report.residuals` and `report.coercivity`.
+    gap for each requested s. The residual fields and energies of all
+    profiles and the coercivity reports of the spectral subset are kept in
+    order in `report.residuals`, `report.energies` and `report.coercivity`.
     """
     report = DiagnosticsReport()
     params = manifold.params
@@ -792,8 +794,8 @@ def run_hypothesis_suite(
     )
 
     # energy flatness over the manifold sample
-    energies = [manifold.energy_value(p) for p in profiles]
-    delta0 = float(np.max(energies) - np.min(energies))
+    report.energies = [manifold.energy_value(p) for p in profiles]
+    delta0 = float(np.max(report.energies) - np.min(report.energies))
     report.add(
         "energy_flatness", -1, delta0 / delta,
         THRESHOLDS["residual_cap_over_delta"],
@@ -811,7 +813,7 @@ def run_hypothesis_suite(
     report.add("invariant_plane", -1, worst_mass, 1e-9, worst_mass <= 1e-9)
 
     # spectral checks on a subset
-    gaps = []
+    gaps, subset_tangents = [], []
     for i, p in enumerate(profiles[:spectral_subset]):
         gap = spectral_gap_report(manifold, p, k_s=k_s)
         gaps.append(gap)
@@ -823,6 +825,7 @@ def run_hypothesis_suite(
         tangents, stacks = manifold.tangent_basis(
             p.config, with_stacks=True, max_order=4
         )
+        subset_tangents.append(tangents)
         align = tangent_alignment(
             manifold, p, gap, tangent_stacks=(tangents, stacks)
         )
@@ -861,7 +864,8 @@ def run_hypothesis_suite(
     # the gradient-family bounds are interior statements: measure them at the
     # equispaced point, away from the admissibility boundary where the
     # ansatz's residual boundary layer dominates the strong norms; a sample
-    # that contains that point already has its profile and residual
+    # that contains that point already has its profile and residual, and its
+    # tangents too when the point is in the spectral subset
     equi = manifold.equispaced()
     at_equi = next((i for i, p in enumerate(profiles)
                     if np.array_equal(p.config.positions, equi.positions)),
@@ -871,7 +875,10 @@ def run_hypothesis_suite(
         r_base, _, _ = manifold.residual_h4(base)
     else:
         base, r_base = profiles[at_equi], report.residuals[at_equi]
-    tangents = manifold.tangent_basis(base.config)
+    if at_equi is not None and at_equi < len(subset_tangents):
+        tangents = subset_tangents[at_equi]
+    else:
+        tangents = manifold.tangent_basis(base.config)
     for s in s_values:
         fam = GradientFamily(manifold.grid, s)
         rho = params.gap_rho(s)

@@ -1,7 +1,11 @@
 """Gradient-flow stepping, pulse extraction, and the reduced model."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
@@ -21,9 +25,10 @@ from fchpulse import (
     run,
     step,
 )
-from fchpulse.core import cosine_synth
-from fchpulse.dynamics import SimulationState, dissipation_rate
-from fchpulse.operators import energy
+from fchpulse import core
+from fchpulse.core import cosine_coeffs, cosine_synth
+from fchpulse.dynamics import ENERGY_SLACK, SimulationState, dissipation_rate
+from fchpulse.operators import energy, variational_derivative
 
 
 @pytest.fixture(scope="module")
@@ -129,6 +134,96 @@ class TestStep:
                 rel_errs.append(abs(rate - midpoint) / abs(midpoint))
         assert np.median(rel_errs) < 0.02
         assert np.quantile(rel_errs, 0.9) < 0.02
+
+
+def perturbed_testbed(manifold, well, s=0.0, amplitude=1e-3, seed=3):
+    """(state, family, controls) at the perturbed two-pulse testbed point."""
+    prof = manifold.build(manifold.configuration([4.5, 12.0]))
+    u0 = prof.phi + noise_field(manifold.grid, amplitude, seed=seed)
+    fam = GradientFamily(manifold.grid, s)
+    controls = StepControls.for_initial_state(u0, well)
+    return SimulationState(0.0, u0, 1e-4, energy=energy(u0, well)), fam, controls
+
+
+class TestFusedStep:
+    """`step` forms J, grad J and the dissipation in one pass in cosine modes
+    and carries the coefficients of u and grad J to the next step."""
+
+    @pytest.mark.parametrize("s", [0.0, 1.0])
+    def test_carried_values_equal_the_public_functions(self, small_manifold,
+                                                       well, s):
+        state, fam, controls = perturbed_testbed(small_manifold, well, s)
+        for _ in range(3):
+            state = step(state, well, fam, controls)
+            g = variational_derivative(state.u, well)
+            assert state.energy == energy(state.u, well)
+            assert state.dissipation == dissipation_rate(state.u, well, fam)
+            assert np.array_equal(state.u_hat, cosine_coeffs(state.u.values))
+            assert np.array_equal(state.grad_hat, cosine_coeffs(g.values))
+
+    def test_stripped_state_steps_to_the_same_bits(self, small_manifold, well):
+        state, fam, controls = perturbed_testbed(small_manifold, well, 0.5)
+        for _ in range(4):
+            state = step(state, well, fam, controls)
+        bare = dataclasses.replace(state, u_hat=None, grad_hat=None,
+                                   energy=np.nan, dissipation=np.nan)
+        full, again = (step(x, well, fam, controls) for x in (state, bare))
+        for name in ("time", "dt", "step_index", "accept_streak", "energy",
+                     "dissipation"):
+            assert getattr(full, name) == getattr(again, name)
+        assert np.array_equal(full.u.values, again.u.values)
+        assert np.array_equal(full.u_hat, again.u_hat)
+        assert np.array_equal(full.grad_hat, again.grad_hat)
+
+    def test_accepted_step_makes_seven_transforms(self, small_manifold, well,
+                                                  monkeypatch):
+        state, fam, controls = perturbed_testbed(small_manifold, well)
+        state = step(state, well, fam, controls)
+        calls = []
+        real = core.dct
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(core, "dct", counting)
+        nxt = step(state, well, fam, controls)
+        assert nxt.time - state.time == state.dt  # accepted at the first trial
+        assert len(calls) <= 7
+
+    def test_build_evaluates_the_background_once(self, small_manifold,
+                                                 monkeypatch):
+        cls = type(small_manifold.bg2)
+        real = cls.bar_at
+        sizes = []
+
+        def counting(self, x, order=0):
+            sizes.append(np.size(x))
+            return real(self, x, order)
+
+        monkeypatch.setattr(cls, "bar_at", counting)
+        small_manifold.build(small_manifold.configuration([4.5, 12.0]))
+        full = sizes.count(small_manifold.grid.num_points)
+        assert full == small_manifold.n
+
+
+class TestStepProperties:
+    """Invariants of `step` over random zero-mass perturbations and dt."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(seed=st.integers(0, 2**16), amplitude=st.floats(1e-5, 1e-2),
+           dt=st.floats(1e-5, 2e-2), s=st.sampled_from([0.0, 0.5, 1.0]))
+    def test_mass_kept_and_energy_never_rises(self, small_manifold, well,
+                                              seed, amplitude, dt, s):
+        state, fam, controls = perturbed_testbed(small_manifold, well, s,
+                                             amplitude, seed)
+        state = dataclasses.replace(state, dt=dt)
+        m0 = mass(state.u, well.b_minus)
+        for _ in range(3):
+            nxt = step(state, well, fam, controls)
+            assert nxt.energy <= state.energy + ENERGY_SLACK
+            assert abs(mass(nxt.u, well.b_minus) - m0) <= 1e-12 * abs(m0)
+            state = nxt
 
 
 class TestExtraction:

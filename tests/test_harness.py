@@ -242,6 +242,46 @@ class TestRestart:
         manifest2 = run_experiment(cfg2)
         assert manifest2.summary["pass"] is True
 
+    def test_restart_is_the_same_run(self, tmp_path):
+        # an uninterrupted run to T and a run restarted from one of its
+        # checkpoints end in the same bits and record the same rows from the
+        # checkpoint on
+        first, second = tmp_path / "first", tmp_path / "second"
+        manifest = run_experiment(ExperimentConfig(
+            experiment="simulate", output_dir=str(first), checkpoint_stride=1,
+            **SMALL
+        ))
+        checkpoints = sorted(
+            f[:-5] for f in manifest.files
+            if f.startswith("checkpoint_") and f.endswith(".json")
+        )
+        assert len(checkpoints) >= 3
+        middle = checkpoints[len(checkpoints) // 2]
+        manifest2 = run_experiment(ExperimentConfig(
+            experiment="simulate", output_dir=str(second),
+            checkpoint_stride=1, restart_from=str(first / middle), **SMALL
+        ))
+        assert manifest2.summary["steps"] == manifest.summary["steps"]
+        last = checkpoints[-1]
+        assert last in {f[:-5] for f in manifest2.files}
+        assert ((first / f"{last}.bin").read_bytes()
+                == (second / f"{last}.bin").read_bytes())
+        headers = [json.loads((d / f"{last}.json").read_text())
+                   for d in (first, second)]
+        for key in ("time", "step_index", "dt", "accept_streak"):
+            assert headers[0][key] == headers[1][key]
+
+        import csv as csvmod
+
+        rows = []
+        for d in (first, second):
+            with open(d / "trajectory.csv") as fh:
+                rows.append(list(csvmod.reader(fh)))
+        t_restart = json.loads((first / f"{middle}.json").read_text())["time"]
+        k = next(i for i, r in enumerate(rows[0][1:], 1)
+                 if float(r[0]) == t_restart)
+        assert rows[1][1:] == rows[0][k:]
+
 
 class TestCompareStationary:
     def test_equispaced_unperturbed_stationary(self, tmp_path):

@@ -1,8 +1,10 @@
-"""Source hygiene: no module of the package imports a name it never uses.
+"""Source hygiene, checked with the stdlib `ast` since no linter is installed.
 
-No linter is installed, so deleted code can leave dead imports behind; this
-stdlib `ast` check catches them. `__init__` re-exports by importing, so it is
-not checked.
+No module of the package imports a name it never uses: deleted code can
+leave dead imports behind. `__init__` re-exports by importing, so it is not
+checked for those. No module catches every error (`except Exception`,
+`except BaseException` or a bare `except:`): a failure raises the `FchError`
+subclass that names it, and a handler catches only what it expects.
 """
 
 import ast
@@ -12,10 +14,9 @@ import pytest
 
 import fchpulse
 
-SOURCES = sorted(
-    p for p in Path(fchpulse.__file__).parent.glob("*.py")
-    if p.name != "__init__.py"
-)
+ALL_SOURCES = sorted(Path(fchpulse.__file__).parent.glob("*.py"))
+SOURCES = [p for p in ALL_SOURCES if p.name != "__init__.py"]
+CATCH_ALL = {"Exception", "BaseException"}
 
 
 def unused_imports(source):
@@ -42,3 +43,33 @@ def test_detects_an_unused_import():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def catch_all_handlers(source):
+    """Line numbers of handlers that catch every error."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ExceptHandler):
+            continue
+        caught = node.type
+        names = caught.elts if isinstance(caught, ast.Tuple) else [caught]
+        if caught is None or any(
+            isinstance(n, ast.Name) and n.id in CATCH_ALL for n in names
+        ):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_detects_catch_all_handlers():
+    source = (
+        "try:\n    pass\nexcept ValueError:\n    pass\n"
+        "try:\n    pass\nexcept Exception:\n    pass\n"
+        "try:\n    pass\nexcept (KeyError, BaseException):\n    pass\n"
+        "try:\n    pass\nexcept:\n    pass\n"
+    )
+    assert catch_all_handlers(source) == [7, 11, 15]
+
+
+@pytest.mark.parametrize("path", ALL_SOURCES, ids=lambda p: p.name)
+def test_no_catch_all_handlers(path):
+    assert catch_all_handlers(path.read_text()) == []
