@@ -31,7 +31,13 @@ from .core import (
     norm,
 )
 from .ansatz import mass as field_mass
-from .operators import energy, variational_derivative, zero_mass_projection
+from .operators import (
+    energy,
+    energy_terms,
+    gradient_values,
+    variational_derivative,
+    zero_mass_projection,
+)
 from .wellmodel import PairEnergy
 
 DT_MIN = 1e-12
@@ -75,24 +81,14 @@ class SimulationState:
 
 def dissipation_rate(u, well, family):
     """||G1 grad J||_X^2 = <G grad J, grad J>, the instantaneous energy decay."""
-    g = variational_derivative(u, well)
-    return inner_product_x(family.apply(g, "G"), g)
+    g = variational_derivative(u, well).values
+    return _dissipation(g, cosine_coeffs(g), u.grid, family.multipliers("G"))
 
 
-def _energy_terms(values, grid, well):
-    """(u_hat, w1, J): the cosine coefficients of u, w1 = u'' - W'(u), and J(u),
-    in the operation order of `energy`."""
-    u_hat = cosine_coeffs(values)
-    w1 = cosine_synth(-1.0 * u_hat * grid.wavenumbers**2) - well.dW(values)
-    return u_hat, w1, 0.5 * float(np.sum(grid.quad_weights * w1 * w1))
-
-
-def _gradient_terms(values, w1, grid, well):
-    """(grad J, its cosine coefficients) from w1, in the operation order of
-    `variational_derivative`."""
-    g = (cosine_synth(-1.0 * cosine_coeffs(w1) * grid.wavenumbers**2)
-         - well.d2W(values) * w1)
-    return g, cosine_coeffs(g)
+def _dissipation(g, g_hat, grid, gmult):
+    """<G g, g> from g, its cosine coefficients and the multipliers of G, in
+    the operation order of `GradientFamily.apply` and `inner_product_x`."""
+    return float(np.sum(grid.quad_weights * cosine_synth(g_hat * gmult) * g))
 
 
 def step(state, well, family, controls):
@@ -106,8 +102,10 @@ def step(state, well, family, controls):
     synthesis of u_new and the two transforms of J(u_new); an accepted one
     adds grad J(u_new) (two), its coefficients grad_hat and the dissipation
     <G grad J, grad J> (one each). The result carries u_hat and grad_hat, so
-    the next step starts from them; the arithmetic is that of `energy`,
-    `variational_derivative` and `dissipation_rate`, bit for bit.
+    the next step starts from them. J and grad J come from the helpers that
+    `energy` and `variational_derivative` are built on, and the dissipation
+    from the one `dissipation_rate` uses, so the carried values are theirs
+    bit for bit.
     """
     grid = state.u.grid
     kap4 = grid.wavenumbers**4
@@ -116,8 +114,8 @@ def step(state, well, family, controls):
 
     u_hat, grad_hat, e_old = state.u_hat, state.grad_hat, state.energy
     if u_hat is None or grad_hat is None or not np.isfinite(e_old):
-        u_hat, w1, e_u = _energy_terms(state.u.values, grid, well)
-        grad_hat = _gradient_terms(state.u.values, w1, grid, well)[1]
+        u_hat, w1, e_u = energy_terms(state.u.values, grid, well)
+        grad_hat = cosine_coeffs(gradient_values(state.u.values, w1, grid, well))
         if not np.isfinite(e_old):
             e_old = e_u
     flow_hat = gmult * grad_hat
@@ -126,7 +124,7 @@ def step(state, well, family, controls):
     while True:
         new_hat = u_hat - dt * flow_hat / (1.0 + dt * denom_base)
         u_new = ScalarField(grid, cosine_synth(new_hat))
-        u_hat_next, w1, e_new = _energy_terms(u_new.values, grid, well)
+        u_hat_next, w1, e_new = energy_terms(u_new.values, grid, well)
         if e_new <= e_old + ENERGY_SLACK:
             break
         dt *= 0.5
@@ -142,8 +140,9 @@ def step(state, well, family, controls):
     if streak >= controls.growth_patience:
         dt_next = min(2.0 * dt, controls.dt_max)
         streak = 0
-    g, g_hat = _gradient_terms(u_new.values, w1, grid, well)
-    diss = float(np.sum(grid.quad_weights * cosine_synth(g_hat * gmult) * g))
+    g = gradient_values(u_new.values, w1, grid, well)
+    g_hat = cosine_coeffs(g)
+    diss = _dissipation(g, g_hat, grid, gmult)
     return SimulationState(
         time=state.time + dt,
         u=u_new,
@@ -218,35 +217,49 @@ class Trajectory:
                 writer.writerow([f"{v:.17g}" for v in row])
 
 
-def write_checkpoint(path_prefix, state, params_doc, controls=None):
+CHECKPOINT_KEYS = ("time", "dt", "step_index", "accept_streak", "kappa",
+                   "dt_max", "growth_patience")
+
+
+def write_checkpoint(path_prefix, state, params_doc, controls):
     """Write u as little-endian float64 (.bin) and the run state as JSON.
 
     The header holds what `run` needs to continue the same run: the state's
-    time, dt, step index and accept streak, the gradient exponent s from
-    `params_doc`, and, given the step controls, kappa and dt_max.
+    time, dt, step index and accept streak, the step controls, and
+    `params_doc` (the run's gradient exponent s, say).
     """
     header = {
         "time": state.time,
         "dt": state.dt,
         "step_index": state.step_index,
         "accept_streak": state.accept_streak,
+        "kappa": controls.kappa,
+        "dt_max": controls.dt_max,
+        "growth_patience": controls.growth_patience,
         "num_points": state.u.grid.num_points,
         "length": state.u.grid.length,
         "params": params_doc,
     }
-    if "s" in params_doc:
-        header["s"] = params_doc["s"]
-    if controls is not None:
-        header["kappa"] = controls.kappa
-        header["dt_max"] = controls.dt_max
     with open(f"{path_prefix}.json", "w") as fh:
         json.dump(header, fh, indent=2, sort_keys=True)
     state.u.values.astype("<f8").tofile(f"{path_prefix}.bin")
 
 
 def read_checkpoint(path_prefix, grid):
+    """(state, controls, header) of a checkpoint written by `write_checkpoint`.
+
+    A header without one of CHECKPOINT_KEYS or the gradient exponent s in
+    its params cannot continue the run that wrote it and raises FchError.
+    """
     with open(f"{path_prefix}.json") as fh:
         header = json.load(fh)
+    missing = [key for key in CHECKPOINT_KEYS if key not in header]
+    if "s" not in header.get("params", {}):
+        missing.append("params.s")
+    if missing:
+        raise FchError(
+            f"checkpoint header {path_prefix}.json lacks {', '.join(missing)}"
+        )
     vals = np.fromfile(f"{path_prefix}.bin", dtype="<f8")
     if vals.size != grid.num_points:
         raise GridMismatchError(
@@ -254,10 +267,11 @@ def read_checkpoint(path_prefix, grid):
         )
     state = SimulationState(
         time=header["time"], u=ScalarField(grid, vals), dt=header["dt"],
-        step_index=header["step_index"],
-        accept_streak=header.get("accept_streak", 0),
+        step_index=header["step_index"], accept_streak=header["accept_streak"],
     )
-    return state, header
+    controls = StepControls(kappa=header["kappa"], dt_max=header["dt_max"],
+                            growth_patience=header["growth_patience"])
+    return state, controls, header
 
 
 def run(
@@ -277,7 +291,8 @@ def run(
     u0 is the initial field, started at t = 0 with step dt0, or a
     SimulationState to resume (a checkpoint's, say): its time, step index, dt
     and accept streak carry on, so with the run's controls the resumed run
-    takes the steps of the uninterrupted one. t_final is absolute.
+    takes the steps of the uninterrupted one. A resumed state needs those
+    controls and takes no dt0. t_final is absolute.
 
     Exits early (recording t_exit) when pulse extraction fails or the minimum
     gap falls below half the admissible spacing.
@@ -285,6 +300,10 @@ def run(
     well = manifold.well
     params = manifold.params
     if isinstance(u0, SimulationState):
+        if dt0 is not None or controls is None:
+            raise FchError(
+                "a resumed state carries its dt and needs the run's controls"
+            )
         state = u0
     else:
         dt = 0.1 * u0.grid.spacing**2 if dt0 is None else dt0

@@ -432,16 +432,9 @@ def experiment_simulate(config, out_dir):
 
         # the checkpoint's state, s and controls continue the run that wrote
         # it; t_final is absolute
-        state, header = read_checkpoint(config.restart_from, lab.grid)
-        s = header.get("s", s)
-        family = GradientFamily(lab.grid, s)
-        if "kappa" in header:
-            controls = StepControls(kappa=header["kappa"],
-                                    dt_max=header["dt_max"])
-        else:
-            controls = StepControls.for_initial_state(
-                state.u, lab.well, dt_max=config.dt_max
-            )
+        state, controls, header = read_checkpoint(config.restart_from,
+                                                  lab.grid)
+        family = GradientFamily(lab.grid, header["params"]["s"])
         traj = run_pde(
             lab.manifold, family, state, config.t_final,
             output_every=config.output_every, controls=controls,

@@ -101,18 +101,29 @@ class LinearMap:
 # ---------------------------------------------------------------------------
 
 
+def energy_terms(values, grid, well):
+    """(u_hat, w1, J): the cosine coefficients of u, w1 = u'' - W'(u), and
+    J(u) = int (1/2) w1^2 dz, from the nodal values of u (two transforms)."""
+    u_hat = cosine_coeffs(values)
+    w1 = cosine_synth(-1.0 * u_hat * grid.wavenumbers**2) - well.dW(values)
+    return u_hat, w1, 0.5 * float(np.sum(grid.quad_weights * w1 * w1))
+
+
+def gradient_values(values, w1, grid, well):
+    """grad J = (d^2 - W''(u)) w1 at the nodes, given w1 (two transforms)."""
+    return (cosine_synth(-1.0 * cosine_coeffs(w1) * grid.wavenumbers**2)
+            - well.d2W(values) * w1)
+
+
 def energy(u, well):
     """J(u) = int (1/2) (u'' - W'(u))^2 dz."""
-    w1 = spectral_derivative(u, 2).values - well.dW(u.values)
-    return 0.5 * float(np.sum(u.grid.quad_weights * w1 * w1))
+    return energy_terms(u.values, u.grid, well)[2]
 
 
 def variational_derivative(u, well):
     """grad J = (d^2 - W''(u)) (u'' - W'(u)), evaluated spectrally."""
-    w1 = ScalarField(u.grid, spectral_derivative(u, 2).values - well.dW(u.values))
-    return ScalarField(
-        u.grid, spectral_derivative(w1, 2).values - well.d2W(u.values) * w1.values
-    )
+    w1 = energy_terms(u.values, u.grid, well)[1]
+    return ScalarField(u.grid, gradient_values(u.values, w1, u.grid, well))
 
 
 def zero_mass_projection(f):

@@ -26,7 +26,12 @@ from fchpulse import (
     step,
 )
 from fchpulse import core
-from fchpulse.core import cosine_coeffs, cosine_synth
+from fchpulse.core import (
+    cosine_coeffs,
+    cosine_synth,
+    inner_product_x,
+    spectral_derivative,
+)
 from fchpulse.dynamics import ENERGY_SLACK, SimulationState, dissipation_rate
 from fchpulse.operators import energy, variational_derivative
 
@@ -158,8 +163,19 @@ class TestFusedStep:
             g = variational_derivative(state.u, well)
             assert state.energy == energy(state.u, well)
             assert state.dissipation == dissipation_rate(state.u, well, fam)
+            assert state.dissipation == inner_product_x(fam.apply(g, "G"), g)
             assert np.array_equal(state.u_hat, cosine_coeffs(state.u.values))
             assert np.array_equal(state.grad_hat, cosine_coeffs(g.values))
+
+    def test_energy_and_gradient_keep_the_spectral_definitions(
+            self, small_manifold, well):
+        u = perturbed_testbed(small_manifold, well)[0].u
+        w1 = spectral_derivative(u, 2).values - well.dW(u.values)
+        g = (spectral_derivative(ScalarField(u.grid, w1), 2).values
+             - well.d2W(u.values) * w1)
+        assert energy(u, well) == 0.5 * float(np.sum(u.grid.quad_weights
+                                                      * w1 * w1))
+        assert np.array_equal(variational_derivative(u, well).values, g)
 
     def test_stripped_state_steps_to_the_same_bits(self, small_manifold, well):
         state, fam, controls = perturbed_testbed(small_manifold, well, 0.5)
@@ -221,7 +237,7 @@ class TestStepProperties:
         m0 = mass(state.u, well.b_minus)
         for _ in range(3):
             nxt = step(state, well, fam, controls)
-            assert nxt.energy <= state.energy + ENERGY_SLACK
+            assert energy(nxt.u, well) <= energy(state.u, well) + ENERGY_SLACK
             assert abs(mass(nxt.u, well.b_minus) - m0) <= 1e-12 * abs(m0)
             state = nxt
 
@@ -457,13 +473,49 @@ class TestRun:
         from fchpulse.dynamics import read_checkpoint, write_checkpoint
 
         prof = small_manifold.build(small_manifold.configuration([4.5, 12.0]))
-        st = SimulationState(1.25, prof.phi, 3e-4, step_index=17)
-        write_checkpoint(tmp_path / "ck", st, {"s": 0.0})
-        st2, header = read_checkpoint(tmp_path / "ck", small_manifold.grid)
-        assert st2.time == 1.25
-        assert st2.step_index == 17
-        assert_allclose(st2.u.values, prof.phi.values, atol=0)
-        assert header["params"]["s"] == 0.0
+        st = SimulationState(1.25, prof.phi, 3e-4, step_index=17,
+                             accept_streak=3)
+        controls = StepControls(kappa=0.1 + 2e-17, dt_max=0.01,
+                                growth_patience=4)
+        write_checkpoint(tmp_path / "ck", st, {"s": 0.5}, controls)
+        st2, controls2, header = read_checkpoint(tmp_path / "ck",
+                                                 small_manifold.grid)
+        for name in ("time", "dt", "step_index", "accept_streak"):
+            assert getattr(st2, name) == getattr(st, name)
+        assert np.array_equal(st2.u.values, prof.phi.values)
+        assert controls2 == controls
+        assert header["params"]["s"] == 0.5
+
+    @pytest.mark.parametrize("key", ["kappa", "accept_streak", "params.s"])
+    def test_checkpoint_without_run_state_refused(self, small_manifold,
+                                                  tmp_path, key):
+        import json
+
+        from fchpulse import FchError
+        from fchpulse.dynamics import read_checkpoint, write_checkpoint
+
+        prof = small_manifold.build(small_manifold.configuration([4.5, 12.0]))
+        write_checkpoint(tmp_path / "ck", SimulationState(0.0, prof.phi, 3e-4),
+                         {"s": 0.0}, StepControls(kappa=1.0))
+        path = tmp_path / "ck.json"
+        header = json.loads(path.read_text())
+        if key == "params.s":
+            del header["params"]["s"]
+        else:
+            del header[key]
+        path.write_text(json.dumps(header))
+        with pytest.raises(FchError, match=f"lacks {key}"):
+            read_checkpoint(tmp_path / "ck", small_manifold.grid)
+
+    def test_resumed_state_takes_controls_and_no_dt0(self, small_manifold,
+                                                     well):
+        from fchpulse import FchError
+
+        state, fam, controls = perturbed_testbed(small_manifold, well)
+        with pytest.raises(FchError, match="resumed state"):
+            run(small_manifold, fam, state, 0.1, controls=None)
+        with pytest.raises(FchError, match="resumed state"):
+            run(small_manifold, fam, state, 0.1, dt0=1e-4, controls=controls)
 
     def test_checkpoint_resolution_mismatch(self, small_manifold, tmp_path):
         from fchpulse import Grid, GridMismatchError
@@ -471,7 +523,7 @@ class TestRun:
 
         prof = small_manifold.build(small_manifold.configuration([4.5, 12.0]))
         write_checkpoint(tmp_path / "ck", SimulationState(0.0, prof.phi, 3e-4),
-                         {})
+                         {"s": 0.0}, StepControls(kappa=1.0))
         coarse = Grid(small_manifold.grid.length, 129, h_max=0.4)
         with pytest.raises(GridMismatchError, match="256 points.* 129"):
             read_checkpoint(tmp_path / "ck", coarse)
