@@ -13,7 +13,9 @@ Smallness measurements in the H^4 norm are assembled from analytic component
 derivatives (chain rule through the pulse first integral, termwise series
 for the backgrounds, closed forms for E): spectral differentiation of sampled
 fields would amplify interpolation round-off by kappa_max^4 and bury the
-exponentially small quantities being measured.
+exponentially small quantities being measured. A derivative stack evaluates
+each pulse and background translate once and reads every order from that one
+evaluation.
 """
 
 from __future__ import annotations
@@ -234,20 +236,21 @@ class PulseManifold:
             total += self.pulse.pulse_bar(z - p)
         return ScalarField(self.grid, total)
 
-    def _pulse_sum_deriv(self, x, config, order):
+    def _pulse_sum(self, x, config, max_order):
+        """Rows m = 0..max_order of sum_j pulse_bar^(m)(x - p_j)."""
         x = np.asarray(x, dtype=float)
-        total = np.zeros_like(x)
+        total = np.zeros((max_order + 1,) + x.shape)
         for p in config.positions:
-            total += self.pulse.pulse_bar_deriv(x - p, order)
+            total += self.pulse.pulse_jet(x - p, max_order)
         return total
 
-    def _background_sum(self, x, config, order=0):
+    def _background_sum(self, x, config, max_order=0):
+        """Rows m = 0..max_order of B_{2,n}: b_inf + sum_j B_bar_2^(m)(x - p_j)."""
         x = np.asarray(x, dtype=float)
-        total = np.zeros_like(x)
+        total = np.zeros((max_order + 1,) + x.shape)
         for p in config.positions:
-            total += self.bg2.bar_at(x - p, order)
-        if order == 0:
-            total += self.bg2.b_inf
+            total += self.bg2.bar_jet(x - p, max_order)
+        total[0] += self.bg2.b_inf
         return total
 
     def _e_term(self, z, x, order=0):
@@ -275,12 +278,10 @@ class PulseManifold:
         amp = self.pulse.phi_max
         p = config.positions
         ends = np.array([0.0, length])
-        d1_pair = self._pulse_sum_deriv(ends, config, 1) + lam * self._background_sum(
-            ends, config, 1
-        )
-        d3_pair = self._pulse_sum_deriv(ends, config, 3) + lam * self._background_sum(
+        pair = self._pulse_sum(ends, config, 3) + lam * self._background_sum(
             ends, config, 3
         )
+        d1_pair, d3_pair = pair[1], pair[3]
 
         # left end
         d1, d3 = float(d1_pair[0]), float(d3_pair[0])
@@ -337,15 +338,11 @@ class PulseManifold:
         ends = np.array([0.0, length])
         if fields is None:
             fields = (self.n_pulse(config),
-                      self._background_sum(self.grid.nodes, config))
+                      self._background_sum(self.grid.nodes, config)[0])
         u_n, bar_bg = fields
         cached = {
-            "pulse_ends": {
-                order: self._pulse_sum_deriv(ends, config, order) for order in (1, 3)
-            },
-            "bg_ends": {
-                order: self._background_sum(ends, config, order) for order in (1, 3)
-            },
+            "pulse_ends": self._pulse_sum(ends, config, 3),
+            "bg_ends": self._background_sum(ends, config, 3),
             "mass_pulse": float(
                 np.sum(self.grid.quad_weights * (u_n.values - self.well.b_minus))
             ),
@@ -410,7 +407,7 @@ class PulseManifold:
         """Assemble Phi and verify the closure invariants."""
         z = self.grid.nodes
         u_n = self.n_pulse(config)
-        bg = self._background_sum(z, config)
+        bg = self._background_sum(z, config)[0]
         internal = self.internal_parameters(config, (u_n, bg))
         x = internal.as_vector()
         e_vals = self._e_term(z, x)
@@ -418,11 +415,13 @@ class PulseManifold:
 
         length = self.params.domain_length
         ends = np.array([0.0, length])
+        pulse_ends = self._pulse_sum(ends, config, 3)
+        bg_ends = self._background_sum(ends, config, 3)
         bc = np.empty(4)
         for k, order in enumerate((1, 3)):
             vals = (
-                self._pulse_sum_deriv(ends, config, order)
-                + internal.lam * self._background_sum(ends, config, order)
+                pulse_ends[order]
+                + internal.lam * bg_ends[order]
                 + self._e_term(ends, x, order)
             )
             bc[k] = vals[0]
@@ -458,24 +457,21 @@ class PulseManifold:
     def derivative_stack(self, profile, max_order=4, component="phi"):
         """Exact derivative samples of Phi or its components, orders 0..max_order.
 
-        component: 'phi', 'u_n', or 'correction' (Phi - u_n).
+        component: 'phi', 'u_n', or 'correction' (Phi - u_n). Each pulse and
+        background translate is evaluated once for all orders.
         """
         z = self.grid.nodes
+        config = profile.config
+        if component != "correction":
+            pulse = self._pulse_sum(z, config, max_order)
+            pulse[0] += self.well.b_minus
+            if component == "u_n":
+                return pulse
         x = profile.internal.as_vector()
-        lam = profile.internal.lam
-        stack = np.empty((max_order + 1, z.size))
-        for m in range(max_order + 1):
-            corr = lam * self._background_sum(z, profile.config, m) + self._e_term(
-                z, x, m
-            )
-            if component == "correction":
-                stack[m] = corr
-                continue
-            pulse_part = self._pulse_sum_deriv(z, profile.config, m)
-            if m == 0:
-                pulse_part += self.well.b_minus
-            stack[m] = pulse_part if component == "u_n" else pulse_part + corr
-        return stack
+        bg = self._background_sum(z, config, max_order)
+        e_rows = np.array([self._e_term(z, x, m) for m in range(max_order + 1)])
+        corr = profile.internal.lam * bg + e_rows
+        return corr if component == "correction" else pulse + corr
 
     def gradient_stack(self, profile, max_order=4):
         """Exact derivative samples of grad J(Phi), orders 0..max_order.

@@ -247,7 +247,10 @@ class _HomoclinicInverter:
 
 @dataclass(frozen=True)
 class PulseProfile:
-    """Homoclinic pulse phi_h with evaluators for arbitrary translates."""
+    """Homoclinic pulse phi_h with evaluators for arbitrary translates.
+
+    `pulse_jet` evaluates a translate once for all derivative orders 0..8.
+    """
 
     well: DoubleWell
     z: np.ndarray
@@ -280,33 +283,33 @@ class PulseProfile:
         return out
 
     def pulse_bar_deriv(self, x, order):
-        """d^order/dx^order of phi_bar(x) via the first integral, orders 0..8.
+        """d^order/dx^order of phi_bar(x), orders 0..8 (one row of `pulse_jet`)."""
+        return self.pulse_jet(x, order)[order]
+
+    def pulse_jet(self, x, max_order):
+        """Rows d^m/dx^m phi_bar(x), m = 0..max_order <= 8, via the first integral.
 
         Orders through 4 are the hand-derived chain formulas; higher orders
         grow the jet of phi_bar by phi_bar^(k) = [W'(b_minus + phi_bar)]^(k-2),
         expanded about b_minus so that the tail keeps its relative accuracy.
+        The translate is evaluated once for every order: entry k of the jet
+        depends only on the entries before it.
         """
+        if max_order > 8:
+            raise DomainError("pulse derivatives available for orders 0..8")
         x = np.asarray(x, dtype=float)
         e = self.pulse_bar(x)
-        if order == 0:
-            return e
         well = self.well
         u = well.b_minus + e
         dphi = -np.sign(x) * np.sqrt(np.maximum(2.0 * well.W_bar(e), 0.0))
-        if order == 1:
-            return dphi
-        if order == 2:
-            return well.dW(u)
-        if order == 3:
-            return well.d2W(u) * dphi
-        if order == 4:
-            return well.d3W(u) * dphi**2 + well.d2W(u) * well.dW(u)
-        if order <= 8:
+        rows = [e, dphi, well.dW(u), well.d2W(u) * dphi,
+                well.d3W(u) * dphi**2 + well.d2W(u) * well.dW(u)]
+        if max_order > 4:
             jet = [e, dphi]
-            for k in range(2, order + 1):
+            for k in range(2, max_order + 1):
                 jet.append(well_jet(well, 1, jet[: k - 1], well.b_minus)[k - 2])
-            return jet[order]
-        raise DomainError("pulse derivatives available for orders 0..8")
+            rows += jet[5:]
+        return np.array(rows[: max_order + 1])
 
     @cached_property
     def pair_energy(self):
@@ -570,7 +573,8 @@ class BackgroundProfile:
 
     B_j is even, so it is computed in the even sector (cosine basis on the
     half-window [0, window]); the odd kernel phi_h' is excluded by parity,
-    which realizes the kernel-orthogonal solve exactly.
+    which realizes the kernel-orthogonal solve exactly. `bar_jet` evaluates a
+    translate once for all derivative orders.
     """
 
     j: int
@@ -584,21 +588,31 @@ class BackgroundProfile:
     _coeffs: np.ndarray
 
     def bar_at(self, x, order=0):
-        """Evaluate d^order B_bar_j at arbitrary offsets (zero beyond window)."""
+        """Evaluate d^order B_bar_j at arbitrary offsets (one row of `bar_jet`)."""
+        return self.bar_jet(x, order)[order]
+
+    def bar_jet(self, x, max_order):
+        """Rows d^m B_bar_j, m = 0..max_order, at arbitrary offsets.
+
+        Zero beyond the window. Every order reads one cos table of the phases
+        (and one sin table when max_order >= 1), one matrix-vector product per
+        order.
+        """
         x = np.asarray(x, dtype=float)
         ax = np.abs(x)
-        out = np.zeros_like(ax)
+        out = np.zeros((max_order + 1,) + ax.shape)
         inside = ax < self.window
         if np.any(inside):
             kap = np.arange(len(self._coeffs)) * np.pi / self.window
             phase = np.outer(ax[inside], kap)
-            if order % 2 == 0:
-                sign = (-1.0) ** (order // 2)
-                out[inside] = np.cos(phase) @ (sign * self._coeffs * kap**order)
-            else:
+            # sin overwrites the phases after cos has read them: two tables at peak
+            trig = (np.cos(phase), np.sin(phase, out=phase) if max_order else None)
+            for order in range(max_order + 1):
                 sign = (-1.0) ** ((order + 1) // 2)
-                out[inside] = np.sin(phase) @ (sign * self._coeffs * kap**order)
-                out[inside] *= np.sign(x[inside])
+                row = trig[order % 2] @ (sign * self._coeffs * kap**order)
+                if order % 2:
+                    row *= np.sign(x[inside])
+                out[order, inside] = row
         return out
 
     def at(self, x, order=0):

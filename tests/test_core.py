@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from fchpulse import (
@@ -86,6 +88,42 @@ class TestTransforms:
             assert_allclose(
                 d2.values, -((k * np.pi / length) ** 2) * f.values, atol=1e-11
             )
+
+
+def random_field(grid, seed, zero_mass=False):
+    """Smooth random modes plus white noise, optionally with mode 0 removed."""
+    rng = np.random.default_rng(seed)
+    n = grid.num_points
+    coeffs = rng.standard_normal(n) / (1.0 + np.arange(n) ** 1.5)
+    coeffs += 1e-3 * rng.standard_normal(n)
+    if zero_mass:
+        coeffs[0] = 0.0
+    return ScalarField(grid, cosine_synth(coeffs))
+
+
+grids = st.builds(lambda length, n: Grid(length, n, h_max=length),
+                  st.floats(1.0, 500.0), st.integers(16, 2048))
+
+
+class TestTransformProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(grid=grids, seed=st.integers(0, 2**16))
+    def test_dct_round_trip(self, grid, seed):
+        v = random_field(grid, seed).values
+        back = cosine_synth(cosine_coeffs(v))
+        assert np.max(np.abs(back - v)) <= 1e-12 * np.max(np.abs(v))
+
+    @settings(max_examples=40, deadline=None)
+    @given(grid=grids, seed=st.integers(0, 2**16), s=st.floats(0.0, 1.0),
+           which=st.sampled_from(["G", "G1"]))
+    def test_gradient_family_self_adjoint(self, grid, seed, s, which):
+        fam = GradientFamily(grid, s)
+        u = random_field(grid, seed, zero_mass=True)
+        v = random_field(grid, seed + 1, zero_mass=True)
+        gu, gv = fam.apply(u, which), fam.apply(v, which)
+        scale = (norm(gu, "l2") * norm(v, "l2") + norm(u, "l2") * norm(gv, "l2"))
+        gap = abs(inner_product_x(gu, v) - inner_product_x(u, gv))
+        assert gap <= 1e-12 * scale
 
 
 class TestNorms:

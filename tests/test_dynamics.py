@@ -210,14 +210,14 @@ class TestFusedStep:
     def test_build_evaluates_the_background_once(self, small_manifold,
                                                  monkeypatch):
         cls = type(small_manifold.bg2)
-        real = cls.bar_at
+        real = cls.bar_jet
         sizes = []
 
-        def counting(self, x, order=0):
+        def counting(self, x, max_order):
             sizes.append(np.size(x))
-            return real(self, x, order)
+            return real(self, x, max_order)
 
-        monkeypatch.setattr(cls, "bar_at", counting)
+        monkeypatch.setattr(cls, "bar_jet", counting)
         small_manifold.build(small_manifold.configuration([4.5, 12.0]))
         full = sizes.count(small_manifold.grid.num_points)
         assert full == small_manifold.n

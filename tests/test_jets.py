@@ -156,6 +156,140 @@ class TestJetProperties:
                       <= 1e-12 * scale)
 
 
+def bar_at_oracle(bg, x, order):
+    """One order of d^order B_bar_j with its own phase table: the per-order
+    evaluator that `BackgroundProfile.bar_jet` replaced."""
+    x = np.asarray(x, dtype=float)
+    ax = np.abs(x)
+    out = np.zeros_like(ax)
+    inside = ax < bg.window
+    if np.any(inside):
+        kap = np.arange(len(bg._coeffs)) * np.pi / bg.window
+        phase = np.outer(ax[inside], kap)
+        if order % 2 == 0:
+            sign = (-1.0) ** (order // 2)
+            out[inside] = np.cos(phase) @ (sign * bg._coeffs * kap**order)
+        else:
+            sign = (-1.0) ** ((order + 1) // 2)
+            out[inside] = np.sin(phase) @ (sign * bg._coeffs * kap**order)
+            out[inside] *= np.sign(x[inside])
+    return out
+
+
+def pulse_bar_deriv_oracle(pulse, x, order):
+    """One order of phi_bar^(order), regrowing the jet for each order: the
+    per-order evaluator that `PulseProfile.pulse_jet` replaced."""
+    x = np.asarray(x, dtype=float)
+    e = pulse.pulse_bar(x)
+    if order == 0:
+        return e
+    well = pulse.well
+    u = well.b_minus + e
+    dphi = -np.sign(x) * np.sqrt(np.maximum(2.0 * well.W_bar(e), 0.0))
+    if order == 1:
+        return dphi
+    if order == 2:
+        return well.dW(u)
+    if order == 3:
+        return well.d2W(u) * dphi
+    if order == 4:
+        return well.d3W(u) * dphi**2 + well.d2W(u) * well.dW(u)
+    jet = [e, dphi]
+    for k in range(2, order + 1):
+        jet.append(well_jet(well, 1, jet[: k - 1], well.b_minus)[k - 2])
+    return jet[order]
+
+
+def derivative_stack_oracle(man, profile, max_order, component):
+    """The per-order assembly of `PulseManifold.derivative_stack`: every
+    order sums freshly evaluated translates, in translate order."""
+    z = man.grid.nodes
+    x = profile.internal.as_vector()
+    lam = profile.internal.lam
+    stack = np.empty((max_order + 1, z.size))
+    for m in range(max_order + 1):
+        bg = np.zeros_like(z)
+        pulse_part = np.zeros_like(z)
+        for p in profile.config.positions:
+            bg += bar_at_oracle(man.bg2, z - p, m)
+            pulse_part += pulse_bar_deriv_oracle(man.pulse, z - p, m)
+        if m == 0:
+            bg += man.bg2.b_inf
+            pulse_part += man.well.b_minus
+        corr = lam * bg + man._e_term(z, x, m)
+        stack[m] = {"correction": corr, "u_n": pulse_part,
+                    "phi": pulse_part + corr}[component]
+    return stack
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# pulse offsets in the core, in the tail, beyond the background window
+offsets = st.one_of(st.floats(-3.0, 3.0), st.floats(-60.0, 60.0),
+                    st.floats(-250.0, 250.0))
+
+
+class TestStacksMatchPerOrderEvaluation:
+    """Each translate evaluated once for all orders gives the bits of one
+    evaluation per order."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(p=offsets)
+    @example(p=0.0)
+    def test_rows_equal_the_per_order_evaluators(self, pulse, backgrounds, p):
+        x = p + np.linspace(-60.0, 60.0, 241)
+        for k in range(9):
+            pulse_rows = pulse.pulse_jet(x, k)
+            bar_rows = [bg.bar_jet(x, k) for bg in backgrounds]
+            for m in range(k + 1):
+                assert same_bits(pulse_rows[m], pulse_bar_deriv_oracle(pulse, x, m))
+                for bg, rows in zip(backgrounds, bar_rows):
+                    assert same_bits(rows[m], bar_at_oracle(bg, x, m))
+
+    @settings(max_examples=4, deadline=None)
+    @given(seed=st.integers(0, 2**16))
+    def test_derivative_stack_equals_per_order_assembly(self, desk_manifold,
+                                                       seed):
+        man = desk_manifold
+        config = man.sample_configurations(1, seed, include_equispaced=False)[0]
+        prof = man.build(config)
+        for component in ("phi", "u_n", "correction"):
+            for k in (2, 4, 8):
+                assert same_bits(
+                    man.derivative_stack(prof, max_order=k, component=component),
+                    derivative_stack_oracle(man, prof, k, component),
+                )
+
+    def test_one_trig_table_per_translate(self, desk_manifold, monkeypatch):
+        """derivative_stack(max_order=8) builds one cos and one sin table per
+        translate on the full grid, not one table per order."""
+        man = desk_manifold
+        prof = man.build(moderate_config(man))
+        cls = type(man.bg2)
+        real = cls.bar_jet
+        sizes, tables = [], []
+
+        def counting(self, x, max_order):
+            sizes.append(np.size(x))
+            return real(self, x, max_order)
+
+        def counting_trig(fn):
+            def wrapped(a, *args, **kwargs):
+                if np.ndim(a) == 2 and np.shape(a)[0] > 2:
+                    tables.append(fn.__name__)
+                return fn(a, *args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(cls, "bar_jet", counting)
+        monkeypatch.setattr(np, "cos", counting_trig(np.cos))
+        monkeypatch.setattr(np, "sin", counting_trig(np.sin))
+        man.derivative_stack(prof, max_order=8)
+        assert sizes.count(man.grid.num_points) == man.n
+        assert sorted(tables) == ["cos"] * man.n + ["sin"] * man.n
+
+
 def test_runtime_does_not_import_sympy():
     """Residuals and pulse derivatives of every order run without sympy."""
     script = textwrap.dedent("""
