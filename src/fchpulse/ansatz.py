@@ -15,7 +15,8 @@ for the backgrounds, closed forms for E): spectral differentiation of sampled
 fields would amplify interpolation round-off by kappa_max^4 and bury the
 exponentially small quantities being measured. A derivative stack evaluates
 each pulse and background translate once and reads every order from that one
-evaluation.
+evaluation. Grid nodes lie on a lattice, so every background translate on the
+grid is read from one table of lattice phases per manifold.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import asdict, dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.stats import qmc
@@ -244,12 +246,19 @@ class PulseManifold:
             total += self.pulse.pulse_jet(x - p, max_order)
         return total
 
-    def _background_sum(self, x, config, max_order=0):
-        """Rows m = 0..max_order of B_{2,n}: b_inf + sum_j B_bar_2^(m)(x - p_j)."""
-        x = np.asarray(x, dtype=float)
-        total = np.zeros((max_order + 1,) + x.shape)
+    @cached_property
+    def _bg_table(self):
+        """Lattice phases of B_bar_2 on this grid, built on first use."""
+        return self.bg2.lattice_table(self.grid.spacing)
+
+    def _background_sum(self, config, max_order=0, ends=False):
+        """Rows m = 0..max_order of B_{2,n}: b_inf + sum_j B_bar_2^(m)(z - p_j),
+        on every grid node, or on the two end nodes z = 0, L when `ends`."""
+        last = self.grid.num_points - 1
+        nodes = np.array([0, last]) if ends else np.arange(last + 1)
+        total = np.zeros((max_order + 1, nodes.size))
         for p in config.positions:
-            total += self.bg2.bar_jet(x - p, max_order)
+            total += self.bg2.lattice_jet(self._bg_table, nodes, p, max_order)
         total[0] += self.bg2.b_inf
         return total
 
@@ -279,7 +288,7 @@ class PulseManifold:
         p = config.positions
         ends = np.array([0.0, length])
         pair = self._pulse_sum(ends, config, 3) + lam * self._background_sum(
-            ends, config, 3
+            config, 3, ends=True
         )
         d1_pair, d3_pair = pair[1], pair[3]
 
@@ -331,18 +340,17 @@ class PulseManifold:
         """Closed-form seeds plus damped Newton on the 5-parameter closure.
 
         A caller that already has the grid fields (n_pulse(config),
-        _background_sum(grid nodes, config)) passes them as `fields` instead
+        _background_sum(config)[0]) passes them as `fields` instead
         of having them evaluated again; the result is the same.
         """
         length = self.params.domain_length
         ends = np.array([0.0, length])
         if fields is None:
-            fields = (self.n_pulse(config),
-                      self._background_sum(self.grid.nodes, config)[0])
+            fields = (self.n_pulse(config), self._background_sum(config)[0])
         u_n, bar_bg = fields
         cached = {
             "pulse_ends": self._pulse_sum(ends, config, 3),
-            "bg_ends": self._background_sum(ends, config, 3),
+            "bg_ends": self._background_sum(config, 3, ends=True),
             "mass_pulse": float(
                 np.sum(self.grid.quad_weights * (u_n.values - self.well.b_minus))
             ),
@@ -407,7 +415,7 @@ class PulseManifold:
         """Assemble Phi and verify the closure invariants."""
         z = self.grid.nodes
         u_n = self.n_pulse(config)
-        bg = self._background_sum(z, config)[0]
+        bg = self._background_sum(config)[0]
         internal = self.internal_parameters(config, (u_n, bg))
         x = internal.as_vector()
         e_vals = self._e_term(z, x)
@@ -416,7 +424,7 @@ class PulseManifold:
         length = self.params.domain_length
         ends = np.array([0.0, length])
         pulse_ends = self._pulse_sum(ends, config, 3)
-        bg_ends = self._background_sum(ends, config, 3)
+        bg_ends = self._background_sum(config, 3, ends=True)
         bc = np.empty(4)
         for k, order in enumerate((1, 3)):
             vals = (
@@ -468,7 +476,7 @@ class PulseManifold:
             if component == "u_n":
                 return pulse
         x = profile.internal.as_vector()
-        bg = self._background_sum(z, config, max_order)
+        bg = self._background_sum(config, max_order)
         e_rows = np.array([self._e_term(z, x, m) for m in range(max_order + 1)])
         corr = profile.internal.lam * bg + e_rows
         return corr if component == "correction" else pulse + corr

@@ -143,17 +143,20 @@ def well_jet(well, j, f, base):
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
 
 
-def _gauss_panel(fn, a, b):
+def _gauss_panels(fn, a, b, max_len=4.0):
+    """Composite Gauss-Legendre rule on equal panels of length <= max_len.
+
+    One integrand call covers every panel (one row each); the panel sums are
+    added in panel order.
+    """
     if b <= a:
         return 0.0
-    t = 0.5 * (b - a) * _GL_NODES + 0.5 * (a + b)
-    return 0.5 * (b - a) * float(np.sum(_GL_WEIGHTS * fn(t)))
-
-
-def _gauss_panels(fn, a, b, max_len=4.0):
     n = max(1, int(np.ceil((b - a) / max_len)))
     edges = np.linspace(a, b, n + 1)
-    return sum(_gauss_panel(fn, lo, hi) for lo, hi in zip(edges[:-1], edges[1:]))
+    lo, hi = edges[:-1, None], edges[1:, None]
+    t = 0.5 * (hi - lo) * _GL_NODES + 0.5 * (lo + hi)
+    panels = 0.5 * (hi - lo)[:, 0] * np.sum(_GL_WEIGHTS * fn(t), axis=1)
+    return float(sum(panels))
 
 
 class _HomoclinicInverter:
@@ -408,7 +411,9 @@ def solve_homoclinic(well, tol=1e-8, half_width=None, spacing=0.05,
         domain=[0.0, half_width],
     )
     check = np.linspace(0.0, half_width, 173)
-    cheb_err = max(abs(cheb(float(x)) - inv.phi_bar(float(x))) for x in check)
+    cheb_err = max(
+        abs(c - inv.phi_bar(float(x))) for x, c in zip(check, cheb(check))
+    )
     if cheb_err > 1e-11:
         raise ToleranceError(
             f"pulse interpolant error {cheb_err:.2e} exceeds 1e-11; "
@@ -574,7 +579,8 @@ class BackgroundProfile:
     B_j is even, so it is computed in the even sector (cosine basis on the
     half-window [0, window]); the odd kernel phi_h' is excluded by parity,
     which realizes the kernel-orthogonal solve exactly. `bar_jet` evaluates a
-    translate once for all derivative orders.
+    translate once for all derivative orders at arbitrary offsets;
+    `lattice_jet` does the same on a uniform grid from one `lattice_table`.
     """
 
     j: int
@@ -586,6 +592,10 @@ class BackgroundProfile:
     mass_bar: float
     residual_norm: float
     _coeffs: np.ndarray
+
+    @property
+    def _kappa(self):
+        return np.arange(len(self._coeffs)) * np.pi / self.window
 
     def bar_at(self, x, order=0):
         """Evaluate d^order B_bar_j at arbitrary offsets (one row of `bar_jet`)."""
@@ -603,7 +613,7 @@ class BackgroundProfile:
         out = np.zeros((max_order + 1,) + ax.shape)
         inside = ax < self.window
         if np.any(inside):
-            kap = np.arange(len(self._coeffs)) * np.pi / self.window
+            kap = self._kappa
             phase = np.outer(ax[inside], kap)
             # sin overwrites the phases after cos has read them: two tables at peak
             trig = (np.cos(phase), np.sin(phase, out=phase) if max_order else None)
@@ -613,6 +623,56 @@ class BackgroundProfile:
                 if order % 2:
                     row *= np.sign(x[inside])
                 out[order, inside] = row
+        return out
+
+    def lattice_table(self, spacing):
+        """(spacing, cos, sin) of kappa_k * i * spacing, i = 0..ceil(W/spacing) + 2.
+
+        The part of every translate on a uniform lattice that does not depend
+        on the translate; `lattice_jet` reads it.
+        """
+        steps = spacing * np.arange(int(np.ceil(self.window / spacing)) + 3)
+        phase = np.outer(steps, self._kappa)
+        return spacing, np.cos(phase), np.sin(phase, out=phase)
+
+    def lattice_jet(self, table, nodes, p, max_order):
+        """Rows d^m B_bar_j, m = 0..max_order, at lattice offsets nodes*h - p.
+
+        `table` is `lattice_table(h)`; nodes are integer lattice indices. With
+        j0 = floor(p/h) and f = p - j0*h an offset is i*h - f, i = node - j0,
+        and angle addition splits
+            cos k(i h - f) = cos(k i h) cos(k f) + sin(k i h) sin(k f),
+            sin k(i h - f) = sin(k i h) cos(k f) - cos(k i h) sin(k f),
+        so a translate costs the trig values of f and two matrix-vector
+        products per order. Negative i read row |i| (cos even, sin odd). Zero
+        beyond the window, tested on nodes*h - p as `bar_jet` tests z - p.
+        """
+        spacing, cos_t, sin_t = table
+        nodes = np.asarray(nodes)
+        j0 = np.floor(p / spacing)
+        f = p - j0 * spacing
+        i = nodes - int(j0)
+        inside = np.abs(nodes * spacing - p) < self.window
+        out = np.zeros((max_order + 1,) + i.shape)
+        if not np.any(inside):
+            return out
+        sgn = np.sign(i[inside])
+        rows = np.abs(i[inside])
+        lo, top = rows.min(), rows.max() + 1
+        rows -= lo
+        kap = self._kappa
+        cf = self._coeffs * np.cos(kap * f)
+        sf = self._coeffs * np.sin(kap * f)
+        for order in range(max_order + 1):
+            scale = (-1.0) ** ((order + 1) // 2) * kap**order
+            if order % 2 == 0:
+                u = cos_t[lo:top] @ (scale * cf)
+                v = sin_t[lo:top] @ (scale * sf)
+                out[order, inside] = u[rows] + sgn * v[rows]
+            else:
+                u = sin_t[lo:top] @ (scale * cf)
+                v = cos_t[lo:top] @ (scale * sf)
+                out[order, inside] = sgn * u[rows] - v[rows]
         return out
 
     def at(self, x, order=0):

@@ -92,3 +92,52 @@ def cluster_config(manifold, ell):
     for tail-scaling ratio checks)."""
     p1 = 0.5 * ell + 0.2
     return manifold.configuration([p1, p1 + ell + 0.3, p1 + 2 * ell + 1.0])
+
+
+def bar_at_oracle(bg, x, order):
+    """One order of d^order B_bar_j with its own phase table: the per-order
+    evaluator that `BackgroundProfile.bar_jet` replaced."""
+    x = np.asarray(x, dtype=float)
+    ax = np.abs(x)
+    out = np.zeros_like(ax)
+    inside = ax < bg.window
+    if np.any(inside):
+        kap = np.arange(len(bg._coeffs)) * np.pi / bg.window
+        phase = np.outer(ax[inside], kap)
+        if order % 2 == 0:
+            sign = (-1.0) ** (order // 2)
+            out[inside] = np.cos(phase) @ (sign * bg._coeffs * kap**order)
+        else:
+            sign = (-1.0) ** ((order + 1) // 2)
+            out[inside] = np.sin(phase) @ (sign * bg._coeffs * kap**order)
+            out[inside] *= np.sign(x[inside])
+    return out
+
+
+def count_background_work(monkeypatch, manifold):
+    """Record the node count of every lattice evaluation of the background and
+    the name of every cos/sin table with more than two rows made afterwards.
+
+    The manifold's lattice table is built first: it is made once per manifold,
+    not per call.
+    """
+    manifold._bg_table
+    cls = type(manifold.bg2)
+    real = cls.lattice_jet
+    sizes, tables = [], []
+
+    def counting(self, table, nodes, p, max_order):
+        sizes.append(np.size(nodes))
+        return real(self, table, nodes, p, max_order)
+
+    def counting_trig(fn):
+        def wrapped(a, *args, **kwargs):
+            if np.ndim(a) == 2 and np.shape(a)[0] > 2:
+                tables.append(fn.__name__)
+            return fn(a, *args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(cls, "lattice_jet", counting)
+    monkeypatch.setattr(np, "cos", counting_trig(np.cos))
+    monkeypatch.setattr(np, "sin", counting_trig(np.sin))
+    return sizes, tables

@@ -35,6 +35,8 @@ from fchpulse.core import (
 from fchpulse.dynamics import ENERGY_SLACK, SimulationState, dissipation_rate
 from fchpulse.operators import energy, variational_derivative
 
+from conftest import count_background_work
+
 
 @pytest.fixture(scope="module")
 def reduced(pulse, small_manifold):
@@ -209,18 +211,13 @@ class TestFusedStep:
 
     def test_build_evaluates_the_background_once(self, small_manifold,
                                                  monkeypatch):
-        cls = type(small_manifold.bg2)
-        real = cls.bar_jet
-        sizes = []
-
-        def counting(self, x, max_order):
-            sizes.append(np.size(x))
-            return real(self, x, max_order)
-
-        monkeypatch.setattr(cls, "bar_jet", counting)
+        """One lattice evaluation per translate on the full grid, and no trig
+        table of the grid once the manifold's lattice table exists."""
+        sizes, tables = count_background_work(monkeypatch, small_manifold)
         small_manifold.build(small_manifold.configuration([4.5, 12.0]))
         full = sizes.count(small_manifold.grid.num_points)
         assert full == small_manifold.n
+        assert tables == []
 
 
 class TestStepProperties:

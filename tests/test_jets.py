@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 import fchpulse
 from fchpulse.wellmodel import DoubleWell, leibniz, well_jet
 
-from conftest import moderate_config
+from conftest import bar_at_oracle, count_background_work, moderate_config
 
 
 @lru_cache(maxsize=16)
@@ -156,26 +156,6 @@ class TestJetProperties:
                       <= 1e-12 * scale)
 
 
-def bar_at_oracle(bg, x, order):
-    """One order of d^order B_bar_j with its own phase table: the per-order
-    evaluator that `BackgroundProfile.bar_jet` replaced."""
-    x = np.asarray(x, dtype=float)
-    ax = np.abs(x)
-    out = np.zeros_like(ax)
-    inside = ax < bg.window
-    if np.any(inside):
-        kap = np.arange(len(bg._coeffs)) * np.pi / bg.window
-        phase = np.outer(ax[inside], kap)
-        if order % 2 == 0:
-            sign = (-1.0) ** (order // 2)
-            out[inside] = np.cos(phase) @ (sign * bg._coeffs * kap**order)
-        else:
-            sign = (-1.0) ** ((order + 1) // 2)
-            out[inside] = np.sin(phase) @ (sign * bg._coeffs * kap**order)
-            out[inside] *= np.sign(x[inside])
-    return out
-
-
 def pulse_bar_deriv_oracle(pulse, x, order):
     """One order of phi_bar^(order), regrowing the jet for each order: the
     per-order evaluator that `PulseProfile.pulse_jet` replaced."""
@@ -226,6 +206,13 @@ def same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def assert_rows_close(got, ref, rtol):
+    """Each row within rtol of that row's max |value|."""
+    assert got.shape == ref.shape
+    scale = np.max(np.abs(ref), axis=1, keepdims=True)
+    assert np.all(np.abs(got - ref) <= rtol * scale)
+
+
 # pulse offsets in the core, in the tail, beyond the background window
 offsets = st.one_of(st.floats(-3.0, 3.0), st.floats(-60.0, 60.0),
                     st.floats(-250.0, 250.0))
@@ -252,42 +239,71 @@ class TestStacksMatchPerOrderEvaluation:
     @given(seed=st.integers(0, 2**16))
     def test_derivative_stack_equals_per_order_assembly(self, desk_manifold,
                                                        seed):
+        """u_n keeps its bits; phi and the correction read the background from
+        the lattice table, so each row is within 1e-12 of its max |value|
+        (measured: at most 4e-14)."""
         man = desk_manifold
         config = man.sample_configurations(1, seed, include_equispaced=False)[0]
         prof = man.build(config)
         for component in ("phi", "u_n", "correction"):
             for k in (2, 4, 8):
-                assert same_bits(
-                    man.derivative_stack(prof, max_order=k, component=component),
-                    derivative_stack_oracle(man, prof, k, component),
-                )
+                got = man.derivative_stack(prof, max_order=k, component=component)
+                ref = derivative_stack_oracle(man, prof, k, component)
+                if component == "u_n":
+                    assert same_bits(got, ref)
+                else:
+                    assert_rows_close(got, ref, 1e-12)
 
-    def test_one_trig_table_per_translate(self, desk_manifold, monkeypatch):
-        """derivative_stack(max_order=8) builds one cos and one sin table per
-        translate on the full grid, not one table per order."""
+    def test_no_trig_table_once_the_lattice_exists(self, desk_manifold,
+                                                   monkeypatch):
+        """Once the manifold's lattice table exists, derivative_stack(
+        max_order=8) evaluates each background translate once on the full
+        grid and builds no trig table of the grid: only K cos and K sin
+        values per translate."""
         man = desk_manifold
         prof = man.build(moderate_config(man))
-        cls = type(man.bg2)
-        real = cls.bar_jet
-        sizes, tables = [], []
-
-        def counting(self, x, max_order):
-            sizes.append(np.size(x))
-            return real(self, x, max_order)
-
-        def counting_trig(fn):
-            def wrapped(a, *args, **kwargs):
-                if np.ndim(a) == 2 and np.shape(a)[0] > 2:
-                    tables.append(fn.__name__)
-                return fn(a, *args, **kwargs)
-            return wrapped
-
-        monkeypatch.setattr(cls, "bar_jet", counting)
-        monkeypatch.setattr(np, "cos", counting_trig(np.cos))
-        monkeypatch.setattr(np, "sin", counting_trig(np.sin))
+        sizes, tables = count_background_work(monkeypatch, man)
         man.derivative_stack(prof, max_order=8)
         assert sizes.count(man.grid.num_points) == man.n
-        assert sorted(tables) == ["cos"] * man.n + ["sin"] * man.n
+        assert tables == []
+
+
+# translates anywhere in (0, L) = (0, 160), and ones whose window of
+# half-width 48 runs past 0 or L
+translates = st.one_of(st.floats(0.0, 160.0), st.floats(0.0, 48.0),
+                       st.floats(112.0, 160.0))
+
+
+class TestLatticeBackground:
+    """Background translates read from the lattice phase table agree with the
+    arbitrary-offset evaluator `bar_jet` (measured: 1e-14 relative at order 0,
+    1e-13 up to order 8)."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(fine=st.booleans(), p=translates)
+    @example(fine=True, p=0.0)
+    @example(fine=False, p=112.0)  # |z - p| = W exactly at z = L
+    @example(fine=True, p=1024 * (160.0 / 2047))  # on a grid node
+    def test_rows_match_bar_jet(self, desk_manifold, diag_manifold, fine, p):
+        man = desk_manifold if fine else diag_manifold
+        nodes = np.arange(man.grid.num_points)
+        got = man.bg2.lattice_jet(man._bg_table, nodes, p, 8)
+        assert_rows_close(got, man.bg2.bar_jet(man.grid.nodes - p, 8), 1e-12)
+
+    @settings(max_examples=6, deadline=None)
+    @given(fine=st.booleans(), seed=st.integers(0, 2**16))
+    def test_background_sum_on_grid_and_ends(self, desk_manifold,
+                                             diag_manifold, fine, seed):
+        man = desk_manifold if fine else diag_manifold
+        config = man.sample_configurations(1, seed, include_equispaced=False)[0]
+        z = man.grid.nodes
+        ref = sum(man.bg2.bar_jet(z - p, 8) for p in config.positions)
+        ref[0] += man.bg2.b_inf
+        full = man._background_sum(config, 8)
+        assert_rows_close(full, ref, 1e-12)
+        ends = man._background_sum(config, 8, ends=True)
+        scale = np.max(np.abs(ref), axis=1)
+        assert np.all(np.abs(ends - ref[:, [0, -1]]) <= 1e-12 * scale[:, None])
 
 
 def test_runtime_does_not_import_sympy():

@@ -2,10 +2,21 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from fchpulse import DomainError, WellError, default_well, far_field_params
-from fchpulse.wellmodel import _fd_residual, exact_tail_amplitude
+from fchpulse.wellmodel import (
+    _GL_NODES,
+    _GL_WEIGHTS,
+    _fd_residual,
+    _gauss_panels,
+    _HomoclinicInverter,
+    exact_tail_amplitude,
+)
+
+from conftest import bar_at_oracle
 
 
 class TestDefaultWell:
@@ -40,6 +51,49 @@ class TestDefaultWell:
         assert_allclose(fd, well.dW(u), atol=1e-8)
         fd2 = (well.dW(u + h) - well.dW(u - h)) / (2 * h)
         assert_allclose(fd2, well.d2W(u), atol=1e-8)
+
+
+def gauss_panels_oracle(fn, a, b, max_len=4.0):
+    """One integrand call per panel: the composite rule `_gauss_panels`
+    replaced, kept as its bitwise oracle."""
+    def panel(lo, hi):
+        if hi <= lo:
+            return 0.0
+        t = 0.5 * (hi - lo) * _GL_NODES + 0.5 * (lo + hi)
+        return 0.5 * (hi - lo) * float(np.sum(_GL_WEIGHTS * fn(t)))
+
+    n = max(1, int(np.ceil((b - a) / max_len)))
+    edges = np.linspace(a, b, n + 1)
+    return sum(panel(lo, hi) for lo, hi in zip(edges[:-1], edges[1:]))
+
+
+@pytest.fixture(scope="module")
+def inverter(well):
+    return _HomoclinicInverter(well)
+
+
+class TestGaussPanels:
+    """All panels in one integrand call give the bits of one call per panel."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(frac=st.floats(0.0, 1.0))
+    def test_upper_branch(self, inverter, frac):
+        t_hi = frac * inverter.t_mid
+        got = _gauss_panels(inverter._upper_integrand, 0.0, t_hi, max_len=0.25)
+        ref = gauss_panels_oracle(inverter._upper_integrand, 0.0, t_hi, 0.25)
+        assert type(got) is float and got == ref
+
+    @settings(max_examples=40, deadline=None)
+    @given(depth=st.floats(0.0, 80.0))
+    def test_lower_branch(self, inverter, depth):
+        v = inverter.v_mid - depth
+        got = _gauss_panels(inverter._lower_integrand, v, inverter.v_mid)
+        ref = gauss_panels_oracle(inverter._lower_integrand, v, inverter.v_mid)
+        assert type(got) is float and got == ref
+
+    def test_empty_interval(self, inverter):
+        for a, b in ((1.5, 1.5), (2.0, 1.0)):
+            assert _gauss_panels(inverter._lower_integrand, a, b) == 0.0
 
 
 class TestHomoclinic:
@@ -140,10 +194,15 @@ class TestBackgrounds:
         assert_allclose(bg1.bar_at(bg1.z[sel]), bg1.bar_values[sel],
                         atol=1e-9)
 
-    def test_invalid_order(self, backgrounds):
-        bg1, _ = backgrounds
-        # orders up to 8 are supported for the derivative stacks
-        bg1.bar_at(np.array([1.0]), order=8)
+    def test_invalid_order(self, pulse, backgrounds):
+        x = np.linspace(-30.0, 30.0, 61)
+        with pytest.raises(DomainError):
+            pulse.pulse_jet(x, 9)
+        with pytest.raises(DomainError):
+            pulse.pulse_bar_deriv(x, 9)
+        # order 8 is the highest the derivative stacks use
+        for bg in backgrounds:
+            assert bg.bar_at(x, order=8).tobytes() == bar_at_oracle(bg, x, 8).tobytes()
 
     def test_kernel_of_single_pulse_operator(self, well, pulse):
         # translation invariance: L phi_h' = 0, checked by finite differences
