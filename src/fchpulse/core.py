@@ -13,6 +13,7 @@ from functools import cached_property
 
 import numpy as np
 from scipy.fft import dct, dst
+from scipy.linalg import hankel, toeplitz
 
 
 class FchError(Exception):
@@ -267,6 +268,37 @@ def sine_synth(coeffs):
     out = np.zeros(n)
     if n > 2:
         out[1:-1] = 0.5 * dst(np.asarray(coeffs[1:-1], dtype=float), type=1)
+    return out
+
+
+def mode_norms(grid):
+    """Quadrature norms nu_k of cos(kappa_k z): the weighted cosine basis
+    Q = diag(sqrt(w)) [cos(kappa_k z_j)] diag(1/nu) is orthogonal."""
+    nu = np.full(grid.num_points, np.sqrt(grid.length / 2.0))
+    nu[0] *= np.sqrt(2.0)
+    nu[-1] *= np.sqrt(2.0)
+    return nu
+
+
+def mode_matrix(grid, f, start=0, step=1):
+    """Q^T diag(f) Q on the modes start, start + step, ... in O(N^2).
+
+    With g(m) = sum_j w_j f_j cos(m pi z_j / L), one DCT-I of w*f, the entry
+    of modes j, k is (g(|j - k|) + g(j + k)) / (2 nu_j nu_k): Toeplitz plus
+    Hankel, and g(m) = g(2N - 2 - m) past N - 1.
+    """
+    x = grid.quad_weights * np.asarray(f, dtype=float)
+    x[[0, -1]] *= 2.0
+    g = 0.5 * dct(x, type=1)
+    g = np.concatenate([g, g[-2::-1]])
+    modes = np.arange(start, grid.num_points, step)
+    m = modes.size
+    h = g[2 * start :: step][: 2 * m - 1]
+    out = toeplitz(g[::step][:m])
+    out += hankel(h[:m], h[m - 1 :])
+    s = 1.0 / (np.sqrt(2.0) * mode_norms(grid)[modes])
+    out *= s[:, None]
+    out *= s[None, :]
     return out
 
 

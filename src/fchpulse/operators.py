@@ -23,6 +23,7 @@ from .core import (
     cosine_synth,
     h_mode_multipliers,
     mean_value,
+    mode_norms,
     norm,
     spectral_derivative,
 )
@@ -38,14 +39,9 @@ def weighted_cosine_basis(grid):
     and nu_k the quadrature norms, so Q^T Q = I and any spectral multiplier m
     lifts to the symmetric weighted matrix Q diag(m) Q^T.
     """
-    n = grid.num_points
-    e = dct(np.eye(n), type=1, axis=0)
+    e = dct(np.eye(grid.num_points), type=1, axis=0)
     e[:, 1:-1] *= 0.5
-    nu = np.full(n, np.sqrt(grid.length / 2.0))
-    nu[0] *= np.sqrt(2.0)
-    nu[-1] *= np.sqrt(2.0)
-    q = (np.sqrt(grid.quad_weights)[:, None] * e) / nu[None, :]
-    return q
+    return (np.sqrt(grid.quad_weights)[:, None] * e) / mode_norms(grid)[None, :]
 
 
 def dense_spectral_multiplier(grid, multipliers):
@@ -72,6 +68,16 @@ def to_weighted(field):
 
 def from_weighted(grid, vec):
     return ScalarField(grid, vec / np.sqrt(grid.quad_weights))
+
+
+def to_modes(field):
+    """Coordinates Q^T u_w of a field in the weighted cosine basis Q."""
+    return mode_norms(field.grid) * cosine_coeffs(field.values)
+
+
+def from_modes(grid, vec):
+    """The field whose weighted cosine coordinates are vec."""
+    return ScalarField(grid, cosine_synth(vec / mode_norms(grid)))
 
 
 @dataclass
@@ -139,12 +145,17 @@ def flow_field(u, well, family=None):
     return -family.apply(g, "G")
 
 
+def second_variation_coefficients(phi, well):
+    """(W''(phi), Z) at the nodes, with Z = (phi'' - W'(phi)) W'''(phi): the
+    second variation at phi is (d^2 - W''(phi))^2 - Z."""
+    rphi = spectral_derivative(phi, 2).values - well.dW(phi.values)
+    return well.d2W(phi.values), rphi * well.d3W(phi.values)
+
+
 def second_variation(phi, well):
     """Second variation at phi: (d^2 - W''(phi))^2 - (phi'' - W'(phi)) W'''(phi)."""
     grid = phi.grid
-    w2 = well.d2W(phi.values)
-    rphi = spectral_derivative(phi, 2).values - well.dW(phi.values)
-    zeroth = rphi * well.d3W(phi.values)
+    w2, zeroth = second_variation_coefficients(phi, well)
 
     def apply(fld):
         av = spectral_derivative(fld, 2).values - w2 * fld.values

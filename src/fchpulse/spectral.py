@@ -17,20 +17,23 @@ import scipy.linalg as sla
 
 from .core import (
     DomainError,
+    Grid,
     ScalarField,
     cosine_coeffs,
     h_mode_multipliers,
     inner_product_x,
+    mode_matrix,
     norm,
 )
 from .ansatz import h4_norm_from_stack
 from .operators import (
     GradientFamily,
-    dense_spectral_multiplier,
+    from_modes,
     from_weighted,
     second_variation,
+    second_variation_coefficients,
+    to_modes,
     to_weighted,
-    weighted_cosine_basis,
     zero_mass_projection,
 )
 
@@ -59,44 +62,87 @@ class ShiftError(DomainError):
 
 
 # ---------------------------------------------------------------------------
-# Dense eigensolving on the zero-mass space.
+# The zero-mass second variation in cosine modes.
 # ---------------------------------------------------------------------------
 
 
-def constant_direction(grid):
-    c = np.sqrt(grid.quad_weights)
-    return c / np.linalg.norm(c)
+@dataclass(frozen=True)
+class SpectralContext:
+    """The second variation of one profile on the zero-mass space, in modes.
 
-
-def householder_complement(vec):
-    """Deterministic orthonormal basis of the orthogonal complement of vec."""
-    n = vec.size
-    v = vec / np.linalg.norm(vec)
-    w = v.copy()
-    w[0] -= 1.0
-    nw = np.linalg.norm(w)
-    if nw < 1e-14:
-        return np.eye(n)[:, 1:]
-    w /= nw
-    h = np.eye(n) - 2.0 * np.outer(w, w)
-    return h[:, 1:]
-
-
-def zero_mass_eigh(mat, grid, k=None):
-    """Eigenpairs of a weighted-coordinate matrix on the zero-mass space.
-
-    The matrix is reduced to the Householder complement of the constant
-    direction and diagonalized, in full or for its lowest k pairs. Returns
-    the eigenvalues, the eigenvectors in the complement basis, and the basis
-    (so basis @ vecs gives weighted-coordinate eigenvectors).
+    With Q the weighted cosine basis, B = Q^T (d^2 - W''(phi)) Q =
+    -diag(kappa^2) - Q^T diag(W'') Q and L = B B - Q^T diag(Z) Q (see
+    `second_variation_coefficients`); each Q^T diag(f) Q is one `mode_matrix`.
+    Mode 0 is the constant direction, so the zero-mass space is modes
+    1..N-1: `b` holds those columns of B (all N rows), `z` and `matrix` the
+    zero-mass blocks of Q^T diag(Z) Q and of L. Each array has N^2 entries,
+    so a caller builds one per profile with `spectral_context`, hands it to
+    every check of that profile and drops it after them.
     """
-    basis = householder_complement(constant_direction(grid))
-    reduced = basis.T @ mat @ basis
-    if k is None:
-        evals, evecs = sla.eigh(reduced)
-    else:
-        evals, evecs = sla.eigh(reduced, subset_by_index=[0, k - 1])
-    return evals, evecs, basis
+
+    grid: Grid
+    b: np.ndarray
+    z: np.ndarray
+    matrix: np.ndarray
+
+    def ritz(self, vecs, scale=None):
+        """One Rayleigh-Ritz step for S L S on the span of vecs, S = diag(scale).
+
+        H = (B S V)^T (B S V) - (S V)^T Z (S V) is formed from the factors,
+        so its slow entries carry errors relative to |B S v|^2 instead of the
+        eps*||L|| of a dense eigensolver (the graded-matrix argument of Demmel
+        and Veselic, SIAM J. Matrix Anal. Appl. 13, 1992): the slow Ritz
+        values do not depend on the basis the dense solve ran in. Returns the
+        Ritz values and vectors.
+        """
+        w = vecs if scale is None else scale[:, None] * vecs
+        bw = self.b @ w
+        h = bw.T @ bw - w.T @ (self.z @ w)
+        theta, y = np.linalg.eigh(0.5 * (h + h.T))
+        return theta, vecs @ y
+
+    def lowest(self, k, scale=None):
+        """The lowest k eigenpairs of S L S in zero-mass modes, Ritz-refined.
+
+        With a scaling (G1 of the symmetrized gap) S L S has norm up to
+        N^2 ||L||, and one Ritz step on its dense eigenvectors leaves the slow
+        values basis-dependent at about 1e-8 relative at s = 1. One step of
+        block inverse iteration, V - (S L S)^{-1} R with the residual R taken
+        in factored form, comes before the final Ritz step there.
+        """
+        mat = self.matrix
+        if scale is not None:
+            mat = scale[:, None] * mat * scale[None, :]
+        _, vecs = sla.eigh(mat, subset_by_index=[0, k - 1])
+        theta, vecs = self.ritz(vecs, scale)
+        if scale is None:
+            return theta, vecs
+        w = scale[:, None] * vecs
+        resid = scale[:, None] * (self.b.T @ (self.b @ w) - self.z @ w)
+        resid -= vecs * theta
+        lu = sla.lu_factor(mat, overwrite_a=True, check_finite=False)
+        vecs, _ = np.linalg.qr(vecs - sla.lu_solve(lu, resid))
+        return self.ritz(vecs, scale)
+
+    def modes(self, field):
+        """Zero-mass mode coordinates of a field (its mode-0 part dropped)."""
+        return to_modes(field)[1:]
+
+    def field(self, vec):
+        """The zero-mass field with mode coordinates vec."""
+        return from_modes(self.grid, np.concatenate([[0.0], vec]))
+
+
+def spectral_context(phi, well):
+    """The SpectralContext of the second variation at phi: two mode matrices
+    and one product, no N^3 change of basis."""
+    grid = phi.grid
+    w2, zeroth = second_variation_coefficients(phi, well)
+    b = mode_matrix(grid, -w2)
+    b[np.diag_indices_from(b)] -= grid.wavenumbers**2
+    b = b[:, 1:]
+    z = mode_matrix(grid, zeroth, start=1)
+    return SpectralContext(grid=grid, b=b, z=z, matrix=b.T @ b - z)
 
 
 @dataclass
@@ -120,24 +166,28 @@ class SpectrumReport:
         return self.eigenvalues[: self.slow_dim]
 
 
-def spectral_gap_report(manifold, profile, num_stable=4, k_s=None):
+def spectral_gap_report(manifold, profile, num_stable=4, k_s=None,
+                        context=None):
     """Spectrum of -L on the zero-mass space with the slow/stable split.
 
     The slow set is every eigenvalue below half the single-pulse edge floor
     k_s; the report asserts the slow dimension equals n, that the slow set is
     O(delta)-small, and that the stable edge sits within the pinned band of
-    k_s. Failures are recorded, not raised.
+    k_s. Failures are recorded, not raised. The eigenpairs are Ritz-refined
+    (SpectralContext.ritz); context is the profile's SpectralContext when the
+    caller already has it.
     """
     grid = manifold.grid
     n = manifold.n
     delta = manifold.params.tail_scale
     if k_s is None:
         k_s = manifold.pulse.edge_floor
+    if context is None:
+        context = spectral_context(profile.phi, manifold.well)
     sv = second_variation(profile.phi, manifold.well)
     k = n + num_stable
-    evals, evecs, basis = zero_mass_eigh(sv.dense_weighted(), grid, k)
-    vecs = basis @ evecs
-    fields = [from_weighted(grid, vecs[:, j]) for j in range(k)]
+    evals, vecs = context.lowest(k)
+    fields = [context.field(vecs[:, j]) for j in range(k)]
 
     slow_dim = int(np.count_nonzero(evals < 0.5 * k_s))
     failures = []
@@ -284,6 +334,7 @@ def _lowest(mat):
 def coercivity_constant(
     manifold, profile, tangents=None, k_s=None,
     gamma_sweep=(0.05, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0),
+    context=None, report=None,
 ):
     """Normal coercivity constants of the constrained second variation.
 
@@ -298,7 +349,9 @@ def coercivity_constant(
     direction, so zero mass means dropping it, and the Sobolev Grams are the
     diagonal h_mode_multipliers, so each generalized problem becomes a
     standard one after diagonal whitening. The tangent constraints are
-    deflated (see _deflate).
+    deflated (see _deflate). context is the profile's SpectralContext and
+    report its spectral gap report, when the caller has them; the report's
+    lowest Ritz value is then the unconstrained minimum.
     """
     grid = manifold.grid
     if tangents is None:
@@ -307,10 +360,10 @@ def coercivity_constant(
         k_s = manifold.pulse.edge_floor
     mu_tilde = 0.75 * k_s
 
-    q = weighted_cosine_basis(grid)
-    lw = second_variation(profile.phi, manifold.well).dense_weighted()
-    a = (q.T @ lw @ q)[1:, 1:]
-    t_modes = (q.T @ np.stack([to_weighted(t) for t in tangents], axis=1))[1:]
+    if context is None:
+        context = spectral_context(profile.phi, manifold.well)
+    a = context.matrix
+    t_modes = np.stack([context.modes(t) for t in tangents], axis=1)
 
     def whitened(order):
         s = 1.0 / np.sqrt(h_mode_multipliers(grid, order)[1:])
@@ -321,7 +374,10 @@ def coercivity_constant(
     mu_x = _lowest(_deflate(a, t_modes))
     mu = _lowest(_deflate(m4, s4[:, None] * t_modes))
     mu_h2 = _lowest(_deflate(m2, s2[:, None] * t_modes))
-    unconstrained_x = _lowest(a)
+    if report is None:
+        unconstrained_x = _lowest(a)
+    else:
+        unconstrained_x = float(report.eigenvalues[0])
 
     best_bound, best = -np.inf, (np.nan, np.nan)
     for ge in gamma_sweep:
@@ -423,25 +479,26 @@ def tangent_alignment(manifold, profile, report=None, tangent_stacks=None):
 
 
 def symmetrized_gap(manifold, profile, family, num_stable=3, mu_gap=None,
-                    tangents=None):
+                    tangents=None, context=None):
     """Spectrum of G1*L*G1 on the zero-mass space and its slow alignment.
 
     Asserts n slow eigenvalues of size O(delta_g), a stable remainder, and
     alignment of the slow eigenfields with the normalized G1^{-1} tangents
-    (computed at the profile unless given). At s = 0 this reproduces the
-    plain spectral gap report exactly.
+    (computed at the profile unless given). G1 is diagonal in modes, so the
+    operator is a scaling of the profile's SpectralContext (context, when
+    the caller has it), refined through B*G1 (SpectralContext.lowest). At
+    s = 0 this reproduces the plain spectral gap report.
     """
     params = manifold.params
     s = family.s
     delta_g = params.require_srn_regime(s)
-    grid = manifold.grid
     n = manifold.n
 
-    lw = second_variation(profile.phi, manifold.well).dense_weighted()
-    g1 = dense_spectral_multiplier(grid, family.multipliers("G1"))
+    if context is None:
+        context = spectral_context(profile.phi, manifold.well)
+    g1 = family.multipliers("G1")[1:]
     k = n + num_stable
-    evals, evecs, basis = zero_mass_eigh(g1 @ lw @ g1, grid, k)
-    vecs = basis @ evecs
+    evals, vecs = context.lowest(k, scale=g1)
 
     failures = []
     cap = THRESHOLDS["symmetrized_cap_over_delta_g"] * delta_g
@@ -460,10 +517,9 @@ def symmetrized_gap(manifold, profile, family, num_stable=3, mu_gap=None,
         failures.append("no clear slow/stable separation")
 
     # alignment of slow eigenfields with normalized G1^{-1} tangents
-    g1inv = dense_spectral_multiplier(grid, family.multipliers("G1_inv"))
     if tangents is None:
         tangents = manifold.tangent_basis(profile.config)
-    t_g = [g1inv @ to_weighted(t) for t in tangents]
+    t_g = [context.modes(t) / g1 for t in tangents]
     beta, rotated, t_mat = _procrustes_align(vecs[:, :n], t_g)
     errors = np.array(
         [np.linalg.norm(rotated[:, i] - t_mat[:, i]) for i in range(n)]
@@ -473,7 +529,7 @@ def symmetrized_gap(manifold, profile, family, num_stable=3, mu_gap=None,
             f"slow-eigenfield alignment error {np.max(errors):.3e} exceeds "
             f"{cap:.3e}"
         )
-    fields = [from_weighted(grid, vecs[:, j]) for j in range(k)]
+    fields = [context.field(vecs[:, j]) for j in range(k)]
     return SpectrumReport(
         eigenvalues=evals,
         eigenfields=fields,
@@ -610,22 +666,25 @@ def el_bounds(manifold, profiles, delta1=None, eta=1.0, coercivity=None,
 # ---------------------------------------------------------------------------
 
 
-def semigroup_decay_check(manifold, profile, times=(0.5, 1.0, 2.0), seed=0):
+def semigroup_decay_check(manifold, profile, times=(0.5, 1.0, 2.0), seed=0,
+                          context=None):
     """Exact exponential decay check for the self-adjoint linearization.
 
-    Diagonalizes -L on the zero-mass complement and verifies
-    ||exp(t L) u|| <= exp(-edge * t) ||u|| for random u orthogonal to the
-    slow eigenspace.
+    Diagonalizes -L on the zero-mass modes (of context, the profile's
+    SpectralContext, when given) and verifies
+    ||exp(t L) u|| <= exp(-edge * t) ||u|| for random u, drawn in mode
+    coordinates, orthogonal to the slow eigenspace.
     """
     n = manifold.n
-    mat = second_variation(profile.phi, manifold.well).dense_weighted()
-    evals, evecs, basis = zero_mass_eigh(mat, manifold.grid)
+    if context is None:
+        context = spectral_context(profile.phi, manifold.well)
+    evals, evecs = sla.eigh(context.matrix)
     edge = evals[n]
     rng = np.random.default_rng(seed)
     ok = True
     worst = 0.0
     for _ in range(4):
-        u = rng.standard_normal(basis.shape[1])
+        u = rng.standard_normal(evals.size)
         u -= evecs[:, :n] @ (evecs[:, :n].T @ u)
         u /= np.linalg.norm(u)
         coeffs = evecs.T @ u
@@ -776,6 +835,8 @@ def run_hypothesis_suite(
     gap for each requested s. The residual fields and energies of all
     profiles and the coercivity reports of the spectral subset are kept in
     order in `report.residuals`, `report.energies` and `report.coercivity`.
+    Each profile's SpectralContext is built once, serves every spectral
+    check of that profile, and is dropped after them.
     """
     report = DiagnosticsReport()
     params = manifold.params
@@ -812,10 +873,23 @@ def run_hypothesis_suite(
         )
     report.add("invariant_plane", -1, worst_mass, 1e-9, worst_mass <= 1e-9)
 
+    # the gradient-family bounds are interior statements: measure them at the
+    # equispaced point, away from the admissibility boundary where the
+    # ansatz's residual boundary layer dominates the strong norms; a sample
+    # that contains that point already has its profile and residual, and its
+    # tangents and context too when the point is in the spectral subset
+    equi = manifold.equispaced()
+    at_equi = next((i for i, p in enumerate(profiles)
+                    if np.array_equal(p.config.positions, equi.positions)),
+                   None)
+
     # spectral checks on a subset
-    gaps, subset_tangents = [], []
+    gaps, subset_tangents, equi_context = [], [], None
     for i, p in enumerate(profiles[:spectral_subset]):
-        gap = spectral_gap_report(manifold, p, k_s=k_s)
+        context = spectral_context(p.phi, manifold.well)
+        if i == at_equi:
+            equi_context = context
+        gap = spectral_gap_report(manifold, p, k_s=k_s, context=context)
         gaps.append(gap)
         report.add(
             "slow_stable_split", i, gap.extras.get("fitted_c0", np.nan),
@@ -834,7 +908,8 @@ def run_hypothesis_suite(
             THRESHOLDS["alignment_cap_over_delta"], align.passed,
             beta_defect=align.beta_defect,
         )
-        coer = coercivity_constant(manifold, p, tangents=tangents, k_s=k_s)
+        coer = coercivity_constant(manifold, p, tangents=tangents, k_s=k_s,
+                                   context=context, report=gap)
         report.coercivity.append(coer)
         report.add(
             "normal_coercivity", i, coer.mu, 0.0,
@@ -842,8 +917,11 @@ def run_hypothesis_suite(
             mu_e=coer.mu_e, gamma_e=coer.gamma_e, bound=coer.bound,
             mu_h2=coer.mu_h2, mu_x=coer.mu_x,
         )
+        if i == 0:
+            ok, worst, edge = semigroup_decay_check(manifold, p,
+                                                    context=context)
+        context = None  # released before the next profile's is built
 
-    ok, worst, edge = semigroup_decay_check(manifold, profiles[0])
     report.add("semigroup_decay", 0, worst, 1.0 + 1e-10, ok, edge=edge)
 
     overlap, hess = eigenfield_continuity(manifold, profiles[0].config,
@@ -861,15 +939,6 @@ def run_hypothesis_suite(
     )
 
     rng = np.random.default_rng(seed)
-    # the gradient-family bounds are interior statements: measure them at the
-    # equispaced point, away from the admissibility boundary where the
-    # ansatz's residual boundary layer dominates the strong norms; a sample
-    # that contains that point already has its profile and residual, and its
-    # tangents too when the point is in the spectral subset
-    equi = manifold.equispaced()
-    at_equi = next((i for i, p in enumerate(profiles)
-                    if np.array_equal(p.config.positions, equi.positions)),
-                   None)
     if at_equi is None:
         base = manifold.build(equi)
         r_base, _, _ = manifold.residual_h4(base)
@@ -922,7 +991,10 @@ def run_hypothesis_suite(
             c_tan <= THRESHOLDS["eh3_tangent_cap"], s=s,
         )
         if s > 0.0:
-            sym = symmetrized_gap(manifold, base, fam, tangents=tangents)
+            if equi_context is None:
+                equi_context = spectral_context(base.phi, manifold.well)
+            sym = symmetrized_gap(manifold, base, fam, tangents=tangents,
+                                  context=equi_context)
             report.add(
                 "symmetrized_gap", 0, sym.extras["fitted_c"],
                 THRESHOLDS["symmetrized_cap_over_delta_g"], sym.passed,

@@ -27,6 +27,7 @@ from .core import (
     ToleranceError,
     WellError,
     cosine_coeffs,
+    mode_matrix,
 )
 
 
@@ -765,21 +766,22 @@ def solve_background(well, profile, j, num_points=512, window_factor=2.0):
 def single_pulse_point_spectrum(well, profile, num_points=1600, tol_zero=1e-4):
     """Discrete eigenvalues of L = d^2/dz^2 - W''(phi_h) above -alpha_minus.
 
-    Solved on the symmetric window [-2*half_width, 2*half_width] in the full
-    cosine basis (both parities). Returns eigenvalues sorted descending.
+    Solved on the symmetric window [-2*half_width, 2*half_width] in the
+    cosine modes of that window, where L is -diag(kappa^2) - Q^T diag(q) Q.
+    The potential q is even about the window centre, where mode k has parity
+    (-1)^k, so the even and odd modes decouple into two blocks of half the
+    size. Returns eigenvalues sorted descending.
     """
     window = 2.0 * profile.half_width
-    length = 2.0 * window
-    grid = Grid(length, num_points, h_max=0.2)
-    z = grid.nodes - window
-    q = well.d2W(well.b_minus + profile.pulse_bar(z))
-    lmat = _half_line_second_derivative(length, num_points) - np.diag(q)
-    # symmetrize in the quadrature inner product before eigensolving
-    w = grid.quad_weights
-    sw = np.sqrt(w)
-    lsym = (sw[:, None] * lmat) / sw[None, :]
-    lsym = 0.5 * (lsym + lsym.T)
-    evals = np.linalg.eigvalsh(lsym)
+    grid = Grid(2.0 * window, num_points, h_max=0.2)
+    q = well.d2W(well.b_minus + profile.pulse_bar(grid.nodes - window))
+    kappa2 = grid.wavenumbers**2
+    evals = []
+    for parity in (0, 1):
+        block = mode_matrix(grid, -q, start=parity, step=2)
+        block[np.diag_indices_from(block)] -= kappa2[parity::2]
+        evals.append(np.linalg.eigvalsh(block))
+    evals = np.concatenate(evals)
     edge = -well.alpha_minus
     point = evals[evals > edge + 1e-3 * abs(edge)]
     return np.sort(point)[::-1], float(tol_zero)

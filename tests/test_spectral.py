@@ -21,24 +21,103 @@ from fchpulse import (
     symmetrized_gap,
     tangent_alignment,
 )
-from fchpulse.core import h_mode_multipliers, integral
+from fchpulse.core import h_mode_multipliers, integral, mode_matrix
 from fchpulse.operators import (
+    dense_second_derivative,
     dense_spectral_multiplier,
-    from_weighted,
+    from_modes,
+    second_variation_coefficients,
+    to_modes,
     to_weighted,
     weighted_cosine_basis,
 )
 from fchpulse.spectral import (
     ShiftError,
-    constant_direction,
     dual_h4_norm,
     eigenfield_continuity,
     eta_star_formula,
-    householder_complement,
     semigroup_decay_check,
-    zero_mass_eigh,
+    spectral_context,
+)
+from fchpulse.wellmodel import (
+    _half_line_second_derivative,
+    single_pulse_point_spectrum,
 )
 from conftest import cluster_config, moderate_config
+
+
+# The dense nodal path that the cosine-mode SpectralContext replaced, kept as
+# the oracle: the weighted-coordinate second variation reduced to the
+# Householder complement of the constant direction.
+
+
+def constant_direction(grid):
+    c = np.sqrt(grid.quad_weights)
+    return c / np.linalg.norm(c)
+
+
+def householder_complement(vec):
+    """Deterministic orthonormal basis of the orthogonal complement of vec."""
+    n = vec.size
+    v = vec / np.linalg.norm(vec)
+    w = v.copy()
+    w[0] -= 1.0
+    nw = np.linalg.norm(w)
+    if nw < 1e-14:
+        return np.eye(n)[:, 1:]
+    w /= nw
+    h = np.eye(n) - 2.0 * np.outer(w, w)
+    return h[:, 1:]
+
+
+def householder_eigh(mat, grid, k=None):
+    """Eigenpairs of a weighted-coordinate matrix on the zero-mass space, in
+    full or the lowest k, with the complement basis (basis @ vecs gives
+    weighted-coordinate eigenvectors)."""
+    basis = householder_complement(constant_direction(grid))
+    reduced = basis.T @ mat @ basis
+    if k is None:
+        evals, evecs = sla.eigh(reduced)
+    else:
+        evals, evecs = sla.eigh(reduced, subset_by_index=[0, k - 1])
+    return evals, evecs, basis
+
+
+def householder_ritz(phi, well, k, g1_multipliers=None):
+    """The lowest k pairs of G1 L G1 in the Householder basis (L alone without
+    multipliers): (dense eigenvalues, Ritz values, Frobenius norm of the
+    reduced matrix). The Ritz step uses the factored form
+    (A G1 V)^T (A G1 V) - (G1 V)^T Z (G1 V), A = d^2 - W'' in weighted
+    coordinates; with multipliers, one step of block inverse iteration on
+    the factored residual comes first."""
+    grid = phi.grid
+    w2, zeroth = second_variation_coefficients(phi, well)
+    a = dense_second_derivative(grid) - np.diag(w2)
+    g1 = np.eye(grid.num_points)
+    if g1_multipliers is not None:
+        g1 = dense_spectral_multiplier(grid, g1_multipliers)
+    basis = householder_complement(constant_direction(grid))
+    reduced = basis.T @ g1 @ second_variation(phi, well).dense_weighted() @ g1
+    reduced = reduced @ basis
+    evals, vecs = sla.eigh(reduced, subset_by_index=[0, k - 1])
+
+    def factored(v):
+        w = g1 @ (basis @ v)
+        return w, a @ w
+
+    def ritz(v):
+        w, aw = factored(v)
+        h = aw.T @ aw - w.T @ (zeroth[:, None] * w)
+        theta, y = np.linalg.eigh(0.5 * (h + h.T))
+        return theta, v @ y
+
+    theta, vecs = ritz(vecs)
+    if g1_multipliers is not None:
+        w, aw = factored(vecs)
+        resid = basis.T @ (g1 @ (a.T @ aw - zeroth[:, None] * w)) - vecs * theta
+        vecs, _ = np.linalg.qr(vecs - np.linalg.solve(reduced, resid))
+        theta, vecs = ritz(vecs)
+    return evals, theta, np.linalg.norm(reduced)
 
 
 class TestZeroMassEigh:
@@ -46,38 +125,80 @@ class TestZeroMassEigh:
         # (d^2 - alpha)^2 on the zero-mass space: ((k pi/L)^2 + alpha)^2
         grid = Grid(160.0, 512, h_max=0.4)
         u = ScalarField(grid, np.full(grid.num_points, well.b_minus))
-        evals, _, _ = zero_mass_eigh(
-            second_variation(u, well).dense_weighted(), grid, 6
-        )
+        evals, _ = spectral_context(u, well).lowest(6)
         expected = sorted(
             ((k * np.pi / grid.length) ** 2 + well.alpha_minus) ** 2
             for k in range(1, 7)
         )
         assert_allclose(evals, expected, atol=1e-8)
+        ref, _, _ = householder_eigh(
+            second_variation(u, well).dense_weighted(), grid, 6
+        )
+        assert_allclose(ref, expected, atol=1e-8)
 
     def test_dense_cross_check(self, well):
-        # the lowest pairs, the full solve, and a brute-force diagonalization
-        # in another orthonormal basis of the zero-mass space agree at N = 256
+        # the lowest Ritz pairs, the full solve in modes, the Householder
+        # oracle and a brute-force diagonalization in another orthonormal
+        # basis of the zero-mass space agree at N = 256
         grid = Grid(160.0, 256, h_max=0.7)
         u = ScalarField(grid, np.full(grid.num_points, well.b_minus))
-        mat = second_variation(u, well).dense_weighted()
-        evals, _, _ = zero_mass_eigh(mat, grid, 8)
-        full, _, _ = zero_mass_eigh(mat, grid)
+        context = spectral_context(u, well)
+        evals, _ = context.lowest(8)
+        full = sla.eigh(context.matrix, eigvals_only=True)
         assert full.size == grid.num_points - 1
+        mat = second_variation(u, well).dense_weighted()
+        oracle, _, _ = householder_eigh(mat, grid, 8)
         other = sla.null_space(constant_direction(grid)[None, :])
         brute = np.linalg.eigvalsh(other.T @ mat @ other)[:8]
-        assert np.max(np.abs(evals - brute)) < 1e-8
-        assert np.max(np.abs(full[:8] - brute)) < 1e-8
+        for vals in (evals, full[:8], oracle):
+            assert np.max(np.abs(vals - brute)) < 1e-8
 
     def test_deflation_removes_constants(self, well):
         grid = Grid(160.0, 512, h_max=0.4)
         u = ScalarField(grid, np.full(grid.num_points, well.b_minus))
-        _, evecs, basis = zero_mass_eigh(
-            second_variation(u, well).dense_weighted(), grid, 4
-        )
-        for vec in (basis @ evecs).T:
-            f = from_weighted(grid, vec)
+        context = spectral_context(u, well)
+        _, vecs = context.lowest(4)
+        for vec in vecs.T:
+            f = context.field(vec)
             assert abs(integral(f)) / grid.length < 1e-10
+
+
+class TestRitzOracle:
+    """The refined spectra against the Householder-basis oracle."""
+
+    @pytest.mark.parametrize("point", ["moderate", "equispaced"])
+    def test_gap_report(self, diag_manifold, edge_floor, point):
+        man = diag_manifold
+        cfg = (moderate_config(man) if point == "moderate"
+               else man.equispaced())
+        prof = man.build(cfg)
+        rep = spectral_gap_report(man, prof, k_s=edge_floor)
+        dense, ritz, _ = householder_ritz(prof.phi, man.well,
+                                          rep.eigenvalues.size)
+        n = rep.slow_dim
+        assert n == man.n
+        assert_allclose(rep.eigenvalues[:n], ritz[:n], rtol=1e-9, atol=0)
+        assert_allclose(rep.eigenvalues[n:], dense[n:], rtol=1e-10, atol=0)
+
+    @pytest.mark.parametrize("point", ["moderate", "equispaced"])
+    @pytest.mark.parametrize("s", [0.5, 1.0])
+    def test_symmetrized_gap(self, diag_manifold, s, point):
+        man = diag_manifold
+        cfg = (moderate_config(man) if point == "moderate"
+               else man.equispaced())
+        prof = man.build(cfg)
+        fam = GradientFamily(man.grid, s)
+        rep = symmetrized_gap(man, prof, fam)
+        dense, ritz, norm_mat = householder_ritz(
+            prof.phi, man.well, rep.eigenvalues.size, fam.multipliers("G1")
+        )
+        n = man.n
+        assert_allclose(rep.eigenvalues[:n], ritz[:n], rtol=1e-9, atol=0)
+        assert_allclose(rep.eigenvalues[n:], ritz[n:], rtol=1e-10, atol=0)
+        # G1 L G1 has norm up to N^2 ||L||, so the dense solve itself is only
+        # good to its eps-level backward error (7.5e-6 relative at s = 1)
+        eps_mat = np.finfo(float).eps * norm_mat
+        assert np.max(np.abs(rep.eigenvalues[n:] - dense[n:])) <= eps_mat
 
 
 class TestSpectralGap:
@@ -156,23 +277,14 @@ class TestConstrainedIndex:
         # for L = -(flow linearization) - mu with mu inside the gap, the
         # constraint matrix over the tangents is (1/mu) I + O(delta) and the
         # constrained index vanishes
-        from fchpulse.operators import second_variation as sv_op
-        from fchpulse.spectral import constant_direction, householder_complement
-        import scipy.linalg as sla
-
         cfg = moderate_config(diag_manifold)
         prof = diag_manifold.build(cfg)
         tangents = diag_manifold.tangent_basis(cfg)
         mu = 0.75 * edge_floor
-        grid = diag_manifold.grid
 
-        mat = sv_op(prof.phi, well).dense_weighted()
-        basis = householder_complement(constant_direction(grid))
-        reduced = basis.T @ mat @ basis
-        from fchpulse.operators import to_weighted
-
-        cons = [basis.T @ to_weighted(t) for t in tangents]
-        res = constrained_negative_index(reduced, cons, mu=mu)
+        context = spectral_context(prof.phi, well)
+        cons = [context.modes(t) for t in tangents]
+        res = constrained_negative_index(context.matrix, cons, mu=mu)
         assert res.formula_index == res.brute_index == 0
         assert res.shifted_index == 3
         # with L = (constrained second variation - mu), the slow directions
@@ -276,6 +388,34 @@ class TestCoercivityOracle:
                 1e-9 * abs(ref[key]) + 2 * eps_a
             ), key
         assert rep.gamma_e == ref["gamma_e"]
+        # with the gap report of the same profile, the unconstrained minimum
+        # is its lowest Ritz value, within the same allowance of the oracle
+        context = spectral_context(prof.phi, man.well)
+        gap = spectral_gap_report(man, prof, k_s=edge_floor, context=context)
+        shared = coercivity_constant(man, prof, tangents=tangents,
+                                     k_s=edge_floor, context=context,
+                                     report=gap)
+        assert shared.unconstrained_x_min == gap.eigenvalues[0]
+        assert abs(shared.unconstrained_x_min - ref["unconstrained_x_min"]) <= (
+            1e-9 * abs(ref["unconstrained_x_min"]) + 2 * eps_a
+        )
+        for key in ("mu", "mu_h2", "mu_e", "bound", "mu_x"):
+            assert getattr(shared, key) == getattr(rep, key), key
+
+
+def nodal_point_spectrum(well, pulse, num_points=1600):
+    """The single-pulse point spectrum from the full nodal matrix of L on the
+    symmetric window, symmetrized in the quadrature inner product (the solve
+    the parity blocks replaced)."""
+    window = 2.0 * pulse.half_width
+    grid = Grid(2.0 * window, num_points, h_max=0.2)
+    q = well.d2W(well.b_minus + pulse.pulse_bar(grid.nodes - window))
+    lmat = _half_line_second_derivative(grid.length, num_points) - np.diag(q)
+    sw = np.sqrt(grid.quad_weights)
+    lsym = (sw[:, None] * lmat) / sw[None, :]
+    evals = np.linalg.eigvalsh(0.5 * (lsym + lsym.T))
+    edge = -well.alpha_minus
+    return np.sort(evals[evals > edge + 1e-3 * abs(edge)])[::-1]
 
 
 class TestModeCoordinates:
@@ -306,6 +446,43 @@ class TestModeCoordinates:
         modal = q.T @ dense_spectral_multiplier(grid, m) @ q
         assert np.max(np.abs(modal - np.diag(m))) <= 1e-12 * np.max(m)
 
+    @settings(max_examples=25, deadline=None)
+    @given(grid=grids, seed=st.integers(0, 2**32 - 1),
+           start=st.integers(0, 1), step=st.integers(1, 2))
+    def test_mode_matrix_is_toeplitz_plus_hankel(self, grid, seed, start,
+                                                 step):
+        rng = np.random.default_rng(seed)
+        f = rng.standard_normal(grid.num_points) * 10.0 ** rng.uniform(-3, 3)
+        q = weighted_cosine_basis(grid)[:, start::step]
+        dense = q.T @ (f[:, None] * q)
+        fast = mode_matrix(grid, f, start=start, step=step)
+        assert np.max(np.abs(fast - dense)) <= 1e-13 * np.max(np.abs(f))
+
+    @settings(max_examples=25, deadline=None)
+    @given(grid=grids, seed=st.integers(0, 2**32 - 1))
+    def test_mode_coordinates_round_trip(self, grid, seed):
+        u = ScalarField(
+            grid, np.random.default_rng(seed).standard_normal(grid.num_points)
+        )
+        c = to_modes(u)
+        assert_allclose(c, weighted_cosine_basis(grid).T @ to_weighted(u),
+                        rtol=0, atol=1e-12 * np.max(np.abs(c)))
+        assert_allclose(from_modes(grid, c).values, u.values, rtol=0,
+                        atol=1e-12 * np.max(np.abs(u.values)))
+
+    def test_parity_blocks_match_nodal_solve(self, well, pulse):
+        point, _ = single_pulse_point_spectrum(well, pulse)
+        nodal = nodal_point_spectrum(well, pulse)
+        assert point.size == nodal.size
+        nonzero = np.abs(nodal) > 1e-4
+        assert_allclose(point[nonzero], nodal[nonzero], rtol=0, atol=1e-12)
+
+    def test_edge_floor_matches_nodal_solve(self, well, pulse, edge_floor):
+        nodal = nodal_point_spectrum(well, pulse)
+        reference = min([well.alpha_minus**2,
+                         *(nodal[np.abs(nodal) > 1e-4] ** 2)])
+        assert edge_floor == pytest.approx(reference, rel=1e-12, abs=0)
+
     def test_edge_floor_solved_once_per_pulse(self, pulse, monkeypatch):
         from fchpulse import wellmodel
 
@@ -322,6 +499,41 @@ class TestModeCoordinates:
         assert len(calls) == 1
         assert first == second == wellmodel.stable_edge_floor(pulse.well,
                                                               pulse)[0]
+
+
+class TestSpectralContextReuse:
+    def test_suite_builds_one_context_per_profile(self, manifold_factory,
+                                                  monkeypatch):
+        # on the testbed (the sample ends with the equispaced point, which is
+        # in the spectral subset) every spectral check reads the context of
+        # its profile: no dense weighted matrix, one context per profile
+        from fchpulse import spectral
+        from fchpulse.operators import LinearMap
+
+        man = manifold_factory(length=32.0, n=2, ell=8.0, num_points=256)
+        profiles = [man.build(c) for c in man.sample_configurations(2, seed=0)]
+        contexts, dense = [], []
+        real_context = spectral.spectral_context
+        real_dense = LinearMap.dense_weighted
+
+        def counted_context(phi, well):
+            contexts.append(phi.values.tobytes())
+            return real_context(phi, well)
+
+        def counted_dense(self):
+            dense.append(1)
+            return real_dense(self)
+
+        monkeypatch.setattr(spectral, "spectral_context", counted_context)
+        monkeypatch.setattr(LinearMap, "dense_weighted", counted_dense)
+        report = spectral.run_hypothesis_suite(man, profiles)
+        assert report.records
+        assert dense == []
+        assert len(contexts) == len(set(contexts))
+        # the sample profiles and the two shifted ones of the
+        # eigenfield-continuity check
+        assert len(contexts) == len(profiles) + 2
+        assert {p.phi.values.tobytes() for p in profiles} <= set(contexts)
 
 
 class TestAlignment:
