@@ -13,6 +13,7 @@ __version__ = "0.1.0"
 
 from .core import (
     AdmissibilityError,
+    ChecksumError,
     ConfigError,
     DomainError,
     ExtractionError,

@@ -27,7 +27,6 @@ from dataclasses import asdict, dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.stats import qmc
 
 from .core import (
     AdmissibilityError,
@@ -41,6 +40,22 @@ from .wellmodel import leibniz, well_jet
 BC_TOL = 1e-8
 MASS_RTOL = 1e-10
 NEWTON_MAX_ITER = 50
+
+
+def latin_hypercube(count, dim, seed):
+    """(count, dim) Latin-hypercube sample of [0, 1)^dim.
+
+    The base algorithm of scipy's `qmc.LatinHypercube(d=dim, seed=seed)`,
+    draw for draw, so the sample equals its `random(count)` bit for bit
+    without importing scipy.stats: one uniform jitter per cell, then one
+    shuffle of the strata 1..count per dimension.
+    """
+    rng = np.random.default_rng(seed)
+    jitter = rng.uniform(size=(count, dim))
+    perms = np.tile(np.arange(1, count + 1), (dim, 1))
+    for row in perms:
+        rng.shuffle(row)
+    return (perms.T - jitter) / count
 
 
 @dataclass(frozen=True)
@@ -206,8 +221,7 @@ class PulseManifold:
         length = self.params.domain_length
         ell = self.params.min_spacing
         budget = length - self.n * ell
-        sampler = qmc.LatinHypercube(d=self.n + 1, seed=seed)
-        raw = sampler.random(count)
+        raw = latin_hypercube(count, self.n + 1, seed)
         configs = []
         margin = 1e-3
         for row in raw:

@@ -56,6 +56,10 @@ class RefinementError(FchError):
     """Boundary/mass closure could not be verified after refinement."""
 
 
+class ChecksumError(FchError):
+    """Checkpoint data do not match the sha256 digest its header records."""
+
+
 class ExtractionError(FchError):
     """Pulse-position extraction found the wrong number of maxima."""
 

@@ -12,6 +12,7 @@ mirror shadow pulses close the boundary terms.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass, field, replace
 
@@ -20,6 +21,7 @@ from scipy.integrate import solve_ivp
 
 from .core import (
     AdmissibilityError,
+    ChecksumError,
     ExtractionError,
     FchError,
     GridMismatchError,
@@ -218,7 +220,7 @@ class Trajectory:
 
 
 CHECKPOINT_KEYS = ("time", "dt", "step_index", "accept_streak", "kappa",
-                   "dt_max", "growth_patience")
+                   "dt_max", "growth_patience", "sha256")
 
 
 def write_checkpoint(path_prefix, state, params_doc, controls):
@@ -226,8 +228,10 @@ def write_checkpoint(path_prefix, state, params_doc, controls):
 
     The header holds what `run` needs to continue the same run: the state's
     time, dt, step index and accept streak, the step controls, and
-    `params_doc` (the run's gradient exponent s, say).
+    `params_doc` (the run's gradient exponent s, say). It also holds the
+    sha256 of the .bin bytes, which `read_checkpoint` verifies.
     """
+    data = state.u.values.astype("<f8").tobytes()
     header = {
         "time": state.time,
         "dt": state.dt,
@@ -239,17 +243,20 @@ def write_checkpoint(path_prefix, state, params_doc, controls):
         "num_points": state.u.grid.num_points,
         "length": state.u.grid.length,
         "params": params_doc,
+        "sha256": hashlib.sha256(data).hexdigest(),
     }
     with open(f"{path_prefix}.json", "w") as fh:
         json.dump(header, fh, indent=2, sort_keys=True)
-    state.u.values.astype("<f8").tofile(f"{path_prefix}.bin")
+    with open(f"{path_prefix}.bin", "wb") as fh:
+        fh.write(data)
 
 
 def read_checkpoint(path_prefix, grid):
     """(state, controls, header) of a checkpoint written by `write_checkpoint`.
 
     A header without one of CHECKPOINT_KEYS or the gradient exponent s in
-    its params cannot continue the run that wrote it and raises FchError.
+    its params cannot continue the run that wrote it and raises FchError;
+    .bin bytes whose sha256 differs from the header's raise ChecksumError.
     """
     with open(f"{path_prefix}.json") as fh:
         header = json.load(fh)
@@ -260,7 +267,15 @@ def read_checkpoint(path_prefix, grid):
         raise FchError(
             f"checkpoint header {path_prefix}.json lacks {', '.join(missing)}"
         )
-    vals = np.fromfile(f"{path_prefix}.bin", dtype="<f8")
+    with open(f"{path_prefix}.bin", "rb") as fh:
+        data = fh.read()
+    digest = hashlib.sha256(data).hexdigest()
+    if digest != header["sha256"]:
+        raise ChecksumError(
+            f"checkpoint {path_prefix}.bin has sha256 {digest}, "
+            f"its header records {header['sha256']}"
+        )
+    vals = np.frombuffer(data, dtype="<f8").copy()
     if vals.size != grid.num_points:
         raise GridMismatchError(
             f"checkpoint has {vals.size} points, the grid {grid.num_points}"

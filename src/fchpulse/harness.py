@@ -14,6 +14,7 @@ import hashlib
 import json
 import time
 from dataclasses import asdict, dataclass, field, fields
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -168,6 +169,20 @@ class RunManifest:
         return path
 
 
+@lru_cache(maxsize=8)
+def well_solution(tau):
+    """(well, pulse, bg1, bg2) of the well at tau, solved once per process.
+
+    The pulse and its backgrounds depend on tau alone, so every Laboratory of
+    a process with the same tau shares these objects, and with them the
+    pulse's cached edge floor and pair energy. Their arrays are read-only.
+    """
+    well = default_well(tau)
+    pulse = solve_homoclinic(well)
+    return (well, pulse, solve_background(well, pulse, 1),
+            solve_background(well, pulse, 2))
+
+
 @dataclass
 class Laboratory:
     """Well, pulse, backgrounds, manifold, and grids for one configuration."""
@@ -185,10 +200,7 @@ class Laboratory:
 
     @classmethod
     def from_config(cls, config):
-        well = default_well(config.tau)
-        pulse = solve_homoclinic(well)
-        bg1 = solve_background(well, pulse, 1)
-        bg2 = solve_background(well, pulse, 2)
+        well, pulse, bg1, bg2 = well_solution(config.tau)
         total_mass = (
             config.n_pulses + config.mass_excess_fraction
         ) * pulse.mass_h

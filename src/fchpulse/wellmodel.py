@@ -394,6 +394,12 @@ def _fd_residual(z, values, well, stencil_width=4):
     return float(np.max(np.abs(second - well.dW(interior))))
 
 
+def _freeze(*arrays):
+    """Make arrays read-only: an in-place write to them raises ValueError."""
+    for a in arrays:
+        a.setflags(write=False)
+
+
 def solve_homoclinic(well, tol=1e-8, half_width=None, spacing=0.05,
                      cheb_degree=220):
     """Construct the homoclinic pulse of u'' = W'(u) by quadrature inversion.
@@ -447,6 +453,9 @@ def solve_homoclinic(well, tol=1e-8, half_width=None, spacing=0.05,
         raise ToleranceError(
             f"homoclinic residual {residual:.2e} exceeds tol {tol:.2e}"
         )
+
+    # a pulse is shared by every Laboratory of its well: freeze its samples
+    _freeze(z, values, dphi, cheb.coef)
 
     return PulseProfile(
         well=well,
@@ -749,6 +758,7 @@ def solve_background(well, profile, j, num_points=512, window_factor=2.0):
     coeffs = cosine_coeffs(bar)
     keep = np.max(np.nonzero(np.abs(coeffs) > 1e-15 * np.max(np.abs(coeffs)))[0])
     coeffs = coeffs[: keep + 1]
+    _freeze(z, b, bar, coeffs)
 
     return BackgroundProfile(
         j=j,

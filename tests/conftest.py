@@ -1,46 +1,45 @@
 """Shared fixtures: the default well, pulse, backgrounds, and manifolds.
 
-Everything heavy is cached at session scope; manifolds are memoized by their
-parameter tuple so the acceptance tests can share builds.
+Everything heavy is cached at session scope. The well solution is the one
+`Laboratory.from_config` uses (`harness.well_solution`), so the experiments
+the tests run share it too; manifolds are memoized by their parameter tuple
+so the acceptance tests can share builds.
 """
 
+import os
+import subprocess
+import sys
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fchpulse import (
-    Grid,
-    PulseManifold,
-    SystemParams,
-    default_well,
-    solve_background,
-    solve_homoclinic,
-    stable_edge_floor,
-)
+import fchpulse
+from fchpulse import Grid, PulseManifold, SystemParams
+from fchpulse.harness import well_solution
 
 TAU = -0.3
 
 
 @pytest.fixture(scope="session")
 def well():
-    return default_well(TAU)
+    return well_solution(TAU)[0]
 
 
 @pytest.fixture(scope="session")
-def pulse(well):
-    return solve_homoclinic(well)
+def pulse():
+    return well_solution(TAU)[1]
 
 
 @pytest.fixture(scope="session")
-def backgrounds(well, pulse):
-    return solve_background(well, pulse, 1), solve_background(well, pulse, 2)
+def backgrounds():
+    return well_solution(TAU)[2:]
 
 
 @pytest.fixture(scope="session")
-def edge_floor(well, pulse):
-    ks, point = stable_edge_floor(well, pulse)
-    return ks
+def edge_floor(pulse):
+    return pulse.edge_floor
 
 
 @pytest.fixture(scope="session")
@@ -141,3 +140,15 @@ def count_background_work(monkeypatch, manifold):
     monkeypatch.setattr(np, "cos", counting_trig(np.cos))
     monkeypatch.setattr(np, "sin", counting_trig(np.sin))
     return sizes, tables
+
+
+def fresh_python(code, *args):
+    """stdout of `code` run with `args` in a new interpreter on this package."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(fchpulse.__file__).parent.parent),
+                    env.get("PYTHONPATH")) if p
+    )
+    done = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, check=True)
+    return done.stdout

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from fchpulse import (
@@ -36,6 +38,19 @@ class TestConfiguration:
     def test_sampling_admissible(self, desk_manifold):
         for cfg in desk_manifold.sample_configurations(16, seed=11):
             assert cfg.min_gap >= desk_manifold.params.min_spacing - 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(dim=st.integers(1, 6), count=st.integers(0, 40),
+           seed=st.integers(0, 2**32 - 1))
+    def test_latin_hypercube_is_scipys_bit_for_bit(self, dim, count, seed):
+        from scipy.stats import qmc
+
+        from fchpulse.ansatz import latin_hypercube
+
+        ours = latin_hypercube(count, dim, seed)
+        theirs = qmc.LatinHypercube(d=dim, seed=seed).random(count)
+        assert ours.shape == theirs.shape == (count, dim)
+        assert ours.tobytes() == theirs.tobytes()
 
 
 class TestSuperposition:

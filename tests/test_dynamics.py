@@ -483,7 +483,8 @@ class TestRun:
         assert controls2 == controls
         assert header["params"]["s"] == 0.5
 
-    @pytest.mark.parametrize("key", ["kappa", "accept_streak", "params.s"])
+    @pytest.mark.parametrize("key", ["kappa", "accept_streak", "params.s",
+                                     "sha256"])
     def test_checkpoint_without_run_state_refused(self, small_manifold,
                                                   tmp_path, key):
         import json
@@ -503,6 +504,27 @@ class TestRun:
         path.write_text(json.dumps(header))
         with pytest.raises(FchError, match=f"lacks {key}"):
             read_checkpoint(tmp_path / "ck", small_manifold.grid)
+
+    def test_checkpoint_with_a_flipped_byte_refused(self, small_manifold,
+                                                    tmp_path):
+        import hashlib
+
+        from fchpulse import ChecksumError, FchError
+        from fchpulse.dynamics import read_checkpoint, write_checkpoint
+
+        prof = small_manifold.build(small_manifold.configuration([4.5, 12.0]))
+        write_checkpoint(tmp_path / "ck", SimulationState(0.0, prof.phi, 3e-4),
+                         {"s": 0.0}, StepControls(kappa=1.0))
+        path = tmp_path / "ck.bin"
+        data = bytearray(path.read_bytes())
+        recorded = hashlib.sha256(data).hexdigest()
+        data[len(data) // 2] ^= 0x01
+        path.write_bytes(data)
+        with pytest.raises(ChecksumError) as err:
+            read_checkpoint(tmp_path / "ck", small_manifold.grid)
+        assert isinstance(err.value, FchError)
+        assert recorded in str(err.value)
+        assert hashlib.sha256(data).hexdigest() in str(err.value)
 
     def test_resumed_state_takes_controls_and_no_dt0(self, small_manifold,
                                                      well):

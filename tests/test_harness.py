@@ -1,6 +1,8 @@
 """Configuration, manifests, determinism, and the CLI contract."""
 
 import json
+from dataclasses import replace
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +17,8 @@ from fchpulse import (
 )
 from fchpulse.cli import main as cli_main
 from fchpulse.harness import config_hash, fit_deviation_envelope, run_experiment
+
+from conftest import fresh_python
 
 SMALL = dict(
     epsilon=0.05, domain_d=0.8, n_pulses=2, min_spacing=5.0, grid_points=256,
@@ -183,6 +187,76 @@ class TestExperiments:
         manifest = run_experiment(cfg)
         assert manifest.summary["pass"] is False
         assert (tmp_path / "collapse" / "manifest.json").exists()
+
+
+class TestWellReuse:
+    """Laboratories of one process share the well solution of their tau."""
+
+    SPECTRAL = dict(SMALL, diagnostic_grid_points=256, sample_size=2,
+                    s_values=(0.5,))
+
+    @pytest.fixture
+    def fresh_cache(self, monkeypatch):
+        # an empty cache of its own, so no earlier test has solved anything
+        from fchpulse import harness
+
+        monkeypatch.setattr(harness, "well_solution", lru_cache(maxsize=8)(
+            harness.well_solution.__wrapped__))
+
+    def test_same_tau_shares_the_solution(self, fresh_cache):
+        cfg = ExperimentConfig(experiment="simulate", **SMALL)
+        first, second = Laboratory.from_config(cfg), Laboratory.from_config(cfg)
+        for name in ("well", "pulse", "bg1", "bg2"):
+            assert getattr(second, name) is getattr(first, name)
+        other = Laboratory.from_config(replace(cfg, tau=-0.35))
+        assert other.well.tau == -0.35
+        for name in ("pulse", "bg1", "bg2"):
+            assert getattr(other, name) is not getattr(first, name)
+
+    def test_spectrum_then_diagnose_solve_one_edge_floor(
+            self, tmp_path, monkeypatch, fresh_cache):
+        from fchpulse import wellmodel
+
+        calls = []
+        real = wellmodel.single_pulse_point_spectrum
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(wellmodel, "single_pulse_point_spectrum", counted)
+        for experiment in ("spectrum", "diagnose"):
+            run_experiment(ExperimentConfig(
+                experiment=experiment, output_dir=str(tmp_path / experiment),
+                **self.SPECTRAL
+            ))
+        assert len(calls) == 1
+
+    def test_second_run_writes_the_bytes_of_a_fresh_process(self, tmp_path):
+        # profile and spectrum, each run after another experiment in this
+        # process, against each run first in its own interpreter
+        configs = {
+            experiment: ExperimentConfig(experiment=experiment, **self.SPECTRAL)
+            for experiment in ("profile", "spectrum")
+        }
+        here, fresh = tmp_path / "here", tmp_path / "fresh"
+        for tag, experiment in (("warm", "profile"), ("spectrum", "spectrum"),
+                                ("profile", "profile")):
+            run_experiment(replace(configs[experiment],
+                                   output_dir=str(here / tag)))
+        code = ("import json, sys; from fchpulse.harness import "
+                "ExperimentConfig, run_experiment; "
+                "run_experiment(ExperimentConfig.from_dict(json.loads(sys.argv[1])))")
+        for experiment, cfg in configs.items():
+            fresh_python(code, json.dumps(
+                replace(cfg, output_dir=str(fresh / experiment)).as_dict()))
+        for name in ("profile/pulse.csv", "profile/background_1.csv",
+                     "profile/background_2.csv", "spectrum/spectrum.csv"):
+            assert (here / name).read_bytes() == (fresh / name).read_bytes(), name
+        for experiment in configs:
+            docs = [json.loads((d / experiment / "manifest.json").read_text())
+                    for d in (here, fresh)]
+            assert docs[0]["summary"] == docs[1]["summary"]
 
 
 class TestCli:

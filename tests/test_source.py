@@ -5,6 +5,8 @@ leave dead imports behind. `__init__` re-exports by importing, so it is not
 checked for those. No module catches every error (`except Exception`,
 `except BaseException` or a bare `except:`): a failure raises the `FchError`
 subclass that names it, and a handler catches only what it expects.
+Importing the package does not import scipy.stats: nothing in it needs that
+module, whose import is a large share of the package's start-up time.
 """
 
 import ast
@@ -13,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import fchpulse
+from conftest import fresh_python
 
 ALL_SOURCES = sorted(Path(fchpulse.__file__).parent.glob("*.py"))
 SOURCES = [p for p in ALL_SOURCES if p.name != "__init__.py"]
@@ -73,3 +76,9 @@ def test_detects_catch_all_handlers():
 @pytest.mark.parametrize("path", ALL_SOURCES, ids=lambda p: p.name)
 def test_no_catch_all_handlers(path):
     assert catch_all_handlers(path.read_text()) == []
+
+
+def test_import_does_not_load_scipy_stats():
+    code = ("import sys, fchpulse; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))")
+    assert fresh_python(code).strip() == "[]"

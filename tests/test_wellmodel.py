@@ -215,6 +215,21 @@ class TestBackgrounds:
         assert l2 < 1e-3 * max(np.max(np.abs(dphi)), 1.0)
 
 
+class TestReadOnly:
+    """The well solution is shared by every Laboratory of a process."""
+
+    def test_pulse_arrays_refuse_writes(self, pulse):
+        for a in (pulse.z, pulse.values, pulse.deriv_values, pulse._cheb.coef):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
+
+    def test_background_arrays_refuse_writes(self, backgrounds):
+        for bg in backgrounds:
+            for a in (bg.z, bg.values, bg.bar_values, bg._coeffs):
+                with pytest.raises(ValueError, match="read-only"):
+                    a[0] += 1.0
+
+
 class TestSinglePulseSpectrum:
     def test_point_spectrum_structure(self, well, pulse):
         from fchpulse.wellmodel import single_pulse_point_spectrum
