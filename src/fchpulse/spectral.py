@@ -19,6 +19,7 @@ from .core import (
     DomainError,
     Grid,
     ScalarField,
+    ValidationError,
     cosine_coeffs,
     h_mode_multipliers,
     inner_product_x,
@@ -307,6 +308,7 @@ class CoercivityReport:
     bound: float
     unconstrained_x_min: float
     passed: bool
+    gammas_solved: tuple = ()
 
     def relation_holds(self, slack=None):
         slack = THRESHOLDS["coercivity_slack"] if slack is None else slack
@@ -331,6 +333,34 @@ def _lowest(mat):
     return float(sla.eigh(mat, subset_by_index=[0, 0], eigvals_only=True)[0])
 
 
+def _best_shift(m4, shift, mu_tilde, gamma_sweep):
+    """The shift of gamma_sweep with the largest chained bound
+    mu_tilde*mu_e/(mu_tilde + gamma), mu_e the lowest eigenvalue of
+    m4 + gamma*diag(shift); the first one wins a tie.
+
+    The lowest eigenvalue of a symmetric matrix is at most its smallest
+    diagonal entry, and a dense solve returns it to within a backward error
+    far below 64*eps times the matrix's Gershgorin norm. A shift whose bound
+    from that ceiling falls below the best bound so far cannot win, so it is
+    not solved: the result is the one of solving every shift. Returns
+    (mu_e, gamma_e, bound, the shifts solved).
+    """
+    diag, top = np.diag(m4), np.max(shift)
+    gershgorin = np.max(np.sum(np.abs(m4), axis=1))
+    best_bound, best, solved = -np.inf, (np.nan, np.nan), []
+    for ge in gamma_sweep:
+        margin = 64.0 * np.finfo(float).eps * (gershgorin + ge * top)
+        ceiling = np.min(diag + ge * shift) + margin
+        if mu_tilde * ceiling / (mu_tilde + ge) < best_bound:
+            continue
+        mu_e = _lowest(m4 + np.diag(ge * shift))
+        solved.append(ge)
+        bound = mu_tilde * mu_e / (mu_tilde + ge)
+        if bound > best_bound:
+            best_bound, best = bound, (mu_e, ge)
+    return best[0], best[1], best_bound, tuple(solved)
+
+
 def coercivity_constant(
     manifold, profile, tangents=None, k_s=None,
     gamma_sweep=(0.05, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0),
@@ -341,9 +371,11 @@ def coercivity_constant(
     mu is the exact discrete minimum of <L v, v>/||v||_{H4}^2 over zero-mass
     v orthogonal to the tangent plane; (mu_e, gamma_e) fit the shifted-form
     coercivity on the zero-mass space, and the report carries the chained
-    lower bound mu_tilde*mu_e/(mu_tilde + gamma_e). mu_h2 is the same minimum
-    in the H2 Gram, which is the resolution-stable constant used by the
-    trapping radii.
+    lower bound mu_tilde*mu_e/(mu_tilde + gamma_e). The sweep over
+    gamma_sweep solves a shift only when its diagonal bound can beat the best
+    bound so far (see _best_shift); gammas_solved lists the shifts solved.
+    mu_h2 is the same minimum in the H2 Gram, which is the resolution-stable
+    constant used by the trapping radii.
 
     Everything is solved in cosine-mode coordinates: mode 0 is the constant
     direction, so zero mass means dropping it, and the Sobolev Grams are the
@@ -379,22 +411,19 @@ def coercivity_constant(
     else:
         unconstrained_x = float(report.eigenvalues[0])
 
-    best_bound, best = -np.inf, (np.nan, np.nan)
-    for ge in gamma_sweep:
-        mu_e = _lowest(m4 + np.diag(ge * s4**2))
-        bound = mu_tilde * mu_e / (mu_tilde + ge)
-        if bound > best_bound:
-            best_bound, best = bound, (mu_e, ge)
+    mu_e, gamma_e, bound, solved = _best_shift(m4, s4**2, mu_tilde,
+                                               gamma_sweep)
     return CoercivityReport(
         mu=mu,
-        mu_e=best[0],
-        gamma_e=best[1],
+        mu_e=mu_e,
+        gamma_e=gamma_e,
         mu_tilde=mu_tilde,
         mu_x=mu_x,
         mu_h2=mu_h2,
-        bound=best_bound,
+        bound=bound,
         unconstrained_x_min=unconstrained_x,
         passed=mu > 0.0,
+        gammas_solved=solved,
     )
 
 
@@ -991,6 +1020,16 @@ def run_hypothesis_suite(
             c_tan <= THRESHOLDS["eh3_tangent_cap"], s=s,
         )
         if s > 0.0:
+            # outside the regime the check fails with its reason, unsolved
+            try:
+                params.require_srn_regime(s)
+            except ValidationError as err:
+                report.add(
+                    "symmetrized_gap", 0, np.nan,
+                    THRESHOLDS["symmetrized_cap_over_delta_g"], False,
+                    s=s, gap_delta=params.gap_delta(s), failures=[str(err)],
+                )
+                continue
             if equi_context is None:
                 equi_context = spectral_context(base.phi, manifold.well)
             sym = symmetrized_gap(manifold, base, fam, tangents=tangents,

@@ -188,6 +188,28 @@ class TestExperiments:
         assert manifest.summary["pass"] is False
         assert (tmp_path / "collapse" / "manifest.json").exists()
 
+    def test_regime_failure_reported_not_fatal(self, tmp_path):
+        # with no positive s requested, diagnose checks the symmetrized gap
+        # at s = 0.5 and 1; at s = 1 the testbed has tail_scale*rho^3 >= 1,
+        # so that record fails with gap_delta and the reason, and the run
+        # completes
+        cfg = ExperimentConfig(
+            experiment="diagnose", diagnostic_grid_points=256, sample_size=2,
+            output_dir=str(tmp_path / "diag"), **SMALL
+        )
+        assert cfg.s_values == (0.0,)
+        manifest = run_experiment(cfg)
+        assert manifest.summary["pass"] is False
+        assert "symmetrized_gap" in manifest.summary["failed_hypotheses"]
+        records = json.loads((tmp_path / "diag" / "diagnostics.json").read_text())
+        sym = [r for r in records if r["hypothesis"] == "symmetrized_gap"]
+        assert [r["details"]["s"] for r in sym] == [0.5, 1.0]
+        assert "gap_delta" not in sym[0]["details"]
+        outside = sym[1]
+        assert outside["pass"] is False
+        assert outside["details"]["gap_delta"] >= 1.0
+        assert "tail_scale*rho^3 < 1" in outside["details"]["failures"][0]
+
 
 class TestWellReuse:
     """Laboratories of one process share the well solution of their tau."""

@@ -33,6 +33,7 @@ from fchpulse.operators import (
 )
 from fchpulse.spectral import (
     ShiftError,
+    _best_shift,
     dual_h4_norm,
     eigenfield_continuity,
     eta_star_formula,
@@ -363,6 +364,83 @@ def dense_generalized_coercivity(manifold, profile, tangents, k_s,
     }
 
 
+def full_shift_sweep(m4, shift, mu_tilde, gamma_sweep):
+    """The chained-bound sweep that solves every shift: (mu_e, gamma_e,
+    bound), the first of equal bounds kept."""
+    best_bound, best = -np.inf, (np.nan, np.nan)
+    for ge in gamma_sweep:
+        mu_e = float(sla.eigh(m4 + np.diag(ge * shift), subset_by_index=[0, 0],
+                              eigvals_only=True)[0])
+        bound = mu_tilde * mu_e / (mu_tilde + ge)
+        if bound > best_bound:
+            best_bound, best = bound, (mu_e, ge)
+    return best[0], best[1], best_bound
+
+
+def whitened_h4(context):
+    """The H4-whitened zero-mass second variation and its shift diag(s4^2),
+    formed as coercivity_constant forms them."""
+    s4 = 1.0 / np.sqrt(h_mode_multipliers(context.grid, 4)[1:])
+    return s4[:, None] * context.matrix * s4[None, :], s4**2
+
+
+class TestShiftSweep:
+    """_best_shift returns exactly what solving every shift returns."""
+
+    GAMMAS = st.one_of(st.sampled_from([0.0, 0.05, 0.25, 1.0, 8.0]),
+                       st.floats(0.0, 10.0))
+
+    @staticmethod
+    def operator_like(n, seed, kind):
+        # an H4-whitened symmetric matrix: a fourth-order symbol plus a
+        # symmetric perturbation, a diagonal one, or a random symmetric one
+        rng = np.random.default_rng(seed)
+        kappa = np.pi * np.arange(1, n + 1) / (0.25 * n)
+        s4 = 1.0 / np.sqrt(sum(kappa ** (2 * m) for m in range(5)))
+        g = rng.standard_normal((n, n))
+        if kind == "operator":
+            a = np.diag((kappa**2 - 1.0) ** 2) + (g + g.T) / np.sqrt(n)
+        elif kind == "diagonal":
+            a = np.diag(rng.standard_normal(n) * (1.0 + kappa**4))
+        else:
+            a = g + g.T
+        return s4[:, None] * a * s4[None, :], s4**2
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 40), seed=st.integers(0, 2**32 - 1),
+           kind=st.sampled_from(["operator", "diagonal", "symmetric"]),
+           mu_tilde=st.floats(1e-3, 10.0),
+           sweep=st.lists(GAMMAS, min_size=1, max_size=8))
+    def test_matches_full_sweep(self, n, seed, kind, mu_tilde, sweep):
+        m4, shift = self.operator_like(n, seed, kind)
+        mu_e, gamma_e, bound, solved = _best_shift(m4, shift, mu_tilde, sweep)
+        assert (mu_e, gamma_e, bound) == full_shift_sweep(m4, shift, mu_tilde,
+                                                          sweep)
+        assert solved[0] == sweep[0] and gamma_e in solved
+        rest = iter(sweep)
+        assert all(ge in rest for ge in solved)  # in sweep order
+
+    def test_nothing_skipped_when_every_shift_wins(self):
+        # mu_e(gamma) = 0.5 + gamma under mu_tilde = 2: the bound rises with
+        # gamma, so each shift of an ascending sweep beats the one before
+        m4, shift = 0.5 * np.eye(6), np.ones(6)
+        sweep = (0.05, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
+        result = _best_shift(m4, shift, 2.0, sweep)
+        assert result[3] == sweep
+        assert result[:3] == full_shift_sweep(m4, shift, 2.0, sweep)
+        assert result[1] == 8.0
+
+    def test_repeated_shift_is_solved_and_first_kept(self):
+        # a tie in the bound cannot be skipped, and the strict comparison
+        # keeps the first shift that reached it
+        m4, shift = 0.5 * np.eye(6), np.ones(6)
+        sweep = (8.0, 8.0, 0.05)
+        mu_e, gamma_e, bound, solved = _best_shift(m4, shift, 2.0, sweep)
+        assert solved == (8.0, 8.0)
+        assert (mu_e, gamma_e, bound) == full_shift_sweep(m4, shift, 2.0,
+                                                          sweep)
+
+
 class TestCoercivityOracle:
     @pytest.mark.parametrize("setup", ["testbed", "desk"])
     def test_matches_dense_generalized_solves(self, setup, small_manifold,
@@ -388,9 +466,14 @@ class TestCoercivityOracle:
                 1e-9 * abs(ref[key]) + 2 * eps_a
             ), key
         assert rep.gamma_e == ref["gamma_e"]
+        # the pruned sweep is bitwise the sweep that solves every shift
+        context = spectral_context(prof.phi, man.well)
+        assert (rep.mu_e, rep.gamma_e, rep.bound) == full_shift_sweep(
+            *whitened_h4(context), rep.mu_tilde,
+            (0.05, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0),
+        )
         # with the gap report of the same profile, the unconstrained minimum
         # is its lowest Ritz value, within the same allowance of the oracle
-        context = spectral_context(prof.phi, man.well)
         gap = spectral_gap_report(man, prof, k_s=edge_floor, context=context)
         shared = coercivity_constant(man, prof, tangents=tangents,
                                      k_s=edge_floor, context=context,
@@ -399,8 +482,13 @@ class TestCoercivityOracle:
         assert abs(shared.unconstrained_x_min - ref["unconstrained_x_min"]) <= (
             1e-9 * abs(ref["unconstrained_x_min"]) + 2 * eps_a
         )
-        for key in ("mu", "mu_h2", "mu_e", "bound", "mu_x"):
+        for key in ("mu", "mu_h2", "mu_e", "bound", "mu_x", "gammas_solved"):
             assert getattr(shared, key) == getattr(rep, key), key
+        if setup == "desk":
+            # only gamma = 0.05 can win, so the report takes 4 dense
+            # tridiagonalizations: mu_x, mu, mu_h2 and that shift (5 without
+            # the gap report, which supplies the unconstrained minimum)
+            assert shared.gammas_solved == (0.05,)
 
 
 def nodal_point_spectrum(well, pulse, num_points=1600):
