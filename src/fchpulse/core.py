@@ -191,9 +191,6 @@ class Grid:
         """Physical wavenumbers kappa_k = k*pi/length of the cosine modes."""
         return np.arange(self.num_points) * np.pi / self.length
 
-    def refine(self, factor=2):
-        return Grid(self.length, factor * (self.num_points - 1) + 1, self.h_max)
-
 
 @dataclass(frozen=True)
 class ScalarField:

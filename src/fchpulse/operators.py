@@ -1,19 +1,13 @@
 """Discrete realizations of the energy, its variations, and the gradients.
 
-All differential operators act spectrally in the Neumann cosine basis. Dense
-matrices, when requested, are assembled in "weighted coordinates"
-u_w = sqrt(w) * u (w the quadrature weights), where the X inner product is the
-plain dot product, so X-self-adjoint operators become symmetric matrices and
-plain `eigh` returns X-orthonormal eigenfields.
+All differential operators act spectrally in the Neumann cosine basis.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import dct
 
 from .core import (
     DomainError,
@@ -28,50 +22,10 @@ from .core import (
     spectral_derivative,
 )
 
-MAX_DENSE_POINTS = 2048
-
-
-@lru_cache(maxsize=8)
-def weighted_cosine_basis(grid):
-    """Orthogonal matrix Q whose k-th column is the weighted cosine mode.
-
-    Q = diag(sqrt(w)) E diag(1/nu_k) with E the nodal cosine evaluation matrix
-    and nu_k the quadrature norms, so Q^T Q = I and any spectral multiplier m
-    lifts to the symmetric weighted matrix Q diag(m) Q^T.
-    """
-    e = dct(np.eye(grid.num_points), type=1, axis=0)
-    e[:, 1:-1] *= 0.5
-    return (np.sqrt(grid.quad_weights)[:, None] * e) / mode_norms(grid)[None, :]
-
-
-def dense_spectral_multiplier(grid, multipliers):
-    if grid.num_points > MAX_DENSE_POINTS:
-        raise DomainError(
-            f"dense assembly capped at {MAX_DENSE_POINTS} points, "
-            f"got {grid.num_points}"
-        )
-    q = weighted_cosine_basis(grid)
-    return (q * np.asarray(multipliers)[None, :]) @ q.T
-
-
-@lru_cache(maxsize=8)
-def dense_second_derivative(grid):
-    """Weighted matrix of d^2/dz^2, built once per grid and read-only."""
-    mat = dense_spectral_multiplier(grid, -grid.wavenumbers**2)
-    mat.flags.writeable = False
-    return mat
-
-
-def to_weighted(field):
-    return np.sqrt(field.grid.quad_weights) * field.values
-
-
-def from_weighted(grid, vec):
-    return ScalarField(grid, vec / np.sqrt(grid.quad_weights))
-
 
 def to_modes(field):
-    """Coordinates Q^T u_w of a field in the weighted cosine basis Q."""
+    """Coordinates Q^T (sqrt(w) u) of a field in the weighted cosine basis Q
+    of `mode_norms`; their dot product is the X inner product."""
     return mode_norms(field.grid) * cosine_coeffs(field.values)
 
 
@@ -82,24 +36,10 @@ def from_modes(grid, vec):
 
 @dataclass
 class LinearMap:
-    """A linear operator on fields with an optional dense realization."""
+    """A linear operator on fields."""
 
     grid: Grid
     apply: object
-    dense_builder: object = None
-    _dense: np.ndarray | None = field(default=None, repr=False)
-
-    def __call__(self, fld):
-        return self.apply(fld)
-
-    def dense_weighted(self):
-        """Symmetric weighted-coordinate matrix (assembled once, cached)."""
-        if self._dense is None:
-            if self.dense_builder is None:
-                raise DomainError("this LinearMap has no dense realization")
-            mat = self.dense_builder()
-            self._dense = 0.5 * (mat + mat.T)
-        return self._dense
 
 
 # ---------------------------------------------------------------------------
@@ -163,11 +103,7 @@ def second_variation(phi, well):
         aav = spectral_derivative(av, 2).values - w2 * av.values
         return ScalarField(grid, aav - zeroth * fld.values)
 
-    def builder():
-        a = dense_second_derivative(grid) - np.diag(w2)
-        return a @ a - np.diag(zeroth)
-
-    return LinearMap(grid, apply, builder)
+    return LinearMap(grid, apply)
 
 
 def linearization(phi, well):
@@ -263,10 +199,8 @@ def band_limited_h_norm(field, multipliers=None, kappa_cut=BAND_EDGE_KAPPA,
     is fixed in physical units (about ten pulse decay rates), making the
     measurement resolution-independent.
     """
-    from .core import cosine_coeffs as _coeffs
-
     grid = field.grid
-    a = _coeffs(field.values)
+    a = cosine_coeffs(field.values)
     if multipliers is not None:
         a = a * multipliers
     kappa = grid.wavenumbers

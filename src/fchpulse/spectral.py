@@ -21,20 +21,25 @@ from .core import (
     ScalarField,
     ValidationError,
     cosine_coeffs,
+    cosine_synth,
     h_mode_multipliers,
     inner_product_x,
     mode_matrix,
     norm,
+    spectral_derivative,
 )
-from .ansatz import h4_norm_from_stack
+from .ansatz import h4_norm_from_stack, mass as field_mass
 from .operators import (
     GradientFamily,
+    energy,
     from_modes,
-    from_weighted,
+    scaled_nonlinearity_constant,
+    scaled_residual_constant,
     second_variation,
     second_variation_coefficients,
+    tangent_amplification_constant,
     to_modes,
-    to_weighted,
+    variational_derivative,
     zero_mass_projection,
 )
 
@@ -253,20 +258,13 @@ class IndexResult:
 def constrained_negative_index(operator, constraints, mu=0.0, zero_tol=1e-11):
     """Negative index of the constrained operator, by formula and brute force.
 
-    operator: dense symmetric matrix, or a LinearMap with a dense realization.
-    constraints: vectors spanning the complement of the constrained subspace
-    (dense arrays in the same coordinates as the matrix, or ScalarFields).
+    operator: dense symmetric matrix. constraints: arrays in the same
+    coordinates, spanning the complement of the constrained subspace.
     Returns both the count n(L) - n(D), D_ij = <s_i, (L-mu)^{-1} s_j>, and the
     direct eigensolve of the projected operator; callers assert agreement.
     """
-    if hasattr(operator, "dense_weighted"):
-        mat = operator.dense_weighted()
-    else:
-        mat = np.asarray(operator, dtype=float)
-    svecs = []
-    for s in constraints:
-        svecs.append(to_weighted(s) if isinstance(s, ScalarField) else np.asarray(s))
-    smat = np.stack(svecs, axis=1)
+    mat = np.asarray(operator, dtype=float)
+    smat = np.stack([np.asarray(s) for s in constraints], axis=1)
     shifted = mat - mu * np.eye(mat.shape[0])
 
     evals = np.linalg.eigvalsh(shifted)
@@ -441,11 +439,11 @@ class AlignmentReport:
     passed: bool
 
 
-def _procrustes_align(slow_w, tangents_w):
-    t_mat = np.stack([t / np.linalg.norm(t) for t in tangents_w], axis=1)
-    beta = t_mat.T @ slow_w
+def _procrustes_align(slow, tangents):
+    t_mat = np.stack([t / np.linalg.norm(t) for t in tangents], axis=1)
+    beta = t_mat.T @ slow
     u, _, vt = np.linalg.svd(beta)
-    rotated = slow_w @ (u @ vt).T
+    rotated = slow @ (u @ vt).T
     return beta, rotated, t_mat
 
 
@@ -469,18 +467,14 @@ def tangent_alignment(manifold, profile, report=None, tangent_stacks=None):
     tangents, stacks = manifold.tangent_basis(
         profile.config, with_stacks=True, max_order=4
     ) if tangent_stacks is None else tangent_stacks
-    slow_w = np.stack(
-        [to_weighted(f) for f in report.eigenfields[:n]], axis=1
-    )
-    t_w = [to_weighted(t) for t in tangents]
-    beta, rotated, t_mat = _procrustes_align(slow_w, t_w)
-
-    from .core import spectral_derivative
+    slow = np.stack([to_modes(f) for f in report.eigenfields[:n]], axis=1)
+    t_modes = [to_modes(t) for t in tangents]
+    beta, rotated, t_mat = _procrustes_align(slow, t_modes)
 
     errors = np.empty(n)
     for i in range(n):
-        t_norm = np.linalg.norm(t_w[i])
-        eig_field = from_weighted(manifold.grid, rotated[:, i])
+        t_norm = np.linalg.norm(t_modes[i])
+        eig_field = from_modes(manifold.grid, rotated[:, i])
         diff0 = eig_field.values - tangents[i].values / t_norm
         stack = np.empty((5, manifold.grid.num_points))
         stack[0] = diff0
@@ -649,9 +643,6 @@ def el_bounds(manifold, profiles, delta1=None, eta=1.0, coercivity=None,
         coercivity = coercivity_constant(manifold, profiles[0])
     mu2 = coercivity.mu_h2
 
-    from .core import cosine_synth
-    from .operators import energy, variational_derivative
-
     rng = np.random.default_rng(seed)
     grid = manifold.grid
     well = manifold.well
@@ -747,10 +738,10 @@ def eigenfield_continuity(manifold, config, direction=None, step=0.05,
     for shift in (-step, step):
         cfg = manifold.configuration(config.positions + shift * direction)
         reps.append(spectral_gap_report(manifold, manifold.build(cfg)))
-    center = [to_weighted(f) for f in center_report.eigenfields[:n]]
+    center = [to_modes(f) for f in center_report.eigenfields[:n]]
 
     def matched(rep):
-        cands = [to_weighted(f) for f in rep.eigenfields[:n]]
+        cands = [to_modes(f) for f in rep.eigenfields[:n]]
         out, used = [], set()
         for ref in center:
             scores = [
@@ -769,14 +760,14 @@ def eigenfield_continuity(manifold, config, direction=None, step=0.05,
     u_c = np.stack(center, axis=1)
     sub_overlap = 1.0
     for rep in reps:
-        u_s = np.stack([to_weighted(f) for f in rep.eigenfields[:n]], axis=1)
+        u_s = np.stack([to_modes(f) for f in rep.eigenfields[:n]], axis=1)
         sub_overlap = min(
             sub_overlap, float(np.min(np.linalg.svd(u_c.T @ u_s)[1]))
         )
     hessians = []
     for j in range(n):
         second = (left[j][1] - 2.0 * center[j] + right[j][1]) / step**2
-        hessians.append(norm(from_weighted(manifold.grid, second), "h4"))
+        hessians.append(norm(from_modes(manifold.grid, second), "h4"))
     return sub_overlap, float(np.max(hessians))
 
 
@@ -893,8 +884,6 @@ def run_hypothesis_suite(
     )
 
     # invariant-plane membership: pairwise mass differences
-    from .ansatz import mass as field_mass
-
     worst_mass = 0.0
     for p in profiles[1:]:
         worst_mass = max(
@@ -961,12 +950,6 @@ def run_hypothesis_suite(
     )
 
     # gradient-family checks
-    from .operators import (
-        scaled_nonlinearity_constant,
-        scaled_residual_constant,
-        tangent_amplification_constant,
-    )
-
     rng = np.random.default_rng(seed)
     if at_equi is None:
         base = manifold.build(equi)
@@ -982,8 +965,6 @@ def run_hypothesis_suite(
         rho = params.gap_rho(s)
 
         probes = []
-        from .core import cosine_synth
-
         for _ in range(3):
             coeffs = np.zeros(manifold.grid.num_points)
             kmax = min(manifold.grid.num_points // 4, 120)

@@ -14,10 +14,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.fft import dct
 
 import fchpulse
 from fchpulse import Grid, PulseManifold, SystemParams
+from fchpulse.core import mode_norms
 from fchpulse.harness import well_solution
+from fchpulse.operators import second_variation_coefficients
 
 TAU = -0.3
 
@@ -111,6 +114,46 @@ def bar_at_oracle(bg, x, order):
             out[inside] = np.sin(phase) @ (sign * bg._coeffs * kap**order)
             out[inside] *= np.sign(x[inside])
     return out
+
+
+# The nodal weighted-coordinate dense path that the cosine-mode
+# SpectralContext replaced, kept as the oracle. In weighted coordinates
+# u_w = sqrt(w) * u (w the quadrature weights) the X inner product is the
+# plain dot product, so X-self-adjoint operators become symmetric matrices.
+
+
+@lru_cache(maxsize=8)
+def weighted_cosine_basis(grid):
+    """Orthogonal matrix Q whose k-th column is the weighted cosine mode:
+    Q = diag(sqrt(w)) E diag(1/nu_k), E the nodal cosine evaluation matrix
+    and nu_k the quadrature norms."""
+    e = dct(np.eye(grid.num_points), type=1, axis=0)
+    e[:, 1:-1] *= 0.5
+    return (np.sqrt(grid.quad_weights)[:, None] * e) / mode_norms(grid)[None, :]
+
+
+def dense_spectral_multiplier(grid, multipliers):
+    """The symmetric weighted matrix Q diag(multipliers) Q^T."""
+    q = weighted_cosine_basis(grid)
+    return (q * np.asarray(multipliers)[None, :]) @ q.T
+
+
+def dense_second_derivative(grid):
+    """The weighted matrix of d^2/dz^2."""
+    return dense_spectral_multiplier(grid, -grid.wavenumbers**2)
+
+
+def to_weighted(field):
+    return np.sqrt(field.grid.quad_weights) * field.values
+
+
+def dense_second_variation(phi, well):
+    """The weighted matrix of the second variation at phi, symmetrized:
+    (d^2 - W''(phi))^2 - (phi'' - W'(phi)) W'''(phi)."""
+    w2, zeroth = second_variation_coefficients(phi, well)
+    a = dense_second_derivative(phi.grid) - np.diag(w2)
+    mat = a @ a - np.diag(zeroth)
+    return 0.5 * (mat + mat.T)
 
 
 def count_background_work(monkeypatch, manifold):

@@ -18,13 +18,8 @@ from fchpulse import (
     zero_mass_projection,
 )
 from fchpulse.core import cosine_coeffs, cosine_synth
-from fchpulse.operators import (
-    dense_second_derivative,
-    linearization,
-    to_weighted,
-    weighted_cosine_basis,
-)
-from conftest import moderate_config
+from fchpulse.operators import linearization
+from conftest import dense_second_variation, moderate_config, to_weighted
 
 
 def smooth_field(grid, seed, kmax=50, offset=0.0):
@@ -289,20 +284,10 @@ class TestNonlinearRemainder:
 
 
 class TestDenseMachinery:
-    def test_weighted_basis_orthogonal(self, grid):
-        q = weighted_cosine_basis(grid)
-        assert np.max(np.abs(q.T @ q - np.eye(grid.num_points))) < 1e-12
-
-    def test_second_derivative_cached_read_only(self, grid):
-        d2 = dense_second_derivative(grid)
-        assert d2 is dense_second_derivative(grid)
-        with pytest.raises(ValueError):
-            d2[0, 0] = 1.0
-
     def test_apply_matches_dense(self, diag_manifold, well):
         prof = diag_manifold.build(diag_manifold.equispaced())
         sv = second_variation(prof.phi, well)
-        mat = sv.dense_weighted()
+        mat = dense_second_variation(prof.phi, well)
         v = smooth_field(diag_manifold.grid, 17)
         lhs = mat @ to_weighted(v)
         rhs = to_weighted(sv.apply(v))

@@ -16,20 +16,22 @@ from fchpulse import (
     coercivity_constant,
     constrained_negative_index,
     el_bounds,
-    second_variation,
     spectral_gap_report,
     symmetrized_gap,
     tangent_alignment,
 )
-from fchpulse.core import h_mode_multipliers, integral, mode_matrix
+from fchpulse.ansatz import h4_norm_from_stack
+from fchpulse.core import (
+    h_mode_multipliers,
+    integral,
+    mode_matrix,
+    norm,
+    spectral_derivative,
+)
 from fchpulse.operators import (
-    dense_second_derivative,
-    dense_spectral_multiplier,
     from_modes,
     second_variation_coefficients,
     to_modes,
-    to_weighted,
-    weighted_cosine_basis,
 )
 from fchpulse.spectral import (
     ShiftError,
@@ -44,7 +46,15 @@ from fchpulse.wellmodel import (
     _half_line_second_derivative,
     single_pulse_point_spectrum,
 )
-from conftest import cluster_config, moderate_config
+from conftest import (
+    cluster_config,
+    dense_second_derivative,
+    dense_second_variation,
+    dense_spectral_multiplier,
+    moderate_config,
+    to_weighted,
+    weighted_cosine_basis,
+)
 
 
 # The dense nodal path that the cosine-mode SpectralContext replaced, kept as
@@ -98,7 +108,7 @@ def householder_ritz(phi, well, k, g1_multipliers=None):
     if g1_multipliers is not None:
         g1 = dense_spectral_multiplier(grid, g1_multipliers)
     basis = householder_complement(constant_direction(grid))
-    reduced = basis.T @ g1 @ second_variation(phi, well).dense_weighted() @ g1
+    reduced = basis.T @ g1 @ dense_second_variation(phi, well) @ g1
     reduced = reduced @ basis
     evals, vecs = sla.eigh(reduced, subset_by_index=[0, k - 1])
 
@@ -133,7 +143,7 @@ class TestZeroMassEigh:
         )
         assert_allclose(evals, expected, atol=1e-8)
         ref, _, _ = householder_eigh(
-            second_variation(u, well).dense_weighted(), grid, 6
+            dense_second_variation(u, well), grid, 6
         )
         assert_allclose(ref, expected, atol=1e-8)
 
@@ -147,7 +157,7 @@ class TestZeroMassEigh:
         evals, _ = context.lowest(8)
         full = sla.eigh(context.matrix, eigvals_only=True)
         assert full.size == grid.num_points - 1
-        mat = second_variation(u, well).dense_weighted()
+        mat = dense_second_variation(u, well)
         oracle, _, _ = householder_eigh(mat, grid, 8)
         other = sla.null_space(constant_direction(grid)[None, :])
         brute = np.linalg.eigvalsh(other.T @ mat @ other)[:8]
@@ -331,7 +341,7 @@ def dense_generalized_coercivity(manifold, profile, tangents, k_s,
     """Reference coercivity: nodal complements and generalized eigensolves
     with the dense Sobolev Grams (the direct form of the definitions)."""
     grid = manifold.grid
-    lw = second_variation(profile.phi, manifold.well).dense_weighted()
+    lw = dense_second_variation(profile.phi, manifold.well)
     g4, g2 = (dense_spectral_multiplier(grid, h_mode_multipliers(grid, k))
               for k in (4, 2))
 
@@ -594,29 +604,21 @@ class TestSpectralContextReuse:
                                                   monkeypatch):
         # on the testbed (the sample ends with the equispaced point, which is
         # in the spectral subset) every spectral check reads the context of
-        # its profile: no dense weighted matrix, one context per profile
+        # its profile: one context per profile
         from fchpulse import spectral
-        from fchpulse.operators import LinearMap
 
         man = manifold_factory(length=32.0, n=2, ell=8.0, num_points=256)
         profiles = [man.build(c) for c in man.sample_configurations(2, seed=0)]
-        contexts, dense = [], []
+        contexts = []
         real_context = spectral.spectral_context
-        real_dense = LinearMap.dense_weighted
 
         def counted_context(phi, well):
             contexts.append(phi.values.tobytes())
             return real_context(phi, well)
 
-        def counted_dense(self):
-            dense.append(1)
-            return real_dense(self)
-
         monkeypatch.setattr(spectral, "spectral_context", counted_context)
-        monkeypatch.setattr(LinearMap, "dense_weighted", counted_dense)
         report = spectral.run_hypothesis_suite(man, profiles)
         assert report.records
-        assert dense == []
         assert len(contexts) == len(set(contexts))
         # the sample profiles and the two shifted ones of the
         # eigenfield-continuity check
@@ -624,7 +626,88 @@ class TestSpectralContextReuse:
         assert {p.phi.values.tobytes() for p in profiles} <= set(contexts)
 
 
+def nodal_tangent_alignment(manifold, report, tangent_stacks):
+    """Oracle: tangent alignment in nodal weighted coordinates u_w, the form
+    before the mode coordinates. Returns (errors, beta, beta defect)."""
+    grid, n = manifold.grid, manifold.n
+    tangents, stacks = tangent_stacks
+    slow = np.stack([to_weighted(f) for f in report.eigenfields[:n]], axis=1)
+    t_w = [to_weighted(t) for t in tangents]
+    t_mat = np.stack([t / np.linalg.norm(t) for t in t_w], axis=1)
+    beta = t_mat.T @ slow
+    u, _, vt = np.linalg.svd(beta)
+    rotated = slow @ (u @ vt).T
+    errors = np.empty(n)
+    for i in range(n):
+        t_norm = np.linalg.norm(t_w[i])
+        eig_field = ScalarField(grid, rotated[:, i] / np.sqrt(grid.quad_weights))
+        stack = np.empty((5, grid.num_points))
+        stack[0] = eig_field.values - tangents[i].values / t_norm
+        for m in range(1, 5):
+            stack[m] = (spectral_derivative(eig_field, m).values
+                        - stacks[i][m] / t_norm)
+        errors[i] = h4_norm_from_stack(grid, stack)
+    return errors, beta, float(np.linalg.norm(beta.T @ beta - np.eye(n)))
+
+
+def nodal_eigenfield_continuity(manifold, config, center_report, step=0.05):
+    """Oracle: eigenfield continuity along p_1 in nodal weighted
+    coordinates. Returns (min subspace overlap, max Hessian H4 norm)."""
+    grid, n = manifold.grid, manifold.n
+    direction = np.zeros(n)
+    direction[0] = 1.0
+    reps = [spectral_gap_report(manifold, manifold.build(
+        manifold.configuration(config.positions + shift * direction)))
+        for shift in (-step, step)]
+    center = [to_weighted(f) for f in center_report.eigenfields[:n]]
+
+    def matched(rep):
+        cands = [to_weighted(f) for f in rep.eigenfields[:n]]
+        out, used = [], set()
+        for ref in center:
+            _, k = max((abs(ref @ c), k) for k, c in enumerate(cands)
+                       if k not in used)
+            used.add(k)
+            out.append(cands[k] if cands[k] @ ref >= 0.0 else -cands[k])
+        return out
+
+    left, right = matched(reps[0]), matched(reps[1])
+    u_c = np.stack(center, axis=1)
+    overlap = min(
+        float(np.min(np.linalg.svd(u_c.T @ np.stack(
+            [to_weighted(f) for f in rep.eigenfields[:n]], axis=1))[1]))
+        for rep in reps
+    )
+    hessians = [
+        norm(ScalarField(grid, (left[j] - 2.0 * center[j] + right[j])
+                         / step**2 / np.sqrt(grid.quad_weights)), "h4")
+        for j in range(n)
+    ]
+    return min(1.0, overlap), float(np.max(hessians))
+
+
 class TestAlignment:
+    def test_mode_coordinates_match_nodal_oracle(self, diag_manifold,
+                                                 edge_floor):
+        # Q is orthogonal, so the mode-coordinate alignment and continuity
+        # agree with their nodal weighted-coordinate form up to rounding
+        man = diag_manifold
+        prof = man.build(moderate_config(man))
+        rep = spectral_gap_report(man, prof, k_s=edge_floor)
+        stacks = man.tangent_basis(prof.config, with_stacks=True, max_order=4)
+        ali = tangent_alignment(man, prof, rep, tangent_stacks=stacks)
+        errors, beta, defect = nodal_tangent_alignment(man, rep, stacks)
+        assert_allclose(ali.errors, errors, rtol=1e-10, atol=0)
+        assert ali.max_error == pytest.approx(np.max(errors), rel=1e-10)
+        assert np.max(np.abs(ali.beta - beta)) <= 1e-10 * np.max(np.abs(beta))
+        assert ali.beta_defect == pytest.approx(defect, rel=1e-10)
+        overlap, hessian = eigenfield_continuity(man, prof.config,
+                                                 center_report=rep)
+        ref_overlap, ref_hessian = nodal_eigenfield_continuity(
+            man, prof.config, rep)
+        assert overlap == pytest.approx(ref_overlap, rel=1e-10)
+        assert hessian == pytest.approx(ref_hessian, rel=1e-10)
+
     def test_alignment_small_and_beta_orthogonal(self, diag_manifold,
                                                  edge_floor):
         prof = diag_manifold.build(moderate_config(diag_manifold))
