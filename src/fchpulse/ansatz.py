@@ -237,7 +237,7 @@ class PulseManifold:
 
     # -- component evaluation --------------------------------------------------
 
-    def lambda_seed(self, config=None):
+    def lambda_seed(self):
         """Leading-order mass multiplier M1 / (L*B_{2,inf} + n*M_bar)."""
         denom = (
             self.params.domain_length * self.bg2.b_inf + self.n * self.bg2.mass_bar
@@ -294,7 +294,7 @@ class PulseManifold:
         pulse tail phi_max*exp(-sqrt(alpha)*(z - p0)), which puts p0 within
         tail corrections of the mirror image -p_1.
         """
-        lam = self.lambda_seed(config)
+        lam = self.lambda_seed()
         length = self.params.domain_length
         rate = self.sqrt_am
         am = self.well.alpha_minus
@@ -538,8 +538,9 @@ class PulseManifold:
 
     # -- tangents -----------------------------------------------------------------
 
-    def tangent_basis(self, config, rel_step=1e-5, with_stacks=False, max_order=4):
-        """Central-difference tangents dPhi/dp_i with full internal re-solves."""
+    def tangent_basis(self, config, rel_step=1e-5, with_stacks=False):
+        """Central-difference tangents dPhi/dp_i with full internal re-solves;
+        with_stacks adds their derivative stacks of orders 0..4."""
         step = rel_step * self.params.min_spacing
         tangents, stacks = [], []
         for i in range(config.n):
@@ -551,8 +552,8 @@ class PulseManifold:
                 )
             )
             if with_stacks:
-                sp_ = self.derivative_stack(plus, max_order=max_order)
-                sm_ = self.derivative_stack(minus, max_order=max_order)
+                sp_ = self.derivative_stack(plus)
+                sm_ = self.derivative_stack(minus)
                 stacks.append((sp_ - sm_) / (2.0 * step))
         if with_stacks:
             return tangents, stacks

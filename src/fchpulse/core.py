@@ -99,8 +99,6 @@ class SystemParams:
     total_mass: float
     min_spacing: float
     alpha_minus: float
-    gradient_s: float = 0.0
-    rho: float | None = None
     tail_scale: float = field(init=False)
 
     def __post_init__(self):
@@ -120,32 +118,23 @@ class SystemParams:
                 f"{self.domain_length:g} < (n+1)*ell = "
                 f"{(self.n_pulses + 1) * self.min_spacing:g}"
             )
-        if not 0.0 <= self.gradient_s <= 1.0:
-            raise ValidationError("gradient_s must lie in [0,1]")
         delta = float(np.exp(-np.sqrt(self.alpha_minus) * self.min_spacing))
         object.__setattr__(self, "tail_scale", delta)
-        if self.rho is None:
-            object.__setattr__(
-                self, "rho", float(self.epsilon ** (-2.0 * self.gradient_s))
-            )
-        elif self.rho < 1.0:
-            raise ValidationError("rho must be >= 1")
 
     @property
     def domain_length(self):
         """Inner-variable domain length L = d/epsilon."""
         return self.domain_d / self.epsilon
 
-    def gap_rho(self, s=None):
+    def gap_rho(self, s):
         """Scaling epsilon**(-s) used by the symmetrized-gap diagnostics."""
-        s = self.gradient_s if s is None else s
         return float(self.epsilon ** (-s))
 
-    def gap_delta(self, s=None):
+    def gap_delta(self, s):
         """Rescaled smallness tail_scale * gap_rho**3 of the symmetrized flow."""
         return self.tail_scale * self.gap_rho(s) ** 3
 
-    def require_srn_regime(self, s=None):
+    def require_srn_regime(self, s):
         dg = self.gap_delta(s)
         if dg >= 1.0:
             raise ValidationError(
@@ -281,6 +270,15 @@ def mode_norms(grid):
     return nu
 
 
+def parseval_weights(grid):
+    """Quadrature squares of the cosine modes: L/2, with L at mode 0 and at
+    the last mode, so that <u, u>_X = sum_k weights_k a_k^2 (Parseval)."""
+    weights = np.full(grid.num_points, grid.length / 2.0)
+    weights[0] = grid.length
+    weights[-1] = grid.length
+    return weights
+
+
 def mode_matrix(grid, f, start=0, step=1):
     """Q^T diag(f) Q on the modes start, start + step, ... in O(N^2).
 
@@ -336,8 +334,9 @@ def mean_value(field):
     return integral(field) / field.grid.length
 
 
-def norm(field, kind="l2", gradient=None):
-    """Norm family: 'l2', 'h4' (orders 0..4), or 'hg1' (= h4 of G1*field)."""
+def norm(field, kind="l2"):
+    """Norm family: 'l2' or 'h4' (orders 0..4); the H_G1 norm of a gradient
+    family is `GradientFamily.h_norm`."""
     if not np.all(np.isfinite(field.values)):
         raise InvalidFieldError("field contains non-finite values")
     kind = kind.lower()
@@ -349,13 +348,6 @@ def norm(field, kind="l2", gradient=None):
             d = spectral_derivative(field, m)
             total += inner_product_x(d, d)
         return float(np.sqrt(max(total, 0.0)))
-    if kind == "hg1":
-        if gradient is None:
-            raise DomainError("hg1 norm needs a gradient family")
-        scale = 1.0 + float(np.max(np.abs(field.values)))
-        if abs(integral(field)) > 1e-8 * scale * field.grid.length:
-            raise DomainError("hg1 norm requires a zero-mass field")
-        return norm(gradient.apply(field, "G1"), "h4")
     raise DomainError(f"unknown norm kind {kind!r}")
 
 

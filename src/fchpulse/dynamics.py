@@ -12,6 +12,7 @@ mirror shadow pulses close the boundary terms.
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 from dataclasses import dataclass, field, replace
@@ -34,6 +35,7 @@ from .core import (
 )
 from .ansatz import mass as field_mass
 from .operators import (
+    GradientFamily,
     energy,
     energy_terms,
     gradient_values,
@@ -205,8 +207,6 @@ class Trajectory:
         )
 
     def write_csv(self, path):
-        import csv
-
         n = len(self.positions[0]) if self.positions else 0
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -299,7 +299,6 @@ def run(
     controls=None,
     checkpoint_prefix=None,
     checkpoint_stride=0,
-    max_steps=2_000_000,
 ):
     """Evolve u_t = -G grad J(u) from u0, recording pulse diagnostics.
 
@@ -358,7 +357,7 @@ def run(
         raise ExtractionError("initial state has no recognizable pulse train")
 
     outputs = 0
-    while state.time < t_final and state.step_index < max_steps:
+    while state.time < t_final:
         state = step(state, well, family, controls)
         if state.step_index % output_every == 0 or state.time >= t_final:
             pos = record(state)
@@ -494,22 +493,19 @@ def pulse_velocity_projection(manifold, config):
     return np.linalg.solve(gram, proj)
 
 
-def alpha_scaling(s, grid, pulse, center=None):
-    """alpha(s) = ||G1^{-1} Pi_0 phi_h'||_{L2} for a centered pulse."""
-    from .operators import GradientFamily
-
-    if center is None:
-        center = 0.5 * grid.length
+def alpha_scaling(s, grid, pulse):
+    """alpha(s) = ||G1^{-1} Pi_0 phi_h'||_{L2} for a pulse centred at L/2."""
+    center = 0.5 * grid.length
     dphi = ScalarField(grid, pulse.pulse_bar_deriv(grid.nodes - center, 1))
     fam = GradientFamily(grid, s)
     return norm(fam.apply(zero_mass_projection(dphi), "G1_inv"), "l2")
 
 
 def integrate_reduced(
-    model, p0, t_final, s=0.0, velocity_scale=1.0, rtol=1e-10, atol=1e-12,
-    t_eval=None,
+    model, p0, t_final, s=0.0, velocity_scale=1.0, t_eval=None,
 ):
-    """Adaptive RK45 integration of pdot = velocity_scale * velocity(p).
+    """Adaptive RK45 integration of pdot = velocity_scale * velocity(p), at
+    rtol 1e-10 and atol 1e-12.
 
     velocity_scale carries the alpha(0)^2/alpha(s)^2 gradient rescaling; at
     s = 0 the caller passes exactly 1.0 so the integrator path is identical
@@ -532,8 +528,8 @@ def integrate_reduced(
         (0.0, t_final),
         p0,
         method="RK45",
-        rtol=rtol,
-        atol=atol,
+        rtol=1e-10,
+        atol=1e-12,
         t_eval=t_eval,
         events=exit_event,
         dense_output=True,

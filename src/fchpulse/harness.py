@@ -18,6 +18,7 @@ from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
+from scipy.optimize import curve_fit
 
 from . import __version__
 from .ansatz import PulseManifold
@@ -36,6 +37,7 @@ from .dynamics import (
     alpha_scaling,
     integrate_reduced,
     pulse_velocity_projection,
+    read_checkpoint,
     run as run_pde,
 )
 from .operators import GradientFamily
@@ -102,7 +104,6 @@ class ExperimentConfig:
             total_mass=1.0,  # placeholder; mass split is validated later
             min_spacing=self.min_spacing,
             alpha_minus=alpha_minus,
-            gradient_s=max(self.s_values) if self.s_values else 0.0,
         )
         if not 0.0 < self.mass_excess_fraction < 1.0:
             raise ValidationError("mass_excess_fraction must lie in (0,1)")
@@ -231,8 +232,8 @@ class Laboratory:
             )
         return self.manifold.equispaced()
 
-    def zero_mass_noise(self, amplitude, seed=None):
-        rng = np.random.default_rng(self.config.seed if seed is None else seed)
+    def zero_mass_noise(self, amplitude):
+        rng = np.random.default_rng(self.config.seed)
         coeffs = np.zeros(self.grid.num_points)
         kmax = min(self.grid.num_points // 6, 100)
         coeffs[1 : kmax + 1] = rng.standard_normal(kmax) / (
@@ -393,8 +394,7 @@ def experiment_diagnose(config, out_dir):
     report = run_hypothesis_suite(
         man, profiles, s_values=s_checks, seed=config.seed
     )
-    el = el_bounds(man, profiles[:6], delta1=lab.params.tail_scale,
-                   coercivity=report.coercivity[0],
+    el = el_bounds(man, profiles[:6], coercivity=report.coercivity[0],
                    residuals=report.residuals[:6],
                    energies=report.energies[:6])
     report.add(
@@ -410,24 +410,19 @@ def experiment_diagnose(config, out_dir):
     })
 
 
-def _single_pde_run(lab, s, t_final=None, perturbation=None, start=None,
-                    checkpoint_dir=None):
+def _single_pde_run(lab, s, checkpoint_dir=None):
     man = lab.manifold
     family = GradientFamily(lab.grid, s)
-    cfg = start if start is not None else lab.initial_configuration()
-    prof = man.build(cfg)
-    u0 = prof.phi
-    amp = lab.config.perturbation if perturbation is None else perturbation
-    if amp > 0.0:
-        u0 = u0 + lab.zero_mass_noise(amp)
+    u0 = man.build(lab.initial_configuration()).phi
+    if lab.config.perturbation > 0.0:
+        u0 = u0 + lab.zero_mass_noise(lab.config.perturbation)
     controls = StepControls.for_initial_state(u0, lab.well,
                                               dt_max=lab.config.dt_max)
     prefix = (
         str(Path(checkpoint_dir) / "checkpoint") if checkpoint_dir else None
     )
     return run_pde(
-        man, family, u0,
-        lab.config.t_final if t_final is None else t_final,
+        man, family, u0, lab.config.t_final,
         output_every=lab.config.output_every, controls=controls,
         checkpoint_prefix=prefix,
         checkpoint_stride=lab.config.checkpoint_stride,
@@ -440,8 +435,6 @@ def experiment_simulate(config, out_dir):
     lab = Laboratory.from_config(config)
     s = config.s_values[0] if config.s_values else 0.0
     if config.restart_from:
-        from .dynamics import read_checkpoint
-
         # the checkpoint's state, s and controls continue the run that wrote
         # it; t_final is absolute
         state, controls, header = read_checkpoint(config.restart_from,
@@ -485,10 +478,10 @@ def scale_of(lab, s):
     return alpha0**2 / alpha_scaling(s, lab.grid, lab.pulse) ** 2
 
 
-def _reduced_trajectory(lab, s, p0, t_final, n_out=201):
+def _reduced_trajectory(lab, s, p0, t_final):
     model = ReducedModel.from_pulse(lab.pulse, lab.params)
     scale = scale_of(lab, s)
-    t_eval = np.linspace(0.0, t_final, n_out)
+    t_eval = np.linspace(0.0, t_final, 201)
     sol, t_exit = integrate_reduced(
         model, p0, t_final, s=s, velocity_scale=scale, t_eval=t_eval
     )
@@ -579,7 +572,6 @@ def fit_deviation_envelope(t, w, delta):
     if np.count_nonzero(good) < 5:
         return {"fitted": False}
     t, w = t[good], w[good]
-    from scipy.optimize import curve_fit
 
     def shape(tt, eta0, k, plateau):
         return eta0 * np.exp(-k * tt) + plateau
@@ -656,6 +648,5 @@ RUNNERS = {
 }
 
 
-def run_experiment(config, out_dir=None):
-    out_dir = Path(config.output_dir if out_dir is None else out_dir)
-    return RUNNERS[config.experiment](config, out_dir)
+def run_experiment(config):
+    return RUNNERS[config.experiment](config, Path(config.output_dir))

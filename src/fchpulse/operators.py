@@ -19,6 +19,7 @@ from .core import (
     mean_value,
     mode_norms,
     norm,
+    parseval_weights,
     spectral_derivative,
 )
 
@@ -77,12 +78,9 @@ def zero_mass_projection(f):
     return ScalarField(f.grid, f.values - mean_value(f))
 
 
-def flow_field(u, well, family=None):
-    """F(u) = -G grad J(u); the zero-mass projected flow when family is None."""
-    g = variational_derivative(u, well)
-    if family is None:
-        return -zero_mass_projection(g)
-    return -family.apply(g, "G")
+def flow_field(u, well):
+    """F(u) = -Pi_0 grad J(u), the zero-mass projected flow."""
+    return -zero_mass_projection(variational_derivative(u, well))
 
 
 def second_variation_coefficients(phi, well):
@@ -189,9 +187,9 @@ class GradientFamily:
 BAND_EDGE_KAPPA = 12.0
 
 
-def band_limited_h_norm(field, multipliers=None, kappa_cut=BAND_EDGE_KAPPA,
-                        max_order=4):
-    """Sobolev norm restricted to physical wavenumbers kappa <= kappa_cut.
+def band_limited_h_norm(field, multipliers):
+    """H4 norm of the field with its cosine modes scaled by multipliers,
+    restricted to physical wavenumbers kappa <= BAND_EDGE_KAPPA.
 
     Used by the scaled-gradient diagnostics: their symbols k^{2s} are
     unbounded, so beyond the band where the exponentially small signal lives
@@ -200,15 +198,10 @@ def band_limited_h_norm(field, multipliers=None, kappa_cut=BAND_EDGE_KAPPA,
     measurement resolution-independent.
     """
     grid = field.grid
-    a = cosine_coeffs(field.values)
-    if multipliers is not None:
-        a = a * multipliers
-    kappa = grid.wavenumbers
-    keep = kappa <= kappa_cut
-    weights = np.full(grid.num_points, grid.length / 2.0)
-    weights[0] = grid.length
-    weights[-1] = grid.length
-    m = h_mode_multipliers(grid, max_order)
+    a = cosine_coeffs(field.values) * multipliers
+    keep = grid.wavenumbers <= BAND_EDGE_KAPPA
+    weights = parseval_weights(grid)
+    m = h_mode_multipliers(grid, 4)
     total = np.sum((a[keep] ** 2) * m[keep] * weights[keep])
     return float(np.sqrt(max(total, 0.0)))
 

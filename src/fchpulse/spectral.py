@@ -26,6 +26,7 @@ from .core import (
     inner_product_x,
     mode_matrix,
     norm,
+    parseval_weights,
     spectral_derivative,
 )
 from .ansatz import h4_norm_from_stack, mass as field_mass
@@ -61,6 +62,15 @@ THRESHOLDS = {
     "eh3_tangent_cap": 10.0,
     "coercivity_slack": 1e-8,
 }
+
+# Eigenpairs solved beyond the n slow ones by the spectral gap report and by
+# the symmetrized gap.
+GAP_STABLE_PAIRS = 4
+SYMMETRIZED_STABLE_PAIRS = 3
+# Shifts gamma of the shifted-form coercivity fit (see _best_shift).
+GAMMA_SWEEP = (0.05, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
+# Profiles of a hypothesis-suite sample that get the spectral checks.
+SPECTRAL_SUBSET = 3
 
 
 class ShiftError(DomainError):
@@ -172,26 +182,25 @@ class SpectrumReport:
         return self.eigenvalues[: self.slow_dim]
 
 
-def spectral_gap_report(manifold, profile, num_stable=4, k_s=None,
-                        context=None):
+def spectral_gap_report(manifold, profile, context=None):
     """Spectrum of -L on the zero-mass space with the slow/stable split.
 
-    The slow set is every eigenvalue below half the single-pulse edge floor
-    k_s; the report asserts the slow dimension equals n, that the slow set is
-    O(delta)-small, and that the stable edge sits within the pinned band of
-    k_s. Failures are recorded, not raised. The eigenpairs are Ritz-refined
-    (SpectralContext.ritz); context is the profile's SpectralContext when the
-    caller already has it.
+    The lowest n + GAP_STABLE_PAIRS eigenpairs are solved. The slow set is
+    every eigenvalue below half the single-pulse edge floor k_s, the pulse's
+    `edge_floor`; the report asserts the slow dimension equals n, that the
+    slow set is O(delta)-small, and that the stable edge sits within the
+    pinned band of k_s. Failures are recorded, not raised. The eigenpairs
+    are Ritz-refined (SpectralContext.ritz); context is the profile's
+    SpectralContext when the caller already has it.
     """
     grid = manifold.grid
     n = manifold.n
     delta = manifold.params.tail_scale
-    if k_s is None:
-        k_s = manifold.pulse.edge_floor
+    k_s = manifold.pulse.edge_floor
     if context is None:
         context = spectral_context(profile.phi, manifold.well)
     sv = second_variation(profile.phi, manifold.well)
-    k = n + num_stable
+    k = n + GAP_STABLE_PAIRS
     evals, vecs = context.lowest(k)
     fields = [context.field(vecs[:, j]) for j in range(k)]
 
@@ -255,7 +264,7 @@ class IndexResult:
         return self.formula_index == self.brute_index
 
 
-def constrained_negative_index(operator, constraints, mu=0.0, zero_tol=1e-11):
+def constrained_negative_index(operator, constraints, mu=0.0):
     """Negative index of the constrained operator, by formula and brute force.
 
     operator: dense symmetric matrix. constraints: arrays in the same
@@ -268,7 +277,7 @@ def constrained_negative_index(operator, constraints, mu=0.0, zero_tol=1e-11):
     shifted = mat - mu * np.eye(mat.shape[0])
 
     evals = np.linalg.eigvalsh(shifted)
-    if np.min(np.abs(evals)) < zero_tol * max(1.0, np.max(np.abs(evals))):
+    if np.min(np.abs(evals)) < 1e-11 * max(1.0, np.max(np.abs(evals))):
         raise ShiftError(
             f"operator is singular at shift mu = {mu:g}; choose a different mu"
         )
@@ -308,9 +317,8 @@ class CoercivityReport:
     passed: bool
     gammas_solved: tuple = ()
 
-    def relation_holds(self, slack=None):
-        slack = THRESHOLDS["coercivity_slack"] if slack is None else slack
-        return self.mu >= self.bound - slack
+    def relation_holds(self):
+        return self.mu >= self.bound - THRESHOLDS["coercivity_slack"]
 
 
 def _deflate(mat, cols):
@@ -359,19 +367,17 @@ def _best_shift(m4, shift, mu_tilde, gamma_sweep):
     return best[0], best[1], best_bound, tuple(solved)
 
 
-def coercivity_constant(
-    manifold, profile, tangents=None, k_s=None,
-    gamma_sweep=(0.05, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0),
-    context=None, report=None,
-):
+def coercivity_constant(manifold, profile, tangents=None, context=None,
+                        report=None):
     """Normal coercivity constants of the constrained second variation.
 
     mu is the exact discrete minimum of <L v, v>/||v||_{H4}^2 over zero-mass
     v orthogonal to the tangent plane; (mu_e, gamma_e) fit the shifted-form
     coercivity on the zero-mass space, and the report carries the chained
-    lower bound mu_tilde*mu_e/(mu_tilde + gamma_e). The sweep over
-    gamma_sweep solves a shift only when its diagonal bound can beat the best
-    bound so far (see _best_shift); gammas_solved lists the shifts solved.
+    lower bound mu_tilde*mu_e/(mu_tilde + gamma_e), mu_tilde = 0.75 k_s. The
+    sweep over GAMMA_SWEEP solves a shift only when its diagonal bound can
+    beat the best bound so far (see _best_shift); gammas_solved lists the
+    shifts solved.
     mu_h2 is the same minimum in the H2 Gram, which is the resolution-stable
     constant used by the trapping radii.
 
@@ -379,19 +385,19 @@ def coercivity_constant(
     direction, so zero mass means dropping it, and the Sobolev Grams are the
     diagonal h_mode_multipliers, so each generalized problem becomes a
     standard one after diagonal whitening. The tangent constraints are
-    deflated (see _deflate). context is the profile's SpectralContext and
-    report its spectral gap report, when the caller has them; the report's
-    lowest Ritz value is then the unconstrained minimum.
+    deflated (see _deflate). The unconstrained minimum is the lowest Ritz
+    value of the profile's spectral gap report. context is the profile's
+    SpectralContext and report that gap report, when the caller has them.
     """
     grid = manifold.grid
     if tangents is None:
         tangents = manifold.tangent_basis(profile.config)
-    if k_s is None:
-        k_s = manifold.pulse.edge_floor
-    mu_tilde = 0.75 * k_s
+    mu_tilde = 0.75 * manifold.pulse.edge_floor
 
     if context is None:
         context = spectral_context(profile.phi, manifold.well)
+    if report is None:
+        report = spectral_gap_report(manifold, profile, context=context)
     a = context.matrix
     t_modes = np.stack([context.modes(t) for t in tangents], axis=1)
 
@@ -404,13 +410,9 @@ def coercivity_constant(
     mu_x = _lowest(_deflate(a, t_modes))
     mu = _lowest(_deflate(m4, s4[:, None] * t_modes))
     mu_h2 = _lowest(_deflate(m2, s2[:, None] * t_modes))
-    if report is None:
-        unconstrained_x = _lowest(a)
-    else:
-        unconstrained_x = float(report.eigenvalues[0])
 
     mu_e, gamma_e, bound, solved = _best_shift(m4, s4**2, mu_tilde,
-                                               gamma_sweep)
+                                               GAMMA_SWEEP)
     return CoercivityReport(
         mu=mu,
         mu_e=mu_e,
@@ -419,7 +421,7 @@ def coercivity_constant(
         mu_x=mu_x,
         mu_h2=mu_h2,
         bound=bound,
-        unconstrained_x_min=unconstrained_x,
+        unconstrained_x_min=float(report.eigenvalues[0]),
         passed=mu > 0.0,
         gammas_solved=solved,
     )
@@ -465,7 +467,7 @@ def tangent_alignment(manifold, profile, report=None, tangent_stacks=None):
             beta=np.full((n, n), np.nan), beta_defect=np.nan, passed=False,
         )
     tangents, stacks = manifold.tangent_basis(
-        profile.config, with_stacks=True, max_order=4
+        profile.config, with_stacks=True
     ) if tangent_stacks is None else tangent_stacks
     slow = np.stack([to_modes(f) for f in report.eigenfields[:n]], axis=1)
     t_modes = [to_modes(t) for t in tangents]
@@ -501,8 +503,7 @@ def tangent_alignment(manifold, profile, report=None, tangent_stacks=None):
 # ---------------------------------------------------------------------------
 
 
-def symmetrized_gap(manifold, profile, family, num_stable=3, mu_gap=None,
-                    tangents=None, context=None):
+def symmetrized_gap(manifold, profile, family, tangents=None, context=None):
     """Spectrum of G1*L*G1 on the zero-mass space and its slow alignment.
 
     Asserts n slow eigenvalues of size O(delta_g), a stable remainder, and
@@ -520,7 +521,7 @@ def symmetrized_gap(manifold, profile, family, num_stable=3, mu_gap=None,
     if context is None:
         context = spectral_context(profile.phi, manifold.well)
     g1 = family.multipliers("G1")[1:]
-    k = n + num_stable
+    k = n + SYMMETRIZED_STABLE_PAIRS
     evals, vecs = context.lowest(k, scale=g1)
 
     failures = []
@@ -560,7 +561,6 @@ def symmetrized_gap(manifold, profile, family, num_stable=3, mu_gap=None,
         delta=delta_g,
         slow_dim=n,
         stable_edge=stable_edge,
-        k_s=mu_gap if mu_gap is not None else np.nan,
         slow_cap=cap,
         passed=not failures,
         failures=failures,
@@ -608,29 +608,26 @@ def dual_h4_norm(field):
     """
     grid = field.grid
     a = cosine_coeffs(field.values)
-    weights = np.full(grid.num_points, grid.length / 2.0)
-    weights[0] = grid.length
-    weights[-1] = grid.length
     m = h_mode_multipliers(grid, 4)
-    return float(np.sqrt(np.sum(a**2 * weights / m)))
+    return float(np.sqrt(np.sum(a**2 * parseval_weights(grid) / m)))
 
 
-def el_bounds(manifold, profiles, delta1=None, eta=1.0, coercivity=None,
-              residuals=None, energies=None, nonlinearity_probes=4, seed=0):
+def el_bounds(manifold, profiles, coercivity=None, residuals=None,
+              energies=None):
     """Measured trapping-radius ingredients over a manifold sample.
 
-    delta0: max energy variation over the sample; delta2: max residual
+    delta0: max energy variation over the sample; delta1: the tail scale
+    delta of the manifold's parameters; delta2: max residual
     projection constant (the H4-dual norm of Pi_0 grad J, the sharp constant
     of the small-residual pairing bound); mu2: the H2-Gram coercivity minimum
-    (resolution-stable); c2 fits the cubic remainder bound; c1, the
-    projection Lipschitz constant, is the unit proxy. A caller that already
-    has the coercivity report of profiles[0], or the residual fields of
+    (resolution-stable); c2 fits the cubic remainder bound over 4 random
+    probes; c1, the projection Lipschitz constant, is the unit proxy, and the
+    window eta_upper is capped at 1. A caller that already has the
+    coercivity report of profiles[0], or the residual fields of
     `residual_h4` or the values of `energy_value` for the profiles in order,
     passes them instead of having them computed again.
     """
-    params = manifold.params
-    if delta1 is None:
-        delta1 = params.tail_scale
+    delta1 = manifold.params.tail_scale
     if energies is None:
         energies = [manifold.energy_value(p) for p in profiles]
     delta0 = float(np.max(energies) - np.min(energies))
@@ -643,14 +640,14 @@ def el_bounds(manifold, profiles, delta1=None, eta=1.0, coercivity=None,
         coercivity = coercivity_constant(manifold, profiles[0])
     mu2 = coercivity.mu_h2
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     grid = manifold.grid
     well = manifold.well
     base = profiles[0]
     sv = second_variation(base.phi, well)
     c2 = 0.0
     c1 = 1.0
-    for _ in range(nonlinearity_probes):
+    for _ in range(4):
         coeffs = np.zeros(grid.num_points)
         kmax = min(grid.num_points // 4, 160)
         coeffs[1 : kmax + 1] = rng.standard_normal(kmax) / (
@@ -665,7 +662,8 @@ def el_bounds(manifold, profiles, delta1=None, eta=1.0, coercivity=None,
         rem = abs(j_full - j_base - lin_term - quad_term)
         c2 = max(c2, rem / norm(v, "h4") ** 3)
     rho_exp = 3.0
-    eta_upper = min(eta, (1.0 / c1) * (mu2 / (2.0 * c2)) ** (1.0 / (rho_exp - 2.0)))
+    eta_upper = min(1.0,
+                    (1.0 / c1) * (mu2 / (2.0 * c2)) ** (1.0 / (rho_exp - 2.0)))
     eta_star = float(eta_star_formula(delta0, delta1, delta2, mu2))
     return ElBoundsReport(
         delta0=delta0,
@@ -686,21 +684,20 @@ def el_bounds(manifold, profiles, delta1=None, eta=1.0, coercivity=None,
 # ---------------------------------------------------------------------------
 
 
-def semigroup_decay_check(manifold, profile, times=(0.5, 1.0, 2.0), seed=0,
-                          context=None):
+def semigroup_decay_check(manifold, profile, context=None):
     """Exact exponential decay check for the self-adjoint linearization.
 
     Diagonalizes -L on the zero-mass modes (of context, the profile's
     SpectralContext, when given) and verifies
-    ||exp(t L) u|| <= exp(-edge * t) ||u|| for random u, drawn in mode
-    coordinates, orthogonal to the slow eigenspace.
+    ||exp(t L) u|| <= exp(-edge * t) ||u|| at t = 0.5, 1, 2 for 4 random u,
+    drawn in mode coordinates, orthogonal to the slow eigenspace.
     """
     n = manifold.n
     if context is None:
         context = spectral_context(profile.phi, manifold.well)
     evals, evecs = sla.eigh(context.matrix)
     edge = evals[n]
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     ok = True
     worst = 0.0
     for _ in range(4):
@@ -708,7 +705,7 @@ def semigroup_decay_check(manifold, profile, times=(0.5, 1.0, 2.0), seed=0,
         u -= evecs[:, :n] @ (evecs[:, :n].T @ u)
         u /= np.linalg.norm(u)
         coeffs = evecs.T @ u
-        for t in times:
+        for t in (0.5, 1.0, 2.0):
             decayed = np.linalg.norm(np.exp(-evals * t) * coeffs)
             bound = np.exp(-edge * t)
             worst = max(worst, decayed / bound)
@@ -717,9 +714,9 @@ def semigroup_decay_check(manifold, profile, times=(0.5, 1.0, 2.0), seed=0,
     return ok, worst, float(edge)
 
 
-def eigenfield_continuity(manifold, config, direction=None, step=0.05,
-                          center_report=None):
-    """Slow-eigenfield continuity and p-Hessian magnitude along a p-path.
+def eigenfield_continuity(manifold, config, center_report=None):
+    """Slow-eigenfield continuity and p-Hessian magnitude along a p-path:
+    the first pulse moved by +-0.05.
 
     Eigenfields at the shifted points are matched to the center fields by
     best overlap (nearly degenerate slow eigenvalues may reorder along the
@@ -729,14 +726,12 @@ def eigenfield_continuity(manifold, config, direction=None, step=0.05,
     second-difference H4 norm).
     """
     n = manifold.n
-    if direction is None:
-        direction = np.zeros(n)
-        direction[0] = 1.0
+    step = 0.05
     if center_report is None:
         center_report = spectral_gap_report(manifold, manifold.build(config))
     reps = []
     for shift in (-step, step):
-        cfg = manifold.configuration(config.positions + shift * direction)
+        cfg = config.shifted(0, shift)
         reps.append(spectral_gap_report(manifold, manifold.build(cfg)))
     center = [to_modes(f) for f in center_report.eigenfields[:n]]
 
@@ -843,16 +838,15 @@ class DiagnosticsReport:
                 )
 
 
-def run_hypothesis_suite(
-    manifold, profiles, s_values=(0.5, 1.0), seed=0, spectral_subset=3,
-):
+def run_hypothesis_suite(manifold, profiles, s_values=(0.5, 1.0), seed=0):
     """Numerical verification of the standing hypotheses over built profiles.
 
     Covers: quasi-steady residual smallness, slow/stable dichotomy, semigroup
     decay, tangent alignment, eigenfield regularity, energy flatness,
     invariant-plane membership, normal coercivity, the scaled-nonlinearity
     and scaled-residual bounds, tangent amplification, and the symmetrized
-    gap for each requested s. The residual fields and energies of all
+    gap for each requested s. The spectral checks run on the first
+    SPECTRAL_SUBSET profiles. The residual fields and energies of all
     profiles and the coercivity reports of the spectral subset are kept in
     order in `report.residuals`, `report.energies` and `report.coercivity`.
     Each profile's SpectralContext is built once, serves every spectral
@@ -861,7 +855,6 @@ def run_hypothesis_suite(
     report = DiagnosticsReport()
     params = manifold.params
     delta = params.tail_scale
-    k_s = manifold.pulse.edge_floor
 
     # residual smallness
     c0 = 0.0
@@ -903,20 +896,18 @@ def run_hypothesis_suite(
 
     # spectral checks on a subset
     gaps, subset_tangents, equi_context = [], [], None
-    for i, p in enumerate(profiles[:spectral_subset]):
+    for i, p in enumerate(profiles[:SPECTRAL_SUBSET]):
         context = spectral_context(p.phi, manifold.well)
         if i == at_equi:
             equi_context = context
-        gap = spectral_gap_report(manifold, p, k_s=k_s, context=context)
+        gap = spectral_gap_report(manifold, p, context=context)
         gaps.append(gap)
         report.add(
             "slow_stable_split", i, gap.extras.get("fitted_c0", np.nan),
             THRESHOLDS["slow_cap_over_delta"], gap.passed,
             failures=gap.failures, stable_edge=gap.stable_edge, k_s=gap.k_s,
         )
-        tangents, stacks = manifold.tangent_basis(
-            p.config, with_stacks=True, max_order=4
-        )
+        tangents, stacks = manifold.tangent_basis(p.config, with_stacks=True)
         subset_tangents.append(tangents)
         align = tangent_alignment(
             manifold, p, gap, tangent_stacks=(tangents, stacks)
@@ -926,7 +917,7 @@ def run_hypothesis_suite(
             THRESHOLDS["alignment_cap_over_delta"], align.passed,
             beta_defect=align.beta_defect,
         )
-        coer = coercivity_constant(manifold, p, tangents=tangents, k_s=k_s,
+        coer = coercivity_constant(manifold, p, tangents=tangents,
                                    context=context, report=gap)
         report.coercivity.append(coer)
         report.add(

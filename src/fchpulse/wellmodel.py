@@ -16,6 +16,7 @@ from math import comb, factorial
 
 import numpy as np
 from numpy.polynomial import chebyshev
+from scipy.fft import dct
 from scipy.interpolate import CubicHermiteSpline
 from scipy.linalg import lu_factor, lu_solve
 from scipy.optimize import brentq
@@ -29,6 +30,17 @@ from .core import (
     cosine_coeffs,
     mode_matrix,
 )
+
+# Sup-norm bound on the finite-difference residual of the sampled pulse, and
+# the spacing of those samples.
+HOMOCLINIC_TOL = 1e-8
+PULSE_SPACING = 0.05
+# Tail magnitudes of phi_bar that the far-field fit reads.
+FAR_FIELD_WINDOW = (1e-10, 1e-4)
+# Collocation points of the background solve (h ~ 0.1 on its window) and of
+# the single-pulse point spectrum.
+BACKGROUND_POINTS = 512
+POINT_SPECTRUM_POINTS = 1600
 
 
 @dataclass(frozen=True)
@@ -340,12 +352,13 @@ class FarFieldFit:
     max_log_dev: float
 
 
-def far_field_params(profile_or_samples, window=(1e-10, 1e-4)):
+def far_field_params(profile_or_samples):
     """Least-squares fit of log phi_bar against -rate*z over the tail window.
 
     Accepts a PulseProfile or a (z, phi_bar) pair. The window selects samples
-    with phi_bar inside [window[0], window[1]]; all of them must be positive.
+    with phi_bar inside FAR_FIELD_WINDOW; all of them must be positive.
     """
+    lower, upper = FAR_FIELD_WINDOW
     if isinstance(profile_or_samples, PulseProfile):
         z = profile_or_samples.z
         bar = profile_or_samples.values - profile_or_samples.well.b_minus
@@ -357,11 +370,11 @@ def far_field_params(profile_or_samples, window=(1e-10, 1e-4)):
         bar = np.asarray(bar, dtype=float)
     # the window is selected in z: from the first sample below the upper
     # cutoff until the magnitude drops through the lower cutoff
-    below = np.nonzero(np.abs(bar) <= window[1])[0]
+    below = np.nonzero(np.abs(bar) <= upper)[0]
     if below.size == 0:
         raise DomainError("far-field fit window is empty")
     z_start = z[below[0]]
-    sel = (z >= z_start) & (np.abs(bar) >= window[0])
+    sel = (z >= z_start) & (np.abs(bar) >= lower)
     if np.count_nonzero(sel) < 8:
         raise DomainError("far-field fit window contains too few samples")
     if np.any(bar[sel] <= 0.0):
@@ -376,7 +389,7 @@ def far_field_params(profile_or_samples, window=(1e-10, 1e-4)):
     )
 
 
-def _fd_residual(z, values, well, stencil_width=4):
+def _fd_residual(z, values, well):
     """Sup-norm of phi'' - W'(phi) using an 8th-order finite-difference stencil.
 
     Deliberately independent of the first-integral construction: it only sees
@@ -385,7 +398,7 @@ def _fd_residual(z, values, well, stencil_width=4):
     h = z[1] - z[0]
     c = np.array([-1.0 / 560, 8.0 / 315, -1.0 / 5, 8.0 / 5, -205.0 / 72,
                   8.0 / 5, -1.0 / 5, 8.0 / 315, -1.0 / 560])
-    w = stencil_width
+    w = len(c) // 2
     second = np.zeros(len(values) - 2 * w)
     for i, ci in enumerate(c):
         second += ci * values[i : i + len(second)]
@@ -400,12 +413,12 @@ def _freeze(*arrays):
         a.setflags(write=False)
 
 
-def solve_homoclinic(well, tol=1e-8, half_width=None, spacing=0.05,
-                     cheb_degree=220):
+def solve_homoclinic(well, half_width=None, cheb_degree=220):
     """Construct the homoclinic pulse of u'' = W'(u) by quadrature inversion.
 
-    Centered so that phi'(0) = 0, phi(0) = u*. Raises ToleranceError when the
-    finite-difference residual on the sampled window exceeds tol.
+    Centered so that phi'(0) = 0, phi(0) = u*, and sampled every
+    PULSE_SPACING. Raises ToleranceError when the finite-difference residual
+    on the sampled window exceeds HOMOCLINIC_TOL.
     """
     inv = _HomoclinicInverter(well)
     sqrt_am = inv.sqrt_am
@@ -428,7 +441,7 @@ def solve_homoclinic(well, tol=1e-8, half_width=None, spacing=0.05,
         )
 
     # provisional profile for the tail fit
-    z_half = np.arange(0.0, half_width + 0.5 * spacing, spacing)
+    z_half = np.arange(0.0, half_width + 0.5 * PULSE_SPACING, PULSE_SPACING)
     bar_half = cheb(z_half)
     fit = far_field_params((z_half, bar_half))
     phi_max = fit.phi_max
@@ -449,9 +462,10 @@ def solve_homoclinic(well, tol=1e-8, half_width=None, spacing=0.05,
     kernel_norm = float(np.sqrt(2.0 * (kin_core + kin_tail)))
 
     residual = _fd_residual(z, values, well)
-    if residual > tol:
+    if residual > HOMOCLINIC_TOL:
         raise ToleranceError(
-            f"homoclinic residual {residual:.2e} exceeds tol {tol:.2e}"
+            f"homoclinic residual {residual:.2e} exceeds tol "
+            f"{HOMOCLINIC_TOL:.2e}"
         )
 
     # a pulse is shared by every Laboratory of its well: freeze its samples
@@ -685,10 +699,6 @@ class BackgroundProfile:
                 out[order, inside] = sgn * u[rows] - v[rows]
         return out
 
-    def at(self, x, order=0):
-        base = self.b_inf if order == 0 else 0.0
-        return base + self.bar_at(x, order)
-
     def to_csv(self, path):
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -706,8 +716,6 @@ def _refined_solve(a, lu_piv, rhs):
 
 @lru_cache(maxsize=8)
 def _half_line_second_derivative(window, num_points):
-    from scipy.fft import dct
-
     kap = np.arange(num_points) * np.pi / window
     eye = np.eye(num_points)
     coeffs = dct(eye, type=1, axis=0) / (num_points - 1)
@@ -718,23 +726,23 @@ def _half_line_second_derivative(window, num_points):
     return dct(block, type=1, axis=0)
 
 
-def solve_background(well, profile, j, num_points=512, window_factor=2.0):
+def solve_background(well, profile, j):
     """Solve L^j B_j = 1 on a window 2x the pulse window via the even sector.
 
-    The default resolution (h ~ 0.1) is deliberately moderate: B_j varies on
-    the O(1) pulse scale, and a finer grid only inflates the round-off of the
-    composed residual L^2 B_2 - 1 through the operator norm.
+    The resolution of BACKGROUND_POINTS (h ~ 0.1) is deliberately moderate:
+    B_j varies on the O(1) pulse scale, and a finer grid only inflates the
+    round-off of the composed residual L^2 B_2 - 1 through the operator norm.
     """
     if j not in (1, 2):
         raise DomainError("background order j must be 1 or 2")
-    window = window_factor * profile.half_width
-    grid = Grid(window, num_points, h_max=0.2)
+    window = 2.0 * profile.half_width
+    grid = Grid(window, BACKGROUND_POINTS, h_max=0.2)
     z = grid.nodes
     q = well.d2W(well.b_minus + profile.pulse_bar(z))
-    lmat = _half_line_second_derivative(window, num_points) - np.diag(q)
+    lmat = _half_line_second_derivative(window, BACKGROUND_POINTS) - np.diag(q)
 
     lu_piv = lu_factor(lmat)
-    rhs = np.ones(num_points)
+    rhs = np.ones(BACKGROUND_POINTS)
     b = _refined_solve(lmat, lu_piv, rhs)
     if j == 2:
         b = _refined_solve(lmat, lu_piv, b)
@@ -773,17 +781,17 @@ def solve_background(well, profile, j, num_points=512, window_factor=2.0):
     )
 
 
-def single_pulse_point_spectrum(well, profile, num_points=1600, tol_zero=1e-4):
+def single_pulse_point_spectrum(well, profile):
     """Discrete eigenvalues of L = d^2/dz^2 - W''(phi_h) above -alpha_minus.
 
     Solved on the symmetric window [-2*half_width, 2*half_width] in the
     cosine modes of that window, where L is -diag(kappa^2) - Q^T diag(q) Q.
     The potential q is even about the window centre, where mode k has parity
     (-1)^k, so the even and odd modes decouple into two blocks of half the
-    size. Returns eigenvalues sorted descending.
+    size. Returns the eigenvalues, sorted descending.
     """
     window = 2.0 * profile.half_width
-    grid = Grid(2.0 * window, num_points, h_max=0.2)
+    grid = Grid(2.0 * window, POINT_SPECTRUM_POINTS, h_max=0.2)
     q = well.d2W(well.b_minus + profile.pulse_bar(grid.nodes - window))
     kappa2 = grid.wavenumbers**2
     evals = []
@@ -794,18 +802,19 @@ def single_pulse_point_spectrum(well, profile, num_points=1600, tol_zero=1e-4):
     evals = np.concatenate(evals)
     edge = -well.alpha_minus
     point = evals[evals > edge + 1e-3 * abs(edge)]
-    return np.sort(point)[::-1], float(tol_zero)
+    return np.sort(point)[::-1]
 
 
-def stable_edge_floor(well, profile, num_points=1600):
+def stable_edge_floor(well, profile):
     """min over the nonzero single-pulse spectrum of lambda^2, vs alpha_minus^2.
 
     This is the squared distance of the nonzero spectrum of L from zero: the
-    translation eigenvalue at zero is excluded, every other discrete
-    eigenvalue and the essential-spectrum edge -alpha_minus compete.
+    translation eigenvalue at zero (|lambda| <= 1e-4) is excluded, every
+    other discrete eigenvalue and the essential-spectrum edge -alpha_minus
+    compete.
     """
-    point, tol_zero = single_pulse_point_spectrum(well, profile, num_points)
-    nonzero = point[np.abs(point) > tol_zero]
+    point = single_pulse_point_spectrum(well, profile)
+    nonzero = point[np.abs(point) > 1e-4]
     candidates = [well.alpha_minus**2]
     candidates.extend(nonzero**2)
     return float(min(candidates)), point

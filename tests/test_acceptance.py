@@ -151,7 +151,7 @@ def test_criterion_05_spectral_gap(manifold_factory, edge_floor):
     for n_pts in (1024, 2048):
         man = manifold_factory(num_points=n_pts)
         prof = man.build(man.configuration([12.0, 22.0, 34.0]))
-        reports[n_pts] = spectral_gap_report(man, prof, k_s=edge_floor)
+        reports[n_pts] = spectral_gap_report(man, prof)
     rep = reports[1024]
     fitted_c0 = rep.extras["fitted_c0"]
     edge_ok = (
@@ -191,13 +191,13 @@ def test_criterion_06_constrained_index_oracle():
 # -- 7 -----------------------------------------------------------------------
 
 
-def test_criterion_07_coercivity(diag_manifold, edge_floor):
+def test_criterion_07_coercivity(diag_manifold):
     sample = diag_manifold.sample_configurations(2, seed=4)
     sample.append(moderate_config(diag_manifold))
     mus, ok = [], True
     for cfg in sample:
         prof = diag_manifold.build(cfg)
-        rep = coercivity_constant(diag_manifold, prof, k_s=edge_floor)
+        rep = coercivity_constant(diag_manifold, prof)
         mus.append(rep.mu)
         ok = ok and rep.mu > 0.0 and rep.relation_holds()
     _report(
@@ -210,12 +210,12 @@ def test_criterion_07_coercivity(diag_manifold, edge_floor):
 # -- 8 -----------------------------------------------------------------------
 
 
-def test_criterion_08_tangent_alignment(manifold_factory, edge_floor, well):
+def test_criterion_08_tangent_alignment(manifold_factory, well):
     errs, c3 = {}, {}
     for ell in (8.0, 10.0):
         man = manifold_factory(num_points=1024, ell=ell)
         prof = man.build(cluster_config(man, ell))
-        rep = spectral_gap_report(man, prof, k_s=edge_floor)
+        rep = spectral_gap_report(man, prof)
         ali = tangent_alignment(man, prof, rep)
         errs[ell] = ali.max_error
         c3[ell] = ali.max_error / man.params.tail_scale
@@ -474,7 +474,7 @@ def test_criterion_15_trapping_radius_scaling(manifold_factory):
         man = manifold_factory(num_points=1024, ell=ell)
         profiles = [man.build(c)
                     for c in man.sample_configurations(32, seed=0)]
-        rep = el_bounds(man, profiles, delta1=man.params.tail_scale)
+        rep = el_bounds(man, profiles)
         etas.append(rep.eta_star)
         deltas.append(man.params.tail_scale)
         root = np.sqrt(2.0 * (rep.delta0 + rep.delta1) / rep.mu2)

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from fchpulse import (
-    DomainError,
     GradientFamily,
     Grid,
     GridMismatchError,
@@ -132,8 +131,7 @@ class TestNorms:
         zero = ScalarField(g, np.zeros(g.num_points))
         for kind in ("l2", "h4"):
             assert norm(zero, kind) == 0.0
-        fam = GradientFamily(g, 0.5)
-        assert norm(zero, "hg1", gradient=fam) == 0.0
+        assert GradientFamily(g, 0.5).h_norm(zero) == 0.0
 
     def test_constant_l2(self):
         g = make_grid()
@@ -156,13 +154,6 @@ class TestNorms:
         for seed in range(6):
             f = random_smooth_field(g, seed)
             assert norm(f, "l2") <= norm(f, "h4") * (1 + 1e-12)
-
-    def test_hg1_requires_zero_mass(self):
-        g = make_grid(n=512)
-        fam = GradientFamily(g, 1.0)
-        f = ScalarField(g, np.ones(g.num_points))
-        with pytest.raises(DomainError):
-            norm(f, "hg1", gradient=fam)
 
     def test_grid_refinement_spectral(self, well, pulse):
         # successive refinement differences of norm(phi_h, H4) shrink fast
@@ -235,7 +226,6 @@ class TestSystemParams:
     def test_srn_regime_guard(self, well):
         from fchpulse import SystemParams
 
-        p = SystemParams(0.05, 8.0, 3, 15.0, 2.0, well.alpha_minus,
-                         gradient_s=1.0)
+        p = SystemParams(0.05, 8.0, 3, 15.0, 2.0, well.alpha_minus)
         with pytest.raises(ValidationError):
             p.require_srn_regime(1.0)

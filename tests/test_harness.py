@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fchpulse import (
     ConfigError,
@@ -67,6 +69,20 @@ class TestConfig:
         path.write_text("{not json")
         with pytest.raises(ConfigError):
             parse_config(path)
+
+    @settings(max_examples=50, deadline=None)
+    @given(inside=st.lists(st.floats(0.0, 1.0), max_size=4),
+           outside=st.floats(max_value=0.0, exclude_max=True)
+           | st.floats(min_value=1.0, exclude_min=True),
+           data=st.data())
+    def test_s_values_must_lie_in_unit_interval(self, inside, outside, data):
+        cfg = ExperimentConfig(experiment="reduce", s_values=tuple(inside))
+        assert cfg.s_values == tuple(inside)
+        at = data.draw(st.integers(0, len(inside)))
+        bad = tuple(inside[:at]) + (outside,) + tuple(inside[at:])
+        with pytest.raises(ValidationError) as err:
+            ExperimentConfig(experiment="reduce", s_values=bad)
+        assert "s values must lie in [0,1]" in str(err.value)
 
 
 class TestManifest:
@@ -421,11 +437,11 @@ class TestDeviationEnvelope:
 
     def test_non_convergent_fit_is_unfitted(self, monkeypatch):
         # the real least-squares fit, stopped after two evaluations
-        import scipy.optimize
+        from fchpulse import harness
 
-        real = scipy.optimize.curve_fit
+        real = harness.curve_fit
         monkeypatch.setattr(
-            scipy.optimize, "curve_fit",
+            harness, "curve_fit",
             lambda *args, **kw: real(*args, **{**kw, "maxfev": 2}),
         )
         assert fit_deviation_envelope(self.T, self.W, 1e-4) == {"fitted": False}

@@ -6,10 +6,15 @@ checked for those. No module catches every error (`except Exception`,
 `except BaseException` or a bare `except:`): a failure raises the `FchError`
 subclass that names it, and a handler catches only what it expects.
 Importing the package does not import scipy.stats: nothing in it needs that
-module, whose import is a large share of the package's start-up time.
+module, whose import is a large share of the package's start-up time. No
+function imports inside its body: every module the package uses is imported
+once, at the top of the module that uses it. And every defaulted parameter
+of a package function is passed by some call in the package or its tests:
+an option that no caller varies is a constant.
 """
 
 import ast
+import math
 from pathlib import Path
 
 import pytest
@@ -19,7 +24,11 @@ from conftest import fresh_python
 
 ALL_SOURCES = sorted(Path(fchpulse.__file__).parent.glob("*.py"))
 SOURCES = [p for p in ALL_SOURCES if p.name != "__init__.py"]
+TEST_SOURCES = sorted(Path(__file__).parent.glob("*.py"))
 CATCH_ALL = {"Exception", "BaseException"}
+# The console-script entry point is called with no arguments; argv is for
+# callers that are not the installed script.
+ENTRY_POINTS = {"cli.main"}
 
 
 def unused_imports(source):
@@ -82,3 +91,149 @@ def test_import_does_not_load_scipy_stats():
     code = ("import sys, fchpulse; "
             "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))")
     assert fresh_python(code).strip() == "[]"
+
+
+def function_local_imports(source):
+    """Line numbers of import statements inside a function body."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            lines.update(n.lineno for n in ast.walk(node)
+                         if isinstance(n, (ast.Import, ast.ImportFrom)))
+    return sorted(lines)
+
+
+def test_detects_function_local_imports():
+    source = (
+        "import os\n"
+        "def f():\n    import csv\n    return csv, os\n"
+        "class C:\n    def g(self):\n        from math import pi\n"
+        "        return pi\n"
+    )
+    assert function_local_imports(source) == [3, 7]
+
+
+@pytest.mark.parametrize("path", ALL_SOURCES, ids=lambda p: p.name)
+def test_no_function_local_imports(path):
+    assert function_local_imports(path.read_text()) == []
+
+
+def defaulted_parameters(source, module):
+    """(function, callee, parameter, position) of every defaulted parameter.
+
+    function is module[.Class].name and callee the name a call uses, which
+    is the class name for `__init__`. position is the index of the parameter
+    among the positional arguments of a call, without self or cls, and None
+    for a keyword-only one. Other dunder methods are skipped: operators call
+    them, not their names.
+    """
+    found = []
+
+    def visit(node, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child)
+                continue
+            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, cls)
+                continue
+            visit(child, None)
+            name = child.name
+            if name.startswith("__") and name.endswith("__") and not (
+                cls and name == "__init__"
+            ):
+                continue
+            args = child.args
+            positional = args.posonlyargs + args.args
+            if cls and not any(
+                isinstance(d, ast.Name) and d.id == "staticmethod"
+                for d in child.decorator_list
+            ):
+                positional = positional[1:]
+            qual = ".".join([module, *([cls.name] if cls else []), name])
+            callee = cls.name if name == "__init__" else name
+            first = len(positional) - len(args.defaults)
+            found.extend((qual, callee, p.arg, i)
+                         for i, p in enumerate(positional) if i >= first)
+            found.extend((qual, callee, p.arg, None)
+                         for p, d in zip(args.kwonlyargs, args.kw_defaults)
+                         if d is not None)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def passed_arguments(sources):
+    """{callee: (most positional arguments, keyword names)} over every call.
+
+    Calls are matched by the called name, `import ... as` aliases resolved.
+    A call with *args passes every position, one with **kwargs every
+    keyword (recorded as the name None).
+    """
+    passed = {}
+    for source in sources:
+        tree = ast.parse(source)
+        alias = {a.asname: a.name for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom)
+                 for a in node.names if a.asname}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr",
+                                                             None)
+            if name is None:
+                continue
+            name = alias.get(name, name)
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            count = math.inf if starred else len(node.args)
+            most, keywords = passed.get(name, (0, set()))
+            passed[name] = (max(most, count),
+                            keywords | {k.arg for k in node.keywords})
+    return passed
+
+
+def options_without_a_caller(sources, calling_sources):
+    """module.function(parameter) of every defaulted parameter of sources
+    ({module name: source}) that no call in calling_sources passes, by
+    keyword or at its position."""
+    passed = passed_arguments(calling_sources)
+    unused = []
+    for module, source in sources.items():
+        for qual, callee, param, position in defaulted_parameters(source,
+                                                                  module):
+            most, keywords = passed.get(callee, (0, set()))
+            if (qual in ENTRY_POINTS or param in keywords or None in keywords
+                    or (position is not None and most > position)):
+                continue
+            unused.append(f"{qual}({param})")
+    return unused
+
+
+def test_detects_an_option_without_a_caller():
+    library = (
+        "class Err(Exception):\n"
+        "    def __init__(self, message, found=None):\n"
+        "        self.found = found\n"
+        "    def __eq__(self, other, strict=True):\n"
+        "        return strict\n"
+        "class Solver:\n"
+        "    def solve(self, x, tol=1e-8, steps=10, *, verbose=False):\n"
+        "        return x\n"
+        "def run(u, dt=None, every=50):\n"
+        "    return u\n"
+    )
+    caller = (
+        "from lib import run as run_pde\n"
+        "Err('no', found=2)\n"
+        "Solver().solve(1.0, 1e-6)\n"
+        "run_pde(0.0, every=5)\n"
+    )
+    assert options_without_a_caller({"lib": library}, [library, caller]) == [
+        "lib.Solver.solve(steps)", "lib.Solver.solve(verbose)", "lib.run(dt)",
+    ]
+
+
+def test_no_option_without_a_caller():
+    sources = {p.stem: p.read_text() for p in ALL_SOURCES}
+    calling = [*sources.values(), *(p.read_text() for p in TEST_SOURCES)]
+    assert options_without_a_caller(sources, calling) == []

@@ -34,6 +34,7 @@ from fchpulse.operators import (
     to_modes,
 )
 from fchpulse.spectral import (
+    GAMMA_SWEEP,
     ShiftError,
     _best_shift,
     dual_h4_norm,
@@ -178,12 +179,12 @@ class TestRitzOracle:
     """The refined spectra against the Householder-basis oracle."""
 
     @pytest.mark.parametrize("point", ["moderate", "equispaced"])
-    def test_gap_report(self, diag_manifold, edge_floor, point):
+    def test_gap_report(self, diag_manifold, point):
         man = diag_manifold
         cfg = (moderate_config(man) if point == "moderate"
                else man.equispaced())
         prof = man.build(cfg)
-        rep = spectral_gap_report(man, prof, k_s=edge_floor)
+        rep = spectral_gap_report(man, prof)
         dense, ritz, _ = householder_ritz(prof.phi, man.well,
                                           rep.eigenvalues.size)
         n = rep.slow_dim
@@ -215,43 +216,42 @@ class TestRitzOracle:
 class TestSpectralGap:
     def test_slow_dimension_and_edge(self, diag_manifold, edge_floor):
         prof = diag_manifold.build(moderate_config(diag_manifold))
-        rep = spectral_gap_report(diag_manifold, prof, k_s=edge_floor)
+        rep = spectral_gap_report(diag_manifold, prof)
         assert rep.passed, rep.failures
         assert rep.slow_dim == 3
         assert 0.8 * edge_floor <= rep.stable_edge <= 1.2 * edge_floor
 
-    def test_slow_count_grid_doubling(self, manifold_factory, edge_floor):
+    def test_slow_count_grid_doubling(self, manifold_factory):
         slow = {}
         for n_pts in (1024, 2048):
             man = manifold_factory(num_points=n_pts)
             prof = man.build(man.configuration([12.0, 22.0, 34.0]))
-            rep = spectral_gap_report(man, prof, k_s=edge_floor)
+            rep = spectral_gap_report(man, prof)
             slow[n_pts] = rep
         assert slow[1024].slow_dim == slow[2048].slow_dim == 3
         assert np.max(np.abs(
             slow[1024].slow_eigenvalues - slow[2048].slow_eigenvalues
         )) < 1e-6
 
-    def test_tail_scaling_of_slow_set(self, manifold_factory, edge_floor,
-                                      well):
+    def test_tail_scaling_of_slow_set(self, manifold_factory, well):
         # max slow eigenvalue shrinks by about exp(-2 sqrt(alpha)) per ell+2
         worst = {}
         for ell in (8.0, 10.0):
             man = manifold_factory(num_points=1024, ell=ell)
             prof = man.build(cluster_config(man, ell))
-            rep = spectral_gap_report(man, prof, k_s=edge_floor)
+            rep = spectral_gap_report(man, prof)
             assert rep.slow_dim == 3
             worst[ell] = np.max(np.abs(rep.slow_eigenvalues))
         ratio = worst[10.0] / worst[8.0]
         predicted = np.exp(-2.0 * np.sqrt(well.alpha_minus))
         assert abs(ratio - predicted) <= 0.3 * predicted
 
-    def test_gap_collapse_at_tiny_spacing(self, manifold_factory, edge_floor):
+    def test_gap_collapse_at_tiny_spacing(self, manifold_factory):
         # ell = 2: strong overlap destroys the slow/stable dichotomy, and the
         # report flags it instead of raising
         man = manifold_factory(num_points=1024, ell=2.0)
         prof_cfg = man.configuration([1.2, 3.4, 5.8])
-        rep = spectral_gap_report(man, man.build(prof_cfg), k_s=edge_floor)
+        rep = spectral_gap_report(man, man.build(prof_cfg))
         assert not rep.passed
         assert rep.failures
 
@@ -308,36 +308,32 @@ class TestConstrainedIndex:
 
 
 class TestCoercivity:
-    def test_positive_and_chained_bound(self, diag_manifold, edge_floor):
+    def test_positive_and_chained_bound(self, diag_manifold):
         for cfg in (moderate_config(diag_manifold),
                     diag_manifold.equispaced()):
             prof = diag_manifold.build(cfg)
-            rep = coercivity_constant(diag_manifold, prof, k_s=edge_floor)
+            rep = coercivity_constant(diag_manifold, prof)
             assert rep.mu > 0.0
             assert rep.relation_holds()
             assert rep.mu_x >= rep.mu_tilde
 
-    def test_unconstrained_minimum_drops_to_slow_scale(self, diag_manifold,
-                                                       edge_floor):
+    def test_unconstrained_minimum_drops_to_slow_scale(self, diag_manifold):
         prof = diag_manifold.build(moderate_config(diag_manifold))
-        rep = coercivity_constant(diag_manifold, prof, k_s=edge_floor)
+        rep = coercivity_constant(diag_manifold, prof)
         delta = diag_manifold.params.tail_scale
         assert rep.unconstrained_x_min <= 1000 * delta
         assert rep.mu_x >= 100 * rep.unconstrained_x_min
 
-    def test_h2_constant_resolution_stable(self, manifold_factory,
-                                           edge_floor):
+    def test_h2_constant_resolution_stable(self, manifold_factory):
         vals = {}
         for n_pts in (512, 1024):
             man = manifold_factory(num_points=n_pts)
             prof = man.build(man.equispaced())
-            vals[n_pts] = coercivity_constant(man, prof, k_s=edge_floor).mu_h2
+            vals[n_pts] = coercivity_constant(man, prof).mu_h2
         assert vals[1024] == pytest.approx(vals[512], rel=0.05)
 
 
-def dense_generalized_coercivity(manifold, profile, tangents, k_s,
-                                 gamma_sweep=(0.05, 0.25, 0.5, 1.0, 2.0, 4.0,
-                                              8.0)):
+def dense_generalized_coercivity(manifold, profile, tangents, k_s):
     """Reference coercivity: nodal complements and generalized eigensolves
     with the dense Sobolev Grams (the direct form of the definitions)."""
     grid = manifold.grid
@@ -357,7 +353,7 @@ def dense_generalized_coercivity(manifold, profile, tangents, k_s,
     g4_0 = basis0.T @ g4 @ basis0
     mu_tilde = 0.75 * k_s
     best_bound, best = -np.inf, (np.nan, np.nan)
-    for ge in gamma_sweep:
+    for ge in GAMMA_SWEEP:
         mu_e = lowest(a_0 + ge * np.eye(a_0.shape[0]), g4_0)
         bound = mu_tilde * mu_e / (mu_tilde + ge)
         if bound > best_bound:
@@ -464,12 +460,13 @@ class TestCoercivityOracle:
         prof = man.build(cfg)
         tangents = man.tangent_basis(cfg)
         ref = dense_generalized_coercivity(man, prof, tangents, edge_floor)
-        rep = coercivity_constant(man, prof, tangents=tangents, k_s=edge_floor)
+        rep = coercivity_constant(man, prof, tangents=tangents)
         for key in ("mu", "mu_h2", "mu_e", "bound"):
             assert getattr(rep, key) == pytest.approx(ref[key], rel=1e-9), key
         # mu_x and unconstrained_x_min are standard eigenvalues of the
-        # unwhitened matrix, so both solves carry the eps*||a|| backward error
-        # of a dense eigensolver (1.4e-9 at N = 256, where mu_x ~ 0.4)
+        # unwhitened matrix, so the oracle's solves carry the eps*||a||
+        # backward error of a dense eigensolver (1.4e-9 at N = 256, where
+        # mu_x ~ 0.4)
         eps_a = np.finfo(float).eps * ref["norm_a"]
         for key in ("mu_x", "unconstrained_x_min"):
             assert abs(getattr(rep, key) - ref[key]) <= (
@@ -479,26 +476,21 @@ class TestCoercivityOracle:
         # the pruned sweep is bitwise the sweep that solves every shift
         context = spectral_context(prof.phi, man.well)
         assert (rep.mu_e, rep.gamma_e, rep.bound) == full_shift_sweep(
-            *whitened_h4(context), rep.mu_tilde,
-            (0.05, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0),
+            *whitened_h4(context), rep.mu_tilde, GAMMA_SWEEP,
         )
-        # with the gap report of the same profile, the unconstrained minimum
-        # is its lowest Ritz value, within the same allowance of the oracle
-        gap = spectral_gap_report(man, prof, k_s=edge_floor, context=context)
+        # the unconstrained minimum is the lowest Ritz value of the profile's
+        # gap report; a caller that has the report and the context hands
+        # them in and gets the same report
+        gap = spectral_gap_report(man, prof, context=context)
         shared = coercivity_constant(man, prof, tangents=tangents,
-                                     k_s=edge_floor, context=context,
-                                     report=gap)
-        assert shared.unconstrained_x_min == gap.eigenvalues[0]
-        assert abs(shared.unconstrained_x_min - ref["unconstrained_x_min"]) <= (
-            1e-9 * abs(ref["unconstrained_x_min"]) + 2 * eps_a
-        )
-        for key in ("mu", "mu_h2", "mu_e", "bound", "mu_x", "gammas_solved"):
-            assert getattr(shared, key) == getattr(rep, key), key
+                                     context=context, report=gap)
+        assert rep.unconstrained_x_min == gap.eigenvalues[0]
+        assert shared == rep
         if setup == "desk":
             # only gamma = 0.05 can win, so the report takes 4 dense
-            # tridiagonalizations: mu_x, mu, mu_h2 and that shift (5 without
-            # the gap report, which supplies the unconstrained minimum)
-            assert shared.gammas_solved == (0.05,)
+            # tridiagonalizations besides its gap report: mu_x, mu, mu_h2
+            # and that shift
+            assert rep.gammas_solved == (0.05,)
 
 
 def nodal_point_spectrum(well, pulse, num_points=1600):
@@ -569,7 +561,7 @@ class TestModeCoordinates:
                         atol=1e-12 * np.max(np.abs(u.values)))
 
     def test_parity_blocks_match_nodal_solve(self, well, pulse):
-        point, _ = single_pulse_point_spectrum(well, pulse)
+        point = single_pulse_point_spectrum(well, pulse)
         nodal = nodal_point_spectrum(well, pulse)
         assert point.size == nodal.size
         nonzero = np.abs(nodal) > 1e-4
@@ -687,14 +679,13 @@ def nodal_eigenfield_continuity(manifold, config, center_report, step=0.05):
 
 
 class TestAlignment:
-    def test_mode_coordinates_match_nodal_oracle(self, diag_manifold,
-                                                 edge_floor):
+    def test_mode_coordinates_match_nodal_oracle(self, diag_manifold):
         # Q is orthogonal, so the mode-coordinate alignment and continuity
         # agree with their nodal weighted-coordinate form up to rounding
         man = diag_manifold
         prof = man.build(moderate_config(man))
-        rep = spectral_gap_report(man, prof, k_s=edge_floor)
-        stacks = man.tangent_basis(prof.config, with_stacks=True, max_order=4)
+        rep = spectral_gap_report(man, prof)
+        stacks = man.tangent_basis(prof.config, with_stacks=True)
         ali = tangent_alignment(man, prof, rep, tangent_stacks=stacks)
         errors, beta, defect = nodal_tangent_alignment(man, rep, stacks)
         assert_allclose(ali.errors, errors, rtol=1e-10, atol=0)
@@ -708,22 +699,21 @@ class TestAlignment:
         assert overlap == pytest.approx(ref_overlap, rel=1e-10)
         assert hessian == pytest.approx(ref_hessian, rel=1e-10)
 
-    def test_alignment_small_and_beta_orthogonal(self, diag_manifold,
-                                                 edge_floor):
+    def test_alignment_small_and_beta_orthogonal(self, diag_manifold):
         prof = diag_manifold.build(moderate_config(diag_manifold))
-        rep = spectral_gap_report(diag_manifold, prof, k_s=edge_floor)
+        rep = spectral_gap_report(diag_manifold, prof)
         ali = tangent_alignment(diag_manifold, prof, rep)
         delta = diag_manifold.params.tail_scale
         assert ali.passed
         assert ali.max_error <= 5000 * delta
         assert ali.beta_defect <= 5000 * delta
 
-    def test_tail_scaling(self, manifold_factory, edge_floor, well):
+    def test_tail_scaling(self, manifold_factory, well):
         errs = {}
         for ell in (8.0, 10.0):
             man = manifold_factory(num_points=1024, ell=ell)
             prof = man.build(cluster_config(man, ell))
-            rep = spectral_gap_report(man, prof, k_s=edge_floor)
+            rep = spectral_gap_report(man, prof)
             errs[ell] = tangent_alignment(man, prof, rep).max_error
         ratio = errs[10.0] / errs[8.0]
         predicted = np.exp(-2.0 * np.sqrt(well.alpha_minus))
@@ -731,9 +721,9 @@ class TestAlignment:
 
 
 class TestSymmetrizedGap:
-    def test_s_zero_reproduces_plain_gap(self, diag_manifold, edge_floor):
+    def test_s_zero_reproduces_plain_gap(self, diag_manifold):
         prof = diag_manifold.build(moderate_config(diag_manifold))
-        plain = spectral_gap_report(diag_manifold, prof, k_s=edge_floor)
+        plain = spectral_gap_report(diag_manifold, prof)
         fam0 = GradientFamily(diag_manifold.grid, 0.0)
         sym = symmetrized_gap(diag_manifold, prof, fam0)
         assert_allclose(
@@ -794,11 +784,11 @@ class TestProxies:
 
 
 class TestEigenfieldOrthonormality:
-    def test_x_orthonormal(self, diag_manifold, edge_floor):
+    def test_x_orthonormal(self, diag_manifold):
         from fchpulse import inner_product_x
 
         prof = diag_manifold.build(moderate_config(diag_manifold))
-        rep = spectral_gap_report(diag_manifold, prof, k_s=edge_floor)
+        rep = spectral_gap_report(diag_manifold, prof)
         n = len(rep.eigenfields)
         gram = np.array(
             [[inner_product_x(a, b) for b in rep.eigenfields]
