@@ -327,7 +327,7 @@ class PulseManifold:
             p_np1 = 2.0 * length - p[-1]
         return np.array([p0, p_np1, e0, e_np1, lam])
 
-    def _closure_residual(self, x, config, cached):
+    def _closure_residual(self, x, cached):
         """(Phi_z(0), Phi_zzz(0), Phi_z(L), Phi_zzz(L), mass - M)."""
         length = self.params.domain_length
         lam = x[4]
@@ -373,7 +373,7 @@ class PulseManifold:
 
         x = self._seed(config)
         lam_seed = x[4]
-        fx = self._closure_residual(x, config, cached)
+        fx = self._closure_residual(x, cached)
         tol_bc = 1e-12
         tol_mass = 1e-13 * max(1.0, abs(self.params.total_mass))
 
@@ -390,8 +390,8 @@ class PulseManifold:
                 xp[j] += step
                 xm[j] -= step
                 jac[:, j] = (
-                    self._closure_residual(xp, config, cached)
-                    - self._closure_residual(xm, config, cached)
+                    self._closure_residual(xp, cached)
+                    - self._closure_residual(xm, cached)
                 ) / (2.0 * step)
             try:
                 dx = np.linalg.lstsq(jac, -fx, rcond=None)[0]
@@ -401,7 +401,7 @@ class PulseManifold:
             improved = False
             for _ in range(12):
                 x_new = x + lam_damp * dx
-                f_new = self._closure_residual(x_new, config, cached)
+                f_new = self._closure_residual(x_new, cached)
                 if np.linalg.norm(f_new) < np.linalg.norm(fx) or converged(f_new):
                     x, fx = x_new, f_new
                     improved = True

@@ -3,11 +3,12 @@
 The PDE stepper is linearly implicit: the stiff constant-coefficient part
 G(d^4/dz^4 + kappa) is inverted diagonally in the cosine basis, the remainder
 is explicit, and a step is accepted only if the energy did not increase beyond
-a fixed slack. Each accepted state carries the cosine coefficients of u and of
-grad J(u), so the next step starts from them: an accepted step costs 7 cosine
-transforms, a rejected trial 3. The reduced model is the nearest-neighbour
-pair-force ODE: the force comes from the pair interaction energy of J, and
-mirror shadow pulses close the boundary terms.
+a fixed slack. The state is the cosine coefficients of u: a step updates
+them, synthesizes u from them, and carries them with those of grad J(u) to
+the next step. An accepted step costs 4 cosine transforms, a rejected trial
+2, and mode 0, the mass, is never changed. The reduced model is the
+nearest-neighbour pair-force ODE: the force comes from the pair interaction
+energy of J, and mirror shadow pulses close the boundary terms.
 """
 
 from __future__ import annotations
@@ -32,14 +33,13 @@ from .core import (
     cosine_synth,
     inner_product_x,
     norm,
+    parseval_weights,
 )
 from .ansatz import mass as field_mass
 from .operators import (
     GradientFamily,
-    energy,
     energy_terms,
-    gradient_values,
-    variational_derivative,
+    gradient_coeffs,
     zero_mass_projection,
 )
 from .wellmodel import PairEnergy
@@ -66,10 +66,12 @@ class StepControls:
 class SimulationState:
     """One accepted point of a gradient-flow trajectory.
 
-    u_hat and grad_hat are the cosine coefficients of u and of grad J(u) that
-    `step` formed on the way to energy and dissipation; the next step starts
-    from them. A state without them (an initial state, one read from a
-    checkpoint) has them formed from u by `step`, to the same bits.
+    u_hat, the cosine coefficients of u, is the state that `step` advances;
+    u is their synthesis. grad_hat holds the coefficients of grad J(u), and
+    energy and dissipation J(u) and <G grad J, grad J>, all formed from
+    u_hat and u by `flow_terms`. A state without u_hat (an initial state)
+    takes cosine_coeffs(u); one without the rest has them formed by
+    `flow_terms`, to the bits that `step` would have carried.
     """
 
     time: float
@@ -83,16 +85,32 @@ class SimulationState:
     grad_hat: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
+def _coeffs_of(state):
+    """The state's u_hat, or cosine_coeffs(u) for a state without it."""
+    return cosine_coeffs(state.u.values) if state.u_hat is None else state.u_hat
+
+
+def flow_terms(u_hat, u, well, family):
+    """(J, grad_hat, <G grad J, grad J>) of the field u from its cosine
+    coefficients u_hat and its nodal values (three transforms).
+
+    The dissipation is sum_k c_k G_k grad_hat_k^2 with c the Parseval
+    weights, which is exact for the trapezoid rule on the cosine modes.
+    """
+    grid = u.grid
+    w1, e = energy_terms(u_hat, u.values, grid, well)
+    g_hat = gradient_coeffs(u.values, w1, grid, well)
+    return e, g_hat, _dissipation(g_hat, grid, family.multipliers("G"))
+
+
+def _dissipation(g_hat, grid, gmult):
+    return float(np.sum(parseval_weights(grid) * gmult * g_hat * g_hat))
+
+
 def dissipation_rate(u, well, family):
-    """||G1 grad J||_X^2 = <G grad J, grad J>, the instantaneous energy decay."""
-    g = variational_derivative(u, well).values
-    return _dissipation(g, cosine_coeffs(g), u.grid, family.multipliers("G"))
-
-
-def _dissipation(g, g_hat, grid, gmult):
-    """<G g, g> from g, its cosine coefficients and the multipliers of G, in
-    the operation order of `GradientFamily.apply` and `inner_product_x`."""
-    return float(np.sum(grid.quad_weights * cosine_synth(g_hat * gmult) * g))
+    """||G1 grad J||_X^2 = <G grad J, grad J>, the instantaneous energy decay:
+    `flow_terms` at cosine_coeffs(u), the formula `step` carries."""
+    return flow_terms(cosine_coeffs(u.values), u, well, family)[2]
 
 
 def step(state, well, family, controls):
@@ -100,26 +118,27 @@ def step(state, well, family, controls):
 
     The update reads, mode by mode,
         u_hat_new = u_hat - dt * (G grad J)_hat / (1 + dt * g_k (kappa_k^4 + kappa)),
-    which treats G(d^4 + kappa)(u_new - u_old) implicitly.
+    which treats G(d^4 + kappa)(u_new - u_old) implicitly. g_0 = 0, so
+    u_hat[0] is carried unchanged and the mass is conserved exactly.
 
-    One pass in cosine modes forms each quantity once: a trial costs the
-    synthesis of u_new and the two transforms of J(u_new); an accepted one
-    adds grad J(u_new) (two), its coefficients grad_hat and the dissipation
-    <G grad J, grad J> (one each). The result carries u_hat and grad_hat, so
-    the next step starts from them. J and grad J come from the helpers that
-    `energy` and `variational_derivative` are built on, and the dissipation
-    from the one `dissipation_rate` uses, so the carried values are theirs
-    bit for bit.
+    A trial costs two transforms: the synthesis of u_new and that of u_new''
+    for J(u_new). An accepted one adds two for grad_hat, and the dissipation
+    comes from grad_hat by Parseval. The result carries u_hat_new itself and
+    grad_hat, so the next step starts from them; its energy, grad_hat and
+    dissipation are those of `flow_terms` at (u_hat_new, u_new) bit for bit.
+    They agree with the nodal `energy`, `variational_derivative` and
+    `dissipation_rate` of u_new to rounding, since cosine_coeffs(u_new)
+    differs from u_hat_new by the rounding of one transform pair.
     """
     grid = state.u.grid
     kap4 = grid.wavenumbers**4
     gmult = family.multipliers("G")
     denom_base = gmult * (kap4 + controls.kappa)
 
-    u_hat, grad_hat, e_old = state.u_hat, state.grad_hat, state.energy
-    if u_hat is None or grad_hat is None or not np.isfinite(e_old):
-        u_hat, w1, e_u = energy_terms(state.u.values, grid, well)
-        grad_hat = cosine_coeffs(gradient_values(state.u.values, w1, grid, well))
+    u_hat = _coeffs_of(state)
+    grad_hat, e_old = state.grad_hat, state.energy
+    if grad_hat is None or not np.isfinite(e_old):
+        e_u, grad_hat, _ = flow_terms(u_hat, state.u, well, family)
         if not np.isfinite(e_old):
             e_old = e_u
     flow_hat = gmult * grad_hat
@@ -128,7 +147,7 @@ def step(state, well, family, controls):
     while True:
         new_hat = u_hat - dt * flow_hat / (1.0 + dt * denom_base)
         u_new = ScalarField(grid, cosine_synth(new_hat))
-        u_hat_next, w1, e_new = energy_terms(u_new.values, grid, well)
+        w1, e_new = energy_terms(new_hat, u_new.values, grid, well)
         if e_new <= e_old + ENERGY_SLACK:
             break
         dt *= 0.5
@@ -144,9 +163,7 @@ def step(state, well, family, controls):
     if streak >= controls.growth_patience:
         dt_next = min(2.0 * dt, controls.dt_max)
         streak = 0
-    g = gradient_values(u_new.values, w1, grid, well)
-    g_hat = cosine_coeffs(g)
-    diss = _dissipation(g, g_hat, grid, gmult)
+    g_hat = gradient_coeffs(u_new.values, w1, grid, well)
     return SimulationState(
         time=state.time + dt,
         u=u_new,
@@ -154,8 +171,8 @@ def step(state, well, family, controls):
         step_index=state.step_index + 1,
         accept_streak=streak,
         energy=e_new,
-        dissipation=diss,
-        u_hat=u_hat_next,
+        dissipation=_dissipation(g_hat, grid, gmult),
+        u_hat=new_hat,
         grad_hat=g_hat,
     )
 
@@ -219,19 +236,23 @@ class Trajectory:
                 writer.writerow([f"{v:.17g}" for v in row])
 
 
+CHECKPOINT_LAYOUT = "u, u_hat"
 CHECKPOINT_KEYS = ("time", "dt", "step_index", "accept_streak", "kappa",
-                   "dt_max", "growth_patience", "sha256")
+                   "dt_max", "growth_patience", "layout", "sha256")
 
 
 def write_checkpoint(path_prefix, state, params_doc, controls):
-    """Write u as little-endian float64 (.bin) and the run state as JSON.
+    """Write u and its cosine coefficients u_hat, one after the other, as
+    little-endian float64 (.bin) and the run state as JSON.
 
     The header holds what `run` needs to continue the same run: the state's
-    time, dt, step index and accept streak, the step controls, and
-    `params_doc` (the run's gradient exponent s, say). It also holds the
-    sha256 of the .bin bytes, which `read_checkpoint` verifies.
+    time, dt, step index and accept streak, the step controls, `params_doc`
+    (the run's gradient exponent s, say) and the .bin layout. It also holds
+    the sha256 of the .bin bytes, which `read_checkpoint` verifies. A state
+    without u_hat is written with cosine_coeffs(u).
     """
-    data = state.u.values.astype("<f8").tobytes()
+    u_hat = _coeffs_of(state)
+    data = np.concatenate([state.u.values, u_hat]).astype("<f8").tobytes()
     header = {
         "time": state.time,
         "dt": state.dt,
@@ -243,6 +264,7 @@ def write_checkpoint(path_prefix, state, params_doc, controls):
         "num_points": state.u.grid.num_points,
         "length": state.u.grid.length,
         "params": params_doc,
+        "layout": CHECKPOINT_LAYOUT,
         "sha256": hashlib.sha256(data).hexdigest(),
     }
     with open(f"{path_prefix}.json", "w") as fh:
@@ -255,8 +277,9 @@ def read_checkpoint(path_prefix, grid):
     """(state, controls, header) of a checkpoint written by `write_checkpoint`.
 
     A header without one of CHECKPOINT_KEYS or the gradient exponent s in
-    its params cannot continue the run that wrote it and raises FchError;
-    .bin bytes whose sha256 differs from the header's raise ChecksumError.
+    its params cannot continue the run that wrote it and raises FchError,
+    as does one with another layout; .bin bytes whose sha256 differs from
+    the header's raise ChecksumError.
     """
     with open(f"{path_prefix}.json") as fh:
         header = json.load(fh)
@@ -267,6 +290,11 @@ def read_checkpoint(path_prefix, grid):
         raise FchError(
             f"checkpoint header {path_prefix}.json lacks {', '.join(missing)}"
         )
+    if header["layout"] != CHECKPOINT_LAYOUT:
+        raise FchError(
+            f"checkpoint {path_prefix}.bin has layout {header['layout']!r}, "
+            f"not {CHECKPOINT_LAYOUT!r}"
+        )
     with open(f"{path_prefix}.bin", "rb") as fh:
         data = fh.read()
     digest = hashlib.sha256(data).hexdigest()
@@ -276,13 +304,15 @@ def read_checkpoint(path_prefix, grid):
             f"its header records {header['sha256']}"
         )
     vals = np.frombuffer(data, dtype="<f8").copy()
-    if vals.size != grid.num_points:
+    n = grid.num_points
+    if vals.size != 2 * n:
         raise GridMismatchError(
-            f"checkpoint has {vals.size} points, the grid {grid.num_points}"
+            f"checkpoint has {vals.size // 2} points, the grid {n}"
         )
     state = SimulationState(
-        time=header["time"], u=ScalarField(grid, vals), dt=header["dt"],
+        time=header["time"], u=ScalarField(grid, vals[:n]), dt=header["dt"],
         step_index=header["step_index"], accept_streak=header["accept_streak"],
+        u_hat=vals[n:],
     )
     controls = StepControls(kappa=header["kappa"], dt_max=header["dt_max"],
                             growth_patience=header["growth_patience"])
@@ -326,10 +356,10 @@ def run(
     if controls is None:
         controls = StepControls.for_initial_state(state.u, well)
     if not (np.isfinite(state.energy) and np.isfinite(state.dissipation)):
-        state = replace(
-            state, energy=energy(state.u, well),
-            dissipation=dissipation_rate(state.u, well, family),
-        )
+        u_hat = _coeffs_of(state)
+        e, g_hat, diss = flow_terms(u_hat, state.u, well, family)
+        state = replace(state, energy=e, dissipation=diss, u_hat=u_hat,
+                        grad_hat=g_hat)
     traj = Trajectory()
     n = params.n_pulses
 
@@ -501,9 +531,7 @@ def alpha_scaling(s, grid, pulse):
     return norm(fam.apply(zero_mass_projection(dphi), "G1_inv"), "l2")
 
 
-def integrate_reduced(
-    model, p0, t_final, s=0.0, velocity_scale=1.0, t_eval=None,
-):
+def integrate_reduced(model, p0, t_final, velocity_scale=1.0, t_eval=None):
     """Adaptive RK45 integration of pdot = velocity_scale * velocity(p), at
     rtol 1e-10 and atol 1e-12.
 

@@ -483,7 +483,7 @@ def _reduced_trajectory(lab, s, p0, t_final):
     scale = scale_of(lab, s)
     t_eval = np.linspace(0.0, t_final, 201)
     sol, t_exit = integrate_reduced(
-        model, p0, t_final, s=s, velocity_scale=scale, t_eval=t_eval
+        model, p0, t_final, velocity_scale=scale, t_eval=t_eval
     )
     return model, sol, t_exit, scale
 

@@ -5,7 +5,7 @@ All differential operators act spectrally in the Neumann cosine basis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,12 +48,11 @@ class LinearMap:
 # ---------------------------------------------------------------------------
 
 
-def energy_terms(values, grid, well):
-    """(u_hat, w1, J): the cosine coefficients of u, w1 = u'' - W'(u), and
-    J(u) = int (1/2) w1^2 dz, from the nodal values of u (two transforms)."""
-    u_hat = cosine_coeffs(values)
+def energy_terms(u_hat, values, grid, well):
+    """(w1, J): w1 = u'' - W'(u) at the nodes and J(u) = int (1/2) w1^2 dz,
+    from the cosine coefficients and the nodal values of u (one transform)."""
     w1 = cosine_synth(-1.0 * u_hat * grid.wavenumbers**2) - well.dW(values)
-    return u_hat, w1, 0.5 * float(np.sum(grid.quad_weights * w1 * w1))
+    return w1, 0.5 * float(np.sum(grid.quad_weights * w1 * w1))
 
 
 def gradient_values(values, w1, grid, well):
@@ -62,14 +61,21 @@ def gradient_values(values, w1, grid, well):
             - well.d2W(values) * w1)
 
 
+def gradient_coeffs(values, w1, grid, well):
+    """The cosine coefficients of grad J = (d^2 - W''(u)) w1, given w1 (two
+    transforms)."""
+    return (-1.0 * cosine_coeffs(w1) * grid.wavenumbers**2
+            - cosine_coeffs(well.d2W(values) * w1))
+
+
 def energy(u, well):
     """J(u) = int (1/2) (u'' - W'(u))^2 dz."""
-    return energy_terms(u.values, u.grid, well)[2]
+    return energy_terms(cosine_coeffs(u.values), u.values, u.grid, well)[1]
 
 
 def variational_derivative(u, well):
     """grad J = (d^2 - W''(u)) (u'' - W'(u)), evaluated spectrally."""
-    w1 = energy_terms(u.values, u.grid, well)[1]
+    w1 = energy_terms(cosine_coeffs(u.values), u.values, u.grid, well)[0]
     return ScalarField(u.grid, gradient_values(u.values, w1, u.grid, well))
 
 
@@ -132,6 +138,9 @@ def nonlinear_remainder(phi, v, well):
 # ---------------------------------------------------------------------------
 
 
+MULTIPLIER_POWERS = {"G": 2.0, "G1": 1.0, "G1_inv": -1.0, "G_inv": -2.0}
+
+
 @dataclass(frozen=True)
 class GradientFamily:
     """Spectral family G = lam1^s D^{-s}, G1 = G^{1/2} on the cosine modes.
@@ -143,25 +152,27 @@ class GradientFamily:
 
     grid: Grid
     s: float
+    _tables: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
 
     def __post_init__(self):
         if not 0.0 <= self.s <= 1.0:
             raise DomainError("gradient exponent s must lie in [0,1]")
 
     def multipliers(self, which):
-        k = np.arange(self.grid.num_points, dtype=float)
-        k[0] = 1.0  # placeholder; mode 0 handled below
-        table = {
-            "G": k ** (2.0 * self.s),
-            "G1": k**self.s,
-            "G1_inv": k ** (-self.s),
-            "G_inv": k ** (-2.0 * self.s),
-        }
-        if which not in table:
-            raise DomainError(f"unknown gradient direction {which!r}")
-        m = table[which]
-        m[0] = 0.0
-        return m
+        """The mode multipliers of G, G1, G1_inv or G_inv: k**(p s) with p
+        = 2, 1, -1, -2, and 0 at mode 0. Each is built on first use and kept
+        as one read-only array per family and direction."""
+        if which not in self._tables:
+            if which not in MULTIPLIER_POWERS:
+                raise DomainError(f"unknown gradient direction {which!r}")
+            k = np.arange(self.grid.num_points, dtype=float)
+            k[0] = 1.0  # placeholder; mode 0 handled below
+            m = k ** (MULTIPLIER_POWERS[which] * self.s)
+            m[0] = 0.0
+            m.flags.writeable = False
+            self._tables[which] = m
+        return self._tables[which]
 
     def apply(self, fld, which="G"):
         coeffs = cosine_coeffs(fld.values)

@@ -433,13 +433,13 @@ def test_criterion_14_gradient_invariance(manifold_factory, pulse):
     p0 = np.array([8.0, 17.0])
     t_final = 400.0
     t_ref = np.linspace(0.0, t_final, 161)
-    sol0, _ = integrate_reduced(model, p0, t_final, s=0.0,
+    sol0, _ = integrate_reduced(model, p0, t_final,
                                 velocity_scale=1.0, t_eval=t_ref)
     a0 = alpha_scaling(0.0, grid, pulse)
     defect = 0.0
     for s in (0.5, 1.0):
         scale = a0**2 / alpha_scaling(s, grid, pulse) ** 2
-        sol_s, _ = integrate_reduced(model, p0, t_final / scale, s=s,
+        sol_s, _ = integrate_reduced(model, p0, t_final / scale,
                                      velocity_scale=scale)
         vals = sol_s.sol(t_ref / scale)
         defect = max(defect, float(np.max(np.abs(vals - sol0.sol(t_ref)))))

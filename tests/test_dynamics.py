@@ -32,7 +32,12 @@ from fchpulse.core import (
     inner_product_x,
     spectral_derivative,
 )
-from fchpulse.dynamics import ENERGY_SLACK, SimulationState, dissipation_rate
+from fchpulse.dynamics import (
+    ENERGY_SLACK,
+    SimulationState,
+    dissipation_rate,
+    flow_terms,
+)
 from fchpulse.operators import energy, variational_derivative
 
 from conftest import count_background_work
@@ -143,6 +148,11 @@ class TestStep:
         assert np.quantile(rel_errs, 0.9) < 0.02
 
 
+def halvings(state, nxt):
+    """The dt halvings of the step from state to nxt."""
+    return round(np.log2(state.dt / (nxt.time - state.time)))
+
+
 def perturbed_testbed(manifold, well, s=0.0, amplitude=1e-3, seed=3):
     """(state, family, controls) at the perturbed two-pulse testbed point."""
     prof = manifold.build(manifold.configuration([4.5, 12.0]))
@@ -153,21 +163,52 @@ def perturbed_testbed(manifold, well, s=0.0, amplitude=1e-3, seed=3):
 
 
 class TestFusedStep:
-    """`step` forms J, grad J and the dissipation in one pass in cosine modes
-    and carries the coefficients of u and grad J to the next step."""
+    """`step` advances the cosine coefficients of u, forms J, grad J and the
+    dissipation from them in one pass, and carries the coefficients of u and
+    grad J to the next step."""
 
     @pytest.mark.parametrize("s", [0.0, 1.0])
     def test_carried_values_equal_the_public_functions(self, small_manifold,
                                                        well, s):
+        """Bit for bit those of `flow_terms` at the carried coefficients, and
+        u is their synthesis."""
         state, fam, controls = perturbed_testbed(small_manifold, well, s)
         for _ in range(3):
             state = step(state, well, fam, controls)
-            g = variational_derivative(state.u, well)
-            assert state.energy == energy(state.u, well)
-            assert state.dissipation == dissipation_rate(state.u, well, fam)
-            assert state.dissipation == inner_product_x(fam.apply(g, "G"), g)
-            assert np.array_equal(state.u_hat, cosine_coeffs(state.u.values))
-            assert np.array_equal(state.grad_hat, cosine_coeffs(g.values))
+            e, g_hat, diss = flow_terms(state.u_hat, state.u, well, fam)
+            assert state.energy == e
+            assert state.dissipation == diss
+            assert np.array_equal(state.grad_hat, g_hat)
+            assert np.array_equal(state.u.values, cosine_synth(state.u_hat))
+
+    @pytest.mark.parametrize("s", [0.0, 0.5, 1.0])
+    def test_carried_values_agree_with_the_nodal_functions(
+            self, small_manifold, well, s):
+        """The carried coefficients differ from cosine_coeffs(u) by the
+        rounding of one synthesis and analysis, and the nodal functions start
+        from cosine_coeffs(u). Over 50 steps the worst measured gaps were
+        5.3e-15 relative in J, 2.4e-16 max|u_hat| in u_hat, 0.27 of the
+        eps kappa_max^4 max|u| rounding floor of a fourth derivative in
+        grad_hat, and 1.4e-11 relative in the dissipation (at s = 1, where
+        G = k^2 weighs the finest modes' rounding most); the bounds below
+        leave room above those."""
+        state, fam, controls = perturbed_testbed(small_manifold, well, s)
+        eps = np.finfo(float).eps
+        kappa4 = small_manifold.grid.wavenumbers[-1] ** 4
+        for _ in range(3):
+            state = step(state, well, fam, controls)
+            u = state.u
+            g = variational_derivative(u, well)
+            umax = np.max(np.abs(u.values))
+            assert_allclose(state.energy, energy(u, well), rtol=1e-13)
+            assert_allclose(state.dissipation, dissipation_rate(u, well, fam),
+                            rtol=1e-10)
+            assert_allclose(state.dissipation,
+                            inner_product_x(fam.apply(g, "G"), g), rtol=1e-10)
+            assert_allclose(state.u_hat, cosine_coeffs(u.values), rtol=0,
+                            atol=8 * eps * umax)
+            assert_allclose(state.grad_hat, cosine_coeffs(g.values), rtol=0,
+                            atol=eps * kappa4 * umax)
 
     def test_energy_and_gradient_keep_the_spectral_definitions(
             self, small_manifold, well):
@@ -180,11 +221,12 @@ class TestFusedStep:
         assert np.array_equal(variational_derivative(u, well).values, g)
 
     def test_stripped_state_steps_to_the_same_bits(self, small_manifold, well):
+        """Without grad_hat, energy and dissipation, but with u_hat."""
         state, fam, controls = perturbed_testbed(small_manifold, well, 0.5)
         for _ in range(4):
             state = step(state, well, fam, controls)
-        bare = dataclasses.replace(state, u_hat=None, grad_hat=None,
-                                   energy=np.nan, dissipation=np.nan)
+        bare = dataclasses.replace(state, grad_hat=None, energy=np.nan,
+                                   dissipation=np.nan)
         full, again = (step(x, well, fam, controls) for x in (state, bare))
         for name in ("time", "dt", "step_index", "accept_streak", "energy",
                      "dissipation"):
@@ -193,8 +235,10 @@ class TestFusedStep:
         assert np.array_equal(full.u_hat, again.u_hat)
         assert np.array_equal(full.grad_hat, again.grad_hat)
 
-    def test_accepted_step_makes_seven_transforms(self, small_manifold, well,
-                                                  monkeypatch):
+    def test_step_transform_counts(self, small_manifold, well, monkeypatch):
+        """4 cosine transforms for a step accepted at its first trial, and 2
+        more for each rejected trial. Without stabilization (kappa = 0) a
+        step of dt = 1e4 raises the energy, so its trial is rejected."""
         state, fam, controls = perturbed_testbed(small_manifold, well)
         state = step(state, well, fam, controls)
         calls = []
@@ -206,8 +250,14 @@ class TestFusedStep:
 
         monkeypatch.setattr(core, "dct", counting)
         nxt = step(state, well, fam, controls)
-        assert nxt.time - state.time == state.dt  # accepted at the first trial
-        assert len(calls) <= 7
+        assert halvings(state, nxt) == 0
+        assert len(calls) == 4
+        calls.clear()
+        big = dataclasses.replace(state, dt=1e4)
+        nxt = step(big, well, fam, StepControls(kappa=0.0))
+        rejected = halvings(big, nxt)
+        assert rejected >= 1
+        assert len(calls) == 4 + 2 * rejected
 
     def test_build_evaluates_the_background_once(self, small_manifold,
                                                  monkeypatch):
@@ -237,6 +287,34 @@ class TestStepProperties:
             assert energy(nxt.u, well) <= energy(state.u, well) + ENERGY_SLACK
             assert abs(mass(nxt.u, well.b_minus) - m0) <= 1e-12 * abs(m0)
             state = nxt
+
+
+    @settings(max_examples=12, deadline=None)
+    @given(seed=st.integers(0, 2**16), amplitude=st.floats(1e-5, 1e-2),
+           dt=st.floats(1e-5, 2e-2), s=st.sampled_from([0.0, 0.5, 1.0]))
+    def test_mode_zero_is_exact_through_halvings(self, small_manifold, well,
+                                                  seed, amplitude, dt, s):
+        """g_0 = 0, so u_hat[0] (the mass) keeps its bits, also across
+        rejected trials: the third step has dt = 1e4 without stabilization,
+        which halves dt before a trial lowers the energy."""
+        state, fam, controls = perturbed_testbed(small_manifold, well, s,
+                                                 amplitude, seed)
+        state = step(dataclasses.replace(state, dt=dt), well, fam, controls)
+        a0 = state.u_hat[0]
+        rejected = 0
+        for k in range(5):
+            if k == 2:
+                prev = dataclasses.replace(state, dt=1e4)
+                nxt = step(prev, well, fam, StepControls(kappa=0.0))
+            else:
+                prev = state
+                nxt = step(prev, well, fam, controls)
+            rejected += halvings(prev, nxt)
+            assert nxt.u_hat[0] == a0
+            assert nxt.energy <= state.energy + ENERGY_SLACK
+            assert energy(nxt.u, well) <= energy(state.u, well) + ENERGY_SLACK
+            state = nxt
+        assert rejected >= 1
 
 
 class TestExtraction:
@@ -378,9 +456,9 @@ class TestIntegrateReduced:
     def test_s_zero_bitwise(self, reduced):
         p0 = np.array([4.6, 11.8])
         t_eval = np.linspace(0.0, 5.0, 21)
-        sol_a, _ = integrate_reduced(reduced, p0, 5.0, s=0.0,
+        sol_a, _ = integrate_reduced(reduced, p0, 5.0,
                                      velocity_scale=1.0, t_eval=t_eval)
-        sol_b, _ = integrate_reduced(reduced, p0, 5.0, s=0.0,
+        sol_b, _ = integrate_reduced(reduced, p0, 5.0,
                                      velocity_scale=1.0, t_eval=t_eval)
         assert np.array_equal(sol_a.y, sol_b.y)
 
@@ -390,14 +468,14 @@ class TestIntegrateReduced:
         t_final = 40.0
         grid = small_manifold.grid
         t_ref = np.linspace(0.0, t_final, 41)
-        sol0, _ = integrate_reduced(reduced, p0, t_final, s=0.0,
+        sol0, _ = integrate_reduced(reduced, p0, t_final,
                                     velocity_scale=1.0, t_eval=t_ref)
         a0 = alpha_scaling(0.0, grid, pulse)
         worst = 0.0
         for s in (0.5, 1.0):
             scale = a0**2 / alpha_scaling(s, grid, pulse) ** 2
             sol_s, _ = integrate_reduced(
-                reduced, p0, t_final / scale, s=s, velocity_scale=scale
+                reduced, p0, t_final / scale, velocity_scale=scale
             )
             vals = sol_s.sol(t_ref / scale)
             worst = max(worst, float(np.max(np.abs(vals - sol0.sol(t_ref)))))
@@ -470,8 +548,10 @@ class TestRun:
         from fchpulse.dynamics import read_checkpoint, write_checkpoint
 
         prof = small_manifold.build(small_manifold.configuration([4.5, 12.0]))
+        # not cosine_coeffs(u): the read must return the written u_hat
+        u_hat = cosine_coeffs(prof.phi.values) * (1.0 + 1e-15)
         st = SimulationState(1.25, prof.phi, 3e-4, step_index=17,
-                             accept_streak=3)
+                             accept_streak=3, u_hat=u_hat)
         controls = StepControls(kappa=0.1 + 2e-17, dt_max=0.01,
                                 growth_patience=4)
         write_checkpoint(tmp_path / "ck", st, {"s": 0.5}, controls)
@@ -480,11 +560,12 @@ class TestRun:
         for name in ("time", "dt", "step_index", "accept_streak"):
             assert getattr(st2, name) == getattr(st, name)
         assert np.array_equal(st2.u.values, prof.phi.values)
+        assert np.array_equal(st2.u_hat, u_hat)
         assert controls2 == controls
         assert header["params"]["s"] == 0.5
 
     @pytest.mark.parametrize("key", ["kappa", "accept_streak", "params.s",
-                                     "sha256"])
+                                     "layout", "sha256"])
     def test_checkpoint_without_run_state_refused(self, small_manifold,
                                                   tmp_path, key):
         import json
@@ -504,6 +585,36 @@ class TestRun:
         path.write_text(json.dumps(header))
         with pytest.raises(FchError, match=f"lacks {key}"):
             read_checkpoint(tmp_path / "ck", small_manifold.grid)
+
+    def test_checkpoint_in_the_nodal_layout_refused(self, small_manifold,
+                                                    tmp_path):
+        """A checkpoint of u alone (N values, no layout key), with a valid
+        digest, is refused for the missing key, not read as a grid of N/2
+        points; so is one whose layout names u alone."""
+        import hashlib
+        import json
+
+        from fchpulse import FchError, GridMismatchError
+        from fchpulse.dynamics import read_checkpoint, write_checkpoint
+
+        prof = small_manifold.build(small_manifold.configuration([4.5, 12.0]))
+        write_checkpoint(tmp_path / "ck", SimulationState(0.0, prof.phi, 3e-4),
+                         {"s": 0.0}, StepControls(kappa=1.0))
+        data = prof.phi.values.astype("<f8").tobytes()
+        (tmp_path / "ck.bin").write_bytes(data)
+        path = tmp_path / "ck.json"
+        header = json.loads(path.read_text())
+        del header["layout"]
+        header["sha256"] = hashlib.sha256(data).hexdigest()
+        path.write_text(json.dumps(header))
+        with pytest.raises(FchError, match="lacks layout") as err:
+            read_checkpoint(tmp_path / "ck", small_manifold.grid)
+        assert not isinstance(err.value, GridMismatchError)
+        header["layout"] = "u"
+        path.write_text(json.dumps(header))
+        with pytest.raises(FchError, match="layout 'u'") as err:
+            read_checkpoint(tmp_path / "ck", small_manifold.grid)
+        assert not isinstance(err.value, GridMismatchError)
 
     def test_checkpoint_with_a_flipped_byte_refused(self, small_manifold,
                                                     tmp_path):

@@ -254,6 +254,22 @@ class TestGradientFamily:
             f = zero_mass_projection(smooth_field(grid, 20 + seed))
             assert inner_product_x(fam.apply(f, "G"), f) >= -1e-12
 
+    @pytest.mark.parametrize("s", [0.0, 0.6, 1.0])
+    def test_multipliers_are_one_read_only_table(self, grid, s):
+        """Each direction's table is built once per family, cannot be written
+        through, and holds k**(±s), k**(±2s) with 0 at mode 0, bitwise."""
+        fam = GradientFamily(grid, s)
+        k = np.arange(grid.num_points, dtype=float)
+        for which, power in (("G", 2.0 * s), ("G1", s), ("G1_inv", -s),
+                             ("G_inv", -2.0 * s)):
+            m = fam.multipliers(which)
+            assert m is fam.multipliers(which)
+            assert not m.flags.writeable
+            assert m[0] == 0.0
+            assert np.array_equal(m[1:], k[1:] ** power)
+        with pytest.raises(DomainError, match="unknown gradient direction"):
+            fam.multipliers("G2")
+
     def test_inverse_requires_zero_mass(self, grid):
         fam = GradientFamily(grid, 0.5)
         f = smooth_field(grid, 14) + 1.0

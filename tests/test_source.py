@@ -10,7 +10,9 @@ module, whose import is a large share of the package's start-up time. No
 function imports inside its body: every module the package uses is imported
 once, at the top of the module that uses it. And every defaulted parameter
 of a package function is passed by some call in the package or its tests:
-an option that no caller varies is a constant.
+an option that no caller varies is a constant. No package function has a
+parameter that its body never reads: callers would pass a value that
+changes nothing.
 """
 
 import ast
@@ -237,3 +239,40 @@ def test_no_option_without_a_caller():
     sources = {p.stem: p.read_text() for p in ALL_SOURCES}
     calling = [*sources.values(), *(p.read_text() for p in TEST_SOURCES)]
     assert options_without_a_caller(sources, calling) == []
+
+
+def unread_parameters(source):
+    """name(parameter) of every parameter that its function never reads;
+    self, cls and names starting with an underscore are exempt. A read in a
+    nested function counts."""
+    unread = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = node.args
+        params = [*args.posonlyargs, *args.args, *args.kwonlyargs,
+                  *filter(None, (args.vararg, args.kwarg))]
+        read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        unread.extend(f"{node.name}({p.arg})" for p in params
+                      if p.arg not in read and p.arg not in ("self", "cls")
+                      and not p.arg.startswith("_"))
+    return unread
+
+
+def test_detects_an_unread_parameter():
+    source = (
+        "def f(a, b, _c, *args, d=1, **kw):\n"
+        "    def g(e):\n        return b\n"
+        "    b = a\n    return g\n"
+        "class C:\n    def m(self, x, y):\n        y = 2\n        return y\n"
+        "    @classmethod\n    def k(cls):\n        return 0\n"
+    )
+    assert unread_parameters(source) == [
+        "f(d)", "f(args)", "f(kw)", "g(e)", "m(x)",
+    ]
+
+
+@pytest.mark.parametrize("path", ALL_SOURCES, ids=lambda p: p.name)
+def test_no_unread_parameter(path):
+    assert unread_parameters(path.read_text()) == []
