@@ -245,11 +245,15 @@ class PulseManifold:
         return self.mass_excess / denom
 
     def n_pulse(self, config):
-        """Raw superposition b_minus + sum_j pulse_bar(z - p_j)."""
+        """Raw superposition b_minus + sum_j pulse_bar(z - p_j).
+
+        The n translates come from one pulse_bar call on the (n, N) offsets,
+        and are added row by row in pulse order."""
         z = self.grid.nodes
         total = np.full(z.shape, self.well.b_minus)
-        for p in config.positions:
-            total += self.pulse.pulse_bar(z - p)
+        offsets = z[None, :] - config.positions[:, None]
+        for row in self.pulse.pulse_bar(offsets):
+            total += row
         return ScalarField(self.grid, total)
 
     def _pulse_sum(self, x, config, max_order):

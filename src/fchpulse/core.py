@@ -301,17 +301,23 @@ def mode_matrix(grid, f, start=0, step=1):
     return out
 
 
+def mode_derivative(coeffs, kappa, order):
+    """Nodal values of d^order/dz^order of the cosine series with coefficients
+    coeffs and wavenumbers kappa; odd orders are sine series."""
+    if order % 2 == 0:
+        sign = (-1.0) ** (order // 2)
+        return cosine_synth(sign * coeffs * kappa**order)
+    sign = (-1.0) ** ((order + 1) // 2)
+    return sine_synth(sign * coeffs * kappa**order)
+
+
 def spectral_derivative(field, order):
     """Differentiate in the cosine basis; odd orders come back as sine series."""
     if order == 0:
         return ScalarField(field.grid, field.values.copy())
     a = cosine_coeffs(field.values)
-    kappa = field.grid.wavenumbers
-    if order % 2 == 0:
-        sign = (-1.0) ** (order // 2)
-        return ScalarField(field.grid, cosine_synth(sign * a * kappa**order))
-    sign = (-1.0) ** ((order + 1) // 2)
-    return ScalarField(field.grid, sine_synth(sign * a * kappa**order))
+    return ScalarField(field.grid,
+                       mode_derivative(a, field.grid.wavenumbers, order))
 
 
 # ---------------------------------------------------------------------------

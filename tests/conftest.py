@@ -14,13 +14,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from scipy.fft import dct
 
 import fchpulse
 from fchpulse import Grid, PulseManifold, SystemParams
-from fchpulse.core import mode_norms
+from fchpulse.core import h_mode_multipliers, mode_norms
 from fchpulse.harness import well_solution
 from fchpulse.operators import second_variation_coefficients
+from fchpulse.spectral import _deflate
 
 TAU = -0.3
 
@@ -154,6 +156,43 @@ def dense_second_variation(phi, well):
     a = dense_second_derivative(phi.grid) - np.diag(w2)
     mat = a @ a - np.diag(zeroth)
     return 0.5 * (mat + mat.T)
+
+
+# The dense eigensolves that shift-invert Lanczos replaced in
+# `SpectralContext.lowest` and for mu_x and mu_H2 in `coercivity_constant`,
+# kept as the oracle.
+
+
+def dense_lowest(context, k, scale=None):
+    """The lowest k eigenpairs of S L S by a dense eigensolver and one Ritz
+    step, with one step of block inverse iteration before a second Ritz step
+    when scaled: `SpectralContext.lowest` before the shift-invert solve."""
+    mat = context.matrix
+    if scale is not None:
+        mat = scale[:, None] * mat * scale[None, :]
+    _, vecs = sla.eigh(mat, subset_by_index=[0, k - 1])
+    theta, vecs = context.ritz(vecs, scale)
+    if scale is None:
+        return theta, vecs
+    w = scale[:, None] * vecs
+    resid = scale[:, None] * (context.b.T @ (context.b @ w) - context.z @ w)
+    resid -= vecs * theta
+    vecs, _ = np.linalg.qr(vecs - np.linalg.solve(mat, resid))
+    return context.ritz(vecs, scale)
+
+
+def dense_coercivity_minima(context, tangents):
+    """(mu_x, mu_H2): the lowest eigenvalues of the deflated zero-mass second
+    variation, unwhitened and H2-whitened, by dense eigensolves."""
+    t_modes = np.stack([context.modes(t) for t in tangents], axis=1)
+    s2 = 1.0 / np.sqrt(h_mode_multipliers(context.grid, 2)[1:])
+    m2 = s2[:, None] * context.matrix * s2[None, :]
+
+    def lowest(mat):
+        return sla.eigh(mat, subset_by_index=[0, 0], eigvals_only=True)[0]
+
+    return (lowest(_deflate(context.matrix, t_modes)),
+            lowest(_deflate(m2, s2[:, None] * t_modes)))
 
 
 def count_background_work(monkeypatch, manifold):

@@ -12,7 +12,9 @@ once, at the top of the module that uses it. And every defaulted parameter
 of a package function is passed by some call in the package or its tests:
 an option that no caller varies is a constant. No package function has a
 parameter that its body never reads: callers would pass a value that
-changes nothing.
+changes nothing. Every iterative eigensolver call (`eigsh`, `lobpcg`)
+passes its start explicitly (`v0=`, `X=`): without one ARPACK draws its own
+start vector, and runs stop repeating bit for bit.
 """
 
 import ast
@@ -28,6 +30,8 @@ ALL_SOURCES = sorted(Path(fchpulse.__file__).parent.glob("*.py"))
 SOURCES = [p for p in ALL_SOURCES if p.name != "__init__.py"]
 TEST_SOURCES = sorted(Path(__file__).parent.glob("*.py"))
 CATCH_ALL = {"Exception", "BaseException"}
+# Iterative eigensolvers and the keyword that hands each its start.
+SEEDED_SOLVERS = {"eigsh": "v0", "lobpcg": "X"}
 # The console-script entry point is called with no arguments; argv is for
 # callers that are not the installed script.
 ENTRY_POINTS = {"cli.main"}
@@ -276,3 +280,33 @@ def test_detects_an_unread_parameter():
 @pytest.mark.parametrize("path", ALL_SOURCES, ids=lambda p: p.name)
 def test_no_unread_parameter(path):
     assert unread_parameters(path.read_text()) == []
+
+
+def unseeded_solver_calls(source):
+    """(line, name) of every eigsh or lobpcg call without its start keyword."""
+    calls = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(
+            func, "id", None)
+        start = SEEDED_SOLVERS.get(name)
+        if start and start not in {k.arg for k in node.keywords}:
+            calls.append((node.lineno, name))
+    return calls
+
+
+def test_detects_an_unseeded_solver_call():
+    source = (
+        "from scipy.sparse import linalg\n"
+        "from scipy.sparse.linalg import eigsh, lobpcg\n"
+        "eigsh(a, 3, v0=v)\nlinalg.eigsh(a, 3, sigma=0.0)\n"
+        "lobpcg(a, x)\nlinalg.lobpcg(a, X=x)\n"
+    )
+    assert unseeded_solver_calls(source) == [(4, "eigsh"), (5, "lobpcg")]
+
+
+@pytest.mark.parametrize("path", ALL_SOURCES, ids=lambda p: p.name)
+def test_no_unseeded_solver_call(path):
+    assert unseeded_solver_calls(path.read_text()) == []

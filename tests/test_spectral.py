@@ -37,6 +37,7 @@ from fchpulse.spectral import (
     GAMMA_SWEEP,
     ShiftError,
     _best_shift,
+    _near_zero,
     dual_h4_norm,
     eigenfield_continuity,
     eta_star_formula,
@@ -49,6 +50,8 @@ from fchpulse.wellmodel import (
 )
 from conftest import (
     cluster_config,
+    dense_coercivity_minima,
+    dense_lowest,
     dense_second_derivative,
     dense_second_variation,
     dense_spectral_multiplier,
@@ -211,6 +214,115 @@ class TestRitzOracle:
         # good to its eps-level backward error (7.5e-6 relative at s = 1)
         eps_mat = np.finfo(float).eps * norm_mat
         assert np.max(np.abs(rep.eigenvalues[n:] - dense[n:])) <= eps_mat
+
+
+def shift_invert_point(manifold, point):
+    """The equispaced configuration (parity-symmetric) or one of two
+    asymmetric ones."""
+    if point == "equispaced":
+        return manifold.equispaced()
+    if point == "moderate":
+        return moderate_config(manifold)
+    return manifold.configuration([30.0, 75.0, 128.0])
+
+
+def negative_count(mat):
+    """The number of negative eigenvalues of the symmetric mat by Sylvester's
+    law of inertia: those of the block-diagonal factor of its LDL^T form."""
+    _, d, _ = sla.ldl(mat)
+    return int(np.count_nonzero(
+        sla.eigvalsh_tridiagonal(np.diag(d), np.diag(d, 1)) < 0.0))
+
+
+def assert_inertia_certificate(mat, theta):
+    """At every clear gap of the ascending theta, a shift sigma midway
+    between theta_j and theta_{j+1} leaves exactly j eigenvalues of mat below
+    it: no eigenvalue below the gap, a second copy of a multiple one
+    included, is missing from theta."""
+    gaps = [j for j in range(1, theta.size)
+            if theta[j] - theta[j - 1] > 1e-3 * abs(theta[j])]
+    assert gaps
+    for j in gaps:
+        sigma = 0.5 * (theta[j - 1] + theta[j])
+        shifted = mat - sigma * np.eye(mat.shape[0])
+        assert negative_count(shifted) == j, (j, sigma)
+
+
+POINTS = ["equispaced", "moderate", "spread"]
+
+
+class TestShiftInvert:
+    """The shift-invert Lanczos solves against the dense eigensolves they
+    replaced (conftest), at the desk preset's diagnostic grid."""
+
+    @pytest.fixture(scope="class")
+    def contexts(self, diag_manifold):
+        man = diag_manifold
+        out = {}
+        for point in POINTS:
+            prof = man.build(shift_invert_point(man, point))
+            out[point] = (prof, spectral_context(prof.phi, man.well))
+        return out
+
+    @pytest.mark.parametrize("point", POINTS)
+    def test_lowest_matches_dense_oracle(self, contexts, point):
+        _, context = contexts[point]
+        theta, vecs = context.lowest(7)
+        ref, _ = dense_lowest(context, 7)
+        assert_allclose(theta, ref, rtol=1e-9, atol=0)
+        assert vecs.shape == (context.matrix.shape[0], 7)
+        assert_allclose(vecs.T @ vecs, np.eye(7), atol=1e-12)
+        assert_inertia_certificate(context.matrix, theta)
+        if point == "equispaced":
+            # the parity-symmetric point has the double stable value 0.4678,
+            # with an even and an odd eigenvector
+            assert theta[3] == pytest.approx(0.4678, rel=1e-4)
+            assert theta[4] == pytest.approx(theta[3], rel=1e-9)
+            # the certificate sees a spectrum that lacks one copy
+            with pytest.raises(AssertionError):
+                assert_inertia_certificate(context.matrix,
+                                           np.delete(theta, 4))
+
+    @pytest.mark.parametrize("point", POINTS)
+    @pytest.mark.parametrize("s", [0.5, 1.0])
+    def test_scaled_lowest_matches_dense_oracle(self, diag_manifold,
+                                                contexts, point, s):
+        _, context = contexts[point]
+        g1 = GradientFamily(diag_manifold.grid, s).multipliers("G1")[1:]
+        theta, _ = context.lowest(6, scale=g1)
+        ref, _ = dense_lowest(context, 6, scale=g1)
+        assert_allclose(theta, ref, rtol=1e-9, atol=0)
+        scaled = g1[:, None] * context.matrix * g1[None, :]
+        assert_inertia_certificate(scaled, theta)
+
+    @pytest.mark.parametrize("point", POINTS)
+    def test_coercivity_minima_match_dense_oracle(self, diag_manifold,
+                                                  contexts, point):
+        man = diag_manifold
+        prof, context = contexts[point]
+        tangents = man.tangent_basis(prof.config)
+        rep = coercivity_constant(man, prof, tangents=tangents,
+                                  context=context)
+        mu_x, mu_h2 = dense_coercivity_minima(context, tangents)
+        assert rep.mu_x == pytest.approx(mu_x, rel=1e-9)
+        assert rep.mu_h2 == pytest.approx(mu_h2, rel=1e-9)
+        again = coercivity_constant(man, prof, tangents=tangents,
+                                    context=context)
+        assert again == rep
+
+    def test_repeats_bit_for_bit(self, diag_manifold, contexts):
+        _, context = contexts["moderate"]
+        g1 = GradientFamily(diag_manifold.grid, 1.0).multipliers("G1")[1:]
+        for scale in (None, g1):
+            first = context.lowest(7, scale=scale)
+            second = context.lowest(7, scale=scale)
+            assert all(np.array_equal(a, b) for a, b in zip(first, second))
+
+    def test_singular_matrix_raises(self):
+        singular = np.diag([0.0, 1.0, 2.0, 3.0, 4.0])
+        with pytest.warns(sla.LinAlgWarning):
+            with pytest.raises(ShiftError, match="singular"):
+                _near_zero(singular, 1)
 
 
 class TestSpectralGap:
@@ -487,9 +599,9 @@ class TestCoercivityOracle:
         assert rep.unconstrained_x_min == gap.eigenvalues[0]
         assert shared == rep
         if setup == "desk":
-            # only gamma = 0.05 can win, so the report takes 4 dense
-            # tridiagonalizations besides its gap report: mu_x, mu, mu_h2
-            # and that shift
+            # only gamma = 0.05 can win, so the report takes 2 dense
+            # tridiagonalizations besides its gap report, mu and that shift
+            # (mu_x and mu_h2 are shift-invert solves)
             assert rep.gammas_solved == (0.05,)
 
 
@@ -616,6 +728,41 @@ class TestSpectralContextReuse:
         # eigenfield-continuity check
         assert len(contexts) == len(profiles) + 2
         assert {p.phi.values.tobytes() for p in profiles} <= set(contexts)
+
+    def test_suite_solve_counts(self, manifold_factory, monkeypatch):
+        # on the testbed, the dense eigensolves of the suite are mu and the
+        # solved gamma shifts of each coercivity report, and the one full
+        # solve of the semigroup check; every other solve is shift-invert:
+        # the gap reports (the subset and the two shifted profiles of the
+        # continuity check), mu_x and mu_h2 of each coercivity report, and
+        # the symmetrized gap of each s
+        from fchpulse import spectral
+
+        man = manifold_factory(length=32.0, n=2, ell=8.0, num_points=256)
+        profiles = [man.build(c) for c in man.sample_configurations(2, seed=0)]
+        dense, lanczos = [], []
+        real_eigh, real_eigsh = spectral.sla.eigh, spectral.eigsh
+
+        def counted_eigh(a, *args, **kwargs):
+            dense.append("subset_by_index" in kwargs)
+            return real_eigh(a, *args, **kwargs)
+
+        def counted_eigsh(*args, **kwargs):
+            lanczos.append(kwargs["sigma"])
+            return real_eigsh(*args, **kwargs)
+
+        monkeypatch.setattr(spectral.sla, "eigh", counted_eigh)
+        monkeypatch.setattr(spectral, "eigsh", counted_eigsh)
+        s_values = (0.5, 1.0)
+        report = spectral.run_hypothesis_suite(man, profiles,
+                                               s_values=s_values)
+        subset = min(len(profiles), spectral.SPECTRAL_SUBSET)
+        assert len(report.coercivity) == subset
+        partial = sum(1 + len(c.gammas_solved) for c in report.coercivity)
+        assert len(dense) == partial + 1
+        assert dense.count(False) == 1
+        assert len(lanczos) == (subset + 2) + 2 * subset + len(s_values)
+        assert set(lanczos) == {0.0}
 
 
 def nodal_tangent_alignment(manifold, report, tangent_stacks):
