@@ -792,51 +792,31 @@ def eigenfield_continuity(manifold, config, center_report=None):
     """Slow-eigenfield continuity and p-Hessian magnitude along a p-path:
     the first pulse moved by +-0.05.
 
-    Eigenfields at the shifted points are matched to the center fields by
-    best overlap (nearly degenerate slow eigenvalues may reorder along the
-    path, and continuity is a statement about the continued fields, not
-    about a fixed index). center_report is the spectral gap report at config
-    when the caller already has it. Returns (min matched overlap, max
-    second-difference H4 norm).
+    The slow eigenvalues are nearly degenerate, so the eigenvectors inside
+    the slow cluster are fixed only to rounding and may rotate arbitrarily
+    along the path; continuity is a statement about the slow subspace. Each
+    shifted slow basis is therefore aligned onto the center basis by the
+    orthogonal Procrustes rotation before the second difference. center_report
+    is the spectral gap report at config when the caller already has it.
+    Returns (min subspace overlap, max second-difference H4 norm).
     """
     n = manifold.n
     step = 0.05
     if center_report is None:
         center_report = spectral_gap_report(manifold, manifold.build(config))
-    reps = []
-    for shift in (-step, step):
-        cfg = config.shifted(0, shift)
-        reps.append(spectral_gap_report(manifold, manifold.build(cfg)))
-    center = [to_modes(f) for f in center_report.eigenfields[:n]]
-
-    def matched(rep):
-        cands = [to_modes(f) for f in rep.eigenfields[:n]]
-        out, used = [], set()
-        for ref in center:
-            scores = [
-                (abs(ref @ c), k) for k, c in enumerate(cands) if k not in used
-            ]
-            score, k = max(scores)
-            used.add(k)
-            v = cands[k] if cands[k] @ ref >= 0.0 else -cands[k]
-            out.append((score, v))
-        return out
-
-    left, right = matched(reps[0]), matched(reps[1])
-    # subspace continuity: individual eigenvectors may rotate arbitrarily
-    # fast inside a nearly degenerate slow cluster, but the slow subspace
-    # itself turns at a rate controlled by the gap to the stable part
-    u_c = np.stack(center, axis=1)
+    u_c = np.stack([to_modes(f) for f in center_report.eigenfields[:n]], axis=1)
     sub_overlap = 1.0
-    for rep in reps:
+    aligned = []
+    for shift in (-step, step):
+        rep = spectral_gap_report(manifold, manifold.build(config.shifted(0, shift)))
         u_s = np.stack([to_modes(f) for f in rep.eigenfields[:n]], axis=1)
-        sub_overlap = min(
-            sub_overlap, float(np.min(np.linalg.svd(u_c.T @ u_s)[1]))
-        )
-    hessians = []
-    for j in range(n):
-        second = (left[j][1] - 2.0 * center[j] + right[j][1]) / step**2
-        hessians.append(norm(from_modes(manifold.grid, second), "h4"))
+        # the subspace turns at a rate controlled by the gap to the stable part
+        u, sigma, vt = np.linalg.svd(u_c.T @ u_s)
+        sub_overlap = min(sub_overlap, float(np.min(sigma)))
+        aligned.append(u_s @ (u @ vt).T)
+    second = (aligned[0] - 2.0 * u_c + aligned[1]) / step**2
+    hessians = [norm(from_modes(manifold.grid, second[:, j]), "h4")
+                for j in range(n)]
     return sub_overlap, float(np.max(hessians))
 
 

@@ -154,32 +154,116 @@ def well_jet(well, j, f, base):
 # ---------------------------------------------------------------------------
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
+# Most lanes of one integrand call. It bounds the (lanes, panels, 64)
+# temporaries, whose heap the process keeps: at 32 lanes they raised the peak
+# RSS of a well set-up by ~0.2 MiB, at 16 it stays within ~0.05 MiB.
+LANE_CHUNK = 16
+# Iteration limit of `_brentq_lanes`: scipy's brentq default.
+BRENTQ_MAXITER = 100
 
 
 def _gauss_panels(fn, a, b, max_len=4.0):
-    """Composite Gauss-Legendre rule on equal panels of length <= max_len.
+    """Composite Gauss-Legendre rule on [a_i, b_i] for each lane i of a, b.
 
-    One integrand call covers every panel (one row each); the panel sums are
-    added in panel order.
+    Lane i is split into n_i = max(1, ceil((b_i - a_i)/max_len)) equal panels;
+    an empty interval (b_i <= a_i) gives 0.0. Lanes with the same n_i share
+    one integrand call per LANE_CHUNK lanes. Each lane gets the bits of the
+    scalar rule: the same `np.linspace` edges and node formula, one 64-term
+    sum per panel along the last axis, and the panel sums added in panel
+    order.
     """
-    if b <= a:
-        return 0.0
-    n = max(1, int(np.ceil((b - a) / max_len)))
-    edges = np.linspace(a, b, n + 1)
-    lo, hi = edges[:-1, None], edges[1:, None]
-    t = 0.5 * (hi - lo) * _GL_NODES + 0.5 * (lo + hi)
-    panels = 0.5 * (hi - lo)[:, 0] * np.sum(_GL_WEIGHTS * fn(t), axis=1)
-    return float(sum(panels))
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float),
+                               np.asarray(b, dtype=float))
+    out = np.zeros(a.shape)
+    live = np.flatnonzero(b > a)
+    counts = np.maximum(1, np.ceil((b.flat[live] - a.flat[live]) / max_len))
+    # a set, not np.unique: its sort pages in ~0.2 MiB of numpy's library
+    # code that the rest of the well set-up never runs
+    for n in sorted(set(counts.astype(int).tolist())):
+        group = live[counts == n]
+        for lanes in np.split(group, range(LANE_CHUNK, group.size, LANE_CHUNK)):
+            edges = np.linspace(a.flat[lanes], b.flat[lanes], n + 1, axis=-1)
+            lo, hi = edges[:, :-1, None], edges[:, 1:, None]
+            t = 0.5 * (hi - lo) * _GL_NODES + 0.5 * (lo + hi)
+            panels = 0.5 * (hi - lo)[..., 0] * np.sum(_GL_WEIGHTS * fn(t), axis=-1)
+            total = np.zeros(lanes.size)
+            for k in range(n):
+                total += panels[:, k]
+            out.flat[lanes] = total
+    return out
+
+
+def _brentq_lanes(f, xa, xb, fa, fb, xtol, rtol):
+    """Roots of independent lanes by Brent's method, bit for bit scipy's brentq.
+
+    A transcription of scipy's `brentq.c` in which every step is a masked
+    array operation. fa, fb are f at the bracket ends xa, xb; f(x, lanes)
+    evaluates the lanes still iterating (indices into the inputs) at x.
+    """
+    xpre, xcur, fpre, fcur = (np.array(v, dtype=float) for v in
+                              np.broadcast_arrays(xa, xb, fa, fb))
+    root = np.where(fpre == 0.0, xpre, xcur)
+    lanes = np.flatnonzero((fpre != 0.0) & (fcur != 0.0))
+    if np.any(np.signbit(fpre[lanes]) == np.signbit(fcur[lanes])):
+        raise ToleranceError("brentq bracket: f(a) and f(b) have the same sign")
+    xpre, xcur, fpre, fcur = xpre[lanes], xcur[lanes], fpre[lanes], fcur[lanes]
+    xblk, fblk, spre, scur = (np.zeros(lanes.size) for _ in range(4))
+    for _ in range(BRENTQ_MAXITER):
+        flip = (fpre != 0.0) & (fcur != 0.0) & (np.signbit(fpre) != np.signbit(fcur))
+        xblk, fblk = np.where(flip, xpre, xblk), np.where(flip, fpre, fblk)
+        step = xcur - xpre
+        spre, scur = np.where(flip, step, spre), np.where(flip, step, scur)
+        swap = np.abs(fblk) < np.abs(fcur)
+        xpre, xcur, xblk = (np.where(swap, xcur, xpre), np.where(swap, xblk, xcur),
+                            np.where(swap, xcur, xblk))
+        fpre, fcur, fblk = (np.where(swap, fcur, fpre), np.where(swap, fblk, fcur),
+                            np.where(swap, fcur, fblk))
+
+        delta = (xtol + rtol * np.abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        done = (fcur == 0.0) | (np.abs(sbis) < delta)
+        root[lanes[done]] = xcur[done]
+        keep = ~done
+        lanes = lanes[keep]
+        if lanes.size == 0:
+            return root
+        xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta, sbis = (
+            v[keep] for v in (xpre, xcur, xblk, fpre, fcur, fblk, spre, scur,
+                              delta, sbis))
+
+        with np.errstate(divide="ignore", invalid="ignore"):
+            interpolated = -fcur * (xcur - xpre) / (fcur - fpre)
+            dpre = (fpre - fcur) / (xpre - xcur)
+            dblk = (fblk - fcur) / (xblk - xcur)
+            extrapolated = (-fcur * (fblk * dblk - fpre * dpre)
+                            / (dblk * dpre * (fblk - fpre)))
+        stry = np.where(xpre == xblk, interpolated, extrapolated)
+        short = ((np.abs(spre) > delta) & (np.abs(fcur) < np.abs(fpre))
+                 & (2 * np.abs(stry)
+                    < np.minimum(np.abs(spre), 3 * np.abs(sbis) - delta)))
+        spre, scur = np.where(short, scur, sbis), np.where(short, stry, sbis)
+
+        xpre, fpre = xcur, fcur
+        xcur = xcur + np.where(np.abs(scur) > delta, scur,
+                               np.where(sbis > 0, delta, -delta))
+        fcur = f(xcur, lanes)
+    raise ToleranceError(
+        f"brentq did not converge in {BRENTQ_MAXITER} iterations")
 
 
 class _HomoclinicInverter:
-    """Pointwise evaluation of phi_bar(z) = phi_h(z) - b_minus for z >= 0.
+    """Batched evaluation of phi_bar(z) = phi_h(z) - b_minus at z >= 0.
 
     Upper branch (phi near the turning point u*): substitute phi = u* - t^2,
     which makes the integrand smooth through the simple zero of W at u*.
     Lower branch (phi near b_minus): substitute phi = b_minus + e^v, which
     turns the logarithmic tail into a bounded integrand; root-finding in v
     keeps relative accuracy uniform down to phi_bar ~ 1e-300.
+
+    Every z is its own root-find, z_upper(t) = z or z_lower(v) = z; all of
+    them run together in `_brentq_lanes` over the batched `_gauss_panels`,
+    and each lane gets the bits of a scalar scipy brentq over the scalar
+    panel rule.
     """
 
     def __init__(self, well):
@@ -190,7 +274,12 @@ class _HomoclinicInverter:
         self.e_mid = 0.5 * self.e_star
         self.t_mid = float(np.sqrt(self.e_star - self.e_mid))
         self.v_mid = float(np.log(self.e_mid))
-        self.z_mid = self._z_upper(self.t_mid)
+        self.z_mid = float(self._z_upper(self.t_mid))
+        if not np.isfinite(self.z_mid):
+            raise ToleranceError(
+                f"homoclinic inversion at tau = {well.tau:g}: z_upper(t_mid) "
+                f"= {self.z_mid} at t_mid = {self.t_mid!r}"
+            )
 
     def _find_turning_point(self):
         well = self.well
@@ -229,36 +318,54 @@ class _HomoclinicInverter:
         return self.z_mid + _gauss_panels(self._lower_integrand, v, self.v_mid)
 
     # inversion ------------------------------------------------------------
+    def _misfit(self, name, x, z):
+        """z_upper(t) - z (name "t") or z_lower(v) - z (name "v"), lane-wise.
+
+        A NaN, which scipy's brentq refuses with a bare ValueError, raises
+        ToleranceError with tau, z and the abscissa.
+        """
+        out = (self._z_upper if name == "t" else self._z_lower)(x) - z
+        bad = np.flatnonzero(np.isnan(out))
+        if bad.size:
+            i = bad[0]
+            raise ToleranceError(
+                f"homoclinic inversion at tau = {self.well.tau:g}: the "
+                f"quadrature for z = {float(z[i])!r} is NaN at "
+                f"{name} = {float(x[i])!r} (W_bar rounds below zero there)"
+            )
+        return out
+
     def phi_bar(self, z):
-        """phi_bar at a single z >= 0."""
-        if z <= 0.0:
-            return self.e_star
-        if z <= self.z_mid:
-            t = brentq(
-                lambda t: self._z_upper(t) - z, 0.0, self.t_mid,
+        """phi_bar at every entry of the array z >= 0."""
+        z = np.asarray(z, dtype=float)
+        out = np.full(z.shape, self.e_star)
+        upper = (z > 0.0) & (z <= self.z_mid)
+        if np.any(upper):
+            zu = z[upper]
+            t = _brentq_lanes(
+                lambda t, lanes: self._misfit("t", t, zu[lanes]),
+                0.0, self.t_mid, 0.0 - zu, self.z_mid - zu,
                 xtol=1e-14, rtol=8.9e-16,
             )
-            return self.e_star - t * t
-        v_lo = self.v_mid - self.sqrt_am * (z - self.z_mid) - 2.0
-        while self._z_lower(v_lo) < z:
-            v_lo -= 5.0
-        v = brentq(
-            lambda v: self._z_lower(v) - z, v_lo, self.v_mid,
-            xtol=1e-13, rtol=8.9e-16,
-        )
-        return float(np.exp(v))
-
-    def asymptotic_amplitude(self):
-        """Exact tail coefficient lim e^{sqrt(alpha)*z} phi_bar(z).
-
-        Computed from the regularized quadrature
-        C = z_mid + v_mid/sqrt(alpha) + int_{-inf}^{v_mid} (q(v) - 1/sqrt(a)) dv,
-        so that phi_bar ~ exp(sqrt(a) * (C - z)); independent of any fit.
-        """
-        reg = lambda v: self._lower_integrand(v) - 1.0 / self.sqrt_am
-        tail = _gauss_panels(reg, self.v_mid - 60.0, self.v_mid)
-        c = self.z_mid + self.v_mid / self.sqrt_am + tail
-        return float(np.exp(self.sqrt_am * c))
+            out[upper] = self.e_star - t * t
+        lower = z > self.z_mid
+        if np.any(lower):
+            zl = z[lower]
+            v_lo = self.v_mid - self.sqrt_am * (zl - self.z_mid) - 2.0
+            f_lo = self._misfit("v", v_lo, zl)
+            # widen each bracket until z_lower(v_lo) >= z
+            short = np.flatnonzero(f_lo < 0.0)
+            while short.size:
+                v_lo[short] -= 5.0
+                f_lo[short] = self._misfit("v", v_lo[short], zl[short])
+                short = short[f_lo[short] < 0.0]
+            v = _brentq_lanes(
+                lambda v, lanes: self._misfit("v", v, zl[lanes]),
+                v_lo, self.v_mid, f_lo, self.z_mid - zl,
+                xtol=1e-13, rtol=8.9e-16,
+            )
+            out[lower] = np.exp(v)
+        return out
 
 
 @dataclass(frozen=True)
@@ -418,7 +525,8 @@ def solve_homoclinic(well, half_width=None, cheb_degree=220):
 
     Centered so that phi'(0) = 0, phi(0) = u*, and sampled every
     PULSE_SPACING. Raises ToleranceError when the finite-difference residual
-    on the sampled window exceeds HOMOCLINIC_TOL.
+    on the sampled window exceeds HOMOCLINIC_TOL, and when the inversion
+    meets a NaN quadrature (some tilts, see README).
     """
     inv = _HomoclinicInverter(well)
     sqrt_am = inv.sqrt_am
@@ -426,14 +534,10 @@ def solve_homoclinic(well, half_width=None, cheb_degree=220):
         half_width = max(20.0 / sqrt_am, 24.0)
 
     cheb = chebyshev.Chebyshev.interpolate(
-        lambda xs: np.array([inv.phi_bar(float(x)) for x in np.atleast_1d(xs)]),
-        cheb_degree,
-        domain=[0.0, half_width],
+        inv.phi_bar, cheb_degree, domain=[0.0, half_width]
     )
     check = np.linspace(0.0, half_width, 173)
-    cheb_err = max(
-        abs(c - inv.phi_bar(float(x))) for x, c in zip(check, cheb(check))
-    )
+    cheb_err = float(np.max(np.abs(cheb(check) - inv.phi_bar(check))))
     if cheb_err > 1e-11:
         raise ToleranceError(
             f"pulse interpolant error {cheb_err:.2e} exceeds 1e-11; "
@@ -455,7 +559,7 @@ def solve_homoclinic(well, half_width=None, cheb_degree=220):
     mass_h = 2.0 * (mass_core + phi_max * np.exp(-sqrt_am * half_width) / sqrt_am)
 
     dsq = lambda t: 2.0 * well.W_bar(cheb(t))
-    kin_core = _gauss_panels(dsq, 0.0, half_width, max_len=0.5)
+    kin_core = float(_gauss_panels(dsq, 0.0, half_width, max_len=0.5))
     kin_tail = (
         0.5 * sqrt_am * phi_max**2 * np.exp(-2.0 * sqrt_am * half_width)
     )
@@ -584,11 +688,6 @@ def _tabulate_pair_energy(pulse):
         table_max=table_max,
         scaled=scaled,
     )
-
-
-def exact_tail_amplitude(well):
-    """Fit-free tail coefficient; test oracle for PulseProfile.phi_max."""
-    return _HomoclinicInverter(well).asymptotic_amplitude()
 
 
 # ---------------------------------------------------------------------------

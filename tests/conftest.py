@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 from scipy.fft import dct
+from scipy.optimize import brentq
 
 import fchpulse
 from fchpulse import Grid, PulseManifold, SystemParams
@@ -23,6 +24,7 @@ from fchpulse.core import h_mode_multipliers, mode_norms
 from fchpulse.harness import well_solution
 from fchpulse.operators import second_variation_coefficients
 from fchpulse.spectral import _deflate
+from fchpulse.wellmodel import _GL_NODES, _GL_WEIGHTS, _HomoclinicInverter
 
 TAU = -0.3
 
@@ -193,6 +195,61 @@ def dense_coercivity_minima(context, tangents):
 
     return (lowest(_deflate(context.matrix, t_modes)),
             lowest(_deflate(m2, s2[:, None] * t_modes)))
+
+
+# The scalar homoclinic inversion that the batched
+# `_HomoclinicInverter.phi_bar` replaced, kept as its bitwise oracle: one
+# scipy brentq per z over the scalar composite Gauss-Legendre rule.
+
+
+def gauss_panels(fn, a, b, max_len=4.0):
+    """Composite Gauss-Legendre rule on equal panels of length <= max_len.
+
+    One integrand call covers every panel (one row each); the panel sums are
+    added in panel order.
+    """
+    if b <= a:
+        return 0.0
+    n = max(1, int(np.ceil((b - a) / max_len)))
+    edges = np.linspace(a, b, n + 1)
+    lo, hi = edges[:-1, None], edges[1:, None]
+    t = 0.5 * (hi - lo) * _GL_NODES + 0.5 * (lo + hi)
+    panels = 0.5 * (hi - lo)[:, 0] * np.sum(_GL_WEIGHTS * fn(t), axis=1)
+    return float(sum(panels))
+
+
+def phi_bar_oracle(inv, z):
+    """phi_bar at a single z >= 0 by scalar brentq on either branch."""
+    if z <= 0.0:
+        return inv.e_star
+    z_upper = lambda t: gauss_panels(inv._upper_integrand, 0.0, t, max_len=0.25)
+    z_lower = lambda v: inv.z_mid + gauss_panels(inv._lower_integrand, v,
+                                                 inv.v_mid)
+    if z <= inv.z_mid:
+        t = brentq(lambda t: z_upper(t) - z, 0.0, inv.t_mid,
+                   xtol=1e-14, rtol=8.9e-16)
+        return inv.e_star - t * t
+    v_lo = inv.v_mid - inv.sqrt_am * (z - inv.z_mid) - 2.0
+    while z_lower(v_lo) < z:
+        v_lo -= 5.0
+    v = brentq(lambda v: z_lower(v) - z, v_lo, inv.v_mid,
+               xtol=1e-13, rtol=8.9e-16)
+    return float(np.exp(v))
+
+
+def exact_tail_amplitude(well):
+    """Fit-free tail coefficient lim e^{sqrt(alpha)*z} phi_bar(z); test
+    oracle for PulseProfile.phi_max.
+
+    Computed from the regularized quadrature
+    C = z_mid + v_mid/sqrt(alpha) + int_{-inf}^{v_mid} (q(v) - 1/sqrt(a)) dv,
+    so that phi_bar ~ exp(sqrt(a) * (C - z)); independent of any fit.
+    """
+    inv = _HomoclinicInverter(well)
+    reg = lambda v: inv._lower_integrand(v) - 1.0 / inv.sqrt_am
+    tail = gauss_panels(reg, inv.v_mid - 60.0, inv.v_mid)
+    c = inv.z_mid + inv.v_mid / inv.sqrt_am + tail
+    return float(np.exp(inv.sqrt_am * c))
 
 
 def count_background_work(monkeypatch, manifold):

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import fchpulse.spectral as spectral
 from fchpulse import (
     GradientFamily,
     Grid,
@@ -791,34 +792,25 @@ def nodal_tangent_alignment(manifold, report, tangent_stacks):
 
 def nodal_eigenfield_continuity(manifold, config, center_report, step=0.05):
     """Oracle: eigenfield continuity along p_1 in nodal weighted
-    coordinates. Returns (min subspace overlap, max Hessian H4 norm)."""
+    coordinates, each shifted slow basis rotated onto the center basis by
+    orthogonal Procrustes. Returns (min subspace overlap, max Hessian H4
+    norm)."""
     grid, n = manifold.grid, manifold.n
     direction = np.zeros(n)
     direction[0] = 1.0
-    reps = [spectral_gap_report(manifold, manifold.build(
-        manifold.configuration(config.positions + shift * direction)))
-        for shift in (-step, step)]
-    center = [to_weighted(f) for f in center_report.eigenfields[:n]]
-
-    def matched(rep):
-        cands = [to_weighted(f) for f in rep.eigenfields[:n]]
-        out, used = [], set()
-        for ref in center:
-            _, k = max((abs(ref @ c), k) for k, c in enumerate(cands)
-                       if k not in used)
-            used.add(k)
-            out.append(cands[k] if cands[k] @ ref >= 0.0 else -cands[k])
-        return out
-
-    left, right = matched(reps[0]), matched(reps[1])
-    u_c = np.stack(center, axis=1)
-    overlap = min(
-        float(np.min(np.linalg.svd(u_c.T @ np.stack(
-            [to_weighted(f) for f in rep.eigenfields[:n]], axis=1))[1]))
-        for rep in reps
-    )
+    u_c = np.stack([to_weighted(f) for f in center_report.eigenfields[:n]],
+                   axis=1)
+    overlap, aligned = 1.0, []
+    for shift in (-step, step):
+        rep = spectral_gap_report(manifold, manifold.build(
+            manifold.configuration(config.positions + shift * direction)))
+        u_s = np.stack([to_weighted(f) for f in rep.eigenfields[:n]], axis=1)
+        u, sigma, vt = np.linalg.svd(u_s.T @ u_c)
+        overlap = min(overlap, float(np.min(sigma)))
+        aligned.append(u_s @ u @ vt)
     hessians = [
-        norm(ScalarField(grid, (left[j] - 2.0 * center[j] + right[j])
+        norm(ScalarField(grid, (aligned[0][:, j] - 2.0 * u_c[:, j]
+                                + aligned[1][:, j])
                          / step**2 / np.sqrt(grid.quad_weights)), "h4")
         for j in range(n)
     ]
@@ -928,6 +920,32 @@ class TestProxies:
         )
         assert overlap > 0.99
         assert np.isfinite(hessian)
+
+    def test_hessian_ignores_rotations_inside_the_slow_cluster(
+            self, diag_manifold, monkeypatch):
+        """Rotating the shifted slow eigenvectors among themselves, which a
+        nearly degenerate cluster allows, leaves the Hessian norm as it is."""
+        man = diag_manifold
+        config = moderate_config(man)
+        center = spectral_gap_report(man, man.build(config))
+        overlap, hessian = eigenfield_continuity(man, config,
+                                                 center_report=center)
+        n, grid = man.n, man.grid
+        rotation, _ = np.linalg.qr(np.random.default_rng(7).normal(size=(n, n)))
+        real = spectral.spectral_gap_report
+
+        def rotated(manifold, profile):
+            rep = real(manifold, profile)
+            slow = np.stack([f.values for f in rep.eigenfields[:n]], axis=1)
+            turned = [ScalarField(grid, v) for v in (slow @ rotation).T]
+            return dataclasses.replace(
+                rep, eigenfields=turned + rep.eigenfields[n:])
+
+        monkeypatch.setattr(spectral, "spectral_gap_report", rotated)
+        turned_overlap, turned_hessian = eigenfield_continuity(
+            man, config, center_report=center)
+        assert turned_overlap == pytest.approx(overlap, rel=1e-12)
+        assert turned_hessian == pytest.approx(hessian, rel=1e-8)
 
 
 class TestEigenfieldOrthonormality:

@@ -1,22 +1,38 @@
 """Double well, homoclinic pulse, far-field fit, and background solutions."""
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import chebyshev
 from numpy.testing import assert_allclose
 
-from fchpulse import DomainError, WellError, default_well, far_field_params
+import fchpulse.wellmodel as wellmodel
+from fchpulse import (
+    DomainError,
+    ToleranceError,
+    WellError,
+    default_well,
+    far_field_params,
+    solve_homoclinic,
+)
 from fchpulse.wellmodel import (
     _GL_NODES,
     _GL_WEIGHTS,
+    LANE_CHUNK,
     _fd_residual,
     _gauss_panels,
     _HomoclinicInverter,
-    exact_tail_amplitude,
 )
 
-from conftest import bar_at_oracle
+from conftest import (
+    bar_at_oracle,
+    exact_tail_amplitude,
+    gauss_panels,
+    phi_bar_oracle,
+)
 
 
 class TestDefaultWell:
@@ -54,8 +70,8 @@ class TestDefaultWell:
 
 
 def gauss_panels_oracle(fn, a, b, max_len=4.0):
-    """One integrand call per panel: the composite rule `_gauss_panels`
-    replaced, kept as its bitwise oracle."""
+    """One integrand call per panel: the composite rule that the scalar
+    `gauss_panels` replaced, kept as its bitwise oracle."""
     def panel(lo, hi):
         if hi <= lo:
             return 0.0
@@ -73,27 +89,140 @@ def inverter(well):
 
 
 class TestGaussPanels:
-    """All panels in one integrand call give the bits of one call per panel."""
+    """The batched rule gives every lane the bits of the scalar rule, which
+    gives the bits of one integrand call per panel."""
 
     @settings(max_examples=40, deadline=None)
     @given(frac=st.floats(0.0, 1.0))
     def test_upper_branch(self, inverter, frac):
         t_hi = frac * inverter.t_mid
         got = _gauss_panels(inverter._upper_integrand, 0.0, t_hi, max_len=0.25)
-        ref = gauss_panels_oracle(inverter._upper_integrand, 0.0, t_hi, 0.25)
-        assert type(got) is float and got == ref
+        ref = gauss_panels(inverter._upper_integrand, 0.0, t_hi, max_len=0.25)
+        per_panel = gauss_panels_oracle(inverter._upper_integrand, 0.0, t_hi,
+                                        0.25)
+        assert got.shape == () and got == ref == per_panel
 
     @settings(max_examples=40, deadline=None)
     @given(depth=st.floats(0.0, 80.0))
     def test_lower_branch(self, inverter, depth):
         v = inverter.v_mid - depth
         got = _gauss_panels(inverter._lower_integrand, v, inverter.v_mid)
-        ref = gauss_panels_oracle(inverter._lower_integrand, v, inverter.v_mid)
-        assert type(got) is float and got == ref
+        ref = gauss_panels(inverter._lower_integrand, v, inverter.v_mid)
+        per_panel = gauss_panels_oracle(inverter._lower_integrand, v,
+                                        inverter.v_mid)
+        assert got.shape == () and got == ref == per_panel
+
+    @settings(max_examples=15, deadline=None)
+    @given(fracs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=80),
+           depths=st.lists(st.floats(-1.0, 80.0), min_size=1, max_size=80))
+    def test_every_lane_matches_the_scalar_rule(self, inverter, fracs, depths):
+        """Lanes of mixed panel counts, more than LANE_CHUNK of them, and
+        empty intervals (negative depth) in one call."""
+        t_hi = inverter.t_mid * np.array(fracs)
+        got = _gauss_panels(inverter._upper_integrand, 0.0, t_hi, max_len=0.25)
+        ref = [gauss_panels(inverter._upper_integrand, 0.0, t, max_len=0.25)
+               for t in t_hi]
+        assert got.tobytes() == np.array(ref).tobytes()
+        v = inverter.v_mid - np.array(depths)
+        got = _gauss_panels(inverter._lower_integrand, v, inverter.v_mid)
+        ref = [gauss_panels(inverter._lower_integrand, x, inverter.v_mid)
+               for x in v]
+        assert got.tobytes() == np.array(ref).tobytes()
+
+    def test_chunks_and_panel_groups(self, inverter):
+        """Three panel counts, one of them over two chunks of lanes."""
+        depth = np.repeat([1.0, 10.0, 30.0], [LANE_CHUNK + 5, 3, 1])
+        v = inverter.v_mid - depth
+        got = _gauss_panels(inverter._lower_integrand, v, inverter.v_mid)
+        ref = [gauss_panels(inverter._lower_integrand, x, inverter.v_mid)
+               for x in v]
+        assert got.tobytes() == np.array(ref).tobytes()
+
+    def test_kinetic_core(self, pulse):
+        """The single-lane kinetic-energy quadrature of `solve_homoclinic`."""
+        dsq = lambda t: 2.0 * pulse.well.W_bar(pulse._cheb(t))
+        got = _gauss_panels(dsq, 0.0, pulse.half_width, max_len=0.5)
+        assert got == gauss_panels(dsq, 0.0, pulse.half_width, max_len=0.5)
 
     def test_empty_interval(self, inverter):
         for a, b in ((1.5, 1.5), (2.0, 1.0)):
             assert _gauss_panels(inverter._lower_integrand, a, b) == 0.0
+            assert gauss_panels(inverter._lower_integrand, a, b) == 0.0
+
+
+@lru_cache(maxsize=None)
+def tilted_inverter(tau):
+    return _HomoclinicInverter(default_well(tau))
+
+
+def oracle_or_none(inv, z):
+    """The scalar oracle at z, or None where scipy's brentq meets a NaN."""
+    try:
+        with np.errstate(invalid="ignore", divide="ignore"):
+            return phi_bar_oracle(inv, z)
+    except ValueError:
+        return None
+
+
+class TestHomoclinicInversion:
+    """The batched inversion is the scalar brentq inversion, bit for bit."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(tau=st.sampled_from([-0.1, -0.3, -0.5, -0.8, -0.95]),
+           fracs=st.lists(st.floats(0.0, 3.0), min_size=1, max_size=12),
+           edges=st.lists(st.sampled_from(["zero", "mid", "above_mid", "tiny"]),
+                          max_size=3))
+    def test_batch_matches_scalar_brentq(self, tau, fracs, edges):
+        inv = tilted_inverter(tau)
+        half_width = max(20.0 / inv.sqrt_am, 24.0)
+        named = {"zero": 0.0, "mid": inv.z_mid,
+                 "above_mid": np.nextafter(inv.z_mid, np.inf), "tiny": 1e-14}
+        z = np.array([f * half_width for f in fracs] + [named[e] for e in edges])
+        ref = [oracle_or_none(inv, float(x)) for x in z]
+        for x, r in zip(z, ref):
+            if r is None:
+                with np.errstate(invalid="ignore", divide="ignore"), \
+                        pytest.raises(ToleranceError, match=f"tau = {tau:g}"):
+                    inv.phi_bar(np.array([x]))
+        ok = np.array([r is not None for r in ref])
+        solved = np.array([r for r in ref if r is not None])
+        assert inv.phi_bar(z[ok]).tobytes() == solved.tobytes()
+
+    def test_desk_nodes_match_scalar_brentq(self, inverter, pulse):
+        """The Chebyshev nodes and the check points of the desk solve."""
+        nodes = chebyshev.chebpts1(221)
+        z = np.concatenate([0.5 * pulse.half_width * (nodes + 1.0),
+                            np.linspace(0.0, pulse.half_width, 173)])
+        ref = [phi_bar_oracle(inverter, float(x)) for x in z]
+        assert inverter.phi_bar(z).tobytes() == np.array(ref).tobytes()
+
+    @pytest.mark.parametrize("tau", [-0.7, -0.9])
+    def test_turning_point_cancellation_raises(self, tau):
+        """W_bar(e* - t^2) rounds to zero or below for t below ~3e-8 at these
+        tilts, and the Gauss nodes reach it once the root-find tries t ~ 3e-5."""
+        with np.errstate(invalid="ignore", divide="ignore"), \
+                pytest.raises(ToleranceError, match=rf"tau = {tau:g}.* z = .* t = "):
+            solve_homoclinic(default_well(tau))
+
+    def test_desk_solve_quadrature_passes(self, well, monkeypatch):
+        """35 batched quadratures and 231 integrand calls of at most
+        LANE_CHUNK lanes each, where one scalar brentq per z made 3,236
+        scalar quadratures."""
+        passes, calls = [], []
+        real = wellmodel._gauss_panels
+
+        def counting(fn, a, b, max_len=4.0):
+            def integrand(t):
+                calls.append(t.shape[0])
+                return fn(t)
+            passes.append(1)
+            return real(integrand, a, b, max_len)
+
+        monkeypatch.setattr(wellmodel, "_gauss_panels", counting)
+        solve_homoclinic(well)
+        assert len(passes) <= 40
+        assert len(calls) <= 240
+        assert max(calls) <= LANE_CHUNK
 
 
 class TestHomoclinic:
