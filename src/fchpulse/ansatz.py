@@ -4,10 +4,14 @@ A manifold point is assembled as
     Phi(z; p) = u_n(z; p) + lambda * B_{2,n}(z; p) + E(z; p),
 where u_n superposes pulse translates over the background state b_minus,
 lambda * B_{2,n} carries the excess mass M1 = M - n*M_h, and E is the
-boundary correction built from shadow-pulse tails. The five internal
-parameters (p0, p_{n+1}, e0, e_{n+1}, lambda) are seeded by closed-form
-leading-order values and refined by a damped Newton iteration enforcing the
-four no-flux boundary conditions and the discrete mass constraint.
+boundary correction built from shadow-pulse tails,
+    E(z) = A e^{-rz} (a0 + b0 z) + A e^{r(z-L)} (a1 + b1 (z-L)),
+with A = phi_max and r = sqrt(alpha_minus). Written in the signed
+coefficients (a0, b0, a1, b1), the four no-flux boundary conditions and the
+discrete mass constraint are linear in (a0, b0, a1, b1, lambda), so one
+direct solve closes the manifold. The shadow-pulse locations p0, p_{n+1} and
+slopes e0, e_{n+1} of the tail form A (1 + e z) e^{-+r(z-p)} are read from
+the coefficients where the amplitude is positive.
 
 Smallness measurements in the H^4 norm are assembled from analytic component
 derivatives (chain rule through the pulse first integral, termwise series
@@ -23,6 +27,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import asdict, dataclass
 from functools import cached_property
 
@@ -39,7 +44,6 @@ from .wellmodel import leibniz, well_jet
 
 BC_TOL = 1e-8
 MASS_RTOL = 1e-10
-NEWTON_MAX_ITER = 50
 
 
 def latin_hypercube(count, dim, seed):
@@ -111,24 +115,60 @@ class PulseConfiguration:
         return PulseConfiguration(q, self.min_spacing, self.domain_length)
 
 
+def _shadow(amplitude, slope):
+    """(log amplitude, slope / amplitude) of a tail term, NaN unless the
+    amplitude is positive."""
+    if amplitude <= 0.0:
+        return math.nan, math.nan
+    return math.log(amplitude), slope / amplitude
+
+
 @dataclass(frozen=True)
 class InternalParams:
-    """Shadow-pulse locations, boundary slopes, and the mass multiplier."""
+    """Signed edge coefficients, the mass multiplier and its leading-order
+    seed, and the norm of the five closure residuals after the solve.
 
-    p0: float
-    p_np1: float
-    e0: float
-    e_np1: float
+    rate and length are r = sqrt(alpha_minus) and L, from which the
+    shadow-pulse locations and slopes are derived.
+    """
+
+    a0: float
+    b0: float
+    a1: float
+    b1: float
     lam: float
     lam_seed: float
-    converged: bool
     residual: float
+    rate: float
+    length: float
 
     def as_dict(self):
         return asdict(self)
 
-    def as_vector(self):
-        return np.array([self.p0, self.p_np1, self.e0, self.e_np1, self.lam])
+    @property
+    def coefficients(self):
+        return np.array([self.a0, self.b0, self.a1, self.b1])
+
+    # In the tail form A (1 + e z) e^{-+r(z - p)} of each side, the amplitude
+    # is e^{r p0} = a0 on the left and e^{r (L - p_{n+1})} = a1 - b1 L on the
+    # right; p and e are NaN where it is not positive.
+
+    @property
+    def p0(self):
+        return _shadow(self.a0, self.b0)[0] / self.rate
+
+    @property
+    def e0(self):
+        return _shadow(self.a0, self.b0)[1]
+
+    @property
+    def p_np1(self):
+        log_amp = _shadow(self.a1 - self.b1 * self.length, self.b1)[0]
+        return self.length - log_amp / self.rate
+
+    @property
+    def e_np1(self):
+        return _shadow(self.a1 - self.b1 * self.length, self.b1)[1]
 
 
 @dataclass(frozen=True)
@@ -161,15 +201,6 @@ class AnsatzProfile:
 def mass(field, b_minus):
     """Scaled mass: quadrature of (field - b_minus)."""
     return integral(field) - b_minus * field.grid.length
-
-
-def _boundary_term(z, amplitude, slope, p_ref, rate, sign, order):
-    """d^order/dz^order of amplitude*(1 + slope*z)*exp(sign*rate*(z - p_ref))."""
-    s = sign * rate
-    base = amplitude * np.exp(s * (z - p_ref))
-    if order == 0:
-        return base * (1.0 + slope * z)
-    return base * (s**order * (1.0 + slope * z) + order * s ** (order - 1) * slope)
 
 
 def h4_norm_from_stack(grid, stack):
@@ -280,151 +311,79 @@ class PulseManifold:
         total[0] += self.bg2.b_inf
         return total
 
-    def _e_term(self, z, x, order=0):
-        """Boundary correction and its z-derivatives for parameters x."""
-        rate = self.sqrt_am
-        amp = self.pulse.phi_max
-        left = _boundary_term(z, amp, x[2], x[0], rate, -1.0, order)
-        right = _boundary_term(z, amp, x[3], x[1], rate, +1.0, order)
-        return left + right
+    # -- boundary correction and closure ----------------------------------------
 
-    # -- internal parameter closure ---------------------------------------------
+    def _edge_jet(self, z, max_order):
+        """Rows m = 0..max_order of the four edge functions A e^{-rz},
+        A z e^{-rz}, A e^{r(z-L)}, A (z-L) e^{r(z-L)}: shape
+        (max_order + 1, 4, z.size), from one exponential per side."""
+        rate, length = self.sqrt_am, self.params.domain_length
+        out = np.empty((max_order + 1, 4, z.size))
+        for col, (s, y) in enumerate(((-rate, z), (rate, z - length))):
+            ex = self.pulse.phi_max * np.exp(s * y)
+            for m in range(max_order + 1):
+                out[m, 2 * col] = s**m * ex
+                out[m, 2 * col + 1] = (s**m * y + m * s ** (m - 1)) * ex
+        return out
 
-    def _seed(self, config):
-        """Leading-order internal parameters.
+    def _edge_sum(self, z, internal, max_order=0):
+        """Rows m = 0..max_order of the boundary correction E."""
+        return internal.coefficients @ self._edge_jet(z, max_order)
 
-        Slopes come from the ratio of first and third boundary derivatives;
-        shadow locations from matching the residual boundary amplitude with a
-        pulse tail phi_max*exp(-sqrt(alpha)*(z - p0)), which puts p0 within
-        tail corrections of the mirror image -p_1.
-        """
-        lam = self.lambda_seed()
-        length = self.params.domain_length
-        rate = self.sqrt_am
-        am = self.well.alpha_minus
-        amp = self.pulse.phi_max
-        p = config.positions
-        ends = np.array([0.0, length])
-        pair = self._pulse_sum(ends, config, 3) + lam * self._background_sum(
-            config, 3, ends=True
-        )
-        d1_pair, d3_pair = pair[1], pair[3]
+    @cached_property
+    def _edge_system(self):
+        """The closure's fixed part: the 4x4 matrix of the edge functions'
+        orders 1 and 3 at z = 0, L (rows as in `_end_terms`) and the four
+        edge-function masses."""
+        ends = np.array([0.0, self.params.domain_length])
+        matrix = self._edge_jet(ends, 3)[[1, 3]].transpose(2, 0, 1).reshape(4, 4)
+        masses = self._edge_jet(self.grid.nodes, 0)[0] @ self.grid.quad_weights
+        return matrix, masses
 
-        # left end
-        d1, d3 = float(d1_pair[0]), float(d3_pair[0])
-        denom = d3 - 3.0 * am * d1
-        e0 = rate * (d3 - am * d1) / denom if abs(denom) > 1e-280 else 0.0
-        amp_left = -d1 / (amp * (e0 - rate)) if abs(d1) > 1e-280 else 0.0
-        p0 = np.log(amp_left) / rate if amp_left > 0.0 else -p[0]
-
-        # right end, in the mirrored frame
-        d1r, d3r = -float(d1_pair[1]), -float(d3_pair[1])
-        denom_r = d3r - 3.0 * am * d1r
-        beta = rate * (d3r - am * d1r) / denom_r if abs(denom_r) > 1e-280 else 0.0
-        e_np1 = -beta / (1.0 + beta * length) if abs(1.0 + beta * length) > 1e-12 else 0.0
-        scale_r = 1.0 + e_np1 * length
-        slope_term = e_np1 + rate * scale_r
-        amp_right = -d1_pair[1] / (amp * slope_term) if abs(slope_term) > 1e-280 else 0.0
-        if amp_right > 0.0:
-            p_np1 = length - np.log(amp_right) / rate
-        else:
-            p_np1 = 2.0 * length - p[-1]
-        return np.array([p0, p_np1, e0, e_np1, lam])
-
-    def _closure_residual(self, x, cached):
-        """(Phi_z(0), Phi_zzz(0), Phi_z(L), Phi_zzz(L), mass - M)."""
-        length = self.params.domain_length
-        lam = x[4]
-        ends = np.array([0.0, length])
-        r = np.empty(5)
-        for k, order in enumerate((1, 3)):
-            vals = (
-                cached["pulse_ends"][order]
-                + lam * cached["bg_ends"][order]
-                + self._e_term(ends, x, order)
-            )
-            r[k] = vals[0]
-            r[2 + k] = vals[1]
-        e_grid = self._e_term(self.grid.nodes, x)
-        total_mass = (
-            cached["mass_pulse"]
-            + lam * cached["mass_bg"]
-            + float(np.sum(self.grid.quad_weights * e_grid))
-        )
-        r[4] = total_mass - self.params.total_mass
-        return r
+    def _end_terms(self, config):
+        """Columns u_n and B_{2,n} of (Phi_z(0), Phi_zzz(0), Phi_z(L),
+        Phi_zzz(L)), shape (4, 2)."""
+        ends = np.array([0.0, self.params.domain_length])
+        pulse = self._pulse_sum(ends, config, 3)[[1, 3]]
+        bg = self._background_sum(config, 3, ends=True)[[1, 3]]
+        return np.stack([pulse.T.ravel(), bg.T.ravel()], axis=1)
 
     def internal_parameters(self, config, fields=None):
-        """Closed-form seeds plus damped Newton on the 5-parameter closure.
+        """Edge coefficients and lambda from one direct solve of the closure.
+
+        The no-flux conditions read T @ (1, lambda) + K @ c = 0 with T the
+        end terms of u_n and B_{2,n} and K the edge matrix, so the solve of K
+        against both columns of -T gives c = c_u + lambda * c_B, and lambda
+        follows from the scalar mass equation.
 
         A caller that already has the grid fields (n_pulse(config),
         _background_sum(config)[0]) passes them as `fields` instead
         of having them evaluated again; the result is the same.
         """
-        length = self.params.domain_length
-        ends = np.array([0.0, length])
         if fields is None:
             fields = (self.n_pulse(config), self._background_sum(config)[0])
         u_n, bar_bg = fields
-        cached = {
-            "pulse_ends": self._pulse_sum(ends, config, 3),
-            "bg_ends": self._background_sum(config, 3, ends=True),
-            "mass_pulse": float(
-                np.sum(self.grid.quad_weights * (u_n.values - self.well.b_minus))
-            ),
-            "mass_bg": float(np.sum(self.grid.quad_weights * bar_bg)),
-        }
-
-        x = self._seed(config)
-        lam_seed = x[4]
-        fx = self._closure_residual(x, cached)
-        tol_bc = 1e-12
-        tol_mass = 1e-13 * max(1.0, abs(self.params.total_mass))
-
-        def converged(r):
-            return bool(np.all(np.abs(r[:4]) <= tol_bc) and abs(r[4]) <= tol_mass)
-
-        ok = converged(fx)
-        it = 0
-        while not ok and it < NEWTON_MAX_ITER:
-            jac = np.empty((5, 5))
-            for j in range(5):
-                step = 1e-7 * max(1.0, abs(x[j]))
-                xp, xm = x.copy(), x.copy()
-                xp[j] += step
-                xm[j] -= step
-                jac[:, j] = (
-                    self._closure_residual(xp, cached)
-                    - self._closure_residual(xm, cached)
-                ) / (2.0 * step)
-            try:
-                dx = np.linalg.lstsq(jac, -fx, rcond=None)[0]
-            except np.linalg.LinAlgError:
-                break
-            lam_damp = 1.0
-            improved = False
-            for _ in range(12):
-                x_new = x + lam_damp * dx
-                f_new = self._closure_residual(x_new, cached)
-                if np.linalg.norm(f_new) < np.linalg.norm(fx) or converged(f_new):
-                    x, fx = x_new, f_new
-                    improved = True
-                    break
-                lam_damp *= 0.5
-            if not improved:
-                break
-            ok = converged(fx)
-            it += 1
-
+        w = self.grid.quad_weights
+        mass_pulse = float(np.sum(w * (u_n.values - self.well.b_minus)))
+        mass_bg = float(np.sum(w * bar_bg))
+        terms = self._end_terms(config)
+        matrix, masses = self._edge_system
+        c_u, c_bg = np.linalg.solve(matrix, -terms).T
+        lam = (self.params.total_mass - mass_pulse - masses @ c_u) / (
+            mass_bg + masses @ c_bg
+        )
+        coef = c_u + lam * c_bg
+        residual = np.append(
+            terms @ (1.0, lam) + matrix @ coef,
+            mass_pulse + lam * mass_bg + masses @ coef - self.params.total_mass,
+        )
         return InternalParams(
-            p0=float(x[0]),
-            p_np1=float(x[1]),
-            e0=float(x[2]),
-            e_np1=float(x[3]),
-            lam=float(x[4]),
-            lam_seed=float(lam_seed),
-            converged=ok,
-            residual=float(np.linalg.norm(fx)),
+            *map(float, coef),
+            lam=float(lam),
+            lam_seed=float(self.lambda_seed()),
+            residual=float(np.linalg.norm(residual)),
+            rate=self.sqrt_am,
+            length=self.params.domain_length,
         )
 
     # -- assembly ---------------------------------------------------------------
@@ -435,29 +394,18 @@ class PulseManifold:
         u_n = self.n_pulse(config)
         bg = self._background_sum(config)[0]
         internal = self.internal_parameters(config, (u_n, bg))
-        x = internal.as_vector()
-        e_vals = self._e_term(z, x)
+        e_vals = self._edge_sum(z, internal)[0]
         phi = ScalarField(self.grid, u_n.values + internal.lam * bg + e_vals)
 
-        length = self.params.domain_length
-        ends = np.array([0.0, length])
-        pulse_ends = self._pulse_sum(ends, config, 3)
-        bg_ends = self._background_sum(config, 3, ends=True)
-        bc = np.empty(4)
-        for k, order in enumerate((1, 3)):
-            vals = (
-                pulse_ends[order]
-                + internal.lam * bg_ends[order]
-                + self._e_term(ends, x, order)
-            )
-            bc[k] = vals[0]
-            bc[2 + k] = vals[1]
+        ends = np.array([0.0, self.params.domain_length])
+        e_ends = self._edge_sum(ends, internal, 3)[[1, 3]].T.ravel()
+        bc = self._end_terms(config) @ (1.0, internal.lam) + e_ends
         mass_value = mass(phi, self.well.b_minus)
 
         if np.max(np.abs(bc)) > BC_TOL:
             raise RefinementError(
                 f"boundary residuals {np.max(np.abs(bc)):.2e} exceed {BC_TOL:g} "
-                f"(newton converged: {internal.converged})"
+                f"(closure residual {internal.residual:.2e})"
             )
         if abs(mass_value - self.params.total_mass) > MASS_RTOL * abs(
             self.params.total_mass
@@ -493,9 +441,8 @@ class PulseManifold:
             pulse[0] += self.well.b_minus
             if component == "u_n":
                 return pulse
-        x = profile.internal.as_vector()
         bg = self._background_sum(config, max_order)
-        e_rows = np.array([self._e_term(z, x, m) for m in range(max_order + 1)])
+        e_rows = self._edge_sum(z, profile.internal, max_order)
         corr = profile.internal.lam * bg + e_rows
         return corr if component == "correction" else pulse + corr
 

@@ -412,27 +412,21 @@ class PulseProfile:
     def pulse_jet(self, x, max_order):
         """Rows d^m/dx^m phi_bar(x), m = 0..max_order <= 8, via the first integral.
 
-        Orders through 4 are the hand-derived chain formulas; higher orders
-        grow the jet of phi_bar by phi_bar^(k) = [W'(b_minus + phi_bar)]^(k-2),
-        expanded about b_minus so that the tail keeps its relative accuracy.
-        The translate is evaluated once for every order: entry k of the jet
-        depends only on the entries before it.
+        Orders from 2 grow the jet of phi_bar by phi_bar^(k) =
+        [W'(b_minus + phi_bar)]^(k-2), expanded about b_minus so that the tail
+        keeps its relative accuracy. The translate is evaluated once for every
+        order: entry k of the jet depends only on the entries before it.
         """
         if max_order > 8:
             raise DomainError("pulse derivatives available for orders 0..8")
         x = np.asarray(x, dtype=float)
         e = self.pulse_bar(x)
         well = self.well
-        u = well.b_minus + e
         dphi = -np.sign(x) * np.sqrt(np.maximum(2.0 * well.W_bar(e), 0.0))
-        rows = [e, dphi, well.dW(u), well.d2W(u) * dphi,
-                well.d3W(u) * dphi**2 + well.d2W(u) * well.dW(u)]
-        if max_order > 4:
-            jet = [e, dphi]
-            for k in range(2, max_order + 1):
-                jet.append(well_jet(well, 1, jet[: k - 1], well.b_minus)[k - 2])
-            rows += jet[5:]
-        return np.array(rows[: max_order + 1])
+        jet = [e, dphi]
+        for k in range(2, max_order + 1):
+            jet.append(well_jet(well, 1, jet[: k - 1], well.b_minus)[k - 2])
+        return np.array(jet[: max_order + 1])
 
     @cached_property
     def pair_energy(self):

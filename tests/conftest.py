@@ -120,6 +120,19 @@ def bar_at_oracle(bg, x, order):
     return out
 
 
+def edge_term_oracle(man, internal, z, order):
+    """d^order/dz^order of the boundary correction
+    A e^{-rz} (a0 + b0 z) + A e^{r(z-L)} (a1 + b1 (z-L)), A = phi_max, from
+    the closed form (d/dy)^m [e^{sy} (a + b y)] = s^(m-1) e^{sy} (s (a + b y) + m b)."""
+    z = np.asarray(z, dtype=float)
+    r, length = internal.rate, internal.length
+    total = np.zeros_like(z)
+    for s, y, a, b in ((-r, z, internal.a0, internal.b0),
+                       (r, z - length, internal.a1, internal.b1)):
+        total += s ** (order - 1) * np.exp(s * y) * (s * (a + b * y) + order * b)
+    return man.pulse.phi_max * total
+
+
 # The nodal weighted-coordinate dense path that the cosine-mode
 # SpectralContext replaced, kept as the oracle. In weighted coordinates
 # u_w = sqrt(w) * u (w the quadrature weights) the X inner product is the

@@ -16,7 +16,7 @@ from fchpulse import (
     mass,
     norm,
 )
-from conftest import moderate_config
+from conftest import edge_term_oracle, moderate_config
 
 
 class TestConfiguration:
@@ -123,9 +123,41 @@ class TestInternalParameters:
                                excess=0.5)
         internal = man.internal_parameters(man.equispaced())
         delta = man.params.tail_scale
-        assert internal.converged
+        assert internal.residual <= 1e-13 * man.params.total_mass
         rel = abs(internal.lam / internal.lam_seed - 1.0)
         assert rel <= 10 * delta
+
+    @pytest.mark.parametrize("setting, positions, mirrored", [
+        # the right edge amplitude a1 - b1 L is negative
+        (dict(length=120.0, n=2, ell=8.0, num_points=1536, excess=0.5),
+         [30.0, 90.0], False),
+        # Phi_zzz(0) balances lambda B_2 only with a negative left amplitude
+        (dict(n=1), [41.8], False),
+        # B_2 vanishes at both ends, so the mirror image is exact
+        (dict(), [50.0, 80.0, 110.0], True),
+    ])
+    def test_closure_balances_each_term(self, manifold_factory, setting,
+                                        positions, mirrored):
+        """Each no-flux condition at z = 0, L balances to 1e-12 of its
+        largest term (u_n, lambda B_{2,n} or E), and the mass to rounding;
+        a mirror-symmetric configuration gets mirrored edge coefficients."""
+        man = manifold_factory(**setting)
+        cfg = man.configuration(positions)
+        prof = man.build(cfg)
+        internal = prof.internal
+        ends = np.array([0.0, man.params.domain_length])
+        pulse = sum(man.pulse.pulse_jet(ends - p, 3) for p in positions)
+        bg = internal.lam * man._background_sum(cfg, 3, ends=True)
+        for order in (1, 3):
+            edge = edge_term_oracle(man, internal, ends, order)
+            terms = np.array([pulse[order], bg[order], edge])
+            balance = np.abs(terms.sum(axis=0))
+            assert np.all(balance <= 1e-12 * np.max(np.abs(terms), axis=0))
+        total = man.params.total_mass
+        assert abs(prof.mass_value - total) <= 16 * np.finfo(float).eps * total
+        if mirrored:
+            assert internal.a1 == pytest.approx(internal.a0, rel=1e-12, abs=0)
+            assert internal.b1 == pytest.approx(-internal.b0, rel=1e-12, abs=0)
 
     def test_lambda_partial_derivative_small(self, desk_manifold):
         cfg = moderate_config(desk_manifold)
@@ -208,7 +240,8 @@ class TestBuild:
         assert rows[0] == ["z", "phi", "u_n", "correction"]
         assert len(rows) == desk_manifold.grid.num_points + 1
         doc = json.load(open(tmp_path / "internal.json"))
-        assert doc["converged"] is True
+        assert doc["residual"] <= 1e-13 * desk_manifold.params.total_mass
+        assert {"a0", "b0", "a1", "b1", "lam"} <= doc.keys()
 
 
 class TestTangents:

@@ -20,7 +20,8 @@ from hypothesis import strategies as st
 import fchpulse
 from fchpulse.wellmodel import DoubleWell, leibniz, well_jet
 
-from conftest import bar_at_oracle, count_background_work, moderate_config
+from conftest import (bar_at_oracle, count_background_work, edge_term_oracle,
+                      moderate_config)
 
 
 @lru_cache(maxsize=16)
@@ -78,6 +79,18 @@ class TestAgainstSymbolicOracles:
         got = pulse.pulse_bar_deriv(x, order)
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
+    @pytest.mark.parametrize("order", [2, 3, 4])
+    def test_pulse_orders_2_to_4(self, pulse, order):
+        """The jet about b_minus agrees in the core with the chain formulas
+        in u = b_minus + phi_bar to rounding."""
+        x = np.linspace(-20.0, 20.0, 801)
+        u = pulse.well.b_minus + pulse.pulse_bar(x)
+        ref = chain_derivative_oracle(order)(
+            u, pulse.pulse_bar_deriv(x, 1), pulse.well.tau
+        )
+        got = pulse.pulse_bar_deriv(x, order)
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
     def test_gradient_stack_at_desk_point(self, desk_manifold):
         man = desk_manifold
         prof = man.build(moderate_config(man))
@@ -89,7 +102,7 @@ class TestAgainstSymbolicOracles:
 
 
 class TestPulseTail:
-    @pytest.mark.parametrize("order", [5, 6, 7, 8])
+    @pytest.mark.parametrize("order", [2, 3, 4, 5, 6, 7, 8])
     def test_relative_accuracy_in_the_tail(self, pulse, order):
         """phi_bar^(k) / ((-sign x * r)^k phi_bar) -> 1 far from the core."""
         x = np.array([30.0, 40.0, 60.0, 100.0, 150.0, -40.0])
@@ -164,16 +177,7 @@ def pulse_bar_deriv_oracle(pulse, x, order):
     if order == 0:
         return e
     well = pulse.well
-    u = well.b_minus + e
     dphi = -np.sign(x) * np.sqrt(np.maximum(2.0 * well.W_bar(e), 0.0))
-    if order == 1:
-        return dphi
-    if order == 2:
-        return well.dW(u)
-    if order == 3:
-        return well.d2W(u) * dphi
-    if order == 4:
-        return well.d3W(u) * dphi**2 + well.d2W(u) * well.dW(u)
     jet = [e, dphi]
     for k in range(2, order + 1):
         jet.append(well_jet(well, 1, jet[: k - 1], well.b_minus)[k - 2])
@@ -184,7 +188,6 @@ def derivative_stack_oracle(man, profile, max_order, component):
     """The per-order assembly of `PulseManifold.derivative_stack`: every
     order sums freshly evaluated translates, in translate order."""
     z = man.grid.nodes
-    x = profile.internal.as_vector()
     lam = profile.internal.lam
     stack = np.empty((max_order + 1, z.size))
     for m in range(max_order + 1):
@@ -196,7 +199,7 @@ def derivative_stack_oracle(man, profile, max_order, component):
         if m == 0:
             bg += man.bg2.b_inf
             pulse_part += man.well.b_minus
-        corr = lam * bg + man._e_term(z, x, m)
+        corr = lam * bg + edge_term_oracle(man, profile.internal, z, m)
         stack[m] = {"correction": corr, "u_n": pulse_part,
                     "phi": pulse_part + corr}[component]
     return stack
