@@ -9,9 +9,11 @@ boundary correction built from shadow-pulse tails,
 with A = phi_max and r = sqrt(alpha_minus). Written in the signed
 coefficients (a0, b0, a1, b1), the four no-flux boundary conditions and the
 discrete mass constraint are linear in (a0, b0, a1, b1, lambda), so one
-direct solve closes the manifold. The shadow-pulse locations p0, p_{n+1} and
-slopes e0, e_{n+1} of the tail form A (1 + e z) e^{-+r(z-p)} are read from
-the coefficients where the amplitude is positive.
+direct solve closes the manifold. The shadow-pulse locations p0, p_{n+1} of
+the tail form A (1 + e z) e^{-+r(z-p)} are read from the coefficients where
+the amplitude is positive. Because the closure is linear, the tangents
+dPhi/dp_i are exact: the derivative of the translates plus one more solve
+with the same fixed edge matrix and the mass equation, with no rebuild.
 
 Smallness measurements in the H^4 norm are assembled from analytic component
 derivatives (chain rule through the pulse first integral, termwise series
@@ -102,25 +104,15 @@ class PulseConfiguration:
             gaps.extend(np.diff(p))
         return float(min(gaps))
 
-    @property
-    def midpoints(self):
-        """Interval midpoints m_0 = 0 < m_1 < ... < m_n = L."""
-        p = self.positions
-        inner = 0.5 * (p[:-1] + p[1:])
-        return np.concatenate([[0.0], inner, [self.domain_length]])
-
     def shifted(self, i, delta):
         q = self.positions.copy()
         q[i] += delta
         return PulseConfiguration(q, self.min_spacing, self.domain_length)
 
 
-def _shadow(amplitude, slope):
-    """(log amplitude, slope / amplitude) of a tail term, NaN unless the
-    amplitude is positive."""
-    if amplitude <= 0.0:
-        return math.nan, math.nan
-    return math.log(amplitude), slope / amplitude
+def _log_amplitude(amplitude):
+    """log of a tail amplitude, NaN unless it is positive."""
+    return math.log(amplitude) if amplitude > 0.0 else math.nan
 
 
 @dataclass(frozen=True)
@@ -129,7 +121,7 @@ class InternalParams:
     seed, and the norm of the five closure residuals after the solve.
 
     rate and length are r = sqrt(alpha_minus) and L, from which the
-    shadow-pulse locations and slopes are derived.
+    shadow-pulse locations are derived.
     """
 
     a0: float
@@ -151,24 +143,16 @@ class InternalParams:
 
     # In the tail form A (1 + e z) e^{-+r(z - p)} of each side, the amplitude
     # is e^{r p0} = a0 on the left and e^{r (L - p_{n+1})} = a1 - b1 L on the
-    # right; p and e are NaN where it is not positive.
+    # right; p is NaN where it is not positive.
 
     @property
     def p0(self):
-        return _shadow(self.a0, self.b0)[0] / self.rate
-
-    @property
-    def e0(self):
-        return _shadow(self.a0, self.b0)[1]
+        return _log_amplitude(self.a0) / self.rate
 
     @property
     def p_np1(self):
-        log_amp = _shadow(self.a1 - self.b1 * self.length, self.b1)[0]
+        log_amp = _log_amplitude(self.a1 - self.b1 * self.length)
         return self.length - log_amp / self.rate
-
-    @property
-    def e_np1(self):
-        return _shadow(self.a1 - self.b1 * self.length, self.b1)[1]
 
 
 @dataclass(frozen=True)
@@ -489,30 +473,33 @@ class PulseManifold:
 
     # -- tangents -----------------------------------------------------------------
 
-    def tangent_basis(self, config, rel_step=1e-5, with_stacks=False):
-        """Central-difference tangents dPhi/dp_i with full internal re-solves;
-        with_stacks adds their derivative stacks of orders 0..4."""
-        step = rel_step * self.params.min_spacing
-        tangents, stacks = [], []
-        for i in range(config.n):
-            plus = self.build(config.shifted(i, +step))
-            minus = self.build(config.shifted(i, -step))
-            tangents.append(
-                ScalarField(
-                    self.grid, (plus.phi.values - minus.phi.values) / (2.0 * step)
-                )
-            )
-            if with_stacks:
-                sp_ = self.derivative_stack(plus)
-                sm_ = self.derivative_stack(minus)
-                stacks.append((sp_ - sm_) / (2.0 * step))
-        if with_stacks:
-            return tangents, stacks
-        return tangents
+    def tangent_basis(self, profile):
+        """Exact tangents dPhi/dp_i with their derivative stacks, orders 0..4.
 
-    def analytic_tangent_leading(self, config, i):
-        """Leading-order tangent -phi_h'(z - p_i) for cross-checks."""
-        z = self.grid.nodes
-        return ScalarField(
-            self.grid, -self.pulse.pulse_bar_deriv(z - config.positions[i], 1)
-        )
+        Moving p_i moves u_n + lambda * B_{2,n} by g_i = -(phi_bar + lambda *
+        B_bar_2)'(z - p_i), and the closure moves with it (implicit-function
+        theorem): K dc_i = -(end terms of g_i), with K the fixed edge matrix,
+        and dlambda_i keeps the mass, so the edge coefficients move by
+        dc_i + dlambda_i * c_B, where c_B solves the closure against the end
+        terms of B_{2,n}. Returns the n tangent fields and their (n, 5, N)
+        stacks, whose row 0 is the field.
+        """
+        z, w = self.grid.nodes, self.grid.quad_weights
+        nodes = np.arange(z.size)
+        lam = profile.internal.lam
+        # rows 0..4 of each g_i, then of B_{2,n}: shape (n + 1, 5, N)
+        cols = np.stack([
+            *(-(self.pulse.pulse_jet(z - p, 5)
+                + lam * self.bg2.lattice_jet(self._bg_table, nodes, p, 5))[1:]
+              for p in profile.config.positions),
+            self._background_sum(profile.config, 4),
+        ])
+        matrix, masses = self._edge_system
+        ends = cols[:, [1, 3]][:, :, [0, -1]].transpose(2, 1, 0).reshape(4, -1)
+        coef = np.linalg.solve(matrix, -ends)
+        moved = cols[:, 0] @ w + masses @ coef
+        dlam = -moved[:-1] / moved[-1]
+        coef = coef[:, :-1] + dlam * coef[:, -1:]
+        stacks = (cols[:-1] + dlam[:, None, None] * cols[-1]
+                  + np.einsum("ki,mkz->imz", coef, self._edge_jet(z, 4)))
+        return [ScalarField(self.grid, s[0]) for s in stacks], stacks

@@ -515,7 +515,7 @@ def pulse_velocity_projection(manifold, config):
     """
     profile = manifold.build(config)
     r_field, _, _ = manifold.residual_h4(profile)
-    tangents = manifold.tangent_basis(config)
+    tangents = manifold.tangent_basis(profile)[0]
     proj = np.array([inner_product_x(r_field, t) for t in tangents])
     gram = np.array(
         [[inner_product_x(a, b) for b in tangents] for a in tangents]

@@ -422,7 +422,7 @@ def _best_shift(m4, shift, mu_tilde, gamma_sweep):
     return best[0], best[1], best_bound, tuple(solved)
 
 
-def coercivity_constant(manifold, profile, tangents=None, context=None,
+def coercivity_constant(manifold, profile, basis=None, context=None,
                         report=None):
     """Normal coercivity constants of the constrained second variation.
 
@@ -441,8 +441,9 @@ def coercivity_constant(manifold, profile, tangents=None, context=None,
     diagonal h_mode_multipliers, so each generalized problem becomes a
     standard one after diagonal whitening. The tangent constraints are
     deflated (see _deflate). The unconstrained minimum is the lowest Ritz
-    value of the profile's spectral gap report. context is the profile's
-    SpectralContext and report that gap report, when the caller has them.
+    value of the profile's spectral gap report. basis is the profile's
+    `tangent_basis`, context its SpectralContext and report that gap report,
+    when the caller has them.
 
     mu_x and mu_h2 are shift-invert Lanczos solves (_near_zero) with one
     Ritz step on the context's factors: their minima stand apart from the
@@ -454,8 +455,7 @@ def coercivity_constant(manifold, profile, tangents=None, context=None,
     89-102 ms.
     """
     grid = manifold.grid
-    if tangents is None:
-        tangents = manifold.tangent_basis(profile.config)
+    tangents = (basis or manifold.tangent_basis(profile))[0]
     mu_tilde = 0.75 * manifold.pulse.edge_floor
 
     if context is None:
@@ -522,7 +522,7 @@ def _procrustes_align(slow, tangents):
     return beta, rotated, t_mat
 
 
-def tangent_alignment(manifold, profile, report=None, tangent_stacks=None):
+def tangent_alignment(manifold, profile, report=None, basis=None):
     """Max H4 distance between slow eigenfields and normalized tangents.
 
     The slow eigenbasis is matched to the tangent directions by the optimal
@@ -530,6 +530,7 @@ def tangent_alignment(manifold, profile, report=None, tangent_stacks=None):
     measured in the H4 norm with the tangent derivatives assembled
     analytically and the eigenfield derivatives synthesized from the rotated
     mode coordinates (`mode_derivative`), with no transform back to modes.
+    basis is the profile's `tangent_basis`, when the caller has it.
     """
     if report is None:
         report = spectral_gap_report(manifold, profile)
@@ -540,9 +541,7 @@ def tangent_alignment(manifold, profile, report=None, tangent_stacks=None):
             max_error=np.nan, errors=np.full(n, np.nan),
             beta=np.full((n, n), np.nan), beta_defect=np.nan, passed=False,
         )
-    tangents, stacks = manifold.tangent_basis(
-        profile.config, with_stacks=True
-    ) if tangent_stacks is None else tangent_stacks
+    tangents, stacks = basis or manifold.tangent_basis(profile)
     slow = np.stack([to_modes(f) for f in report.eigenfields[:n]], axis=1)
     t_modes = [to_modes(t) for t in tangents]
     beta, rotated, t_mat = _procrustes_align(slow, t_modes)
@@ -555,8 +554,7 @@ def tangent_alignment(manifold, profile, report=None, tangent_stacks=None):
         stack = np.empty((5, grid.num_points))
         for m in range(5):
             eig_m = mode_derivative(coeffs[:, i], grid.wavenumbers, m)
-            target = tangents[i].values if m == 0 else stacks[i][m]
-            stack[m] = eig_m - target / t_norm
+            stack[m] = eig_m - stacks[i][m] / t_norm
         errors[i] = h4_norm_from_stack(grid, stack)
     beta_defect = float(np.linalg.norm(beta.T @ beta - np.eye(n)))
     passed = (
@@ -577,15 +575,16 @@ def tangent_alignment(manifold, profile, report=None, tangent_stacks=None):
 # ---------------------------------------------------------------------------
 
 
-def symmetrized_gap(manifold, profile, family, tangents=None, context=None):
+def symmetrized_gap(manifold, profile, family, basis=None, context=None):
     """Spectrum of G1*L*G1 on the zero-mass space and its slow alignment.
 
     Asserts n slow eigenvalues of size O(delta_g), a stable remainder, and
     alignment of the slow eigenfields with the normalized G1^{-1} tangents
-    (computed at the profile unless given). G1 is diagonal in modes, so the
-    operator is a scaling of the profile's SpectralContext (context, when
-    the caller has it), refined through B*G1 (SpectralContext.lowest). At
-    s = 0 this reproduces the plain spectral gap report.
+    (of `basis`, the profile's `tangent_basis`, computed unless given). G1
+    is diagonal in modes, so the operator is a scaling of the profile's
+    SpectralContext (context, when the caller has it), refined through B*G1
+    (SpectralContext.lowest). At s = 0 this reproduces the plain spectral
+    gap report.
     """
     params = manifold.params
     s = family.s
@@ -615,8 +614,7 @@ def symmetrized_gap(manifold, profile, family, tangents=None, context=None):
         failures.append("no clear slow/stable separation")
 
     # alignment of slow eigenfields with normalized G1^{-1} tangents
-    if tangents is None:
-        tangents = manifold.tangent_basis(profile.config)
+    tangents = (basis or manifold.tangent_basis(profile))[0]
     t_g = [context.modes(t) / g1 for t in tangents]
     beta, rotated, t_mat = _procrustes_align(vecs[:, :n], t_g)
     errors = np.array(
@@ -949,7 +947,7 @@ def run_hypothesis_suite(manifold, profiles, s_values=(0.5, 1.0), seed=0):
                    None)
 
     # spectral checks on a subset
-    gaps, subset_tangents, equi_context = [], [], None
+    gaps, subset_bases, equi_context = [], [], None
     for i, p in enumerate(profiles[:SPECTRAL_SUBSET]):
         context = spectral_context(p.phi, manifold.well)
         if i == at_equi:
@@ -961,17 +959,15 @@ def run_hypothesis_suite(manifold, profiles, s_values=(0.5, 1.0), seed=0):
             THRESHOLDS["slow_cap_over_delta"], gap.passed,
             failures=gap.failures, stable_edge=gap.stable_edge, k_s=gap.k_s,
         )
-        tangents, stacks = manifold.tangent_basis(p.config, with_stacks=True)
-        subset_tangents.append(tangents)
-        align = tangent_alignment(
-            manifold, p, gap, tangent_stacks=(tangents, stacks)
-        )
+        basis = manifold.tangent_basis(p)
+        subset_bases.append(basis)
+        align = tangent_alignment(manifold, p, gap, basis=basis)
         report.add(
             "tangent_alignment", i, align.max_error / delta,
             THRESHOLDS["alignment_cap_over_delta"], align.passed,
             beta_defect=align.beta_defect,
         )
-        coer = coercivity_constant(manifold, p, tangents=tangents,
+        coer = coercivity_constant(manifold, p, basis=basis,
                                    context=context, report=gap)
         report.coercivity.append(coer)
         report.add(
@@ -1001,10 +997,10 @@ def run_hypothesis_suite(manifold, profiles, s_values=(0.5, 1.0), seed=0):
         r_base, _, _ = manifold.residual_h4(base)
     else:
         base, r_base = profiles[at_equi], report.residuals[at_equi]
-    if at_equi is not None and at_equi < len(subset_tangents):
-        tangents = subset_tangents[at_equi]
+    if at_equi is not None and at_equi < len(subset_bases):
+        basis = subset_bases[at_equi]
     else:
-        tangents = manifold.tangent_basis(base.config)
+        basis = manifold.tangent_basis(base)
     for s in s_values:
         fam = GradientFamily(manifold.grid, s)
         rho = params.gap_rho(s)
@@ -1039,7 +1035,7 @@ def run_hypothesis_suite(manifold, profiles, s_values=(0.5, 1.0), seed=0):
             "scaled_residual", -1, c_res, THRESHOLDS["eh3_residual_cap"],
             c_res <= THRESHOLDS["eh3_residual_cap"], s=s,
         )
-        c_tan = tangent_amplification_constant(tangents, fam, rho)
+        c_tan = tangent_amplification_constant(basis[0], fam, rho)
         report.add(
             "tangent_amplification", -1, c_tan,
             THRESHOLDS["eh3_tangent_cap"],
@@ -1058,7 +1054,7 @@ def run_hypothesis_suite(manifold, profiles, s_values=(0.5, 1.0), seed=0):
                 continue
             if equi_context is None:
                 equi_context = spectral_context(base.phi, manifold.well)
-            sym = symmetrized_gap(manifold, base, fam, tangents=tangents,
+            sym = symmetrized_gap(manifold, base, fam, basis=basis,
                                   context=equi_context)
             report.add(
                 "symmetrized_gap", 0, sym.extras["fitted_c"],

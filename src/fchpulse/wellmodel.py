@@ -695,9 +695,9 @@ class BackgroundProfile:
 
     B_j is even, so it is computed in the even sector (cosine basis on the
     half-window [0, window]); the odd kernel phi_h' is excluded by parity,
-    which realizes the kernel-orthogonal solve exactly. `bar_jet` evaluates a
-    translate once for all derivative orders at arbitrary offsets;
-    `lattice_jet` does the same on a uniform grid from one `lattice_table`.
+    which realizes the kernel-orthogonal solve exactly. `lattice_jet`
+    evaluates a translate once for all derivative orders on a uniform grid,
+    from one `lattice_table`.
     """
 
     j: int
@@ -713,34 +713,6 @@ class BackgroundProfile:
     @property
     def _kappa(self):
         return np.arange(len(self._coeffs)) * np.pi / self.window
-
-    def bar_at(self, x, order=0):
-        """Evaluate d^order B_bar_j at arbitrary offsets (one row of `bar_jet`)."""
-        return self.bar_jet(x, order)[order]
-
-    def bar_jet(self, x, max_order):
-        """Rows d^m B_bar_j, m = 0..max_order, at arbitrary offsets.
-
-        Zero beyond the window. Every order reads one cos table of the phases
-        (and one sin table when max_order >= 1), one matrix-vector product per
-        order.
-        """
-        x = np.asarray(x, dtype=float)
-        ax = np.abs(x)
-        out = np.zeros((max_order + 1,) + ax.shape)
-        inside = ax < self.window
-        if np.any(inside):
-            kap = self._kappa
-            phase = np.outer(ax[inside], kap)
-            # sin overwrites the phases after cos has read them: two tables at peak
-            trig = (np.cos(phase), np.sin(phase, out=phase) if max_order else None)
-            for order in range(max_order + 1):
-                sign = (-1.0) ** ((order + 1) // 2)
-                row = trig[order % 2] @ (sign * self._coeffs * kap**order)
-                if order % 2:
-                    row *= np.sign(x[inside])
-                out[order, inside] = row
-        return out
 
     def lattice_table(self, spacing):
         """(spacing, cos, sin) of kappa_k * i * spacing, i = 0..ceil(W/spacing) + 2.
@@ -762,7 +734,7 @@ class BackgroundProfile:
             sin k(i h - f) = sin(k i h) cos(k f) - cos(k i h) sin(k f),
         so a translate costs the trig values of f and two matrix-vector
         products per order. Negative i read row |i| (cos even, sin odd). Zero
-        beyond the window, tested on nodes*h - p as `bar_jet` tests z - p.
+        beyond the window, tested on the offsets nodes*h - p.
         """
         spacing, cos_t, sin_t = table
         nodes = np.asarray(nodes)

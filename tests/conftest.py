@@ -100,9 +100,33 @@ def cluster_config(manifold, ell):
     return manifold.configuration([p1, p1 + ell + 0.3, p1 + 2 * ell + 1.0])
 
 
+def bar_jet(bg, x, max_order):
+    """Rows d^m B_bar_j, m = 0..max_order, at arbitrary offsets: the
+    arbitrary-offset evaluator that `BackgroundProfile.lattice_jet` is held
+    to. Zero beyond the window. Every order reads one cos table of the phases
+    (and one sin table when max_order >= 1), one matrix-vector product per
+    order."""
+    x = np.asarray(x, dtype=float)
+    ax = np.abs(x)
+    out = np.zeros((max_order + 1,) + ax.shape)
+    inside = ax < bg.window
+    if np.any(inside):
+        kap = np.arange(len(bg._coeffs)) * np.pi / bg.window
+        phase = np.outer(ax[inside], kap)
+        # sin overwrites the phases after cos has read them: two tables at peak
+        trig = (np.cos(phase), np.sin(phase, out=phase) if max_order else None)
+        for order in range(max_order + 1):
+            sign = (-1.0) ** ((order + 1) // 2)
+            row = trig[order % 2] @ (sign * bg._coeffs * kap**order)
+            if order % 2:
+                row *= np.sign(x[inside])
+            out[order, inside] = row
+    return out
+
+
 def bar_at_oracle(bg, x, order):
     """One order of d^order B_bar_j with its own phase table: the per-order
-    evaluator that `BackgroundProfile.bar_jet` replaced."""
+    evaluator that `bar_jet` replaced."""
     x = np.asarray(x, dtype=float)
     ax = np.abs(x)
     out = np.zeros_like(ax)
@@ -131,6 +155,23 @@ def edge_term_oracle(man, internal, z, order):
                        (r, z - length, internal.a1, internal.b1)):
         total += s ** (order - 1) * np.exp(s * y) * (s * (a + b * y) + order * b)
     return man.pulse.phi_max * total
+
+
+def fd_tangents(manifold, config, rel_step):
+    """Central-difference tangents dPhi/dp_i over full rebuilds at
+    p_i +- rel_step * ell, with their derivative stacks: the form that the
+    exact `PulseManifold.tangent_basis` replaced, kept as its oracle. Returns
+    (n, 5, N); row 0 is the difference of the built fields."""
+    step = rel_step * manifold.params.min_spacing
+    stacks = []
+    for i in range(config.n):
+        plus = manifold.build(config.shifted(i, +step))
+        minus = manifold.build(config.shifted(i, -step))
+        stack = (manifold.derivative_stack(plus)
+                 - manifold.derivative_stack(minus)) / (2.0 * step)
+        stack[0] = (plus.phi.values - minus.phi.values) / (2.0 * step)
+        stacks.append(stack)
+    return np.stack(stacks)
 
 
 # The nodal weighted-coordinate dense path that the cosine-mode

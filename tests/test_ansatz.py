@@ -11,12 +11,13 @@ from fchpulse import (
     Grid,
     MassSplitError,
     PulseManifold,
+    ScalarField,
     SystemParams,
     inner_product_x,
     mass,
     norm,
 )
-from conftest import edge_term_oracle, moderate_config
+from conftest import edge_term_oracle, fd_tangents, moderate_config
 
 
 class TestConfiguration:
@@ -185,8 +186,6 @@ class TestBuild:
 
     def test_mass_operator(self, desk_manifold, well):
         grid = desk_manifold.grid
-        from fchpulse import ScalarField
-
         const = ScalarField(grid, np.full(grid.num_points, well.b_minus))
         assert mass(const, well.b_minus) == pytest.approx(0.0, abs=1e-12)
         f = desk_manifold.n_pulse(moderate_config(desk_manifold))
@@ -244,10 +243,28 @@ class TestBuild:
         assert {"a0", "b0", "a1", "b1", "lam"} <= doc.keys()
 
 
+def tangent_setups(desk, diag, testbed):
+    """(manifold, configuration) of the desk grid (N = 2048), the diagnostic
+    grid (N = 1024) and the N = 256 dynamics testbed."""
+    return {
+        "desk": (desk, moderate_config(desk)),
+        "diag": (diag, moderate_config(diag)),
+        "testbed": (testbed, testbed.configuration([4.5, 12.0])),
+    }
+
+
+def relative_gaps(man, got, ref):
+    """L2 distance of each row of got from ref over the L2 norm of ref's
+    row: shape (n, orders)."""
+    w = man.grid.quad_weights
+    return np.sqrt(np.sum(w * (got - ref) ** 2, axis=-1)
+                   / np.sum(w * ref**2, axis=-1))
+
+
 class TestTangents:
     def test_gram_structure(self, desk_manifold, pulse):
         cfg = moderate_config(desk_manifold)
-        tans = desk_manifold.tangent_basis(cfg)
+        tans, _ = desk_manifold.tangent_basis(desk_manifold.build(cfg))
         delta = desk_manifold.params.tail_scale
         gram = np.array(
             [[inner_product_x(a, b) for b in tans] for a in tans]
@@ -259,27 +276,82 @@ class TestTangents:
                 assert abs(gram[i, j] - target) <= 200 * delta
 
     def test_zero_mass(self, desk_manifold):
-        for t in desk_manifold.tangent_basis(moderate_config(desk_manifold)):
-            assert abs(mass(t, 0.0)) < 1e-8
+        # the mass equation is solved with the tangent, so its mass is
+        # rounding: measured at most 6.8e-17, where the difference quotient
+        # of whole builds at rel_step 1e-5 reads 3.0e-11
+        prof = desk_manifold.build(moderate_config(desk_manifold))
+        for t in desk_manifold.tangent_basis(prof)[0]:
+            assert abs(mass(t, 0.0)) <= 1e-14
 
-    def test_leading_term(self, desk_manifold):
+    def test_leading_term(self, desk_manifold, pulse):
         cfg = moderate_config(desk_manifold)
-        tans = desk_manifold.tangent_basis(cfg)
+        tans, _ = desk_manifold.tangent_basis(desk_manifold.build(cfg))
         delta = desk_manifold.params.tail_scale
+        z = desk_manifold.grid.nodes
         for i in range(3):
-            lead = desk_manifold.analytic_tangent_leading(cfg, i)
+            lead = ScalarField(desk_manifold.grid,
+                               -pulse.pulse_bar_deriv(z - cfg.positions[i], 1))
             assert norm(tans[i] - lead, "l2") <= 100 * delta
 
     def test_fd_second_order(self, desk_manifold):
         cfg = moderate_config(desk_manifold)
-        coarse = desk_manifold.tangent_basis(cfg, rel_step=4e-5)[1]
-        mid = desk_manifold.tangent_basis(cfg, rel_step=2e-5)[1]
-        fine = desk_manifold.tangent_basis(cfg, rel_step=1e-5)[1]
+        grid = desk_manifold.grid
+        coarse, mid, fine = (
+            ScalarField(grid, fd_tangents(desk_manifold, cfg, h)[1, 0])
+            for h in (4e-5, 2e-5, 1e-5)
+        )
         e1 = norm(coarse - fine, "l2")
         e2 = norm(mid - fine, "l2")
         assert e1 / max(e2, 1e-16) == pytest.approx(5.0, abs=2.0)
 
-    def test_inadmissible_step_raises(self, desk_manifold):
-        tight = desk_manifold.configuration([4.0001, 30.0, 80.0])
-        with pytest.raises(AdmissibilityError):
-            desk_manifold.tangent_basis(tight, rel_step=1e-3)
+    @pytest.mark.parametrize("setup", ["desk", "diag", "testbed"])
+    def test_exact_matches_fd_to_second_order(self, desk_manifold,
+                                              diag_manifold, small_manifold,
+                                              setup):
+        # the finite-difference gap falls 4x per halving of the step, so the
+        # exact tangent is its h -> 0 limit; measured 4.000 +- 0.002
+        man, cfg = tangent_setups(desk_manifold, diag_manifold,
+                                  small_manifold)[setup]
+        _, stacks = man.tangent_basis(man.build(cfg))
+        gaps = [np.max(relative_gaps(man, stacks[:, 0],
+                                     fd_tangents(man, cfg, h)[:, 0]))
+                for h in (4e-4, 2e-4, 1e-4, 5e-5)]
+        for coarse, fine in zip(gaps, gaps[1:]):
+            assert coarse / fine == pytest.approx(4.0, abs=1.0)
+        # measured: at most 1.0e-9 (desk) and 3.5e-10 (testbed)
+        fine = relative_gaps(man, stacks[:, 0], fd_tangents(man, cfg, 1e-5)[:, 0])
+        assert np.max(fine) <= 5e-9
+
+    @pytest.mark.parametrize("setup", ["desk", "diag", "testbed"])
+    def test_stacks_match_fd(self, desk_manifold, diag_manifold,
+                             small_manifold, setup):
+        # at rel_step 1e-5 the difference quotients are within 6.1e-9 of the
+        # exact stacks at every order, except orders 1 and 3 of a translate
+        # with a grid node within 1e-3 of its center (desk pulse 3, node 435
+        # at z - p = 9.8e-4): 6.7e-7 and 4.6e-7, a gap that levels off as
+        # the step shrinks instead of falling as h^2. The oracle carries it:
+        # it differentiates phi_bar' = -sign(x) sqrt(2 W_bar(phi_bar)),
+        # whose relative error grows near the peak as W_bar -> 0 (3.3e-6 at
+        # x = 1e-3), while the exact order 1 is phi_bar'' = W'(b_minus +
+        # phi_bar), which the second difference of phi_bar matches to 1.1e-8
+        # there.
+        man, cfg = tangent_setups(desk_manifold, diag_manifold,
+                                  small_manifold)[setup]
+        _, stacks = man.tangent_basis(man.build(cfg))
+        gaps = relative_gaps(man, stacks, fd_tangents(man, cfg, 1e-5))
+        assert stacks.shape == (man.n, 5, man.grid.num_points)
+        assert np.all(gaps[:, [0, 2, 4]] <= 1e-8)
+        assert np.all(gaps[:, [1, 3]] <= 1e-6)
+
+    def test_tangent_at_the_admissibility_floor(self, desk_manifold):
+        # the exact tangent needs no step across the floor, where the
+        # difference quotient at rel_step 1e-3 raised AdmissibilityError
+        cfg = desk_manifold.configuration([4.0001, 30.0, 80.0])
+        tans, stacks = desk_manifold.tangent_basis(desk_manifold.build(cfg))
+        assert np.all(np.isfinite(stacks))
+        for t in tans:
+            assert abs(mass(t, 0.0)) <= 1e-14
+        # measured: at most 8.8e-10
+        ref = fd_tangents(desk_manifold, cfg, 1e-5)
+        assert np.max(relative_gaps(desk_manifold, stacks[:, 0],
+                                    ref[:, 0])) <= 5e-9

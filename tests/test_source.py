@@ -14,7 +14,9 @@ an option that no caller varies is a constant. No package function has a
 parameter that its body never reads: callers would pass a value that
 changes nothing. Every iterative eigensolver call (`eigsh`, `lobpcg`)
 passes its start explicitly (`v0=`, `X=`): without one ARPACK draws its own
-start vector, and runs stop repeating bit for bit.
+start vector, and runs stop repeating bit for bit. And every function,
+method and property of the package is referenced by name in the package or
+its tests: code that nothing reaches is deleted, not kept.
 """
 
 import ast
@@ -310,3 +312,58 @@ def test_detects_an_unseeded_solver_call():
 @pytest.mark.parametrize("path", ALL_SOURCES, ids=lambda p: p.name)
 def test_no_unseeded_solver_call(path):
     assert unseeded_solver_calls(path.read_text()) == []
+
+
+def uncalled_definitions(sources, referencing):
+    """module[.Class].name of every function, method and property of sources
+    ({module name: source}) whose name no name or attribute in referencing
+    reads. Dunder methods are exempt: operators and the runtime call them."""
+    named = set()
+    for source in referencing:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+    found = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = child.name
+                if name not in named and not (name.startswith("__")
+                                              and name.endswith("__")):
+                    found.append(f"{prefix}.{name}")
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef,
+                                  ast.AsyncFunctionDef)):
+                visit(child, f"{prefix}.{child.name}")
+            else:
+                visit(child, prefix)
+
+    for module, source in sources.items():
+        visit(ast.parse(source), module)
+    return found
+
+
+def test_detects_an_uncalled_definition():
+    library = (
+        "class Box:\n"
+        "    def __len__(self):\n        return 0\n"
+        "    @property\n    def size(self):\n        return 1\n"
+        "    def grow(self):\n        return self.size\n"
+        "def build():\n"
+        "    def helper():\n        return 2\n"
+        "    def spare():\n        return 3\n"
+        "    return Box(), helper()\n"
+        "def unused():\n    return build\n"
+    )
+    caller = "from lib import build\nbuild()[0].grow()\n"
+    assert uncalled_definitions({"lib": library}, [library, caller]) == [
+        "lib.build.spare", "lib.unused",
+    ]
+
+
+def test_no_uncalled_definition():
+    sources = {p.stem: p.read_text() for p in ALL_SOURCES}
+    referencing = [*sources.values(), *(p.read_text() for p in TEST_SOURCES)]
+    assert uncalled_definitions(sources, referencing) == []

@@ -301,14 +301,12 @@ class TestShiftInvert:
                                                   contexts, point):
         man = diag_manifold
         prof, context = contexts[point]
-        tangents = man.tangent_basis(prof.config)
-        rep = coercivity_constant(man, prof, tangents=tangents,
-                                  context=context)
-        mu_x, mu_h2 = dense_coercivity_minima(context, tangents)
+        basis = man.tangent_basis(prof)
+        rep = coercivity_constant(man, prof, basis=basis, context=context)
+        mu_x, mu_h2 = dense_coercivity_minima(context, basis[0])
         assert rep.mu_x == pytest.approx(mu_x, rel=1e-9)
         assert rep.mu_h2 == pytest.approx(mu_h2, rel=1e-9)
-        again = coercivity_constant(man, prof, tangents=tangents,
-                                    context=context)
+        again = coercivity_constant(man, prof, basis=basis, context=context)
         assert again == rep
 
     def test_repeats_bit_for_bit(self, diag_manifold, contexts):
@@ -403,7 +401,7 @@ class TestConstrainedIndex:
         # constrained index vanishes
         cfg = moderate_config(diag_manifold)
         prof = diag_manifold.build(cfg)
-        tangents = diag_manifold.tangent_basis(cfg)
+        tangents, _ = diag_manifold.tangent_basis(prof)
         mu = 0.75 * edge_floor
 
         context = spectral_context(prof.phi, well)
@@ -571,9 +569,9 @@ class TestCoercivityOracle:
             man = diag_manifold
             cfg = moderate_config(man)
         prof = man.build(cfg)
-        tangents = man.tangent_basis(cfg)
-        ref = dense_generalized_coercivity(man, prof, tangents, edge_floor)
-        rep = coercivity_constant(man, prof, tangents=tangents)
+        basis = man.tangent_basis(prof)
+        ref = dense_generalized_coercivity(man, prof, basis[0], edge_floor)
+        rep = coercivity_constant(man, prof, basis=basis)
         for key in ("mu", "mu_h2", "mu_e", "bound"):
             assert getattr(rep, key) == pytest.approx(ref[key], rel=1e-9), key
         # mu_x and unconstrained_x_min are standard eigenvalues of the
@@ -595,7 +593,7 @@ class TestCoercivityOracle:
         # gap report; a caller that has the report and the context hands
         # them in and gets the same report
         gap = spectral_gap_report(man, prof, context=context)
-        shared = coercivity_constant(man, prof, tangents=tangents,
+        shared = coercivity_constant(man, prof, basis=basis,
                                      context=context, report=gap)
         assert rep.unconstrained_x_min == gap.eigenvalues[0]
         assert shared == rep
@@ -766,11 +764,11 @@ class TestSpectralContextReuse:
         assert set(lanczos) == {0.0}
 
 
-def nodal_tangent_alignment(manifold, report, tangent_stacks):
+def nodal_tangent_alignment(manifold, report, basis):
     """Oracle: tangent alignment in nodal weighted coordinates u_w, the form
     before the mode coordinates. Returns (errors, beta, beta defect)."""
     grid, n = manifold.grid, manifold.n
-    tangents, stacks = tangent_stacks
+    tangents, stacks = basis
     slow = np.stack([to_weighted(f) for f in report.eigenfields[:n]], axis=1)
     t_w = [to_weighted(t) for t in tangents]
     t_mat = np.stack([t / np.linalg.norm(t) for t in t_w], axis=1)
@@ -824,9 +822,9 @@ class TestAlignment:
         man = diag_manifold
         prof = man.build(moderate_config(man))
         rep = spectral_gap_report(man, prof)
-        stacks = man.tangent_basis(prof.config, with_stacks=True)
-        ali = tangent_alignment(man, prof, rep, tangent_stacks=stacks)
-        errors, beta, defect = nodal_tangent_alignment(man, rep, stacks)
+        basis = man.tangent_basis(prof)
+        ali = tangent_alignment(man, prof, rep, basis=basis)
+        errors, beta, defect = nodal_tangent_alignment(man, rep, basis)
         assert_allclose(ali.errors, errors, rtol=1e-10, atol=0)
         assert ali.max_error == pytest.approx(np.max(errors), rel=1e-10)
         assert np.max(np.abs(ali.beta - beta)) <= 1e-10 * np.max(np.abs(beta))
