@@ -64,6 +64,7 @@ from .spectral import (
     AlignmentReport,
     CoercivityReport,
     DiagnosticsReport,
+    ProfilePoint,
     SpectrumReport,
     coercivity_constant,
     constrained_negative_index,

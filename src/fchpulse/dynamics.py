@@ -324,7 +324,6 @@ def run(
     family,
     u0,
     t_final,
-    dt0=None,
     output_every=50,
     controls=None,
     checkpoint_prefix=None,
@@ -332,11 +331,11 @@ def run(
 ):
     """Evolve u_t = -G grad J(u) from u0, recording pulse diagnostics.
 
-    u0 is the initial field, started at t = 0 with step dt0, or a
+    u0 is the initial field, started at t = 0 with step 0.1 h^2, or a
     SimulationState to resume (a checkpoint's, say): its time, step index, dt
     and accept streak carry on, so with the run's controls the resumed run
     takes the steps of the uninterrupted one. A resumed state needs those
-    controls and takes no dt0. t_final is absolute.
+    controls. t_final is absolute.
 
     Exits early (recording t_exit) when pulse extraction fails or the minimum
     gap falls below half the admissible spacing.
@@ -344,14 +343,13 @@ def run(
     well = manifold.well
     params = manifold.params
     if isinstance(u0, SimulationState):
-        if dt0 is not None or controls is None:
+        if controls is None:
             raise FchError(
                 "a resumed state carries its dt and needs the run's controls"
             )
         state = u0
     else:
-        dt = 0.1 * u0.grid.spacing**2 if dt0 is None else dt0
-        state = SimulationState(time=0.0, u=u0, dt=dt)
+        state = SimulationState(time=0.0, u=u0, dt=0.1 * u0.grid.spacing**2)
     grid = state.u.grid
     if controls is None:
         controls = StepControls.for_initial_state(state.u, well)

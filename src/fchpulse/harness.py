@@ -41,7 +41,8 @@ from .dynamics import (
     run as run_pde,
 )
 from .operators import GradientFamily
-from .spectral import el_bounds, run_hypothesis_suite, spectral_gap_report
+from .spectral import (ProfilePoint, el_bounds, run_hypothesis_suite,
+                       spectral_gap_report)
 from .wellmodel import (
     default_well,
     far_field_params,
@@ -196,7 +197,6 @@ class Laboratory:
     params: SystemParams
     grid: Grid
     manifold: PulseManifold
-    diag_grid: Grid
     diag_manifold: PulseManifold
 
     @classmethod
@@ -221,7 +221,7 @@ class Laboratory:
         diag_manifold = PulseManifold(well, pulse, bg1, bg2, params, diag_grid)
         return cls(
             config=config, well=well, pulse=pulse, bg1=bg1, bg2=bg2,
-            params=params, grid=grid, manifold=manifold, diag_grid=diag_grid,
+            params=params, grid=grid, manifold=manifold,
             diag_manifold=diag_manifold,
         )
 
@@ -364,7 +364,7 @@ def experiment_spectrum(config, out_dir):
     )
     rows, passed = [], True
     for i, cfg in enumerate(sample):
-        rep = spectral_gap_report(man, man.build(cfg))
+        rep = spectral_gap_report(ProfilePoint(man, man.build(cfg)))
         passed &= rep.passed
         rows.append(
             [i, rep.slow_dim, rep.stable_edge, rep.k_s,
@@ -389,14 +389,10 @@ def experiment_diagnose(config, out_dir):
     sample = man.sample_configurations(
         min(config.sample_size, 8), seed=config.seed
     )
-    profiles = [man.build(c) for c in sample]
+    points = [ProfilePoint(man, man.build(c)) for c in sample]
     s_checks = tuple(s for s in config.s_values if s > 0.0) or (0.5, 1.0)
-    report = run_hypothesis_suite(
-        man, profiles, s_values=s_checks, seed=config.seed
-    )
-    el = el_bounds(man, profiles[:6], coercivity=report.coercivity[0],
-                   residuals=report.residuals[:6],
-                   energies=report.energies[:6])
+    report = run_hypothesis_suite(points, s_values=s_checks, seed=config.seed)
+    el = el_bounds(points[:6])
     report.add(
         "trapping_radius", -1, el.eta_star, el.eta_upper, el.window_ok,
         delta0=el.delta0, delta1=el.delta1, delta2=el.delta2, mu2=el.mu2,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
@@ -135,8 +136,8 @@ class SpectralContext:
     Mode 0 is the constant direction, so the zero-mass space is modes
     1..N-1: `b` holds those columns of B (all N rows), `z` and `matrix` the
     zero-mass blocks of Q^T diag(Z) Q and of L. Each array has N^2 entries,
-    so a caller builds one per profile with `spectral_context`, hands it to
-    every check of that profile and drops it after them.
+    so one is built per profile (`ProfilePoint.context`), read by every check
+    of that profile and dropped after them.
     """
 
     grid: Grid
@@ -213,6 +214,47 @@ def spectral_context(phi, well):
     return SpectralContext(grid=grid, b=b, z=z, matrix=b.T @ b - z)
 
 
+@dataclass(eq=False)
+class ProfilePoint:
+    """One built profile of a manifold and what its checks share.
+
+    The spectral-renormalization checks (gap, alignment, symmetrized gap) and
+    the energy-landscape ones (coercivity, trapping radius) read the same
+    context, tangent basis, gap report, residual_h4 triple and energy. Each
+    is computed on first read and kept; `release` drops the N^2 context.
+    """
+
+    manifold: object
+    profile: object
+
+    @cached_property
+    def context(self):
+        return spectral_context(self.profile.phi, self.manifold.well)
+
+    @cached_property
+    def basis(self):
+        return self.manifold.tangent_basis(self.profile)
+
+    @cached_property
+    def gap(self):
+        return spectral_gap_report(self)
+
+    @cached_property
+    def coercivity(self):
+        return coercivity_constant(self)
+
+    @cached_property
+    def residual(self):
+        return self.manifold.residual_h4(self.profile)
+
+    @cached_property
+    def energy(self):
+        return self.manifold.energy_value(self.profile)
+
+    def release(self):
+        self.__dict__.pop("context", None)
+
+
 @dataclass
 class SpectrumReport:
     """Eigenpairs of a self-adjoint map with the slow/stable bookkeeping."""
@@ -234,24 +276,23 @@ class SpectrumReport:
         return self.eigenvalues[: self.slow_dim]
 
 
-def spectral_gap_report(manifold, profile, context=None):
+def spectral_gap_report(point):
     """Spectrum of -L on the zero-mass space with the slow/stable split.
 
-    The lowest n + GAP_STABLE_PAIRS eigenpairs are solved. The slow set is
-    every eigenvalue below half the single-pulse edge floor k_s, the pulse's
-    `edge_floor`; the report asserts the slow dimension equals n, that the
-    slow set is O(delta)-small, and that the stable edge sits within the
-    pinned band of k_s. Failures are recorded, not raised. The eigenpairs
-    are Ritz-refined (SpectralContext.ritz); context is the profile's
-    SpectralContext when the caller already has it.
+    The lowest n + GAP_STABLE_PAIRS eigenpairs of the point's context are
+    solved. The slow set is every eigenvalue below half the single-pulse
+    edge floor k_s, the pulse's `edge_floor`; the report asserts the slow
+    dimension equals n, that the slow set is O(delta)-small, and that the
+    stable edge sits within the pinned band of k_s. Failures are recorded,
+    not raised. The eigenpairs are Ritz-refined (SpectralContext.ritz).
     """
+    manifold = point.manifold
     grid = manifold.grid
     n = manifold.n
     delta = manifold.params.tail_scale
     k_s = manifold.pulse.edge_floor
-    if context is None:
-        context = spectral_context(profile.phi, manifold.well)
-    sv = second_variation(profile.phi, manifold.well)
+    context = point.context
+    sv = second_variation(point.profile.phi, manifold.well)
     k = n + GAP_STABLE_PAIRS
     evals, vecs = context.lowest(k)
     fields = [context.field(vecs[:, j]) for j in range(k)]
@@ -422,8 +463,7 @@ def _best_shift(m4, shift, mu_tilde, gamma_sweep):
     return best[0], best[1], best_bound, tuple(solved)
 
 
-def coercivity_constant(manifold, profile, basis=None, context=None,
-                        report=None):
+def coercivity_constant(point):
     """Normal coercivity constants of the constrained second variation.
 
     mu is the exact discrete minimum of <L v, v>/||v||_{H4}^2 over zero-mass
@@ -441,9 +481,7 @@ def coercivity_constant(manifold, profile, basis=None, context=None,
     diagonal h_mode_multipliers, so each generalized problem becomes a
     standard one after diagonal whitening. The tangent constraints are
     deflated (see _deflate). The unconstrained minimum is the lowest Ritz
-    value of the profile's spectral gap report. basis is the profile's
-    `tangent_basis`, context its SpectralContext and report that gap report,
-    when the caller has them.
+    value of the point's gap report.
 
     mu_x and mu_h2 are shift-invert Lanczos solves (_near_zero) with one
     Ritz step on the context's factors: their minima stand apart from the
@@ -454,14 +492,11 @@ def coercivity_constant(manifold, profile, basis=None, context=None,
     a shift-invert solve of mu agreed to 6e-11 but took 143-172 ms against
     89-102 ms.
     """
+    manifold = point.manifold
     grid = manifold.grid
-    tangents = (basis or manifold.tangent_basis(profile))[0]
+    tangents = point.basis[0]
     mu_tilde = 0.75 * manifold.pulse.edge_floor
-
-    if context is None:
-        context = spectral_context(profile.phi, manifold.well)
-    if report is None:
-        report = spectral_gap_report(manifold, profile, context=context)
+    context = point.context
     a = context.matrix
     t_modes = np.stack([context.modes(t) for t in tangents], axis=1)
 
@@ -494,7 +529,7 @@ def coercivity_constant(manifold, profile, basis=None, context=None,
         mu_x=mu_x,
         mu_h2=mu_h2,
         bound=bound,
-        unconstrained_x_min=float(report.eigenvalues[0]),
+        unconstrained_x_min=float(point.gap.eigenvalues[0]),
         passed=mu > 0.0,
         gammas_solved=solved,
     )
@@ -522,7 +557,7 @@ def _procrustes_align(slow, tangents):
     return beta, rotated, t_mat
 
 
-def tangent_alignment(manifold, profile, report=None, basis=None):
+def tangent_alignment(point):
     """Max H4 distance between slow eigenfields and normalized tangents.
 
     The slow eigenbasis is matched to the tangent directions by the optimal
@@ -530,10 +565,9 @@ def tangent_alignment(manifold, profile, report=None, basis=None):
     measured in the H4 norm with the tangent derivatives assembled
     analytically and the eigenfield derivatives synthesized from the rotated
     mode coordinates (`mode_derivative`), with no transform back to modes.
-    basis is the profile's `tangent_basis`, when the caller has it.
     """
-    if report is None:
-        report = spectral_gap_report(manifold, profile)
+    manifold = point.manifold
+    report = point.gap
     n = manifold.n
     delta = manifold.params.tail_scale
     if report.slow_dim != n:
@@ -541,7 +575,7 @@ def tangent_alignment(manifold, profile, report=None, basis=None):
             max_error=np.nan, errors=np.full(n, np.nan),
             beta=np.full((n, n), np.nan), beta_defect=np.nan, passed=False,
         )
-    tangents, stacks = basis or manifold.tangent_basis(profile)
+    tangents, stacks = point.basis
     slow = np.stack([to_modes(f) for f in report.eigenfields[:n]], axis=1)
     t_modes = [to_modes(t) for t in tangents]
     beta, rotated, t_mat = _procrustes_align(slow, t_modes)
@@ -575,24 +609,23 @@ def tangent_alignment(manifold, profile, report=None, basis=None):
 # ---------------------------------------------------------------------------
 
 
-def symmetrized_gap(manifold, profile, family, basis=None, context=None):
+def symmetrized_gap(point, family):
     """Spectrum of G1*L*G1 on the zero-mass space and its slow alignment.
 
     Asserts n slow eigenvalues of size O(delta_g), a stable remainder, and
     alignment of the slow eigenfields with the normalized G1^{-1} tangents
-    (of `basis`, the profile's `tangent_basis`, computed unless given). G1
-    is diagonal in modes, so the operator is a scaling of the profile's
-    SpectralContext (context, when the caller has it), refined through B*G1
+    of the point's basis. G1 is diagonal in modes, so the operator is a
+    scaling of the point's context, refined through B*G1
     (SpectralContext.lowest). At s = 0 this reproduces the plain spectral
     gap report.
     """
+    manifold = point.manifold
     params = manifold.params
     s = family.s
     delta_g = params.require_srn_regime(s)
     n = manifold.n
 
-    if context is None:
-        context = spectral_context(profile.phi, manifold.well)
+    context = point.context
     g1 = family.multipliers("G1")[1:]
     k = n + SYMMETRIZED_STABLE_PAIRS
     evals, vecs = context.lowest(k, scale=g1)
@@ -614,7 +647,7 @@ def symmetrized_gap(manifold, profile, family, basis=None, context=None):
         failures.append("no clear slow/stable separation")
 
     # alignment of slow eigenfields with normalized G1^{-1} tangents
-    tangents = (basis or manifold.tangent_basis(profile))[0]
+    tangents = point.basis[0]
     t_g = [context.modes(t) / g1 for t in tangents]
     beta, rotated, t_mat = _procrustes_align(vecs[:, :n], t_g)
     errors = np.array(
@@ -684,39 +717,33 @@ def dual_h4_norm(field):
     return float(np.sqrt(np.sum(a**2 * parseval_weights(grid) / m)))
 
 
-def el_bounds(manifold, profiles, coercivity=None, residuals=None,
-              energies=None):
-    """Measured trapping-radius ingredients over a manifold sample.
+def el_bounds(points):
+    """Measured trapping-radius ingredients over a manifold sample's points.
 
     delta0: max energy variation over the sample; delta1: the tail scale
     delta of the manifold's parameters; delta2: max residual
     projection constant (the H4-dual norm of Pi_0 grad J, the sharp constant
     of the small-residual pairing bound); mu2: the H2-Gram coercivity minimum
     (resolution-stable); c2 fits the cubic remainder bound over 4 random
-    probes; c1, the projection Lipschitz constant, is the unit proxy, and the
-    window eta_upper is capped at 1. A caller that already has the
-    coercivity report of profiles[0], or the residual fields of
-    `residual_h4` or the values of `energy_value` for the profiles in order,
-    passes them instead of having them computed again.
+    probes about points[0]; c1, the projection Lipschitz constant, is the
+    unit proxy, and the window eta_upper is capped at 1.
     """
+    manifold = points[0].manifold
     delta1 = manifold.params.tail_scale
-    if energies is None:
-        energies = [manifold.energy_value(p) for p in profiles]
+    energies = [p.energy for p in points]
     delta0 = float(np.max(energies) - np.min(energies))
-    if residuals is None:
-        residuals = [manifold.residual_h4(p)[0] for p in profiles]
     delta2 = 0.0
-    for r_field in residuals:
-        delta2 = max(delta2, dual_h4_norm(r_field))
-    if coercivity is None:
-        coercivity = coercivity_constant(manifold, profiles[0])
-    mu2 = coercivity.mu_h2
+    for p in points:
+        delta2 = max(delta2, dual_h4_norm(p.residual[0]))
+    mu2 = points[0].coercivity.mu_h2
 
     rng = np.random.default_rng(0)
     grid = manifold.grid
     well = manifold.well
-    base = profiles[0]
+    base = points[0].profile
     sv = second_variation(base.phi, well)
+    j_base = energy(base.phi, well)
+    gradient = variational_derivative(base.phi, well)
     c2 = 0.0
     c1 = 1.0
     for _ in range(4):
@@ -728,8 +755,7 @@ def el_bounds(manifold, profiles, coercivity=None, residuals=None,
         v = ScalarField(grid, cosine_synth(coeffs))
         v = v * (0.1 / max(norm(v, "h4"), 1e-300))
         j_full = energy(base.phi + v, well)
-        j_base = energy(base.phi, well)
-        lin_term = inner_product_x(variational_derivative(base.phi, well), v)
+        lin_term = inner_product_x(gradient, v)
         quad_term = 0.5 * inner_product_x(sv.apply(v), v)
         rem = abs(j_full - j_base - lin_term - quad_term)
         c2 = max(c2, rem / norm(v, "h4") ** 3)
@@ -756,18 +782,15 @@ def el_bounds(manifold, profiles, coercivity=None, residuals=None,
 # ---------------------------------------------------------------------------
 
 
-def semigroup_decay_check(manifold, profile, context=None):
+def semigroup_decay_check(point):
     """Exact exponential decay check for the self-adjoint linearization.
 
-    Diagonalizes -L on the zero-mass modes (of context, the profile's
-    SpectralContext, when given) and verifies
-    ||exp(t L) u|| <= exp(-edge * t) ||u|| at t = 0.5, 1, 2 for 4 random u,
-    drawn in mode coordinates, orthogonal to the slow eigenspace.
+    Diagonalizes -L on the zero-mass modes of the point's context and
+    verifies ||exp(t L) u|| <= exp(-edge * t) ||u|| at t = 0.5, 1, 2 for 4
+    random u, drawn in mode coordinates, orthogonal to the slow eigenspace.
     """
-    n = manifold.n
-    if context is None:
-        context = spectral_context(profile.phi, manifold.well)
-    evals, evecs = sla.eigh(context.matrix)
+    n = point.manifold.n
+    evals, evecs = sla.eigh(point.context.matrix)
     edge = evals[n]
     rng = np.random.default_rng(0)
     ok = True
@@ -786,27 +809,26 @@ def semigroup_decay_check(manifold, profile, context=None):
     return ok, worst, float(edge)
 
 
-def eigenfield_continuity(manifold, config, center_report=None):
+def eigenfield_continuity(point):
     """Slow-eigenfield continuity and p-Hessian magnitude along a p-path:
-    the first pulse moved by +-0.05.
+    the point's first pulse moved by +-0.05.
 
     The slow eigenvalues are nearly degenerate, so the eigenvectors inside
     the slow cluster are fixed only to rounding and may rotate arbitrarily
     along the path; continuity is a statement about the slow subspace. Each
     shifted slow basis is therefore aligned onto the center basis by the
-    orthogonal Procrustes rotation before the second difference. center_report
-    is the spectral gap report at config when the caller already has it.
-    Returns (min subspace overlap, max second-difference H4 norm).
+    orthogonal Procrustes rotation before the second difference. Returns
+    (min subspace overlap, max second-difference H4 norm).
     """
+    manifold = point.manifold
     n = manifold.n
     step = 0.05
-    if center_report is None:
-        center_report = spectral_gap_report(manifold, manifold.build(config))
-    u_c = np.stack([to_modes(f) for f in center_report.eigenfields[:n]], axis=1)
+    u_c = np.stack([to_modes(f) for f in point.gap.eigenfields[:n]], axis=1)
     sub_overlap = 1.0
     aligned = []
     for shift in (-step, step):
-        rep = spectral_gap_report(manifold, manifold.build(config.shifted(0, shift)))
+        shifted = manifold.build(point.profile.config.shifted(0, shift))
+        rep = ProfilePoint(manifold, shifted).gap
         u_s = np.stack([to_modes(f) for f in rep.eigenfields[:n]], axis=1)
         # the subspace turns at a rate controlled by the gap to the stable part
         u, sigma, vt = np.linalg.svd(u_c.T @ u_s)
@@ -854,9 +876,6 @@ def _plain(v):
 @dataclass
 class DiagnosticsReport:
     records: list = field(default_factory=list)
-    coercivity: list = field(default_factory=list)
-    residuals: list = field(default_factory=list)
-    energies: list = field(default_factory=list)
 
     def add(self, hypothesis, config_id, constant, threshold, passed, **details):
         self.records.append(
@@ -890,38 +909,35 @@ class DiagnosticsReport:
                 )
 
 
-def run_hypothesis_suite(manifold, profiles, s_values=(0.5, 1.0), seed=0):
-    """Numerical verification of the standing hypotheses over built profiles.
+def run_hypothesis_suite(points, s_values=(0.5, 1.0), seed=0):
+    """Numerical verification of the standing hypotheses over sample points.
 
     Covers: quasi-steady residual smallness, slow/stable dichotomy, semigroup
     decay, tangent alignment, eigenfield regularity, energy flatness,
     invariant-plane membership, normal coercivity, the scaled-nonlinearity
     and scaled-residual bounds, tangent amplification, and the symmetrized
     gap for each requested s. The spectral checks run on the first
-    SPECTRAL_SUBSET profiles. The residual fields and energies of all
-    profiles and the coercivity reports of the spectral subset are kept in
-    order in `report.residuals`, `report.energies` and `report.coercivity`.
-    Each profile's SpectralContext is built once, serves every spectral
-    check of that profile, and is dropped after them.
+    SPECTRAL_SUBSET points, each of which releases its context after its
+    checks; the equispaced point keeps its own until the symmetrized gaps
+    have read it.
     """
+    manifold = points[0].manifold
     report = DiagnosticsReport()
     params = manifold.params
     delta = params.tail_scale
 
     # residual smallness
     c0 = 0.0
-    for p in profiles:
-        r_field, h4, _ = manifold.residual_h4(p)
-        report.residuals.append(r_field)
-        c0 = max(c0, h4 / delta)
+    for p in points:
+        c0 = max(c0, p.residual[1] / delta)
     report.add(
         "residual_smallness", -1, c0, THRESHOLDS["residual_cap_over_delta"],
         c0 <= THRESHOLDS["residual_cap_over_delta"],
     )
 
     # energy flatness over the manifold sample
-    report.energies = [manifold.energy_value(p) for p in profiles]
-    delta0 = float(np.max(report.energies) - np.min(report.energies))
+    energies = [p.energy for p in points]
+    delta0 = float(np.max(energies) - np.min(energies))
     report.add(
         "energy_flatness", -1, delta0 / delta,
         THRESHOLDS["residual_cap_over_delta"],
@@ -930,46 +946,35 @@ def run_hypothesis_suite(manifold, profiles, s_values=(0.5, 1.0), seed=0):
 
     # invariant-plane membership: pairwise mass differences
     worst_mass = 0.0
-    for p in profiles[1:]:
+    for p in points[1:]:
         worst_mass = max(
-            worst_mass, abs(field_mass(p.phi - profiles[0].phi, 0.0))
+            worst_mass,
+            abs(field_mass(p.profile.phi - points[0].profile.phi, 0.0)),
         )
     report.add("invariant_plane", -1, worst_mass, 1e-9, worst_mass <= 1e-9)
 
     # the gradient-family bounds are interior statements: measure them at the
     # equispaced point, away from the admissibility boundary where the
-    # ansatz's residual boundary layer dominates the strong norms; a sample
-    # that contains that point already has its profile and residual, and its
-    # tangents and context too when the point is in the spectral subset
+    # ansatz's residual boundary layer dominates the strong norms
     equi = manifold.equispaced()
-    at_equi = next((i for i, p in enumerate(profiles)
-                    if np.array_equal(p.config.positions, equi.positions)),
-                   None)
+    base = next((p for p in points if np.array_equal(
+        p.profile.config.positions, equi.positions)), None)
 
     # spectral checks on a subset
-    gaps, subset_bases, equi_context = [], [], None
-    for i, p in enumerate(profiles[:SPECTRAL_SUBSET]):
-        context = spectral_context(p.phi, manifold.well)
-        if i == at_equi:
-            equi_context = context
-        gap = spectral_gap_report(manifold, p, context=context)
-        gaps.append(gap)
+    for i, p in enumerate(points[:SPECTRAL_SUBSET]):
+        gap = p.gap
         report.add(
             "slow_stable_split", i, gap.extras.get("fitted_c0", np.nan),
             THRESHOLDS["slow_cap_over_delta"], gap.passed,
             failures=gap.failures, stable_edge=gap.stable_edge, k_s=gap.k_s,
         )
-        basis = manifold.tangent_basis(p)
-        subset_bases.append(basis)
-        align = tangent_alignment(manifold, p, gap, basis=basis)
+        align = tangent_alignment(p)
         report.add(
             "tangent_alignment", i, align.max_error / delta,
             THRESHOLDS["alignment_cap_over_delta"], align.passed,
             beta_defect=align.beta_defect,
         )
-        coer = coercivity_constant(manifold, p, basis=basis,
-                                   context=context, report=gap)
-        report.coercivity.append(coer)
+        coer = p.coercivity
         report.add(
             "normal_coercivity", i, coer.mu, 0.0,
             coer.passed and coer.relation_holds(),
@@ -977,14 +982,13 @@ def run_hypothesis_suite(manifold, profiles, s_values=(0.5, 1.0), seed=0):
             mu_h2=coer.mu_h2, mu_x=coer.mu_x,
         )
         if i == 0:
-            ok, worst, edge = semigroup_decay_check(manifold, p,
-                                                    context=context)
-        context = None  # released before the next profile's is built
+            ok, worst, edge = semigroup_decay_check(p)
+        if p is not base:
+            p.release()
 
     report.add("semigroup_decay", 0, worst, 1.0 + 1e-10, ok, edge=edge)
 
-    overlap, hess = eigenfield_continuity(manifold, profiles[0].config,
-                                          center_report=gaps[0])
+    overlap, hess = eigenfield_continuity(points[0])
     report.add(
         "eigenfield_regularity", 0, overlap, THRESHOLDS["overlap_floor"],
         overlap >= THRESHOLDS["overlap_floor"], hessian_norm=hess,
@@ -992,15 +996,8 @@ def run_hypothesis_suite(manifold, profiles, s_values=(0.5, 1.0), seed=0):
 
     # gradient-family checks
     rng = np.random.default_rng(seed)
-    if at_equi is None:
-        base = manifold.build(equi)
-        r_base, _, _ = manifold.residual_h4(base)
-    else:
-        base, r_base = profiles[at_equi], report.residuals[at_equi]
-    if at_equi is not None and at_equi < len(subset_bases):
-        basis = subset_bases[at_equi]
-    else:
-        basis = manifold.tangent_basis(base)
+    if base is None:
+        base = ProfilePoint(manifold, manifold.build(equi))
     for s in s_values:
         fam = GradientFamily(manifold.grid, s)
         rho = params.gap_rho(s)
@@ -1015,10 +1012,10 @@ def run_hypothesis_suite(manifold, profiles, s_values=(0.5, 1.0), seed=0):
             w = ScalarField(manifold.grid, cosine_synth(coeffs))
             probes.append(w * (0.5 / fam.h_norm(w)))
         rho_nl = params.epsilon ** (-2.0 * s) if s > 0 else 1.0
-        c_a = scaled_nonlinearity_constant(base.phi, manifold.well, fam,
-                                           rho_nl, probes)
-        c_b = scaled_nonlinearity_constant(base.phi, manifold.well, fam,
-                                           2.0 * rho_nl, probes)
+        c_a = scaled_nonlinearity_constant(base.profile.phi, manifold.well,
+                                           fam, rho_nl, probes)
+        c_b = scaled_nonlinearity_constant(base.profile.phi, manifold.well,
+                                           fam, 2.0 * rho_nl, probes)
         # the quadratic leading order makes c non-increasing in rho, so the
         # rho-uniform bound is witnessed at the smaller rho
         c_eh2 = max(c_a, c_b)
@@ -1030,12 +1027,12 @@ def run_hypothesis_suite(manifold, profiles, s_values=(0.5, 1.0), seed=0):
             s=s, c_small_rho=c_a, c_large_rho=c_b,
         )
 
-        c_res = scaled_residual_constant(r_base, fam, rho, delta)
+        c_res = scaled_residual_constant(base.residual[0], fam, rho, delta)
         report.add(
             "scaled_residual", -1, c_res, THRESHOLDS["eh3_residual_cap"],
             c_res <= THRESHOLDS["eh3_residual_cap"], s=s,
         )
-        c_tan = tangent_amplification_constant(basis[0], fam, rho)
+        c_tan = tangent_amplification_constant(base.basis[0], fam, rho)
         report.add(
             "tangent_amplification", -1, c_tan,
             THRESHOLDS["eh3_tangent_cap"],
@@ -1052,13 +1049,11 @@ def run_hypothesis_suite(manifold, profiles, s_values=(0.5, 1.0), seed=0):
                     s=s, gap_delta=params.gap_delta(s), failures=[str(err)],
                 )
                 continue
-            if equi_context is None:
-                equi_context = spectral_context(base.phi, manifold.well)
-            sym = symmetrized_gap(manifold, base, fam, basis=basis,
-                                  context=equi_context)
+            sym = symmetrized_gap(base, fam)
             report.add(
                 "symmetrized_gap", 0, sym.extras["fitted_c"],
                 THRESHOLDS["symmetrized_cap_over_delta_g"], sym.passed,
                 s=s, failures=sym.failures,
             )
+    base.release()
     return report

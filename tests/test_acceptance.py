@@ -29,6 +29,7 @@ import pytest
 from fchpulse import (
     GradientFamily,
     Grid,
+    ProfilePoint,
     ReducedModel,
     ScalarField,
     SystemParams,
@@ -151,7 +152,7 @@ def test_criterion_05_spectral_gap(manifold_factory, edge_floor):
     for n_pts in (1024, 2048):
         man = manifold_factory(num_points=n_pts)
         prof = man.build(man.configuration([12.0, 22.0, 34.0]))
-        reports[n_pts] = spectral_gap_report(man, prof)
+        reports[n_pts] = spectral_gap_report(ProfilePoint(man, prof))
     rep = reports[1024]
     fitted_c0 = rep.extras["fitted_c0"]
     edge_ok = (
@@ -197,7 +198,7 @@ def test_criterion_07_coercivity(diag_manifold):
     mus, ok = [], True
     for cfg in sample:
         prof = diag_manifold.build(cfg)
-        rep = coercivity_constant(diag_manifold, prof)
+        rep = coercivity_constant(ProfilePoint(diag_manifold, prof))
         mus.append(rep.mu)
         ok = ok and rep.mu > 0.0 and rep.relation_holds()
     _report(
@@ -215,8 +216,7 @@ def test_criterion_08_tangent_alignment(manifold_factory, well):
     for ell in (8.0, 10.0):
         man = manifold_factory(num_points=1024, ell=ell)
         prof = man.build(cluster_config(man, ell))
-        rep = spectral_gap_report(man, prof)
-        ali = tangent_alignment(man, prof, rep)
+        ali = tangent_alignment(ProfilePoint(man, prof))
         errs[ell] = ali.max_error
         c3[ell] = ali.max_error / man.params.tail_scale
     ratio = errs[10.0] / errs[8.0]
@@ -241,7 +241,7 @@ def test_criterion_09_symmetrized_gap(diag_manifold):
     ok = True
     for s in (0.5, 1.0):
         fam = GradientFamily(diag_manifold.grid, s)
-        rep = symmetrized_gap(diag_manifold, prof, fam)
+        rep = symmetrized_gap(ProfilePoint(diag_manifold, prof), fam)
         results[s] = rep.extras["fitted_c"]
         ok = ok and rep.passed and rep.slow_dim == 3
     passed = ok and max(results.values()) <= 15.0
@@ -472,9 +472,9 @@ def test_criterion_15_trapping_radius_scaling(manifold_factory):
     etas, deltas, lin_ratios, mass_ratios = [], [], [], []
     for ell in (14.0, 16.0, 18.0):
         man = manifold_factory(num_points=1024, ell=ell)
-        profiles = [man.build(c)
-                    for c in man.sample_configurations(32, seed=0)]
-        rep = el_bounds(man, profiles)
+        points = [ProfilePoint(man, man.build(c))
+                  for c in man.sample_configurations(32, seed=0)]
+        rep = el_bounds(points)
         etas.append(rep.eta_star)
         deltas.append(man.params.tail_scale)
         root = np.sqrt(2.0 * (rep.delta0 + rep.delta1) / rep.mu2)

@@ -644,8 +644,6 @@ class TestRun:
         state, fam, controls = perturbed_testbed(small_manifold, well)
         with pytest.raises(FchError, match="resumed state"):
             run(small_manifold, fam, state, 0.1, controls=None)
-        with pytest.raises(FchError, match="resumed state"):
-            run(small_manifold, fam, state, 0.1, dt0=1e-4, controls=controls)
 
     def test_checkpoint_resolution_mismatch(self, small_manifold, tmp_path):
         from fchpulse import Grid, GridMismatchError

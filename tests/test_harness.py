@@ -100,15 +100,25 @@ class TestManifest:
         assert doc["summary"]["pass"] is True
 
     def test_determinism(self, tmp_path):
-        outputs = []
-        for tag in ("a", "b"):
-            cfg = ExperimentConfig(
-                experiment="simulate", seed=7,
-                output_dir=str(tmp_path / tag), perturbation=1e-4, **SMALL
-            )
-            run_experiment(cfg)
-            outputs.append((tmp_path / tag / "trajectory.csv").read_bytes())
-        assert outputs[0] == outputs[1]
+        # two runs in one process write the same bytes: a simulate
+        # trajectory, and the diagnostics on the spectral testbed, whose
+        # checks share each profile's cached and released quantities
+        runs = {
+            "simulate": ("trajectory.csv",
+                         dict(seed=7, perturbation=1e-4, **SMALL)),
+            "diagnose": ("diagnostics.json",
+                         dict(domain_d=1.6, n_pulses=2, min_spacing=8.0,
+                              grid_points=256, diagnostic_grid_points=256,
+                              sample_size=2)),
+        }
+        for experiment, (name, options) in runs.items():
+            outputs = []
+            for tag in ("a", "b"):
+                out = tmp_path / f"{experiment}_{tag}"
+                run_experiment(ExperimentConfig(
+                    experiment=experiment, output_dir=str(out), **options))
+                outputs.append((out / name).read_bytes())
+            assert outputs[0] == outputs[1], experiment
 
 
 class TestExperiments:

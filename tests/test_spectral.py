@@ -13,6 +13,7 @@ import fchpulse.spectral as spectral
 from fchpulse import (
     GradientFamily,
     Grid,
+    ProfilePoint,
     ScalarField,
     coercivity_constant,
     constrained_negative_index,
@@ -188,7 +189,7 @@ class TestRitzOracle:
         cfg = (moderate_config(man) if point == "moderate"
                else man.equispaced())
         prof = man.build(cfg)
-        rep = spectral_gap_report(man, prof)
+        rep = spectral_gap_report(ProfilePoint(man, prof))
         dense, ritz, _ = householder_ritz(prof.phi, man.well,
                                           rep.eigenvalues.size)
         n = rep.slow_dim
@@ -204,7 +205,7 @@ class TestRitzOracle:
                else man.equispaced())
         prof = man.build(cfg)
         fam = GradientFamily(man.grid, s)
-        rep = symmetrized_gap(man, prof, fam)
+        rep = symmetrized_gap(ProfilePoint(man, prof), fam)
         dense, ritz, norm_mat = householder_ritz(
             prof.phi, man.well, rep.eigenvalues.size, fam.multipliers("G1")
         )
@@ -257,17 +258,15 @@ class TestShiftInvert:
     replaced (conftest), at the desk preset's diagnostic grid."""
 
     @pytest.fixture(scope="class")
-    def contexts(self, diag_manifold):
+    def points(self, diag_manifold):
         man = diag_manifold
-        out = {}
-        for point in POINTS:
-            prof = man.build(shift_invert_point(man, point))
-            out[point] = (prof, spectral_context(prof.phi, man.well))
-        return out
+        return {point: ProfilePoint(man, man.build(shift_invert_point(man,
+                                                                      point)))
+                for point in POINTS}
 
     @pytest.mark.parametrize("point", POINTS)
-    def test_lowest_matches_dense_oracle(self, contexts, point):
-        _, context = contexts[point]
+    def test_lowest_matches_dense_oracle(self, points, point):
+        context = points[point].context
         theta, vecs = context.lowest(7)
         ref, _ = dense_lowest(context, 7)
         assert_allclose(theta, ref, rtol=1e-9, atol=0)
@@ -287,8 +286,8 @@ class TestShiftInvert:
     @pytest.mark.parametrize("point", POINTS)
     @pytest.mark.parametrize("s", [0.5, 1.0])
     def test_scaled_lowest_matches_dense_oracle(self, diag_manifold,
-                                                contexts, point, s):
-        _, context = contexts[point]
+                                                points, point, s):
+        context = points[point].context
         g1 = GradientFamily(diag_manifold.grid, s).multipliers("G1")[1:]
         theta, _ = context.lowest(6, scale=g1)
         ref, _ = dense_lowest(context, 6, scale=g1)
@@ -297,20 +296,17 @@ class TestShiftInvert:
         assert_inertia_certificate(scaled, theta)
 
     @pytest.mark.parametrize("point", POINTS)
-    def test_coercivity_minima_match_dense_oracle(self, diag_manifold,
-                                                  contexts, point):
-        man = diag_manifold
-        prof, context = contexts[point]
-        basis = man.tangent_basis(prof)
-        rep = coercivity_constant(man, prof, basis=basis, context=context)
-        mu_x, mu_h2 = dense_coercivity_minima(context, basis[0])
+    def test_coercivity_minima_match_dense_oracle(self, points, point):
+        pt = points[point]
+        rep = coercivity_constant(pt)
+        mu_x, mu_h2 = dense_coercivity_minima(pt.context, pt.basis[0])
         assert rep.mu_x == pytest.approx(mu_x, rel=1e-9)
         assert rep.mu_h2 == pytest.approx(mu_h2, rel=1e-9)
-        again = coercivity_constant(man, prof, basis=basis, context=context)
+        again = coercivity_constant(pt)
         assert again == rep
 
-    def test_repeats_bit_for_bit(self, diag_manifold, contexts):
-        _, context = contexts["moderate"]
+    def test_repeats_bit_for_bit(self, diag_manifold, points):
+        context = points["moderate"].context
         g1 = GradientFamily(diag_manifold.grid, 1.0).multipliers("G1")[1:]
         for scale in (None, g1):
             first = context.lowest(7, scale=scale)
@@ -327,7 +323,7 @@ class TestShiftInvert:
 class TestSpectralGap:
     def test_slow_dimension_and_edge(self, diag_manifold, edge_floor):
         prof = diag_manifold.build(moderate_config(diag_manifold))
-        rep = spectral_gap_report(diag_manifold, prof)
+        rep = spectral_gap_report(ProfilePoint(diag_manifold, prof))
         assert rep.passed, rep.failures
         assert rep.slow_dim == 3
         assert 0.8 * edge_floor <= rep.stable_edge <= 1.2 * edge_floor
@@ -337,8 +333,7 @@ class TestSpectralGap:
         for n_pts in (1024, 2048):
             man = manifold_factory(num_points=n_pts)
             prof = man.build(man.configuration([12.0, 22.0, 34.0]))
-            rep = spectral_gap_report(man, prof)
-            slow[n_pts] = rep
+            slow[n_pts] = spectral_gap_report(ProfilePoint(man, prof))
         assert slow[1024].slow_dim == slow[2048].slow_dim == 3
         assert np.max(np.abs(
             slow[1024].slow_eigenvalues - slow[2048].slow_eigenvalues
@@ -350,7 +345,7 @@ class TestSpectralGap:
         for ell in (8.0, 10.0):
             man = manifold_factory(num_points=1024, ell=ell)
             prof = man.build(cluster_config(man, ell))
-            rep = spectral_gap_report(man, prof)
+            rep = spectral_gap_report(ProfilePoint(man, prof))
             assert rep.slow_dim == 3
             worst[ell] = np.max(np.abs(rep.slow_eigenvalues))
         ratio = worst[10.0] / worst[8.0]
@@ -362,7 +357,7 @@ class TestSpectralGap:
         # report flags it instead of raising
         man = manifold_factory(num_points=1024, ell=2.0)
         prof_cfg = man.configuration([1.2, 3.4, 5.8])
-        rep = spectral_gap_report(man, man.build(prof_cfg))
+        rep = spectral_gap_report(ProfilePoint(man, man.build(prof_cfg)))
         assert not rep.passed
         assert rep.failures
 
@@ -423,14 +418,14 @@ class TestCoercivity:
         for cfg in (moderate_config(diag_manifold),
                     diag_manifold.equispaced()):
             prof = diag_manifold.build(cfg)
-            rep = coercivity_constant(diag_manifold, prof)
+            rep = coercivity_constant(ProfilePoint(diag_manifold, prof))
             assert rep.mu > 0.0
             assert rep.relation_holds()
             assert rep.mu_x >= rep.mu_tilde
 
     def test_unconstrained_minimum_drops_to_slow_scale(self, diag_manifold):
         prof = diag_manifold.build(moderate_config(diag_manifold))
-        rep = coercivity_constant(diag_manifold, prof)
+        rep = coercivity_constant(ProfilePoint(diag_manifold, prof))
         delta = diag_manifold.params.tail_scale
         assert rep.unconstrained_x_min <= 1000 * delta
         assert rep.mu_x >= 100 * rep.unconstrained_x_min
@@ -440,7 +435,7 @@ class TestCoercivity:
         for n_pts in (512, 1024):
             man = manifold_factory(num_points=n_pts)
             prof = man.build(man.equispaced())
-            vals[n_pts] = coercivity_constant(man, prof).mu_h2
+            vals[n_pts] = coercivity_constant(ProfilePoint(man, prof)).mu_h2
         assert vals[1024] == pytest.approx(vals[512], rel=0.05)
 
 
@@ -569,9 +564,10 @@ class TestCoercivityOracle:
             man = diag_manifold
             cfg = moderate_config(man)
         prof = man.build(cfg)
-        basis = man.tangent_basis(prof)
-        ref = dense_generalized_coercivity(man, prof, basis[0], edge_floor)
-        rep = coercivity_constant(man, prof, basis=basis)
+        point = ProfilePoint(man, prof)
+        ref = dense_generalized_coercivity(man, prof, point.basis[0],
+                                           edge_floor)
+        rep = coercivity_constant(point)
         for key in ("mu", "mu_h2", "mu_e", "bound"):
             assert getattr(rep, key) == pytest.approx(ref[key], rel=1e-9), key
         # mu_x and unconstrained_x_min are standard eigenvalues of the
@@ -585,18 +581,13 @@ class TestCoercivityOracle:
             ), key
         assert rep.gamma_e == ref["gamma_e"]
         # the pruned sweep is bitwise the sweep that solves every shift
-        context = spectral_context(prof.phi, man.well)
         assert (rep.mu_e, rep.gamma_e, rep.bound) == full_shift_sweep(
-            *whitened_h4(context), rep.mu_tilde, GAMMA_SWEEP,
+            *whitened_h4(point.context), rep.mu_tilde, GAMMA_SWEEP,
         )
-        # the unconstrained minimum is the lowest Ritz value of the profile's
-        # gap report; a caller that has the report and the context hands
-        # them in and gets the same report
-        gap = spectral_gap_report(man, prof, context=context)
-        shared = coercivity_constant(man, prof, basis=basis,
-                                     context=context, report=gap)
-        assert rep.unconstrained_x_min == gap.eigenvalues[0]
-        assert shared == rep
+        # the unconstrained minimum is the lowest Ritz value of the point's
+        # gap report, and a fresh point of the profile gives the same report
+        assert rep.unconstrained_x_min == point.gap.eigenvalues[0]
+        assert coercivity_constant(ProfilePoint(man, prof)) == rep
         if setup == "desk":
             # only gamma = 0.05 can win, so the report takes 2 dense
             # tridiagonalizations besides its gap report, mu and that shift
@@ -703,32 +694,11 @@ class TestModeCoordinates:
 
 
 class TestSpectralContextReuse:
-    def test_suite_builds_one_context_per_profile(self, manifold_factory,
-                                                  monkeypatch):
-        # on the testbed (the sample ends with the equispaced point, which is
-        # in the spectral subset) every spectral check reads the context of
-        # its profile: one context per profile
-        from fchpulse import spectral
+    @pytest.fixture
+    def testbed(self, manifold_factory):
+        return manifold_factory(length=32.0, n=2, ell=8.0, num_points=256)
 
-        man = manifold_factory(length=32.0, n=2, ell=8.0, num_points=256)
-        profiles = [man.build(c) for c in man.sample_configurations(2, seed=0)]
-        contexts = []
-        real_context = spectral.spectral_context
-
-        def counted_context(phi, well):
-            contexts.append(phi.values.tobytes())
-            return real_context(phi, well)
-
-        monkeypatch.setattr(spectral, "spectral_context", counted_context)
-        report = spectral.run_hypothesis_suite(man, profiles)
-        assert report.records
-        assert len(contexts) == len(set(contexts))
-        # the sample profiles and the two shifted ones of the
-        # eigenfield-continuity check
-        assert len(contexts) == len(profiles) + 2
-        assert {p.phi.values.tobytes() for p in profiles} <= set(contexts)
-
-    def test_suite_solve_counts(self, manifold_factory, monkeypatch):
+    def test_suite_solve_counts(self, testbed, monkeypatch):
         # on the testbed, the dense eigensolves of the suite are mu and the
         # solved gamma shifts of each coercivity report, and the one full
         # solve of the semigroup check; every other solve is shift-invert:
@@ -737,8 +707,9 @@ class TestSpectralContextReuse:
         # the symmetrized gap of each s
         from fchpulse import spectral
 
-        man = manifold_factory(length=32.0, n=2, ell=8.0, num_points=256)
-        profiles = [man.build(c) for c in man.sample_configurations(2, seed=0)]
+        man = testbed
+        points = [ProfilePoint(man, man.build(c))
+                  for c in man.sample_configurations(2, seed=0)]
         dense, lanczos = [], []
         real_eigh, real_eigsh = spectral.sla.eigh, spectral.eigsh
 
@@ -753,15 +724,66 @@ class TestSpectralContextReuse:
         monkeypatch.setattr(spectral.sla, "eigh", counted_eigh)
         monkeypatch.setattr(spectral, "eigsh", counted_eigsh)
         s_values = (0.5, 1.0)
-        report = spectral.run_hypothesis_suite(man, profiles,
-                                               s_values=s_values)
-        subset = min(len(profiles), spectral.SPECTRAL_SUBSET)
-        assert len(report.coercivity) == subset
-        partial = sum(1 + len(c.gammas_solved) for c in report.coercivity)
+        spectral.run_hypothesis_suite(points, s_values=s_values)
+        subset = points[:spectral.SPECTRAL_SUBSET]
+        partial = sum(1 + len(p.coercivity.gammas_solved) for p in subset)
         assert len(dense) == partial + 1
         assert dense.count(False) == 1
-        assert len(lanczos) == (subset + 2) + 2 * subset + len(s_values)
+        assert len(lanczos) == (len(subset) + 2) + 2 * len(subset) + len(
+            s_values)
         assert set(lanczos) == {0.0}
+
+    @pytest.mark.parametrize("count", [2, 3])
+    def test_suite_and_el_bounds_share_each_point(self, testbed, monkeypatch,
+                                                  count):
+        # the sample ends with the equispaced point: inside the spectral
+        # subset for 2 sampled configurations, outside it for 3
+        from fchpulse import spectral
+        from fchpulse.ansatz import PulseManifold
+
+        man = testbed
+        points = [ProfilePoint(man, man.build(c))
+                  for c in man.sample_configurations(count, seed=0)]
+        subset = points[:spectral.SPECTRAL_SUBSET]
+        phis = [p.profile.phi.values.tobytes() for p in points]
+        outside = phis[len(subset):]
+        calls = {name: [] for name in ("spectral_context", "tangent_basis",
+                                       "residual_h4", "energy_value")}
+        real_context = spectral.spectral_context
+
+        def counted_context(phi, well):
+            calls["spectral_context"].append(phi.values.tobytes())
+            return real_context(phi, well)
+
+        def counted(name):
+            real = getattr(PulseManifold, name)
+
+            def method(self, profile):
+                calls[name].append(profile.phi.values.tobytes())
+                return real(self, profile)
+            return method
+
+        monkeypatch.setattr(spectral, "spectral_context", counted_context)
+        for name in ("tangent_basis", "residual_h4", "energy_value"):
+            monkeypatch.setattr(PulseManifold, name, counted(name))
+        spectral.run_hypothesis_suite(points)
+        assert not any("context" in vars(p) for p in subset)
+        el = spectral.el_bounds(points)
+
+        # a context and a basis per subset point and for the equispaced
+        # point outside the subset, besides the contexts of the continuity
+        # check's two shifted profiles; a residual and an energy per profile
+        contexts = calls["spectral_context"]
+        assert len(contexts) == len(set(contexts)) == len(phis) + 2
+        assert contexts[:len(subset)] == phis[:len(subset)]
+        assert contexts[len(subset) + 2:] == outside
+        assert calls["tangent_basis"] == phis
+        assert calls["residual_h4"] == calls["energy_value"] == phis
+        # fresh points give the suite-warmed values bit for bit
+        fresh = [ProfilePoint(man, p.profile) for p in points]
+        assert spectral.el_bounds(fresh) == el
+        for p, q in zip(subset, fresh):
+            assert spectral.coercivity_constant(q) == p.coercivity
 
 
 def nodal_tangent_alignment(manifold, report, basis):
@@ -800,8 +822,8 @@ def nodal_eigenfield_continuity(manifold, config, center_report, step=0.05):
                    axis=1)
     overlap, aligned = 1.0, []
     for shift in (-step, step):
-        rep = spectral_gap_report(manifold, manifold.build(
-            manifold.configuration(config.positions + shift * direction)))
+        rep = spectral_gap_report(ProfilePoint(manifold, manifold.build(
+            manifold.configuration(config.positions + shift * direction))))
         u_s = np.stack([to_weighted(f) for f in rep.eigenfields[:n]], axis=1)
         u, sigma, vt = np.linalg.svd(u_s.T @ u_c)
         overlap = min(overlap, float(np.min(sigma)))
@@ -820,26 +842,23 @@ class TestAlignment:
         # Q is orthogonal, so the mode-coordinate alignment and continuity
         # agree with their nodal weighted-coordinate form up to rounding
         man = diag_manifold
-        prof = man.build(moderate_config(man))
-        rep = spectral_gap_report(man, prof)
-        basis = man.tangent_basis(prof)
-        ali = tangent_alignment(man, prof, rep, basis=basis)
-        errors, beta, defect = nodal_tangent_alignment(man, rep, basis)
+        point = ProfilePoint(man, man.build(moderate_config(man)))
+        ali = tangent_alignment(point)
+        errors, beta, defect = nodal_tangent_alignment(man, point.gap,
+                                                       point.basis)
         assert_allclose(ali.errors, errors, rtol=1e-10, atol=0)
         assert ali.max_error == pytest.approx(np.max(errors), rel=1e-10)
         assert np.max(np.abs(ali.beta - beta)) <= 1e-10 * np.max(np.abs(beta))
         assert ali.beta_defect == pytest.approx(defect, rel=1e-10)
-        overlap, hessian = eigenfield_continuity(man, prof.config,
-                                                 center_report=rep)
+        overlap, hessian = eigenfield_continuity(point)
         ref_overlap, ref_hessian = nodal_eigenfield_continuity(
-            man, prof.config, rep)
+            man, point.profile.config, point.gap)
         assert overlap == pytest.approx(ref_overlap, rel=1e-10)
         assert hessian == pytest.approx(ref_hessian, rel=1e-10)
 
     def test_alignment_small_and_beta_orthogonal(self, diag_manifold):
         prof = diag_manifold.build(moderate_config(diag_manifold))
-        rep = spectral_gap_report(diag_manifold, prof)
-        ali = tangent_alignment(diag_manifold, prof, rep)
+        ali = tangent_alignment(ProfilePoint(diag_manifold, prof))
         delta = diag_manifold.params.tail_scale
         assert ali.passed
         assert ali.max_error <= 5000 * delta
@@ -850,8 +869,7 @@ class TestAlignment:
         for ell in (8.0, 10.0):
             man = manifold_factory(num_points=1024, ell=ell)
             prof = man.build(cluster_config(man, ell))
-            rep = spectral_gap_report(man, prof)
-            errs[ell] = tangent_alignment(man, prof, rep).max_error
+            errs[ell] = tangent_alignment(ProfilePoint(man, prof)).max_error
         ratio = errs[10.0] / errs[8.0]
         predicted = np.exp(-2.0 * np.sqrt(well.alpha_minus))
         assert predicted / 3.0 <= ratio <= 3.0 * predicted
@@ -859,10 +877,11 @@ class TestAlignment:
 
 class TestSymmetrizedGap:
     def test_s_zero_reproduces_plain_gap(self, diag_manifold):
-        prof = diag_manifold.build(moderate_config(diag_manifold))
-        plain = spectral_gap_report(diag_manifold, prof)
+        point = ProfilePoint(diag_manifold,
+                             diag_manifold.build(moderate_config(diag_manifold)))
+        plain = spectral_gap_report(point)
         fam0 = GradientFamily(diag_manifold.grid, 0.0)
-        sym = symmetrized_gap(diag_manifold, prof, fam0)
+        sym = symmetrized_gap(point, fam0)
         assert_allclose(
             sym.eigenvalues[:3], plain.eigenvalues[:3], atol=1e-10
         )
@@ -871,7 +890,7 @@ class TestSymmetrizedGap:
     def test_gap_and_alignment(self, diag_manifold, s):
         prof = diag_manifold.build(moderate_config(diag_manifold))
         fam = GradientFamily(diag_manifold.grid, s)
-        rep = symmetrized_gap(diag_manifold, prof, fam)
+        rep = symmetrized_gap(ProfilePoint(diag_manifold, prof), fam)
         assert rep.passed, rep.failures
         assert rep.slow_dim == 3
         assert rep.extras["fitted_c"] <= 15.0
@@ -888,11 +907,11 @@ class TestTrappingRadius:
         assert eta_star_formula(1e-4, 1e-4, 2e-4, 0.3) > base
 
     def test_report_fields(self, diag_manifold):
-        profiles = [
-            diag_manifold.build(c)
+        points = [
+            ProfilePoint(diag_manifold, diag_manifold.build(c))
             for c in diag_manifold.sample_configurations(3, seed=1)
         ]
-        rep = el_bounds(diag_manifold, profiles)
+        rep = el_bounds(points)
         assert rep.mu2 > 0
         assert rep.eta_star > 0
         assert rep.rho_exp == 3.0
@@ -907,15 +926,15 @@ class TestProxies:
     def test_semigroup_decay(self, manifold_factory):
         man = manifold_factory(num_points=512)
         prof = man.build(man.configuration([12.0, 22.0, 34.0]))
-        ok, worst, edge = semigroup_decay_check(man, prof)
+        ok, worst, edge = semigroup_decay_check(ProfilePoint(man, prof))
         assert ok
         assert worst <= 1.0 + 1e-10
         assert edge > 0.3
 
     def test_eigenfield_continuity(self, diag_manifold):
-        overlap, hessian = eigenfield_continuity(
-            diag_manifold, moderate_config(diag_manifold)
-        )
+        overlap, hessian = eigenfield_continuity(ProfilePoint(
+            diag_manifold, diag_manifold.build(moderate_config(diag_manifold))
+        ))
         assert overlap > 0.99
         assert np.isfinite(hessian)
 
@@ -925,23 +944,22 @@ class TestProxies:
         nearly degenerate cluster allows, leaves the Hessian norm as it is."""
         man = diag_manifold
         config = moderate_config(man)
-        center = spectral_gap_report(man, man.build(config))
-        overlap, hessian = eigenfield_continuity(man, config,
-                                                 center_report=center)
+        # the center's gap report is solved here, before the patch
+        center = ProfilePoint(man, man.build(config))
+        overlap, hessian = eigenfield_continuity(center)
         n, grid = man.n, man.grid
         rotation, _ = np.linalg.qr(np.random.default_rng(7).normal(size=(n, n)))
         real = spectral.spectral_gap_report
 
-        def rotated(manifold, profile):
-            rep = real(manifold, profile)
+        def rotated(point):
+            rep = real(point)
             slow = np.stack([f.values for f in rep.eigenfields[:n]], axis=1)
             turned = [ScalarField(grid, v) for v in (slow @ rotation).T]
             return dataclasses.replace(
                 rep, eigenfields=turned + rep.eigenfields[n:])
 
         monkeypatch.setattr(spectral, "spectral_gap_report", rotated)
-        turned_overlap, turned_hessian = eigenfield_continuity(
-            man, config, center_report=center)
+        turned_overlap, turned_hessian = eigenfield_continuity(center)
         assert turned_overlap == pytest.approx(overlap, rel=1e-12)
         assert turned_hessian == pytest.approx(hessian, rel=1e-8)
 
@@ -951,7 +969,7 @@ class TestEigenfieldOrthonormality:
         from fchpulse import inner_product_x
 
         prof = diag_manifold.build(moderate_config(diag_manifold))
-        rep = spectral_gap_report(diag_manifold, prof)
+        rep = spectral_gap_report(ProfilePoint(diag_manifold, prof))
         n = len(rep.eigenfields)
         gram = np.array(
             [[inner_product_x(a, b) for b in rep.eigenfields]
