@@ -23,7 +23,7 @@ from fchpulse import Grid, PulseManifold, SystemParams
 from fchpulse.core import h_mode_multipliers, mode_norms
 from fchpulse.harness import well_solution
 from fchpulse.operators import second_variation_coefficients
-from fchpulse.spectral import _deflate
+from fchpulse.spectral import GAMMA_SWEEP, _deflate
 from fchpulse.wellmodel import _GL_NODES, _GL_WEIGHTS, _HomoclinicInverter
 
 TAU = -0.3
@@ -215,8 +215,7 @@ def dense_second_variation(phi, well):
 
 
 # The dense eigensolves that shift-invert Lanczos replaced in
-# `SpectralContext.lowest` and for mu_x and mu_H2 in `coercivity_constant`,
-# kept as the oracle.
+# `SpectralContext.lowest` and in `coercivity_constant`, kept as the oracle.
 
 
 def dense_lowest(context, k, scale=None):
@@ -237,18 +236,59 @@ def dense_lowest(context, k, scale=None):
     return context.ritz(vecs, scale)
 
 
+def sobolev_whitening(grid, order):
+    """S with S^2 the inverse zero-mass H^order Gram in modes."""
+    return 1.0 / np.sqrt(h_mode_multipliers(grid, order)[1:])
+
+
+def dense_min(mat):
+    return float(sla.eigh(mat, subset_by_index=[0, 0], eigvals_only=True)[0])
+
+
 def dense_coercivity_minima(context, tangents):
-    """(mu_x, mu_H2): the lowest eigenvalues of the deflated zero-mass second
-    variation, unwhitened and H2-whitened, by dense eigensolves."""
+    """(mu_x, mu_H2, mu_H4): the lowest eigenvalues of the deflated zero-mass
+    second variation, unwhitened, H2-whitened and H4-whitened, by dense
+    eigensolves."""
     t_modes = np.stack([context.modes(t) for t in tangents], axis=1)
-    s2 = 1.0 / np.sqrt(h_mode_multipliers(context.grid, 2)[1:])
+    minima = [dense_min(_deflate(context.matrix, t_modes))]
+    for order in (2, 4):
+        s = sobolev_whitening(context.grid, order)
+        minima.append(dense_min(_deflate(s[:, None] * context.matrix
+                                         * s[None, :], s[:, None] * t_modes)))
+    return tuple(minima)
+
+
+def every_shift(lowest, mu_tilde, gamma_sweep):
+    """The chained-bound sweep that solves every shift with the solver that
+    `spectral._best_shift` is given: (mu_e, gamma_e, bound), the first of
+    equal bounds kept."""
+    best_bound, best = -np.inf, (np.nan, np.nan)
+    for ge in gamma_sweep:
+        mu_e = lowest(ge)[0]
+        bound = mu_tilde * mu_e / (mu_tilde + ge)
+        if bound > best_bound:
+            best_bound, best = bound, (mu_e, ge)
+    return best[0], best[1], best_bound
+
+
+def dense_shift_solver(mat, shift, solved=None):
+    """lowest(gamma) for `spectral._best_shift` by a dense eigensolve of
+    mat + gamma diag(shift); each shift solved is appended to solved."""
+    def lowest(gamma):
+        if solved is not None:
+            solved.append(gamma)
+        vals, vecs = sla.eigh(mat + np.diag(gamma * shift),
+                              subset_by_index=[0, 0])
+        return float(vals[0]), float(np.sum(shift * vecs[:, 0] ** 2))
+    return lowest
+
+
+def dense_shift_sweep(context, mu_tilde):
+    """The H2 chained-bound sweep over GAMMA_SWEEP that solves every shift
+    by a dense eigensolve: (mu_e, gamma_e, bound)."""
+    s2 = sobolev_whitening(context.grid, 2)
     m2 = s2[:, None] * context.matrix * s2[None, :]
-
-    def lowest(mat):
-        return sla.eigh(mat, subset_by_index=[0, 0], eigvals_only=True)[0]
-
-    return (lowest(_deflate(context.matrix, t_modes)),
-            lowest(_deflate(m2, s2[:, None] * t_modes)))
+    return every_shift(dense_shift_solver(m2, s2**2), mu_tilde, GAMMA_SWEEP)
 
 
 # The scalar homoclinic inversion that the batched

@@ -24,7 +24,6 @@ manifold, so the tolerances stay as they are.
 """
 
 import numpy as np
-import pytest
 
 from fchpulse import (
     GradientFamily,
@@ -32,12 +31,10 @@ from fchpulse import (
     ProfilePoint,
     ReducedModel,
     ScalarField,
-    SystemParams,
     alpha_scaling,
     coercivity_constant,
     constrained_negative_index,
     el_bounds,
-    extract_pulse_positions,
     integrate_reduced,
     mass,
     norm,
@@ -50,7 +47,6 @@ from fchpulse import (
 from fchpulse.core import cosine_synth
 from fchpulse.dynamics import SimulationState, StepControls, dissipation_rate, step
 from fchpulse.operators import energy
-from fchpulse.spectral import eta_star_formula
 from fchpulse.wellmodel import _fd_residual, far_field_params
 from conftest import cluster_config, moderate_config
 
@@ -195,16 +191,19 @@ def test_criterion_06_constrained_index_oracle():
 def test_criterion_07_coercivity(diag_manifold):
     sample = diag_manifold.sample_configurations(2, seed=4)
     sample.append(moderate_config(diag_manifold))
-    mus, ok = [], True
+    reps = []
     for cfg in sample:
         prof = diag_manifold.build(cfg)
-        rep = coercivity_constant(ProfilePoint(diag_manifold, prof))
-        mus.append(rep.mu)
-        ok = ok and rep.mu > 0.0 and rep.relation_holds()
+        reps.append(coercivity_constant(ProfilePoint(diag_manifold, prof)))
+    ok = all(r.passed and r.relation_holds() for r in reps)
+    mus = [r.mu_h2 for r in reps]
+    bounds = [r.bound for r in reps]
     _report(
         7, ok,
-        f"normal coercivity: mu in [{min(mus):.3e}, {max(mus):.3e}] > 0 over "
-        f"{len(sample)} configurations, chained bound holds within 1e-8",
+        f"normal coercivity in H2: mu_H2 in [{min(mus):.4f}, {max(mus):.4f}] "
+        f"> 0 over {len(sample)} configurations, H2 chained bound "
+        f"[{min(bounds):.4f}, {max(bounds):.4f}] <= mu_H2 within 1e-8 "
+        f"(H4 minimum is the top mode sigma_top = {reps[0].sigma_top:.3e})",
     )
 
 

@@ -8,7 +8,6 @@ from numpy.testing import assert_allclose
 
 from fchpulse import (
     AdmissibilityError,
-    Grid,
     MassSplitError,
     PulseManifold,
     ScalarField,

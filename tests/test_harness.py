@@ -3,7 +3,6 @@
 import json
 from dataclasses import replace
 from functools import lru_cache
-from pathlib import Path
 
 import numpy as np
 import pytest

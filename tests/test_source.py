@@ -1,10 +1,11 @@
 """Source hygiene, checked with the stdlib `ast` since no linter is installed.
 
-No module of the package imports a name it never uses: deleted code can
-leave dead imports behind. `__init__` re-exports by importing, so it is not
-checked for those. No module catches every error (`except Exception`,
-`except BaseException` or a bare `except:`): a failure raises the `FchError`
-subclass that names it, and a handler catches only what it expects.
+No module of the package or of its tests imports a name it never uses:
+deleted code can leave dead imports behind. `__init__` re-exports by
+importing, so it is not checked for those. No module catches every error
+(`except Exception`, `except BaseException` or a bare `except:`): a failure
+raises the `FchError` subclass that names it, and a handler catches only
+what it expects.
 Importing the package does not import scipy.stats: nothing in it needs that
 module, whose import is a large share of the package's start-up time. No
 function imports inside its body: every module the package uses is imported
@@ -60,7 +61,8 @@ def test_detects_an_unused_import():
     assert unused_imports(source) == [(2, "pi")]
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", [*SOURCES, *TEST_SOURCES],
+                         ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 

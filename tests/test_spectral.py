@@ -38,11 +38,13 @@ from fchpulse.operators import (
 from fchpulse.spectral import (
     GAMMA_SWEEP,
     ShiftError,
+    THRESHOLDS,
     _best_shift,
     _near_zero,
     dual_h4_norm,
     eigenfield_continuity,
     eta_star_formula,
+    negative_count,
     semigroup_decay_check,
     spectral_context,
 )
@@ -54,9 +56,12 @@ from conftest import (
     cluster_config,
     dense_coercivity_minima,
     dense_lowest,
+    dense_shift_solver,
+    dense_shift_sweep,
     dense_second_derivative,
     dense_second_variation,
     dense_spectral_multiplier,
+    every_shift,
     moderate_config,
     to_weighted,
     weighted_cosine_basis,
@@ -228,14 +233,6 @@ def shift_invert_point(manifold, point):
     return manifold.configuration([30.0, 75.0, 128.0])
 
 
-def negative_count(mat):
-    """The number of negative eigenvalues of the symmetric mat by Sylvester's
-    law of inertia: those of the block-diagonal factor of its LDL^T form."""
-    _, d, _ = sla.ldl(mat)
-    return int(np.count_nonzero(
-        sla.eigvalsh_tridiagonal(np.diag(d), np.diag(d, 1)) < 0.0))
-
-
 def assert_inertia_certificate(mat, theta):
     """At every clear gap of the ascending theta, a shift sigma midway
     between theta_j and theta_{j+1} leaves exactly j eigenvalues of mat below
@@ -246,8 +243,7 @@ def assert_inertia_certificate(mat, theta):
     assert gaps
     for j in gaps:
         sigma = 0.5 * (theta[j - 1] + theta[j])
-        shifted = mat - sigma * np.eye(mat.shape[0])
-        assert negative_count(shifted) == j, (j, sigma)
+        assert negative_count(mat, sigma) == j, (j, sigma)
 
 
 POINTS = ["equispaced", "moderate", "spread"]
@@ -299,7 +295,7 @@ class TestShiftInvert:
     def test_coercivity_minima_match_dense_oracle(self, points, point):
         pt = points[point]
         rep = coercivity_constant(pt)
-        mu_x, mu_h2 = dense_coercivity_minima(pt.context, pt.basis[0])
+        mu_x, mu_h2, _ = dense_coercivity_minima(pt.context, pt.basis[0])
         assert rep.mu_x == pytest.approx(mu_x, rel=1e-9)
         assert rep.mu_h2 == pytest.approx(mu_h2, rel=1e-9)
         again = coercivity_constant(pt)
@@ -419,8 +415,9 @@ class TestCoercivity:
                     diag_manifold.equispaced()):
             prof = diag_manifold.build(cfg)
             rep = coercivity_constant(ProfilePoint(diag_manifold, prof))
-            assert rep.mu > 0.0
-            assert rep.relation_holds()
+            assert rep.mu_h2 > 0.0
+            assert rep.passed and rep.relation_holds()
+            assert 0.0 < rep.bound <= rep.mu_h2
             assert rep.mu_x >= rep.mu_tilde
 
     def test_unconstrained_minimum_drops_to_slow_scale(self, diag_manifold):
@@ -431,12 +428,30 @@ class TestCoercivity:
         assert rep.mu_x >= 100 * rep.unconstrained_x_min
 
     def test_h2_constant_resolution_stable(self, manifold_factory):
-        vals = {}
+        # mu_h2 and the chained bound in H2 hold still under grid doubling
+        reps = {}
         for n_pts in (512, 1024):
             man = manifold_factory(num_points=n_pts)
             prof = man.build(man.equispaced())
-            vals[n_pts] = coercivity_constant(ProfilePoint(man, prof)).mu_h2
-        assert vals[1024] == pytest.approx(vals[512], rel=0.05)
+            reps[n_pts] = coercivity_constant(ProfilePoint(man, prof))
+        for key in ("mu_h2", "bound"):
+            assert getattr(reps[1024], key) == pytest.approx(
+                getattr(reps[512], key), rel=0.05), key
+
+    def test_h4_minimum_is_the_top_mode(self, manifold_factory):
+        # the H4 minimum is the grid's top mode: it follows sigma_top and
+        # falls 16x per doubling of N, as kappa_max^{-4}
+        mu, rep = {}, {}
+        for n_pts in (512, 1024):
+            man = manifold_factory(num_points=n_pts)
+            point = ProfilePoint(man, man.build(man.equispaced()))
+            mu[n_pts] = dense_coercivity_minima(point.context,
+                                                point.basis[0])[2]
+            rep[n_pts] = coercivity_constant(point)
+        assert mu[1024] == pytest.approx(rep[1024].sigma_top, rel=0.01)
+        assert mu[512] / mu[1024] == pytest.approx(16.0, rel=0.05)
+        assert rep[512].sigma_top / rep[1024].sigma_top == pytest.approx(
+            16.0, rel=0.05)
 
 
 def dense_generalized_coercivity(manifold, profile, tangents, k_s):
@@ -444,8 +459,7 @@ def dense_generalized_coercivity(manifold, profile, tangents, k_s):
     with the dense Sobolev Grams (the direct form of the definitions)."""
     grid = manifold.grid
     lw = dense_second_variation(profile.phi, manifold.well)
-    g4, g2 = (dense_spectral_multiplier(grid, h_mode_multipliers(grid, k))
-              for k in (4, 2))
+    g2 = dense_spectral_multiplier(grid, h_mode_multipliers(grid, 2))
 
     def lowest(*mats):
         return sla.eigh(*mats, subset_by_index=[0, 0], eigvals_only=True)[0]
@@ -456,16 +470,15 @@ def dense_generalized_coercivity(manifold, profile, tangents, k_s):
     a_c = basis.T @ lw @ basis
     basis0 = householder_complement(constant_direction(grid))
     a_0 = basis0.T @ lw @ basis0
-    g4_0 = basis0.T @ g4 @ basis0
+    g2_0 = basis0.T @ g2 @ basis0
     mu_tilde = 0.75 * k_s
     best_bound, best = -np.inf, (np.nan, np.nan)
     for ge in GAMMA_SWEEP:
-        mu_e = lowest(a_0 + ge * np.eye(a_0.shape[0]), g4_0)
+        mu_e = lowest(a_0 + ge * np.eye(a_0.shape[0]), g2_0)
         bound = mu_tilde * mu_e / (mu_tilde + ge)
         if bound > best_bound:
             best_bound, best = bound, (mu_e, ge)
     return {
-        "mu": lowest(a_c, basis.T @ g4 @ basis),
         "mu_h2": lowest(a_c, basis.T @ g2 @ basis),
         "mu_x": lowest(a_c),
         "mu_e": best[0],
@@ -476,26 +489,6 @@ def dense_generalized_coercivity(manifold, profile, tangents, k_s):
     }
 
 
-def full_shift_sweep(m4, shift, mu_tilde, gamma_sweep):
-    """The chained-bound sweep that solves every shift: (mu_e, gamma_e,
-    bound), the first of equal bounds kept."""
-    best_bound, best = -np.inf, (np.nan, np.nan)
-    for ge in gamma_sweep:
-        mu_e = float(sla.eigh(m4 + np.diag(ge * shift), subset_by_index=[0, 0],
-                              eigvals_only=True)[0])
-        bound = mu_tilde * mu_e / (mu_tilde + ge)
-        if bound > best_bound:
-            best_bound, best = bound, (mu_e, ge)
-    return best[0], best[1], best_bound
-
-
-def whitened_h4(context):
-    """The H4-whitened zero-mass second variation and its shift diag(s4^2),
-    formed as coercivity_constant forms them."""
-    s4 = 1.0 / np.sqrt(h_mode_multipliers(context.grid, 4)[1:])
-    return s4[:, None] * context.matrix * s4[None, :], s4**2
-
-
 class TestShiftSweep:
     """_best_shift returns exactly what solving every shift returns."""
 
@@ -504,11 +497,11 @@ class TestShiftSweep:
 
     @staticmethod
     def operator_like(n, seed, kind):
-        # an H4-whitened symmetric matrix: a fourth-order symbol plus a
+        # an H2-whitened symmetric matrix: a fourth-order symbol plus a
         # symmetric perturbation, a diagonal one, or a random symmetric one
         rng = np.random.default_rng(seed)
         kappa = np.pi * np.arange(1, n + 1) / (0.25 * n)
-        s4 = 1.0 / np.sqrt(sum(kappa ** (2 * m) for m in range(5)))
+        s2 = 1.0 / np.sqrt(sum(kappa ** (2 * m) for m in range(3)))
         g = rng.standard_normal((n, n))
         if kind == "operator":
             a = np.diag((kappa**2 - 1.0) ** 2) + (g + g.T) / np.sqrt(n)
@@ -516,7 +509,7 @@ class TestShiftSweep:
             a = np.diag(rng.standard_normal(n) * (1.0 + kappa**4))
         else:
             a = g + g.T
-        return s4[:, None] * a * s4[None, :], s4**2
+        return s2[:, None] * a * s2[None, :], s2**2
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(2, 40), seed=st.integers(0, 2**32 - 1),
@@ -524,10 +517,13 @@ class TestShiftSweep:
            mu_tilde=st.floats(1e-3, 10.0),
            sweep=st.lists(GAMMAS, min_size=1, max_size=8))
     def test_matches_full_sweep(self, n, seed, kind, mu_tilde, sweep):
-        m4, shift = self.operator_like(n, seed, kind)
-        mu_e, gamma_e, bound, solved = _best_shift(m4, shift, mu_tilde, sweep)
-        assert (mu_e, gamma_e, bound) == full_shift_sweep(m4, shift, mu_tilde,
-                                                          sweep)
+        mat, shift = self.operator_like(n, seed, kind)
+        calls = []
+        mu_e, gamma_e, bound, solved = _best_shift(
+            dense_shift_solver(mat, shift, calls), mu_tilde, sweep)
+        assert (mu_e, gamma_e, bound) == every_shift(
+            dense_shift_solver(mat, shift), mu_tilde, sweep)
+        assert solved == tuple(calls)
         assert solved[0] == sweep[0] and gamma_e in solved
         rest = iter(sweep)
         assert all(ge in rest for ge in solved)  # in sweep order
@@ -535,28 +531,29 @@ class TestShiftSweep:
     def test_nothing_skipped_when_every_shift_wins(self):
         # mu_e(gamma) = 0.5 + gamma under mu_tilde = 2: the bound rises with
         # gamma, so each shift of an ascending sweep beats the one before
-        m4, shift = 0.5 * np.eye(6), np.ones(6)
+        lowest = dense_shift_solver(0.5 * np.eye(6), np.ones(6))
         sweep = (0.05, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
-        result = _best_shift(m4, shift, 2.0, sweep)
+        result = _best_shift(lowest, 2.0, sweep)
         assert result[3] == sweep
-        assert result[:3] == full_shift_sweep(m4, shift, 2.0, sweep)
+        assert result[:3] == every_shift(lowest, 2.0, sweep)
         assert result[1] == 8.0
 
     def test_repeated_shift_is_solved_and_first_kept(self):
         # a tie in the bound cannot be skipped, and the strict comparison
-        # keeps the first shift that reached it
-        m4, shift = 0.5 * np.eye(6), np.ones(6)
+        # keeps the first shift that reached it; the line of the first
+        # solve rules out 0.05
+        lowest = dense_shift_solver(0.5 * np.eye(6), np.ones(6))
         sweep = (8.0, 8.0, 0.05)
-        mu_e, gamma_e, bound, solved = _best_shift(m4, shift, 2.0, sweep)
+        mu_e, gamma_e, bound, solved = _best_shift(lowest, 2.0, sweep)
         assert solved == (8.0, 8.0)
-        assert (mu_e, gamma_e, bound) == full_shift_sweep(m4, shift, 2.0,
-                                                          sweep)
+        assert (mu_e, gamma_e, bound) == every_shift(lowest, 2.0, sweep)
 
 
 class TestCoercivityOracle:
     @pytest.mark.parametrize("setup", ["testbed", "desk"])
     def test_matches_dense_generalized_solves(self, setup, small_manifold,
-                                              diag_manifold, edge_floor):
+                                              diag_manifold, edge_floor,
+                                              monkeypatch):
         if setup == "testbed":
             man = small_manifold
             cfg = man.configuration([4.5, 12.0])
@@ -568,7 +565,7 @@ class TestCoercivityOracle:
         ref = dense_generalized_coercivity(man, prof, point.basis[0],
                                            edge_floor)
         rep = coercivity_constant(point)
-        for key in ("mu", "mu_h2", "mu_e", "bound"):
+        for key in ("mu_h2", "mu_e", "bound"):
             assert getattr(rep, key) == pytest.approx(ref[key], rel=1e-9), key
         # mu_x and unconstrained_x_min are standard eigenvalues of the
         # unwhitened matrix, so the oracle's solves carry the eps*||a||
@@ -580,19 +577,30 @@ class TestCoercivityOracle:
                 1e-9 * abs(ref[key]) + 2 * eps_a
             ), key
         assert rep.gamma_e == ref["gamma_e"]
-        # the pruned sweep is bitwise the sweep that solves every shift
-        assert (rep.mu_e, rep.gamma_e, rep.bound) == full_shift_sweep(
-            *whitened_h4(point.context), rep.mu_tilde, GAMMA_SWEEP,
-        )
+        # the dense every-shift sweep in modes picks the same shift
+        mu_e, gamma_e, bound = dense_shift_sweep(point.context, rep.mu_tilde)
+        assert rep.gamma_e == gamma_e
+        assert rep.mu_e == pytest.approx(mu_e, rel=1e-9)
+        assert rep.bound == pytest.approx(bound, rel=1e-9)
         # the unconstrained minimum is the lowest Ritz value of the point's
         # gap report, and a fresh point of the profile gives the same report
         assert rep.unconstrained_x_min == point.gap.eigenvalues[0]
         assert coercivity_constant(ProfilePoint(man, prof)) == rep
+        # the pruned sweep is bitwise the sweep that solves every shift with
+        # the same shift-invert solver
+        full = []
+
+        def solve_every_shift(lowest, mu_tilde, gamma_sweep):
+            full.append(every_shift(lowest, mu_tilde, gamma_sweep))
+            return (*full[0], tuple(gamma_sweep))
+
+        monkeypatch.setattr(spectral, "_best_shift", solve_every_shift)
+        coercivity_constant(ProfilePoint(man, prof))
+        assert (rep.mu_e, rep.gamma_e, rep.bound) == full[0]
         if setup == "desk":
-            # only gamma = 0.05 can win, so the report takes 2 dense
-            # tridiagonalizations besides its gap report, mu and that shift
-            # (mu_x and mu_h2 are shift-invert solves)
-            assert rep.gammas_solved == (0.05,)
+            # the bound peaks at gamma = 1, and the Rayleigh quotient of its
+            # eigenvector rules out 2, 4 and 8
+            assert rep.gammas_solved == (0.05, 0.25, 0.5, 1.0)
 
 
 def nodal_point_spectrum(well, pulse, num_points=1600):
@@ -699,39 +707,45 @@ class TestSpectralContextReuse:
         return manifold_factory(length=32.0, n=2, ell=8.0, num_points=256)
 
     def test_suite_solve_counts(self, testbed, monkeypatch):
-        # on the testbed, the dense eigensolves of the suite are mu and the
-        # solved gamma shifts of each coercivity report, and the one full
-        # solve of the semigroup check; every other solve is shift-invert:
-        # the gap reports (the subset and the two shifted profiles of the
-        # continuity check), mu_x and mu_h2 of each coercivity report, and
-        # the symmetrized gap of each s
+        # on the testbed, the suite runs no dense N x N eigensolve: every
+        # eigensolve is shift-invert (the gap reports of the subset and of
+        # the two shifted profiles of the continuity check; mu_x, mu_h2 and
+        # the solved gamma shifts of each coercivity report; the symmetrized
+        # gap of each s), and the semigroup check is one LDL^T
         from fchpulse import spectral
 
         man = testbed
         points = [ProfilePoint(man, man.build(c))
                   for c in man.sample_configurations(2, seed=0)]
-        dense, lanczos = [], []
+        dense, lanczos, ldl = [], [], []
         real_eigh, real_eigsh = spectral.sla.eigh, spectral.eigsh
+        real_ldl = spectral.sla.lapack.dsytrf
 
         def counted_eigh(a, *args, **kwargs):
-            dense.append("subset_by_index" in kwargs)
+            dense.append(np.shape(a))
             return real_eigh(a, *args, **kwargs)
 
         def counted_eigsh(*args, **kwargs):
             lanczos.append(kwargs["sigma"])
             return real_eigsh(*args, **kwargs)
 
+        def counted_ldl(a, *args, **kwargs):
+            ldl.append(np.shape(a))
+            return real_ldl(a, *args, **kwargs)
+
         monkeypatch.setattr(spectral.sla, "eigh", counted_eigh)
+        monkeypatch.setattr(spectral.sla.lapack, "dsytrf", counted_ldl)
         monkeypatch.setattr(spectral, "eigsh", counted_eigsh)
         s_values = (0.5, 1.0)
         spectral.run_hypothesis_suite(points, s_values=s_values)
         subset = points[:spectral.SPECTRAL_SUBSET]
-        partial = sum(1 + len(p.coercivity.gammas_solved) for p in subset)
-        assert len(dense) == partial + 1
-        assert dense.count(False) == 1
-        assert len(lanczos) == (len(subset) + 2) + 2 * len(subset) + len(
-            s_values)
+        shifts = sum(len(p.coercivity.gammas_solved) for p in subset)
+        assert dense == []
+        assert len(lanczos) == (len(subset) + 2) + 2 * len(subset) + shifts + (
+            len(s_values))
         assert set(lanczos) == {0.0}
+        size = man.grid.num_points - 1
+        assert ldl == [(size, size)]
 
     @pytest.mark.parametrize("count", [2, 3])
     def test_suite_and_el_bounds_share_each_point(self, testbed, monkeypatch,
@@ -916,20 +930,100 @@ class TestTrappingRadius:
         assert rep.eta_star > 0
         assert rep.rho_exp == 3.0
 
+    def test_delta2_floor_is_quadratic_in_lambda(self, manifold_factory):
+        # the residual of the first-order mass correction lambda*B2 is
+        # O(lambda^2): at the equispaced profile, far from the tail overlaps,
+        # delta2/lambda^2 stays put (10.10-10.16) while the mass excess, and
+        # with it lambda, falls 8x
+        ratios = []
+        for excess in (0.02, 0.01, 0.005, 0.0025):
+            man = manifold_factory(num_points=1024, excess=excess)
+            prof = man.build(man.equispaced())
+            delta2 = dual_h4_norm(man.residual_h4(prof)[0])
+            ratios.append(delta2 / prof.internal.lam**2)
+        assert max(ratios) <= 1.01 * min(ratios)
+        assert np.mean(ratios) == pytest.approx(10.13, rel=0.01)
+
     def test_dual_norm_below_l2(self, diag_manifold):
         prof = diag_manifold.build(moderate_config(diag_manifold))
         r, _, l2 = diag_manifold.residual_h4(prof)
         assert dual_h4_norm(r) <= l2
 
 
+def full_solve_decay_check(matrix, n):
+    """The semigroup check before the inertia count: diagonalize in full,
+    take the edge from the same solve and evolve in its eigenbasis. Returns
+    (passed, worst ratio of the decayed norm to its bound)."""
+    evals, evecs = sla.eigh(matrix)
+    edge = evals[n]
+    rng = np.random.default_rng(0)
+    worst = 0.0
+    for _ in range(4):
+        u = rng.standard_normal(evals.size)
+        u -= evecs[:, :n] @ (evecs[:, :n].T @ u)
+        u /= np.linalg.norm(u)
+        coeffs = evecs.T @ u
+        for t in (0.5, 1.0, 2.0):
+            decayed = np.linalg.norm(np.exp(-evals * t) * coeffs)
+            worst = max(worst, decayed / np.exp(-edge * t))
+    return worst <= 1.0 + 1e-10, worst
+
+
 class TestProxies:
     def test_semigroup_decay(self, manifold_factory):
         man = manifold_factory(num_points=512)
-        prof = man.build(man.configuration([12.0, 22.0, 34.0]))
-        ok, worst, edge = semigroup_decay_check(ProfilePoint(man, prof))
+        point = ProfilePoint(man, man.build(man.configuration([12.0, 22.0,
+                                                               34.0])))
+        ok, count, edge = semigroup_decay_check(point)
         assert ok
-        assert worst <= 1.0 + 1e-10
+        assert count == man.n
+        assert edge == point.gap.eigenvalues[man.n] == point.gap.stable_edge
         assert edge > 0.3
+        # the edge is the first stable eigenvalue: just above it the count
+        # takes in that eigenvalue, just below it the slow ones alone
+        matrix = point.context.matrix
+        assert negative_count(matrix, edge * (1.0 + 1e-6)) == man.n + 1
+        assert negative_count(matrix, edge * (1.0 - 1e-6)) == man.n
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
+           shift=st.floats(-3.0, 3.0))
+    def test_negative_count_matches_eigenvalues(self, n, seed, shift):
+        # indefinite matrices, whose Bunch-Kaufman D mixes 1x1 and 2x2 blocks
+        g = np.random.default_rng(seed).standard_normal((n, n))
+        mat = (g + g.T) / np.sqrt(n)
+        evals = np.linalg.eigvalsh(mat)
+        if np.min(np.abs(evals - shift)) < 1e-8:
+            return
+        before = mat.copy()
+        assert negative_count(mat, shift) == np.count_nonzero(evals < shift)
+        assert np.array_equal(mat, before)
+
+    def test_semigroup_decay_sees_a_planted_slow_mode(self, manifold_factory):
+        # lower the second stable eigenvalue of a copy of the context to half
+        # the edge: a mode off the slow space then decays at half the rate.
+        # The inertia count sees it; the full-solve check took its edge from
+        # the mutated matrix itself, so it passed
+        man = manifold_factory(num_points=512)
+        point = ProfilePoint(man, man.build(man.configuration([12.0, 22.0,
+                                                               34.0])))
+        n = man.n
+        assert semigroup_decay_check(point)[0]
+        evals, vecs = point.context.lowest(n + 2)
+        edge = point.gap.eigenvalues[n]
+        v = vecs[:, n + 1]
+        planted = point.context.matrix - (evals[n + 1] - 0.5 * edge) * np.outer(
+            v, v)
+        point.context = dataclasses.replace(point.context, matrix=planted)
+        ok, count, _ = semigroup_decay_check(point)
+        assert not ok and count == n + 1
+        assert full_solve_decay_check(planted, n)[0]
+        # lowered only just below the edge, past the check's slack, the mode
+        # is still counted
+        planted += (0.5 - THRESHOLDS["semigroup_edge_slack"] * 10.0) * (
+            edge * np.outer(v, v))
+        point.context = dataclasses.replace(point.context, matrix=planted)
+        assert semigroup_decay_check(point)[1] == n + 1
 
     def test_eigenfield_continuity(self, diag_manifold):
         overlap, hessian = eigenfield_continuity(ProfilePoint(
