@@ -52,7 +52,6 @@ from .ansatz import (
 )
 from .operators import (
     GradientFamily,
-    LinearMap,
     energy,
     linearization,
     nonlinear_remainder,

@@ -108,8 +108,12 @@ class ExperimentConfig:
         )
         if not 0.0 < self.mass_excess_fraction < 1.0:
             raise ValidationError("mass_excess_fraction must lie in (0,1)")
-        if self.sample_size < 1:
-            raise ValidationError("sample_size must be positive")
+        for key in ("sample_size", "output_every"):
+            if getattr(self, key) < 1:
+                raise ValidationError(f"{key} must be positive")
+        for key in ("t_final", "dt_max"):
+            if not getattr(self, key) > 0.0:
+                raise ValidationError(f"{key} must be positive")
         for s in self.s_values:
             if not 0.0 <= s <= 1.0:
                 raise ValidationError("s values must lie in [0,1]")
@@ -368,7 +372,7 @@ def experiment_spectrum(config, out_dir):
         passed &= rep.passed
         rows.append(
             [i, rep.slow_dim, rep.stable_edge, rep.k_s,
-             rep.extras.get("fitted_c0", np.nan), rep.passed]
+             rep.fitted_c, rep.passed]
             + list(rep.eigenvalues[: man.n + 3])
         )
     _write_csv(
@@ -531,8 +535,9 @@ def experiment_compare(config, out_dir):
     )
     manifest.files.append("reduced_trajectory.csv")
 
-    # velocity agreement table over the early window
-    window = t <= max(t[2], 0.25 * t[-1])
+    # velocity agreement table over the early window; a run that wrote fewer
+    # than three records (its start and end are always written) fits them all
+    window = t <= (max(t[2], 0.25 * t[-1]) if t.size > 2 else t[-1])
     v_pde = [
         float(np.polyfit(t[window], p[window, i], 1)[0])
         for i in range(p.shape[1])

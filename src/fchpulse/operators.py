@@ -35,14 +35,6 @@ def from_modes(grid, vec):
     return ScalarField(grid, cosine_synth(vec / mode_norms(grid)))
 
 
-@dataclass
-class LinearMap:
-    """A linear operator on fields."""
-
-    grid: Grid
-    apply: object
-
-
 # ---------------------------------------------------------------------------
 # Energy and its variations.
 # ---------------------------------------------------------------------------
@@ -97,7 +89,8 @@ def second_variation_coefficients(phi, well):
 
 
 def second_variation(phi, well):
-    """Second variation at phi: (d^2 - W''(phi))^2 - (phi'' - W'(phi)) W'''(phi)."""
+    """Second variation at phi: (d^2 - W''(phi))^2 - (phi'' - W'(phi)) W'''(phi),
+    as a function from fields to fields."""
     grid = phi.grid
     w2, zeroth = second_variation_coefficients(phi, well)
 
@@ -107,7 +100,7 @@ def second_variation(phi, well):
         aav = spectral_derivative(av, 2).values - w2 * av.values
         return ScalarField(grid, aav - zeroth * fld.values)
 
-    return LinearMap(grid, apply)
+    return apply
 
 
 def linearization(phi, well):
@@ -115,14 +108,15 @@ def linearization(phi, well):
 
     Realized with the projection on both sides, which agrees with the
     output-only form on zero-mass inputs (the flow's invariant class) and
-    annihilates constants exactly.
+    annihilates constants exactly. Returned, like `second_variation`, as a
+    function from fields to fields.
     """
     sv = second_variation(phi, well)
 
     def apply(fld):
-        return -zero_mass_projection(sv.apply(zero_mass_projection(fld)))
+        return -zero_mass_projection(sv(zero_mass_projection(fld)))
 
-    return LinearMap(phi.grid, apply)
+    return apply
 
 
 def nonlinear_remainder(phi, v, well):
@@ -130,7 +124,7 @@ def nonlinear_remainder(phi, v, well):
     lin = linearization(phi, well)
     fv = flow_field(phi + v, well)
     f0 = flow_field(phi, well)
-    return ScalarField(phi.grid, fv.values - f0.values - lin.apply(v).values)
+    return ScalarField(phi.grid, fv.values - f0.values - lin(v).values)
 
 
 # ---------------------------------------------------------------------------

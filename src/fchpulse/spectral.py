@@ -44,7 +44,6 @@ from .operators import (
     tangent_amplification_constant,
     to_modes,
     variational_derivative,
-    zero_mass_projection,
 )
 
 # Pinned diagnostic thresholds. The delta-relative caps absorb the large
@@ -85,9 +84,9 @@ class ShiftError(DomainError):
     """The shifted operator L - mu is numerically singular."""
 
 
-def _near_zero(mat, k, overwrite=False):
+def _near_zero(mat, k):
     """Eigenvectors of the k + LANCZOS_EXTRA_PAIRS eigenvalues of the
-    symmetric mat nearest 0, and mat's LU factors.
+    symmetric mat nearest 0, and mat's LU factors, which overwrite mat.
 
     The spectral transformation of Ericsson and Ruhe (Math. Comp. 35, 1980):
     Lanczos on mat^{-1}, run as ARPACK's mode 3 (Lehoucq, Sorensen and Yang,
@@ -103,11 +102,11 @@ def _near_zero(mat, k, overwrite=False):
     draws its own and runs do not repeat bit for bit. A parity-symmetric one
     (even modes only, say) has no component along the odd eigenvectors of a
     symmetric configuration, so only rounding would bring them into the
-    Krylov space. With overwrite, mat's storage holds the factors afterwards:
-    mat is symmetric, so its transpose, a Fortran-ordered view that LAPACK
-    can overwrite without a copy, is factored.
+    Krylov space. mat is symmetric, so its transpose, a Fortran-ordered view
+    that LAPACK overwrites without a copy, is factored: callers pass a matrix
+    of their own.
     """
-    lu = sla.lu_factor(mat.T, overwrite_a=overwrite, check_finite=False)
+    lu = sla.lu_factor(mat.T, overwrite_a=True, check_finite=False)
     if not np.all(np.diag(lu[0])):
         raise ShiftError("operator is singular at shift 0")
     size = lu[0].shape[0]
@@ -163,45 +162,45 @@ class SpectralContext:
         theta, y = np.linalg.eigh(0.5 * (h + h.T))
         return theta, vecs @ y
 
-    def lowest(self, k, scale=None):
-        """The lowest k eigenpairs of S L S in zero-mass modes, Ritz-refined.
-
-        The eigenvectors come from shift-invert Lanczos about 0 (_near_zero)
-        instead of a dense eigensolver: the wanted eigenvalues are the
-        lowest, well separated from the rest after the inversion. At
-        N = 1024 and one BLAS thread a gap report's solve (k = 7) took
-        42-44 ms against 95-108 ms for the dense solve, and a symmetrized
-        gap's 47-60 ms against 127-155 ms. After the Ritz step the values
-        agree with the dense solve's within 5e-10 relative.
-
-        With a scaling (G1 of the symmetrized gap) S L S has norm up to
-        N^2 ||L||, and one Ritz step on its eigenvectors leaves the slow
-        values basis-dependent at about 1e-8 relative at s = 1. One step of
-        block inverse iteration, V - (S L S)^{-1} R with the residual R taken
-        in factored form and the LU of the Lanczos solve reused, comes before
-        the final Ritz step there.
-        """
-        if scale is None:
-            vecs, _ = _near_zero(self.matrix, k)
-            theta, vecs = self.ritz(vecs)
-            return theta[:k], vecs[:, :k]
-        mat = scale[:, None] * self.matrix * scale[None, :]
-        vecs, lu = _near_zero(mat, k, overwrite=True)
-        theta, vecs = self.ritz(vecs, scale)
-        w = scale[:, None] * vecs
-        resid = scale[:, None] * (self.b.T @ (self.b @ w) - self.z @ w)
+    def residual(self, vecs, theta, scale=None):
+        """S L S V - V diag(theta), S = diag(scale), from the factors that
+        `ritz` reads, so a slow pair's residual has no eps*||L|| floor."""
+        w = vecs if scale is None else scale[:, None] * vecs
+        resid = self.b.T @ (self.b @ w) - self.z @ w
+        if scale is not None:
+            resid *= scale[:, None]
         resid -= vecs * theta
-        vecs, _ = np.linalg.qr(vecs - sla.lu_solve(lu, resid))
-        theta, vecs = self.ritz(vecs, scale)
+        return resid
+
+    def refined(self, mat, k, scale=None, shift=0.0):
+        """The lowest k eigenpairs of S (L + shift) S in zero-mass modes: the
+        shift-invert eigenvectors of mat (_near_zero, which overwrites it
+        with its LU), Ritz-refined. mat is S (L + shift) S or a deflation of
+        it (coercivity_constant). At N = 1024 a gap report's solve took
+        42-44 ms against 95-108 ms for a dense one, agreeing within 5e-10.
+
+        A scaling that raises the norm (G1 = k**s of the symmetrized gap,
+        unshifted) gives S L S a norm up to N^2 ||L||, and one Ritz step
+        leaves its slow values basis-dependent at about 1e-8 at s = 1, so one
+        step of block inverse iteration, V - mat^{-1} R on the factored
+        residual R, precedes the final Ritz step there. The H2 whitening
+        lowers the norm; on its deflated matrices the step would let the
+        tangents back.
+        """
+        vecs, lu = _near_zero(mat, k)
+        theta, vecs = self.ritz(vecs, scale, shift)
+        if scale is not None and np.max(scale) > 1.0:
+            resid = self.residual(vecs, theta, scale)
+            vecs, _ = np.linalg.qr(vecs - sla.lu_solve(lu, resid))
+            theta, vecs = self.ritz(vecs, scale, shift)
         return theta[:k], vecs[:, :k]
 
-    def modes(self, field):
-        """Zero-mass mode coordinates of a field (its mode-0 part dropped)."""
-        return to_modes(field)[1:]
-
-    def field(self, vec):
-        """The zero-mass field with mode coordinates vec."""
-        return from_modes(self.grid, np.concatenate([[0.0], vec]))
+    def lowest(self, k, scale=None):
+        """The lowest k eigenpairs of S L S in zero-mass modes (`refined`)."""
+        if scale is None:
+            return self.refined(self.matrix.copy(), k)
+        return self.refined(scale[:, None] * self.matrix * scale[None, :], k,
+                            scale)
 
 
 def spectral_context(phi, well):
@@ -259,11 +258,16 @@ class ProfilePoint:
 
 @dataclass
 class SpectrumReport:
-    """Eigenpairs of a self-adjoint map with the slow/stable bookkeeping."""
+    """Eigenpairs of a self-adjoint map with the slow/stable bookkeeping:
+    the Ritz vectors in zero-mass mode coordinates, one column each, and the
+    norms of their factored residuals. fitted_c is max |slow| / delta, for
+    the symmetrized gap max(|slow|, alignment_errors) / delta.
+    """
 
     eigenvalues: np.ndarray
-    eigenfields: list
+    vectors: np.ndarray
     residuals: np.ndarray
+    fitted_c: float
     delta: float = np.nan
     slow_dim: int = 0
     stable_edge: float = np.nan
@@ -271,7 +275,7 @@ class SpectrumReport:
     slow_cap: float = np.nan
     passed: bool = True
     failures: list = field(default_factory=list)
-    extras: dict = field(default_factory=dict)
+    alignment_errors: np.ndarray | None = None
 
     @property
     def slow_eigenvalues(self):
@@ -289,15 +293,12 @@ def spectral_gap_report(point):
     not raised. The eigenpairs are Ritz-refined (SpectralContext.ritz).
     """
     manifold = point.manifold
-    grid = manifold.grid
     n = manifold.n
     delta = manifold.params.tail_scale
     k_s = manifold.pulse.edge_floor
     context = point.context
-    sv = second_variation(point.profile.phi, manifold.well)
     k = n + GAP_STABLE_PAIRS
     evals, vecs = context.lowest(k)
-    fields = [context.field(vecs[:, j]) for j in range(k)]
 
     slow_dim = int(np.count_nonzero(evals < 0.5 * k_s))
     failures = []
@@ -321,16 +322,11 @@ def spectral_gap_report(point):
             f"stable edge {stable_edge:.4f} outside {band:.0%} band of "
             f"k_s = {k_s:.4f}"
         )
-    residuals = np.empty(k)
-    for j in range(k):
-        av = zero_mass_projection(sv.apply(fields[j]))
-        residuals[j] = norm(
-            ScalarField(grid, av.values - evals[j] * fields[j].values), "l2"
-        )
     return SpectrumReport(
         eigenvalues=evals,
-        eigenfields=fields,
-        residuals=residuals,
+        vectors=vecs,
+        residuals=np.linalg.norm(context.residual(vecs, evals), axis=0),
+        fitted_c=float(np.max(np.abs(slow)) / delta) if slow_dim else 0.0,
         delta=delta,
         slow_dim=slow_dim,
         stable_edge=stable_edge,
@@ -338,7 +334,6 @@ def spectral_gap_report(point):
         slow_cap=slow_cap,
         passed=not failures,
         failures=failures,
-        extras={"fitted_c0": float(np.max(np.abs(slow)) / delta) if slow_dim else 0.0},
     )
 
 
@@ -478,33 +473,28 @@ def coercivity_constant(point):
 
     In cosine modes zero mass drops mode 0 and the Sobolev Grams are the
     diagonal h_mode_multipliers, so each problem is a standard one after
-    whitening, with the tangents deflated (_deflate). Each minimum is a
-    shift-invert Lanczos solve (_near_zero) with one Ritz step on the
-    context's factors. The unconstrained minimum is the lowest Ritz value of
-    the point's gap report.
+    whitening, with the tangents deflated (_deflate). Each minimum is one
+    refined shift-invert solve (SpectralContext.refined). The unconstrained
+    minimum is the lowest Ritz value of the point's gap report.
     """
     manifold = point.manifold
     grid = manifold.grid
     mu_tilde = 0.75 * manifold.pulse.edge_floor
     context = point.context
     a = context.matrix
-    t_modes = np.stack([context.modes(t) for t in point.basis[0]], axis=1)
+    t_modes = np.stack([to_modes(t)[1:] for t in point.basis[0]], axis=1)
 
-    def near_zero_min(mat, scale, shift=0.0):
-        vecs, _ = _near_zero(mat, 1, overwrite=True)  # mat's storage: the LU
-        theta, vecs = context.ritz(vecs, scale, shift)
-        return float(theta[0]), vecs[:, 0]
-
-    mu_x = near_zero_min(_deflate(a, t_modes), None)[0]
+    mu_x = float(context.refined(_deflate(a, t_modes), 1)[0][0])
     s2 = 1.0 / np.sqrt(h_mode_multipliers(grid, 2)[1:])
     m2 = s2[:, None] * a * s2[None, :]
-    mu_h2 = near_zero_min(_deflate(m2, s2[:, None] * t_modes), s2)[0]
+    mu_h2 = float(context.refined(_deflate(m2, s2[:, None] * t_modes), 1,
+                                  s2)[0][0])
 
     def shifted(gamma):
         mat = m2.copy()
         mat[np.diag_indices_from(mat)] += gamma * s2**2
-        mu_e, x = near_zero_min(mat, s2, gamma)
-        return mu_e, float(np.sum((s2 * x) ** 2))
+        theta, x = context.refined(mat, 1, s2, gamma)
+        return float(theta[0]), float(np.sum((s2 * x[:, 0]) ** 2))
 
     mu_e, gamma_e, bound, solved = _best_shift(shifted, mu_tilde, GAMMA_SWEEP)
     return CoercivityReport(
@@ -551,7 +541,7 @@ def tangent_alignment(point):
     orthogonal transformation (the beta reparameterization); errors are
     measured in the H4 norm with the tangent derivatives assembled
     analytically and the eigenfield derivatives synthesized from the rotated
-    mode coordinates (`mode_derivative`), with no transform back to modes.
+    zero-mass mode coordinates of the gap report (`mode_derivative`).
     """
     manifold = point.manifold
     report = point.gap
@@ -563,12 +553,12 @@ def tangent_alignment(point):
             beta=np.full((n, n), np.nan), beta_defect=np.nan, passed=False,
         )
     tangents, stacks = point.basis
-    slow = np.stack([to_modes(f) for f in report.eigenfields[:n]], axis=1)
-    t_modes = [to_modes(t) for t in tangents]
-    beta, rotated, t_mat = _procrustes_align(slow, t_modes)
+    t_modes = [to_modes(t)[1:] for t in tangents]
+    beta, rotated, t_mat = _procrustes_align(report.vectors[:, :n], t_modes)
 
     grid = manifold.grid
-    coeffs = rotated / mode_norms(grid)[:, None]
+    coeffs = np.zeros((grid.num_points, n))
+    coeffs[1:] = rotated / mode_norms(grid)[1:, None]
     errors = np.empty(n)
     for i in range(n):
         t_norm = np.linalg.norm(t_modes[i])
@@ -635,7 +625,7 @@ def symmetrized_gap(point, family):
 
     # alignment of slow eigenfields with normalized G1^{-1} tangents
     tangents = point.basis[0]
-    t_g = [context.modes(t) / g1 for t in tangents]
+    t_g = [to_modes(t)[1:] / g1 for t in tangents]
     beta, rotated, t_mat = _procrustes_align(vecs[:, :n], t_g)
     errors = np.array(
         [np.linalg.norm(rotated[:, i] - t_mat[:, i]) for i in range(n)]
@@ -645,24 +635,18 @@ def symmetrized_gap(point, family):
             f"slow-eigenfield alignment error {np.max(errors):.3e} exceeds "
             f"{cap:.3e}"
         )
-    fields = [context.field(vecs[:, j]) for j in range(k)]
     return SpectrumReport(
         eigenvalues=evals,
-        eigenfields=fields,
+        vectors=vecs,
         residuals=np.zeros(k),
+        fitted_c=float(max(np.max(np.abs(slow)), np.max(errors)) / delta_g),
         delta=delta_g,
         slow_dim=n,
         stable_edge=stable_edge,
         slow_cap=cap,
         passed=not failures,
         failures=failures,
-        extras={
-            "alignment_errors": errors,
-            "fitted_c": float(
-                max(np.max(np.abs(slow)), np.max(errors)) / delta_g
-            ),
-            "s": s,
-        },
+        alignment_errors=errors,
     )
 
 
@@ -743,7 +727,7 @@ def el_bounds(points):
         v = v * (0.1 / max(norm(v, "h4"), 1e-300))
         j_full = energy(base.phi + v, well)
         lin_term = inner_product_x(gradient, v)
-        quad_term = 0.5 * inner_product_x(sv.apply(v), v)
+        quad_term = 0.5 * inner_product_x(sv(v), v)
         rem = abs(j_full - j_base - lin_term - quad_term)
         c2 = max(c2, rem / norm(v, "h4") ** 3)
     rho_exp = 3.0
@@ -822,18 +806,18 @@ def eigenfield_continuity(point):
     manifold = point.manifold
     n = manifold.n
     step = 0.05
-    u_c = np.stack([to_modes(f) for f in point.gap.eigenfields[:n]], axis=1)
+    u_c = point.gap.vectors[:, :n]
     sub_overlap = 1.0
     aligned = []
     for shift in (-step, step):
         shifted = manifold.build(point.profile.config.shifted(0, shift))
-        rep = ProfilePoint(manifold, shifted).gap
-        u_s = np.stack([to_modes(f) for f in rep.eigenfields[:n]], axis=1)
+        u_s = ProfilePoint(manifold, shifted).gap.vectors[:, :n]
         # the subspace turns at a rate controlled by the gap to the stable part
         u, sigma, vt = np.linalg.svd(u_c.T @ u_s)
         sub_overlap = min(sub_overlap, float(np.min(sigma)))
         aligned.append(u_s @ (u @ vt).T)
-    second = (aligned[0] - 2.0 * u_c + aligned[1]) / step**2
+    second = np.zeros((manifold.grid.num_points, n))
+    second[1:] = (aligned[0] - 2.0 * u_c + aligned[1]) / step**2
     hessians = [norm(from_modes(manifold.grid, second[:, j]), "h4")
                 for j in range(n)]
     return sub_overlap, float(np.max(hessians))
@@ -963,7 +947,7 @@ def run_hypothesis_suite(points, s_values=(0.5, 1.0), seed=0):
     for i, p in enumerate(points[:SPECTRAL_SUBSET]):
         gap = p.gap
         report.add(
-            "slow_stable_split", i, gap.extras.get("fitted_c0", np.nan),
+            "slow_stable_split", i, gap.fitted_c,
             THRESHOLDS["slow_cap_over_delta"], gap.passed,
             failures=gap.failures, stable_edge=gap.stable_edge, k_s=gap.k_s,
         )
@@ -1050,7 +1034,7 @@ def run_hypothesis_suite(points, s_values=(0.5, 1.0), seed=0):
                 continue
             sym = symmetrized_gap(base, fam)
             report.add(
-                "symmetrized_gap", 0, sym.extras["fitted_c"],
+                "symmetrized_gap", 0, sym.fitted_c,
                 THRESHOLDS["symmetrized_cap_over_delta_g"], sym.passed,
                 s=s, failures=sym.failures,
             )

@@ -19,10 +19,16 @@ from scipy.fft import dct
 from scipy.optimize import brentq
 
 import fchpulse
-from fchpulse import Grid, PulseManifold, SystemParams
-from fchpulse.core import h_mode_multipliers, mode_norms
+from fchpulse import Grid, PulseManifold, ScalarField, SystemParams
+from fchpulse.core import h_mode_multipliers, mode_norms, norm
 from fchpulse.harness import well_solution
-from fchpulse.operators import second_variation_coefficients
+from fchpulse.operators import (
+    from_modes,
+    second_variation,
+    second_variation_coefficients,
+    to_modes,
+    zero_mass_projection,
+)
 from fchpulse.spectral import GAMMA_SWEEP, _deflate
 from fchpulse.wellmodel import _GL_NODES, _GL_WEIGHTS, _HomoclinicInverter
 
@@ -214,6 +220,27 @@ def dense_second_variation(phi, well):
     return 0.5 * (mat + mat.T)
 
 
+def mode_field(grid, vec):
+    """The zero-mass field with the mode coordinates vec of a spectrum
+    report's vectors (mode 0 left out)."""
+    return from_modes(grid, np.concatenate([[0.0], vec]))
+
+
+def nodal_residuals(phi, well, report):
+    """The residual norms ||Pi_0 L f - theta f||_X of a report's pairs in the
+    nodal form that the factored `SpectralContext.residual` replaced: each
+    vector synthesized to its field f, the second variation applied at the
+    nodes. Its floor is eps*||L||."""
+    sv = second_variation(phi, well)
+    out = []
+    for theta, vec in zip(report.eigenvalues, report.vectors.T):
+        f = mode_field(phi.grid, vec)
+        lf = zero_mass_projection(sv(f))
+        out.append(norm(ScalarField(phi.grid, lf.values - theta * f.values),
+                        "l2"))
+    return np.array(out)
+
+
 # The dense eigensolves that shift-invert Lanczos replaced in
 # `SpectralContext.lowest` and in `coercivity_constant`, kept as the oracle.
 
@@ -249,7 +276,7 @@ def dense_coercivity_minima(context, tangents):
     """(mu_x, mu_H2, mu_H4): the lowest eigenvalues of the deflated zero-mass
     second variation, unwhitened, H2-whitened and H4-whitened, by dense
     eigensolves."""
-    t_modes = np.stack([context.modes(t) for t in tangents], axis=1)
+    t_modes = np.stack([to_modes(t)[1:] for t in tangents], axis=1)
     minima = [dense_min(_deflate(context.matrix, t_modes))]
     for order in (2, 4):
         s = sobolev_whitening(context.grid, order)

@@ -150,7 +150,7 @@ def test_criterion_05_spectral_gap(manifold_factory, edge_floor):
         prof = man.build(man.configuration([12.0, 22.0, 34.0]))
         reports[n_pts] = spectral_gap_report(ProfilePoint(man, prof))
     rep = reports[1024]
-    fitted_c0 = rep.extras["fitted_c0"]
+    fitted_c0 = rep.fitted_c
     edge_ok = (
         0.8 * edge_floor <= rep.stable_edge <= 1.2 * edge_floor
     )
@@ -241,7 +241,7 @@ def test_criterion_09_symmetrized_gap(diag_manifold):
     for s in (0.5, 1.0):
         fam = GradientFamily(diag_manifold.grid, s)
         rep = symmetrized_gap(ProfilePoint(diag_manifold, prof), fam)
-        results[s] = rep.extras["fitted_c"]
+        results[s] = rep.fitted_c
         ok = ok and rep.passed and rep.slow_dim == 3
     passed = ok and max(results.values()) <= 15.0
     _report(

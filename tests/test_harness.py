@@ -84,6 +84,18 @@ class TestConfig:
         assert "s values must lie in [0,1]" in str(err.value)
 
 
+    @pytest.mark.parametrize("key, value", [
+        ("output_every", 0), ("output_every", -5), ("dt_max", 0.0),
+        ("dt_max", -0.02), ("t_final", 0.0), ("t_final", -1.0),
+    ])
+    def test_run_controls_must_be_positive(self, key, value):
+        # output_every = 0 divided by zero in the stepping loop, dt_max <= 0
+        # made the first step non-finite and t_final <= 0 passed after no step
+        with pytest.raises(ValidationError) as err:
+            ExperimentConfig(experiment="simulate", **{**SMALL, key: value})
+        assert f"{key} must be positive" in str(err.value)
+
+
 class TestManifest:
     def test_written_last_and_complete(self, tmp_path):
         cfg = ExperimentConfig(
@@ -154,6 +166,22 @@ class TestExperiments:
         manifest = run_experiment(cfg)
         assert "velocity_agreement.csv" in manifest.files
         assert "deviation_fit" in manifest.summary
+
+    def test_compare_fits_a_run_of_two_records(self, tmp_path):
+        # t_final is reached before the first output step, so the run wrote
+        # its start and end only; the velocity is fitted over both
+        cfg = ExperimentConfig(
+            experiment="compare", output_dir=str(tmp_path / "cmp2"),
+            perturbation=1e-4, **{**SMALL, "t_final": 1e-3,
+                                   "output_every": 50}
+        )
+        manifest = run_experiment(cfg)
+        rows = np.loadtxt(tmp_path / "cmp2" / "pde_trajectory.csv",
+                          delimiter=",", skiprows=1)
+        assert rows.shape[0] == 2
+        slope = (rows[1, 1:3] - rows[0, 1:3]) / (rows[1, 0] - rows[0, 0])
+        np.testing.assert_allclose(manifest.summary["velocity_pde"], slope,
+                                   rtol=1e-6)
 
     def test_diagnose_schema_and_exit_semantics(self, tmp_path):
         cfg = ExperimentConfig(
@@ -334,6 +362,22 @@ class TestCli:
         ])
         assert code == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [
+        ("output_every", 0), ("dt_max", 0.0), ("t_final", 0.0),
+    ])
+    def test_exit_one_on_a_nonpositive_run_control(self, tmp_path, capsys,
+                                                   key, value):
+        cfgfile = tmp_path / "c.json"
+        cfgfile.write_text(json.dumps({**SMALL, "experiment": "simulate",
+                                       key: value}))
+        code = cli_main([
+            "simulate", "--config", str(cfgfile), "--out", str(tmp_path / "x"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err
+        assert "Traceback" not in err
 
     def test_plot_data_flag(self, tmp_path):
         code = cli_main([

@@ -101,7 +101,7 @@ class TestSecondVariation:
             mode = ScalarField(
                 grid, np.cos(k * np.pi * grid.nodes / grid.length)
             )
-            out = sv.apply(mode)
+            out = sv(mode)
             symbol = ((k * np.pi / grid.length) ** 2 + well.alpha_minus) ** 2
             assert_allclose(out.values, symbol * mode.values, atol=1e-8)
 
@@ -115,7 +115,7 @@ class TestSecondVariation:
                 variational_derivative(u + h * v, well).values
                 - variational_derivative(u + (-h) * v, well).values
             ) / (2 * h)
-            errs.append(norm(ScalarField(grid, fd - sv.apply(v).values), "l2"))
+            errs.append(norm(ScalarField(grid, fd - sv(v).values), "l2"))
         assert errs[0] / max(errs[1], 1e-14) == pytest.approx(4.0, abs=1.5)
 
     def test_self_adjoint(self, desk_manifold, well):
@@ -128,8 +128,8 @@ class TestSecondVariation:
         for _ in range(4):
             u = smooth_field(grid, rng, kmax)
             v = smooth_field(grid, rng, kmax)
-            au_v = inner_product_x(sv.apply(u), v)
-            u_av = inner_product_x(u, sv.apply(v))
+            au_v = inner_product_x(sv(u), v)
+            u_av = inner_product_x(u, sv(v))
             worst = max(worst, abs(au_v - u_av))
             scale = max(scale, abs(au_v), 1.0)
         assert worst <= 1e-10 * scale, f"self-adjointness defect {worst / scale}"
@@ -155,7 +155,7 @@ class TestSecondVariation:
                 spectral_derivative(v, 2).values - ln_pot * v.values,
             )
             form_sq = inner_product_x(lv, lv)
-            form_sv = inner_product_x(sv.apply(v), v)
+            form_sv = inner_product_x(sv(v), v)
             worst = max(worst, abs(form_sv - form_sq))
         assert worst <= 2000 * delta
 
@@ -167,7 +167,7 @@ class TestLinearization:
         const = ScalarField(
             desk_manifold.grid, np.ones(desk_manifold.grid.num_points)
         )
-        out = lin.apply(const)
+        out = lin(const)
         assert np.max(np.abs(out.values)) < 1e-10
 
     def test_self_adjoint_on_zero_mass(self, diag_manifold, well):
@@ -179,8 +179,8 @@ class TestLinearization:
                                                   rng.integers(1 << 30)))
             v = zero_mass_projection(smooth_field(diag_manifold.grid,
                                                   rng.integers(1 << 30)))
-            lhs = inner_product_x(lin.apply(u), v)
-            rhs = inner_product_x(u, lin.apply(v))
+            lhs = inner_product_x(lin(u), v)
+            rhs = inner_product_x(u, lin(v))
             assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), 1.0)
 
     def test_tangent_quadratic_form_small(self, diag_manifold, well):
@@ -190,7 +190,7 @@ class TestLinearization:
         delta = diag_manifold.params.tail_scale
         for t in diag_manifold.tangent_basis(prof)[0]:
             t0 = zero_mass_projection(t)
-            form = abs(inner_product_x(lin.apply(t0), t0))
+            form = abs(inner_product_x(lin(t0), t0))
             assert form <= 1000 * delta
 
 
@@ -306,7 +306,7 @@ class TestDenseMachinery:
         mat = dense_second_variation(prof.phi, well)
         v = smooth_field(diag_manifold.grid, 17)
         lhs = mat @ to_weighted(v)
-        rhs = to_weighted(sv.apply(v))
+        rhs = to_weighted(sv(v))
         assert np.max(np.abs(lhs - rhs)) < 1e-8
 
     def test_refinement_invariance_of_forms(self, manifold_factory, well):
@@ -323,7 +323,7 @@ class TestDenseMachinery:
                 np.cos(3 * np.pi * grid.nodes / grid.length)
                 + 0.3 * np.cos(7 * np.pi * grid.nodes / grid.length),
             )
-            vals[n] = inner_product_x(sv.apply(v), v)
+            vals[n] = inner_product_x(sv(v), v)
         assert abs(vals[2048] - vals[1024]) < 1e-8 * max(abs(vals[2048]), 1.0)
 
 

@@ -15,7 +15,11 @@ an option that no caller varies is a constant. No package function has a
 parameter that its body never reads: callers would pass a value that
 changes nothing. Every iterative eigensolver call (`eigsh`, `lobpcg`)
 passes its start explicitly (`v0=`, `X=`): without one ARPACK draws its own
-start vector, and runs stop repeating bit for bit. And every function,
+start vector, and runs stop repeating bit for bit. Every dense
+eigensolve or SVD (`eigh`, `eigvalsh`, `eigvalsh_tridiagonal`, `svd`,
+`null_space`) lies in a function that the allow-list below names, each of
+them small or run once: the diagnostic path solves N x N spectra by
+shift-invert Lanczos only. And every function,
 method and property of the package is referenced by name in the package or
 its tests: code that nothing reaches is deleted, not kept.
 """
@@ -35,6 +39,21 @@ TEST_SOURCES = sorted(Path(__file__).parent.glob("*.py"))
 CATCH_ALL = {"Exception", "BaseException"}
 # Iterative eigensolvers and the keyword that hands each its start.
 SEEDED_SOLVERS = {"eigsh": "v0", "lobpcg": "X"}
+# Dense eigensolvers and SVDs, and the functions (module.qualified name) that
+# may call them: a k x k Ritz problem, n x n Procrustes rotations and
+# subspace overlaps, a tridiagonal inertia count, criterion 6's index oracle,
+# the n x n reduced Jacobian, and the point spectrum solved once per pulse.
+DENSE_EIGENSOLVERS = {"eigh", "eigvalsh", "eigvalsh_tridiagonal", "svd",
+                      "null_space"}
+DENSE_EIGENSOLVE_ALLOWED = {
+    "spectral.SpectralContext.ritz",
+    "spectral._procrustes_align",
+    "spectral.eigenfield_continuity",
+    "spectral.negative_count",
+    "spectral.constrained_negative_index",
+    "dynamics.ReducedModel.jacobian_at_equispaced",
+    "wellmodel.single_pulse_point_spectrum",
+}
 # The console-script entry point is called with no arguments; argv is for
 # callers that are not the installed script.
 ENTRY_POINTS = {"cli.main"}
@@ -314,6 +333,55 @@ def test_detects_an_unseeded_solver_call():
 @pytest.mark.parametrize("path", ALL_SOURCES, ids=lambda p: p.name)
 def test_no_unseeded_solver_call(path):
     assert unseeded_solver_calls(path.read_text()) == []
+
+
+def dense_eigensolve_calls(source, module):
+    """(line, name, caller) of every call of a dense eigensolver or SVD;
+    caller is the qualified name of the innermost enclosing function, or
+    module at module level."""
+    calls = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.attr if isinstance(func, ast.Attribute) else (
+                    getattr(func, "id", None))
+                if name in DENSE_EIGENSOLVERS:
+                    calls.append((child.lineno, name, scope))
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}")
+            else:
+                visit(child, scope)
+
+    visit(ast.parse(source), module)
+    return calls
+
+
+def test_detects_a_dense_eigensolve():
+    source = (
+        "import numpy as np\n"
+        "from scipy.linalg import eigh, null_space\n"
+        "class Solver:\n"
+        "    def ritz(self, h):\n        return np.linalg.eigh(h)\n"
+        "    def full(self, a):\n        return eigh(a, eigvals_only=True)\n"
+        "def spectrum(a):\n"
+        "    def inner(b):\n        return np.linalg.svd(b)\n"
+        "    return inner(a), null_space(a)\n"
+        "EIGS = np.linalg.eigvalsh(np.eye(2))\n"
+    )
+    assert dense_eigensolve_calls(source, "lib") == [
+        (5, "eigh", "lib.Solver.ritz"), (7, "eigh", "lib.Solver.full"),
+        (10, "svd", "lib.spectrum.inner"), (11, "null_space", "lib.spectrum"),
+        (12, "eigvalsh", "lib"),
+    ]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_dense_eigensolves_only_where_allowed(path):
+    calls = dense_eigensolve_calls(path.read_text(), path.stem)
+    assert [c for c in calls if c[2] not in DENSE_EIGENSOLVE_ALLOWED] == []
 
 
 def uncalled_definitions(sources, referencing):

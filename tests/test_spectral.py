@@ -62,7 +62,9 @@ from conftest import (
     dense_second_variation,
     dense_spectral_multiplier,
     every_shift,
+    mode_field,
     moderate_config,
+    nodal_residuals,
     to_weighted,
     weighted_cosine_basis,
 )
@@ -181,7 +183,7 @@ class TestZeroMassEigh:
         context = spectral_context(u, well)
         _, vecs = context.lowest(4)
         for vec in vecs.T:
-            f = context.field(vec)
+            f = mode_field(grid, vec)
             assert abs(integral(f)) / grid.length < 1e-10
 
 
@@ -396,7 +398,7 @@ class TestConstrainedIndex:
         mu = 0.75 * edge_floor
 
         context = spectral_context(prof.phi, well)
-        cons = [context.modes(t) for t in tangents]
+        cons = [to_modes(t)[1:] for t in tangents]
         res = constrained_negative_index(context.matrix, cons, mu=mu)
         assert res.formula_index == res.brute_index == 0
         assert res.shifted_index == 3
@@ -805,7 +807,8 @@ def nodal_tangent_alignment(manifold, report, basis):
     before the mode coordinates. Returns (errors, beta, beta defect)."""
     grid, n = manifold.grid, manifold.n
     tangents, stacks = basis
-    slow = np.stack([to_weighted(f) for f in report.eigenfields[:n]], axis=1)
+    slow = np.stack([to_weighted(mode_field(grid, v))
+                     for v in report.vectors[:, :n].T], axis=1)
     t_w = [to_weighted(t) for t in tangents]
     t_mat = np.stack([t / np.linalg.norm(t) for t in t_w], axis=1)
     beta = t_mat.T @ slow
@@ -832,13 +835,14 @@ def nodal_eigenfield_continuity(manifold, config, center_report, step=0.05):
     grid, n = manifold.grid, manifold.n
     direction = np.zeros(n)
     direction[0] = 1.0
-    u_c = np.stack([to_weighted(f) for f in center_report.eigenfields[:n]],
-                   axis=1)
+    u_c = np.stack([to_weighted(mode_field(grid, v))
+                    for v in center_report.vectors[:, :n].T], axis=1)
     overlap, aligned = 1.0, []
     for shift in (-step, step):
         rep = spectral_gap_report(ProfilePoint(manifold, manifold.build(
             manifold.configuration(config.positions + shift * direction))))
-        u_s = np.stack([to_weighted(f) for f in rep.eigenfields[:n]], axis=1)
+        u_s = np.stack([to_weighted(mode_field(grid, v))
+                        for v in rep.vectors[:, :n].T], axis=1)
         u, sigma, vt = np.linalg.svd(u_s.T @ u_c)
         overlap = min(overlap, float(np.min(sigma)))
         aligned.append(u_s @ u @ vt)
@@ -907,7 +911,9 @@ class TestSymmetrizedGap:
         rep = symmetrized_gap(ProfilePoint(diag_manifold, prof), fam)
         assert rep.passed, rep.failures
         assert rep.slow_dim == 3
-        assert rep.extras["fitted_c"] <= 15.0
+        assert rep.fitted_c <= 15.0
+        assert rep.alignment_errors.shape == (3,)
+        assert np.max(rep.alignment_errors) <= rep.fitted_c * rep.delta
 
 
 class TestTrappingRadius:
@@ -1041,16 +1047,15 @@ class TestProxies:
         # the center's gap report is solved here, before the patch
         center = ProfilePoint(man, man.build(config))
         overlap, hessian = eigenfield_continuity(center)
-        n, grid = man.n, man.grid
+        n = man.n
         rotation, _ = np.linalg.qr(np.random.default_rng(7).normal(size=(n, n)))
         real = spectral.spectral_gap_report
 
         def rotated(point):
             rep = real(point)
-            slow = np.stack([f.values for f in rep.eigenfields[:n]], axis=1)
-            turned = [ScalarField(grid, v) for v in (slow @ rotation).T]
-            return dataclasses.replace(
-                rep, eigenfields=turned + rep.eigenfields[n:])
+            turned = rep.vectors.copy()
+            turned[:, :n] = rep.vectors[:, :n] @ rotation
+            return dataclasses.replace(rep, vectors=turned)
 
         monkeypatch.setattr(spectral, "spectral_gap_report", rotated)
         turned_overlap, turned_hessian = eigenfield_continuity(center)
@@ -1064,10 +1069,42 @@ class TestEigenfieldOrthonormality:
 
         prof = diag_manifold.build(moderate_config(diag_manifold))
         rep = spectral_gap_report(ProfilePoint(diag_manifold, prof))
-        n = len(rep.eigenfields)
+        fields = [mode_field(diag_manifold.grid, v) for v in rep.vectors.T]
+        n = len(fields)
         gram = np.array(
-            [[inner_product_x(a, b) for b in rep.eigenfields]
-             for a in rep.eigenfields]
+            [[inner_product_x(a, b) for b in fields] for a in fields]
         )
         assert np.max(np.abs(gram - np.eye(n))) < 1e-8
         assert np.max(rep.residuals) < 1e-6
+
+
+class TestModeVectorReport:
+    """The gap report's Ritz vectors in zero-mass modes and their factored
+    residuals, on the dynamics testbed and on a desk diagnostic profile."""
+
+    @pytest.fixture(scope="class", params=["testbed", "desk"])
+    def point(self, request, small_manifold, diag_manifold):
+        if request.param == "testbed":
+            man = small_manifold
+            return ProfilePoint(man, man.build(man.configuration([4.5, 12.0])))
+        man = diag_manifold
+        return ProfilePoint(man, man.build(moderate_config(man)))
+
+    def test_vectors_orthonormal(self, point):
+        rep = point.gap
+        k = rep.eigenvalues.size
+        assert rep.vectors.shape == (point.manifold.grid.num_points - 1, k)
+        assert_allclose(rep.vectors.T @ rep.vectors, np.eye(k), rtol=0,
+                        atol=1e-12)
+
+    def test_factored_residuals(self, point):
+        rep = point.gap
+        resid = point.context.residual(rep.vectors, rep.eigenvalues)
+        assert_allclose(rep.residuals, np.linalg.norm(resid, axis=0),
+                        rtol=0, atol=0)
+        assert np.max(rep.residuals) <= 1e-9
+
+    def test_nodal_residual_oracle(self, point):
+        residuals = nodal_residuals(point.profile.phi, point.manifold.well,
+                                    point.gap)
+        assert np.max(residuals) <= 1e-9
