@@ -27,8 +27,6 @@ grid is read from one table of lattice phases per manifold.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import asdict, dataclass
 from functools import cached_property
@@ -167,19 +165,6 @@ class AnsatzProfile:
     boundary_correction: ScalarField
     mass_value: float
     bc_residuals: np.ndarray
-
-    def export_csv(self, path):
-        grid = self.phi.grid
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["z", "phi", "u_n", "correction"])
-            corr = self.mass_correction.values + self.boundary_correction.values
-            for row in zip(grid.nodes, self.phi.values, self.u_n.values, corr):
-                writer.writerow([f"{v:.17g}" for v in row])
-
-    def export_internal_json(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.internal.as_dict(), fh, indent=2, sort_keys=True)
 
 
 def mass(field, b_minus):

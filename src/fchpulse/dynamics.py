@@ -5,18 +5,20 @@ G(d^4/dz^4 + kappa) is inverted diagonally in the cosine basis, the remainder
 is explicit, and a step is accepted only if the energy did not increase beyond
 a fixed slack. The state is the cosine coefficients of u: a step updates
 them, synthesizes u from them, and carries them with those of grad J(u) to
-the next step. An accepted step costs 4 cosine transforms, a rejected trial
-2, and mode 0, the mass, is never changed. The reduced model is the
-nearest-neighbour pair-force ODE: the force comes from the pair interaction
-energy of J, and mirror shadow pulses close the boundary terms.
+the next step. Every `SimulationState` is complete: a run starts from
+`SimulationState.start` or a checkpoint's `SimulationState.at`, both of which
+form its energy and gradient by `flow_terms`, and `step` returns the next one.
+An accepted step costs 4 cosine transforms, a rejected trial 2, and mode 0,
+the mass, is never changed. The reduced model is the nearest-neighbour
+pair-force ODE: the force comes from the pair interaction energy of J, and
+mirror shadow pulses close the boundary terms.
 """
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -69,25 +71,39 @@ class SimulationState:
     u_hat, the cosine coefficients of u, is the state that `step` advances;
     u is their synthesis. grad_hat holds the coefficients of grad J(u), and
     energy and dissipation J(u) and <G grad J, grad J>, all formed from
-    u_hat and u by `flow_terms`. A state without u_hat (an initial state)
-    takes cosine_coeffs(u); one without the rest has them formed by
-    `flow_terms`, to the bits that `step` would have carried.
+    u_hat and u by `flow_terms`. `start` and `at` form them for a state that
+    `step` did not return, to the bits that `step` would have carried.
     """
 
     time: float
     u: ScalarField
     dt: float
-    step_index: int = 0
-    accept_streak: int = 0
-    energy: float = np.nan
-    dissipation: float = np.nan
-    u_hat: np.ndarray | None = field(default=None, compare=False, repr=False)
-    grad_hat: np.ndarray | None = field(default=None, compare=False, repr=False)
+    step_index: int
+    accept_streak: int
+    energy: float
+    dissipation: float
+    u_hat: np.ndarray = field(compare=False, repr=False)
+    grad_hat: np.ndarray = field(compare=False, repr=False)
+
+    @classmethod
+    def at(cls, u, u_hat, well, family, time, dt, step_index, accept_streak):
+        """The complete state of u, with cosine coefficients u_hat, at
+        `time` (a checkpoint's, say); dt is its next step."""
+        e, g_hat, diss = flow_terms(u_hat, u, well, family)
+        return cls(time=time, u=u, dt=dt, step_index=step_index,
+                   accept_streak=accept_streak, energy=e, dissipation=diss,
+                   u_hat=u_hat, grad_hat=g_hat)
+
+    @classmethod
+    def start(cls, u, well, family, dt):
+        """The state of the initial field u at t = 0, with coefficients
+        cosine_coeffs(u) and first step dt (`fresh_dt` for a run)."""
+        return cls.at(u, cosine_coeffs(u.values), well, family, 0.0, dt, 0, 0)
 
 
-def _coeffs_of(state):
-    """The state's u_hat, or cosine_coeffs(u) for a state without it."""
-    return cosine_coeffs(state.u.values) if state.u_hat is None else state.u_hat
+def fresh_dt(grid):
+    """The first step of a run from an initial field: 0.1 h^2."""
+    return 0.1 * grid.spacing**2
 
 
 def flow_terms(u_hat, u, well, family):
@@ -107,12 +123,6 @@ def _dissipation(g_hat, grid, gmult):
     return float(np.sum(parseval_weights(grid) * gmult * g_hat * g_hat))
 
 
-def dissipation_rate(u, well, family):
-    """||G1 grad J||_X^2 = <G grad J, grad J>, the instantaneous energy decay:
-    `flow_terms` at cosine_coeffs(u), the formula `step` carries."""
-    return flow_terms(cosine_coeffs(u.values), u, well, family)[2]
-
-
 def step(state, well, family, controls):
     """One accepted semi-implicit step; halves dt until the energy decreases.
 
@@ -126,29 +136,23 @@ def step(state, well, family, controls):
     comes from grad_hat by Parseval. The result carries u_hat_new itself and
     grad_hat, so the next step starts from them; its energy, grad_hat and
     dissipation are those of `flow_terms` at (u_hat_new, u_new) bit for bit.
-    They agree with the nodal `energy`, `variational_derivative` and
-    `dissipation_rate` of u_new to rounding, since cosine_coeffs(u_new)
-    differs from u_hat_new by the rounding of one transform pair.
+    They agree with the nodal `energy` and `variational_derivative` of u_new
+    and with `flow_terms` at cosine_coeffs(u_new) to rounding, since those
+    coefficients differ from u_hat_new by the rounding of one transform pair.
     """
     grid = state.u.grid
     kap4 = grid.wavenumbers**4
     gmult = family.multipliers("G")
     denom_base = gmult * (kap4 + controls.kappa)
 
-    u_hat = _coeffs_of(state)
-    grad_hat, e_old = state.grad_hat, state.energy
-    if grad_hat is None or not np.isfinite(e_old):
-        e_u, grad_hat, _ = flow_terms(u_hat, state.u, well, family)
-        if not np.isfinite(e_old):
-            e_old = e_u
-    flow_hat = gmult * grad_hat
+    flow_hat = gmult * state.grad_hat
 
     dt = state.dt
     while True:
-        new_hat = u_hat - dt * flow_hat / (1.0 + dt * denom_base)
+        new_hat = state.u_hat - dt * flow_hat / (1.0 + dt * denom_base)
         u_new = ScalarField(grid, cosine_synth(new_hat))
         w1, e_new = energy_terms(new_hat, u_new.values, grid, well)
-        if e_new <= e_old + ENERGY_SLACK:
+        if e_new <= state.energy + ENERGY_SLACK:
             break
         dt *= 0.5
         if dt < DT_MIN:
@@ -209,7 +213,6 @@ class Trajectory:
     energies: list = field(default_factory=list)
     masses: list = field(default_factory=list)
     w_norms: list = field(default_factory=list)
-    dissipations: list = field(default_factory=list)
     t_exit: float | None = None
     exit_reason: str = ""
     final_state: SimulationState | None = None
@@ -222,18 +225,6 @@ class Trajectory:
             np.asarray(self.masses),
             np.asarray(self.w_norms),
         )
-
-    def write_csv(self, path):
-        n = len(self.positions[0]) if self.positions else 0
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["t"] + [f"p_{i + 1}" for i in range(n)] + ["energy", "mass", "w_norm"]
-            )
-            for k in range(len(self.times)):
-                row = [self.times[k], *self.positions[k], self.energies[k],
-                       self.masses[k], self.w_norms[k]]
-                writer.writerow([f"{v:.17g}" for v in row])
 
 
 CHECKPOINT_LAYOUT = "u, u_hat"
@@ -248,11 +239,9 @@ def write_checkpoint(path_prefix, state, params_doc, controls):
     The header holds what `run` needs to continue the same run: the state's
     time, dt, step index and accept streak, the step controls, `params_doc`
     (the run's gradient exponent s, say) and the .bin layout. It also holds
-    the sha256 of the .bin bytes, which `read_checkpoint` verifies. A state
-    without u_hat is written with cosine_coeffs(u).
+    the sha256 of the .bin bytes, which `read_checkpoint` verifies.
     """
-    u_hat = _coeffs_of(state)
-    data = np.concatenate([state.u.values, u_hat]).astype("<f8").tobytes()
+    data = np.concatenate([state.u.values, state.u_hat]).astype("<f8").tobytes()
     header = {
         "time": state.time,
         "dt": state.dt,
@@ -273,8 +262,11 @@ def write_checkpoint(path_prefix, state, params_doc, controls):
         fh.write(data)
 
 
-def read_checkpoint(path_prefix, grid):
-    """(state, controls, header) of a checkpoint written by `write_checkpoint`.
+def read_checkpoint(path_prefix, grid, well):
+    """(state, controls, family) of a checkpoint written by `write_checkpoint`:
+    the complete state (`SimulationState.at` the written u and u_hat), the
+    run's step controls and its gradient family, which together continue
+    the run that wrote it.
 
     A header without one of CHECKPOINT_KEYS or the gradient exponent s in
     its params cannot continue the run that wrote it and raises FchError,
@@ -309,55 +301,40 @@ def read_checkpoint(path_prefix, grid):
         raise GridMismatchError(
             f"checkpoint has {vals.size // 2} points, the grid {n}"
         )
-    state = SimulationState(
-        time=header["time"], u=ScalarField(grid, vals[:n]), dt=header["dt"],
-        step_index=header["step_index"], accept_streak=header["accept_streak"],
-        u_hat=vals[n:],
+    family = GradientFamily(grid, header["params"]["s"])
+    state = SimulationState.at(
+        ScalarField(grid, vals[:n]), vals[n:], well, family, header["time"],
+        header["dt"], header["step_index"], header["accept_streak"],
     )
     controls = StepControls(kappa=header["kappa"], dt_max=header["dt_max"],
                             growth_patience=header["growth_patience"])
-    return state, controls, header
+    return state, controls, family
 
 
 def run(
     manifold,
     family,
-    u0,
+    state,
     t_final,
+    controls,
     output_every=50,
-    controls=None,
     checkpoint_prefix=None,
     checkpoint_stride=0,
 ):
-    """Evolve u_t = -G grad J(u) from u0, recording pulse diagnostics.
+    """Evolve u_t = -G grad J(u) from state under controls, recording pulse
+    diagnostics.
 
-    u0 is the initial field, started at t = 0 with step 0.1 h^2, or a
-    SimulationState to resume (a checkpoint's, say): its time, step index, dt
-    and accept streak carry on, so with the run's controls the resumed run
-    takes the steps of the uninterrupted one. A resumed state needs those
-    controls. t_final is absolute.
+    The state is `SimulationState.start` of an initial field or a
+    checkpoint's (`read_checkpoint`): its time, step index, dt and accept
+    streak carry on, so with the run's controls a resumed run takes the
+    steps of the uninterrupted one. t_final is absolute.
 
     Exits early (recording t_exit) when pulse extraction fails or the minimum
     gap falls below half the admissible spacing.
     """
     well = manifold.well
     params = manifold.params
-    if isinstance(u0, SimulationState):
-        if controls is None:
-            raise FchError(
-                "a resumed state carries its dt and needs the run's controls"
-            )
-        state = u0
-    else:
-        state = SimulationState(time=0.0, u=u0, dt=0.1 * u0.grid.spacing**2)
     grid = state.u.grid
-    if controls is None:
-        controls = StepControls.for_initial_state(state.u, well)
-    if not (np.isfinite(state.energy) and np.isfinite(state.dissipation)):
-        u_hat = _coeffs_of(state)
-        e, g_hat, diss = flow_terms(u_hat, state.u, well, family)
-        state = replace(state, energy=e, dissipation=diss, u_hat=u_hat,
-                        grad_hat=g_hat)
     traj = Trajectory()
     n = params.n_pulses
 
@@ -370,7 +347,6 @@ def run(
         traj.positions.append(pos)
         traj.energies.append(st.energy)
         traj.masses.append(field_mass(st.u, well.b_minus))
-        traj.dissipations.append(st.dissipation)
         w_norm = np.nan
         try:
             ref = manifold.build(manifold.configuration(pos))

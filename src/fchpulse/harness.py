@@ -1,7 +1,9 @@
 """Experiment drivers, configuration, persistence, and the CLI backend.
 
 Every experiment validates its configuration, runs, writes its outputs into
-the output directory, and finishes by writing a run manifest. The manifest is
+the output directory, and finishes by writing a run manifest. This module
+writes every output file but the checkpoints (`dynamics.write_checkpoint`):
+CSV through `_write_csv` and JSON through `_write_json`. The manifest is
 written last: its presence certifies a complete run. Hypothesis failures are
 recorded in the outputs and summary, never raised, and leave the exit status
 at zero; only execution errors are fatal.
@@ -33,8 +35,10 @@ from .core import (
 )
 from .dynamics import (
     ReducedModel,
+    SimulationState,
     StepControls,
     alpha_scaling,
+    fresh_dt,
     integrate_reduced,
     pulse_velocity_projection,
     read_checkpoint,
@@ -114,6 +118,8 @@ class ExperimentConfig:
         for key in ("t_final", "dt_max"):
             if not getattr(self, key) > 0.0:
                 raise ValidationError(f"{key} must be positive")
+        if not self.s_values:
+            raise ValidationError("s_values must name at least one s")
         for s in self.s_values:
             if not 0.0 <= s <= 1.0:
                 raise ValidationError("s values must lie in [0,1]")
@@ -131,6 +137,8 @@ class ExperimentConfig:
         unknown = set(doc) - known
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        if "experiment" not in doc:
+            raise ConfigError("config lacks key 'experiment'")
         doc = dict(doc)
         if "s_values" in doc:
             doc["s_values"] = tuple(doc["s_values"])
@@ -170,8 +178,7 @@ class RunManifest:
     def write(self, out_dir):
         self.finished = time.strftime("%Y-%m-%dT%H:%M:%S")
         path = Path(out_dir) / "manifest.json"
-        with open(path, "w") as fh:
-            json.dump(asdict(self), fh, indent=2, sort_keys=True)
+        _write_json(path, asdict(self))
         return path
 
 
@@ -249,6 +256,7 @@ class Laboratory:
 
 
 def _write_csv(path, header, rows):
+    """RFC-4180 CSV: floats at 17 significant digits, other values as is."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -257,6 +265,19 @@ def _write_csv(path, header, rows):
                 [f"{v:.17g}" if isinstance(v, (float, np.floating)) else v
                  for v in row]
             )
+
+
+def _write_json(path, doc):
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+
+
+def _write_trajectory(path, traj):
+    t, p, e, m, w = traj.as_arrays()
+    _write_csv(
+        path, ["t"] + [f"p_{i + 1}" for i in range(p.shape[1])]
+        + ["energy", "mass", "w_norm"], np.column_stack([t, p, e, m, w]),
+    )
 
 
 def _write_plot_data(path, xs, ys):
@@ -273,8 +294,7 @@ def _start(config, out_dir):
         version=__version__,
         started=time.strftime("%Y-%m-%dT%H:%M:%S"),
     )
-    with open(out / "config.json", "w") as fh:
-        json.dump(config.as_dict(), fh, indent=2, sort_keys=True)
+    _write_json(out / "config.json", config.as_dict())
     manifest.files.append("config.json")
     return out, manifest
 
@@ -296,10 +316,10 @@ def experiment_profile(config, out_dir):
     """Solve the pulse and backgrounds; emit their profiles and far-field data."""
     out, manifest = _start(config, out_dir)
     lab = Laboratory.from_config(config)
-    lab.pulse.to_csv(out / "pulse.csv")
-    lab.bg1.to_csv(out / "background_1.csv")
-    lab.bg2.to_csv(out / "background_2.csv")
-    manifest.files += ["pulse.csv", "background_1.csv", "background_2.csv"]
+    for name, prof in (("pulse.csv", lab.pulse), ("background_1.csv", lab.bg1),
+                       ("background_2.csv", lab.bg2)):
+        _write_csv(out / name, ["z", "value"], zip(prof.z, prof.values))
+        manifest.files.append(name)
     fit = far_field_params(lab.pulse)
     summary = {
         "u_star": lab.pulse.u_star,
@@ -347,8 +367,10 @@ def experiment_ansatz(config, out_dir):
     )
     manifest.files.append(name)
     prof = man.build(lab.initial_configuration())
-    prof.export_csv(out / "ansatz_profile.csv")
-    prof.export_internal_json(out / "ansatz_internal.json")
+    corr = prof.mass_correction.values + prof.boundary_correction.values
+    _write_csv(out / "ansatz_profile.csv", ["z", "phi", "u_n", "correction"],
+               zip(man.grid.nodes, prof.phi.values, prof.u_n.values, corr))
+    _write_json(out / "ansatz_internal.json", prof.internal.as_dict())
     manifest.files += ["ansatz_profile.csv", "ansatz_internal.json"]
     return _finish(out, manifest, {
         "pass": True,
@@ -401,8 +423,12 @@ def experiment_diagnose(config, out_dir):
         "trapping_radius", -1, el.eta_star, el.eta_upper, el.window_ok,
         delta0=el.delta0, delta1=el.delta1, delta2=el.delta2, mu2=el.mu2,
     )
-    report.to_json(out / "diagnostics.json")
-    report.to_csv(out / "diagnostics.csv")
+    _write_json(out / "diagnostics.json",
+                [r.as_dict() for r in report.records])
+    _write_csv(out / "diagnostics.csv",
+               ["hypothesis", "config_id", "constant", "threshold", "pass"],
+               [[r.hypothesis, r.config_id, r.constant, r.threshold, r.passed]
+                for r in report.records])
     manifest.files += ["diagnostics.json", "diagnostics.csv"]
     return _finish(out, manifest, {
         "pass": bool(report.all_passed),
@@ -410,21 +436,24 @@ def experiment_diagnose(config, out_dir):
     })
 
 
-def _single_pde_run(lab, s, checkpoint_dir=None):
-    man = lab.manifold
+def _fresh_start(lab, s):
+    """(state, controls, family) of a run at s from the configured start."""
     family = GradientFamily(lab.grid, s)
-    u0 = man.build(lab.initial_configuration()).phi
+    u0 = lab.manifold.build(lab.initial_configuration()).phi
     if lab.config.perturbation > 0.0:
         u0 = u0 + lab.zero_mass_noise(lab.config.perturbation)
     controls = StepControls.for_initial_state(u0, lab.well,
                                               dt_max=lab.config.dt_max)
-    prefix = (
-        str(Path(checkpoint_dir) / "checkpoint") if checkpoint_dir else None
-    )
+    state = SimulationState.start(u0, lab.well, family, fresh_dt(lab.grid))
+    return state, controls, family
+
+
+def _pde_run(lab, start, checkpoint_prefix):
+    state, controls, family = start
     return run_pde(
-        man, family, u0, lab.config.t_final,
-        output_every=lab.config.output_every, controls=controls,
-        checkpoint_prefix=prefix,
+        lab.manifold, family, state, lab.config.t_final, controls,
+        output_every=lab.config.output_every,
+        checkpoint_prefix=checkpoint_prefix,
         checkpoint_stride=lab.config.checkpoint_stride,
     )
 
@@ -433,22 +462,12 @@ def experiment_simulate(config, out_dir):
     """Evolve the gradient flow from the configured or checkpointed state."""
     out, manifest = _start(config, out_dir)
     lab = Laboratory.from_config(config)
-    s = config.s_values[0] if config.s_values else 0.0
-    if config.restart_from:
-        # the checkpoint's state, s and controls continue the run that wrote
-        # it; t_final is absolute
-        state, controls, header = read_checkpoint(config.restart_from,
-                                                  lab.grid)
-        family = GradientFamily(lab.grid, header["params"]["s"])
-        traj = run_pde(
-            lab.manifold, family, state, config.t_final,
-            output_every=config.output_every, controls=controls,
-            checkpoint_prefix=str(out / "checkpoint"),
-            checkpoint_stride=config.checkpoint_stride,
-        )
-    else:
-        traj = _single_pde_run(lab, s, checkpoint_dir=out)
-    traj.write_csv(out / "trajectory.csv")
+    # a checkpoint's state, s and controls continue the run that wrote it;
+    # t_final is absolute
+    start = (read_checkpoint(config.restart_from, lab.grid, lab.well)
+             if config.restart_from else _fresh_start(lab, config.s_values[0]))
+    traj = _pde_run(lab, start, str(out / "checkpoint"))
+    _write_trajectory(out / "trajectory.csv", traj)
     manifest.files.append("trajectory.csv")
     manifest.files.extend(
         sorted(p.name for p in out.glob("checkpoint_*"))
@@ -492,7 +511,7 @@ def experiment_reduce(config, out_dir):
     """Integrate the reduced pulse ODE from the configured initial positions."""
     out, manifest = _start(config, out_dir)
     lab = Laboratory.from_config(config)
-    s = config.s_values[0] if config.s_values else 0.0
+    s = config.s_values[0]
     p0 = lab.initial_configuration().positions
     model, sol, t_exit, scale = _reduced_trajectory(
         lab, s, p0, config.t_final
@@ -517,10 +536,10 @@ def experiment_compare(config, out_dir):
     """PDE flow vs reduced ODE from the same start: velocities and deviation."""
     out, manifest = _start(config, out_dir)
     lab = Laboratory.from_config(config)
-    s = config.s_values[0] if config.s_values else 0.0
+    s = config.s_values[0]
     start = lab.initial_configuration()
-    traj = _single_pde_run(lab, s)
-    traj.write_csv(out / "pde_trajectory.csv")
+    traj = _pde_run(lab, _fresh_start(lab, s), None)
+    _write_trajectory(out / "pde_trajectory.csv", traj)
     manifest.files.append("pde_trajectory.csv")
     t, p, e, m, w = traj.as_arrays()
 

@@ -8,8 +8,6 @@ configuration sample must complete and report where the assumptions break.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -638,7 +636,7 @@ def symmetrized_gap(point, family):
     return SpectrumReport(
         eigenvalues=evals,
         vectors=vecs,
-        residuals=np.zeros(k),
+        residuals=np.linalg.norm(context.residual(vecs, evals, g1), axis=0),
         fitted_c=float(max(np.max(np.abs(slow)), np.max(errors)) / delta_g),
         delta=delta_g,
         slow_dim=n,
@@ -874,22 +872,6 @@ class DiagnosticsReport:
 
     def failures(self):
         return [r for r in self.records if not r.passed]
-
-    def to_json(self, path):
-        with open(path, "w") as fh:
-            json.dump([r.as_dict() for r in self.records], fh, indent=2,
-                      sort_keys=True)
-
-    def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["hypothesis", "config_id", "constant",
-                             "threshold", "pass"])
-            for r in self.records:
-                writer.writerow(
-                    [r.hypothesis, r.config_id, f"{r.constant:.17g}",
-                     f"{r.threshold:.17g}", r.passed]
-                )
 
 
 def run_hypothesis_suite(points, s_values=(0.5, 1.0), seed=0):

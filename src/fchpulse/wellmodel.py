@@ -9,7 +9,6 @@ follow exactly from the chain rule through the first integral.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import comb, factorial
@@ -438,13 +437,6 @@ class PulseProfile:
         """The stable-edge floor k_s of `stable_edge_floor`, computed once."""
         return stable_edge_floor(self.well, self)[0]
 
-    def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["z", "value"])
-            for zi, vi in zip(self.z, self.values):
-                writer.writerow([f"{zi:.17g}", f"{vi:.17g}"])
-
 
 @dataclass(frozen=True)
 class FarFieldFit:
@@ -763,13 +755,6 @@ class BackgroundProfile:
                 v = cos_t[lo:top] @ (scale * sf)
                 out[order, inside] = sgn * u[rows] - v[rows]
         return out
-
-    def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["z", "value"])
-            for zi, vi in zip(self.z, self.values):
-                writer.writerow([f"{zi:.17g}", f"{vi:.17g}"])
 
 
 def _refined_solve(a, lu_piv, rhs):

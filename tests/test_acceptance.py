@@ -45,8 +45,7 @@ from fchpulse import (
     tangent_alignment,
 )
 from fchpulse.core import cosine_synth
-from fchpulse.dynamics import SimulationState, StepControls, dissipation_rate, step
-from fchpulse.operators import energy
+from fchpulse.dynamics import SimulationState, StepControls, fresh_dt, step
 from fchpulse.wellmodel import _fd_residual, far_field_params
 from conftest import cluster_config, moderate_config
 
@@ -323,8 +322,7 @@ def test_criterion_12_pde_flow(small_manifold, well):
         kappa=2.0 * float(np.max(np.abs(well.d2W(u0.values)))) ** 2,
         dt_max=dt,
     )
-    st = SimulationState(0.0, u0, dt, energy=energy(u0, well),
-                         dissipation=dissipation_rate(u0, well, fam))
+    st = SimulationState.start(u0, well, fam, dt)
     m0 = mass(u0, well.b_minus)
     energies = [st.energy]
     drift = 0.0
@@ -368,8 +366,9 @@ def test_criterion_13_pde_vs_ode(small_manifold, pulse, well):
             prof.phi, well, dt_max=0.02 / max(scale, 1.0)
         )
         t_final = 10.0 / scale
-        traj = run(small_manifold, fam, prof.phi, t_final,
-                   output_every=40, controls=controls)
+        state = SimulationState.start(prof.phi, well, fam, fresh_dt(grid))
+        traj = run(small_manifold, fam, state, t_final, controls,
+                   output_every=40)
         t, p, _, _, _ = traj.as_arrays()
         window = t >= 0.3 * t_final
         v_pde = np.array(
@@ -390,8 +389,9 @@ def test_criterion_13_pde_vs_ode(small_manifold, pulse, well):
     scale1 = a0**2 / alpha_scaling(1.0, grid, pulse) ** 2
     controls = StepControls.for_initial_state(prof_pert.phi, well,
                                               dt_max=0.005)
-    traj = run(small_manifold, fam1, prof_pert.phi, 120.0,
-               output_every=100, controls=controls)
+    state = SimulationState.start(prof_pert.phi, well, fam1, fresh_dt(grid))
+    traj = run(small_manifold, fam1, state, 120.0, controls,
+               output_every=100)
     t, p, _, _, _ = traj.as_arrays()
     amp = 0.5 * (p[:, 0] - p_eq[0] - (p[:, 1] - p_eq[1]))
     sel = (t > 20.0) & (np.abs(amp) > 1e-4)

@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 
 from fchpulse import (
     AdmissibilityError,
+    ExperimentConfig,
     MassSplitError,
     PulseManifold,
     ScalarField,
@@ -15,6 +16,7 @@ from fchpulse import (
     inner_product_x,
     mass,
     norm,
+    run_experiment,
 )
 from conftest import edge_term_oracle, fd_tangents, moderate_config
 
@@ -227,17 +229,25 @@ class TestBuild:
             assert h4 <= 5000 * delta
 
     def test_export_roundtrip(self, desk_manifold, tmp_path):
-        prof = desk_manifold.build(desk_manifold.equispaced())
-        prof.export_csv(tmp_path / "profile.csv")
-        prof.export_internal_json(tmp_path / "internal.json")
+        """The ansatz experiment writes the desk start, the equispaced
+        profile, with every value read back to its bits."""
         import csv as csvmod
         import json
 
-        with open(tmp_path / "profile.csv") as fh:
+        run_experiment(ExperimentConfig(experiment="ansatz", sample_size=1,
+                                        output_dir=str(tmp_path)))
+        prof = desk_manifold.build(desk_manifold.equispaced())
+        with open(tmp_path / "ansatz_profile.csv") as fh:
             rows = list(csvmod.reader(fh))
         assert rows[0] == ["z", "phi", "u_n", "correction"]
         assert len(rows) == desk_manifold.grid.num_points + 1
-        doc = json.load(open(tmp_path / "internal.json"))
+        cols = np.array(rows[1:], dtype=float).T
+        corr = prof.mass_correction.values + prof.boundary_correction.values
+        for col, want in zip(cols, (desk_manifold.grid.nodes, prof.phi.values,
+                                    prof.u_n.values, corr)):
+            assert np.array_equal(col, want)
+        doc = json.loads((tmp_path / "ansatz_internal.json").read_text())
+        assert doc == prof.internal.as_dict()
         assert doc["residual"] <= 1e-13 * desk_manifold.params.total_mass
         assert {"a0", "b0", "a1", "b1", "lam"} <= doc.keys()
 

@@ -35,8 +35,8 @@ from fchpulse.core import (
 from fchpulse.dynamics import (
     ENERGY_SLACK,
     SimulationState,
-    dissipation_rate,
     flow_terms,
+    fresh_dt,
 )
 from fchpulse.operators import energy, variational_derivative
 
@@ -93,7 +93,7 @@ class TestStep:
         u = ScalarField(grid, np.full(grid.num_points, well.b_minus + 0.01))
         fam = GradientFamily(grid, 0.0)
         controls = StepControls.for_initial_state(u, well)
-        st = SimulationState(0.0, u, 1e-3, energy=energy(u, well))
+        st = SimulationState.start(u, well, fam, 1e-3)
         st2 = step(st, well, fam, controls)
         # constants are equilibria of the projected flow
         assert np.max(np.abs(st2.u.values - u.values)) < 1e-12
@@ -104,7 +104,7 @@ class TestStep:
         u0 = prof.phi + noise_field(grid, 1e-3, seed=3)
         fam = GradientFamily(grid, 0.0)
         controls = StepControls.for_initial_state(u0, well)
-        st = SimulationState(0.0, u0, 1e-4, energy=energy(u0, well))
+        st = SimulationState.start(u0, well, fam, 1e-4)
         energies = [st.energy]
         for _ in range(400):
             st = step(st, well, fam, controls)
@@ -118,7 +118,7 @@ class TestStep:
             fam = GradientFamily(grid, s)
             u0 = prof.phi + noise_field(grid, 1e-4, seed=int(10 * s))
             controls = StepControls.for_initial_state(u0, well, dt_max=1e-3)
-            st = SimulationState(0.0, u0, 1e-4, energy=energy(u0, well))
+            st = SimulationState.start(u0, well, fam, 1e-4)
             m0 = mass(u0, well.b_minus)
             for _ in range(1500):
                 st = step(st, well, fam, controls)
@@ -134,8 +134,7 @@ class TestStep:
         dt = 2e-4
         controls = StepControls(kappa=2 * float(
             np.max(np.abs(well.d2W(u0.values)))) ** 2, dt_max=dt)
-        st = SimulationState(0.0, u0, dt, energy=energy(u0, well),
-                             dissipation=dissipation_rate(u0, well, fam))
+        st = SimulationState.start(u0, well, fam, dt)
         rel_errs = []
         for k in range(600):
             prev_e, prev_d = st.energy, st.dissipation
@@ -159,7 +158,7 @@ def perturbed_testbed(manifold, well, s=0.0, amplitude=1e-3, seed=3):
     u0 = prof.phi + noise_field(manifold.grid, amplitude, seed=seed)
     fam = GradientFamily(manifold.grid, s)
     controls = StepControls.for_initial_state(u0, well)
-    return SimulationState(0.0, u0, 1e-4, energy=energy(u0, well)), fam, controls
+    return SimulationState.start(u0, well, fam, 1e-4), fam, controls
 
 
 class TestFusedStep:
@@ -201,8 +200,8 @@ class TestFusedStep:
             g = variational_derivative(u, well)
             umax = np.max(np.abs(u.values))
             assert_allclose(state.energy, energy(u, well), rtol=1e-13)
-            assert_allclose(state.dissipation, dissipation_rate(u, well, fam),
-                            rtol=1e-10)
+            nodal = flow_terms(cosine_coeffs(u.values), u, well, fam)
+            assert_allclose(state.dissipation, nodal[2], rtol=1e-10)
             assert_allclose(state.dissipation,
                             inner_product_x(fam.apply(g, "G"), g), rtol=1e-10)
             assert_allclose(state.u_hat, cosine_coeffs(u.values), rtol=0,
@@ -219,21 +218,6 @@ class TestFusedStep:
         assert energy(u, well) == 0.5 * float(np.sum(u.grid.quad_weights
                                                       * w1 * w1))
         assert np.array_equal(variational_derivative(u, well).values, g)
-
-    def test_stripped_state_steps_to_the_same_bits(self, small_manifold, well):
-        """Without grad_hat, energy and dissipation, but with u_hat."""
-        state, fam, controls = perturbed_testbed(small_manifold, well, 0.5)
-        for _ in range(4):
-            state = step(state, well, fam, controls)
-        bare = dataclasses.replace(state, grad_hat=None, energy=np.nan,
-                                   dissipation=np.nan)
-        full, again = (step(x, well, fam, controls) for x in (state, bare))
-        for name in ("time", "dt", "step_index", "accept_streak", "energy",
-                     "dissipation"):
-            assert getattr(full, name) == getattr(again, name)
-        assert np.array_equal(full.u.values, again.u.values)
-        assert np.array_equal(full.u_hat, again.u_hat)
-        assert np.array_equal(full.grad_hat, again.grad_hat)
 
     def test_step_transform_counts(self, small_manifold, well, monkeypatch):
         """4 cosine transforms for a step accepted at its first trial, and 2
@@ -533,11 +517,19 @@ class TestIntegrateReduced:
         assert np.all(np.diff(gaps) >= -1e-9)
 
 
+def fresh_run(manifold):
+    """(state, family, controls) of an s = 0 run from the testbed point."""
+    u0 = manifold.build(manifold.configuration([4.5, 12.0])).phi
+    fam = GradientFamily(manifold.grid, 0.0)
+    state = SimulationState.start(u0, manifold.well, fam,
+                                  fresh_dt(manifold.grid))
+    return state, fam, StepControls.for_initial_state(u0, manifold.well)
+
+
 class TestRun:
     def test_trajectory_records_and_exit_fields(self, small_manifold):
-        prof = small_manifold.build(small_manifold.configuration([4.5, 12.0]))
-        fam = GradientFamily(small_manifold.grid, 0.0)
-        traj = run(small_manifold, fam, prof.phi, t_final=0.5,
+        state, fam, controls = fresh_run(small_manifold)
+        traj = run(small_manifold, fam, state, 0.5, controls,
                    output_every=10)
         t, p, e, m, w = traj.as_arrays()
         assert len(t) == len(p) == len(e)
@@ -547,22 +539,26 @@ class TestRun:
     def test_checkpoint_roundtrip(self, small_manifold, tmp_path):
         from fchpulse.dynamics import read_checkpoint, write_checkpoint
 
+        well = small_manifold.well
         prof = small_manifold.build(small_manifold.configuration([4.5, 12.0]))
+        fam = GradientFamily(small_manifold.grid, 0.5)
         # not cosine_coeffs(u): the read must return the written u_hat
         u_hat = cosine_coeffs(prof.phi.values) * (1.0 + 1e-15)
-        st = SimulationState(1.25, prof.phi, 3e-4, step_index=17,
-                             accept_streak=3, u_hat=u_hat)
+        st = SimulationState.at(prof.phi, u_hat, well, fam, 1.25, 3e-4, 17, 3)
         controls = StepControls(kappa=0.1 + 2e-17, dt_max=0.01,
                                 growth_patience=4)
         write_checkpoint(tmp_path / "ck", st, {"s": 0.5}, controls)
-        st2, controls2, header = read_checkpoint(tmp_path / "ck",
-                                                 small_manifold.grid)
-        for name in ("time", "dt", "step_index", "accept_streak"):
+        st2, controls2, fam2 = read_checkpoint(tmp_path / "ck",
+                                               small_manifold.grid, well)
+        # the read state is complete, with the terms of the written one
+        for name in ("time", "dt", "step_index", "accept_streak", "energy",
+                     "dissipation"):
             assert getattr(st2, name) == getattr(st, name)
         assert np.array_equal(st2.u.values, prof.phi.values)
         assert np.array_equal(st2.u_hat, u_hat)
+        assert np.array_equal(st2.grad_hat, st.grad_hat)
         assert controls2 == controls
-        assert header["params"]["s"] == 0.5
+        assert fam2.s == 0.5
 
     @pytest.mark.parametrize("key", ["kappa", "accept_streak", "params.s",
                                      "layout", "sha256"])
@@ -573,8 +569,7 @@ class TestRun:
         from fchpulse import FchError
         from fchpulse.dynamics import read_checkpoint, write_checkpoint
 
-        prof = small_manifold.build(small_manifold.configuration([4.5, 12.0]))
-        write_checkpoint(tmp_path / "ck", SimulationState(0.0, prof.phi, 3e-4),
+        write_checkpoint(tmp_path / "ck", fresh_run(small_manifold)[0],
                          {"s": 0.0}, StepControls(kappa=1.0))
         path = tmp_path / "ck.json"
         header = json.loads(path.read_text())
@@ -584,7 +579,8 @@ class TestRun:
             del header[key]
         path.write_text(json.dumps(header))
         with pytest.raises(FchError, match=f"lacks {key}"):
-            read_checkpoint(tmp_path / "ck", small_manifold.grid)
+            read_checkpoint(tmp_path / "ck", small_manifold.grid,
+                            small_manifold.well)
 
     def test_checkpoint_in_the_nodal_layout_refused(self, small_manifold,
                                                     tmp_path):
@@ -597,10 +593,10 @@ class TestRun:
         from fchpulse import FchError, GridMismatchError
         from fchpulse.dynamics import read_checkpoint, write_checkpoint
 
-        prof = small_manifold.build(small_manifold.configuration([4.5, 12.0]))
-        write_checkpoint(tmp_path / "ck", SimulationState(0.0, prof.phi, 3e-4),
-                         {"s": 0.0}, StepControls(kappa=1.0))
-        data = prof.phi.values.astype("<f8").tobytes()
+        state = fresh_run(small_manifold)[0]
+        write_checkpoint(tmp_path / "ck", state, {"s": 0.0},
+                         StepControls(kappa=1.0))
+        data = state.u.values.astype("<f8").tobytes()
         (tmp_path / "ck.bin").write_bytes(data)
         path = tmp_path / "ck.json"
         header = json.loads(path.read_text())
@@ -608,12 +604,14 @@ class TestRun:
         header["sha256"] = hashlib.sha256(data).hexdigest()
         path.write_text(json.dumps(header))
         with pytest.raises(FchError, match="lacks layout") as err:
-            read_checkpoint(tmp_path / "ck", small_manifold.grid)
+            read_checkpoint(tmp_path / "ck", small_manifold.grid,
+                            small_manifold.well)
         assert not isinstance(err.value, GridMismatchError)
         header["layout"] = "u"
         path.write_text(json.dumps(header))
         with pytest.raises(FchError, match="layout 'u'") as err:
-            read_checkpoint(tmp_path / "ck", small_manifold.grid)
+            read_checkpoint(tmp_path / "ck", small_manifold.grid,
+                            small_manifold.well)
         assert not isinstance(err.value, GridMismatchError)
 
     def test_checkpoint_with_a_flipped_byte_refused(self, small_manifold,
@@ -623,8 +621,7 @@ class TestRun:
         from fchpulse import ChecksumError, FchError
         from fchpulse.dynamics import read_checkpoint, write_checkpoint
 
-        prof = small_manifold.build(small_manifold.configuration([4.5, 12.0]))
-        write_checkpoint(tmp_path / "ck", SimulationState(0.0, prof.phi, 3e-4),
+        write_checkpoint(tmp_path / "ck", fresh_run(small_manifold)[0],
                          {"s": 0.0}, StepControls(kappa=1.0))
         path = tmp_path / "ck.bin"
         data = bytearray(path.read_bytes())
@@ -632,37 +629,28 @@ class TestRun:
         data[len(data) // 2] ^= 0x01
         path.write_bytes(data)
         with pytest.raises(ChecksumError) as err:
-            read_checkpoint(tmp_path / "ck", small_manifold.grid)
+            read_checkpoint(tmp_path / "ck", small_manifold.grid,
+                            small_manifold.well)
         assert isinstance(err.value, FchError)
         assert recorded in str(err.value)
         assert hashlib.sha256(data).hexdigest() in str(err.value)
-
-    def test_resumed_state_takes_controls_and_no_dt0(self, small_manifold,
-                                                     well):
-        from fchpulse import FchError
-
-        state, fam, controls = perturbed_testbed(small_manifold, well)
-        with pytest.raises(FchError, match="resumed state"):
-            run(small_manifold, fam, state, 0.1, controls=None)
 
     def test_checkpoint_resolution_mismatch(self, small_manifold, tmp_path):
         from fchpulse import Grid, GridMismatchError
         from fchpulse.dynamics import read_checkpoint, write_checkpoint
 
-        prof = small_manifold.build(small_manifold.configuration([4.5, 12.0]))
-        write_checkpoint(tmp_path / "ck", SimulationState(0.0, prof.phi, 3e-4),
+        write_checkpoint(tmp_path / "ck", fresh_run(small_manifold)[0],
                          {"s": 0.0}, StepControls(kappa=1.0))
         coarse = Grid(small_manifold.grid.length, 129, h_max=0.4)
         with pytest.raises(GridMismatchError, match="256 points.* 129"):
-            read_checkpoint(tmp_path / "ck", coarse)
+            read_checkpoint(tmp_path / "ck", coarse, small_manifold.well)
 
 
 class TestPdeRepulsion:
     def test_extracted_velocity_pushes_pulses_apart(self, small_manifold):
         # interior gap tighter than the wall gaps: the pair separates
-        prof = small_manifold.build(small_manifold.configuration([4.5, 12.0]))
-        fam = GradientFamily(small_manifold.grid, 0.0)
-        traj = run(small_manifold, fam, prof.phi, t_final=4.0,
+        state, fam, controls = fresh_run(small_manifold)
+        traj = run(small_manifold, fam, state, 4.0, controls,
                    output_every=25)
         t, p, _, _, _ = traj.as_arrays()
         sel = t >= 2.0

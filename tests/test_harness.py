@@ -70,7 +70,7 @@ class TestConfig:
             parse_config(path)
 
     @settings(max_examples=50, deadline=None)
-    @given(inside=st.lists(st.floats(0.0, 1.0), max_size=4),
+    @given(inside=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
            outside=st.floats(max_value=0.0, exclude_max=True)
            | st.floats(min_value=1.0, exclude_min=True),
            data=st.data())
@@ -83,6 +83,12 @@ class TestConfig:
             ExperimentConfig(experiment="reduce", s_values=bad)
         assert "s values must lie in [0,1]" in str(err.value)
 
+    def test_s_values_must_not_be_empty(self):
+        # an empty list raised a bare ValueError in invariance and ran
+        # simulate, reduce and compare at s = 0
+        with pytest.raises(ValidationError) as err:
+            ExperimentConfig(experiment="invariance", s_values=())
+        assert "s_values" in str(err.value)
 
     @pytest.mark.parametrize("key, value", [
         ("output_every", 0), ("output_every", -5), ("dt_max", 0.0),
@@ -377,6 +383,18 @@ class TestCli:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and key in err
+        assert "Traceback" not in err
+
+    def test_exit_one_on_a_config_without_experiment(self, tmp_path, capsys):
+        # the missing key raised TypeError from the dataclass constructor
+        cfgfile = tmp_path / "c.json"
+        cfgfile.write_text(json.dumps({"tau": -0.3}))
+        code = cli_main([
+            "profile", "--config", str(cfgfile), "--out", str(tmp_path / "x"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'experiment'" in err
         assert "Traceback" not in err
 
     def test_plot_data_flag(self, tmp_path):

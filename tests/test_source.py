@@ -19,9 +19,10 @@ start vector, and runs stop repeating bit for bit. Every dense
 eigensolve or SVD (`eigh`, `eigvalsh`, `eigvalsh_tridiagonal`, `svd`,
 `null_space`) lies in a function that the allow-list below names, each of
 them small or run once: the diagnostic path solves N x N spectra by
-shift-invert Lanczos only. And every function,
-method and property of the package is referenced by name in the package or
-its tests: code that nothing reaches is deleted, not kept.
+shift-invert Lanczos only. Only `harness` imports `csv`: it writes every
+output file, so the output format is known in one module. And every
+function, method and property of the package is referenced by name in the
+package or its tests: code that nothing reaches is deleted, not kept.
 """
 
 import ast
@@ -54,6 +55,8 @@ DENSE_EIGENSOLVE_ALLOWED = {
     "dynamics.ReducedModel.jacobian_at_equispaced",
     "wellmodel.single_pulse_point_spectrum",
 }
+# The one module that writes output files and so imports csv.
+CSV_WRITERS = {"harness"}
 # The console-script entry point is called with no arguments; argv is for
 # callers that are not the installed script.
 ENTRY_POINTS = {"cli.main"}
@@ -382,6 +385,30 @@ def test_detects_a_dense_eigensolve():
 def test_dense_eigensolves_only_where_allowed(path):
     calls = dense_eigensolve_calls(path.read_text(), path.stem)
     assert [c for c in calls if c[2] not in DENSE_EIGENSOLVE_ALLOWED] == []
+
+
+def imported_modules(source):
+    """Top-level names of the modules that source imports absolutely."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_detects_a_csv_import():
+    assert "csv" in imported_modules("import os, csv as table\n")
+    assert "csv" in imported_modules("def f():\n    from csv import writer\n")
+    assert "csv" not in imported_modules("from .csvfile import rows\n"
+                                         "import json\n")
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_only_harness_imports_csv(path):
+    if path.stem not in CSV_WRITERS:
+        assert "csv" not in imported_modules(path.read_text())
 
 
 def uncalled_definitions(sources, referencing):

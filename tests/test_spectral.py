@@ -915,6 +915,20 @@ class TestSymmetrizedGap:
         assert rep.alignment_errors.shape == (3,)
         assert np.max(rep.alignment_errors) <= rep.fitted_c * rep.delta
 
+    def test_residuals_are_the_factored_ones(self, manifold_factory):
+        """The residuals of G1 L G1 from the context's factors: nonzero,
+        since the pairs are not exact, and at most 1e-9 on the suite's
+        testbed (L = 32, n = 2, N = 256) at s = 1."""
+        man = manifold_factory(length=32.0, n=2, ell=8.0, num_points=256)
+        point = ProfilePoint(man, man.build(man.equispaced()))
+        fam = GradientFamily(man.grid, 1.0)
+        rep = symmetrized_gap(point, fam)
+        resid = point.context.residual(rep.vectors, rep.eigenvalues,
+                                       fam.multipliers("G1")[1:])
+        assert np.array_equal(rep.residuals, np.linalg.norm(resid, axis=0))
+        assert np.all(rep.residuals > 0.0)
+        assert np.max(rep.residuals) <= 1e-9
+
 
 class TestTrappingRadius:
     def test_degenerate_inputs(self):

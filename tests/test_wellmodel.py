@@ -12,10 +12,12 @@ from numpy.testing import assert_allclose
 import fchpulse.wellmodel as wellmodel
 from fchpulse import (
     DomainError,
+    ExperimentConfig,
     ToleranceError,
     WellError,
     default_well,
     far_field_params,
+    run_experiment,
     solve_homoclinic,
 )
 from fchpulse.wellmodel import (
@@ -373,12 +375,19 @@ class TestSinglePulseSpectrum:
 
 class TestSerialization:
     def test_profiles_to_csv(self, pulse, backgrounds, tmp_path):
+        """The profile experiment writes the pulse and both backgrounds,
+        with every value read back to its bits."""
         import csv as csvmod
 
-        pulse.to_csv(tmp_path / "pulse.csv")
-        backgrounds[0].to_csv(tmp_path / "bg.csv")
-        for name in ("pulse.csv", "bg.csv"):
+        run_experiment(ExperimentConfig(experiment="profile",
+                                        output_dir=str(tmp_path)))
+        for name, prof in (("pulse.csv", pulse),
+                           ("background_1.csv", backgrounds[0]),
+                           ("background_2.csv", backgrounds[1])):
             with open(tmp_path / name) as fh:
                 rows = list(csvmod.reader(fh))
             assert rows[0] == ["z", "value"]
             assert len(rows) > 100
+            z, values = np.array(rows[1:], dtype=float).T
+            assert np.array_equal(z, prof.z)
+            assert np.array_equal(values, prof.values)
