@@ -9,26 +9,24 @@ the next step. Every `SimulationState` is complete: a run starts from
 `SimulationState.start` or a checkpoint's `SimulationState.at`, both of which
 form its energy and gradient by `flow_terms`, and `step` returns the next one.
 An accepted step costs 4 cosine transforms, a rejected trial 2, and mode 0,
-the mass, is never changed. The reduced model is the nearest-neighbour
+the mass, is never changed. The module opens no file: `run` hands each
+recorded state it continues from to its caller's `checkpoint`, and `harness`
+writes and reads the checkpoints. The reduced model is the nearest-neighbour
 pair-force ODE: the force comes from the pair interaction energy of J, and
 mirror shadow pulses close the boundary terms.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
 from .core import (
     AdmissibilityError,
-    ChecksumError,
     ExtractionError,
     FchError,
-    GridMismatchError,
     ScalarField,
     StiffnessError,
     cosine_coeffs,
@@ -48,15 +46,16 @@ from .wellmodel import PairEnergy
 
 DT_MIN = 1e-12
 ENERGY_SLACK = 1e-10
+# Accepted first tries after which dt doubles (up to dt_max).
+GROWTH_PATIENCE = 5
 
 
 @dataclass(frozen=True)
 class StepControls:
-    """Stabilization constant and step-size policy for the semi-implicit stepper."""
+    """Stabilization constant and largest step of the semi-implicit stepper."""
 
     kappa: float
     dt_max: float = 0.02
-    growth_patience: int = 5
 
     @classmethod
     def for_initial_state(cls, u, well, dt_max=0.02):
@@ -164,7 +163,7 @@ def step(state, well, family, controls):
     first_try = dt == state.dt
     streak = state.accept_streak + 1 if first_try else 0
     dt_next = dt
-    if streak >= controls.growth_patience:
+    if streak >= GROWTH_PATIENCE:
         dt_next = min(2.0 * dt, controls.dt_max)
         streak = 0
     g_hat = gradient_coeffs(u_new.values, w1, grid, well)
@@ -227,107 +226,17 @@ class Trajectory:
         )
 
 
-CHECKPOINT_LAYOUT = "u, u_hat"
-CHECKPOINT_KEYS = ("time", "dt", "step_index", "accept_streak", "kappa",
-                   "dt_max", "growth_patience", "layout", "sha256")
-
-
-def write_checkpoint(path_prefix, state, params_doc, controls):
-    """Write u and its cosine coefficients u_hat, one after the other, as
-    little-endian float64 (.bin) and the run state as JSON.
-
-    The header holds what `run` needs to continue the same run: the state's
-    time, dt, step index and accept streak, the step controls, `params_doc`
-    (the run's gradient exponent s, say) and the .bin layout. It also holds
-    the sha256 of the .bin bytes, which `read_checkpoint` verifies.
-    """
-    data = np.concatenate([state.u.values, state.u_hat]).astype("<f8").tobytes()
-    header = {
-        "time": state.time,
-        "dt": state.dt,
-        "step_index": state.step_index,
-        "accept_streak": state.accept_streak,
-        "kappa": controls.kappa,
-        "dt_max": controls.dt_max,
-        "growth_patience": controls.growth_patience,
-        "num_points": state.u.grid.num_points,
-        "length": state.u.grid.length,
-        "params": params_doc,
-        "layout": CHECKPOINT_LAYOUT,
-        "sha256": hashlib.sha256(data).hexdigest(),
-    }
-    with open(f"{path_prefix}.json", "w") as fh:
-        json.dump(header, fh, indent=2, sort_keys=True)
-    with open(f"{path_prefix}.bin", "wb") as fh:
-        fh.write(data)
-
-
-def read_checkpoint(path_prefix, grid, well):
-    """(state, controls, family) of a checkpoint written by `write_checkpoint`:
-    the complete state (`SimulationState.at` the written u and u_hat), the
-    run's step controls and its gradient family, which together continue
-    the run that wrote it.
-
-    A header without one of CHECKPOINT_KEYS or the gradient exponent s in
-    its params cannot continue the run that wrote it and raises FchError,
-    as does one with another layout; .bin bytes whose sha256 differs from
-    the header's raise ChecksumError.
-    """
-    with open(f"{path_prefix}.json") as fh:
-        header = json.load(fh)
-    missing = [key for key in CHECKPOINT_KEYS if key not in header]
-    if "s" not in header.get("params", {}):
-        missing.append("params.s")
-    if missing:
-        raise FchError(
-            f"checkpoint header {path_prefix}.json lacks {', '.join(missing)}"
-        )
-    if header["layout"] != CHECKPOINT_LAYOUT:
-        raise FchError(
-            f"checkpoint {path_prefix}.bin has layout {header['layout']!r}, "
-            f"not {CHECKPOINT_LAYOUT!r}"
-        )
-    with open(f"{path_prefix}.bin", "rb") as fh:
-        data = fh.read()
-    digest = hashlib.sha256(data).hexdigest()
-    if digest != header["sha256"]:
-        raise ChecksumError(
-            f"checkpoint {path_prefix}.bin has sha256 {digest}, "
-            f"its header records {header['sha256']}"
-        )
-    vals = np.frombuffer(data, dtype="<f8").copy()
-    n = grid.num_points
-    if vals.size != 2 * n:
-        raise GridMismatchError(
-            f"checkpoint has {vals.size // 2} points, the grid {n}"
-        )
-    family = GradientFamily(grid, header["params"]["s"])
-    state = SimulationState.at(
-        ScalarField(grid, vals[:n]), vals[n:], well, family, header["time"],
-        header["dt"], header["step_index"], header["accept_streak"],
-    )
-    controls = StepControls(kappa=header["kappa"], dt_max=header["dt_max"],
-                            growth_patience=header["growth_patience"])
-    return state, controls, family
-
-
-def run(
-    manifold,
-    family,
-    state,
-    t_final,
-    controls,
-    output_every=50,
-    checkpoint_prefix=None,
-    checkpoint_stride=0,
-):
+def run(manifold, family, state, t_final, controls, output_every=50,
+        checkpoint=None):
     """Evolve u_t = -G grad J(u) from state under controls, recording pulse
     diagnostics.
 
     The state is `SimulationState.start` of an initial field or a
-    checkpoint's (`read_checkpoint`): its time, step index, dt and accept
-    streak carry on, so with the run's controls a resumed run takes the
-    steps of the uninterrupted one. t_final is absolute.
+    checkpoint's: its time, step index, dt and accept streak carry on, so
+    with the same controls a resumed run takes the steps of the
+    uninterrupted one. No step exceeds controls.dt_max, the first one
+    included. t_final is absolute. checkpoint, if given, is called with
+    every recorded state that the run continues from.
 
     Exits early (recording t_exit) when pulse extraction fails or the minimum
     gap falls below half the admissible spacing.
@@ -360,12 +269,11 @@ def run(
     if pos is None:
         raise ExtractionError("initial state has no recognizable pulse train")
 
-    outputs = 0
+    state = replace(state, dt=min(state.dt, controls.dt_max))
     while state.time < t_final:
         state = step(state, well, family, controls)
         if state.step_index % output_every == 0 or state.time >= t_final:
             pos = record(state)
-            outputs += 1
             if pos is None:
                 traj.t_exit = state.time
                 traj.exit_reason = "pulse extraction failed (collision/merger)"
@@ -377,11 +285,8 @@ def run(
                 traj.t_exit = state.time
                 traj.exit_reason = "minimum gap fell below ell/2"
                 break
-            if checkpoint_prefix and checkpoint_stride and outputs % checkpoint_stride == 0:
-                write_checkpoint(
-                    f"{checkpoint_prefix}_{state.step_index:09d}", state,
-                    {"s": family.s}, controls,
-                )
+            if checkpoint is not None:
+                checkpoint(state)
     traj.final_state = state
     return traj
 

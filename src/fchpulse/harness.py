@@ -2,17 +2,20 @@
 
 Every experiment validates its configuration, runs, writes its outputs into
 the output directory, and finishes by writing a run manifest. This module
-writes every output file but the checkpoints (`dynamics.write_checkpoint`):
-CSV through `_write_csv` and JSON through `_write_json`. The manifest is
-written last: its presence certifies a complete run. Hypothesis failures are
-recorded in the outputs and summary, never raised, and leave the exit status
-at zero; only execution errors are fatal.
+writes and reads every file, and each writer (`_write_csv`, `_write_json`,
+`_write_plot_data`, `write_checkpoint`) records the name it writes in the
+manifest, which is written last: its presence certifies a complete run, and
+it lists exactly the files the run wrote. The config is the one record of a
+run's s and dt_max; a checkpoint holds only the state and kappa. Hypothesis
+failures are recorded in the outputs and summary, never raised, and leave
+the exit status at zero; only execution errors are fatal.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import json
 import time
 from dataclasses import asdict, dataclass, field, fields
@@ -25,8 +28,11 @@ from scipy.optimize import curve_fit
 from . import __version__
 from .ansatz import PulseManifold
 from .core import (
+    ChecksumError,
     ConfigError,
+    FchError,
     Grid,
+    GridMismatchError,
     ScalarField,
     SystemParams,
     ValidationError,
@@ -41,7 +47,6 @@ from .dynamics import (
     fresh_dt,
     integrate_reduced,
     pulse_velocity_projection,
-    read_checkpoint,
     run as run_pde,
 )
 from .operators import GradientFamily
@@ -118,6 +123,9 @@ class ExperimentConfig:
         for key in ("t_final", "dt_max"):
             if not getattr(self, key) > 0.0:
                 raise ValidationError(f"{key} must be positive")
+        for key in ("checkpoint_stride", "perturbation"):
+            if not getattr(self, key) >= 0:
+                raise ValidationError(f"{key} must not be negative")
         if not self.s_values:
             raise ValidationError("s_values must name at least one s")
         for s in self.s_values:
@@ -147,13 +155,26 @@ class ExperimentConfig:
         return cls(**doc)
 
 
+def _read_bytes(path):
+    """The bytes of the file at path, or ConfigError naming it."""
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror}") from exc
+
+
+def _read_json(path):
+    """The JSON document in the file at path, or ConfigError naming it."""
+    try:
+        return json.loads(_read_bytes(path))
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
+
+
 def parse_config(path):
     """Load, validate, and default-fill a JSON experiment configuration."""
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    doc = _read_json(path)
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
     return ExperimentConfig.from_dict(doc)
@@ -166,8 +187,11 @@ def config_hash(config):
 
 @dataclass
 class RunManifest:
-    """Completeness certificate of a run; written last."""
+    """Completeness certificate of a run into the directory out: the name of
+    every file the run wrote, recorded by the writer that wrote it, and the
+    summary. `_finish` writes it, without out, last."""
 
+    out: Path
     config_hash: str
     version: str
     started: str
@@ -175,11 +199,10 @@ class RunManifest:
     files: list = field(default_factory=list)
     summary: dict = field(default_factory=dict)
 
-    def write(self, out_dir):
-        self.finished = time.strftime("%Y-%m-%dT%H:%M:%S")
-        path = Path(out_dir) / "manifest.json"
-        _write_json(path, asdict(self))
-        return path
+    def _file(self, name):
+        """The path of the output file name, recorded as written."""
+        self.files.append(name)
+        return self.out / name
 
 
 @lru_cache(maxsize=8)
@@ -255,9 +278,9 @@ class Laboratory:
         return w * (amplitude / scale) if scale > 0 else w
 
 
-def _write_csv(path, header, rows):
+def _write_csv(manifest, name, header, rows):
     """RFC-4180 CSV: floats at 17 significant digits, other values as is."""
-    with open(path, "w", newline="") as fh:
+    with open(manifest._file(name), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
@@ -267,43 +290,131 @@ def _write_csv(path, header, rows):
             )
 
 
-def _write_json(path, doc):
-    with open(path, "w") as fh:
+def _write_json(manifest, name, doc):
+    with open(manifest._file(name), "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
 
 
-def _write_trajectory(path, traj):
+def _write_trajectory(manifest, name, traj):
     t, p, e, m, w = traj.as_arrays()
     _write_csv(
-        path, ["t"] + [f"p_{i + 1}" for i in range(p.shape[1])]
+        manifest, name, ["t"] + [f"p_{i + 1}" for i in range(p.shape[1])]
         + ["energy", "mass", "w_norm"], np.column_stack([t, p, e, m, w]),
     )
 
 
-def _write_plot_data(path, xs, ys):
-    with open(path, "w") as fh:
+def _write_plot_data(manifest, name, xs, ys):
+    with open(manifest._file(name), "w") as fh:
         for x, y in zip(xs, ys):
             fh.write(f"{x:.17g} {y:.17g}\n")
 
 
+CHECKPOINT_LAYOUT = "u, u_hat"
+CHECKPOINT_KEYS = ("time", "dt", "step_index", "accept_streak", "kappa",
+                   "layout", "sha256")
+
+
+def write_checkpoint(manifest, name, state, kappa):
+    """Write u and its cosine coefficients u_hat, one after the other, as
+    little-endian float64 to name.bin, and the header name.json.
+
+    The header holds what, with the run's config, continues the same run:
+    the state's time, dt, step index and accept streak, kappa (formed from
+    the initial field, which a restart does not have), the grid size, the
+    .bin layout and the sha256 of the .bin bytes.
+    """
+    data = np.concatenate([state.u.values, state.u_hat]).astype("<f8").tobytes()
+    _write_json(manifest, f"{name}.json", {
+        "time": state.time,
+        "dt": state.dt,
+        "step_index": state.step_index,
+        "accept_streak": state.accept_streak,
+        "kappa": kappa,
+        "num_points": state.u.grid.num_points,
+        "length": state.u.grid.length,
+        "layout": CHECKPOINT_LAYOUT,
+        "sha256": hashlib.sha256(data).hexdigest(),
+    })
+    with open(manifest._file(f"{name}.bin"), "wb") as fh:
+        fh.write(data)
+
+
+def read_checkpoint(path_prefix, grid, well, family):
+    """(state, kappa) of a checkpoint written by `write_checkpoint`: the
+    complete state under family (`SimulationState.at` the written u and
+    u_hat) and the stabilization constant of the run that wrote it.
+
+    A header without one of CHECKPOINT_KEYS cannot continue the run that
+    wrote it and raises FchError, as does one with another layout; .bin
+    bytes whose sha256 differs from the header's raise ChecksumError.
+    """
+    header = _read_json(f"{path_prefix}.json")
+    missing = [key for key in CHECKPOINT_KEYS if key not in header]
+    if missing:
+        raise FchError(
+            f"checkpoint header {path_prefix}.json lacks {', '.join(missing)}"
+        )
+    if header["layout"] != CHECKPOINT_LAYOUT:
+        raise FchError(
+            f"checkpoint {path_prefix}.bin has layout {header['layout']!r}, "
+            f"not {CHECKPOINT_LAYOUT!r}"
+        )
+    data = _read_bytes(f"{path_prefix}.bin")
+    digest = hashlib.sha256(data).hexdigest()
+    if digest != header["sha256"]:
+        raise ChecksumError(
+            f"checkpoint {path_prefix}.bin has sha256 {digest}, "
+            f"its header records {header['sha256']}"
+        )
+    vals = np.frombuffer(data, dtype="<f8").copy()
+    n = grid.num_points
+    if vals.size != 2 * n:
+        raise GridMismatchError(
+            f"checkpoint has {vals.size // 2} points, the grid {n}"
+        )
+    state = SimulationState.at(
+        ScalarField(grid, vals[:n]), vals[n:], well, family, header["time"],
+        header["dt"], header["step_index"], header["accept_streak"],
+    )
+    return state, header["kappa"]
+
+
+def _checkpointer(manifest, stride, kappa):
+    """The `checkpoint` callable of a run: of the recorded states that `run`
+    hands it, every stride-th is written as checkpoint_<step index>. None at
+    stride 0, which writes none."""
+    if not stride:
+        return None
+    records = itertools.count(1)
+
+    def checkpoint(state):
+        if next(records) % stride == 0:
+            write_checkpoint(manifest, f"checkpoint_{state.step_index:09d}",
+                             state, kappa)
+
+    return checkpoint
+
+
 def _start(config, out_dir):
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    """The manifest of a run into out_dir, after writing its config."""
     manifest = RunManifest(
+        out=Path(out_dir),
         config_hash=config_hash(config),
         version=__version__,
         started=time.strftime("%Y-%m-%dT%H:%M:%S"),
     )
-    _write_json(out / "config.json", config.as_dict())
-    manifest.files.append("config.json")
-    return out, manifest
+    manifest.out.mkdir(parents=True, exist_ok=True)
+    _write_json(manifest, "config.json", config.as_dict())
+    return manifest
 
 
-def _finish(out, manifest, summary):
+def _finish(manifest, summary):
     """Record the summary and write the manifest, which comes last."""
     manifest.summary = summary
-    manifest.write(out)
-    manifest.files.append("manifest.json")
+    manifest.finished = time.strftime("%Y-%m-%dT%H:%M:%S")
+    doc = asdict(manifest)
+    del doc["out"]
+    _write_json(manifest, "manifest.json", doc)
     return manifest
 
 
@@ -314,12 +425,11 @@ def _finish(out, manifest, summary):
 
 def experiment_profile(config, out_dir):
     """Solve the pulse and backgrounds; emit their profiles and far-field data."""
-    out, manifest = _start(config, out_dir)
+    manifest = _start(config, out_dir)
     lab = Laboratory.from_config(config)
     for name, prof in (("pulse.csv", lab.pulse), ("background_1.csv", lab.bg1),
                        ("background_2.csv", lab.bg2)):
-        _write_csv(out / name, ["z", "value"], zip(prof.z, prof.values))
-        manifest.files.append(name)
+        _write_csv(manifest, name, ["z", "value"], zip(prof.z, prof.values))
     fit = far_field_params(lab.pulse)
     summary = {
         "u_star": lab.pulse.u_star,
@@ -334,14 +444,13 @@ def experiment_profile(config, out_dir):
         "background_residual_2": lab.bg2.residual_norm,
     }
     if config.plot_data:
-        _write_plot_data(out / "pulse.dat", lab.pulse.z, lab.pulse.values)
-        manifest.files.append("pulse.dat")
-    return _finish(out, manifest, {"pass": True, **summary})
+        _write_plot_data(manifest, "pulse.dat", lab.pulse.z, lab.pulse.values)
+    return _finish(manifest, {"pass": True, **summary})
 
 
 def experiment_ansatz(config, out_dir):
     """Build manifold points over the sample; emit profiles and closures."""
-    out, manifest = _start(config, out_dir)
+    manifest = _start(config, out_dir)
     lab = Laboratory.from_config(config)
     man = lab.manifold
     sample = man.sample_configurations(
@@ -357,22 +466,20 @@ def experiment_ansatz(config, out_dir):
              abs(prof.mass_value - lab.params.total_mass),
              h4, l2, man.energy_value(prof)]
         )
-    name = f"ansatz_sample.csv"
     _write_csv(
-        out / name,
+        manifest, "ansatz_sample.csv",
         ["config_id"] + [f"p_{i+1}" for i in range(man.n)]
         + ["lambda", "lambda_seed", "bc_residual", "mass_error",
            "residual_h4", "residual_l2", "energy"],
         rows,
     )
-    manifest.files.append(name)
     prof = man.build(lab.initial_configuration())
     corr = prof.mass_correction.values + prof.boundary_correction.values
-    _write_csv(out / "ansatz_profile.csv", ["z", "phi", "u_n", "correction"],
+    _write_csv(manifest, "ansatz_profile.csv",
+               ["z", "phi", "u_n", "correction"],
                zip(man.grid.nodes, prof.phi.values, prof.u_n.values, corr))
-    _write_json(out / "ansatz_internal.json", prof.internal.as_dict())
-    manifest.files += ["ansatz_profile.csv", "ansatz_internal.json"]
-    return _finish(out, manifest, {
+    _write_json(manifest, "ansatz_internal.json", prof.internal.as_dict())
+    return _finish(manifest, {
         "pass": True,
         "max_bc_residual": max(r[man.n + 3] for r in rows),
         "max_mass_error": max(r[man.n + 4] for r in rows),
@@ -381,7 +488,7 @@ def experiment_ansatz(config, out_dir):
 
 def experiment_spectrum(config, out_dir):
     """Slow/stable splitting of the flow linearization over a small sample."""
-    out, manifest = _start(config, out_dir)
+    manifest = _start(config, out_dir)
     lab = Laboratory.from_config(config)
     man = lab.diag_manifold
     start = lab.initial_configuration()
@@ -398,18 +505,17 @@ def experiment_spectrum(config, out_dir):
             + list(rep.eigenvalues[: man.n + 3])
         )
     _write_csv(
-        out / "spectrum.csv",
+        manifest, "spectrum.csv",
         ["config_id", "slow_dim", "stable_edge", "k_s", "fitted_c0", "pass"]
         + [f"eig_{j}" for j in range(man.n + 3)],
         rows,
     )
-    manifest.files.append("spectrum.csv")
-    return _finish(out, manifest, {"pass": bool(passed)})
+    return _finish(manifest, {"pass": bool(passed)})
 
 
 def experiment_diagnose(config, out_dir):
     """Full hypothesis suite plus trapping-radius bounds; report-only."""
-    out, manifest = _start(config, out_dir)
+    manifest = _start(config, out_dir)
     lab = Laboratory.from_config(config)
     man = lab.diag_manifold
     sample = man.sample_configurations(
@@ -423,63 +529,53 @@ def experiment_diagnose(config, out_dir):
         "trapping_radius", -1, el.eta_star, el.eta_upper, el.window_ok,
         delta0=el.delta0, delta1=el.delta1, delta2=el.delta2, mu2=el.mu2,
     )
-    _write_json(out / "diagnostics.json",
+    _write_json(manifest, "diagnostics.json",
                 [r.as_dict() for r in report.records])
-    _write_csv(out / "diagnostics.csv",
+    _write_csv(manifest, "diagnostics.csv",
                ["hypothesis", "config_id", "constant", "threshold", "pass"],
                [[r.hypothesis, r.config_id, r.constant, r.threshold, r.passed]
                 for r in report.records])
-    manifest.files += ["diagnostics.json", "diagnostics.csv"]
-    return _finish(out, manifest, {
+    return _finish(manifest, {
         "pass": bool(report.all_passed),
         "failed_hypotheses": [r.hypothesis for r in report.failures()],
     })
 
 
-def _fresh_start(lab, s):
-    """(state, controls, family) of a run at s from the configured start."""
-    family = GradientFamily(lab.grid, s)
+def _fresh_start(lab, family):
+    """(state, controls) of a run under family from the configured start."""
     u0 = lab.manifold.build(lab.initial_configuration()).phi
     if lab.config.perturbation > 0.0:
         u0 = u0 + lab.zero_mass_noise(lab.config.perturbation)
-    controls = StepControls.for_initial_state(u0, lab.well,
-                                              dt_max=lab.config.dt_max)
     state = SimulationState.start(u0, lab.well, family, fresh_dt(lab.grid))
-    return state, controls, family
-
-
-def _pde_run(lab, start, checkpoint_prefix):
-    state, controls, family = start
-    return run_pde(
-        lab.manifold, family, state, lab.config.t_final, controls,
-        output_every=lab.config.output_every,
-        checkpoint_prefix=checkpoint_prefix,
-        checkpoint_stride=lab.config.checkpoint_stride,
-    )
+    return state, StepControls.for_initial_state(u0, lab.well,
+                                                 dt_max=lab.config.dt_max)
 
 
 def experiment_simulate(config, out_dir):
     """Evolve the gradient flow from the configured or checkpointed state."""
-    out, manifest = _start(config, out_dir)
+    manifest = _start(config, out_dir)
     lab = Laboratory.from_config(config)
-    # a checkpoint's state, s and controls continue the run that wrote it;
-    # t_final is absolute
-    start = (read_checkpoint(config.restart_from, lab.grid, lab.well)
-             if config.restart_from else _fresh_start(lab, config.s_values[0]))
-    traj = _pde_run(lab, start, str(out / "checkpoint"))
-    _write_trajectory(out / "trajectory.csv", traj)
-    manifest.files.append("trajectory.csv")
-    manifest.files.extend(
-        sorted(p.name for p in out.glob("checkpoint_*"))
-    )
+    family = GradientFamily(lab.grid, config.s_values[0])
+    if config.restart_from:
+        # the checkpoint's state and kappa, the config's s and dt_max; the
+        # state's time carries on and t_final is absolute
+        state, kappa = read_checkpoint(config.restart_from, lab.grid,
+                                       lab.well, family)
+        controls = StepControls(kappa=kappa, dt_max=config.dt_max)
+    else:
+        state, controls = _fresh_start(lab, family)
+    traj = run_pde(lab.manifold, family, state, config.t_final, controls,
+                   output_every=config.output_every,
+                   checkpoint=_checkpointer(manifest, config.checkpoint_stride,
+                                            controls.kappa))
+    _write_trajectory(manifest, "trajectory.csv", traj)
     t, p, e, m, w = traj.as_arrays()
     if config.plot_data:
         for i in range(p.shape[1]):
-            _write_plot_data(out / f"position_{i+1}.dat", t, p[:, i])
-            manifest.files.append(f"position_{i+1}.dat")
+            _write_plot_data(manifest, f"position_{i+1}.dat", t, p[:, i])
     mass_drift = float(np.max(np.abs(m - m[0])) / abs(m[0]))
     energy_monotone = bool(np.all(np.diff(e) <= 1e-10))
-    return _finish(out, manifest, {
+    return _finish(manifest, {
         "pass": energy_monotone and mass_drift < 1e-9,
         "steps": traj.final_state.step_index,
         "mass_drift": mass_drift,
@@ -509,7 +605,7 @@ def _reduced_trajectory(lab, s, p0, t_final):
 
 def experiment_reduce(config, out_dir):
     """Integrate the reduced pulse ODE from the configured initial positions."""
-    out, manifest = _start(config, out_dir)
+    manifest = _start(config, out_dir)
     lab = Laboratory.from_config(config)
     s = config.s_values[0]
     p0 = lab.initial_configuration().positions
@@ -520,12 +616,11 @@ def experiment_reduce(config, out_dir):
         [t, *sol.sol(t)] for t in sol.t
     ]
     _write_csv(
-        out / "reduced_trajectory.csv",
+        manifest, "reduced_trajectory.csv",
         ["t"] + [f"p_{i+1}" for i in range(len(p0))],
         rows,
     )
-    manifest.files.append("reduced_trajectory.csv")
-    return _finish(out, manifest, {
+    return _finish(manifest, {
         "pass": True,
         "t_exit": t_exit,
         "velocity_scale": scale,
@@ -534,13 +629,15 @@ def experiment_reduce(config, out_dir):
 
 def experiment_compare(config, out_dir):
     """PDE flow vs reduced ODE from the same start: velocities and deviation."""
-    out, manifest = _start(config, out_dir)
+    manifest = _start(config, out_dir)
     lab = Laboratory.from_config(config)
     s = config.s_values[0]
     start = lab.initial_configuration()
-    traj = _pde_run(lab, _fresh_start(lab, s), None)
-    _write_trajectory(out / "pde_trajectory.csv", traj)
-    manifest.files.append("pde_trajectory.csv")
+    family = GradientFamily(lab.grid, s)
+    state, controls = _fresh_start(lab, family)
+    traj = run_pde(lab.manifold, family, state, config.t_final, controls,
+                   output_every=config.output_every)
+    _write_trajectory(manifest, "pde_trajectory.csv", traj)
     t, p, e, m, w = traj.as_arrays()
 
     model, sol, t_exit, scale = _reduced_trajectory(
@@ -548,11 +645,10 @@ def experiment_compare(config, out_dir):
     )
     rows = [[tt, *sol.sol(tt)] for tt in t]
     _write_csv(
-        out / "reduced_trajectory.csv",
+        manifest, "reduced_trajectory.csv",
         ["t"] + [f"p_{i+1}" for i in range(start.positions.size)],
         rows,
     )
-    manifest.files.append("reduced_trajectory.csv")
 
     # velocity agreement table over the early window; a run that wrote fewer
     # than three records (its start and end are always written) fits them all
@@ -564,15 +660,14 @@ def experiment_compare(config, out_dir):
     v_red = scale * model.velocity(start.positions, check=False)
     v_proj = scale * pulse_velocity_projection(lab.manifold, start)
     _write_csv(
-        out / "velocity_agreement.csv",
+        manifest, "velocity_agreement.csv",
         ["pulse", "pde", "reduced_closed_form", "reduced_projection"],
         [[i + 1, v_pde[i], v_red[i], v_proj[i]] for i in range(len(v_pde))],
     )
-    manifest.files.append("velocity_agreement.csv")
 
     # deviation envelope fit ||w|| ~ M0*(eta0*exp(-k t) + delta)
     fit = fit_deviation_envelope(t, w, lab.params.tail_scale)
-    return _finish(out, manifest, {
+    return _finish(manifest, {
         "pass": True,
         "velocity_pde": v_pde,
         "velocity_reduced": list(map(float, v_red)),
@@ -615,7 +710,7 @@ def experiment_invariance(config, out_dir):
     trajectory and the s = 0 reference; pass when below 1% of the spacing
     floor.
     """
-    out, manifest = _start(config, out_dir)
+    manifest = _start(config, out_dir)
     lab = Laboratory.from_config(config)
     p0 = lab.initial_configuration().positions
     t_final = config.t_final
@@ -634,22 +729,19 @@ def experiment_invariance(config, out_dir):
         defect = float(np.max(np.abs(vals - ref)))
         defects[s] = defect
         rows = [[t_s[j] * scale, *vals[:, j]] for j in range(len(t_s))]
-        name = f"trajectory_s{s:g}.csv"
         _write_csv(
-            out / name,
+            manifest, f"trajectory_s{s:g}.csv",
             ["t_rescaled"] + [f"p_{i+1}" for i in range(len(p0))],
             rows,
         )
-        manifest.files.append(name)
     threshold = 0.01 * lab.params.min_spacing
     worst = max(defects.values())
     _write_csv(
-        out / "invariance_summary.csv",
+        manifest, "invariance_summary.csv",
         ["s", "defect", "threshold"],
         [[s, d, threshold] for s, d in sorted(defects.items())],
     )
-    manifest.files.append("invariance_summary.csv")
-    return _finish(out, manifest, {
+    return _finish(manifest, {
         "pass": bool(worst < threshold),
         "defects": {f"{s:g}": d for s, d in defects.items()},
         "threshold": threshold,

@@ -132,7 +132,7 @@ def nonlinear_remainder(phi, v, well):
 # ---------------------------------------------------------------------------
 
 
-MULTIPLIER_POWERS = {"G": 2.0, "G1": 1.0, "G1_inv": -1.0, "G_inv": -2.0}
+MULTIPLIER_POWERS = {"G": 2.0, "G1": 1.0, "G1_inv": -1.0}
 
 
 @dataclass(frozen=True)
@@ -154,9 +154,9 @@ class GradientFamily:
             raise DomainError("gradient exponent s must lie in [0,1]")
 
     def multipliers(self, which):
-        """The mode multipliers of G, G1, G1_inv or G_inv: k**(p s) with p
-        = 2, 1, -1, -2, and 0 at mode 0. Each is built on first use and kept
-        as one read-only array per family and direction."""
+        """The mode multipliers of G, G1 or G1_inv: k**(p s) with p = 2, 1,
+        -1, and 0 at mode 0. Each is built on first use and kept as one
+        read-only array per family and direction."""
         if which not in self._tables:
             if which not in MULTIPLIER_POWERS:
                 raise DomainError(f"unknown gradient direction {which!r}")
@@ -170,7 +170,7 @@ class GradientFamily:
 
     def apply(self, fld, which="G"):
         coeffs = cosine_coeffs(fld.values)
-        if which in ("G1_inv", "G_inv"):
+        if which == "G1_inv":
             scale = 1.0 + float(np.max(np.abs(fld.values)))
             if abs(coeffs[0]) > 1e-8 * scale:
                 raise DomainError(

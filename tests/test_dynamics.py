@@ -1,6 +1,8 @@
 """Gradient-flow stepping, pulse extraction, and the reduced model."""
 
 import dataclasses
+import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -10,10 +12,14 @@ from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
 from fchpulse import (
+    ChecksumError,
     ExtractionError,
+    FchError,
     GradientFamily,
     Grid,
+    GridMismatchError,
     ReducedModel,
+    RunManifest,
     ScalarField,
     StepControls,
     alpha_scaling,
@@ -38,6 +44,7 @@ from fchpulse.dynamics import (
     flow_terms,
     fresh_dt,
 )
+from fchpulse.harness import read_checkpoint, write_checkpoint
 from fchpulse.operators import energy, variational_derivative
 
 from conftest import count_background_work
@@ -526,6 +533,23 @@ def fresh_run(manifold):
     return state, fam, StepControls.for_initial_state(u0, manifold.well)
 
 
+def output_dir(path):
+    """The manifest of a run into path, which the file writers record in."""
+    return RunManifest(out=path, config_hash="", version="", started="")
+
+
+def write_fresh_checkpoint(manifold, path):
+    """Write the start of `fresh_run` as the checkpoint path/ck; return it."""
+    state, _, controls = fresh_run(manifold)
+    write_checkpoint(output_dir(path), "ck", state, controls.kappa)
+    return state
+
+
+def read_fresh_checkpoint(manifold, prefix):
+    return read_checkpoint(prefix, manifold.grid, manifold.well,
+                           GradientFamily(manifold.grid, 0.0))
+
+
 class TestRun:
     def test_trajectory_records_and_exit_fields(self, small_manifold):
         state, fam, controls = fresh_run(small_manifold)
@@ -536,20 +560,28 @@ class TestRun:
         assert np.all(np.diff(e) <= 1e-10)
         assert traj.t_exit is None
 
-    def test_checkpoint_roundtrip(self, small_manifold, tmp_path):
-        from fchpulse.dynamics import read_checkpoint, write_checkpoint
+    def test_no_step_exceeds_dt_max(self, small_manifold):
+        # a state whose next dt exceeds dt_max (a checkpoint restarted at a
+        # smaller dt_max, say) takes its first step at dt_max
+        state, fam, controls = fresh_run(small_manifold)
+        traj = run(small_manifold, fam, dataclasses.replace(state, dt=0.05),
+                   3e-3, StepControls(kappa=controls.kappa, dt_max=1e-3),
+                   output_every=1)
+        assert np.all(np.diff(traj.times) <= 1e-3)
+        assert traj.final_state.step_index == 3
 
+    def test_checkpoint_roundtrip(self, small_manifold, tmp_path):
         well = small_manifold.well
         prof = small_manifold.build(small_manifold.configuration([4.5, 12.0]))
         fam = GradientFamily(small_manifold.grid, 0.5)
         # not cosine_coeffs(u): the read must return the written u_hat
         u_hat = cosine_coeffs(prof.phi.values) * (1.0 + 1e-15)
         st = SimulationState.at(prof.phi, u_hat, well, fam, 1.25, 3e-4, 17, 3)
-        controls = StepControls(kappa=0.1 + 2e-17, dt_max=0.01,
-                                growth_patience=4)
-        write_checkpoint(tmp_path / "ck", st, {"s": 0.5}, controls)
-        st2, controls2, fam2 = read_checkpoint(tmp_path / "ck",
-                                               small_manifold.grid, well)
+        manifest = output_dir(tmp_path)
+        write_checkpoint(manifest, "ck", st, 0.1 + 2e-17)
+        assert manifest.files == ["ck.json", "ck.bin"]
+        st2, kappa = read_checkpoint(tmp_path / "ck", small_manifold.grid,
+                                     well, fam)
         # the read state is complete, with the terms of the written one
         for name in ("time", "dt", "step_index", "accept_streak", "energy",
                      "dissipation"):
@@ -557,45 +589,26 @@ class TestRun:
         assert np.array_equal(st2.u.values, prof.phi.values)
         assert np.array_equal(st2.u_hat, u_hat)
         assert np.array_equal(st2.grad_hat, st.grad_hat)
-        assert controls2 == controls
-        assert fam2.s == 0.5
+        assert kappa == 0.1 + 2e-17
 
-    @pytest.mark.parametrize("key", ["kappa", "accept_streak", "params.s",
-                                     "layout", "sha256"])
+    @pytest.mark.parametrize("key", ["kappa", "accept_streak", "layout",
+                                     "sha256"])
     def test_checkpoint_without_run_state_refused(self, small_manifold,
                                                   tmp_path, key):
-        import json
-
-        from fchpulse import FchError
-        from fchpulse.dynamics import read_checkpoint, write_checkpoint
-
-        write_checkpoint(tmp_path / "ck", fresh_run(small_manifold)[0],
-                         {"s": 0.0}, StepControls(kappa=1.0))
+        write_fresh_checkpoint(small_manifold, tmp_path)
         path = tmp_path / "ck.json"
         header = json.loads(path.read_text())
-        if key == "params.s":
-            del header["params"]["s"]
-        else:
-            del header[key]
+        del header[key]
         path.write_text(json.dumps(header))
         with pytest.raises(FchError, match=f"lacks {key}"):
-            read_checkpoint(tmp_path / "ck", small_manifold.grid,
-                            small_manifold.well)
+            read_fresh_checkpoint(small_manifold, tmp_path / "ck")
 
     def test_checkpoint_in_the_nodal_layout_refused(self, small_manifold,
                                                     tmp_path):
         """A checkpoint of u alone (N values, no layout key), with a valid
         digest, is refused for the missing key, not read as a grid of N/2
         points; so is one whose layout names u alone."""
-        import hashlib
-        import json
-
-        from fchpulse import FchError, GridMismatchError
-        from fchpulse.dynamics import read_checkpoint, write_checkpoint
-
-        state = fresh_run(small_manifold)[0]
-        write_checkpoint(tmp_path / "ck", state, {"s": 0.0},
-                         StepControls(kappa=1.0))
+        state = write_fresh_checkpoint(small_manifold, tmp_path)
         data = state.u.values.astype("<f8").tobytes()
         (tmp_path / "ck.bin").write_bytes(data)
         path = tmp_path / "ck.json"
@@ -604,46 +617,34 @@ class TestRun:
         header["sha256"] = hashlib.sha256(data).hexdigest()
         path.write_text(json.dumps(header))
         with pytest.raises(FchError, match="lacks layout") as err:
-            read_checkpoint(tmp_path / "ck", small_manifold.grid,
-                            small_manifold.well)
+            read_fresh_checkpoint(small_manifold, tmp_path / "ck")
         assert not isinstance(err.value, GridMismatchError)
         header["layout"] = "u"
         path.write_text(json.dumps(header))
         with pytest.raises(FchError, match="layout 'u'") as err:
-            read_checkpoint(tmp_path / "ck", small_manifold.grid,
-                            small_manifold.well)
+            read_fresh_checkpoint(small_manifold, tmp_path / "ck")
         assert not isinstance(err.value, GridMismatchError)
 
     def test_checkpoint_with_a_flipped_byte_refused(self, small_manifold,
                                                     tmp_path):
-        import hashlib
-
-        from fchpulse import ChecksumError, FchError
-        from fchpulse.dynamics import read_checkpoint, write_checkpoint
-
-        write_checkpoint(tmp_path / "ck", fresh_run(small_manifold)[0],
-                         {"s": 0.0}, StepControls(kappa=1.0))
+        write_fresh_checkpoint(small_manifold, tmp_path)
         path = tmp_path / "ck.bin"
         data = bytearray(path.read_bytes())
         recorded = hashlib.sha256(data).hexdigest()
         data[len(data) // 2] ^= 0x01
         path.write_bytes(data)
         with pytest.raises(ChecksumError) as err:
-            read_checkpoint(tmp_path / "ck", small_manifold.grid,
-                            small_manifold.well)
+            read_fresh_checkpoint(small_manifold, tmp_path / "ck")
         assert isinstance(err.value, FchError)
         assert recorded in str(err.value)
         assert hashlib.sha256(data).hexdigest() in str(err.value)
 
     def test_checkpoint_resolution_mismatch(self, small_manifold, tmp_path):
-        from fchpulse import Grid, GridMismatchError
-        from fchpulse.dynamics import read_checkpoint, write_checkpoint
-
-        write_checkpoint(tmp_path / "ck", fresh_run(small_manifold)[0],
-                         {"s": 0.0}, StepControls(kappa=1.0))
+        write_fresh_checkpoint(small_manifold, tmp_path)
         coarse = Grid(small_manifold.grid.length, 129, h_max=0.4)
         with pytest.raises(GridMismatchError, match="256 points.* 129"):
-            read_checkpoint(tmp_path / "ck", coarse, small_manifold.well)
+            read_checkpoint(tmp_path / "ck", coarse, small_manifold.well,
+                            GradientFamily(coarse, 0.0))
 
 
 class TestPdeRepulsion:

@@ -12,12 +12,20 @@ from hypothesis import strategies as st
 from fchpulse import (
     ConfigError,
     ExperimentConfig,
+    GradientFamily,
     Laboratory,
+    StepControls,
     ValidationError,
     parse_config,
+    run,
 )
 from fchpulse.cli import main as cli_main
-from fchpulse.harness import config_hash, fit_deviation_envelope, run_experiment
+from fchpulse.harness import (
+    config_hash,
+    fit_deviation_envelope,
+    read_checkpoint,
+    run_experiment,
+)
 
 from conftest import fresh_python
 
@@ -101,6 +109,16 @@ class TestConfig:
             ExperimentConfig(experiment="simulate", **{**SMALL, key: value})
         assert f"{key} must be positive" in str(err.value)
 
+    @pytest.mark.parametrize("key, value", [
+        ("checkpoint_stride", -1), ("perturbation", -1e-4),
+    ])
+    def test_run_controls_must_not_be_negative(self, key, value):
+        # a negative stride wrote a checkpoint at every record and a
+        # negative perturbation ran unperturbed
+        with pytest.raises(ValidationError) as err:
+            ExperimentConfig(experiment="simulate", **{**SMALL, key: value})
+        assert f"{key} must not be negative" in str(err.value)
+
 
 class TestManifest:
     def test_written_last_and_complete(self, tmp_path):
@@ -115,6 +133,23 @@ class TestManifest:
             if name != "manifest.json":
                 assert (out / name).exists(), name
         assert doc["summary"]["pass"] is True
+
+    def test_lists_only_the_files_the_run_wrote(self, tmp_path):
+        # a run without checkpoints into a directory that holds an earlier
+        # run's lists none of them
+        out = tmp_path / "run"
+        first = run_experiment(ExperimentConfig(
+            experiment="simulate", output_dir=str(out), checkpoint_stride=1,
+            **SMALL
+        ))
+        assert sum(f.startswith("checkpoint_") for f in first.files) >= 4
+        manifest = run_experiment(ExperimentConfig(
+            experiment="simulate", output_dir=str(out), **SMALL
+        ))
+        assert manifest.files == ["config.json", "trajectory.csv",
+                                  "manifest.json"]
+        doc = json.loads((out / "manifest.json").read_text())
+        assert doc["files"] == ["config.json", "trajectory.csv"]
 
     def test_determinism(self, tmp_path):
         # two runs in one process write the same bytes: a simulate
@@ -385,6 +420,39 @@ class TestCli:
         assert err.startswith("error: ") and key in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("key, value", [
+        ("checkpoint_stride", -1), ("perturbation", -1e-4),
+    ])
+    def test_exit_one_on_a_negative_run_control(self, tmp_path, capsys, key,
+                                                value):
+        cfgfile = tmp_path / "c.json"
+        cfgfile.write_text(json.dumps({**SMALL, "experiment": "simulate",
+                                       key: value}))
+        code = cli_main([
+            "simulate", "--config", str(cfgfile), "--out", str(tmp_path / "x"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err
+
+    @pytest.mark.parametrize("case", ["config", "restart_from", "header"])
+    def test_exit_one_on_an_unreadable_file(self, tmp_path, capsys, case):
+        # a config or checkpoint that does not exist, or a checkpoint header
+        # that is not JSON, raised FileNotFoundError or JSONDecodeError
+        (tmp_path / "ck.json").write_text("{not json")
+        restart = tmp_path / ("ck" if case == "header" else "absent")
+        cfgfile = tmp_path / "c.json"
+        cfgfile.write_text(json.dumps({**SMALL, "experiment": "simulate",
+                                       "restart_from": str(restart)}))
+        config = tmp_path / "absent.json" if case == "config" else cfgfile
+        code = cli_main([
+            "simulate", "--config", str(config), "--out", str(tmp_path / "x"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        named = config if case == "config" else f"{restart}.json"
+        assert err.startswith("error: ") and str(named) in err
+
     def test_exit_one_on_a_config_without_experiment(self, tmp_path, capsys):
         # the missing key raised TypeError from the dataclass constructor
         cfgfile = tmp_path / "c.json"
@@ -464,6 +532,38 @@ class TestRestart:
         k = next(i for i, r in enumerate(rows[0][1:], 1)
                  if float(r[0]) == t_restart)
         assert rows[1][1:] == rows[0][k:]
+
+
+    def test_restart_runs_at_the_config_s_and_dt_max(self, tmp_path):
+        # from a checkpoint of an s = 0 run, a restart whose config says
+        # s = 0.5 and dt_max = 0.01 runs at those, with the checkpoint's
+        # state and kappa
+        first = tmp_path / "first"
+        manifest = run_experiment(ExperimentConfig(
+            experiment="simulate", output_dir=str(first), checkpoint_stride=1,
+            **SMALL
+        ))
+        name = next(f for f in manifest.files
+                    if f.startswith("checkpoint_") and f.endswith(".json"))
+        prefix = first / name[:-5]
+        cfg = ExperimentConfig(
+            experiment="simulate", output_dir=str(tmp_path / "second"),
+            restart_from=str(prefix),
+            **{**SMALL, "s_values": (0.5,), "dt_max": 0.01},
+        )
+        restarted = run_experiment(cfg)
+        lab = Laboratory.from_config(cfg)
+        family = GradientFamily(lab.grid, 0.5)
+        state, kappa = read_checkpoint(prefix, lab.grid, lab.well, family)
+        traj = run(lab.manifold, family, state, cfg.t_final,
+                   StepControls(kappa=kappa, dt_max=0.01),
+                   output_every=cfg.output_every)
+        assert restarted.summary["steps"] == traj.final_state.step_index
+        rows = np.loadtxt(tmp_path / "second" / "trajectory.csv",
+                          delimiter=",", skiprows=1)
+        t, p, e, m, w = traj.as_arrays()
+        assert np.array_equal(rows, np.column_stack([t, p, e, m, w]),
+                              equal_nan=True)
 
 
 class TestCompareStationary:

@@ -19,8 +19,10 @@ start vector, and runs stop repeating bit for bit. Every dense
 eigensolve or SVD (`eigh`, `eigvalsh`, `eigvalsh_tridiagonal`, `svd`,
 `null_space`) lies in a function that the allow-list below names, each of
 them small or run once: the diagnostic path solves N x N spectra by
-shift-invert Lanczos only. Only `harness` imports `csv`: it writes every
-output file, so the output format is known in one module. And every
+shift-invert Lanczos only. Only `harness` opens files (by `open` or a
+`Path` reader or writer) and imports `csv` or `hashlib`, and only it and
+`cli`, which prints the summary, import `json`: it writes and reads every
+file, so each format is known in one module. And every
 function, method and property of the package is referenced by name in the
 package or its tests: code that nothing reaches is deleted, not kept.
 """
@@ -55,8 +57,13 @@ DENSE_EIGENSOLVE_ALLOWED = {
     "dynamics.ReducedModel.jacobian_at_equispaced",
     "wellmodel.single_pulse_point_spectrum",
 }
-# The one module that writes output files and so imports csv.
-CSV_WRITERS = {"harness"}
+# The modules that only some package modules may import, and those: harness
+# writes and reads every file, and cli prints the summary as JSON.
+IMPORT_OWNERS = {"csv": {"harness"}, "hashlib": {"harness"},
+                 "json": {"harness", "cli"}}
+# The one module that opens files, and the calls that do.
+FILE_OPENERS = {"harness"}
+OPEN_CALLS = {"open", "read_text", "write_text", "read_bytes", "write_bytes"}
 # The console-script entry point is called with no arguments; argv is for
 # callers that are not the installed script.
 ENTRY_POINTS = {"cli.main"}
@@ -407,8 +414,53 @@ def test_detects_a_csv_import():
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_only_harness_imports_csv(path):
-    if path.stem not in CSV_WRITERS:
+    if path.stem not in IMPORT_OWNERS["csv"]:
         assert "csv" not in imported_modules(path.read_text())
+
+
+def test_detects_a_json_or_hashlib_import():
+    source = "import json as js\nfrom hashlib import sha256\nimport jsonlib\n"
+    assert imported_modules(source) & IMPORT_OWNERS.keys() == {"json",
+                                                                "hashlib"}
+
+
+@pytest.mark.parametrize("path", ALL_SOURCES, ids=lambda p: p.name)
+def test_json_and_hashlib_only_where_owned(path):
+    imported = imported_modules(path.read_text())
+    for name in ("json", "hashlib"):
+        if name in imported:
+            assert path.stem in IMPORT_OWNERS[name], name
+
+
+def open_calls(source):
+    """(line, name) of every call that opens a file: `open`, as a builtin
+    or a method, and the `Path` readers and writers."""
+    calls = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(
+                func, "id", None)
+            if name in OPEN_CALLS:
+                calls.append((node.lineno, name))
+    return sorted(calls)
+
+
+def test_detects_an_open_call():
+    source = (
+        "import gzip\nfrom pathlib import Path\n"
+        "with open('a') as fh:\n    fh.read()\n"
+        "gzip.open('b')\nPath('c').write_text('x')\n"
+        "_read_bytes('d')\nreopen('e')\n"
+    )
+    assert open_calls(source) == [(3, "open"), (5, "open"),
+                                  (6, "write_text")]
+
+
+@pytest.mark.parametrize("path", ALL_SOURCES, ids=lambda p: p.name)
+def test_only_harness_opens_files(path):
+    if path.stem not in FILE_OPENERS:
+        assert open_calls(path.read_text()) == []
 
 
 def uncalled_definitions(sources, referencing):
