@@ -325,17 +325,18 @@ class PulseManifold:
         against both columns of -T gives c = c_u + lambda * c_B, and lambda
         follows from the scalar mass equation.
 
-        A caller that already has the grid fields (n_pulse(config),
-        _background_sum(config)[0]) passes them as `fields` instead
-        of having them evaluated again; the result is the same.
+        A caller that already has the grid fields and the end terms
+        (n_pulse(config), _background_sum(config)[0], _end_terms(config))
+        passes them as `fields` instead of having them evaluated again; the
+        result is the same.
         """
         if fields is None:
-            fields = (self.n_pulse(config), self._background_sum(config)[0])
-        u_n, bar_bg = fields
+            fields = (self.n_pulse(config), self._background_sum(config)[0],
+                      self._end_terms(config))
+        u_n, bar_bg, terms = fields
         w = self.grid.quad_weights
         mass_pulse = float(np.sum(w * (u_n.values - self.well.b_minus)))
         mass_bg = float(np.sum(w * bar_bg))
-        terms = self._end_terms(config)
         matrix, masses = self._edge_system
         c_u, c_bg = np.linalg.solve(matrix, -terms).T
         lam = (self.params.total_mass - mass_pulse - masses @ c_u) / (
@@ -362,13 +363,14 @@ class PulseManifold:
         z = self.grid.nodes
         u_n = self.n_pulse(config)
         bg = self._background_sum(config)[0]
-        internal = self.internal_parameters(config, (u_n, bg))
+        terms = self._end_terms(config)
+        internal = self.internal_parameters(config, (u_n, bg, terms))
         e_vals = self._edge_sum(z, internal)[0]
         phi = ScalarField(self.grid, u_n.values + internal.lam * bg + e_vals)
 
         ends = np.array([0.0, self.params.domain_length])
         e_ends = self._edge_sum(ends, internal, 3)[[1, 3]].T.ravel()
-        bc = self._end_terms(config) @ (1.0, internal.lam) + e_ends
+        bc = terms @ (1.0, internal.lam) + e_ends
         mass_value = mass(phi, self.well.b_minus)
 
         if np.max(np.abs(bc)) > BC_TOL:

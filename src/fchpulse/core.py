@@ -12,8 +12,9 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.fft import dct, dst
-from scipy.linalg import hankel, toeplitz
+from scipy.linalg import toeplitz
 
 
 class FchError(Exception):
@@ -234,13 +235,14 @@ class ScalarField:
 # ---------------------------------------------------------------------------
 # Cosine-basis transforms. Coefficients a_k satisfy
 #   u(z_j) = sum_{k=0}^{N-1} a_k cos(k*pi*z_j/L)
-# exactly at the collocation nodes (DCT-I).
+# exactly at the collocation nodes (DCT-I). Both transforms act along axis 0,
+# so a 2-D array is a stack of columns, one field or coefficient vector each.
 # ---------------------------------------------------------------------------
 
 
 def cosine_coeffs(values):
     n = len(values)
-    a = dct(values, type=1) / (n - 1)
+    a = dct(values, type=1, axis=0) / (n - 1)
     a[0] *= 0.5
     a[-1] *= 0.5
     return a
@@ -249,7 +251,7 @@ def cosine_coeffs(values):
 def cosine_synth(coeffs):
     y = np.asarray(coeffs, dtype=float).copy()
     y[1:-1] *= 0.5
-    return dct(y, type=1)
+    return dct(y, type=1, axis=0)
 
 
 def sine_synth(coeffs):
@@ -284,7 +286,9 @@ def mode_matrix(grid, f, start=0, step=1):
 
     With g(m) = sum_j w_j f_j cos(m pi z_j / L), one DCT-I of w*f, the entry
     of modes j, k is (g(|j - k|) + g(j + k)) / (2 nu_j nu_k): Toeplitz plus
-    Hankel, and g(m) = g(2N - 2 - m) past N - 1.
+    Hankel, and g(m) = g(2N - 2 - m) past N - 1. The Hankel part is added
+    from a strided view of its generating vector, so the result is the only
+    N^2 array made.
     """
     x = grid.quad_weights * np.asarray(f, dtype=float)
     x[[0, -1]] *= 2.0
@@ -294,7 +298,7 @@ def mode_matrix(grid, f, start=0, step=1):
     m = modes.size
     h = g[2 * start :: step][: 2 * m - 1]
     out = toeplitz(g[::step][:m])
-    out += hankel(h[:m], h[m - 1 :])
+    out += sliding_window_view(h, m)
     s = 1.0 / (np.sqrt(2.0) * mode_norms(grid)[modes])
     out *= s[:, None]
     out *= s[None, :]

@@ -126,6 +126,14 @@ class ExperimentConfig:
         for key in ("checkpoint_stride", "perturbation"):
             if not getattr(self, key) >= 0:
                 raise ValidationError(f"{key} must not be negative")
+        # only simulate writes checkpoints or continues from one
+        if self.experiment != "simulate":
+            for key in ("checkpoint_stride", "restart_from"):
+                if getattr(self, key):
+                    raise ValidationError(
+                        f"{key} is read by simulate only, not by "
+                        f"{self.experiment}"
+                    )
         if not self.s_values:
             raise ValidationError("s_values must name at least one s")
         for s in self.s_values:
@@ -311,7 +319,7 @@ def _write_plot_data(manifest, name, xs, ys):
 
 CHECKPOINT_LAYOUT = "u, u_hat"
 CHECKPOINT_KEYS = ("time", "dt", "step_index", "accept_streak", "kappa",
-                   "layout", "sha256")
+                   "num_points", "length", "layout", "sha256")
 
 
 def write_checkpoint(manifest, name, state, kappa):
@@ -345,8 +353,10 @@ def read_checkpoint(path_prefix, grid, well, family):
     u_hat) and the stabilization constant of the run that wrote it.
 
     A header without one of CHECKPOINT_KEYS cannot continue the run that
-    wrote it and raises FchError, as does one with another layout; .bin
-    bytes whose sha256 differs from the header's raise ChecksumError.
+    wrote it and raises FchError, as does one with another layout; a header
+    whose grid size or domain length differs from grid's raises
+    GridMismatchError, and .bin bytes whose sha256 differs from the header's
+    raise ChecksumError.
     """
     header = _read_json(f"{path_prefix}.json")
     missing = [key for key in CHECKPOINT_KEYS if key not in header]
@@ -359,6 +369,12 @@ def read_checkpoint(path_prefix, grid, well, family):
             f"checkpoint {path_prefix}.bin has layout {header['layout']!r}, "
             f"not {CHECKPOINT_LAYOUT!r}"
         )
+    n = grid.num_points
+    if (header["num_points"], header["length"]) != (n, grid.length):
+        raise GridMismatchError(
+            f"checkpoint has {header['num_points']} points on length "
+            f"{header['length']:g}, the grid {n} on {grid.length:g}"
+        )
     data = _read_bytes(f"{path_prefix}.bin")
     digest = hashlib.sha256(data).hexdigest()
     if digest != header["sha256"]:
@@ -367,7 +383,6 @@ def read_checkpoint(path_prefix, grid, well, family):
             f"its header records {header['sha256']}"
         )
     vals = np.frombuffer(data, dtype="<f8").copy()
-    n = grid.num_points
     if vals.size != 2 * n:
         raise GridMismatchError(
             f"checkpoint has {vals.size // 2} points, the grid {n}"

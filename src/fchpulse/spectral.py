@@ -76,6 +76,8 @@ SPECTRAL_SUBSET = 3
 LANCZOS_EXTRA_PAIRS = 2
 # Seed of the Gaussian start vector of every shift-invert Lanczos solve.
 LANCZOS_SEED = 0
+# Rows per block of the in-place tangent deflation (see _deflate).
+DEFLATE_ROWS = 128
 
 
 class ShiftError(DomainError):
@@ -128,20 +130,38 @@ def _near_zero(mat, k):
 class SpectralContext:
     """The second variation of one profile on the zero-mass space, in modes.
 
-    With Q the weighted cosine basis, B = Q^T (d^2 - W''(phi)) Q =
-    -diag(kappa^2) - Q^T diag(W'') Q and L = B B - Q^T diag(Z) Q (see
-    `second_variation_coefficients`); each Q^T diag(f) Q is one `mode_matrix`.
-    Mode 0 is the constant direction, so the zero-mass space is modes
-    1..N-1: `b` holds those columns of B (all N rows), `z` and `matrix` the
-    zero-mass blocks of Q^T diag(Z) Q and of L. Each array has N^2 entries,
-    so one is built per profile (`ProfilePoint.context`), read by every check
-    of that profile and dropped after them.
+    With Q the weighted cosine basis and M(f) = Q^T diag(f) Q, B = -K^2 -
+    M(W''(phi)), K = diag(kappa), and L = B B - M(Z) (see
+    `second_variation_coefficients`). Mode 0 is the constant direction, so
+    the zero-mass space is modes 1..N-1, and `matrix` is that block of L, the
+    one N^2 array; one is built per profile (`ProfilePoint.context`), read by
+    every check of that profile and dropped after them. B and M(Z) are kept
+    as the nodal W'' (`w2`) and Z (`zeroth`), and applied to a few columns
+    at a time by cosine transforms (`_multiply`).
     """
 
     grid: Grid
-    b: np.ndarray
-    z: np.ndarray
+    w2: np.ndarray
+    zeroth: np.ndarray
     matrix: np.ndarray
+
+    def _multiply(self, f, v):
+        """M(f) v for columns v of all N mode coordinates: Q v is the
+        weighted synthesis of v / nu, so M(f) v = nu c(f synth(v / nu))."""
+        nu = mode_norms(self.grid)[:, None]
+        return nu * cosine_coeffs(f[:, None] * cosine_synth(v / nu))
+
+    def _apply_b(self, v):
+        """B v = -kappa^2 v - M(W'') v for columns v of all N modes."""
+        bv = self.grid.wavenumbers[:, None] ** 2 * v
+        bv += self._multiply(self.w2, v)
+        return -bv
+
+    def _factors(self, w):
+        """(B w, M(Z) w) for zero-mass columns w, all N rows of each."""
+        full = np.zeros((self.grid.num_points, w.shape[1]))
+        full[1:] = w
+        return self._apply_b(full), self._multiply(self.zeroth, full)
 
     def ritz(self, vecs, scale=None, shift=0.0):
         """One Rayleigh-Ritz step for S (L + shift) S, S = diag(scale), on
@@ -155,16 +175,18 @@ class SpectralContext:
         A shift adds shift (S V)^T (S V). Returns Ritz values and vectors.
         """
         w = vecs if scale is None else scale[:, None] * vecs
-        bw = self.b @ w
-        h = bw.T @ bw - w.T @ (self.z @ w) + shift * (w.T @ w)
+        bw, zw = self._factors(w)
+        h = bw.T @ bw - w.T @ zw[1:] + shift * (w.T @ w)
         theta, y = np.linalg.eigh(0.5 * (h + h.T))
         return theta, vecs @ y
 
     def residual(self, vecs, theta, scale=None):
-        """S L S V - V diag(theta), S = diag(scale), from the factors that
-        `ritz` reads, so a slow pair's residual has no eps*||L|| floor."""
+        """S L S V - V diag(theta), S = diag(scale), with L W the zero-mass
+        rows of B (B W) - M(Z) W: the factors that `ritz` reads, so a slow
+        pair's residual has no eps*||L|| floor."""
         w = vecs if scale is None else scale[:, None] * vecs
-        resid = self.b.T @ (self.b @ w) - self.z @ w
+        bw, zw = self._factors(w)
+        resid = self._apply_b(bw)[1:] - zw[1:]
         if scale is not None:
             resid *= scale[:, None]
         resid -= vecs * theta
@@ -193,24 +215,38 @@ class SpectralContext:
             theta, vecs = self.ritz(vecs, scale, shift)
         return theta[:k], vecs[:, :k]
 
+    def scaled(self, scale):
+        """S L S, S = diag(scale), as one new array."""
+        out = np.multiply(scale[:, None], self.matrix)
+        out *= scale[None, :]
+        return out
+
     def lowest(self, k, scale=None):
         """The lowest k eigenpairs of S L S in zero-mass modes (`refined`)."""
         if scale is None:
             return self.refined(self.matrix.copy(), k)
-        return self.refined(scale[:, None] * self.matrix * scale[None, :], k,
-                            scale)
+        return self.refined(self.scaled(scale), k, scale)
 
 
 def spectral_context(phi, well):
-    """The SpectralContext of the second variation at phi: two mode matrices
-    and one product, no N^3 change of basis."""
+    """The SpectralContext of the second variation at phi, assembled in
+    O(N^2) with no matrix product.
+
+    Q is orthogonal, so M(f) M(g) = M(f g), and B B = K^4 + K^2 M(W'') +
+    M(W'') K^2 + M(W''^2): the entry of modes i, j of L is kappa_i^4 [i = j]
+    + (kappa_i^2 + kappa_j^2) M(W'')_ij + M(W''^2 - Z)_ij, two mode matrices
+    and one symmetric scaling.
+    """
     grid = phi.grid
     w2, zeroth = second_variation_coefficients(phi, well)
-    b = mode_matrix(grid, -w2)
-    b[np.diag_indices_from(b)] -= grid.wavenumbers**2
-    b = b[:, 1:]
-    z = mode_matrix(grid, zeroth, start=1)
-    return SpectralContext(grid=grid, b=b, z=z, matrix=b.T @ b - z)
+    kappa2 = grid.wavenumbers[1:] ** 2
+    matrix = mode_matrix(grid, w2**2 - zeroth, start=1)
+    cross = mode_matrix(grid, w2, start=1)
+    cross *= kappa2[None, :]
+    matrix += cross
+    matrix += cross.T
+    matrix[np.diag_indices_from(matrix)] += kappa2**2
+    return SpectralContext(grid=grid, w2=w2, zeroth=zeroth, matrix=matrix)
 
 
 @dataclass(eq=False)
@@ -410,47 +446,60 @@ class CoercivityReport:
 
 
 def _deflate(mat, cols):
-    """mat on the orthogonal complement of span(cols), in O(N^2 n).
+    """mat on the orthogonal complement of span(cols), in O(N^2 n),
+    overwriting mat.
 
     With T an orthonormal basis of the columns and P = I - T T^T this is
     P mat P + c T T^T. The Gershgorin bound c lies above the spectrum of mat,
     so the lifted directions never come first and the lowest eigenvalue is
-    the minimum over the complement.
+    the minimum over the complement. The row sums and the rank-2n update run
+    in blocks of DEFLATE_ROWS rows, so no second N^2 array is made.
     """
     t, _ = np.linalg.qr(cols)
     mt = mat @ t
-    lift = t.T @ mt + np.max(np.sum(np.abs(mat), axis=1)) * np.eye(t.shape[1])
-    out = mat - t @ mt.T
-    out -= mt @ t.T
-    out += t @ lift @ t.T
-    return out
+    rows = [slice(i, i + DEFLATE_ROWS)
+            for i in range(0, mat.shape[0], DEFLATE_ROWS)]
+    bound = max(float(np.max(np.sum(np.abs(mat[r]), axis=1))) for r in rows)
+    lift = t.T @ mt + bound * np.eye(t.shape[1])
+    # mat - t mt^T - mt t^T + t lift t^T = mat + [t, mt] [lift t^T - mt^T; -t^T]
+    left = np.hstack([t, mt])
+    right = np.vstack([lift @ t.T - mt.T, -t.T])
+    for r in rows:
+        mat[r] += left[r] @ right
+    return mat
 
 
 def _best_shift(lowest, mu_tilde, gamma_sweep):
     """The shift of gamma_sweep with the largest chained bound
-    mu_tilde*mu_e/(mu_tilde + gamma); the first one wins a tie.
+    mu_tilde*mu_e/(mu_tilde + gamma); of equal bounds, the first in the
+    sweep wins.
 
     lowest(gamma) returns mu_e, the lowest eigenvalue of M + gamma D (M
     symmetric, D diagonal), and d = x^T D x of its unit eigenvector x, whose
     Rayleigh quotient mu_e + (g - gamma) d bounds the lowest eigenvalue at
-    any shift g from above. A shift whose bound from the lowest such ceiling
-    (plus 1e-8 (1 + |ceiling|) for rounding) falls below the best bound so
-    far cannot win and is not solved, so the result is that of solving every
-    shift. Returns (mu_e, gamma_e, bound, shifts solved).
+    any shift g from above. The shifts are tried from the middle of the
+    sweep outward, where the desk bound peaks. A shift whose bound from the
+    lowest such ceiling (plus 1e-8 (1 + |ceiling|) for rounding) falls below
+    the best bound so far cannot win and is not solved, so the result is that
+    of solving every shift. Returns (mu_e, gamma_e, bound, the shifts solved
+    in the order solved).
     """
-    lines, best_bound, best = [], -np.inf, (np.nan, np.nan)
-    for ge in gamma_sweep:
+    mid = (len(gamma_sweep) - 1) // 2
+    order = sorted(range(len(gamma_sweep)), key=lambda i: (abs(i - mid), i))
+    lines, best_key, best = [], (-np.inf, 0), (np.nan, np.nan)
+    for i in order:
+        ge = gamma_sweep[i]
         if lines:
             ceiling = min(v + (ge - g) * d for g, v, d in lines)
             ceiling += 1e-8 * (1.0 + abs(ceiling))
-            if mu_tilde * ceiling / (mu_tilde + ge) < best_bound:
+            if mu_tilde * ceiling / (mu_tilde + ge) < best_key[0]:
                 continue
         mu_e, d = lowest(ge)
         lines.append((ge, mu_e, d))
-        bound = mu_tilde * mu_e / (mu_tilde + ge)
-        if bound > best_bound:
-            best_bound, best = bound, (mu_e, ge)
-    return best[0], best[1], best_bound, tuple(g for g, _, _ in lines)
+        key = (mu_tilde * mu_e / (mu_tilde + ge), -i)
+        if key > best_key:
+            best_key, best = key, (mu_e, ge)
+    return best[0], best[1], best_key[0], tuple(g for g, _, _ in lines)
 
 
 def coercivity_constant(point):
@@ -472,24 +521,25 @@ def coercivity_constant(point):
     In cosine modes zero mass drops mode 0 and the Sobolev Grams are the
     diagonal h_mode_multipliers, so each problem is a standard one after
     whitening, with the tangents deflated (_deflate). Each minimum is one
-    refined shift-invert solve (SpectralContext.refined). The unconstrained
+    refined shift-invert solve (SpectralContext.refined) of a matrix formed
+    in one working array, which the deflation and the LU overwrite, so at
+    most one N^2 array is held beside the context. The unconstrained
     minimum is the lowest Ritz value of the point's gap report.
     """
     manifold = point.manifold
     grid = manifold.grid
     mu_tilde = 0.75 * manifold.pulse.edge_floor
     context = point.context
-    a = context.matrix
     t_modes = np.stack([to_modes(t)[1:] for t in point.basis[0]], axis=1)
 
-    mu_x = float(context.refined(_deflate(a, t_modes), 1)[0][0])
+    mu_x = float(context.refined(_deflate(context.matrix.copy(), t_modes),
+                                 1)[0][0])
     s2 = 1.0 / np.sqrt(h_mode_multipliers(grid, 2)[1:])
-    m2 = s2[:, None] * a * s2[None, :]
-    mu_h2 = float(context.refined(_deflate(m2, s2[:, None] * t_modes), 1,
-                                  s2)[0][0])
+    mu_h2 = float(context.refined(
+        _deflate(context.scaled(s2), s2[:, None] * t_modes), 1, s2)[0][0])
 
     def shifted(gamma):
-        mat = m2.copy()
+        mat = context.scaled(s2)
         mat[np.diag_indices_from(mat)] += gamma * s2**2
         theta, x = context.refined(mat, 1, s2, gamma)
         return float(theta[0]), float(np.sum((s2 * x[:, 0]) ** 2))

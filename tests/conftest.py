@@ -20,7 +20,7 @@ from scipy.optimize import brentq
 
 import fchpulse
 from fchpulse import Grid, PulseManifold, ScalarField, SystemParams
-from fchpulse.core import h_mode_multipliers, mode_norms, norm
+from fchpulse.core import h_mode_multipliers, mode_matrix, mode_norms, norm
 from fchpulse.harness import well_solution
 from fchpulse.operators import (
     from_modes,
@@ -241,14 +241,27 @@ def nodal_residuals(phi, well, report):
     return np.array(out)
 
 
-# The dense eigensolves that shift-invert Lanczos replaced in
-# `SpectralContext.lowest` and in `coercivity_constant`, kept as the oracle.
+# The dense factors of the second variation in modes that the transform
+# products of `SpectralContext` replaced, and the dense eigensolves that
+# shift-invert Lanczos replaced in `SpectralContext.lowest` and in
+# `coercivity_constant`, kept as the oracles.
+
+
+def dense_factors(context):
+    """(b, z): the zero-mass columns of B = -K^2 - M(W'') (all N rows) and
+    the zero-mass block of M(Z), each a `mode_matrix`, so that the context's
+    matrix is b^T b - z."""
+    grid = context.grid
+    b = mode_matrix(grid, -context.w2)
+    b[np.diag_indices_from(b)] -= grid.wavenumbers**2
+    return b[:, 1:], mode_matrix(grid, context.zeroth, start=1)
 
 
 def dense_lowest(context, k, scale=None):
     """The lowest k eigenpairs of S L S by a dense eigensolver and one Ritz
     step, with one step of block inverse iteration before a second Ritz step
-    when scaled: `SpectralContext.lowest` before the shift-invert solve."""
+    when scaled: `SpectralContext.lowest` before the shift-invert solve. The
+    residual of the inverse-iteration step is formed from the dense factors."""
     mat = context.matrix
     if scale is not None:
         mat = scale[:, None] * mat * scale[None, :]
@@ -256,8 +269,9 @@ def dense_lowest(context, k, scale=None):
     theta, vecs = context.ritz(vecs, scale)
     if scale is None:
         return theta, vecs
+    b, z = dense_factors(context)
     w = scale[:, None] * vecs
-    resid = scale[:, None] * (context.b.T @ (context.b @ w) - context.z @ w)
+    resid = scale[:, None] * (b.T @ (b @ w) - z @ w)
     resid -= vecs * theta
     vecs, _ = np.linalg.qr(vecs - np.linalg.solve(mat, resid))
     return context.ritz(vecs, scale)
@@ -277,7 +291,7 @@ def dense_coercivity_minima(context, tangents):
     second variation, unwhitened, H2-whitened and H4-whitened, by dense
     eigensolves."""
     t_modes = np.stack([to_modes(t)[1:] for t in tangents], axis=1)
-    minima = [dense_min(_deflate(context.matrix, t_modes))]
+    minima = [dense_min(_deflate(context.matrix.copy(), t_modes))]
     for order in (2, 4):
         s = sobolev_whitening(context.grid, order)
         minima.append(dense_min(_deflate(s[:, None] * context.matrix

@@ -117,6 +117,24 @@ class TestInternalParameters:
         right = internal.p_np1 + cfg.positions[-1] - 2 * length
         assert left == pytest.approx(-right, abs=1e-6)
 
+    def test_build_evaluates_the_end_terms_once(self, desk_manifold,
+                                                monkeypatch):
+        # build hands its end terms to internal_parameters, whose result is
+        # that of evaluating them afresh
+        man = desk_manifold
+        cfg = moderate_config(man)
+        calls = []
+        real = type(man)._end_terms
+
+        def counted(self, config):
+            calls.append(config)
+            return real(self, config)
+
+        monkeypatch.setattr(type(man), "_end_terms", counted)
+        prof = man.build(cfg)
+        assert calls == [cfg]
+        assert prof.internal == man.internal_parameters(cfg)
+
     def test_lambda_seed_agreement_documented_case(self, manifold_factory,
                                                    pulse):
         # L = 120, two pulses, excess mass M_h/2, equispaced: the refined

@@ -112,6 +112,18 @@ class TestTransformProperties:
         back = cosine_synth(cosine_coeffs(v))
         assert np.max(np.abs(back - v)) <= 1e-12 * np.max(np.abs(v))
 
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(16, 1024), cols=st.integers(1, 9),
+           seed=st.integers(0, 2**16))
+    def test_column_stacks_transform_column_by_column(self, n, cols, seed):
+        # a 2-D array is a stack of columns along axis 0, each transformed
+        # bit for bit as by a 1-D call
+        stack = np.random.default_rng(seed).standard_normal((n, cols))
+        for transform in (cosine_coeffs, cosine_synth):
+            out = transform(stack)
+            for j in range(cols):
+                assert np.array_equal(out[:, j], transform(stack[:, j]))
+
     @settings(max_examples=40, deadline=None)
     @given(grid=grids, seed=st.integers(0, 2**16), s=st.floats(0.0, 1.0),
            which=st.sampled_from(["G", "G1"]))

@@ -591,8 +591,8 @@ class TestRun:
         assert np.array_equal(st2.grad_hat, st.grad_hat)
         assert kappa == 0.1 + 2e-17
 
-    @pytest.mark.parametrize("key", ["kappa", "accept_streak", "layout",
-                                     "sha256"])
+    @pytest.mark.parametrize("key", ["kappa", "accept_streak", "num_points",
+                                     "length", "layout", "sha256"])
     def test_checkpoint_without_run_state_refused(self, small_manifold,
                                                   tmp_path, key):
         write_fresh_checkpoint(small_manifold, tmp_path)
@@ -645,6 +645,15 @@ class TestRun:
         with pytest.raises(GridMismatchError, match="256 points.* 129"):
             read_checkpoint(tmp_path / "ck", coarse, small_manifold.well,
                             GradientFamily(coarse, 0.0))
+
+    def test_checkpoint_length_mismatch(self, small_manifold, tmp_path):
+        # the same N on a longer domain has .bin bytes of the right size, and
+        # was read stretched onto L = 17
+        write_fresh_checkpoint(small_manifold, tmp_path)
+        longer = Grid(17.0, small_manifold.grid.num_points, h_max=0.4)
+        with pytest.raises(GridMismatchError, match="length 16, .* on 17"):
+            read_checkpoint(tmp_path / "ck", longer, small_manifold.well,
+                            GradientFamily(longer, 0.0))
 
 
 class TestPdeRepulsion:

@@ -120,6 +120,19 @@ class TestConfig:
         assert f"{key} must not be negative" in str(err.value)
 
 
+    @pytest.mark.parametrize("experiment", ["compare", "diagnose"])
+    @pytest.mark.parametrize("key, value", [
+        ("checkpoint_stride", 1), ("restart_from", "ck"),
+    ])
+    def test_checkpoint_keys_only_for_simulate(self, experiment, key, value):
+        # compare accepted both and ran from the configured start without
+        # writing a checkpoint
+        with pytest.raises(ValidationError) as err:
+            ExperimentConfig(experiment=experiment, **{**SMALL, key: value})
+        assert f"{key} is read by simulate only" in str(err.value)
+        ExperimentConfig(experiment="simulate", **{**SMALL, key: value})
+
+
 class TestManifest:
     def test_written_last_and_complete(self, tmp_path):
         cfg = ExperimentConfig(
@@ -434,6 +447,23 @@ class TestCli:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and key in err
+
+    @pytest.mark.parametrize("key, value", [
+        ("checkpoint_stride", 1), ("restart_from", "ck"),
+    ])
+    def test_exit_one_on_a_checkpoint_key_outside_simulate(self, tmp_path,
+                                                           capsys, key,
+                                                           value):
+        cfgfile = tmp_path / "c.json"
+        cfgfile.write_text(json.dumps({**SMALL, "experiment": "compare",
+                                       key: value}))
+        code = cli_main([
+            "compare", "--config", str(cfgfile), "--out", str(tmp_path / "x"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err
+        assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("case", ["config", "restart_from", "header"])
     def test_exit_one_on_an_unreadable_file(self, tmp_path, capsys, case):

@@ -1,6 +1,7 @@
 """Eigenstructure diagnostics: splitting, indices, coercivity, alignment."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -55,6 +56,7 @@ from fchpulse.wellmodel import (
 from conftest import (
     cluster_config,
     dense_coercivity_minima,
+    dense_factors,
     dense_lowest,
     dense_shift_solver,
     dense_shift_sweep,
@@ -223,6 +225,82 @@ class TestRitzOracle:
         # good to its eps-level backward error (7.5e-6 relative at s = 1)
         eps_mat = np.finfo(float).eps * norm_mat
         assert np.max(np.abs(rep.eigenvalues[n:] - dense[n:])) <= eps_mat
+
+
+class TestFactoredContext:
+    """The one N^2 array of a SpectralContext, assembled with no matrix
+    product, and its transform products, against the dense factors b and z
+    (conftest) that it replaced."""
+
+    @pytest.fixture(scope="class", params=["testbed", "desk"])
+    def context(self, request, small_manifold, diag_manifold):
+        if request.param == "testbed":
+            man = small_manifold
+            cfg = man.configuration([4.5, 12.0])
+        else:
+            man = diag_manifold
+            cfg = moderate_config(man)
+        return spectral_context(man.build(cfg).phi, man.well)
+
+    def test_matrix_is_the_dense_factor_product(self, context):
+        # B B = K^4 + (kappa_i^2 + kappa_j^2) M(W'') + M(W''^2), since Q is
+        # orthogonal
+        b, z = dense_factors(context)
+        ref = b.T @ b - z
+        assert context.matrix.shape == ref.shape
+        assert np.max(np.abs(context.matrix - ref)) <= (
+            1e-12 * np.linalg.norm(ref, 2))
+
+    def test_transform_products_match_dense_factors(self, context):
+        b, z = dense_factors(context)
+        w = np.random.default_rng(3).standard_normal((b.shape[1], 5))
+        bw, zw = context._factors(w)
+        assert_allclose(bw, b @ w, rtol=0, atol=1e-13 * np.max(np.abs(b @ w)))
+        assert_allclose(zw[1:], z @ w, rtol=0,
+                        atol=1e-13 * np.max(np.abs(z @ w)))
+        dense = b.T @ (b @ w) - z @ w
+        assert_allclose(context.residual(w, np.zeros(5)), dense, rtol=0,
+                        atol=1e-13 * np.max(np.abs(dense)))
+
+
+class TestContextMemory:
+    """On the testbed (N = 256) a context holds one (N-1)^2 array; its
+    build makes one more, and the coercivity solves at most two more."""
+
+    def test_context_holds_one_square_array(self, small_manifold):
+        man = small_manifold
+        phi = man.build(man.configuration([4.5, 12.0])).phi
+        size = man.grid.num_points
+        square = (size - 1) ** 2 * 8
+        tracemalloc.start()
+        try:
+            context = spectral_context(phi, man.well)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        arrays = [getattr(context, f.name) for f in dataclasses.fields(context)
+                  if isinstance(getattr(context, f.name), np.ndarray)]
+        assert sum(a.nbytes for a in arrays) == square + 2 * size * 8
+        assert held <= square + 16 * size * 8
+        # the cross term M(W'') is the one working array of the assembly;
+        # adding its transpose goes through numpy's 64 KiB iterator buffer
+        assert peak <= 2 * square + 16 * size * 8 + 2**16
+
+    def test_coercivity_adds_at_most_two_square_arrays(self, small_manifold):
+        man = small_manifold
+        point = ProfilePoint(man, man.build(man.configuration([4.5, 12.0])))
+        # the cached context, tangents and edge floor are made beforehand,
+        # so only the solves' own arrays are traced
+        point.context, point.basis, man.pulse.edge_floor
+        square = (man.grid.num_points - 1) ** 2 * 8
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            coercivity_constant(point)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - start <= 2 * square
 
 
 def shift_invert_point(manifold, point):
@@ -526,17 +604,21 @@ class TestShiftSweep:
         assert (mu_e, gamma_e, bound) == every_shift(
             dense_shift_solver(mat, shift), mu_tilde, sweep)
         assert solved == tuple(calls)
-        assert solved[0] == sweep[0] and gamma_e in solved
-        rest = iter(sweep)
-        assert all(ge in rest for ge in solved)  # in sweep order
+        mid = (len(sweep) - 1) // 2
+        assert solved[0] == sweep[mid] and gamma_e in solved
+        # from the middle of the sweep outward, the lower index first
+        outward = sorted(range(len(sweep)), key=lambda i: (abs(i - mid), i))
+        rest = iter(sweep[i] for i in outward)
+        assert all(ge in rest for ge in solved)
 
     def test_nothing_skipped_when_every_shift_wins(self):
         # mu_e(gamma) = 0.5 + gamma under mu_tilde = 2: the bound rises with
-        # gamma, so each shift of an ascending sweep beats the one before
+        # gamma, so each shift of a sweep whose middle-outward order is
+        # ascending beats the one before
         lowest = dense_shift_solver(0.5 * np.eye(6), np.ones(6))
-        sweep = (0.05, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
+        sweep = (4.0, 1.0, 0.25, 0.05, 0.5, 2.0, 8.0)
         result = _best_shift(lowest, 2.0, sweep)
-        assert result[3] == sweep
+        assert result[3] == (0.05, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
         assert result[:3] == every_shift(lowest, 2.0, sweep)
         assert result[1] == 8.0
 
@@ -600,9 +682,10 @@ class TestCoercivityOracle:
         coercivity_constant(ProfilePoint(man, prof))
         assert (rep.mu_e, rep.gamma_e, rep.bound) == full[0]
         if setup == "desk":
-            # the bound peaks at gamma = 1, and the Rayleigh quotient of its
-            # eigenvector rules out 2, 4 and 8
-            assert rep.gammas_solved == (0.05, 0.25, 0.5, 1.0)
+            # the bound peaks at gamma = 1, the middle of the sweep, which is
+            # solved first; the Rayleigh quotients of its eigenvector and of
+            # 0.5's rule out 2, 0.25, 4, 0.05 and 8
+            assert rep.gammas_solved == (1.0, 0.5)
 
 
 def nodal_point_spectrum(well, pulse, num_points=1600):
