@@ -53,7 +53,6 @@ from .ansatz import (
 from .operators import (
     GradientFamily,
     energy,
-    linearization,
     nonlinear_remainder,
     second_variation,
     variational_derivative,
@@ -66,7 +65,6 @@ from .spectral import (
     ProfilePoint,
     SpectrumReport,
     coercivity_constant,
-    constrained_negative_index,
     el_bounds,
     run_hypothesis_suite,
     spectral_gap_report,

@@ -353,12 +353,15 @@ def norm(field, kind="l2"):
     if kind == "l2":
         return float(np.sqrt(max(inner_product_x(field, field), 0.0)))
     if kind == "h4":
-        total = 0.0
-        for m in range(5):
-            d = spectral_derivative(field, m)
-            total += inner_product_x(d, d)
-        return float(np.sqrt(max(total, 0.0)))
+        return h4_norm_from_coeffs(field.grid, cosine_coeffs(field.values))
     raise DomainError(f"unknown norm kind {kind!r}")
+
+
+def h4_norm_from_coeffs(grid, coeffs):
+    """H^4 norm of the cosine series with coefficients coeffs, by Parseval:
+    sqrt(sum_k parseval_weights_k h_mode_multipliers_k a_k^2)."""
+    weights = parseval_weights(grid) * h_mode_multipliers(grid, 4)
+    return float(np.sqrt(np.sum(weights * coeffs**2)))
 
 
 def h_mode_multipliers(grid, max_order=4):

@@ -37,7 +37,7 @@ from .core import (
     SystemParams,
     ValidationError,
     cosine_synth,
-    norm,
+    h4_norm_from_coeffs,
 )
 from .dynamics import (
     ReducedModel,
@@ -103,6 +103,12 @@ class ExperimentConfig:
                 f"unknown experiment {self.experiment!r}; "
                 f"choose from {', '.join(EXPERIMENTS)}"
             )
+        # counts and indices are JSON integers: no float, bool or numpy scalar
+        for key in ("seed", "n_pulses", "grid_points", "diagnostic_grid_points",
+                    "sample_size", "output_every", "checkpoint_stride"):
+            value = getattr(self, key)
+            if type(value) is not int:
+                raise ValidationError(f"{key} must be an integer, got {value!r}")
         if not -1.0 < self.tau < 0.0:
             raise ValidationError("tau must lie in (-1, 0)")
         alpha_minus = 2.0 + 2.0 * self.tau
@@ -123,7 +129,7 @@ class ExperimentConfig:
         for key in ("t_final", "dt_max"):
             if not getattr(self, key) > 0.0:
                 raise ValidationError(f"{key} must be positive")
-        for key in ("checkpoint_stride", "perturbation"):
+        for key in ("checkpoint_stride", "perturbation", "seed"):
             if not getattr(self, key) >= 0:
                 raise ValidationError(f"{key} must not be negative")
         # only simulate writes checkpoints or continues from one
@@ -282,7 +288,7 @@ class Laboratory:
             1.0 + np.arange(1, kmax + 1)
         )
         w = ScalarField(self.grid, cosine_synth(coeffs))
-        scale = norm(w, "h4")
+        scale = h4_norm_from_coeffs(self.grid, coeffs)
         return w * (amplitude / scale) if scale > 0 else w
 
 

@@ -15,11 +15,10 @@ from .core import (
     ScalarField,
     cosine_coeffs,
     cosine_synth,
-    h_mode_multipliers,
+    h4_norm_from_coeffs,
     mean_value,
     mode_norms,
     norm,
-    parseval_weights,
     spectral_derivative,
 )
 
@@ -47,10 +46,10 @@ def energy_terms(u_hat, values, grid, well):
     return w1, 0.5 * float(np.sum(grid.quad_weights * w1 * w1))
 
 
-def gradient_values(values, w1, grid, well):
-    """grad J = (d^2 - W''(u)) w1 at the nodes, given w1 (two transforms)."""
-    return (cosine_synth(-1.0 * cosine_coeffs(w1) * grid.wavenumbers**2)
-            - well.d2W(values) * w1)
+def gradient_values(values, f, grid, well):
+    """(d^2 - W''(u)) f at the nodes, grad J for f = w1 (two transforms)."""
+    return (cosine_synth(-1.0 * cosine_coeffs(f) * grid.wavenumbers**2)
+            - well.d2W(values) * f)
 
 
 def gradient_coeffs(values, w1, grid, well):
@@ -76,11 +75,6 @@ def zero_mass_projection(f):
     return ScalarField(f.grid, f.values - mean_value(f))
 
 
-def flow_field(u, well):
-    """F(u) = -Pi_0 grad J(u), the zero-mass projected flow."""
-    return -zero_mass_projection(variational_derivative(u, well))
-
-
 def second_variation_coefficients(phi, well):
     """(W''(phi), Z) at the nodes, with Z = (phi'' - W'(phi)) W'''(phi): the
     second variation at phi is (d^2 - W''(phi))^2 - Z."""
@@ -103,28 +97,40 @@ def second_variation(phi, well):
     return apply
 
 
-def linearization(phi, well):
-    """Flow linearization: minus the zero-mass-constrained second variation.
-
-    Realized with the projection on both sides, which agrees with the
-    output-only form on zero-mass inputs (the flow's invariant class) and
-    annihilates constants exactly. Returned, like `second_variation`, as a
-    function from fields to fields.
-    """
-    sv = second_variation(phi, well)
-
-    def apply(fld):
-        return -zero_mass_projection(sv(zero_mass_projection(fld)))
-
-    return apply
+def _taylor_terms(phi, v, well):
+    """(w1, A v, q, a) at the nodes: the terms of the expansion of J about
+    phi in v for the quartic well, from cosine coefficients. w1 = phi'' -
+    W'(phi), A v = v'' - W''(phi) v, and the exact remainders q = w1(phi + v)
+    - w1 - A v = -W'''(phi) v^2/2 - W'''' v^3/6 and a = W''(phi + v) -
+    W''(phi) = W'''(phi) v + W'''' v^2/2."""
+    grid, u, x = phi.grid, phi.values, v.values
+    w1 = energy_terms(cosine_coeffs(u), u, grid, well)[0]
+    d3, d4 = well.d3W(u), well.d4W(u)
+    q = -0.5 * d3 * x**2 - d4 * x**3 / 6.0
+    return w1, gradient_values(u, x, grid, well), q, d3 * x + 0.5 * d4 * x**2
 
 
 def nonlinear_remainder(phi, v, well):
-    """N_S(v) = F(phi+v) - F(phi) - L v for the zero-mass projected flow."""
-    lin = linearization(phi, well)
-    fv = flow_field(phi + v, well)
-    f0 = flow_field(phi, well)
-    return ScalarField(phi.grid, fv.values - f0.values - lin(v).values)
+    """N_S(v) = F(phi+v) - F(phi) - L v of the zero-mass projected flow F =
+    -Pi_0 grad J, for zero-mass v: the polynomial -Pi_0 [(d^2 - W''(phi)) q
+    - W'''' v^2 w1 / 2 - a (A v + q)] in the terms of `_taylor_terms`. No
+    difference of nearly equal flows is formed, so rounding in phi moves it
+    at rounding level only."""
+    w1, av, q, a = _taylor_terms(phi, v, well)
+    u, x = phi.values, v.values
+    grad = (gradient_values(u, q, phi.grid, well)
+            - 0.5 * well.d4W(u) * x**2 * w1 - a * (av + q))
+    return -zero_mass_projection(ScalarField(phi.grid, grad))
+
+
+def energy_remainder(phi, v, well):
+    """J(phi+v) - J(phi) - <grad J(phi), v> - <J''(phi) v, v>/2: the
+    polynomial int [-W'''' v^3 w1 / 6 + (A v) q + q^2 / 2] dz in the terms of
+    `_taylor_terms`, formed without cancellation."""
+    w1, av, q, _ = _taylor_terms(phi, v, well)
+    x = v.values
+    density = -well.d4W(phi.values) * x**3 * w1 / 6.0 + av * q + 0.5 * q * q
+    return float(np.sum(phi.grid.quad_weights * density))
 
 
 # ---------------------------------------------------------------------------
@@ -180,8 +186,9 @@ class GradientFamily:
         return ScalarField(fld.grid, cosine_synth(out))
 
     def h_norm(self, fld):
-        """The norm ||w||_{H_G1} = ||G1 w||_{H^4}."""
-        return norm(self.apply(fld, "G1"), "h4")
+        """The norm ||w||_{H_G1} = ||G1 w||_{H^4}, by Parseval."""
+        return h4_norm_from_coeffs(
+            fld.grid, cosine_coeffs(fld.values) * self.multipliers("G1"))
 
 
 # ---------------------------------------------------------------------------
@@ -204,11 +211,8 @@ def band_limited_h_norm(field, multipliers):
     """
     grid = field.grid
     a = cosine_coeffs(field.values) * multipliers
-    keep = grid.wavenumbers <= BAND_EDGE_KAPPA
-    weights = parseval_weights(grid)
-    m = h_mode_multipliers(grid, 4)
-    total = np.sum((a[keep] ** 2) * m[keep] * weights[keep])
-    return float(np.sqrt(max(total, 0.0)))
+    return h4_norm_from_coeffs(
+        grid, np.where(grid.wavenumbers <= BAND_EDGE_KAPPA, a, 0.0))
 
 
 def scaled_nonlinearity_constant(phi, well, family, rho, probes):

@@ -1,6 +1,5 @@
-"""Eigenstructure diagnostics: slow/stable splitting, constrained indices,
-coercivity constants, tangent alignment, the symmetrized gap, and the
-trapping-radius bounds.
+"""Eigenstructure diagnostics: slow/stable splitting, coercivity constants,
+tangent alignment, the symmetrized gap, and the trapping-radius bounds.
 
 Hypothesis checks record pass/fail instead of raising: sweeps over the
 configuration sample must complete and report where the assumptions break.
@@ -22,26 +21,22 @@ from .core import (
     ValidationError,
     cosine_coeffs,
     cosine_synth,
+    h4_norm_from_coeffs,
     h_mode_multipliers,
-    inner_product_x,
     mode_derivative,
     mode_matrix,
     mode_norms,
-    norm,
     parseval_weights,
 )
 from .ansatz import h4_norm_from_stack, mass as field_mass
 from .operators import (
     GradientFamily,
-    energy,
-    from_modes,
+    energy_remainder,
     scaled_nonlinearity_constant,
     scaled_residual_constant,
-    second_variation,
     second_variation_coefficients,
     tangent_amplification_constant,
     to_modes,
-    variational_derivative,
 )
 
 # Pinned diagnostic thresholds. The delta-relative caps absorb the large
@@ -368,58 +363,6 @@ def spectral_gap_report(point):
         slow_cap=slow_cap,
         passed=not failures,
         failures=failures,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Constrained negative index.
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class IndexResult:
-    formula_index: int
-    brute_index: int
-    shifted_index: int
-    d_matrix: np.ndarray
-
-    @property
-    def agree(self):
-        return self.formula_index == self.brute_index
-
-
-def constrained_negative_index(operator, constraints, mu=0.0):
-    """Negative index of the constrained operator, by formula and brute force.
-
-    operator: dense symmetric matrix. constraints: arrays in the same
-    coordinates, spanning the complement of the constrained subspace.
-    Returns both the count n(L) - n(D), D_ij = <s_i, (L-mu)^{-1} s_j>, and the
-    direct eigensolve of the projected operator; callers assert agreement.
-    """
-    mat = np.asarray(operator, dtype=float)
-    smat = np.stack([np.asarray(s) for s in constraints], axis=1)
-    shifted = mat - mu * np.eye(mat.shape[0])
-
-    evals = np.linalg.eigvalsh(shifted)
-    if np.min(np.abs(evals)) < 1e-11 * max(1.0, np.max(np.abs(evals))):
-        raise ShiftError(
-            f"operator is singular at shift mu = {mu:g}; choose a different mu"
-        )
-    n_l = int(np.count_nonzero(evals < 0.0))
-
-    d_matrix = smat.T @ np.linalg.solve(shifted, smat)
-    d_matrix = 0.5 * (d_matrix + d_matrix.T)
-    d_evals = np.linalg.eigvalsh(d_matrix)
-    n_d = int(np.count_nonzero(d_evals < 0.0))
-
-    basis = sla.null_space(smat.T)
-    proj = basis.T @ shifted @ basis
-    brute = int(np.count_nonzero(np.linalg.eigvalsh(proj) < 0.0))
-    return IndexResult(
-        formula_index=n_l - n_d,
-        brute_index=brute,
-        shifted_index=n_l,
-        d_matrix=d_matrix,
     )
 
 
@@ -758,11 +701,7 @@ def el_bounds(points):
 
     rng = np.random.default_rng(0)
     grid = manifold.grid
-    well = manifold.well
-    base = points[0].profile
-    sv = second_variation(base.phi, well)
-    j_base = energy(base.phi, well)
-    gradient = variational_derivative(base.phi, well)
+    phi = points[0].profile.phi
     c2 = 0.0
     c1 = 1.0
     for _ in range(4):
@@ -771,13 +710,10 @@ def el_bounds(points):
         coeffs[1 : kmax + 1] = rng.standard_normal(kmax) / (
             1.0 + np.arange(1, kmax + 1) ** 2
         )
-        v = ScalarField(grid, cosine_synth(coeffs))
-        v = v * (0.1 / max(norm(v, "h4"), 1e-300))
-        j_full = energy(base.phi + v, well)
-        lin_term = inner_product_x(gradient, v)
-        quad_term = 0.5 * inner_product_x(sv(v), v)
-        rem = abs(j_full - j_base - lin_term - quad_term)
-        c2 = max(c2, rem / norm(v, "h4") ** 3)
+        coeffs *= 0.1 / h4_norm_from_coeffs(grid, coeffs)
+        rem = energy_remainder(phi, ScalarField(grid, cosine_synth(coeffs)),
+                               manifold.well)
+        c2 = max(c2, abs(rem) / 0.1**3)
     rho_exp = 3.0
     eta_upper = min(1.0,
                     (1.0 / c1) * (mu2 / (2.0 * c2)) ** (1.0 / (rho_exp - 2.0)))
@@ -864,11 +800,10 @@ def eigenfield_continuity(point):
         u, sigma, vt = np.linalg.svd(u_c.T @ u_s)
         sub_overlap = min(sub_overlap, float(np.min(sigma)))
         aligned.append(u_s @ (u @ vt).T)
-    second = np.zeros((manifold.grid.num_points, n))
-    second[1:] = (aligned[0] - 2.0 * u_c + aligned[1]) / step**2
-    hessians = [norm(from_modes(manifold.grid, second[:, j]), "h4")
-                for j in range(n)]
-    return sub_overlap, float(np.max(hessians))
+    # coordinates a_k nu_k with nu_k^2 the Parseval weights: H4 by Parseval
+    second = (aligned[0] - 2.0 * u_c + aligned[1]) / step**2
+    weight = np.sqrt(h_mode_multipliers(manifold.grid, 4)[1:, None])
+    return sub_overlap, float(np.max(np.linalg.norm(weight * second, axis=0)))
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ so the acceptance tests can share builds.
 import os
 import subprocess
 import sys
+from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
@@ -20,16 +21,25 @@ from scipy.optimize import brentq
 
 import fchpulse
 from fchpulse import Grid, PulseManifold, ScalarField, SystemParams
-from fchpulse.core import h_mode_multipliers, mode_matrix, mode_norms, norm
+from fchpulse.core import (
+    h_mode_multipliers,
+    inner_product_x,
+    mode_matrix,
+    mode_norms,
+    norm,
+    spectral_derivative,
+)
 from fchpulse.harness import well_solution
 from fchpulse.operators import (
+    energy,
     from_modes,
     second_variation,
     second_variation_coefficients,
     to_modes,
+    variational_derivative,
     zero_mass_projection,
 )
-from fchpulse.spectral import GAMMA_SWEEP, _deflate
+from fchpulse.spectral import GAMMA_SWEEP, ShiftError, _deflate
 from fchpulse.wellmodel import _GL_NODES, _GL_WEIGHTS, _HomoclinicInverter
 
 TAU = -0.3
@@ -239,6 +249,101 @@ def nodal_residuals(phi, well, report):
         out.append(norm(ScalarField(phi.grid, lf.values - theta * f.values),
                         "l2"))
     return np.array(out)
+
+
+# The difference-of-flows forms that the exact Taylor remainders of
+# `operators.nonlinear_remainder` and `operators.energy_remainder` replaced,
+# and the nodal H4 loop that the Parseval sum of `core.norm` replaced, kept
+# as the oracles. The differences cancel: 1e-14 noise on phi moves them by
+# up to 1e-3 relative at |v| ~ 1/400.
+
+
+def flow_field(u, well):
+    """F(u) = -Pi_0 grad J(u), the zero-mass projected flow."""
+    return -zero_mass_projection(variational_derivative(u, well))
+
+
+def linearization(phi, well):
+    """Flow linearization: minus the zero-mass-constrained second variation,
+    with the projection on both sides, so that it annihilates constants.
+    Returned as a function from fields to fields."""
+    sv = second_variation(phi, well)
+
+    def apply(fld):
+        return -zero_mass_projection(sv(zero_mass_projection(fld)))
+
+    return apply
+
+
+def difference_remainder(phi, v, well):
+    """N_S(v) = F(phi+v) - F(phi) - L v as a difference of whole flows."""
+    lin = linearization(phi, well)
+    fv = flow_field(phi + v, well)
+    f0 = flow_field(phi, well)
+    return ScalarField(phi.grid, fv.values - f0.values - lin(v).values)
+
+
+def difference_energy_remainder(phi, v, well):
+    """J(phi+v) - J(phi) - <grad J(phi), v> - <J''(phi) v, v>/2 as a
+    difference of whole energies."""
+    lin_term = inner_product_x(variational_derivative(phi, well), v)
+    quad_term = 0.5 * inner_product_x(second_variation(phi, well)(v), v)
+    return energy(phi + v, well) - energy(phi, well) - lin_term - quad_term
+
+
+def nodal_h4_norm(field):
+    """sqrt(sum_{m<=4} ||d^m f||_X^2) from nodal spectral derivatives."""
+    total = 0.0
+    for m in range(5):
+        d = spectral_derivative(field, m)
+        total += inner_product_x(d, d)
+    return float(np.sqrt(total))
+
+
+# The constrained negative index by formula and by brute force, criterion 6's
+# oracle on small dense matrices.
+
+
+@dataclass(frozen=True)
+class IndexResult:
+    formula_index: int
+    brute_index: int
+    shifted_index: int
+    d_matrix: np.ndarray
+
+
+def constrained_negative_index(operator, constraints, mu):
+    """Negative index of the constrained operator, by formula and brute force.
+
+    operator: dense symmetric matrix. constraints: arrays in the same
+    coordinates, spanning the complement of the constrained subspace.
+    Returns both the count n(L) - n(D), D_ij = <s_i, (L-mu)^{-1} s_j>, and the
+    direct eigensolve of the projected operator; callers assert agreement.
+    """
+    mat = np.asarray(operator, dtype=float)
+    smat = np.stack([np.asarray(s) for s in constraints], axis=1)
+    shifted = mat - mu * np.eye(mat.shape[0])
+
+    evals = np.linalg.eigvalsh(shifted)
+    if np.min(np.abs(evals)) < 1e-11 * max(1.0, np.max(np.abs(evals))):
+        raise ShiftError(
+            f"operator is singular at shift mu = {mu:g}; choose a different mu"
+        )
+    n_l = int(np.count_nonzero(evals < 0.0))
+
+    d_matrix = smat.T @ np.linalg.solve(shifted, smat)
+    d_matrix = 0.5 * (d_matrix + d_matrix.T)
+    n_d = int(np.count_nonzero(np.linalg.eigvalsh(d_matrix) < 0.0))
+
+    basis = sla.null_space(smat.T)
+    proj = basis.T @ shifted @ basis
+    brute = int(np.count_nonzero(np.linalg.eigvalsh(proj) < 0.0))
+    return IndexResult(
+        formula_index=n_l - n_d,
+        brute_index=brute,
+        shifted_index=n_l,
+        d_matrix=d_matrix,
+    )
 
 
 # The dense factors of the second variation in modes that the transform

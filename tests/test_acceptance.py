@@ -33,7 +33,6 @@ from fchpulse import (
     ScalarField,
     alpha_scaling,
     coercivity_constant,
-    constrained_negative_index,
     el_bounds,
     integrate_reduced,
     mass,
@@ -47,7 +46,11 @@ from fchpulse import (
 from fchpulse.core import cosine_synth
 from fchpulse.dynamics import SimulationState, StepControls, fresh_dt, step
 from fchpulse.wellmodel import _fd_residual, far_field_params
-from conftest import cluster_config, moderate_config
+from conftest import (
+    cluster_config,
+    constrained_negative_index,
+    moderate_config,
+)
 
 
 def _report(num, passed, detail):

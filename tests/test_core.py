@@ -22,6 +22,7 @@ from fchpulse.core import (
     integral,
     spectral_derivative,
 )
+from conftest import nodal_h4_norm
 
 
 def make_grid(length=160.0, n=2048):
@@ -166,6 +167,15 @@ class TestNorms:
         for seed in range(6):
             f = random_smooth_field(g, seed)
             assert norm(f, "l2") <= norm(f, "h4") * (1 + 1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([64, 257, 1024]),
+           kmax=st.integers(1, 60))
+    def test_h4_parseval_matches_nodal_derivatives(self, seed, n, kmax):
+        # the Parseval sum against five nodal spectral derivatives
+        f = random_smooth_field(Grid(160.0, n, h_max=3.0), seed, kmax)
+        oracle = nodal_h4_norm(f)
+        assert abs(norm(f, "h4") - oracle) <= 1e-14 * oracle
 
     def test_grid_refinement_spectral(self, well, pulse):
         # successive refinement differences of norm(phi_h, H4) shrink fast

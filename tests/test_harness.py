@@ -110,14 +110,28 @@ class TestConfig:
         assert f"{key} must be positive" in str(err.value)
 
     @pytest.mark.parametrize("key, value", [
-        ("checkpoint_stride", -1), ("perturbation", -1e-4),
+        ("checkpoint_stride", -1), ("perturbation", -1e-4), ("seed", -1),
     ])
     def test_run_controls_must_not_be_negative(self, key, value):
-        # a negative stride wrote a checkpoint at every record and a
-        # negative perturbation ran unperturbed
+        # a negative stride wrote a checkpoint at every record, a negative
+        # perturbation ran unperturbed and a negative seed failed in the
+        # Latin-hypercube sampler with numpy's ValueError
         with pytest.raises(ValidationError) as err:
             ExperimentConfig(experiment="simulate", **{**SMALL, key: value})
         assert f"{key} must not be negative" in str(err.value)
+
+    @pytest.mark.parametrize("key", [
+        "seed", "n_pulses", "grid_points", "diagnostic_grid_points",
+        "sample_size", "output_every", "checkpoint_stride",
+    ])
+    @pytest.mark.parametrize("value", [2.5, 2.0, True, "2", np.int64(2)])
+    def test_integer_keys_must_be_integers(self, key, value):
+        # n_pulses = 2.5 was refused only later, as pulse positions outside
+        # (0, L); a numpy integer failed in config_hash's json.dumps
+        with pytest.raises(ValidationError) as err:
+            ExperimentConfig(experiment="simulate", **{**SMALL, key: value})
+        assert f"{key} must be an integer" in str(err.value)
+        ExperimentConfig(experiment="simulate", **{**SMALL, key: 2})
 
 
     @pytest.mark.parametrize("experiment", ["compare", "diagnose"])
@@ -434,7 +448,7 @@ class TestCli:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("key, value", [
-        ("checkpoint_stride", -1), ("perturbation", -1e-4),
+        ("checkpoint_stride", -1), ("perturbation", -1e-4), ("seed", -1),
     ])
     def test_exit_one_on_a_negative_run_control(self, tmp_path, capsys, key,
                                                 value):
@@ -447,6 +461,28 @@ class TestCli:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and key in err
+
+    @pytest.mark.parametrize("key, value, flags", [
+        ("seed", 0, ["--seed", "-1"]), ("n_pulses", 2.5, []),
+        ("seed", True, []), ("grid_points", 256.0, []),
+    ])
+    def test_exit_one_before_writing_on_a_bad_integer_key(self, tmp_path,
+                                                          capsys, key, value,
+                                                          flags):
+        # `ansatz --seed -1` wrote config.json, then died in the sampler with
+        # numpy's traceback
+        cfgfile = tmp_path / "c.json"
+        cfgfile.write_text(json.dumps({**SMALL, "experiment": "ansatz",
+                                       key: value}))
+        code = cli_main([
+            "ansatz", "--config", str(cfgfile), "--out", str(tmp_path / "x"),
+            *flags,
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("key, value", [
         ("checkpoint_stride", 1), ("restart_from", "ck"),

@@ -1,9 +1,13 @@
-"""Energy, variational derivatives, linearizations, and the gradient family."""
+"""Energy, variational derivatives, exact Taylor remainders, and the
+gradient family."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import fchpulse.operators as operators
 from fchpulse import (
     DomainError,
     GradientFamily,
@@ -18,8 +22,15 @@ from fchpulse import (
     zero_mass_projection,
 )
 from fchpulse.core import cosine_coeffs, cosine_synth
-from fchpulse.operators import linearization
-from conftest import dense_second_variation, moderate_config, to_weighted
+from fchpulse.operators import energy_remainder, scaled_nonlinearity_constant
+from conftest import (
+    dense_second_variation,
+    difference_energy_remainder,
+    difference_remainder,
+    linearization,
+    moderate_config,
+    to_weighted,
+)
 
 
 def smooth_field(grid, seed, kmax=50, offset=0.0):
@@ -276,7 +287,39 @@ class TestGradientFamily:
             fam.apply(f, "G1_inv")
 
 
+def suite_probes(grid, family, seed):
+    """The three probes w of the hypothesis suite's scaled-nonlinearity
+    check, each scaled to ||w||_{H_G1} = 0.5."""
+    rng = np.random.default_rng(seed)
+    probes = []
+    for _ in range(3):
+        coeffs = np.zeros(grid.num_points)
+        kmax = min(grid.num_points // 4, 120)
+        coeffs[1 : kmax + 1] = rng.standard_normal(kmax) / (
+            1.0 + np.arange(1, kmax + 1) ** 2
+        )
+        w = ScalarField(grid, cosine_synth(coeffs))
+        probes.append(w * (0.5 / family.h_norm(w)))
+    return probes
+
+
+def power_coefficients(fn, t_nodes):
+    """Coefficients c_0..c_{m-1} of the polynomial of degree < m that matches
+    fn(t) at the m nodes t_nodes; fn returns an array or a scalar."""
+    values = np.array([np.atleast_1d(fn(t)) for t in t_nodes])
+    return np.linalg.solve(np.vander(t_nodes, increasing=True), values)
+
+
+# Eight Chebyshev nodes on [-1, 1]: the interpolant of degree 7 recovers a
+# polynomial of degree <= 7 with a small Lebesgue constant.
+CHEBYSHEV_8 = np.cos(np.pi * (np.arange(8) + 0.5) / 8)
+
+
 class TestNonlinearRemainder:
+    @pytest.fixture(scope="class")
+    def phi(self, diag_manifold):
+        return diag_manifold.build(diag_manifold.equispaced()).phi
+
     def test_zero_perturbation(self, diag_manifold, well):
         prof = diag_manifold.build(diag_manifold.equispaced())
         zero = ScalarField(
@@ -296,6 +339,74 @@ class TestNonlinearRemainder:
             full = norm(nonlinear_remainder(prof.phi, v, well), "l2")
             half = norm(nonlinear_remainder(prof.phi, v * 0.5, well), "l2")
             assert 0.2 <= half / full <= 0.3
+
+    @settings(max_examples=4, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), s=st.sampled_from([0.5, 1.0]))
+    def test_constant_matches_difference_form_at_unit_scale(self, phi, well,
+                                                             seed, s):
+        # at rho = 1 the difference of flows cancels little, so the oracle
+        # holds there
+        family = GradientFamily(phi.grid, s)
+        probes = suite_probes(phi.grid, family, seed)
+        exact = scaled_nonlinearity_constant(phi, well, family, 1.0, probes)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(operators, "nonlinear_remainder", difference_remainder)
+            oracle = scaled_nonlinearity_constant(phi, well, family, 1.0,
+                                                  probes)
+        assert abs(exact - oracle) <= 1e-10 * oracle
+
+    @settings(max_examples=4, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_constants_ignore_rounding_noise_on_phi(self, phi, well, seed):
+        # the suite's rho = epsilon^(-2s), epsilon = 0.05 on the desk, and
+        # twice it; the difference form moved by up to 1.6e-2 relative under
+        # this noise
+        rng = np.random.default_rng(seed)
+        noisy = ScalarField(phi.grid, phi.values * (
+            1.0 + 1e-14 * rng.standard_normal(phi.grid.num_points)))
+        for s in (0.5, 1.0):
+            family = GradientFamily(phi.grid, s)
+            probes = suite_probes(phi.grid, family, seed)
+            for rho in (0.05 ** (-2.0 * s), 2.0 * 0.05 ** (-2.0 * s)):
+                clean = scaled_nonlinearity_constant(phi, well, family, rho,
+                                                     probes)
+                moved = scaled_nonlinearity_constant(noisy, well, family, rho,
+                                                     probes)
+                assert abs(moved - clean) <= 1e-10 * clean
+
+    @settings(max_examples=4, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_remainders_are_polynomials_in_the_scale(self, phi, well, seed):
+        # under v -> t v, N_S has degrees 2..5 in t and the J remainder
+        # degrees 3..6: the other coefficients of the degree-7 interpolant
+        # vanish to rounding, and the top ones are -Pi_0 (W'''')^2 v^5 / 12
+        # and int (W'''')^2 v^6 / 72
+        v = zero_mass_projection(smooth_field(phi.grid, seed))
+        v = v * (1.0 / np.max(np.abs(v.values)))
+        d4 = well.d4W(phi.values)
+        c = power_coefficients(
+            lambda t: nonlinear_remainder(phi, v * t, well).values,
+            CHEBYSHEV_8)
+        scale = np.max(np.abs(c))
+        assert np.max(np.abs(c[[0, 1, 6, 7]])) <= 1e-10 * scale
+        top = -zero_mass_projection(ScalarField(phi.grid,
+                                                d4**2 * v.values**5 / 12.0))
+        assert np.max(np.abs(c[5] - top.values)) <= 1e-10 * scale
+        c = power_coefficients(lambda t: energy_remainder(phi, v * t, well),
+                               CHEBYSHEV_8)[:, 0]
+        scale = np.max(np.abs(c))
+        assert np.max(np.abs(c[[0, 1, 2, 7]])) <= 1e-10 * scale
+        top = np.sum(phi.grid.quad_weights * d4**2 * v.values**6) / 72.0
+        assert abs(c[6] - top) <= 1e-10 * scale
+
+    def test_energy_remainder_matches_difference_form(self, phi, well):
+        # the trapping-radius probes of el_bounds, |v|_H4 = 0.1
+        for seed in range(4):
+            v = zero_mass_projection(smooth_field(phi.grid, seed, kmax=160))
+            v = v * (0.1 / norm(v, "h4"))
+            exact = energy_remainder(phi, v, well)
+            oracle = difference_energy_remainder(phi, v, well)
+            assert abs(exact - oracle) <= 1e-11 * abs(oracle)
 
 
 class TestDenseMachinery:

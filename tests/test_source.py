@@ -44,8 +44,8 @@ CATCH_ALL = {"Exception", "BaseException"}
 SEEDED_SOLVERS = {"eigsh": "v0", "lobpcg": "X"}
 # Dense eigensolvers and SVDs, and the functions (module.qualified name) that
 # may call them: a k x k Ritz problem, n x n Procrustes rotations and
-# subspace overlaps, a tridiagonal inertia count, criterion 6's index oracle,
-# the n x n reduced Jacobian, and the point spectrum solved once per pulse.
+# subspace overlaps, a tridiagonal inertia count, the n x n reduced Jacobian,
+# and the point spectrum solved once per pulse.
 DENSE_EIGENSOLVERS = {"eigh", "eigvalsh", "eigvalsh_tridiagonal", "svd",
                       "null_space"}
 DENSE_EIGENSOLVE_ALLOWED = {
@@ -53,7 +53,6 @@ DENSE_EIGENSOLVE_ALLOWED = {
     "spectral._procrustes_align",
     "spectral.eigenfield_continuity",
     "spectral.negative_count",
-    "spectral.constrained_negative_index",
     "dynamics.ReducedModel.jacobian_at_equispaced",
     "wellmodel.single_pulse_point_spectrum",
 }

@@ -17,7 +17,6 @@ from fchpulse import (
     ProfilePoint,
     ScalarField,
     coercivity_constant,
-    constrained_negative_index,
     el_bounds,
     spectral_gap_report,
     symmetrized_gap,
@@ -28,7 +27,6 @@ from fchpulse.core import (
     h_mode_multipliers,
     integral,
     mode_matrix,
-    norm,
     spectral_derivative,
 )
 from fchpulse.operators import (
@@ -55,6 +53,7 @@ from fchpulse.wellmodel import (
 )
 from conftest import (
     cluster_config,
+    constrained_negative_index,
     dense_coercivity_minima,
     dense_factors,
     dense_lowest,
@@ -66,6 +65,7 @@ from conftest import (
     every_shift,
     mode_field,
     moderate_config,
+    nodal_h4_norm,
     nodal_residuals,
     to_weighted,
     weighted_cosine_basis,
@@ -930,9 +930,9 @@ def nodal_eigenfield_continuity(manifold, config, center_report, step=0.05):
         overlap = min(overlap, float(np.min(sigma)))
         aligned.append(u_s @ u @ vt)
     hessians = [
-        norm(ScalarField(grid, (aligned[0][:, j] - 2.0 * u_c[:, j]
-                                + aligned[1][:, j])
-                         / step**2 / np.sqrt(grid.quad_weights)), "h4")
+        nodal_h4_norm(ScalarField(grid, (aligned[0][:, j] - 2.0 * u_c[:, j]
+                                         + aligned[1][:, j])
+                                  / step**2 / np.sqrt(grid.quad_weights)))
         for j in range(n)
     ]
     return min(1.0, overlap), float(np.max(hessians))
