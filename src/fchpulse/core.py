@@ -364,6 +364,18 @@ def h4_norm_from_coeffs(grid, coeffs):
     return float(np.sqrt(np.sum(weights * coeffs**2)))
 
 
+def smooth_probe_coeffs(grid, rng, divisor, cap, power):
+    """Cosine coefficients of a random smooth zero-mass probe: mode k of
+    1..min(N // divisor, cap) is a standard normal draw of rng over
+    1 + k**power, and every other mode is 0."""
+    coeffs = np.zeros(grid.num_points)
+    kmax = min(grid.num_points // divisor, cap)
+    coeffs[1 : kmax + 1] = rng.standard_normal(kmax) / (
+        1.0 + np.arange(1, kmax + 1) ** power
+    )
+    return coeffs
+
+
 def h_mode_multipliers(grid, max_order=4):
     """Diagonal Parseval weights sum_m kappa_k**(2m) of the Sobolev Gram."""
     kappa2 = grid.wavenumbers**2

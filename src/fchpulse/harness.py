@@ -17,6 +17,7 @@ import csv
 import hashlib
 import itertools
 import json
+import math
 import time
 from dataclasses import asdict, dataclass, field, fields
 from functools import lru_cache
@@ -38,6 +39,7 @@ from .core import (
     ValidationError,
     cosine_synth,
     h4_norm_from_coeffs,
+    smooth_probe_coeffs,
 )
 from .dynamics import (
     ReducedModel,
@@ -109,6 +111,20 @@ class ExperimentConfig:
             value = getattr(self, key)
             if type(value) is not int:
                 raise ValidationError(f"{key} must be an integer, got {value!r}")
+        # real values are finite numbers: no bool, string, null or Infinity
+        reals = [(key, getattr(self, key)) for key in (
+            "tau", "epsilon", "domain_d", "min_spacing", "mass_excess_fraction",
+            "t_final", "dt_max", "perturbation")]
+        reals += [("s_values entry", s) for s in self.s_values or ()]
+        reals += [("initial_positions entry", p)
+                  for p in self.initial_positions or ()]
+        for key, value in reals:
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValidationError(f"{key} must be a number, got {value!r}")
+            # an infinite s is refused below, as outside [0, 1]
+            if (isinstance(value, float) and not math.isfinite(value)
+                    and key != "s_values entry"):
+                raise ValidationError(f"{key} must be finite, got {value!r}")
         if not -1.0 < self.tau < 0.0:
             raise ValidationError("tau must lie in (-1, 0)")
         alpha_minus = 2.0 + 2.0 * self.tau
@@ -162,10 +178,12 @@ class ExperimentConfig:
         if "experiment" not in doc:
             raise ConfigError("config lacks key 'experiment'")
         doc = dict(doc)
-        if "s_values" in doc:
-            doc["s_values"] = tuple(doc["s_values"])
-        if doc.get("initial_positions") is not None:
-            doc["initial_positions"] = tuple(doc["initial_positions"])
+        for key in ("s_values", "initial_positions"):
+            if doc.get(key) is not None:
+                if not isinstance(doc[key], (list, tuple)):
+                    raise ValidationError(
+                        f"{key} must be a list, got {doc[key]!r}")
+                doc[key] = tuple(doc[key])
         return cls(**doc)
 
 
@@ -281,12 +299,8 @@ class Laboratory:
         return self.manifold.equispaced()
 
     def zero_mass_noise(self, amplitude):
-        rng = np.random.default_rng(self.config.seed)
-        coeffs = np.zeros(self.grid.num_points)
-        kmax = min(self.grid.num_points // 6, 100)
-        coeffs[1 : kmax + 1] = rng.standard_normal(kmax) / (
-            1.0 + np.arange(1, kmax + 1)
-        )
+        coeffs = smooth_probe_coeffs(
+            self.grid, np.random.default_rng(self.config.seed), 6, 100, 1)
         w = ScalarField(self.grid, cosine_synth(coeffs))
         scale = h4_norm_from_coeffs(self.grid, coeffs)
         return w * (amplitude / scale) if scale > 0 else w

@@ -78,8 +78,9 @@ def zero_mass_projection(f):
 def second_variation_coefficients(phi, well):
     """(W''(phi), Z) at the nodes, with Z = (phi'' - W'(phi)) W'''(phi): the
     second variation at phi is (d^2 - W''(phi))^2 - Z."""
-    rphi = spectral_derivative(phi, 2).values - well.dW(phi.values)
-    return well.d2W(phi.values), rphi * well.d3W(phi.values)
+    u = phi.values
+    rphi = energy_terms(cosine_coeffs(u), u, phi.grid, well)[0]
+    return well.d2W(u), rphi * well.d3W(u)
 
 
 def second_variation(phi, well):
@@ -218,15 +219,16 @@ def band_limited_h_norm(field, multipliers):
 def scaled_nonlinearity_constant(phi, well, family, rho, probes):
     """max over probes w of rho*||G1 N_S(G1 w / rho)||_{H_G1} / ||w||_{H_G1}^2.
 
-    Norms are band-limited (see band_limited_h_norm).
+    Norms are band-limited (see band_limited_h_norm); mode 0 of G1 is 0, so
+    they see no mean.
     """
     g1 = family.multipliers("G1")
     worst = 0.0
     for w in probes:
         v = family.apply(w, "G1") * (1.0 / rho)
         ns = nonlinear_remainder(phi, v, well)
-        lhs = rho * band_limited_h_norm(zero_mass_projection(ns), g1)
-        denom = band_limited_h_norm(zero_mass_projection(w), g1) ** 2
+        lhs = rho * band_limited_h_norm(ns, g1)
+        denom = band_limited_h_norm(w, g1) ** 2
         worst = max(worst, lhs / denom)
     return worst
 

@@ -12,6 +12,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.sparse import diags
 from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .core import (
@@ -27,6 +28,7 @@ from .core import (
     mode_matrix,
     mode_norms,
     parseval_weights,
+    smooth_probe_coeffs,
 )
 from .ansatz import h4_norm_from_stack, mass as field_mass
 from .operators import (
@@ -67,53 +69,63 @@ SYMMETRIZED_STABLE_PAIRS = 3
 GAMMA_SWEEP = (0.05, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
 # Profiles of a hypothesis-suite sample that get the spectral checks.
 SPECTRAL_SUBSET = 3
-# Pairs a shift-invert solve computes beyond the k wanted (see _near_zero).
+# Pairs a shift-invert solve computes beyond the k wanted (see _lanczos).
 LANCZOS_EXTRA_PAIRS = 2
 # Seed of the Gaussian start vector of every shift-invert Lanczos solve.
 LANCZOS_SEED = 0
-# Rows per block of the in-place tangent deflation (see _deflate).
-DEFLATE_ROWS = 128
 
 
 class ShiftError(DomainError):
     """The shifted operator L - mu is numerically singular."""
 
 
-def _near_zero(mat, k):
-    """Eigenvectors of the k + LANCZOS_EXTRA_PAIRS eigenvalues of the
-    symmetric mat nearest 0, and mat's LU factors, which overwrite mat.
+def _projected_inverse(lu, t=None):
+    """b -> y with A y - b in span(T) and T^T y = 0, for the symmetric A whose
+    LU factors are lu: y = A^{-1} b - A^{-1} T (T^T A^{-1} T)^{-1} T^T A^{-1}
+    b, the inverse of A on the complement of span(T). Without t, A^{-1} b."""
+    def solve(b):
+        return sla.lu_solve(lu, b, check_finite=False)
+    if t is None:
+        return solve
+    at = solve(t)
+    gram = t.T @ at
+
+    def project(b):
+        y = solve(b)
+        return y - at @ np.linalg.solve(gram, t.T @ y)
+    return project
+
+
+def _lanczos(lu, k, m=None, t=None):
+    """The k + LANCZOS_EXTRA_PAIRS eigenpairs nearest 0 of A x = theta M x,
+    M = diag(m) (the identity without m), over x with T^T x = 0, for the
+    symmetric A whose LU factors are lu: (values, vectors), the vectors
+    M-orthonormal.
 
     The spectral transformation of Ericsson and Ruhe (Math. Comp. 35, 1980):
-    Lanczos on mat^{-1}, run as ARPACK's mode 3 (Lehoucq, Sorensen and Yang,
-    1998), with one dense LU applying the inverse. Every caller wants the
-    lowest eigenvalues of a matrix with none far below 0; after the
-    inversion they are the largest and well separated, so a few restarts
-    converge them, and an LU with some triangular solves costs about half a
-    dense eigensolver's tridiagonal reduction. The extra pairs keep the edge
-    of the wanted set away from the edge of the converged one; callers
-    Ritz-refine all of them and keep k.
+    Lanczos on A^{-1} M in the M inner product, run as ARPACK's mode 3
+    (Lehoucq, Sorensen and Yang, 1998), with the LU applying the inverse
+    (`_projected_inverse` with the constraints). Every caller wants the lowest
+    eigenvalues of a problem with none far below 0; after the inversion they
+    are the largest and well separated, so a few restarts converge them. The
+    extra pairs keep the edge of the wanted set away from the edge of the
+    converged one; callers Ritz-refine all of them and keep k.
 
-    The start vector is Gaussian, drawn from LANCZOS_SEED. Without one ARPACK
-    draws its own and runs do not repeat bit for bit. A parity-symmetric one
-    (even modes only, say) has no component along the odd eigenvectors of a
-    symmetric configuration, so only rounding would bring them into the
-    Krylov space. mat is symmetric, so its transpose, a Fortran-ordered view
-    that LAPACK overwrites without a copy, is factored: callers pass a matrix
-    of their own.
+    The start vector is Gaussian, drawn from LANCZOS_SEED (ARPACK's own
+    draw does not repeat bit for bit, and a parity-symmetric one would miss
+    the odd eigenvectors of a symmetric configuration), and projected onto
+    the complement of span(T), where every Lanczos vector then stays.
     """
-    lu = sla.lu_factor(mat.T, overwrite_a=True, check_finite=False)
-    if not np.all(np.diag(lu[0])):
-        raise ShiftError("operator is singular at shift 0")
     size = lu[0].shape[0]
-    inverse = LinearOperator(
-        (size, size), dtype=float,
-        matvec=lambda b: sla.lu_solve(lu, b, check_finite=False),
-    )
+    inverse = LinearOperator((size, size), dtype=float,
+                             matvec=_projected_inverse(lu, t))
     start = np.random.default_rng(LANCZOS_SEED).standard_normal(size)
-    # mode 3 applies only OPinv; the first argument gives the shape
-    _, vecs = eigsh(inverse, k + LANCZOS_EXTRA_PAIRS, sigma=0.0,
-                    OPinv=inverse, v0=start)
-    return vecs, lu
+    if t is not None:
+        q, _ = np.linalg.qr(t)
+        start -= q @ (q.T @ start)
+    # mode 3 applies only OPinv and M; the first argument gives the shape
+    return eigsh(inverse, k + LANCZOS_EXTRA_PAIRS, sigma=0.0, OPinv=inverse,
+                 M=None if m is None else diags(m), v0=start)
 
 
 # ---------------------------------------------------------------------------
@@ -158,69 +170,50 @@ class SpectralContext:
         full[1:] = w
         return self._apply_b(full), self._multiply(self.zeroth, full)
 
-    def ritz(self, vecs, scale=None, shift=0.0):
-        """One Rayleigh-Ritz step for S (L + shift) S, S = diag(scale), on
-        the span of vecs.
+    def factor(self, shift=0.0):
+        """The LU factors of matrix + shift I, made in one new array. It is
+        symmetric, so its transpose, a Fortran-ordered view that LAPACK
+        overwrites without a copy, is factored."""
+        mat = self.matrix.copy()
+        mat[np.diag_indices_from(mat)] += shift
+        lu = sla.lu_factor(mat.T, overwrite_a=True, check_finite=False)
+        if not np.all(np.diag(lu[0])):
+            raise ShiftError(f"operator is singular at shift {shift:g}")
+        return lu
 
-        H = (B S V)^T (B S V) - (S V)^T Z (S V) is formed from the factors,
-        so its slow entries carry errors relative to |B S v|^2 instead of the
+    def ritz(self, w, shift=0.0):
+        """One Rayleigh-Ritz step for L + shift on the span of the columns w,
+        orthonormal in the metric of the problem they solve.
+
+        H = (B W)^T (B W) - W^T Z W + shift W^T W is formed from the factors,
+        so its slow entries carry errors relative to |B w|^2 instead of the
         eps*||L|| of an eigensolver (the graded-matrix argument of Demmel
         and Veselic, SIAM J. Matrix Anal. Appl. 13, 1992): the slow Ritz
-        values do not depend on the basis or the solver that produced vecs.
-        A shift adds shift (S V)^T (S V). Returns Ritz values and vectors.
+        values do not depend on the basis or the solver that produced w.
+        Returns Ritz values and vectors.
         """
-        w = vecs if scale is None else scale[:, None] * vecs
         bw, zw = self._factors(w)
         h = bw.T @ bw - w.T @ zw[1:] + shift * (w.T @ w)
         theta, y = np.linalg.eigh(0.5 * (h + h.T))
-        return theta, vecs @ y
+        return theta, w @ y
 
-    def residual(self, vecs, theta, scale=None):
-        """S L S V - V diag(theta), S = diag(scale), with L W the zero-mass
-        rows of B (B W) - M(Z) W: the factors that `ritz` reads, so a slow
-        pair's residual has no eps*||L|| floor."""
-        w = vecs if scale is None else scale[:, None] * vecs
+    def residual(self, w, theta, m=None, shift=0.0):
+        """(L + shift) W - diag(m) W diag(theta) (the identity without m),
+        with L W the zero-mass rows of B (B W) - M(Z) W: the factors that
+        `ritz` reads, so a slow pair's residual has no eps*||L|| floor."""
         bw, zw = self._factors(w)
-        resid = self._apply_b(bw)[1:] - zw[1:]
-        if scale is not None:
-            resid *= scale[:, None]
-        resid -= vecs * theta
+        resid = self._apply_b(bw)[1:] - zw[1:] + shift * w
+        resid -= (w if m is None else m[:, None] * w) * theta
         return resid
 
-    def refined(self, mat, k, scale=None, shift=0.0):
-        """The lowest k eigenpairs of S (L + shift) S in zero-mass modes: the
-        shift-invert eigenvectors of mat (_near_zero, which overwrites it
-        with its LU), Ritz-refined. mat is S (L + shift) S or a deflation of
-        it (coercivity_constant). At N = 1024 a gap report's solve took
-        42-44 ms against 95-108 ms for a dense one, agreeing within 5e-10.
-
-        A scaling that raises the norm (G1 = k**s of the symmetrized gap,
-        unshifted) gives S L S a norm up to N^2 ||L||, and one Ritz step
-        leaves its slow values basis-dependent at about 1e-8 at s = 1, so one
-        step of block inverse iteration, V - mat^{-1} R on the factored
-        residual R, precedes the final Ritz step there. The H2 whitening
-        lowers the norm; on its deflated matrices the step would let the
-        tangents back.
-        """
-        vecs, lu = _near_zero(mat, k)
-        theta, vecs = self.ritz(vecs, scale, shift)
-        if scale is not None and np.max(scale) > 1.0:
-            resid = self.residual(vecs, theta, scale)
-            vecs, _ = np.linalg.qr(vecs - sla.lu_solve(lu, resid))
-            theta, vecs = self.ritz(vecs, scale, shift)
-        return theta[:k], vecs[:, :k]
-
-    def scaled(self, scale):
-        """S L S, S = diag(scale), as one new array."""
-        out = np.multiply(scale[:, None], self.matrix)
-        out *= scale[None, :]
-        return out
-
-    def lowest(self, k, scale=None):
-        """The lowest k eigenpairs of S L S in zero-mass modes (`refined`)."""
-        if scale is None:
-            return self.refined(self.matrix.copy(), k)
-        return self.refined(self.scaled(scale), k, scale)
+    def lowest(self, lu, k, m=None, t=None, shift=0.0):
+        """The lowest k pairs (theta, w) of (L + shift) w = theta diag(m) w
+        over zero-mass w with T^T w = 0, w orthonormal in diag(m): every
+        eigenproblem of the checks. The shift-invert Lanczos vectors of lu,
+        the factors of L + shift (`factor`), are Ritz-refined."""
+        _, vecs = _lanczos(lu, k, m, t)
+        theta, w = self.ritz(vecs, shift)
+        return theta[:k], w[:, :k]
 
 
 def spectral_context(phi, well):
@@ -250,8 +243,9 @@ class ProfilePoint:
 
     The spectral-renormalization checks (gap, alignment, symmetrized gap) and
     the energy-landscape ones (coercivity, trapping radius) read the same
-    context, tangent basis, gap report, residual_h4 triple and energy. Each
-    is computed on first read and kept; `release` drops the N^2 context.
+    context, tangent basis, gap report, residual_h4 triple and energy, and
+    every unshifted solve reads one LU of the context's matrix (`lu`). Each
+    is computed on first read and kept; `release` drops the N^2 arrays.
     """
 
     manifold: object
@@ -260,6 +254,10 @@ class ProfilePoint:
     @cached_property
     def context(self):
         return spectral_context(self.profile.phi, self.manifold.well)
+
+    @cached_property
+    def lu(self):
+        return self.context.factor()
 
     @cached_property
     def basis(self):
@@ -281,8 +279,11 @@ class ProfilePoint:
     def energy(self):
         return self.manifold.energy_value(self.profile)
 
-    def release(self):
-        self.__dict__.pop("context", None)
+    def release(self, context=True):
+        """Drop the LU, and with context the context too."""
+        self.__dict__.pop("lu", None)
+        if context:
+            self.__dict__.pop("context", None)
 
 
 @dataclass
@@ -315,11 +316,12 @@ def spectral_gap_report(point):
     """Spectrum of -L on the zero-mass space with the slow/stable split.
 
     The lowest n + GAP_STABLE_PAIRS eigenpairs of the point's context are
-    solved. The slow set is every eigenvalue below half the single-pulse
-    edge floor k_s, the pulse's `edge_floor`; the report asserts the slow
-    dimension equals n, that the slow set is O(delta)-small, and that the
-    stable edge sits within the pinned band of k_s. Failures are recorded,
-    not raised. The eigenpairs are Ritz-refined (SpectralContext.ritz).
+    solved on the point's LU. The slow set is every eigenvalue below half the
+    single-pulse edge floor k_s, the pulse's `edge_floor`; the report asserts
+    the slow dimension equals n, that the slow set is O(delta)-small, and that
+    the stable edge sits within the pinned band of k_s. Failures are
+    recorded, not raised. The eigenpairs are Ritz-refined
+    (SpectralContext.ritz).
     """
     manifold = point.manifold
     n = manifold.n
@@ -327,7 +329,7 @@ def spectral_gap_report(point):
     k_s = manifold.pulse.edge_floor
     context = point.context
     k = n + GAP_STABLE_PAIRS
-    evals, vecs = context.lowest(k)
+    evals, vecs = context.lowest(point.lu, k)
 
     slow_dim = int(np.count_nonzero(evals < 0.5 * k_s))
     failures = []
@@ -388,30 +390,6 @@ class CoercivityReport:
         return self.mu_h2 >= self.bound - THRESHOLDS["coercivity_slack"]
 
 
-def _deflate(mat, cols):
-    """mat on the orthogonal complement of span(cols), in O(N^2 n),
-    overwriting mat.
-
-    With T an orthonormal basis of the columns and P = I - T T^T this is
-    P mat P + c T T^T. The Gershgorin bound c lies above the spectrum of mat,
-    so the lifted directions never come first and the lowest eigenvalue is
-    the minimum over the complement. The row sums and the rank-2n update run
-    in blocks of DEFLATE_ROWS rows, so no second N^2 array is made.
-    """
-    t, _ = np.linalg.qr(cols)
-    mt = mat @ t
-    rows = [slice(i, i + DEFLATE_ROWS)
-            for i in range(0, mat.shape[0], DEFLATE_ROWS)]
-    bound = max(float(np.max(np.sum(np.abs(mat[r]), axis=1))) for r in rows)
-    lift = t.T @ mt + bound * np.eye(t.shape[1])
-    # mat - t mt^T - mt t^T + t lift t^T = mat + [t, mt] [lift t^T - mt^T; -t^T]
-    left = np.hstack([t, mt])
-    right = np.vstack([lift @ t.T - mt.T, -t.T])
-    for r in rows:
-        mat[r] += left[r] @ right
-    return mat
-
-
 def _best_shift(lowest, mu_tilde, gamma_sweep):
     """The shift of gamma_sweep with the largest chained bound
     mu_tilde*mu_e/(mu_tilde + gamma); of equal bounds, the first in the
@@ -462,30 +440,27 @@ def coercivity_constant(point):
     mu_h2 > 0, which does not depend on the norm.
 
     In cosine modes zero mass drops mode 0 and the Sobolev Grams are the
-    diagonal h_mode_multipliers, so each problem is a standard one after
-    whitening, with the tangents deflated (_deflate). Each minimum is one
-    refined shift-invert solve (SpectralContext.refined) of a matrix formed
-    in one working array, which the deflation and the LU overwrite, so at
-    most one N^2 array is held beside the context. The unconstrained
-    minimum is the lowest Ritz value of the point's gap report.
+    diagonal h_mode_multipliers, the metrics of the solves
+    (SpectralContext.lowest), and the tangent plane is their constraint. mu_x
+    and mu_h2 read the point's LU; each shift of the sweep factors its own
+    copy of L + gamma after that LU is dropped, so at most one N^2 array is
+    held beside the context. The unconstrained minimum is the lowest Ritz
+    value of the point's gap report.
     """
     manifold = point.manifold
     grid = manifold.grid
     mu_tilde = 0.75 * manifold.pulse.edge_floor
     context = point.context
+    unconstrained = float(point.gap.eigenvalues[0])
     t_modes = np.stack([to_modes(t)[1:] for t in point.basis[0]], axis=1)
-
-    mu_x = float(context.refined(_deflate(context.matrix.copy(), t_modes),
-                                 1)[0][0])
-    s2 = 1.0 / np.sqrt(h_mode_multipliers(grid, 2)[1:])
-    mu_h2 = float(context.refined(
-        _deflate(context.scaled(s2), s2[:, None] * t_modes), 1, s2)[0][0])
+    h2 = h_mode_multipliers(grid, 2)[1:]
+    mu_x = float(context.lowest(point.lu, 1, t=t_modes)[0][0])
+    mu_h2 = float(context.lowest(point.lu, 1, h2, t_modes)[0][0])
+    point.release(context=False)
 
     def shifted(gamma):
-        mat = context.scaled(s2)
-        mat[np.diag_indices_from(mat)] += gamma * s2**2
-        theta, x = context.refined(mat, 1, s2, gamma)
-        return float(theta[0]), float(np.sum((s2 * x[:, 0]) ** 2))
+        theta, w = context.lowest(context.factor(gamma), 1, h2, shift=gamma)
+        return float(theta[0]), float(np.sum(w[:, 0] ** 2))
 
     mu_e, gamma_e, bound, solved = _best_shift(shifted, mu_tilde, GAMMA_SWEEP)
     return CoercivityReport(
@@ -497,7 +472,7 @@ def coercivity_constant(point):
         sigma_top=float((grid.wavenumbers[-1] ** 2 + manifold.well.alpha_minus)
                         ** 2 / h_mode_multipliers(grid, 4)[-1]),
         bound=bound,
-        unconstrained_x_min=float(point.gap.eigenvalues[0]),
+        unconstrained_x_min=unconstrained,
         passed=mu_h2 > 0.0,
         gammas_solved=solved,
     )
@@ -582,10 +557,10 @@ def symmetrized_gap(point, family):
 
     Asserts n slow eigenvalues of size O(delta_g), a stable remainder, and
     alignment of the slow eigenfields with the normalized G1^{-1} tangents
-    of the point's basis. G1 is diagonal in modes, so the operator is a
-    scaling of the point's context, refined through B*G1
-    (SpectralContext.lowest). At s = 0 this reproduces the plain spectral
-    gap report.
+    of the point's basis. G1 is diagonal in modes, so G1 L G1 y = theta y is
+    L w = theta G1^{-2} w with y = G1^{-1} w, solved on the point's LU with
+    the metric G1^{-2} (SpectralContext.lowest); the residuals are those of
+    G1 L G1. At s = 0 this reproduces the plain spectral gap report.
     """
     manifold = point.manifold
     params = manifold.params
@@ -595,8 +570,10 @@ def symmetrized_gap(point, family):
 
     context = point.context
     g1 = family.multipliers("G1")[1:]
+    metric = g1**-2.0
     k = n + SYMMETRIZED_STABLE_PAIRS
-    evals, vecs = context.lowest(k, scale=g1)
+    evals, w = context.lowest(point.lu, k, metric)
+    vecs = w / g1[:, None]
 
     failures = []
     cap = THRESHOLDS["symmetrized_cap_over_delta_g"] * delta_g
@@ -629,7 +606,9 @@ def symmetrized_gap(point, family):
     return SpectrumReport(
         eigenvalues=evals,
         vectors=vecs,
-        residuals=np.linalg.norm(context.residual(vecs, evals, g1), axis=0),
+        residuals=np.linalg.norm(
+            g1[:, None] * context.residual(g1[:, None] * vecs, evals, metric),
+            axis=0),
         fitted_c=float(max(np.max(np.abs(slow)), np.max(errors)) / delta_g),
         delta=delta_g,
         slow_dim=n,
@@ -705,11 +684,7 @@ def el_bounds(points):
     c2 = 0.0
     c1 = 1.0
     for _ in range(4):
-        coeffs = np.zeros(grid.num_points)
-        kmax = min(grid.num_points // 4, 160)
-        coeffs[1 : kmax + 1] = rng.standard_normal(kmax) / (
-            1.0 + np.arange(1, kmax + 1) ** 2
-        )
+        coeffs = smooth_probe_coeffs(grid, rng, 4, 160, 2)
         coeffs *= 0.1 / h4_norm_from_coeffs(grid, coeffs)
         rem = energy_remainder(phi, ScalarField(grid, cosine_synth(coeffs)),
                                manifold.well)
@@ -954,11 +929,7 @@ def run_hypothesis_suite(points, s_values=(0.5, 1.0), seed=0):
 
         probes = []
         for _ in range(3):
-            coeffs = np.zeros(manifold.grid.num_points)
-            kmax = min(manifold.grid.num_points // 4, 120)
-            coeffs[1 : kmax + 1] = rng.standard_normal(kmax) / (
-                1.0 + np.arange(1, kmax + 1) ** 2
-            )
+            coeffs = smooth_probe_coeffs(manifold.grid, rng, 4, 120, 2)
             w = ScalarField(manifold.grid, cosine_synth(coeffs))
             probes.append(w * (0.5 / fam.h_norm(w)))
         rho_nl = params.epsilon ** (-2.0 * s) if s > 0 else 1.0

@@ -39,7 +39,7 @@ from fchpulse.operators import (
     variational_derivative,
     zero_mass_projection,
 )
-from fchpulse.spectral import GAMMA_SWEEP, ShiftError, _deflate
+from fchpulse.spectral import GAMMA_SWEEP, ShiftError
 from fchpulse.wellmodel import _GL_NODES, _GL_WEIGHTS, _HomoclinicInverter
 
 TAU = -0.3
@@ -349,7 +349,8 @@ def constrained_negative_index(operator, constraints, mu):
 # The dense factors of the second variation in modes that the transform
 # products of `SpectralContext` replaced, and the dense eigensolves that
 # shift-invert Lanczos replaced in `SpectralContext.lowest` and in
-# `coercivity_constant`, kept as the oracles.
+# `coercivity_constant`, kept as the oracles. They share no solve with the
+# package: the tangents are removed through an explicit complement basis.
 
 
 def dense_factors(context):
@@ -364,22 +365,22 @@ def dense_factors(context):
 
 def dense_lowest(context, k, scale=None):
     """The lowest k eigenpairs of S L S by a dense eigensolver and one Ritz
-    step, with one step of block inverse iteration before a second Ritz step
-    when scaled: `SpectralContext.lowest` before the shift-invert solve. The
-    residual of the inverse-iteration step is formed from the dense factors."""
+    step on the columns S V, with one step of block inverse iteration before
+    a second Ritz step when scaled: the scaled solve that the generalized
+    shift-invert one replaced. The residual of the inverse-iteration step is
+    formed from the dense factors."""
     mat = context.matrix
-    if scale is not None:
-        mat = scale[:, None] * mat * scale[None, :]
-    _, vecs = sla.eigh(mat, subset_by_index=[0, k - 1])
-    theta, vecs = context.ritz(vecs, scale)
     if scale is None:
-        return theta, vecs
+        return context.ritz(sla.eigh(mat, subset_by_index=[0, k - 1])[1])
+    scale = scale[:, None]
+    mat = scale * mat * scale.T
+    _, vecs = sla.eigh(mat, subset_by_index=[0, k - 1])
+    theta, w = context.ritz(scale * vecs)
     b, z = dense_factors(context)
-    w = scale[:, None] * vecs
-    resid = scale[:, None] * (b.T @ (b @ w) - z @ w)
-    resid -= vecs * theta
-    vecs, _ = np.linalg.qr(vecs - np.linalg.solve(mat, resid))
-    return context.ritz(vecs, scale)
+    resid = scale * (b.T @ (b @ w) - z @ w) - w / scale * theta
+    vecs, _ = np.linalg.qr(w / scale - np.linalg.solve(mat, resid))
+    theta, w = context.ritz(scale * vecs)
+    return theta, w / scale
 
 
 def sobolev_whitening(grid, order):
@@ -392,15 +393,17 @@ def dense_min(mat):
 
 
 def dense_coercivity_minima(context, tangents):
-    """(mu_x, mu_H2, mu_H4): the lowest eigenvalues of the deflated zero-mass
-    second variation, unwhitened, H2-whitened and H4-whitened, by dense
-    eigensolves."""
+    """(mu_x, mu_H2, mu_H4): the lowest eigenvalues of the zero-mass second
+    variation on the complement of the tangents, unwhitened, H2-whitened and
+    H4-whitened, by dense eigensolves in an orthonormal basis of that
+    complement (`null_space`). Whitened, u = S^{-1} v is orthogonal to S t."""
     t_modes = np.stack([to_modes(t)[1:] for t in tangents], axis=1)
-    minima = [dense_min(_deflate(context.matrix.copy(), t_modes))]
-    for order in (2, 4):
-        s = sobolev_whitening(context.grid, order)
-        minima.append(dense_min(_deflate(s[:, None] * context.matrix
-                                         * s[None, :], s[:, None] * t_modes)))
+    minima = []
+    for order in (0, 2, 4):
+        s = sobolev_whitening(context.grid, order)[:, None]
+        basis = sla.null_space((s * t_modes).T)
+        minima.append(dense_min(basis.T @ (s * context.matrix * s.T)
+                                @ basis))
     return tuple(minima)
 
 

@@ -134,6 +134,22 @@ class TestConfig:
         ExperimentConfig(experiment="simulate", **{**SMALL, key: 2})
 
 
+    @pytest.mark.parametrize("key, value", [
+        ("tau", "x"), ("epsilon", "0.05"), ("mass_excess_fraction", None),
+        ("t_final", float("inf")), ("t_final", True), ("dt_max", True),
+        ("domain_d", float("inf")), ("min_spacing", float("nan")),
+        ("perturbation", [1e-4]), ("s_values", "0"), ("s_values", [0.5, None]),
+        ("initial_positions", [4.5, "12"]),
+        ("initial_positions", [4.5, float("inf")]),
+    ])
+    def test_real_keys_must_be_finite_reals(self, key, value):
+        # strings and null raised a bare TypeError, and t_final = Infinity,
+        # which Python's json parses, ran simulate until the pulses merged
+        with pytest.raises(ValidationError) as err:
+            ExperimentConfig.from_dict({**SMALL, "experiment": "simulate",
+                                        key: value})
+        assert key in str(err.value)
+
     @pytest.mark.parametrize("experiment", ["compare", "diagnose"])
     @pytest.mark.parametrize("key, value", [
         ("checkpoint_stride", 1), ("restart_from", "ck"),
@@ -464,13 +480,18 @@ class TestCli:
 
     @pytest.mark.parametrize("key, value, flags", [
         ("seed", 0, ["--seed", "-1"]), ("n_pulses", 2.5, []),
-        ("seed", True, []), ("grid_points", 256.0, []),
+        ("seed", True, []), ("grid_points", 256.0, []), ("tau", "x", []),
+        ("epsilon", "0.05", []), ("s_values", "0", []),
+        ("mass_excess_fraction", None, []), ("t_final", float("inf"), []),
+        ("dt_max", True, []), ("t_final", True, []),
+        ("domain_d", float("inf"), []),
     ])
     def test_exit_one_before_writing_on_a_bad_integer_key(self, tmp_path,
                                                           capsys, key, value,
                                                           flags):
         # `ansatz --seed -1` wrote config.json, then died in the sampler with
-        # numpy's traceback
+        # numpy's traceback; a string or null real key died with a bare
+        # TypeError, and the bool and infinite ones were accepted
         cfgfile = tmp_path / "c.json"
         cfgfile.write_text(json.dumps({**SMALL, "experiment": "ansatz",
                                        key: value}))

@@ -37,9 +37,11 @@ from fchpulse.operators import (
 from fchpulse.spectral import (
     GAMMA_SWEEP,
     ShiftError,
+    SpectralContext,
     THRESHOLDS,
     _best_shift,
-    _near_zero,
+    _lanczos,
+    _projected_inverse,
     dual_h4_norm,
     eigenfield_continuity,
     eta_star_formula,
@@ -151,7 +153,8 @@ class TestZeroMassEigh:
         # (d^2 - alpha)^2 on the zero-mass space: ((k pi/L)^2 + alpha)^2
         grid = Grid(160.0, 512, h_max=0.4)
         u = ScalarField(grid, np.full(grid.num_points, well.b_minus))
-        evals, _ = spectral_context(u, well).lowest(6)
+        context = spectral_context(u, well)
+        evals, _ = context.lowest(context.factor(), 6)
         expected = sorted(
             ((k * np.pi / grid.length) ** 2 + well.alpha_minus) ** 2
             for k in range(1, 7)
@@ -169,7 +172,7 @@ class TestZeroMassEigh:
         grid = Grid(160.0, 256, h_max=0.7)
         u = ScalarField(grid, np.full(grid.num_points, well.b_minus))
         context = spectral_context(u, well)
-        evals, _ = context.lowest(8)
+        evals, _ = context.lowest(context.factor(), 8)
         full = sla.eigh(context.matrix, eigvals_only=True)
         assert full.size == grid.num_points - 1
         mat = dense_second_variation(u, well)
@@ -183,7 +186,7 @@ class TestZeroMassEigh:
         grid = Grid(160.0, 512, h_max=0.4)
         u = ScalarField(grid, np.full(grid.num_points, well.b_minus))
         context = spectral_context(u, well)
-        _, vecs = context.lowest(4)
+        _, vecs = context.lowest(context.factor(), 4)
         for vec in vecs.T:
             f = mode_field(grid, vec)
             assert abs(integral(f)) / grid.length < 1e-10
@@ -265,7 +268,8 @@ class TestFactoredContext:
 
 class TestContextMemory:
     """On the testbed (N = 256) a context holds one (N-1)^2 array; its
-    build makes one more, and the coercivity solves at most two more."""
+    build makes one more, the coercivity solves at most two more, and a
+    point's whole sequence of solves at most one more at any time."""
 
     def test_context_holds_one_square_array(self, small_manifold):
         man = small_manifold
@@ -301,6 +305,33 @@ class TestContextMemory:
         finally:
             tracemalloc.stop()
         assert peak - start <= 2 * square
+
+    def test_point_sequence_holds_one_square_array(self, manifold_factory):
+        # gap report, coercivity and the symmetrized gap at two s on the
+        # suite's testbed: the shared LU is dropped before the shift sweep
+        # factors its copies and made again for the symmetrized gaps, so at
+        # most one (N-1)^2 array is held beside the context at any time
+        man = manifold_factory(length=32.0, n=2, ell=8.0, num_points=256)
+        point = ProfilePoint(man, man.build(man.equispaced()))
+        families = [GradientFamily(man.grid, s) for s in (0.5, 1.0)]
+        point.context, point.basis, man.pulse.edge_floor
+        for fam in families:
+            fam.multipliers("G1")
+        size = man.grid.num_points
+        square = (size - 1) ** 2 * 8
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            point.gap, point.coercivity
+            assert "lu" not in vars(point)
+            for fam in families:
+                symmetrized_gap(point, fam)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # besides that array, the Lanczos and Ritz work arrays: a few dozen
+        # columns of N
+        assert peak - start <= square + 128 * size * 8
 
 
 def shift_invert_point(manifold, point):
@@ -343,7 +374,7 @@ class TestShiftInvert:
     @pytest.mark.parametrize("point", POINTS)
     def test_lowest_matches_dense_oracle(self, points, point):
         context = points[point].context
-        theta, vecs = context.lowest(7)
+        theta, vecs = context.lowest(points[point].lu, 7)
         ref, _ = dense_lowest(context, 7)
         assert_allclose(theta, ref, rtol=1e-9, atol=0)
         assert vecs.shape == (context.matrix.shape[0], 7)
@@ -365,11 +396,14 @@ class TestShiftInvert:
                                                 points, point, s):
         context = points[point].context
         g1 = GradientFamily(diag_manifold.grid, s).multipliers("G1")[1:]
-        theta, _ = context.lowest(6, scale=g1)
+        theta, w = context.lowest(points[point].lu, 6, g1**-2.0)
         ref, _ = dense_lowest(context, 6, scale=g1)
         assert_allclose(theta, ref, rtol=1e-9, atol=0)
         scaled = g1[:, None] * context.matrix * g1[None, :]
         assert_inertia_certificate(scaled, theta)
+        # w is orthonormal in the metric G1^{-2}: w / g1 is orthonormal
+        y = w / g1[:, None]
+        assert_allclose(y.T @ y, np.eye(6), atol=1e-12)
 
     @pytest.mark.parametrize("point", POINTS)
     def test_coercivity_minima_match_dense_oracle(self, points, point):
@@ -382,18 +416,71 @@ class TestShiftInvert:
         assert again == rep
 
     def test_repeats_bit_for_bit(self, diag_manifold, points):
-        context = points["moderate"].context
+        point = points["moderate"]
         g1 = GradientFamily(diag_manifold.grid, 1.0).multipliers("G1")[1:]
-        for scale in (None, g1):
-            first = context.lowest(7, scale=scale)
-            second = context.lowest(7, scale=scale)
+        for metric in (None, g1**-2.0):
+            first = point.context.lowest(point.lu, 7, metric)
+            second = point.context.lowest(point.lu, 7, metric)
             assert all(np.array_equal(a, b) for a, b in zip(first, second))
 
     def test_singular_matrix_raises(self):
-        singular = np.diag([0.0, 1.0, 2.0, 3.0, 4.0])
+        singular = SpectralContext(grid=None, w2=None, zeroth=None,
+                                   matrix=np.diag([0.0, 1.0, 2.0, 3.0, 4.0]))
         with pytest.warns(sla.LinAlgWarning):
-            with pytest.raises(ShiftError, match="singular"):
-                _near_zero(singular, 1)
+            with pytest.raises(ShiftError, match="singular at shift 0"):
+                singular.factor()
+        with pytest.warns(sla.LinAlgWarning):
+            with pytest.raises(ShiftError, match="singular at shift -2"):
+                singular.factor(-2.0)
+        assert np.all(np.diag(singular.factor(0.5)[0]))
+
+
+class TestConstrainedSolve:
+    """The projected inverse and the metric Lanczos solve on random symmetric
+    positive definite A, diagonal metrics m and constraint blocks T."""
+
+    @staticmethod
+    def problem(size, n, seed):
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal((size, size))
+        a = g @ g.T / size + 0.1 * np.eye(size)
+        m = np.exp(rng.uniform(-2.0, 2.0, size))
+        return a, m, rng.standard_normal((size, n)), rng.standard_normal(size)
+
+    @settings(max_examples=40, deadline=None)
+    @given(size=st.integers(30, 60), n=st.integers(1, 4),
+           seed=st.integers(0, 2**32 - 1))
+    def test_projected_inverse(self, size, n, seed):
+        a, _, t, b = self.problem(size, n, seed)
+        y = _projected_inverse(sla.lu_factor(a), t)(b)
+        assert np.linalg.norm(t.T @ y) <= 1e-12 * np.linalg.norm(t) * (
+            np.linalg.norm(y))
+        # A y - b lies in span(T): its projection P onto the complement is 0
+        q, _ = np.linalg.qr(t)
+        r = a @ y - b
+        assert np.linalg.norm(r - q @ (q.T @ r)) <= 1e-12 * (
+            np.linalg.norm(a, 2) * np.linalg.norm(y) + np.linalg.norm(b))
+        assert np.array_equal(_projected_inverse(sla.lu_factor(a))(b),
+                              sla.lu_solve(sla.lu_factor(a), b))
+
+    @settings(max_examples=40, deadline=None)
+    @given(size=st.integers(30, 60), n=st.integers(0, 4),
+           k=st.integers(1, 4), metric=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_metric_solve_matches_dense(self, size, n, k, metric, seed):
+        a, m, t, _ = self.problem(size, n, seed)
+        m = m if metric else None
+        t = t if n else None
+        vals, vecs = _lanczos(sla.lu_factor(a), k, m, t)
+        gram = np.diag(np.ones(size) if m is None else m)
+        basis = np.eye(size) if t is None else sla.null_space(t.T)
+        ref = sla.eigh(basis.T @ a @ basis, basis.T @ gram @ basis,
+                       eigvals_only=True)
+        j = k + spectral.LANCZOS_EXTRA_PAIRS
+        assert_allclose(np.sort(vals), ref[:j], rtol=1e-9, atol=0)
+        assert_allclose(vecs.T @ gram @ vecs, np.eye(j), atol=1e-10)
+        if t is not None:
+            assert np.max(np.abs(t.T @ vecs)) <= 1e-10 * np.linalg.norm(t)
 
 
 class TestSpectralGap:
@@ -506,6 +593,25 @@ class TestCoercivity:
         delta = diag_manifold.params.tail_scale
         assert rep.unconstrained_x_min <= 1000 * delta
         assert rep.mu_x >= 100 * rep.unconstrained_x_min
+
+    @pytest.mark.parametrize("gamma", GAMMA_SWEEP)
+    def test_shifted_pairs(self, diag_manifold, gamma):
+        # each shift of the sweep solves (L + gamma) w = mu_e diag(h2) w on
+        # its own LU: the pair's residual is at rounding level, w has unit
+        # H2 norm, and mu_e is the dense generalized eigenvalue
+        point = ProfilePoint(diag_manifold,
+                             diag_manifold.build(moderate_config(diag_manifold)))
+        context = point.context
+        h2 = h_mode_multipliers(diag_manifold.grid, 2)[1:]
+        theta, w = context.lowest(context.factor(gamma), 1, h2, shift=gamma)
+        resid = context.residual(w, theta, h2, gamma)
+        assert np.linalg.norm(resid) <= 1e-10 * np.linalg.norm(
+            context.residual(w, np.zeros(1), shift=gamma))
+        assert np.sum(h2 * w[:, 0] ** 2) == pytest.approx(1.0, rel=1e-12)
+        shifted = context.matrix + gamma * np.eye(h2.size)
+        ref = sla.eigh(shifted, np.diag(h2), subset_by_index=[0, 0],
+                       eigvals_only=True)[0]
+        assert theta[0] == pytest.approx(ref, rel=1e-9)
 
     def test_h2_constant_resolution_stable(self, manifold_factory):
         # mu_h2 and the chained bound in H2 hold still under grid doubling
@@ -796,15 +902,18 @@ class TestSpectralContextReuse:
         # eigensolve is shift-invert (the gap reports of the subset and of
         # the two shifted profiles of the continuity check; mu_x, mu_h2 and
         # the solved gamma shifts of each coercivity report; the symmetrized
-        # gap of each s), and the semigroup check is one LDL^T
+        # gap of each s), and the semigroup check is one LDL^T. The dense LUs
+        # are one per gap report, one per solved shift and one that the
+        # symmetrized gaps share
         from fchpulse import spectral
 
         man = testbed
         points = [ProfilePoint(man, man.build(c))
                   for c in man.sample_configurations(2, seed=0)]
-        dense, lanczos, ldl = [], [], []
+        dense, lanczos, ldl, lus = [], [], [], []
         real_eigh, real_eigsh = spectral.sla.eigh, spectral.eigsh
         real_ldl = spectral.sla.lapack.dsytrf
+        real_lu = spectral.sla.lu_factor
 
         def counted_eigh(a, *args, **kwargs):
             dense.append(np.shape(a))
@@ -818,8 +927,13 @@ class TestSpectralContextReuse:
             ldl.append(np.shape(a))
             return real_ldl(a, *args, **kwargs)
 
+        def counted_lu(a, *args, **kwargs):
+            lus.append(np.shape(a))
+            return real_lu(a, *args, **kwargs)
+
         monkeypatch.setattr(spectral.sla, "eigh", counted_eigh)
         monkeypatch.setattr(spectral.sla.lapack, "dsytrf", counted_ldl)
+        monkeypatch.setattr(spectral.sla, "lu_factor", counted_lu)
         monkeypatch.setattr(spectral, "eigsh", counted_eigsh)
         s_values = (0.5, 1.0)
         spectral.run_hypothesis_suite(points, s_values=s_values)
@@ -831,6 +945,7 @@ class TestSpectralContextReuse:
         assert set(lanczos) == {0.0}
         size = man.grid.num_points - 1
         assert ldl == [(size, size)]
+        assert lus == [(size, size)] * ((len(subset) + 2) + shifts + 1)
 
     @pytest.mark.parametrize("count", [2, 3])
     def test_suite_and_el_bounds_share_each_point(self, testbed, monkeypatch,
@@ -1006,8 +1121,9 @@ class TestSymmetrizedGap:
         point = ProfilePoint(man, man.build(man.equispaced()))
         fam = GradientFamily(man.grid, 1.0)
         rep = symmetrized_gap(point, fam)
-        resid = point.context.residual(rep.vectors, rep.eigenvalues,
-                                       fam.multipliers("G1")[1:])
+        g1 = fam.multipliers("G1")[1:, None]
+        resid = g1 * point.context.residual(g1 * rep.vectors, rep.eigenvalues,
+                                            g1[:, 0]**-2.0)
         assert np.array_equal(rep.residuals, np.linalg.norm(resid, axis=0))
         assert np.all(rep.residuals > 0.0)
         assert np.max(rep.residuals) <= 1e-9
@@ -1112,7 +1228,7 @@ class TestProxies:
                                                                34.0])))
         n = man.n
         assert semigroup_decay_check(point)[0]
-        evals, vecs = point.context.lowest(n + 2)
+        evals, vecs = point.context.lowest(point.lu, n + 2)
         edge = point.gap.eigenvalues[n]
         v = vecs[:, n + 1]
         planted = point.context.matrix - (evals[n + 1] - 0.5 * edge) * np.outer(
