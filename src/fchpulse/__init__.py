@@ -52,10 +52,7 @@ from .ansatz import (
 )
 from .operators import (
     GradientFamily,
-    energy,
     nonlinear_remainder,
-    second_variation,
-    variational_derivative,
     zero_mass_projection,
 )
 from .spectral import (

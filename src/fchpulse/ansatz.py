@@ -28,13 +28,14 @@ grid is read from one table of lattice phases per manifold.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .core import (
     AdmissibilityError,
+    DomainError,
     MassSplitError,
     RefinementError,
     ScalarField,
@@ -165,6 +166,9 @@ class AnsatzProfile:
     boundary_correction: ScalarField
     mass_value: float
     bc_residuals: np.ndarray
+    # derivative rows that the manifold evaluates once per profile
+    _cache: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
 
 def mass(field, b_minus):
@@ -257,12 +261,33 @@ class PulseManifold:
         return ScalarField(self.grid, total)
 
     def _pulse_sum(self, x, config, max_order):
-        """Rows m = 0..max_order of sum_j pulse_bar^(m)(x - p_j)."""
-        x = np.asarray(x, dtype=float)
-        total = np.zeros((max_order + 1,) + x.shape)
-        for p in config.positions:
-            total += self.pulse.pulse_jet(x - p, max_order)
+        """Rows m = 0..max_order of sum_j pulse_bar^(m)(x - p_j): one
+        pulse_jet call on the (n, x.size) offsets, whose translates are added
+        in pulse order."""
+        jets = self.pulse.pulse_jet(x[None, :] - config.positions[:, None],
+                                    max_order)
+        total = np.zeros((max_order + 1, x.size))
+        for j in range(config.n):
+            total += jets[:, j]
         return total
+
+    def _u_n_stack(self, profile, max_order):
+        """Rows m = 0..max_order <= 8 of u_n on the grid.
+
+        The translates are evaluated to order 8 once per profile and the
+        rows kept on it: each order of a jet depends only on the lower ones,
+        so every lower order is a slice of the same bits, and residual_h4
+        and energy_value share one evaluation.
+        """
+        if max_order > 8:
+            raise DomainError("pulse derivatives available for orders 0..8")
+        rows = profile._cache.get("u_n")
+        if rows is None:
+            rows = self._pulse_sum(self.grid.nodes, profile.config, 8)
+            rows[0] += self.well.b_minus
+            rows.setflags(write=False)
+            profile._cache["u_n"] = rows
+        return rows[: max_order + 1]
 
     @cached_property
     def _bg_table(self):
@@ -403,15 +428,15 @@ class PulseManifold:
         """Exact derivative samples of Phi or its components, orders 0..max_order.
 
         component: 'phi', 'u_n', or 'correction' (Phi - u_n). Each pulse and
-        background translate is evaluated once for all orders.
+        background translate is evaluated once for all orders, and the pulse
+        translates once per profile (`_u_n_stack`).
         """
         z = self.grid.nodes
         config = profile.config
         if component != "correction":
-            pulse = self._pulse_sum(z, config, max_order)
-            pulse[0] += self.well.b_minus
+            pulse = self._u_n_stack(profile, max_order)
             if component == "u_n":
-                return pulse
+                return pulse.copy()
         bg = self._background_sum(config, max_order)
         e_rows = self._edge_sum(z, profile.internal, max_order)
         corr = profile.internal.lam * bg + e_rows
@@ -474,12 +499,14 @@ class PulseManifold:
         z, w = self.grid.nodes, self.grid.quad_weights
         nodes = np.arange(z.size)
         lam = profile.internal.lam
+        config = profile.config
+        pulses = self.pulse.pulse_jet(z[None, :] - config.positions[:, None], 5)
         # rows 0..4 of each g_i, then of B_{2,n}: shape (n + 1, 5, N)
         cols = np.stack([
-            *(-(self.pulse.pulse_jet(z - p, 5)
+            *(-(pulses[:, i]
                 + lam * self.bg2.lattice_jet(self._bg_table, nodes, p, 5))[1:]
-              for p in profile.config.positions),
-            self._background_sum(profile.config, 4),
+              for i, p in enumerate(config.positions)),
+            self._background_sum(config, 4),
         ])
         matrix, masses = self._edge_system
         ends = cols[:, [1, 3]][:, :, [0, -1]].transpose(2, 1, 0).reshape(4, -1)

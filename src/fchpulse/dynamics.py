@@ -135,8 +135,9 @@ def step(state, well, family, controls):
     comes from grad_hat by Parseval. The result carries u_hat_new itself and
     grad_hat, so the next step starts from them; its energy, grad_hat and
     dissipation are those of `flow_terms` at (u_hat_new, u_new) bit for bit.
-    They agree with the nodal `energy` and `variational_derivative` of u_new
-    and with `flow_terms` at cosine_coeffs(u_new) to rounding, since those
+    They agree with the nodal energy and grad J of u_new (the `energy` and
+    `variational_derivative` oracles of tests/conftest.py) and with
+    `flow_terms` at cosine_coeffs(u_new) to rounding, since those
     coefficients differ from u_hat_new by the rounding of one transform pair.
     """
     grid = state.u.grid

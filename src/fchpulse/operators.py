@@ -19,7 +19,6 @@ from .core import (
     mean_value,
     mode_norms,
     norm,
-    spectral_derivative,
 )
 
 
@@ -27,11 +26,6 @@ def to_modes(field):
     """Coordinates Q^T (sqrt(w) u) of a field in the weighted cosine basis Q
     of `mode_norms`; their dot product is the X inner product."""
     return mode_norms(field.grid) * cosine_coeffs(field.values)
-
-
-def from_modes(grid, vec):
-    """The field whose weighted cosine coordinates are vec."""
-    return ScalarField(grid, cosine_synth(vec / mode_norms(grid)))
 
 
 # ---------------------------------------------------------------------------
@@ -59,17 +53,6 @@ def gradient_coeffs(values, w1, grid, well):
             - cosine_coeffs(well.d2W(values) * w1))
 
 
-def energy(u, well):
-    """J(u) = int (1/2) (u'' - W'(u))^2 dz."""
-    return energy_terms(cosine_coeffs(u.values), u.values, u.grid, well)[1]
-
-
-def variational_derivative(u, well):
-    """grad J = (d^2 - W''(u)) (u'' - W'(u)), evaluated spectrally."""
-    w1 = energy_terms(cosine_coeffs(u.values), u.values, u.grid, well)[0]
-    return ScalarField(u.grid, gradient_values(u.values, w1, u.grid, well))
-
-
 def zero_mass_projection(f):
     """Pi_0 f = f - <f>: removes the domain average."""
     return ScalarField(f.grid, f.values - mean_value(f))
@@ -81,21 +64,6 @@ def second_variation_coefficients(phi, well):
     u = phi.values
     rphi = energy_terms(cosine_coeffs(u), u, phi.grid, well)[0]
     return well.d2W(u), rphi * well.d3W(u)
-
-
-def second_variation(phi, well):
-    """Second variation at phi: (d^2 - W''(phi))^2 - (phi'' - W'(phi)) W'''(phi),
-    as a function from fields to fields."""
-    grid = phi.grid
-    w2, zeroth = second_variation_coefficients(phi, well)
-
-    def apply(fld):
-        av = spectral_derivative(fld, 2).values - w2 * fld.values
-        av = ScalarField(grid, av)
-        aav = spectral_derivative(av, 2).values - w2 * av.values
-        return ScalarField(grid, aav - zeroth * fld.values)
-
-    return apply
 
 
 def _taylor_terms(phi, v, well):

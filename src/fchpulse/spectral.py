@@ -743,9 +743,12 @@ def semigroup_decay_check(point):
     any eigenvalue the gap solve missed). One LDL^T counts the eigenvalues
     below (1 - eta) edge, eta = THRESHOLDS["semigroup_edge_slack"] far above
     its backward error; passed is count == n. Returns (passed, count, edge).
+    The gap report's LU is dropped first, so the LDL^T's copy of the matrix
+    is the one (N-1)^2 array held beside the context.
     """
     n = point.manifold.n
     edge = float(point.gap.eigenvalues[n])
+    point.release(context=False)
     count = negative_count(point.context.matrix,
                            (1.0 - THRESHOLDS["semigroup_edge_slack"]) * edge)
     return count == n, count, edge

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import count
 from math import comb, factorial
 
 import numpy as np
@@ -114,6 +115,15 @@ def default_well(tau):
 # Derivative jets: stacks of derivatives of orders 0..K along axis 0.
 # ---------------------------------------------------------------------------
 
+def _leibniz_entry(f, g, m):
+    """Entry m of the Leibniz product jet of f and g: the terms
+    C(m, k) f_k g_(m-k) added to zero in the order k = 0..m."""
+    out = np.zeros(np.broadcast_shapes(np.shape(f[0]), np.shape(g[0])))
+    for k in range(m + 1):
+        out += comb(m, k) * f[k] * g[m - k]
+    return out
+
+
 def leibniz(f, g):
     """Jet of the product f*g by the Leibniz rule.
 
@@ -121,31 +131,56 @@ def leibniz(f, g):
     jet is as long as the shorter factor.
     """
     f, g = np.asarray(f, dtype=float), np.asarray(g, dtype=float)
-    size = min(len(f), len(g))
-    out = np.zeros((size,) + np.broadcast_shapes(f.shape[1:], g.shape[1:]))
-    for m in range(size):
-        for k in range(m + 1):
-            out[m] += comb(m, k) * f[k] * g[m - k]
-    return out
+    return np.array([_leibniz_entry(f, g, m)
+                     for m in range(min(len(f), len(g)))])
 
 
-def well_jet(well, j, f, base):
-    """Jet of W^(j)(base + f) from the jet f.
+def _horner_entries(well, j, base, y):
+    """Entries m = 0, 1, ... of the jet of W^(j)(base + y), about the scalar
+    base, one per `next`: entry m reads entries 0..m of y, so the later
+    entries of y may be filled in between calls.
 
     The quartic equals its Taylor series about base,
         W^(j)(base + y) = sum_i W^(j+i)(base) y^i / i!,  i = 0..4-j,
-    which is summed in Horner form with Leibniz products. Expanding about a
-    well keeps relative accuracy where f is tiny.
+    summed in Horner form: the top stage is the constant jet (c_top, 0, 0,
+    ...), each stage below it the Leibniz product of the one above with y
+    plus the next coefficient in entry 0, and each stage gains one entry per
+    call. Expanding about a well keeps relative accuracy where y is tiny.
     """
-    f = np.asarray(f, dtype=float)
     derivs = (well.W, well.dW, well.d2W, well.d3W, well.d4W)[j:]
     coeffs = [d(base) / factorial(i) for i, d in enumerate(derivs)]
-    out = np.zeros(np.broadcast_shapes(f.shape, np.shape(base)))
-    out[0] = coeffs[-1]
-    for c in reversed(coeffs[:-1]):
-        out = leibniz(out, f)
-        out[0] += c
-    return out
+    stages = [[] for _ in coeffs[1:]]  # entries of every stage but the last
+    zero = np.zeros(np.shape(y[0]))
+    for m in count():
+        entry = zero + coeffs[-1] if m == 0 else zero
+        for stage, c in zip(stages, coeffs[-2::-1]):
+            stage.append(entry)
+            entry = _leibniz_entry(stage, y, m)
+            if m == 0:
+                entry += c
+        yield entry
+
+
+def clenshaw(t, coef):
+    """The Chebyshev series coef (degree >= 1) at t, bit for bit numpy's
+    `chebval`: its Clenshaw recurrence c0, c1 <- coef[i] - c1, c0 + c1 * 2t,
+    run in two work arrays that every degree reuses."""
+    t = np.asarray(t, dtype=float)
+    t2 = 2 * t
+    c0, c1 = np.full(t.shape, coef[-2]), np.full(t.shape, coef[-1])
+    for c in coef[-3::-1]:
+        c0 += c1 * t2
+        np.subtract(c, c1, out=c1)
+        c0, c1 = c1, c0
+    return c0 + c1 * t
+
+
+def well_jet(well, j, f, base):
+    """Jet of W^(j)(base + f) from the jet f, about the scalar base
+    (`_horner_entries` run to the length of f)."""
+    f = np.asarray(f, dtype=float)
+    entries = _horner_entries(well, j, base, f)
+    return np.array([next(entries) for _ in f])
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +432,8 @@ class PulseProfile:
         out = np.empty_like(x)
         inside = x <= self.half_width
         if np.any(inside):
-            out[inside] = self._cheb(x[inside])
+            off, scl = self._cheb.mapparms()
+            out[inside] = clenshaw(off + scl * x[inside], self._cheb.coef)
         if np.any(~inside):
             out[~inside] = self.phi_max * np.exp(
                 -np.sqrt(self.well.alpha_minus) * x[~inside]
@@ -413,8 +449,10 @@ class PulseProfile:
 
         Orders from 2 grow the jet of phi_bar by phi_bar^(k) =
         [W'(b_minus + phi_bar)]^(k-2), expanded about b_minus so that the tail
-        keeps its relative accuracy. The translate is evaluated once for every
-        order: entry k of the jet depends only on the entries before it.
+        keeps its relative accuracy. The offsets x may have any shape (rows of
+        (n, size) offsets are n translates) and are evaluated once for every
+        order: each order adds one entry to each Horner stage of W', since
+        entry k of the jet depends only on the entries before it.
         """
         if max_order > 8:
             raise DomainError("pulse derivatives available for orders 0..8")
@@ -422,10 +460,12 @@ class PulseProfile:
         e = self.pulse_bar(x)
         well = self.well
         dphi = -np.sign(x) * np.sqrt(np.maximum(2.0 * well.W_bar(e), 0.0))
-        jet = [e, dphi]
+        jet = np.empty((max_order + 1,) + x.shape)
+        jet[:2] = [e, dphi][: max_order + 1]
+        entries = _horner_entries(well, 1, well.b_minus, jet)
         for k in range(2, max_order + 1):
-            jet.append(well_jet(well, 1, jet[: k - 1], well.b_minus)[k - 2])
-        return np.array(jet[: max_order + 1])
+            jet[k] = next(entries)
+        return jet
 
     @cached_property
     def pair_energy(self):

@@ -11,6 +11,7 @@ import subprocess
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
+from math import comb, factorial
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,8 @@ from scipy.optimize import brentq
 import fchpulse
 from fchpulse import Grid, PulseManifold, ScalarField, SystemParams
 from fchpulse.core import (
+    cosine_coeffs,
+    cosine_synth,
     h_mode_multipliers,
     inner_product_x,
     mode_matrix,
@@ -31,12 +34,10 @@ from fchpulse.core import (
 )
 from fchpulse.harness import well_solution
 from fchpulse.operators import (
-    energy,
-    from_modes,
-    second_variation,
+    energy_terms,
+    gradient_values,
     second_variation_coefficients,
     to_modes,
-    variational_derivative,
     zero_mass_projection,
 )
 from fchpulse.spectral import GAMMA_SWEEP, ShiftError
@@ -160,6 +161,33 @@ def bar_at_oracle(bg, x, order):
     return out
 
 
+def leibniz_oracle(f, g):
+    """The Leibniz product jet of f and g with every entry summed in place:
+    the loop that `wellmodel.leibniz` replaced."""
+    f, g = np.asarray(f, dtype=float), np.asarray(g, dtype=float)
+    size = min(len(f), len(g))
+    out = np.zeros((size,) + np.broadcast_shapes(f.shape[1:], g.shape[1:]))
+    for m in range(size):
+        for k in range(m + 1):
+            out[m] += comb(m, k) * f[k] * g[m - k]
+    return out
+
+
+def well_jet_oracle(well, j, f, base):
+    """Jet of W^(j)(base + f) by the nested Horner/Leibniz loop that the
+    incremental stages of `wellmodel.well_jet` replaced: every Horner stage
+    is the whole Leibniz product of the stage above with f."""
+    f = np.asarray(f, dtype=float)
+    derivs = (well.W, well.dW, well.d2W, well.d3W, well.d4W)[j:]
+    coeffs = [d(base) / factorial(i) for i, d in enumerate(derivs)]
+    out = np.zeros(np.broadcast_shapes(f.shape, np.shape(base)))
+    out[0] = coeffs[-1]
+    for c in reversed(coeffs[:-1]):
+        out = leibniz_oracle(out, f)
+        out[0] += c
+    return out
+
+
 def edge_term_oracle(man, internal, z, order):
     """d^order/dz^order of the boundary correction
     A e^{-rz} (a0 + b0 z) + A e^{r(z-L)} (a1 + b1 (z-L)), A = phi_max, from
@@ -188,6 +216,42 @@ def fd_tangents(manifold, config, rel_step):
         stack[0] = (plus.phi.values - minus.phi.values) / (2.0 * step)
         stacks.append(stack)
     return np.stack(stacks)
+
+
+# The nodal energy, gradient and second variation, and the inverse of
+# `operators.to_modes`: no package path calls them since the stepper and the
+# spectral context work in cosine modes, so they are kept here as oracles.
+
+
+def energy(u, well):
+    """J(u) = int (1/2) (u'' - W'(u))^2 dz."""
+    return energy_terms(cosine_coeffs(u.values), u.values, u.grid, well)[1]
+
+
+def variational_derivative(u, well):
+    """grad J = (d^2 - W''(u)) (u'' - W'(u)), evaluated spectrally."""
+    w1 = energy_terms(cosine_coeffs(u.values), u.values, u.grid, well)[0]
+    return ScalarField(u.grid, gradient_values(u.values, w1, u.grid, well))
+
+
+def second_variation(phi, well):
+    """Second variation at phi: (d^2 - W''(phi))^2 - (phi'' - W'(phi)) W'''(phi),
+    as a function from fields to fields."""
+    grid = phi.grid
+    w2, zeroth = second_variation_coefficients(phi, well)
+
+    def apply(fld):
+        av = spectral_derivative(fld, 2).values - w2 * fld.values
+        av = ScalarField(grid, av)
+        aav = spectral_derivative(av, 2).values - w2 * av.values
+        return ScalarField(grid, aav - zeroth * fld.values)
+
+    return apply
+
+
+def from_modes(grid, vec):
+    """The field whose weighted cosine coordinates are vec."""
+    return ScalarField(grid, cosine_synth(vec / mode_norms(grid)))
 
 
 # The nodal weighted-coordinate dense path that the cosine-mode

@@ -45,9 +45,8 @@ from fchpulse.dynamics import (
     fresh_dt,
 )
 from fchpulse.harness import read_checkpoint, write_checkpoint
-from fchpulse.operators import energy, variational_derivative
 
-from conftest import count_background_work
+from conftest import count_background_work, energy, variational_derivative
 
 
 @pytest.fixture(scope="module")

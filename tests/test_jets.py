@@ -17,11 +17,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from numpy.polynomial.chebyshev import chebval
+
 import fchpulse
-from fchpulse.wellmodel import DoubleWell, leibniz, well_jet
+from fchpulse import wellmodel
+from fchpulse.wellmodel import DoubleWell, clenshaw, leibniz, well_jet
 
 from conftest import (bar_at_oracle, bar_jet, count_background_work,
-                      edge_term_oracle, moderate_config)
+                      edge_term_oracle, moderate_config, well_jet_oracle)
 
 
 @lru_cache(maxsize=16)
@@ -269,6 +272,95 @@ class TestStacksMatchPerOrderEvaluation:
         man.derivative_stack(prof, max_order=8)
         assert sizes.count(man.grid.num_points) == man.n
         assert tables == []
+
+
+# (n, m) offsets: n translates of m points each, m may be 0
+offset_rows = st.integers(1, 4).flatmap(lambda n: st.integers(0, 12).flatmap(
+    lambda m: st.lists(st.lists(offsets, min_size=m, max_size=m),
+                       min_size=n, max_size=n)))
+unit_points = st.lists(st.floats(-1.0, 1.0), max_size=40)
+
+
+class TestBatchedKernel:
+    """One call of the batched, incremental kernel gives, row for row, the
+    bits of the calls it replaced."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(rows=offset_rows)
+    @example(rows=[[0.0, -0.0, 1.0], [-1.0, 0.0, 2.5]])
+    @example(rows=[[30.0, -60.0, 24.5], [100.0, -24.5, 250.0]])  # no core
+    @example(rows=[[], []])
+    def test_rows_equal_the_one_translate_calls(self, pulse, rows):
+        x = np.array(rows, dtype=float).reshape(len(rows), -1)
+        for k in range(9):
+            jets = pulse.pulse_jet(x, k)
+            assert jets.shape == (k + 1,) + x.shape
+            for i, row in enumerate(x):
+                assert same_bits(jets[:, i], pulse.pulse_jet(row, k))
+
+    @settings(max_examples=40, deadline=None)
+    @given(t=unit_points,
+           coef=st.lists(st.floats(-10.0, 10.0), min_size=2, max_size=30))
+    @example(t=[-1.0, 1.0], coef=[1.0, -2.0])
+    @example(t=[], coef=[0.5, 0.25, 0.125])
+    def test_clenshaw_equals_chebval(self, pulse, t, coef):
+        t = np.array(t, dtype=float)
+        for series in (np.array(coef), pulse._cheb.coef):
+            assert same_bits(clenshaw(t, series), chebval(t, series))
+
+    @settings(max_examples=20, deadline=None)
+    @given(frac=st.lists(st.floats(0.0, 1.0), max_size=40))
+    @example(frac=[0.0, 1.0])  # the ends of the core's domain
+    @example(frac=[])
+    def test_core_equals_the_chebyshev_interpolant(self, pulse, frac):
+        x = np.array(frac, dtype=float) * pulse.half_width
+        assert same_bits(pulse.pulse_bar(x), pulse._cheb(x))
+
+    @settings(max_examples=60, deadline=None)
+    @given(tau=st.floats(-0.95, -0.05), j=st.integers(0, 4),
+           f=st.integers(1, 9).flatmap(lambda size: st.lists(
+               st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3),
+               min_size=size, max_size=size)),
+           base=st.floats(-2.0, 2.0))
+    def test_well_jet_equals_the_nested_loop(self, tau, j, f, base):
+        """Full-length Horner stages grown one entry at a time give the bits
+        of regrowing every stage by its whole Leibniz product, for jets of
+        orders 0..8 at three points and at one."""
+        well = DoubleWell(tau)
+        f = np.array(f)
+        for jet in (f, f[:, 0]):
+            assert same_bits(well_jet(well, j, jet, base),
+                             well_jet_oracle(well, j, jet, base))
+
+    @pytest.mark.parametrize("order", [("residual_h4", "energy_value"),
+                                       ("energy_value", "residual_h4")])
+    def test_one_evaluation_per_stack(self, desk_manifold, monkeypatch, order):
+        """A `_pulse_sum` or `tangent_basis` call evaluates the pulse core
+        once, for all translates, and residual_h4 and energy_value share one
+        order-8 evaluation of the translates of their profile."""
+        man = desk_manifold
+        prof = man.build(moderate_config(man))
+        cores, orders = [], []
+        real_jet = type(man.pulse).pulse_jet
+
+        def counting_clenshaw(t, coef):
+            cores.append(np.size(t))
+            return clenshaw(t, coef)
+
+        def counting_jet(self, x, max_order):
+            orders.append(max_order)
+            return real_jet(self, x, max_order)
+
+        monkeypatch.setattr(wellmodel, "clenshaw", counting_clenshaw)
+        monkeypatch.setattr(type(man.pulse), "pulse_jet", counting_jet)
+        for name in order:
+            getattr(man, name)(prof)
+        assert orders == [8] and len(cores) == 1
+        for call in (lambda: man._pulse_sum(man.grid.nodes, prof.config, 4),
+                     lambda: man.tangent_basis(prof)):
+            cores.clear()
+            call()
+            assert len(cores) == 1
 
 
 # translates anywhere in (0, L) = (0, 160), and ones whose window of

@@ -13,12 +13,9 @@ from fchpulse import (
     GradientFamily,
     Grid,
     ScalarField,
-    energy,
     inner_product_x,
     nonlinear_remainder,
     norm,
-    second_variation,
-    variational_derivative,
     zero_mass_projection,
 )
 from fchpulse.core import cosine_coeffs, cosine_synth
@@ -27,9 +24,12 @@ from conftest import (
     dense_second_variation,
     difference_energy_remainder,
     difference_remainder,
+    energy,
     linearization,
     moderate_config,
+    second_variation,
     to_weighted,
+    variational_derivative,
 )
 
 

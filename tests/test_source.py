@@ -22,7 +22,11 @@ them small or run once: the diagnostic path solves N x N spectra by
 shift-invert Lanczos only. Only `harness` opens files (by `open` or a
 `Path` reader or writer) and imports `csv` or `hashlib`, and only it and
 `cli`, which prints the summary, import `json`: it writes and reads every
-file, so each format is known in one module. And every
+file, so each format is known in one module. No loop or comprehension
+over pulse `positions` calls a translate evaluator (`pulse_jet`,
+`pulse_bar`, `pulse_bar_deriv`, `lattice_jet`) unless the allow-list below
+names it with its reason: the n translates of a stack are one batched call
+on their (n, size) offsets. And every
 function, method and property of the package is referenced by name in the
 package or its tests: code that nothing reaches is deleted, not kept.
 """
@@ -66,6 +70,13 @@ OPEN_CALLS = {"open", "read_text", "write_text", "read_bytes", "write_bytes"}
 # The console-script entry point is called with no arguments; argv is for
 # callers that are not the installed script.
 ENTRY_POINTS = {"cli.main"}
+# Translate evaluators, and those that may be called once per translate with
+# the reason: the others take all n translates as one (n, size) batch.
+TRANSLATE_EVALUATORS = {"pulse_jet", "pulse_bar", "pulse_bar_deriv",
+                        "lattice_jet"}
+PER_TRANSLATE_ALLOWED = {
+    "lattice_jet": "each translate reads its own lattice phase floor(p/h)",
+}
 
 
 def unused_imports(source):
@@ -460,6 +471,64 @@ def test_detects_an_open_call():
 def test_only_harness_opens_files(path):
     if path.stem not in FILE_OPENERS:
         assert open_calls(path.read_text()) == []
+
+
+def per_translate_calls(source):
+    """(line, name) of every translate-evaluator call inside a for loop or a
+    comprehension whose iterable reads `positions`."""
+    calls = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.For):
+            iterables, body = [node.iter], node.body
+        elif isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp,
+                               ast.DictComp)):
+            iterables = [gen.iter for gen in node.generators]
+            body = [node.key, node.value] if isinstance(
+                node, ast.DictComp) else [node.elt]
+            body += [cond for gen in node.generators for cond in gen.ifs]
+        else:
+            continue
+        if not any(getattr(sub, "id", getattr(sub, "attr", None)) == "positions"
+                   for it in iterables for sub in ast.walk(it)):
+            continue
+        for part in body:
+            for sub in ast.walk(part):
+                if isinstance(sub, ast.Call):
+                    func = sub.func
+                    name = func.attr if isinstance(func, ast.Attribute) else (
+                        getattr(func, "id", None))
+                    if name in TRANSLATE_EVALUATORS:
+                        calls.add((sub.lineno, name))
+    return sorted(calls)
+
+
+def test_detects_a_per_translate_evaluation():
+    source = (
+        "def stacks(pulse, bg, cfg, x, positions, others):\n"
+        "    total = 0\n"
+        "    for p in cfg.positions:\n"
+        "        total += pulse.pulse_jet(x - p, 3)\n"
+        "    rows = [pulse.pulse_bar(x - p) for p in positions]\n"
+        "    for i, p in enumerate(cfg.positions):\n"
+        "        rows.append(bg.lattice_jet(None, x, p, 0))\n"
+        "    keep = {p: 1 for p in positions if pulse_bar_deriv(x, p)}\n"
+        "    batch = pulse.pulse_jet(x[None] - positions[:, None], 3)\n"
+        "    for p in others:\n"
+        "        total += pulse.pulse_bar(x - p)\n"
+        "    for row in pulse.pulse_bar(x[None] - positions[:, None]):\n"
+        "        total += row\n"
+        "    return total, rows, keep, batch\n"
+    )
+    assert per_translate_calls(source) == [
+        (4, "pulse_jet"), (5, "pulse_bar"), (7, "lattice_jet"),
+        (8, "pulse_bar_deriv"),
+    ]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_translates_evaluated_in_one_batch(path):
+    calls = per_translate_calls(path.read_text())
+    assert [c for c in calls if c[1] not in PER_TRANSLATE_ALLOWED] == []
 
 
 def uncalled_definitions(sources, referencing):

@@ -29,11 +29,7 @@ from fchpulse.core import (
     mode_matrix,
     spectral_derivative,
 )
-from fchpulse.operators import (
-    from_modes,
-    second_variation_coefficients,
-    to_modes,
-)
+from fchpulse.operators import second_variation_coefficients, to_modes
 from fchpulse.spectral import (
     GAMMA_SWEEP,
     ShiftError,
@@ -65,6 +61,7 @@ from conftest import (
     dense_second_variation,
     dense_spectral_multiplier,
     every_shift,
+    from_modes,
     mode_field,
     moderate_config,
     nodal_h4_norm,
@@ -332,6 +329,24 @@ class TestContextMemory:
         # besides that array, the Lanczos and Ritz work arrays: a few dozen
         # columns of N
         assert peak - start <= square + 128 * size * 8
+
+    def test_semigroup_decay_on_a_fresh_point(self, small_manifold):
+        # called directly, the check makes the context and the gap report's
+        # LU, then drops the LU before its LDL^T copies the matrix
+        man = small_manifold
+        point = ProfilePoint(man, man.build(man.configuration([4.5, 12.0])))
+        point.basis, man.pulse.edge_floor
+        size = man.grid.num_points
+        square = (size - 1) ** 2 * 8
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            semigroup_decay_check(point)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert "lu" not in vars(point)
+        assert peak - start <= 2 * square + 128 * size * 8
 
 
 def shift_invert_point(manifold, point):
