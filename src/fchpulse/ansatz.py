@@ -19,23 +19,25 @@ Smallness measurements in the H^4 norm are assembled from analytic component
 derivatives (chain rule through the pulse first integral, termwise series
 for the backgrounds, closed forms for E): spectral differentiation of sampled
 fields would amplify interpolation round-off by kappa_max^4 and bury the
-exponentially small quantities being measured. A derivative stack evaluates
-each pulse and background translate once and reads every order from that one
-evaluation. Grid nodes lie on a lattice, so every background translate on the
-grid is read from one table of lattice phases per manifold.
+exponentially small quantities being measured. Every pulse and background
+translate is read through one kernel, `PulseManifold._translates`, which
+evaluates each translate once for every order it is asked for; grid nodes
+lie on a lattice, so every background translate is read from one table of
+lattice phases per manifold. A profile is built, measured (residual and
+energy from one order-8 stack) and given its tangents with three
+evaluations of each translate, and keeps none of them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .core import (
     AdmissibilityError,
-    DomainError,
     MassSplitError,
     RefinementError,
     ScalarField,
@@ -166,9 +168,6 @@ class AnsatzProfile:
     boundary_correction: ScalarField
     mass_value: float
     bc_residuals: np.ndarray
-    # derivative rows that the manifold evaluates once per profile
-    _cache: dict = field(default_factory=dict, init=False, repr=False,
-                         compare=False)
 
 
 def mass(field, b_minus):
@@ -188,10 +187,9 @@ def h4_norm_from_stack(grid, stack):
 class PulseManifold:
     """Factory for manifold points sharing one well, one pulse, one grid."""
 
-    def __init__(self, well, pulse, bg1, bg2, params, grid):
+    def __init__(self, well, pulse, bg2, params, grid):
         self.well = well
         self.pulse = pulse
-        self.bg1 = bg1
         self.bg2 = bg2
         self.params = params
         self.grid = grid
@@ -209,8 +207,12 @@ class PulseManifold:
     # -- configuration helpers ------------------------------------------------
 
     def configuration(self, positions):
+        positions = np.asarray(positions, dtype=float)
+        if positions.size != self.n:
+            raise AdmissibilityError(
+                f"need {self.n} pulse positions, got {positions.size}")
         return PulseConfiguration(
-            np.asarray(positions, dtype=float),
+            positions,
             self.params.min_spacing,
             self.params.domain_length,
         )
@@ -248,62 +250,27 @@ class PulseManifold:
         )
         return self.mass_excess / denom
 
-    def n_pulse(self, config):
-        """Raw superposition b_minus + sum_j pulse_bar(z - p_j).
-
-        The n translates come from one pulse_bar call on the (n, N) offsets,
-        and are added row by row in pulse order."""
-        z = self.grid.nodes
-        total = np.full(z.shape, self.well.b_minus)
-        offsets = z[None, :] - config.positions[:, None]
-        for row in self.pulse.pulse_bar(offsets):
-            total += row
-        return ScalarField(self.grid, total)
-
-    def _pulse_sum(self, x, config, max_order):
-        """Rows m = 0..max_order of sum_j pulse_bar^(m)(x - p_j): one
-        pulse_jet call on the (n, x.size) offsets, whose translates are added
-        in pulse order."""
-        jets = self.pulse.pulse_jet(x[None, :] - config.positions[:, None],
-                                    max_order)
-        total = np.zeros((max_order + 1, x.size))
-        for j in range(config.n):
-            total += jets[:, j]
-        return total
-
-    def _u_n_stack(self, profile, max_order):
-        """Rows m = 0..max_order <= 8 of u_n on the grid.
-
-        The translates are evaluated to order 8 once per profile and the
-        rows kept on it: each order of a jet depends only on the lower ones,
-        so every lower order is a slice of the same bits, and residual_h4
-        and energy_value share one evaluation.
-        """
-        if max_order > 8:
-            raise DomainError("pulse derivatives available for orders 0..8")
-        rows = profile._cache.get("u_n")
-        if rows is None:
-            rows = self._pulse_sum(self.grid.nodes, profile.config, 8)
-            rows[0] += self.well.b_minus
-            rows.setflags(write=False)
-            profile._cache["u_n"] = rows
-        return rows[: max_order + 1]
-
     @cached_property
     def _bg_table(self):
         """Lattice phases of B_bar_2 on this grid, built on first use."""
         return self.bg2.lattice_table(self.grid.spacing)
 
-    def _background_sum(self, config, max_order=0, ends=False):
-        """Rows m = 0..max_order of B_{2,n}: b_inf + sum_j B_bar_2^(m)(z - p_j),
-        on every grid node, or on the two end nodes z = 0, L when `ends`."""
-        last = self.grid.num_points - 1
-        nodes = np.array([0, last]) if ends else np.arange(last + 1)
-        total = np.zeros((max_order + 1, nodes.size))
-        for p in config.positions:
-            total += self.bg2.lattice_jet(self._bg_table, nodes, p, max_order)
-        total[0] += self.bg2.b_inf
-        return total
+    def _translates(self, config, nodes, max_order):
+        """Rows m = 0..max_order of each phi_bar(z - p_j) and each
+        B_bar_2(z - p_j) at the grid nodes of index `nodes`: two arrays of
+        shape (n, max_order + 1, nodes.size), translate j in row j.
+
+        The pulse translates are one pulse_jet call on the (n, size) offsets;
+        each background translate reads its own lattice phase. Callers add
+        the translates in pulse order.
+        """
+        offsets = self.grid.nodes[nodes][None, :] - config.positions[:, None]
+        pulses = self.pulse.pulse_jet(offsets, max_order).swapaxes(0, 1)
+        bgs = np.stack([
+            self.bg2.lattice_jet(self._bg_table, nodes, p, max_order)
+            for p in config.positions
+        ])
+        return pulses, bgs
 
     # -- boundary correction and closure ----------------------------------------
 
@@ -327,52 +294,46 @@ class PulseManifold:
     @cached_property
     def _edge_system(self):
         """The closure's fixed part: the 4x4 matrix of the edge functions'
-        orders 1 and 3 at z = 0, L (rows as in `_end_terms`) and the four
-        edge-function masses."""
+        orders 1 and 3 at z = 0, L (rows Phi_z(0), Phi_zzz(0), Phi_z(L),
+        Phi_zzz(L)) and the four edge-function masses."""
         ends = np.array([0.0, self.params.domain_length])
         matrix = self._edge_jet(ends, 3)[[1, 3]].transpose(2, 0, 1).reshape(4, 4)
         masses = self._edge_jet(self.grid.nodes, 0)[0] @ self.grid.quad_weights
         return matrix, masses
 
-    def _end_terms(self, config):
-        """Columns u_n and B_{2,n} of (Phi_z(0), Phi_zzz(0), Phi_z(L),
-        Phi_zzz(L)), shape (4, 2)."""
-        ends = np.array([0.0, self.params.domain_length])
-        pulse = self._pulse_sum(ends, config, 3)[[1, 3]]
-        bg = self._background_sum(config, 3, ends=True)[[1, 3]]
-        return np.stack([pulse.T.ravel(), bg.T.ravel()], axis=1)
+    # -- assembly ---------------------------------------------------------------
 
-    def internal_parameters(self, config, fields=None):
-        """Edge coefficients and lambda from one direct solve of the closure.
+    def build(self, config):
+        """Assemble Phi, close it by one direct solve, verify the invariants.
 
         The no-flux conditions read T @ (1, lambda) + K @ c = 0 with T the
-        end terms of u_n and B_{2,n} and K the edge matrix, so the solve of K
-        against both columns of -T gives c = c_u + lambda * c_B, and lambda
-        follows from the scalar mass equation.
-
-        A caller that already has the grid fields and the end terms
-        (n_pulse(config), _background_sum(config)[0], _end_terms(config))
-        passes them as `fields` instead of having them evaluated again; the
-        result is the same.
+        end terms (Phi_z(0), Phi_zzz(0), Phi_z(L), Phi_zzz(L)) of u_n and
+        B_{2,n} and K the edge matrix, so the solve of K against both columns
+        of -T gives c = c_u + lambda * c_B, and lambda follows from the scalar
+        mass equation.
         """
-        if fields is None:
-            fields = (self.n_pulse(config), self._background_sum(config)[0],
-                      self._end_terms(config))
-        u_n, bar_bg, terms = fields
-        w = self.grid.quad_weights
-        mass_pulse = float(np.sum(w * (u_n.values - self.well.b_minus)))
-        mass_bg = float(np.sum(w * bar_bg))
+        z, w = self.grid.nodes, self.grid.quad_weights
+        last = self.grid.num_points - 1
+        pulses, bgs = self._translates(config, np.arange(last + 1), 0)
+        u_n = sum(pulses[:, 0], self.well.b_minus)
+        bg = sum(bgs[:, 0]) + self.bg2.b_inf
+        ends = self._translates(config, np.array([0, last]), 3)
+        terms = np.stack([sum(rows)[[1, 3]].T.ravel() for rows in ends], axis=1)
+
+        total_mass = self.params.total_mass
+        mass_pulse = float(np.sum(w * (u_n - self.well.b_minus)))
+        mass_bg = float(np.sum(w * bg))
         matrix, masses = self._edge_system
         c_u, c_bg = np.linalg.solve(matrix, -terms).T
-        lam = (self.params.total_mass - mass_pulse - masses @ c_u) / (
+        lam = (total_mass - mass_pulse - masses @ c_u) / (
             mass_bg + masses @ c_bg
         )
         coef = c_u + lam * c_bg
         residual = np.append(
             terms @ (1.0, lam) + matrix @ coef,
-            mass_pulse + lam * mass_bg + masses @ coef - self.params.total_mass,
+            mass_pulse + lam * mass_bg + masses @ coef - total_mass,
         )
-        return InternalParams(
+        internal = InternalParams(
             *map(float, coef),
             lam=float(lam),
             lam_seed=float(self.lambda_seed()),
@@ -380,18 +341,8 @@ class PulseManifold:
             rate=self.sqrt_am,
             length=self.params.domain_length,
         )
-
-    # -- assembly ---------------------------------------------------------------
-
-    def build(self, config):
-        """Assemble Phi and verify the closure invariants."""
-        z = self.grid.nodes
-        u_n = self.n_pulse(config)
-        bg = self._background_sum(config)[0]
-        terms = self._end_terms(config)
-        internal = self.internal_parameters(config, (u_n, bg, terms))
         e_vals = self._edge_sum(z, internal)[0]
-        phi = ScalarField(self.grid, u_n.values + internal.lam * bg + e_vals)
+        phi = ScalarField(self.grid, u_n + internal.lam * bg + e_vals)
 
         ends = np.array([0.0, self.params.domain_length])
         e_ends = self._edge_sum(ends, internal, 3)[[1, 3]].T.ravel()
@@ -403,11 +354,9 @@ class PulseManifold:
                 f"boundary residuals {np.max(np.abs(bc)):.2e} exceed {BC_TOL:g} "
                 f"(closure residual {internal.residual:.2e})"
             )
-        if abs(mass_value - self.params.total_mass) > MASS_RTOL * abs(
-            self.params.total_mass
-        ):
+        if abs(mass_value - total_mass) > MASS_RTOL * abs(total_mass):
             raise RefinementError(
-                f"mass error {abs(mass_value - self.params.total_mass):.2e} "
+                f"mass error {abs(mass_value - total_mass):.2e} "
                 "exceeds tolerance"
             )
 
@@ -415,7 +364,7 @@ class PulseManifold:
             config=config,
             internal=internal,
             phi=phi,
-            u_n=u_n,
+            u_n=ScalarField(self.grid, u_n),
             mass_correction=ScalarField(self.grid, internal.lam * bg),
             boundary_correction=ScalarField(self.grid, e_vals),
             mass_value=mass_value,
@@ -424,33 +373,27 @@ class PulseManifold:
 
     # -- analytic derivative stacks ----------------------------------------------
 
-    def derivative_stack(self, profile, max_order=4, component="phi"):
-        """Exact derivative samples of Phi or its components, orders 0..max_order.
+    def derivative_stack(self, profile, max_order=4):
+        """Exact derivative samples of Phi, orders 0..max_order <= 8, with
+        each pulse and background translate evaluated once for all orders."""
+        # keep only the sums: the (n, K, N) rows go before the edge jet
+        u_n, bg = (sum(rows) for rows in self._translates(
+            profile.config, np.arange(self.grid.num_points), max_order))
+        u_n[0] += self.well.b_minus
+        bg[0] += self.bg2.b_inf
+        e_rows = self._edge_sum(self.grid.nodes, profile.internal, max_order)
+        return u_n + (profile.internal.lam * bg + e_rows)
 
-        component: 'phi', 'u_n', or 'correction' (Phi - u_n). Each pulse and
-        background translate is evaluated once for all orders, and the pulse
-        translates once per profile (`_u_n_stack`).
-        """
-        z = self.grid.nodes
-        config = profile.config
-        if component != "correction":
-            pulse = self._u_n_stack(profile, max_order)
-            if component == "u_n":
-                return pulse.copy()
-        bg = self._background_sum(config, max_order)
-        e_rows = self._edge_sum(z, profile.internal, max_order)
-        corr = profile.internal.lam * bg + e_rows
-        return corr if component == "correction" else pulse + corr
-
-    def gradient_stack(self, profile, max_order=4):
-        """Exact derivative samples of grad J(Phi), orders 0..max_order.
+    def gradient_stack(self, phi):
+        """Exact derivative samples of grad J(Phi), orders 0..K-4, from the
+        derivative stack phi of Phi, orders 0..K.
 
         grad J = Phi'''' - 2 W''(Phi) Phi'' - W'''(Phi) Phi'^2 + W''(Phi) W'(Phi),
         assembled from the jets of Phi and of W^(j)(Phi).
         """
-        phi = self.derivative_stack(profile, max_order=4 + max_order)
-        # the jet of the k-th derivative of Phi is phi[k:], cut to max_order
-        d0, d1, d2, d4 = (phi[k : k + max_order + 1] for k in (0, 1, 2, 4))
+        size = len(phi) - 4
+        # the jet of the k-th derivative of Phi is phi[k:], cut to size rows
+        d0, d1, d2, d4 = (phi[k : k + size] for k in (0, 1, 2, 4))
         w1, w2, w3 = (well_jet(self.well, j, d0, 0.0) for j in (1, 2, 3))
         return (
             d4
@@ -460,9 +403,10 @@ class PulseManifold:
         )
 
     def residual_h4(self, profile):
-        """(R field, ||R||_H4, ||R||_L2) with R = -Pi_0 grad J(Phi), assembled
-        from analytic derivatives."""
-        g = self.gradient_stack(profile, max_order=4)
+        """(R field, ||R||_H4, ||R||_L2, J(Phi)) with R = -Pi_0 grad J(Phi),
+        all from one order-8 derivative stack of Phi."""
+        phi = self.derivative_stack(profile, max_order=8)
+        g = self.gradient_stack(phi)
         w = self.grid.quad_weights
         mean = float(np.sum(w * g[0])) / self.grid.length
         r0 = -(g[0] - mean)
@@ -470,18 +414,8 @@ class PulseManifold:
         r_field = ScalarField(self.grid, r0)
         h4 = h4_norm_from_stack(self.grid, stack)
         l2 = float(np.sqrt(np.sum(w * r0**2)))
-        return r_field, h4, l2
-
-    def energy_value(self, profile):
-        """J(Phi) from analytic component derivatives."""
-        stack = self.derivative_stack(profile, max_order=2)
-        w1 = stack[2] - self.well.dW(stack[0])
-        return 0.5 * float(np.sum(self.grid.quad_weights * w1 * w1))
-
-    def correction_h4(self, profile):
-        """||Phi - u_n||_H4 from analytic component derivatives."""
-        stack = self.derivative_stack(profile, max_order=4, component="correction")
-        return h4_norm_from_stack(self.grid, stack)
+        w1 = phi[2] - self.well.dW(phi[0])
+        return r_field, h4, l2, 0.5 * float(np.sum(w * w1 * w1))
 
     # -- tangents -----------------------------------------------------------------
 
@@ -497,17 +431,14 @@ class PulseManifold:
         stacks, whose row 0 is the field.
         """
         z, w = self.grid.nodes, self.grid.quad_weights
-        nodes = np.arange(z.size)
         lam = profile.internal.lam
-        config = profile.config
-        pulses = self.pulse.pulse_jet(z[None, :] - config.positions[:, None], 5)
+        pulses, bgs = self._translates(profile.config, np.arange(z.size), 5)
+        bg = sum(b[:5] for b in bgs)
+        bg[0] += self.bg2.b_inf
         # rows 0..4 of each g_i, then of B_{2,n}: shape (n + 1, 5, N)
-        cols = np.stack([
-            *(-(pulses[:, i]
-                + lam * self.bg2.lattice_jet(self._bg_table, nodes, p, 5))[1:]
-              for i, p in enumerate(config.positions)),
-            self._background_sum(config, 4),
-        ])
+        cols = np.stack([*(-(p + lam * b)[1:] for p, b in zip(pulses, bgs)),
+                         bg])
+        del pulses, bgs  # cols holds their rows; free them before the edge jet
         matrix, masses = self._edge_system
         ends = cols[:, [1, 3]][:, :, [0, -1]].transpose(2, 1, 0).reshape(4, -1)
         coef = np.linalg.solve(matrix, -ends)

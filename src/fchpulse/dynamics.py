@@ -26,7 +26,7 @@ from scipy.integrate import solve_ivp
 from .core import (
     AdmissibilityError,
     ExtractionError,
-    FchError,
+    RefinementError,
     ScalarField,
     StiffnessError,
     cosine_coeffs,
@@ -261,7 +261,8 @@ def run(manifold, family, state, t_final, controls, output_every=50,
         try:
             ref = manifold.build(manifold.configuration(pos))
             w_norm = norm(st.u - ref.phi, "h4")
-        except FchError:
+        except (AdmissibilityError, RefinementError):
+            # the extracted positions have no manifold point
             pass
         traj.w_norms.append(w_norm)
         return pos
@@ -394,7 +395,7 @@ def pulse_velocity_projection(manifold, config):
     Solves Gram * pdot = <R, dPhi/dp_i> with the full tangent Gram matrix.
     """
     profile = manifold.build(config)
-    r_field, _, _ = manifold.residual_h4(profile)
+    r_field = manifold.residual_h4(profile)[0]
     tangents = manifold.tangent_basis(profile)[0]
     proj = np.array([inner_product_x(r_field, t) for t in tangents])
     gram = np.array(

@@ -156,6 +156,11 @@ class ExperimentConfig:
                         f"{key} is read by simulate only, not by "
                         f"{self.experiment}"
                     )
+        if (self.initial_positions is not None
+                and len(self.initial_positions) != self.n_pulses):
+            raise ValidationError(
+                f"initial_positions must have n_pulses = {self.n_pulses} "
+                f"entries, got {len(self.initial_positions)}")
         if not self.s_values:
             raise ValidationError("s_values must name at least one s")
         for s in self.s_values:
@@ -280,11 +285,11 @@ class Laboratory:
             alpha_minus=well.alpha_minus,
         )
         grid = Grid(params.domain_length, config.grid_points, h_max=0.4)
-        manifold = PulseManifold(well, pulse, bg1, bg2, params, grid)
+        manifold = PulseManifold(well, pulse, bg2, params, grid)
         diag_grid = Grid(
             params.domain_length, config.diagnostic_grid_points, h_max=0.4
         )
-        diag_manifold = PulseManifold(well, pulse, bg1, bg2, params, diag_grid)
+        diag_manifold = PulseManifold(well, pulse, bg2, params, diag_grid)
         return cls(
             config=config, well=well, pulse=pulse, bg1=bg1, bg2=bg2,
             params=params, grid=grid, manifold=manifold,
@@ -494,12 +499,12 @@ def experiment_ansatz(config, out_dir):
     rows = []
     for i, cfg in enumerate(sample):
         prof = man.build(cfg)
-        _, h4, l2 = man.residual_h4(prof)
+        _, h4, l2, energy = man.residual_h4(prof)
         rows.append(
             [i, *cfg.positions, prof.internal.lam, prof.internal.lam_seed,
              np.max(np.abs(prof.bc_residuals)),
              abs(prof.mass_value - lab.params.total_mass),
-             h4, l2, man.energy_value(prof)]
+             h4, l2, energy]
         )
     _write_csv(
         manifest, "ansatz_sample.csv",

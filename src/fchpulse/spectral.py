@@ -243,9 +243,10 @@ class ProfilePoint:
 
     The spectral-renormalization checks (gap, alignment, symmetrized gap) and
     the energy-landscape ones (coercivity, trapping radius) read the same
-    context, tangent basis, gap report, residual_h4 triple and energy, and
-    every unshifted solve reads one LU of the context's matrix (`lu`). Each
-    is computed on first read and kept; `release` drops the N^2 arrays.
+    context, tangent basis, gap report and residual_h4 record (the residual,
+    its norms and the energy), and every unshifted solve reads one LU of the
+    context's matrix (`lu`). Each is computed on first read and kept;
+    `release` drops the N^2 arrays.
     """
 
     manifold: object
@@ -275,9 +276,9 @@ class ProfilePoint:
     def residual(self):
         return self.manifold.residual_h4(self.profile)
 
-    @cached_property
+    @property
     def energy(self):
-        return self.manifold.energy_value(self.profile)
+        return self.residual[3]
 
     def release(self, context=True):
         """Drop the LU, and with context the context too."""

@@ -457,11 +457,12 @@ class PulseProfile:
         if max_order > 8:
             raise DomainError("pulse derivatives available for orders 0..8")
         x = np.asarray(x, dtype=float)
-        e = self.pulse_bar(x)
         well = self.well
-        dphi = -np.sign(x) * np.sqrt(np.maximum(2.0 * well.W_bar(e), 0.0))
         jet = np.empty((max_order + 1,) + x.shape)
-        jet[:2] = [e, dphi][: max_order + 1]
+        jet[0] = self.pulse_bar(x)
+        if max_order:
+            jet[1] = -np.sign(x) * np.sqrt(np.maximum(2.0 * well.W_bar(jet[0]),
+                                                      0.0))
         entries = _horner_entries(well, 1, well.b_minus, jet)
         for k in range(2, max_order + 1):
             jet[k] = next(entries)

@@ -41,7 +41,8 @@ from fchpulse.operators import (
     zero_mass_projection,
 )
 from fchpulse.spectral import GAMMA_SWEEP, ShiftError
-from fchpulse.wellmodel import _GL_NODES, _GL_WEIGHTS, _HomoclinicInverter
+from fchpulse.wellmodel import (_GL_NODES, _GL_WEIGHTS, _HomoclinicInverter,
+                                well_jet)
 
 TAU = -0.3
 
@@ -68,7 +69,7 @@ def edge_floor(pulse):
 
 @pytest.fixture(scope="session")
 def manifold_factory(well, pulse, backgrounds):
-    bg1, bg2 = backgrounds
+    bg2 = backgrounds[1]
 
     @lru_cache(maxsize=32)
     def make(length=160.0, n=3, ell=8.0, num_points=2048, excess=0.01,
@@ -82,7 +83,7 @@ def manifold_factory(well, pulse, backgrounds):
             alpha_minus=well.alpha_minus,
         )
         grid = Grid(length, num_points, h_max=0.4)
-        return PulseManifold(well, pulse, bg1, bg2, params, grid)
+        return PulseManifold(well, pulse, bg2, params, grid)
 
     return make
 
@@ -199,6 +200,42 @@ def edge_term_oracle(man, internal, z, order):
                        (r, z - length, internal.a1, internal.b1)):
         total += s ** (order - 1) * np.exp(s * y) * (s * (a + b * y) + order * b)
     return man.pulse.phi_max * total
+
+
+def pulse_bar_deriv_oracle(pulse, x, order):
+    """One order of phi_bar^(order), regrowing the jet for each order: the
+    per-order evaluator that `PulseProfile.pulse_jet` replaced."""
+    x = np.asarray(x, dtype=float)
+    e = pulse.pulse_bar(x)
+    if order == 0:
+        return e
+    well = pulse.well
+    dphi = -np.sign(x) * np.sqrt(np.maximum(2.0 * well.W_bar(e), 0.0))
+    jet = [e, dphi]
+    for k in range(2, order + 1):
+        jet.append(well_jet(well, 1, jet[: k - 1], well.b_minus)[k - 2])
+    return jet[order]
+
+
+def derivative_stack_oracle(man, profile, max_order, component):
+    """Derivative samples of Phi ('phi') or of Phi - u_n ('correction'),
+    orders 0..max_order, assembled order by order from freshly evaluated
+    translates, summed in translate order."""
+    z = man.grid.nodes
+    lam = profile.internal.lam
+    stack = np.empty((max_order + 1, z.size))
+    for m in range(max_order + 1):
+        bg = np.zeros_like(z)
+        pulse_part = np.zeros_like(z)
+        for p in profile.config.positions:
+            bg += bar_at_oracle(man.bg2, z - p, m)
+            pulse_part += pulse_bar_deriv_oracle(man.pulse, z - p, m)
+        if m == 0:
+            bg += man.bg2.b_inf
+            pulse_part += man.well.b_minus
+        corr = lam * bg + edge_term_oracle(man, profile.internal, z, m)
+        stack[m] = {"correction": corr, "phi": pulse_part + corr}[component]
+    return stack
 
 
 def fd_tangents(manifold, config, rel_step):

@@ -130,7 +130,7 @@ def test_criterion_04_residual_sweep_stability(manifold_factory):
         worst = 0.0
         for cfg in man.sample_configurations(32, seed=0):
             prof = man.build(cfg)
-            _, h4, _ = man.residual_h4(prof)
+            h4 = man.residual_h4(prof)[1]
             worst = max(worst, h4 / man.params.tail_scale)
         c0[ell] = worst
     ratio = c0[10.0] / c0[8.0]

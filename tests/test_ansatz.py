@@ -18,7 +18,10 @@ from fchpulse import (
     norm,
     run_experiment,
 )
-from conftest import edge_term_oracle, fd_tangents, moderate_config
+from fchpulse.ansatz import h4_norm_from_stack
+
+from conftest import (derivative_stack_oracle, edge_term_oracle, fd_tangents,
+                      moderate_config)
 
 
 class TestConfiguration:
@@ -32,6 +35,15 @@ class TestConfiguration:
         # boundary shadow gap: 2*p_1 >= ell
         with pytest.raises(AdmissibilityError):
             desk_manifold.configuration([3.0, 30.0, 80.0])
+
+    @pytest.mark.parametrize("positions", [[40.0, 120.0],
+                                           [30.0, 60.0, 90.0, 130.0]])
+    def test_position_count_must_be_n(self, desk_manifold, positions):
+        # two positions on the 3-pulse manifold built a 2-pulse profile
+        # whose multiplier carried a whole pulse mass (113 x its seed)
+        with pytest.raises(AdmissibilityError) as err:
+            desk_manifold.configuration(positions)
+        assert "need 3 pulse positions" in str(err.value)
 
     def test_min_gap_includes_shadows(self, desk_manifold):
         cfg = desk_manifold.configuration([4.5, 30.0, 80.0])
@@ -59,13 +71,13 @@ class TestSuperposition:
     def test_single_pulse_translate(self, desk_manifold, pulse, well):
         length = desk_manifold.params.domain_length
         man1 = PulseManifold(
-            well, pulse, desk_manifold.bg1, desk_manifold.bg2,
+            well, pulse, desk_manifold.bg2,
             SystemParams(0.05, 8.0, 1, pulse.mass_h * 1.01, 8.0,
                          well.alpha_minus),
             desk_manifold.grid,
         )
         cfg = man1.configuration([length / 2])
-        u = man1.n_pulse(cfg)
+        u = man1.build(cfg).u_n
         expected = well.b_minus + pulse.pulse_bar(
             desk_manifold.grid.nodes - length / 2
         )
@@ -73,7 +85,7 @@ class TestSuperposition:
 
     def test_additivity(self, desk_manifold, well):
         cfg_ab = desk_manifold.configuration([30.0, 60.0, 95.0])
-        u_ab = desk_manifold.n_pulse(cfg_ab)
+        u_ab = desk_manifold.build(cfg_ab).u_n
         total = np.full_like(u_ab.values, well.b_minus)
         for p in cfg_ab.positions:
             total += desk_manifold.pulse.pulse_bar(
@@ -83,7 +95,7 @@ class TestSuperposition:
 
     def test_tail_bound_away_from_pulses(self, desk_manifold, well, pulse):
         cfg = desk_manifold.configuration([30.0, 60.0, 95.0])
-        u = desk_manifold.n_pulse(cfg)
+        u = desk_manifold.build(cfg).u_n
         z = desk_manifold.grid.nodes
         ell = desk_manifold.params.min_spacing
         dist = np.min(
@@ -103,7 +115,7 @@ class TestInternalParameters:
     def test_mass_split_guard(self, desk_manifold, well, pulse):
         with pytest.raises(MassSplitError):
             PulseManifold(
-                well, pulse, desk_manifold.bg1, desk_manifold.bg2,
+                well, pulse, desk_manifold.bg2,
                 SystemParams(0.05, 8.0, 3, 3 * pulse.mass_h, 8.0,
                              well.alpha_minus),
                 desk_manifold.grid,
@@ -112,28 +124,10 @@ class TestInternalParameters:
     def test_symmetric_configuration_mirrors(self, desk_manifold):
         length = desk_manifold.params.domain_length
         cfg = desk_manifold.configuration([50.0, length / 2, length - 50.0])
-        internal = desk_manifold.internal_parameters(cfg)
+        internal = desk_manifold.build(cfg).internal
         left = internal.p0 + cfg.positions[0]
         right = internal.p_np1 + cfg.positions[-1] - 2 * length
         assert left == pytest.approx(-right, abs=1e-6)
-
-    def test_build_evaluates_the_end_terms_once(self, desk_manifold,
-                                                monkeypatch):
-        # build hands its end terms to internal_parameters, whose result is
-        # that of evaluating them afresh
-        man = desk_manifold
-        cfg = moderate_config(man)
-        calls = []
-        real = type(man)._end_terms
-
-        def counted(self, config):
-            calls.append(config)
-            return real(self, config)
-
-        monkeypatch.setattr(type(man), "_end_terms", counted)
-        prof = man.build(cfg)
-        assert calls == [cfg]
-        assert prof.internal == man.internal_parameters(cfg)
 
     def test_lambda_seed_agreement_documented_case(self, manifold_factory,
                                                    pulse):
@@ -141,7 +135,7 @@ class TestInternalParameters:
         # multiplier stays within O(delta) of the closed-form seed
         man = manifold_factory(length=120.0, n=2, ell=8.0, num_points=1536,
                                excess=0.5)
-        internal = man.internal_parameters(man.equispaced())
+        internal = man.build(man.equispaced()).internal
         delta = man.params.tail_scale
         assert internal.residual <= 1e-13 * man.params.total_mass
         rel = abs(internal.lam / internal.lam_seed - 1.0)
@@ -167,7 +161,8 @@ class TestInternalParameters:
         internal = prof.internal
         ends = np.array([0.0, man.params.domain_length])
         pulse = sum(man.pulse.pulse_jet(ends - p, 3) for p in positions)
-        bg = internal.lam * man._background_sum(cfg, 3, ends=True)
+        last = man.grid.num_points - 1
+        bg = internal.lam * sum(man._translates(cfg, np.array([0, last]), 3)[1])
         for order in (1, 3):
             edge = edge_term_oracle(man, internal, ends, order)
             terms = np.array([pulse[order], bg[order], edge])
@@ -182,8 +177,8 @@ class TestInternalParameters:
     def test_lambda_partial_derivative_small(self, desk_manifold):
         cfg = moderate_config(desk_manifold)
         h = 1e-4
-        lp = desk_manifold.internal_parameters(cfg.shifted(0, h)).lam
-        lm = desk_manifold.internal_parameters(cfg.shifted(0, -h)).lam
+        lp = desk_manifold.build(cfg.shifted(0, h)).internal.lam
+        lm = desk_manifold.build(cfg.shifted(0, -h)).internal.lam
         eps_delta = (
             desk_manifold.params.epsilon * desk_manifold.params.tail_scale
         )
@@ -191,7 +186,7 @@ class TestInternalParameters:
 
     def test_shadow_mirror_to_tail_accuracy(self, desk_manifold):
         cfg = moderate_config(desk_manifold)
-        internal = desk_manifold.internal_parameters(cfg)
+        internal = desk_manifold.build(cfg).internal
         # |p0 + p1| small (tail-correction sized, far below the gap scale)
         assert abs(internal.p0 + cfg.positions[0]) < 0.05
 
@@ -207,10 +202,10 @@ class TestBuild:
         grid = desk_manifold.grid
         const = ScalarField(grid, np.full(grid.num_points, well.b_minus))
         assert mass(const, well.b_minus) == pytest.approx(0.0, abs=1e-12)
-        f = desk_manifold.n_pulse(moderate_config(desk_manifold))
-        g = desk_manifold.n_pulse(
+        f = desk_manifold.build(moderate_config(desk_manifold)).u_n
+        g = desk_manifold.build(
             desk_manifold.configuration([40.0, 60.0, 90.0])
-        )
+        ).u_n
         lhs = mass(f + g - well.b_minus, well.b_minus)
         assert lhs == pytest.approx(
             mass(f, well.b_minus) + mass(g, well.b_minus), rel=1e-12
@@ -220,7 +215,7 @@ class TestBuild:
                                           well):
         man = manifold_factory(length=160.0, n=1, ell=8.0, num_points=2048)
         cfg = man.configuration([80.0])
-        u = man.n_pulse(cfg)
+        u = man.build(cfg).u_n
         err = abs(mass(u, well.b_minus) - pulse.mass_h)
         bound = np.exp(-np.sqrt(well.alpha_minus) * 80.0)
         assert err <= max(bound, 1e-12)
@@ -231,7 +226,9 @@ class TestBuild:
         worst = 0.0
         for cfg in desk_manifold.sample_configurations(5, seed=7):
             prof = desk_manifold.build(cfg)
-            worst = max(worst, desk_manifold.correction_h4(prof))
+            stack = derivative_stack_oracle(desk_manifold, prof, 4,
+                                            "correction")
+            worst = max(worst, h4_norm_from_stack(desk_manifold.grid, stack))
         assert worst <= 500 * delta
 
     def test_manifold_in_invariant_plane(self, desk_manifold):
@@ -243,7 +240,7 @@ class TestBuild:
         delta = desk_manifold.params.tail_scale
         for cfg in desk_manifold.sample_configurations(4, seed=2):
             prof = desk_manifold.build(cfg)
-            _, h4, _ = desk_manifold.residual_h4(prof)
+            h4 = desk_manifold.residual_h4(prof)[1]
             assert h4 <= 5000 * delta
 
     def test_export_roundtrip(self, desk_manifold, tmp_path):

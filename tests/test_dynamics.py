@@ -18,7 +18,9 @@ from fchpulse import (
     GradientFamily,
     Grid,
     GridMismatchError,
+    InvalidFieldError,
     ReducedModel,
+    RefinementError,
     RunManifest,
     ScalarField,
     StepControls,
@@ -310,7 +312,7 @@ class TestStepProperties:
 class TestExtraction:
     def test_recovers_known_positions(self, small_manifold):
         p_true = np.array([4.37, 11.81])
-        u = small_manifold.n_pulse(small_manifold.configuration(p_true))
+        u = small_manifold.build(small_manifold.configuration(p_true)).u_n
         found = extract_pulse_positions(
             u, 2, small_manifold.well, small_manifold.pulse
         )
@@ -327,7 +329,7 @@ class TestExtraction:
 
     def test_noise_robustness(self, small_manifold):
         p_true = np.array([4.5, 12.0])
-        u = small_manifold.n_pulse(small_manifold.configuration(p_true))
+        u = small_manifold.build(small_manifold.configuration(p_true)).u_n
         base = extract_pulse_positions(
             u, 2, small_manifold.well, small_manifold.pulse
         )
@@ -558,6 +560,34 @@ class TestRun:
         assert len(t) == len(p) == len(e)
         assert np.all(np.diff(e) <= 1e-10)
         assert traj.t_exit is None
+
+    def test_record_without_a_manifold_point_reads_nan(self, small_manifold,
+                                                       monkeypatch):
+        # extracted positions whose closure fails record a NaN distance to
+        # the manifold, and the run goes on
+        state, fam, controls = fresh_run(small_manifold)
+
+        def refuse(self, config):
+            raise RefinementError("boundary residuals exceed the tolerance")
+
+        monkeypatch.setattr(type(small_manifold), "build", refuse)
+        traj = run(small_manifold, fam, state, 0.05, controls,
+                   output_every=10)
+        w = traj.as_arrays()[4]
+        assert len(w) > 1 and np.all(np.isnan(w))
+        assert traj.t_exit is None
+
+    def test_record_passes_other_errors_on(self, small_manifold, monkeypatch):
+        # only a configuration without a manifold point reads NaN: any other
+        # error of the build is a fault, and the run raises it
+        state, fam, controls = fresh_run(small_manifold)
+
+        def broken(self, config):
+            raise InvalidFieldError("field has non-finite values")
+
+        monkeypatch.setattr(type(small_manifold), "build", broken)
+        with pytest.raises(InvalidFieldError):
+            run(small_manifold, fam, state, 0.05, controls, output_every=10)
 
     def test_no_step_exceeds_dt_max(self, small_manifold):
         # a state whose next dt exceeds dt_max (a checkpoint restarted at a

@@ -150,6 +150,14 @@ class TestConfig:
                                         key: value})
         assert key in str(err.value)
 
+    def test_initial_positions_must_number_n_pulses(self):
+        # 2 positions with n_pulses = 3 ran ansatz and reduce on 2 pulses
+        # and reported pass
+        with pytest.raises(ValidationError) as err:
+            ExperimentConfig(experiment="reduce",
+                             **{**SMALL, "initial_positions": (4.5,)})
+        assert "initial_positions must have n_pulses = 2" in str(err.value)
+
     @pytest.mark.parametrize("experiment", ["compare", "diagnose"])
     @pytest.mark.parametrize("key, value", [
         ("checkpoint_stride", 1), ("restart_from", "ck"),
@@ -484,7 +492,7 @@ class TestCli:
         ("epsilon", "0.05", []), ("s_values", "0", []),
         ("mass_excess_fraction", None, []), ("t_final", float("inf"), []),
         ("dt_max", True, []), ("t_final", True, []),
-        ("domain_d", float("inf"), []),
+        ("domain_d", float("inf"), []), ("initial_positions", [4.5], []),
     ])
     def test_exit_one_before_writing_on_a_bad_integer_key(self, tmp_path,
                                                           capsys, key, value,

@@ -24,7 +24,8 @@ from fchpulse import wellmodel
 from fchpulse.wellmodel import DoubleWell, clenshaw, leibniz, well_jet
 
 from conftest import (bar_at_oracle, bar_jet, count_background_work,
-                      edge_term_oracle, moderate_config, well_jet_oracle)
+                      derivative_stack_oracle, moderate_config,
+                      pulse_bar_deriv_oracle, well_jet_oracle)
 
 
 @lru_cache(maxsize=16)
@@ -99,7 +100,7 @@ class TestAgainstSymbolicOracles:
         prof = man.build(moderate_config(man))
         phi = man.derivative_stack(prof, max_order=8)
         ref = np.array([g(*phi, man.well.tau) for g in gradient_oracle(4)])
-        got = man.gradient_stack(prof, max_order=4)
+        got = man.gradient_stack(phi)
         assert got.shape == ref.shape
         assert np.max(np.abs(got - ref)) <= 1e-11
 
@@ -172,42 +173,6 @@ class TestJetProperties:
                       <= 1e-12 * scale)
 
 
-def pulse_bar_deriv_oracle(pulse, x, order):
-    """One order of phi_bar^(order), regrowing the jet for each order: the
-    per-order evaluator that `PulseProfile.pulse_jet` replaced."""
-    x = np.asarray(x, dtype=float)
-    e = pulse.pulse_bar(x)
-    if order == 0:
-        return e
-    well = pulse.well
-    dphi = -np.sign(x) * np.sqrt(np.maximum(2.0 * well.W_bar(e), 0.0))
-    jet = [e, dphi]
-    for k in range(2, order + 1):
-        jet.append(well_jet(well, 1, jet[: k - 1], well.b_minus)[k - 2])
-    return jet[order]
-
-
-def derivative_stack_oracle(man, profile, max_order, component):
-    """The per-order assembly of `PulseManifold.derivative_stack`: every
-    order sums freshly evaluated translates, in translate order."""
-    z = man.grid.nodes
-    lam = profile.internal.lam
-    stack = np.empty((max_order + 1, z.size))
-    for m in range(max_order + 1):
-        bg = np.zeros_like(z)
-        pulse_part = np.zeros_like(z)
-        for p in profile.config.positions:
-            bg += bar_at_oracle(man.bg2, z - p, m)
-            pulse_part += pulse_bar_deriv_oracle(man.pulse, z - p, m)
-        if m == 0:
-            bg += man.bg2.b_inf
-            pulse_part += man.well.b_minus
-        corr = lam * bg + edge_term_oracle(man, profile.internal, z, m)
-        stack[m] = {"correction": corr, "u_n": pulse_part,
-                    "phi": pulse_part + corr}[component]
-    return stack
-
-
 def same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
@@ -245,20 +210,15 @@ class TestStacksMatchPerOrderEvaluation:
     @given(seed=st.integers(0, 2**16))
     def test_derivative_stack_equals_per_order_assembly(self, desk_manifold,
                                                        seed):
-        """u_n keeps its bits; phi and the correction read the background from
-        the lattice table, so each row is within 1e-12 of its max |value|
-        (measured: at most 4e-14)."""
+        """Phi reads the background from the lattice table, so each row is
+        within 1e-12 of its max |value| (measured: at most 4e-14)."""
         man = desk_manifold
         config = man.sample_configurations(1, seed, include_equispaced=False)[0]
         prof = man.build(config)
-        for component in ("phi", "u_n", "correction"):
-            for k in (2, 4, 8):
-                got = man.derivative_stack(prof, max_order=k, component=component)
-                ref = derivative_stack_oracle(man, prof, k, component)
-                if component == "u_n":
-                    assert same_bits(got, ref)
-                else:
-                    assert_rows_close(got, ref, 1e-12)
+        for k in (2, 4, 8):
+            got = man.derivative_stack(prof, max_order=k)
+            assert_rows_close(got, derivative_stack_oracle(man, prof, k, "phi"),
+                              1e-12)
 
     def test_no_trig_table_once_the_lattice_exists(self, desk_manifold,
                                                    monkeypatch):
@@ -299,6 +259,16 @@ class TestBatchedKernel:
                 assert same_bits(jets[:, i], pulse.pulse_jet(row, k))
 
     @settings(max_examples=40, deadline=None)
+    @given(rows=offset_rows)
+    @example(rows=[[0.0, -0.0, 1.0], [-1.0, 0.0, 2.5]])
+    @example(rows=[[], []])
+    def test_order_zero_is_pulse_bar(self, pulse, rows):
+        x = np.array(rows, dtype=float).reshape(len(rows), -1)
+        jet = pulse.pulse_jet(x, 0)
+        assert jet.shape == (1,) + x.shape
+        assert same_bits(jet[0], pulse.pulse_bar(x))
+
+    @settings(max_examples=40, deadline=None)
     @given(t=unit_points,
            coef=st.lists(st.floats(-10.0, 10.0), min_size=2, max_size=30))
     @example(t=[-1.0, 1.0], coef=[1.0, -2.0])
@@ -332,12 +302,12 @@ class TestBatchedKernel:
             assert same_bits(well_jet(well, j, jet, base),
                              well_jet_oracle(well, j, jet, base))
 
-    @pytest.mark.parametrize("order", [("residual_h4", "energy_value"),
-                                       ("energy_value", "residual_h4")])
+    @pytest.mark.parametrize("order", [("residual_h4", "tangent_basis"),
+                                       ("tangent_basis", "residual_h4")])
     def test_one_evaluation_per_stack(self, desk_manifold, monkeypatch, order):
-        """A `_pulse_sum` or `tangent_basis` call evaluates the pulse core
-        once, for all translates, and residual_h4 and energy_value share one
-        order-8 evaluation of the translates of their profile."""
+        """residual_h4 (residual and energy) evaluates the pulse core once,
+        to order 8, and tangent_basis once, to order 5, for all translates,
+        whichever runs first: the profile keeps no rows between calls."""
         man = desk_manifold
         prof = man.build(moderate_config(man))
         cores, orders = [], []
@@ -353,14 +323,34 @@ class TestBatchedKernel:
 
         monkeypatch.setattr(wellmodel, "clenshaw", counting_clenshaw)
         monkeypatch.setattr(type(man.pulse), "pulse_jet", counting_jet)
+        top = {"residual_h4": 8, "tangent_basis": 5}
         for name in order:
-            getattr(man, name)(prof)
-        assert orders == [8] and len(cores) == 1
-        for call in (lambda: man._pulse_sum(man.grid.nodes, prof.config, 4),
-                     lambda: man.tangent_basis(prof)):
             cores.clear()
-            call()
-            assert len(cores) == 1
+            orders.clear()
+            getattr(man, name)(prof)
+            assert orders == [top[name]] and len(cores) == 1
+
+    def test_three_translate_evaluations_per_profile(self, desk_manifold,
+                                                     monkeypatch):
+        """A profile built, measured (residual_h4) and given its tangents
+        evaluates its pulse translates in 3 full-grid calls and each
+        background translate 3 times on the full grid."""
+        man = desk_manifold
+        size = man.n * man.grid.num_points
+        sizes, _ = count_background_work(monkeypatch, man)
+        pulse_sizes = []
+        real_bar = type(man.pulse).pulse_bar
+
+        def counting_bar(self, x):
+            pulse_sizes.append(np.size(x))
+            return real_bar(self, x)
+
+        monkeypatch.setattr(type(man.pulse), "pulse_bar", counting_bar)
+        prof = man.build(moderate_config(man))
+        man.residual_h4(prof)
+        man.tangent_basis(prof)
+        assert pulse_sizes.count(size) == 3
+        assert sizes.count(man.grid.num_points) == 3 * man.n
 
 
 # translates anywhere in (0, L) = (0, 160), and ones whose window of
@@ -389,14 +379,15 @@ class TestLatticeBackground:
     @given(fine=st.booleans(), seed=st.integers(0, 2**16))
     def test_background_sum_on_grid_and_ends(self, desk_manifold,
                                              diag_manifold, fine, seed):
+        """The background translates of `_translates`, on every node and on
+        the two end nodes that the closure reads."""
         man = desk_manifold if fine else diag_manifold
         config = man.sample_configurations(1, seed, include_equispaced=False)[0]
         z = man.grid.nodes
         ref = sum(bar_jet(man.bg2, z - p, 8) for p in config.positions)
-        ref[0] += man.bg2.b_inf
-        full = man._background_sum(config, 8)
+        full = sum(man._translates(config, np.arange(z.size), 8)[1])
         assert_rows_close(full, ref, 1e-12)
-        ends = man._background_sum(config, 8, ends=True)
+        ends = sum(man._translates(config, np.array([0, z.size - 1]), 8)[1])
         scale = np.max(np.abs(ref), axis=1)
         assert np.all(np.abs(ends - ref[:, [0, -1]]) <= 1e-12 * scale[:, None])
 
@@ -410,12 +401,11 @@ def test_runtime_does_not_import_sympy():
                               solve_background, solve_homoclinic)
         well = default_well(-0.3)
         pulse = solve_homoclinic(well)
-        bg1 = solve_background(well, pulse, 1)
         bg2 = solve_background(well, pulse, 2)
         params = SystemParams(epsilon=0.05, domain_d=16.0 * 0.05, n_pulses=2,
                               total_mass=2.01 * pulse.mass_h, min_spacing=5.0,
                               alpha_minus=well.alpha_minus)
-        man = PulseManifold(well, pulse, bg1, bg2, params,
+        man = PulseManifold(well, pulse, bg2, params,
                             Grid(16.0, 256, h_max=0.4))
         man.residual_h4(man.build(man.configuration([4.5, 12.0])))
         pulse.pulse_bar_deriv(np.linspace(-5.0, 5.0, 11), 8)

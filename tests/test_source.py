@@ -26,7 +26,9 @@ file, so each format is known in one module. No loop or comprehension
 over pulse `positions` calls a translate evaluator (`pulse_jet`,
 `pulse_bar`, `pulse_bar_deriv`, `lattice_jet`) unless the allow-list below
 names it with its reason: the n translates of a stack are one batched call
-on their (n, size) offsets. And every
+on their (n, size) offsets. In `ansatz`, only the manifold's kernel
+`PulseManifold._translates` calls a translate evaluator, so every consumer
+of Phi reads its translates in one place. And every
 function, method and property of the package is referenced by name in the
 package or its tests: code that nothing reaches is deleted, not kept.
 """
@@ -77,6 +79,8 @@ TRANSLATE_EVALUATORS = {"pulse_jet", "pulse_bar", "pulse_bar_deriv",
 PER_TRANSLATE_ALLOWED = {
     "lattice_jet": "each translate reads its own lattice phase floor(p/h)",
 }
+# The one function of the manifold module that evaluates translates.
+TRANSLATE_KERNEL = "PulseManifold._translates"
 
 
 def unused_imports(source):
@@ -529,6 +533,52 @@ def test_detects_a_per_translate_evaluation():
 def test_translates_evaluated_in_one_batch(path):
     calls = per_translate_calls(path.read_text())
     assert [c for c in calls if c[1] not in PER_TRANSLATE_ALLOWED] == []
+
+
+def evaluator_calls(source):
+    """(function, line) of every translate-evaluator call, function the
+    qualified name of the innermost class or def around it ('' at module
+    level)."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef,
+                                  ast.AsyncFunctionDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            elif isinstance(child, ast.Call):
+                func = child.func
+                name = func.attr if isinstance(func, ast.Attribute) else (
+                    getattr(func, "id", None))
+                if name in TRANSLATE_EVALUATORS:
+                    found.append((scope, child.lineno))
+            visit(child, inner)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_detects_an_evaluator_outside_the_kernel():
+    source = (
+        "class M:\n"
+        "    def _translates(self, x):\n"
+        "        return self.pulse.pulse_jet(x, 3)\n"
+        "    def build(self, x):\n"
+        "        return self.pulse.pulse_bar(x)\n"
+        "def helper(bg, x):\n"
+        "    return [bg.lattice_jet(None, x, p, 0) for p in x]\n"
+        "ROWS = pulse_bar_deriv(0.0, 1)\n"
+    )
+    assert evaluator_calls(source) == [
+        ("M._translates", 3), ("M.build", 5), ("helper", 7), ("", 8),
+    ]
+
+
+def test_manifold_evaluates_translates_only_in_its_kernel():
+    path = Path(fchpulse.__file__).parent / "ansatz.py"
+    callers = {scope for scope, _ in evaluator_calls(path.read_text())}
+    assert callers == {TRANSLATE_KERNEL}
 
 
 def uncalled_definitions(sources, referencing):

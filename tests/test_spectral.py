@@ -977,7 +977,7 @@ class TestSpectralContextReuse:
         phis = [p.profile.phi.values.tobytes() for p in points]
         outside = phis[len(subset):]
         calls = {name: [] for name in ("spectral_context", "tangent_basis",
-                                       "residual_h4", "energy_value")}
+                                       "residual_h4")}
         real_context = spectral.spectral_context
 
         def counted_context(phi, well):
@@ -993,7 +993,7 @@ class TestSpectralContextReuse:
             return method
 
         monkeypatch.setattr(spectral, "spectral_context", counted_context)
-        for name in ("tangent_basis", "residual_h4", "energy_value"):
+        for name in ("tangent_basis", "residual_h4"):
             monkeypatch.setattr(PulseManifold, name, counted(name))
         spectral.run_hypothesis_suite(points)
         assert not any("context" in vars(p) for p in subset)
@@ -1001,13 +1001,14 @@ class TestSpectralContextReuse:
 
         # a context and a basis per subset point and for the equispaced
         # point outside the subset, besides the contexts of the continuity
-        # check's two shifted profiles; a residual and an energy per profile
+        # check's two shifted profiles; one residual record, which holds the
+        # energy, per profile
         contexts = calls["spectral_context"]
         assert len(contexts) == len(set(contexts)) == len(phis) + 2
         assert contexts[:len(subset)] == phis[:len(subset)]
         assert contexts[len(subset) + 2:] == outside
         assert calls["tangent_basis"] == phis
-        assert calls["residual_h4"] == calls["energy_value"] == phis
+        assert calls["residual_h4"] == phis
         # fresh points give the suite-warmed values bit for bit
         fresh = [ProfilePoint(man, p.profile) for p in points]
         assert spectral.el_bounds(fresh) == el
@@ -1180,7 +1181,7 @@ class TestTrappingRadius:
 
     def test_dual_norm_below_l2(self, diag_manifold):
         prof = diag_manifold.build(moderate_config(diag_manifold))
-        r, _, l2 = diag_manifold.residual_h4(prof)
+        r, _, l2, _ = diag_manifold.residual_h4(prof)
         assert dual_h4_norm(r) <= l2
 
 
