@@ -315,15 +315,6 @@ def mode_derivative(coeffs, kappa, order):
     return sine_synth(sign * coeffs * kappa**order)
 
 
-def spectral_derivative(field, order):
-    """Differentiate in the cosine basis; odd orders come back as sine series."""
-    if order == 0:
-        return ScalarField(field.grid, field.values.copy())
-    a = cosine_coeffs(field.values)
-    return ScalarField(field.grid,
-                       mode_derivative(a, field.grid.wavenumbers, order))
-
-
 # ---------------------------------------------------------------------------
 # Norms and inner products.
 # ---------------------------------------------------------------------------

@@ -206,13 +206,15 @@ def extract_pulse_positions(u, n_expected, well, pulse):
 
 @dataclass
 class Trajectory:
-    """Output record of a PDE run."""
+    """Output record of a PDE run. w_norm_nan holds (t, message) of each
+    record whose w_norm is NaN: the error that refused its manifold point."""
 
     times: list = field(default_factory=list)
     positions: list = field(default_factory=list)
     energies: list = field(default_factory=list)
     masses: list = field(default_factory=list)
     w_norms: list = field(default_factory=list)
+    w_norm_nan: list = field(default_factory=list)
     t_exit: float | None = None
     exit_reason: str = ""
     final_state: SimulationState | None = None
@@ -261,9 +263,9 @@ def run(manifold, family, state, t_final, controls, output_every=50,
         try:
             ref = manifold.build(manifold.configuration(pos))
             w_norm = norm(st.u - ref.phi, "h4")
-        except (AdmissibilityError, RefinementError):
+        except (AdmissibilityError, RefinementError) as err:
             # the extracted positions have no manifold point
-            pass
+            traj.w_norm_nan.append((float(st.time), str(err)))
         traj.w_norms.append(w_norm)
         return pos
 

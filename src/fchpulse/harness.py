@@ -622,6 +622,7 @@ def experiment_simulate(config, out_dir):
         "energy_monotone": energy_monotone,
         "t_exit": traj.t_exit,
         "exit_reason": traj.exit_reason,
+        "w_norm_nan": traj.w_norm_nan,
     })
 
 
@@ -714,6 +715,7 @@ def experiment_compare(config, out_dir):
         "velocity_projection": list(map(float, v_proj)),
         "deviation_fit": fit,
         "t_exit": traj.t_exit,
+        "w_norm_nan": traj.w_norm_nan,
     })
 
 

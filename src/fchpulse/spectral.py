@@ -12,7 +12,6 @@ from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.sparse import diags
 from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .core import (
@@ -69,6 +68,8 @@ SYMMETRIZED_STABLE_PAIRS = 3
 GAMMA_SWEEP = (0.05, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
 # Profiles of a hypothesis-suite sample that get the spectral checks.
 SPECTRAL_SUBSET = 3
+# Relative R-diagonal below which _metric_basis drops a held vector.
+HELD_RANK_FLOOR = 1e-8
 # Pairs a shift-invert solve computes beyond the k wanted (see _lanczos).
 LANCZOS_EXTRA_PAIRS = 2
 # Seed of the Gaussian start vector of every shift-invert Lanczos solve.
@@ -105,11 +106,12 @@ def _lanczos(lu, k, m=None, t=None):
     The spectral transformation of Ericsson and Ruhe (Math. Comp. 35, 1980):
     Lanczos on A^{-1} M in the M inner product, run as ARPACK's mode 3
     (Lehoucq, Sorensen and Yang, 1998), with the LU applying the inverse
-    (`_projected_inverse` with the constraints). Every caller wants the lowest
-    eigenvalues of a problem with none far below 0; after the inversion they
-    are the largest and well separated, so a few restarts converge them. The
-    extra pairs keep the edge of the wanted set away from the edge of the
-    converged one; callers Ritz-refine all of them and keep k.
+    (`_projected_inverse` with the constraints) and M applied as the
+    elementwise product m * x. Every caller wants the lowest eigenvalues of a
+    problem with none far below 0; after the inversion they are the largest
+    and well separated, so a few restarts converge them. The extra pairs keep
+    the edge of the wanted set away from the edge of the converged one;
+    callers Ritz-refine all of them and keep k.
 
     The start vector is Gaussian, drawn from LANCZOS_SEED (ARPACK's own
     draw does not repeat bit for bit, and a parity-symmetric one would miss
@@ -119,13 +121,15 @@ def _lanczos(lu, k, m=None, t=None):
     size = lu[0].shape[0]
     inverse = LinearOperator((size, size), dtype=float,
                              matvec=_projected_inverse(lu, t))
+    metric = None if m is None else LinearOperator(
+        (size, size), dtype=float, matvec=lambda x: m * x.ravel())
     start = np.random.default_rng(LANCZOS_SEED).standard_normal(size)
     if t is not None:
         q, _ = np.linalg.qr(t)
         start -= q @ (q.T @ start)
     # mode 3 applies only OPinv and M; the first argument gives the shape
     return eigsh(inverse, k + LANCZOS_EXTRA_PAIRS, sigma=0.0, OPinv=inverse,
-                 M=None if m is None else diags(m), v0=start)
+                 M=metric, v0=start)
 
 
 # ---------------------------------------------------------------------------
@@ -308,10 +312,6 @@ class SpectrumReport:
     failures: list = field(default_factory=list)
     alignment_errors: np.ndarray | None = None
 
-    @property
-    def slow_eigenvalues(self):
-        return self.eigenvalues[: self.slow_dim]
-
 
 def spectral_gap_report(point):
     """Spectrum of -L on the zero-mass space with the slow/stable split.
@@ -391,37 +391,52 @@ class CoercivityReport:
         return self.mu_h2 >= self.bound - THRESHOLDS["coercivity_slack"]
 
 
-def _best_shift(lowest, mu_tilde, gamma_sweep):
+def _metric_basis(held, metric):
+    """Columns w spanning at most span(held), orthonormal in diag(metric):
+    QR in the coordinates sqrt(metric) x, dropping each column whose R
+    diagonal falls below HELD_RANK_FLOOR times the largest (a near-dependent
+    one, whose Q column would be mostly rounding)."""
+    scale = np.sqrt(metric)[:, None]
+    q, r = np.linalg.qr(scale * held)
+    pivots = np.abs(np.diag(r))
+    return q[:, pivots > HELD_RANK_FLOOR * np.max(pivots)] / scale
+
+
+def _best_shift(lowest, ritz, metric, held, mu_tilde, gamma_sweep):
     """The shift of gamma_sweep with the largest chained bound
     mu_tilde*mu_e/(mu_tilde + gamma); of equal bounds, the first in the
     sweep wins.
 
-    lowest(gamma) returns mu_e, the lowest eigenvalue of M + gamma D (M
-    symmetric, D diagonal), and d = x^T D x of its unit eigenvector x, whose
-    Rayleigh quotient mu_e + (g - gamma) d bounds the lowest eigenvalue at
-    any shift g from above. The shifts are tried from the middle of the
-    sweep outward, where the desk bound peaks. A shift whose bound from the
-    lowest such ceiling (plus 1e-8 (1 + |ceiling|) for rounding) falls below
-    the best bound so far cannot win and is not solved, so the result is that
-    of solving every shift. Returns (mu_e, gamma_e, bound, the shifts solved
-    in the order solved).
+    mu_e(gamma) is the lowest eigenvalue of (A + gamma D) w = theta
+    diag(metric) w (A symmetric, D diagonal). lowest(gamma) returns it and
+    the Ritz vectors of its solve, one column each; ritz(w, gamma) returns
+    the Ritz values of A + gamma D on diag(metric)-orthonormal columns w. By
+    Courant-Fischer the lowest Ritz value on any subspace bounds mu_e(gamma)
+    from above; the ceiling at gamma is that on the span of held and of the
+    Ritz vectors of every shift solved so far (`_metric_basis`). The shifts
+    are tried from the middle of the sweep outward, where the desk bound
+    peaks. A shift whose bound from its ceiling (plus 1e-8 (1 + |ceiling|)
+    for rounding) falls below the best bound so far cannot win and is not
+    solved, so the result is that of solving every shift. Returns (mu_e,
+    gamma_e, bound, the shifts solved in the order solved).
     """
     mid = (len(gamma_sweep) - 1) // 2
     order = sorted(range(len(gamma_sweep)), key=lambda i: (abs(i - mid), i))
-    lines, best_key, best = [], (-np.inf, 0), (np.nan, np.nan)
+    solved, best_key, best = [], (-np.inf, 0), (np.nan, np.nan)
     for i in order:
         ge = gamma_sweep[i]
-        if lines:
-            ceiling = min(v + (ge - g) * d for g, v, d in lines)
+        if solved:
+            ceiling = ritz(_metric_basis(held, metric), ge)[0][0]
             ceiling += 1e-8 * (1.0 + abs(ceiling))
             if mu_tilde * ceiling / (mu_tilde + ge) < best_key[0]:
                 continue
-        mu_e, d = lowest(ge)
-        lines.append((ge, mu_e, d))
+        mu_e, w = lowest(ge)
+        solved.append(ge)
+        held = np.hstack([held, w])
         key = (mu_tilde * mu_e / (mu_tilde + ge), -i)
         if key > best_key:
             best_key, best = key, (mu_e, ge)
-    return best[0], best[1], best_key[0], tuple(g for g, _, _ in lines)
+    return best[0], best[1], best_key[0], tuple(solved)
 
 
 def coercivity_constant(point):
@@ -443,10 +458,13 @@ def coercivity_constant(point):
     In cosine modes zero mass drops mode 0 and the Sobolev Grams are the
     diagonal h_mode_multipliers, the metrics of the solves
     (SpectralContext.lowest), and the tangent plane is their constraint. mu_x
-    and mu_h2 read the point's LU; each shift of the sweep factors its own
-    copy of L + gamma after that LU is dropped, so at most one N^2 array is
-    held beside the context. The unconstrained minimum is the lowest Ritz
-    value of the point's gap report.
+    and mu_h2 read the point's LU; each solved shift of the sweep factors its
+    own copy of L + gamma after that LU is dropped, so at most one N^2 array
+    is held beside the context. A shift is solved only if the Ritz value of
+    L + gamma on the gap report's vectors and the solved shifts' Ritz vectors
+    leaves it a chance to win (_best_shift); at desk, gamma = 1 alone is.
+    The unconstrained minimum is the lowest Ritz value of the point's gap
+    report.
     """
     manifold = point.manifold
     grid = manifold.grid
@@ -461,9 +479,10 @@ def coercivity_constant(point):
 
     def shifted(gamma):
         theta, w = context.lowest(context.factor(gamma), 1, h2, shift=gamma)
-        return float(theta[0]), float(np.sum(w[:, 0] ** 2))
+        return float(theta[0]), w
 
-    mu_e, gamma_e, bound, solved = _best_shift(shifted, mu_tilde, GAMMA_SWEEP)
+    mu_e, gamma_e, bound, solved = _best_shift(
+        shifted, context.ritz, h2, point.gap.vectors, mu_tilde, GAMMA_SWEEP)
     return CoercivityReport(
         mu_e=mu_e,
         gamma_e=gamma_e,

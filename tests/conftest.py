@@ -27,10 +27,10 @@ from fchpulse.core import (
     cosine_synth,
     h_mode_multipliers,
     inner_product_x,
+    mode_derivative,
     mode_matrix,
     mode_norms,
     norm,
-    spectral_derivative,
 )
 from fchpulse.harness import well_solution
 from fchpulse.operators import (
@@ -269,6 +269,20 @@ def variational_derivative(u, well):
     """grad J = (d^2 - W''(u)) (u'' - W'(u)), evaluated spectrally."""
     w1 = energy_terms(cosine_coeffs(u.values), u.values, u.grid, well)[0]
     return ScalarField(u.grid, gradient_values(u.values, w1, u.grid, well))
+
+
+def spectral_derivative(field, order):
+    """Differentiate in the cosine basis; odd orders come back as sine series."""
+    if order == 0:
+        return ScalarField(field.grid, field.values.copy())
+    a = cosine_coeffs(field.values)
+    return ScalarField(field.grid,
+                       mode_derivative(a, field.grid.wavenumbers, order))
+
+
+def slow_eigenvalues(report):
+    """The slow eigenvalues of a SpectrumReport: its first slow_dim."""
+    return report.eigenvalues[: report.slow_dim]
 
 
 def second_variation(phi, well):
@@ -523,14 +537,26 @@ def every_shift(lowest, mu_tilde, gamma_sweep):
 
 def dense_shift_solver(mat, shift, solved=None):
     """lowest(gamma) for `spectral._best_shift` by a dense eigensolve of
-    mat + gamma diag(shift); each shift solved is appended to solved."""
+    mat + gamma diag(shift): the lowest eigenvalue and its unit eigenvector,
+    one column; each shift solved is appended to solved."""
     def lowest(gamma):
         if solved is not None:
             solved.append(gamma)
         vals, vecs = sla.eigh(mat + np.diag(gamma * shift),
                               subset_by_index=[0, 0])
-        return float(vals[0]), float(np.sum(shift * vecs[:, 0] ** 2))
+        return float(vals[0]), vecs
     return lowest
+
+
+def dense_ritz(mat, shift):
+    """ritz(w, gamma) for `spectral._best_shift`: the Ritz values and vectors
+    of mat + gamma diag(shift) on orthonormal columns w, by a dense
+    eigensolve of the projected matrix."""
+    def ritz(w, gamma):
+        h = w.T @ (mat + np.diag(gamma * shift)) @ w
+        theta, y = np.linalg.eigh(0.5 * (h + h.T))
+        return theta, w @ y
+    return ritz
 
 
 def dense_shift_sweep(context, mu_tilde):

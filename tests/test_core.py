@@ -20,9 +20,8 @@ from fchpulse.core import (
     cosine_coeffs,
     cosine_synth,
     integral,
-    spectral_derivative,
 )
-from conftest import nodal_h4_norm
+from conftest import nodal_h4_norm, spectral_derivative
 
 
 def make_grid(length=160.0, n=2048):

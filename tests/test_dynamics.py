@@ -38,7 +38,6 @@ from fchpulse.core import (
     cosine_coeffs,
     cosine_synth,
     inner_product_x,
-    spectral_derivative,
 )
 from fchpulse.dynamics import (
     ENERGY_SLACK,
@@ -48,7 +47,8 @@ from fchpulse.dynamics import (
 )
 from fchpulse.harness import read_checkpoint, write_checkpoint
 
-from conftest import count_background_work, energy, variational_derivative
+from conftest import (count_background_work, energy, spectral_derivative,
+                      variational_derivative)
 
 
 @pytest.fixture(scope="module")
@@ -564,7 +564,7 @@ class TestRun:
     def test_record_without_a_manifold_point_reads_nan(self, small_manifold,
                                                        monkeypatch):
         # extracted positions whose closure fails record a NaN distance to
-        # the manifold, and the run goes on
+        # the manifold with the time and the message, and the run goes on
         state, fam, controls = fresh_run(small_manifold)
 
         def refuse(self, config):
@@ -575,6 +575,8 @@ class TestRun:
                    output_every=10)
         w = traj.as_arrays()[4]
         assert len(w) > 1 and np.all(np.isnan(w))
+        assert traj.w_norm_nan == [
+            (t, "boundary residuals exceed the tolerance") for t in traj.times]
         assert traj.t_exit is None
 
     def test_record_passes_other_errors_on(self, small_manifold, monkeypatch):

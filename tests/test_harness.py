@@ -14,6 +14,8 @@ from fchpulse import (
     ExperimentConfig,
     GradientFamily,
     Laboratory,
+    PulseManifold,
+    RefinementError,
     StepControls,
     ValidationError,
     parse_config,
@@ -274,6 +276,65 @@ class TestExperiments:
         slope = (rows[1, 1:3] - rows[0, 1:3]) / (rows[1, 0] - rows[0, 0])
         np.testing.assert_allclose(manifest.summary["velocity_pde"], slope,
                                    rtol=1e-6)
+
+    @pytest.mark.parametrize("experiment, name", [
+        ("simulate", "trajectory.csv"), ("compare", "pde_trajectory.csv"),
+    ])
+    def test_summary_lists_each_nan_w_norm(self, tmp_path, monkeypatch,
+                                           experiment, name):
+        # inside the PDE run no record has a manifold point: every w_norm is
+        # NaN, and the summary lists the time and the message of each
+        from fchpulse import harness
+
+        real_run, real_build = harness.run_pde, PulseManifold.build
+
+        def refuse(self, config):
+            raise RefinementError("closure refused")
+
+        def run_refusing(*args, **kwargs):
+            monkeypatch.setattr(PulseManifold, "build", refuse)
+            try:
+                return real_run(*args, **kwargs)
+            finally:
+                monkeypatch.setattr(PulseManifold, "build", real_build)
+
+        out = tmp_path / experiment
+        cfg = ExperimentConfig(experiment=experiment, output_dir=str(out),
+                               **SMALL)
+        clean = run_experiment(replace(cfg, output_dir=str(tmp_path / "clean")))
+        assert clean.summary["w_norm_nan"] == []
+        monkeypatch.setattr(harness, "run_pde", run_refusing)
+        run_experiment(cfg)
+        rows = np.loadtxt(out / name, delimiter=",", skiprows=1)
+        assert np.all(np.isnan(rows[:, -1]))
+        doc = json.loads((out / "manifest.json").read_text())
+        assert doc["summary"]["w_norm_nan"] == [
+            [t, "closure refused"] for t in rows[:, 0]]
+
+    def test_desk_lu_budget(self, tmp_path, monkeypatch):
+        # the dense LUs of a desk spectrum and diagnose pair, all of the
+        # (N - 1)^2 zero-mass matrix: spectrum's 3 gap reports; diagnose's 5
+        # gap reports (3 subset points, 2 shifted profiles of the continuity
+        # check), gamma = 1 for each subset point, the only shift that the
+        # coercivity sweep solves at desk, and 1 for the symmetrized gaps
+        from fchpulse import spectral
+
+        real = spectral.sla.lu_factor
+        calls = []
+
+        def counted(a, *args, **kwargs):
+            calls.append((experiment, np.shape(a)))
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(spectral.sla, "lu_factor", counted)
+        for experiment in ("spectrum", "diagnose"):
+            run_experiment(ExperimentConfig(
+                experiment=experiment, seed=1,
+                output_dir=str(tmp_path / experiment)))
+        size = ExperimentConfig(experiment="spectrum").diagnostic_grid_points
+        square = (size - 1, size - 1)
+        assert calls == ([("spectrum", square)] * 3
+                         + [("diagnose", square)] * 9)
 
     def test_diagnose_schema_and_exit_semantics(self, tmp_path):
         cfg = ExperimentConfig(

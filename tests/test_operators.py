@@ -28,6 +28,7 @@ from conftest import (
     linearization,
     moderate_config,
     second_variation,
+    spectral_derivative,
     to_weighted,
     variational_derivative,
 )
@@ -157,8 +158,6 @@ class TestSecondVariation:
         delta = man.params.tail_scale
         rng = np.random.default_rng(8)
         worst = 0.0
-        from fchpulse.core import spectral_derivative
-
         for _ in range(10):
             v = smooth_field(man.grid, rng.integers(1 << 30), kmax=40)
             v = v * (1.0 / norm(v, "l2"))

@@ -27,7 +27,6 @@ from fchpulse.core import (
     h_mode_multipliers,
     integral,
     mode_matrix,
-    spectral_derivative,
 )
 from fchpulse.operators import second_variation_coefficients, to_modes
 from fchpulse.spectral import (
@@ -37,6 +36,7 @@ from fchpulse.spectral import (
     THRESHOLDS,
     _best_shift,
     _lanczos,
+    _metric_basis,
     _projected_inverse,
     dual_h4_norm,
     eigenfield_continuity,
@@ -55,6 +55,7 @@ from conftest import (
     dense_coercivity_minima,
     dense_factors,
     dense_lowest,
+    dense_ritz,
     dense_shift_solver,
     dense_shift_sweep,
     dense_second_derivative,
@@ -66,6 +67,8 @@ from conftest import (
     moderate_config,
     nodal_h4_norm,
     nodal_residuals,
+    slow_eigenvalues,
+    spectral_derivative,
     to_weighted,
     weighted_cosine_basis,
 )
@@ -514,7 +517,7 @@ class TestSpectralGap:
             slow[n_pts] = spectral_gap_report(ProfilePoint(man, prof))
         assert slow[1024].slow_dim == slow[2048].slow_dim == 3
         assert np.max(np.abs(
-            slow[1024].slow_eigenvalues - slow[2048].slow_eigenvalues
+            slow_eigenvalues(slow[1024]) - slow_eigenvalues(slow[2048])
         )) < 1e-6
 
     def test_tail_scaling_of_slow_set(self, manifold_factory, well):
@@ -525,7 +528,7 @@ class TestSpectralGap:
             prof = man.build(cluster_config(man, ell))
             rep = spectral_gap_report(ProfilePoint(man, prof))
             assert rep.slow_dim == 3
-            worst[ell] = np.max(np.abs(rep.slow_eigenvalues))
+            worst[ell] = np.max(np.abs(slow_eigenvalues(rep)))
         ratio = worst[10.0] / worst[8.0]
         predicted = np.exp(-2.0 * np.sqrt(well.alpha_minus))
         assert abs(ratio - predicted) <= 0.3 * predicted
@@ -712,16 +715,25 @@ class TestShiftSweep:
             a = g + g.T
         return s2[:, None] * a * s2[None, :], s2**2
 
+    @staticmethod
+    def sweep(mat, shift, held, mu_tilde, sweep, calls=None):
+        return _best_shift(dense_shift_solver(mat, shift, calls),
+                           dense_ritz(mat, shift), np.ones(len(shift)), held,
+                           mu_tilde, sweep)
+
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(2, 40), seed=st.integers(0, 2**32 - 1),
            kind=st.sampled_from(["operator", "diagonal", "symmetric"]),
-           mu_tilde=st.floats(1e-3, 10.0),
+           held=st.integers(0, 4), mu_tilde=st.floats(1e-3, 10.0),
            sweep=st.lists(GAMMAS, min_size=1, max_size=8))
-    def test_matches_full_sweep(self, n, seed, kind, mu_tilde, sweep):
+    def test_matches_full_sweep(self, n, seed, kind, held, mu_tilde, sweep):
+        # whatever vectors the sweep starts from, it returns the every-shift
+        # result
         mat, shift = self.operator_like(n, seed, kind)
+        start = np.random.default_rng(seed).standard_normal((n, held))
         calls = []
-        mu_e, gamma_e, bound, solved = _best_shift(
-            dense_shift_solver(mat, shift, calls), mu_tilde, sweep)
+        mu_e, gamma_e, bound, solved = self.sweep(mat, shift, start,
+                                                  mu_tilde, sweep, calls)
         assert (mu_e, gamma_e, bound) == every_shift(
             dense_shift_solver(mat, shift), mu_tilde, sweep)
         assert solved == tuple(calls)
@@ -736,22 +748,105 @@ class TestShiftSweep:
         # mu_e(gamma) = 0.5 + gamma under mu_tilde = 2: the bound rises with
         # gamma, so each shift of a sweep whose middle-outward order is
         # ascending beats the one before
-        lowest = dense_shift_solver(0.5 * np.eye(6), np.ones(6))
+        mat, shift = 0.5 * np.eye(6), np.ones(6)
         sweep = (4.0, 1.0, 0.25, 0.05, 0.5, 2.0, 8.0)
-        result = _best_shift(lowest, 2.0, sweep)
+        result = self.sweep(mat, shift, np.eye(6)[:, :2], 2.0, sweep)
         assert result[3] == (0.05, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
-        assert result[:3] == every_shift(lowest, 2.0, sweep)
+        assert result[:3] == every_shift(dense_shift_solver(mat, shift), 2.0,
+                                         sweep)
         assert result[1] == 8.0
 
     def test_repeated_shift_is_solved_and_first_kept(self):
         # a tie in the bound cannot be skipped, and the strict comparison
-        # keeps the first shift that reached it; the line of the first
+        # keeps the first shift that reached it; the vector of the first
         # solve rules out 0.05
-        lowest = dense_shift_solver(0.5 * np.eye(6), np.ones(6))
+        mat, shift = 0.5 * np.eye(6), np.ones(6)
         sweep = (8.0, 8.0, 0.05)
-        mu_e, gamma_e, bound, solved = _best_shift(lowest, 2.0, sweep)
+        mu_e, gamma_e, bound, solved = self.sweep(mat, shift, np.zeros((6, 0)),
+                                                  2.0, sweep)
         assert solved == (8.0, 8.0)
-        assert (mu_e, gamma_e, bound) == every_shift(lowest, 2.0, sweep)
+        assert (mu_e, gamma_e, bound) == every_shift(
+            dense_shift_solver(mat, shift), 2.0, sweep)
+
+    def test_held_vectors_rule_out_a_shift(self):
+        # mat + gamma diag(10, 0) under mu_tilde = 1: gamma = 1 (mu_e 3,
+        # bound 1.5) beats 0.05 (mu_e 1.5, bound 1.43). The eigenvector of
+        # 1, e_2, has the Rayleigh quotient 3 at 0.05 and cannot rule it
+        # out; with e_1 held, the ceiling at 0.05 is 1.5, and it does
+        mat, shift = np.diag([1.0, 3.0]), np.array([10.0, 0.0])
+        sweep = (1.0, 0.05)
+        alone = self.sweep(mat, shift, np.zeros((2, 0)), 1.0, sweep)
+        held = self.sweep(mat, shift, np.eye(2)[:, :1], 1.0, sweep)
+        assert alone[3] == (1.0, 0.05) and held[3] == (1.0,)
+        assert alone[:3] == held[:3] == (3.0, 1.0, 1.5)
+
+
+class TestShiftCeiling:
+    """The ceiling of a shift, the lowest Ritz value on the metric-orthonormal
+    basis of held vectors (_metric_basis), bounds the lowest eigenvalue of
+    the pencil (A + gamma D, diag(metric)) from above, within the sweep's
+    rounding margin, whatever the held vectors."""
+
+    @staticmethod
+    def held_set(rng, pencil, kind, size, count):
+        """count vectors: random, nearly dependent ones (combinations of the
+        others plus noise of 1e-13), or holding the lowest eigenvector."""
+        held = rng.standard_normal((size, count))
+        if kind == "dependent":
+            extra = held @ rng.standard_normal((count, count))
+            held = np.hstack([held, extra + 1e-13 * rng.standard_normal(
+                extra.shape), held[:, :1]])
+        elif kind == "eigenvector":
+            held = np.hstack([held, sla.eigh(*pencil,
+                                             subset_by_index=[0, 0])[1]])
+        return held
+
+    @staticmethod
+    def assert_ceiling(ritz, metric, held, pencil):
+        basis = _metric_basis(held, metric)
+        assert basis.shape[1] <= np.linalg.matrix_rank(held)
+        assert_allclose(basis.T @ (metric[:, None] * basis),
+                        np.eye(basis.shape[1]), rtol=0, atol=1e-12)
+        ceiling = ritz(basis)[0][0]
+        lowest = sla.eigh(*pencil, eigvals_only=True, subset_by_index=[0, 0])
+        assert ceiling + 1e-8 * (1.0 + abs(ceiling)) >= lowest[0]
+
+    @settings(max_examples=60, deadline=None)
+    @given(size=st.integers(2, 40), count=st.integers(1, 5),
+           kind=st.sampled_from(["random", "dependent", "eigenvector"]),
+           gamma=st.floats(0.0, 10.0), seed=st.integers(0, 2**32 - 1))
+    def test_dense_pencils(self, size, count, kind, gamma, seed):
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal((size, size))
+        a = (g + g.T) * 10.0 ** rng.uniform(-2.0, 2.0)
+        d = np.exp(rng.uniform(-3.0, 3.0, size))
+        metric = np.exp(rng.uniform(-3.0, 3.0, size))
+        pencil = (a + gamma * np.diag(d), np.diag(metric))
+        held = self.held_set(rng, pencil, kind, size, count)
+        self.assert_ceiling(lambda w: dense_ritz(a, d)(w, gamma), metric,
+                            held, pencil)
+
+    @settings(max_examples=30, deadline=None)
+    @given(num_points=st.integers(16, 64), count=st.integers(1, 5),
+           kind=st.sampled_from(["random", "dependent", "eigenvector"]),
+           gamma=st.sampled_from(GAMMA_SWEEP), seed=st.integers(0, 2**32 - 1))
+    def test_factored_ritz_of_a_context(self, num_points, count, kind, gamma,
+                                        seed):
+        # the factored SpectralContext.ritz of coercivity_constant, in the H2
+        # metric, against the dense zero-mass matrix of the same W'' and Z
+        rng = np.random.default_rng(seed)
+        grid = Grid(10.0, num_points, h_max=10.0)
+        w2 = rng.uniform(-1.0, 3.0, num_points)
+        zeroth = rng.uniform(-2.0, 2.0, num_points)
+        b = -(np.diag(grid.wavenumbers**2) + mode_matrix(grid, w2))
+        matrix = (b @ b)[1:, 1:] - mode_matrix(grid, zeroth, start=1)
+        context = SpectralContext(grid=grid, w2=w2, zeroth=zeroth,
+                                  matrix=matrix)
+        metric = h_mode_multipliers(grid, 2)[1:]
+        pencil = (matrix + gamma * np.eye(num_points - 1), np.diag(metric))
+        held = self.held_set(rng, pencil, kind, num_points - 1, count)
+        self.assert_ceiling(lambda w: context.ritz(w, gamma), metric, held,
+                            pencil)
 
 
 class TestCoercivityOracle:
@@ -795,7 +890,8 @@ class TestCoercivityOracle:
         # the same shift-invert solver
         full = []
 
-        def solve_every_shift(lowest, mu_tilde, gamma_sweep):
+        def solve_every_shift(lowest, ritz, metric, held, mu_tilde,
+                              gamma_sweep):
             full.append(every_shift(lowest, mu_tilde, gamma_sweep))
             return (*full[0], tuple(gamma_sweep))
 
@@ -804,9 +900,10 @@ class TestCoercivityOracle:
         assert (rep.mu_e, rep.gamma_e, rep.bound) == full[0]
         if setup == "desk":
             # the bound peaks at gamma = 1, the middle of the sweep, which is
-            # solved first; the Rayleigh quotients of its eigenvector and of
-            # 0.5's rule out 2, 0.25, 4, 0.05 and 8
-            assert rep.gammas_solved == (1.0, 0.5)
+            # solved first; the Ritz values on the gap report's vectors and
+            # its eigenvector rule out every other shift (at 0.5 the ceiling
+            # is 0.203, below the 0.224 that could beat gamma = 1)
+            assert rep.gammas_solved == (1.0,)
 
 
 def nodal_point_spectrum(well, pulse, num_points=1600):
