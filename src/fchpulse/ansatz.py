@@ -9,9 +9,7 @@ boundary correction built from shadow-pulse tails,
 with A = phi_max and r = sqrt(alpha_minus). Written in the signed
 coefficients (a0, b0, a1, b1), the four no-flux boundary conditions and the
 discrete mass constraint are linear in (a0, b0, a1, b1, lambda), so one
-direct solve closes the manifold. The shadow-pulse locations p0, p_{n+1} of
-the tail form A (1 + e z) e^{-+r(z-p)} are read from the coefficients where
-the amplitude is positive. Because the closure is linear, the tangents
+direct solve closes the manifold. Because the closure is linear, the tangents
 dPhi/dp_i are exact: the derivative of the translates plus one more solve
 with the same fixed edge matrix and the mass equation, with no rebuild.
 
@@ -30,7 +28,6 @@ evaluations of each translate, and keeps none of them.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass
 from functools import cached_property
 
@@ -111,18 +108,13 @@ class PulseConfiguration:
         return PulseConfiguration(q, self.min_spacing, self.domain_length)
 
 
-def _log_amplitude(amplitude):
-    """log of a tail amplitude, NaN unless it is positive."""
-    return math.log(amplitude) if amplitude > 0.0 else math.nan
-
-
 @dataclass(frozen=True)
 class InternalParams:
     """Signed edge coefficients, the mass multiplier and its leading-order
     seed, and the norm of the five closure residuals after the solve.
 
     rate and length are r = sqrt(alpha_minus) and L, from which the
-    shadow-pulse locations are derived.
+    shadow-pulse locations of the tail form follow.
     """
 
     a0: float
@@ -141,19 +133,6 @@ class InternalParams:
     @property
     def coefficients(self):
         return np.array([self.a0, self.b0, self.a1, self.b1])
-
-    # In the tail form A (1 + e z) e^{-+r(z - p)} of each side, the amplitude
-    # is e^{r p0} = a0 on the left and e^{r (L - p_{n+1})} = a1 - b1 L on the
-    # right; p is NaN where it is not positive.
-
-    @property
-    def p0(self):
-        return _log_amplitude(self.a0) / self.rate
-
-    @property
-    def p_np1(self):
-        log_amp = _log_amplitude(self.a1 - self.b1 * self.length)
-        return self.length - log_amp / self.rate
 
 
 @dataclass(frozen=True)

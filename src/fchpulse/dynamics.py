@@ -369,27 +369,6 @@ class ReducedModel:
         spacing = self.domain_length / n
         return (np.arange(1, n + 1) - 0.5) * spacing
 
-    def jacobian_at_equispaced(self, n):
-        """Fixed-shadow tridiagonal form, its eigenvalues, and the closed-form set.
-
-        The matrix is the linearization of velocity() at the equispaced point
-        with the shadow pulses held fixed, divided by 2 * rate: -gamma on the
-        diagonal and gamma / 2 beside it, gamma = -F'(L/n) / rate. It is not
-        d velocity / dp: the mirror shadows move with the boundary pulses,
-        which doubles the boundary-gap sensitivity. The closed-form
-        eigenvalues are -gamma*(1 + cos(k*pi/(n+1))).
-        """
-        spacing = self.domain_length / n
-        gamma = -float(self.force(spacing, order=1)) / self.rate
-        mat = -gamma * np.eye(n)
-        for i in range(n - 1):
-            mat[i, i + 1] = 0.5 * gamma
-            mat[i + 1, i] = 0.5 * gamma
-        eigs = np.linalg.eigvalsh(mat)
-        k = np.arange(1, n + 1)
-        closed = -gamma * (1.0 + np.cos(k * np.pi / (n + 1)))
-        return mat, np.sort(eigs), np.sort(closed)
-
 
 def pulse_velocity_projection(manifold, config):
     """Velocity from projecting the quasi-steady residual onto the tangents.

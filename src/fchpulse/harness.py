@@ -252,8 +252,7 @@ def well_solution(tau):
     """
     well = default_well(tau)
     pulse = solve_homoclinic(well)
-    return (well, pulse, solve_background(well, pulse, 1),
-            solve_background(well, pulse, 2))
+    return (well, pulse, *solve_background(well, pulse))
 
 
 @dataclass

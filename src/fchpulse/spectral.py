@@ -74,6 +74,11 @@ HELD_RANK_FLOOR = 1e-8
 LANCZOS_EXTRA_PAIRS = 2
 # Seed of the Gaussian start vector of every shift-invert Lanczos solve.
 LANCZOS_SEED = 0
+# The low-mode block of the inertia certificate starts where the symbol bound
+# of the modes above it exceeds the counted shift this many times, and grows
+# by INERTIA_GROWTH until it certifies the count (see certified_count).
+INERTIA_SYMBOL_MARGIN = 1250.0
+INERTIA_GROWTH = 1.5
 
 
 class ShiftError(DomainError):
@@ -194,11 +199,13 @@ class SpectralContext:
         eps*||L|| of an eigensolver (the graded-matrix argument of Demmel
         and Veselic, SIAM J. Matrix Anal. Appl. 13, 1992): the slow Ritz
         values do not depend on the basis or the solver that produced w.
-        Returns Ritz values and vectors.
+        Returns Ritz values and vectors. A 1-D array of shifts gives one
+        step per shift from one pair of factored products, stacked along a
+        leading axis, each bitwise the step at that shift alone.
         """
         bw, zw = self._factors(w)
-        h = bw.T @ bw - w.T @ zw[1:] + shift * (w.T @ w)
-        theta, y = np.linalg.eigh(0.5 * (h + h.T))
+        h = bw.T @ bw - w.T @ zw[1:] + np.multiply.outer(shift, w.T @ w)
+        theta, y = np.linalg.eigh(0.5 * (h + np.swapaxes(h, -1, -2)))
         return theta, w @ y
 
     def residual(self, w, theta, m=None, shift=0.0):
@@ -409,30 +416,37 @@ def _best_shift(lowest, ritz, metric, held, mu_tilde, gamma_sweep):
 
     mu_e(gamma) is the lowest eigenvalue of (A + gamma D) w = theta
     diag(metric) w (A symmetric, D diagonal). lowest(gamma) returns it and
-    the Ritz vectors of its solve, one column each; ritz(w, gamma) returns
-    the Ritz values of A + gamma D on diag(metric)-orthonormal columns w. By
-    Courant-Fischer the lowest Ritz value on any subspace bounds mu_e(gamma)
-    from above; the ceiling at gamma is that on the span of held and of the
-    Ritz vectors of every shift solved so far (`_metric_basis`). The shifts
-    are tried from the middle of the sweep outward, where the desk bound
-    peaks. A shift whose bound from its ceiling (plus 1e-8 (1 + |ceiling|)
-    for rounding) falls below the best bound so far cannot win and is not
-    solved, so the result is that of solving every shift. Returns (mu_e,
-    gamma_e, bound, the shifts solved in the order solved).
+    the Ritz vectors of its solve, one column each; ritz(w, gammas) returns
+    the Ritz values of A + gamma D on diag(metric)-orthonormal columns w, one
+    row per gamma of the array gammas. By Courant-Fischer the lowest Ritz
+    value on any subspace bounds mu_e(gamma) from above; the ceiling at gamma
+    is that on the span of held and of the Ritz vectors of every shift solved
+    so far (`_metric_basis`). The shifts are tried from the middle of the
+    sweep outward, where the desk bound peaks; after each solve, one ritz
+    call gives the ceilings of every shift still to try. A shift whose bound
+    from its ceiling (plus 1e-8 (1 + |ceiling|) for rounding) falls below the
+    best bound so far cannot win and is not solved, so the result is that of
+    solving every shift. Returns (mu_e, gamma_e, bound, the shifts solved in
+    the order solved).
     """
     mid = (len(gamma_sweep) - 1) // 2
     order = sorted(range(len(gamma_sweep)), key=lambda i: (abs(i - mid), i))
     solved, best_key, best = [], (-np.inf, 0), (np.nan, np.nan)
-    for i in order:
+    ceilings = None
+    for pos, i in enumerate(order):
         ge = gamma_sweep[i]
         if solved:
-            ceiling = ritz(_metric_basis(held, metric), ge)[0][0]
+            if ceilings is None:
+                rest = np.array([gamma_sweep[j] for j in order[pos:]])
+                basis = _metric_basis(held, metric)
+                ceilings = iter(ritz(basis, rest)[0][:, 0])
+            ceiling = next(ceilings)
             ceiling += 1e-8 * (1.0 + abs(ceiling))
             if mu_tilde * ceiling / (mu_tilde + ge) < best_key[0]:
                 continue
         mu_e, w = lowest(ge)
         solved.append(ge)
-        held = np.hstack([held, w])
+        held, ceilings = np.hstack([held, w]), None
         key = (mu_tilde * mu_e / (mu_tilde + ge), -i)
         if key > best_key:
             best_key, best = key, (mu_e, ge)
@@ -462,9 +476,12 @@ def coercivity_constant(point):
     own copy of L + gamma after that LU is dropped, so at most one N^2 array
     is held beside the context. A shift is solved only if the Ritz value of
     L + gamma on the gap report's vectors and the solved shifts' Ritz vectors
-    leaves it a chance to win (_best_shift); at desk, gamma = 1 alone is.
-    The unconstrained minimum is the lowest Ritz value of the point's gap
-    report.
+    leaves it a chance to win (_best_shift); the Ritz values of every shift
+    still to try come from one set of factored products of those vectors,
+    formed again only after a solve adds vectors, and their work arrays are
+    a few columns of N. At desk, gamma = 1 alone is solved, and one Ritz
+    call gives the ceilings of the other six shifts. The unconstrained
+    minimum is the lowest Ritz value of the point's gap report.
     """
     manifold = point.manifold
     grid = manifold.grid
@@ -754,24 +771,66 @@ def negative_count(mat, shift):
         sla.eigvalsh_tridiagonal(np.diag(ldu), off) < 0.0))
 
 
+def certified_count(context, shift, floor):
+    """(count, K, d): the number of eigenvalues of the context's L below
+    shift, certified on its lowest K zero-mass modes, given floor, a lower
+    bound of that number.
+
+    Split the modes into the lowest K and the rest, L = [[A, C^T], [C, D]]
+    with A and C slices of `matrix`. M(f) has the nodal values of f as its
+    eigenvalues, so on the rest ||(diag(kappa^2) + M(W''))v|| >=
+    (kappa_{K+1}^2 + min W'')||v|| while that factor is positive, and
+    D >= d I with d = (kappa_{K+1}^2 + min W'')^2 - max Z. For d > shift, Haynsworth's inertia
+    additivity (Linear Algebra Appl. 1, 1968) makes the count that of the
+    Schur complement A - shift - C^T (D - shift)^{-1} C, which is at least
+    A - shift - C^T C / (d - shift). So the count lies between floor and the
+    negatives of that K x K matrix (`negative_count`), and is floor when the
+    two meet. K starts at the least with d >= INERTIA_SYMBOL_MARGIN |shift|
+    and grows by INERTIA_GROWTH until they do; at K = N - 1 the block is L
+    itself, the count exact and d NaN. Until then the work arrays are K^2
+    and (N - 1 - K) K, with no copy of the matrix.
+    """
+    matrix = context.matrix
+    size = matrix.shape[0]
+    # the symbol bound of the modes above K, for K = 1 .. N - 2
+    low = context.grid.wavenumbers[2:] ** 2 + np.min(context.w2)
+    bound = low**2 - np.max(context.zeroth)
+    usable = ((low > 0.0) & (bound > shift)
+              & (bound >= INERTIA_SYMBOL_MARGIN * abs(shift)))
+    k = int(np.argmax(usable)) + 1 if np.any(usable) else size
+    while k < size:
+        d = float(bound[k - 1])
+        c = matrix[k:, :k]
+        count = negative_count(matrix[:k, :k] - (c.T @ c) / (d - shift), shift)
+        if count == floor:
+            return count, k, d
+        k = min(size, int(np.ceil(INERTIA_GROWTH * k)))
+    return negative_count(matrix, shift), size, np.nan
+
+
 def semigroup_decay_check(point):
     """Exponential decay of the linearized flow off the slow space.
 
     L is self-adjoint, so ||exp(-t L) u|| <= exp(-edge t) ||u|| for all t and
     all u orthogonal to the n slow eigenvectors exactly when no other
     eigenvalue lies below edge, the gap report's (n+1)-th Ritz value (above
-    any eigenvalue the gap solve missed). One LDL^T counts the eigenvalues
-    below (1 - eta) edge, eta = THRESHOLDS["semigroup_edge_slack"] far above
-    its backward error; passed is count == n. Returns (passed, count, edge).
-    The gap report's LU is dropped first, so the LDL^T's copy of the matrix
-    is the one (N-1)^2 array held beside the context.
+    any eigenvalue the gap solve missed). `certified_count` counts the
+    eigenvalues below (1 - eta) edge, eta = THRESHOLDS["semigroup_edge_slack"]
+    far above its rounding, from the lowest K modes; the gap report's Ritz
+    values below that shift are its floor, since each Ritz value lies above
+    the eigenvalue of its rank. passed is count == n. Returns (passed, count,
+    edge, K, d). The gap report's LU is dropped first, so at most a K^2 and
+    an (N - 1 - K) K array, or at K = N - 1 one (N-1)^2 copy of the matrix,
+    are held beside the context.
     """
     n = point.manifold.n
-    edge = float(point.gap.eigenvalues[n])
+    values = point.gap.eigenvalues
+    edge = float(values[n])
     point.release(context=False)
-    count = negative_count(point.context.matrix,
-                           (1.0 - THRESHOLDS["semigroup_edge_slack"]) * edge)
-    return count == n, count, edge
+    shift = (1.0 - THRESHOLDS["semigroup_edge_slack"]) * edge
+    count, block, bound = certified_count(
+        point.context, shift, int(np.count_nonzero(values < shift)))
+    return count == n, count, edge, block, bound
 
 
 def eigenfield_continuity(point):
@@ -782,8 +841,10 @@ def eigenfield_continuity(point):
     the slow cluster are fixed only to rounding and may rotate arbitrarily
     along the path; continuity is a statement about the slow subspace. Each
     shifted slow basis is therefore aligned onto the center basis by the
-    orthogonal Procrustes rotation before the second difference. Returns
-    (min subspace overlap, max second-difference H4 norm).
+    orthogonal Procrustes rotation before the second difference. A shifted
+    profile solves only its n slow pairs (SpectralContext.lowest on its own
+    LU) and drops its context and LU before the next is built. Returns (min
+    subspace overlap, max second-difference H4 norm).
     """
     manifold = point.manifold
     n = manifold.n
@@ -792,8 +853,10 @@ def eigenfield_continuity(point):
     sub_overlap = 1.0
     aligned = []
     for shift in (-step, step):
-        shifted = manifold.build(point.profile.config.shifted(0, shift))
-        u_s = ProfilePoint(manifold, shifted).gap.vectors[:, :n]
+        shifted = ProfilePoint(manifold, manifold.build(
+            point.profile.config.shifted(0, shift)))
+        u_s = shifted.context.lowest(shifted.lu, n)[1]
+        shifted.release()
         # the subspace turns at a rate controlled by the gap to the stable part
         u, sigma, vt = np.linalg.svd(u_c.T @ u_s)
         sub_overlap = min(sub_overlap, float(np.min(sigma)))
@@ -930,11 +993,12 @@ def run_hypothesis_suite(points, s_values=(0.5, 1.0), seed=0):
             mu_x=coer.mu_x, sigma_top=coer.sigma_top,
         )
         if i == 0:
-            ok, count, edge = semigroup_decay_check(p)
+            ok, count, edge, block, bound = semigroup_decay_check(p)
         if p is not base:
             p.release()
 
-    report.add("semigroup_decay", 0, count, manifold.n, ok, edge=edge)
+    report.add("semigroup_decay", 0, count, manifold.n, ok, edge=edge,
+               low_modes=block, symbol_bound=bound)
 
     overlap, hess = eigenfield_continuity(points[0])
     report.add(

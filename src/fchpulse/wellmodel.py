@@ -10,7 +10,7 @@ follow exactly from the chain rule through the first integral.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import count
 from math import comb, factorial
 
@@ -18,7 +18,7 @@ import numpy as np
 from numpy.polynomial import chebyshev
 from scipy.fft import dct
 from scipy.interpolate import CubicHermiteSpline
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import eigh, lu_factor, lu_solve
 from scipy.optimize import brentq
 
 from .core import (
@@ -805,7 +805,6 @@ def _refined_solve(a, lu_piv, rhs):
     return x
 
 
-@lru_cache(maxsize=8)
 def _half_line_second_derivative(window, num_points):
     kap = np.arange(num_points) * np.pi / window
     eye = np.eye(num_points)
@@ -817,32 +816,34 @@ def _half_line_second_derivative(window, num_points):
     return dct(block, type=1, axis=0)
 
 
-def solve_background(well, profile, j):
-    """Solve L^j B_j = 1 on a window 2x the pulse window via the even sector.
+def solve_background(well, profile):
+    """(B_1, B_2): the solutions of L B_1 = 1 and L^2 B_2 = 1 on a window 2x
+    the pulse window, via the even sector.
 
-    The resolution of BACKGROUND_POINTS (h ~ 0.1) is deliberately moderate:
-    B_j varies on the O(1) pulse scale, and a finer grid only inflates the
+    One LU of L serves both, since L B_2 = B_1; it is dropped on return. The
+    resolution of BACKGROUND_POINTS (h ~ 0.1) is deliberately moderate: B_j
+    varies on the O(1) pulse scale, and a finer grid only inflates the
     round-off of the composed residual L^2 B_2 - 1 through the operator norm.
     """
-    if j not in (1, 2):
-        raise DomainError("background order j must be 1 or 2")
     window = 2.0 * profile.half_width
     grid = Grid(window, BACKGROUND_POINTS, h_max=0.2)
-    z = grid.nodes
-    q = well.d2W(well.b_minus + profile.pulse_bar(z))
+    q = well.d2W(well.b_minus + profile.pulse_bar(grid.nodes))
     lmat = _half_line_second_derivative(window, BACKGROUND_POINTS) - np.diag(q)
-
     lu_piv = lu_factor(lmat)
-    rhs = np.ones(BACKGROUND_POINTS)
-    b = _refined_solve(lmat, lu_piv, rhs)
-    if j == 2:
-        b = _refined_solve(lmat, lu_piv, b)
+    b1 = _refined_solve(lmat, lu_piv, np.ones(BACKGROUND_POINTS))
+    b2 = _refined_solve(lmat, lu_piv, b1)
+    return _background(1, b1, lmat, grid), _background(2, b2, lmat, grid)
 
-    # residual of the composed operator L^j B_j - 1
+
+def _background(j, b, lmat, grid):
+    """The BackgroundProfile of the solution b of L^j B_j = 1, with the
+    residual of the composed operator L^j B_j - 1 on the core half of the
+    window."""
+    z, window = grid.nodes, grid.length
     comp = b.copy()
     for _ in range(j):
         comp = lmat @ comp
-    resid_vec = comp - rhs
+    resid_vec = comp - 1.0
     core = z <= 0.5 * window
     w = grid.quad_weights
     residual_norm = float(np.sqrt(2.0 * np.sum(w[core] * resid_vec[core] ** 2)))
@@ -879,21 +880,25 @@ def single_pulse_point_spectrum(well, profile):
     cosine modes of that window, where L is -diag(kappa^2) - Q^T diag(q) Q.
     The potential q is even about the window centre, where mode k has parity
     (-1)^k, so the even and odd modes decouple into two blocks of half the
-    size. Returns the eigenvalues, sorted descending.
+    size. Each block is solved only above -alpha_minus + 1e-3 alpha_minus,
+    by LAPACK's MRRR driver `syevr` on that interval: the few eigenvalues
+    there, after the same tridiagonal reduction as a full solve. Returns
+    them sorted descending.
     """
     window = 2.0 * profile.half_width
     grid = Grid(2.0 * window, POINT_SPECTRUM_POINTS, h_max=0.2)
     q = well.d2W(well.b_minus + profile.pulse_bar(grid.nodes - window))
     kappa2 = grid.wavenumbers**2
+    edge = -well.alpha_minus
+    above = (edge + 1e-3 * abs(edge), np.inf)
     evals = []
     for parity in (0, 1):
         block = mode_matrix(grid, -q, start=parity, step=2)
         block[np.diag_indices_from(block)] -= kappa2[parity::2]
-        evals.append(np.linalg.eigvalsh(block))
-    evals = np.concatenate(evals)
-    edge = -well.alpha_minus
-    point = evals[evals > edge + 1e-3 * abs(edge)]
-    return np.sort(point)[::-1]
+        evals.append(eigh(block, eigvals_only=True, overwrite_a=True,
+                          check_finite=False, driver="evr",
+                          subset_by_value=above))
+    return np.sort(np.concatenate(evals))[::-1]
 
 
 def stable_edge_floor(well, profile):

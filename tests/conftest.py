@@ -6,6 +6,7 @@ the tests run share it too; manifolds are memoized by their parameter tuple
 so the acceptance tests can share builds.
 """
 
+import math
 import os
 import subprocess
 import sys
@@ -41,8 +42,8 @@ from fchpulse.operators import (
     zero_mass_projection,
 )
 from fchpulse.spectral import GAMMA_SWEEP, ShiftError
-from fchpulse.wellmodel import (_GL_NODES, _GL_WEIGHTS, _HomoclinicInverter,
-                                well_jet)
+from fchpulse.wellmodel import (POINT_SPECTRUM_POINTS, _GL_NODES, _GL_WEIGHTS,
+                                _HomoclinicInverter, well_jet)
 
 TAU = -0.3
 
@@ -551,12 +552,69 @@ def dense_shift_solver(mat, shift, solved=None):
 def dense_ritz(mat, shift):
     """ritz(w, gamma) for `spectral._best_shift`: the Ritz values and vectors
     of mat + gamma diag(shift) on orthonormal columns w, by a dense
-    eigensolve of the projected matrix."""
+    eigensolve of the projected matrix; for an array of gammas, one row
+    each."""
     def ritz(w, gamma):
-        h = w.T @ (mat + np.diag(gamma * shift)) @ w
-        theta, y = np.linalg.eigh(0.5 * (h + h.T))
+        h = w.T @ mat @ w + np.multiply.outer(gamma,
+                                              w.T @ (shift[:, None] * w))
+        theta, y = np.linalg.eigh(0.5 * (h + np.swapaxes(h, -1, -2)))
         return theta, w @ y
     return ritz
+
+
+def shadow_locations(internal):
+    """(p_0, p_{n+1}): the shadow-pulse locations of a closed profile, from
+    its signed edge coefficients (`ansatz.InternalParams`). In the tail form
+    A (1 + e z) e^{-+r(z - p)} of each side the amplitude is e^{r p_0} = a0 on
+    the left and e^{r (L - p_{n+1})} = a1 - b1 L on the right; a location is
+    NaN where its amplitude is not positive."""
+    def log_amplitude(amplitude):
+        return math.log(amplitude) if amplitude > 0.0 else math.nan
+    right = log_amplitude(internal.a1 - internal.b1 * internal.length)
+    return (log_amplitude(internal.a0) / internal.rate,
+            internal.length - right / internal.rate)
+
+
+def jacobian_at_equispaced(model, n):
+    """Fixed-shadow tridiagonal form of a `dynamics.ReducedModel`, its
+    eigenvalues, and the closed-form set.
+
+    The matrix is the linearization of velocity() at the equispaced point
+    with the shadow pulses held fixed, divided by 2 * rate: -gamma on the
+    diagonal and gamma / 2 beside it, gamma = -F'(L/n) / rate. It is not
+    d velocity / dp: the mirror shadows move with the boundary pulses,
+    which doubles the boundary-gap sensitivity. The closed-form
+    eigenvalues are -gamma*(1 + cos(k*pi/(n+1))).
+    """
+    spacing = model.domain_length / n
+    gamma = -float(model.force(spacing, order=1)) / model.rate
+    mat = -gamma * np.eye(n)
+    for i in range(n - 1):
+        mat[i, i + 1] = 0.5 * gamma
+        mat[i + 1, i] = 0.5 * gamma
+    eigs = np.linalg.eigvalsh(mat)
+    k = np.arange(1, n + 1)
+    closed = -gamma * (1.0 + np.cos(k * np.pi / (n + 1)))
+    return mat, np.sort(eigs), np.sort(closed)
+
+
+def full_point_spectrum(well, pulse):
+    """The single-pulse point spectrum from full solves of the two parity
+    blocks of `wellmodel.single_pulse_point_spectrum`, filtered to the
+    eigenvalues above -alpha_minus + 1e-3 alpha_minus: the solve that the
+    subset solve replaced."""
+    window = 2.0 * pulse.half_width
+    grid = Grid(2.0 * window, POINT_SPECTRUM_POINTS, h_max=0.2)
+    q = well.d2W(well.b_minus + pulse.pulse_bar(grid.nodes - window))
+    kappa2 = grid.wavenumbers**2
+    evals = []
+    for parity in (0, 1):
+        block = mode_matrix(grid, -q, start=parity, step=2)
+        block[np.diag_indices_from(block)] -= kappa2[parity::2]
+        evals.append(np.linalg.eigvalsh(block))
+    evals = np.concatenate(evals)
+    edge = -well.alpha_minus
+    return np.sort(evals[evals > edge + 1e-3 * abs(edge)])[::-1]
 
 
 def dense_shift_sweep(context, mu_tilde):

@@ -49,6 +49,7 @@ from fchpulse.wellmodel import _fd_residual, far_field_params
 from conftest import (
     cluster_config,
     constrained_negative_index,
+    jacobian_at_equispaced,
     moderate_config,
 )
 
@@ -264,7 +265,7 @@ def test_criterion_10_jacobian_spectrum(pulse, manifold_factory):
         man = manifold_factory(length=8.0 * (n + 1), n=n, ell=6.0,
                                num_points=1024)
         model = ReducedModel.from_pulse(pulse, man.params)
-        _, eigs_num, closed = model.jacobian_at_equispaced(n)
+        _, eigs_num, closed = jacobian_at_equispaced(model, n)
         worst = max(worst, float(np.max(np.abs(eigs_num - closed))))
         all_negative = all_negative and bool(np.all(eigs_num < 0.0))
     passed = worst < 1e-12 and all_negative

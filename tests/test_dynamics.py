@@ -47,8 +47,8 @@ from fchpulse.dynamics import (
 )
 from fchpulse.harness import read_checkpoint, write_checkpoint
 
-from conftest import (count_background_work, energy, spectral_derivative,
-                      variational_derivative)
+from conftest import (count_background_work, energy, jacobian_at_equispaced,
+                      spectral_derivative, variational_derivative)
 
 
 @pytest.fixture(scope="module")
@@ -399,7 +399,7 @@ class TestJacobian:
     def test_single_pulse(self, reduced, pulse):
         # gamma = -F'(L)/r at the single-pulse spacing L = 16, where the pair
         # force is F(g) = (2r(A g + B) - A) e^{-2rg} / ||phi_h'||^2
-        mat, eigs_num, closed = reduced.jacobian_at_equispaced(1)
+        mat, eigs_num, closed = jacobian_at_equispaced(reduced, 1)
         slope, offset = pair_energy_asymptote(pulse)
         rate = np.sqrt(pulse.well.alpha_minus)
         length = reduced.domain_length
@@ -413,7 +413,7 @@ class TestJacobian:
         man = manifold_factory(length=8.0 * (n + 1), n=n, ell=6.0,
                                num_points=1024)
         model = ReducedModel.from_pulse(pulse, man.params)
-        _, eigs_num, closed = model.jacobian_at_equispaced(n)
+        _, eigs_num, closed = jacobian_at_equispaced(model, n)
         assert np.max(np.abs(eigs_num - closed)) < 1e-12
         assert np.all(eigs_num < 0)
 
@@ -498,7 +498,7 @@ class TestIntegrateReduced:
         assert rate == pytest.approx(abs(true_eigs[0]), rel=0.1)
         # relation to the fixed-shadow tridiagonal form: the interior scale
         # differs by 2*rate and the boundary rows by the mirror doubling
-        _, tri_eigs, _ = reduced.jacobian_at_equispaced(2)
+        _, tri_eigs, _ = jacobian_at_equispaced(reduced, 2)
         assert abs(true_eigs[0]) > abs(tri_eigs[0])
 
     def test_exit_event(self, reduced):

@@ -313,20 +313,27 @@ class TestExperiments:
 
     def test_desk_lu_budget(self, tmp_path, monkeypatch):
         # the dense LUs of a desk spectrum and diagnose pair, all of the
-        # (N - 1)^2 zero-mass matrix: spectrum's 3 gap reports; diagnose's 5
-        # gap reports (3 subset points, 2 shifted profiles of the continuity
-        # check), gamma = 1 for each subset point, the only shift that the
-        # coercivity sweep solves at desk, and 1 for the symmetrized gaps
+        # (N - 1)^2 zero-mass matrix: spectrum's 3 gap reports; diagnose's 3
+        # gap reports, the 2 shifted profiles of the continuity check (their
+        # slow pairs only), gamma = 1 for each subset point, the only shift
+        # that the coercivity sweep solves at desk, and 1 for the symmetrized
+        # gaps. The semigroup check's LDL^T (sytrf) factors only the K x K
+        # block of its inertia certificate, never the (N - 1)^2 matrix
         from fchpulse import spectral
 
-        real = spectral.sla.lu_factor
-        calls = []
+        real_lu, real_ldl = spectral.sla.lu_factor, spectral.sla.lapack.dsytrf
+        calls, ldl = [], []
 
         def counted(a, *args, **kwargs):
             calls.append((experiment, np.shape(a)))
-            return real(a, *args, **kwargs)
+            return real_lu(a, *args, **kwargs)
+
+        def counted_ldl(a, *args, **kwargs):
+            ldl.append((experiment, np.shape(a)))
+            return real_ldl(a, *args, **kwargs)
 
         monkeypatch.setattr(spectral.sla, "lu_factor", counted)
+        monkeypatch.setattr(spectral.sla.lapack, "dsytrf", counted_ldl)
         for experiment in ("spectrum", "diagnose"):
             run_experiment(ExperimentConfig(
                 experiment=experiment, seed=1,
@@ -335,6 +342,7 @@ class TestExperiments:
         square = (size - 1, size - 1)
         assert calls == ([("spectrum", square)] * 3
                          + [("diagnose", square)] * 9)
+        assert ldl == [("diagnose", (255, 255))]
 
     def test_diagnose_schema_and_exit_semantics(self, tmp_path):
         cfg = ExperimentConfig(

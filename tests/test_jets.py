@@ -401,7 +401,7 @@ def test_runtime_does_not_import_sympy():
                               solve_background, solve_homoclinic)
         well = default_well(-0.3)
         pulse = solve_homoclinic(well)
-        bg2 = solve_background(well, pulse, 2)
+        bg2 = solve_background(well, pulse)[1]
         params = SystemParams(epsilon=0.05, domain_d=16.0 * 0.05, n_pulses=2,
                               total_mass=2.01 * pulse.mass_h, min_spacing=5.0,
                               alpha_minus=well.alpha_minus)

@@ -49,9 +49,9 @@ CATCH_ALL = {"Exception", "BaseException"}
 # Iterative eigensolvers and the keyword that hands each its start.
 SEEDED_SOLVERS = {"eigsh": "v0", "lobpcg": "X"}
 # Dense eigensolvers and SVDs, and the functions (module.qualified name) that
-# may call them: a k x k Ritz problem, n x n Procrustes rotations and
-# subspace overlaps, a tridiagonal inertia count, the n x n reduced Jacobian,
-# and the point spectrum solved once per pulse.
+# may call them: a k x k Ritz problem (one per shift of a stack), n x n
+# Procrustes rotations and subspace overlaps, a tridiagonal inertia count,
+# and the point spectrum solved once per pulse, above its threshold only.
 DENSE_EIGENSOLVERS = {"eigh", "eigvalsh", "eigvalsh_tridiagonal", "svd",
                       "null_space"}
 DENSE_EIGENSOLVE_ALLOWED = {
@@ -59,7 +59,6 @@ DENSE_EIGENSOLVE_ALLOWED = {
     "spectral._procrustes_align",
     "spectral.eigenfield_continuity",
     "spectral.negative_count",
-    "dynamics.ReducedModel.jacobian_at_equispaced",
     "wellmodel.single_pulse_point_spectrum",
 }
 # The modules that only some package modules may import, and those: harness

@@ -24,6 +24,7 @@ from fchpulse import (
 )
 from fchpulse.ansatz import h4_norm_from_stack
 from fchpulse.core import (
+    cosine_synth,
     h_mode_multipliers,
     integral,
     mode_matrix,
@@ -38,6 +39,7 @@ from fchpulse.spectral import (
     _lanczos,
     _metric_basis,
     _projected_inverse,
+    certified_count,
     dual_h4_norm,
     eigenfield_continuity,
     eta_star_formula,
@@ -63,6 +65,7 @@ from conftest import (
     dense_spectral_multiplier,
     every_shift,
     from_modes,
+    full_point_spectrum,
     mode_field,
     moderate_config,
     nodal_h4_norm,
@@ -335,7 +338,8 @@ class TestContextMemory:
 
     def test_semigroup_decay_on_a_fresh_point(self, small_manifold):
         # called directly, the check makes the context and the gap report's
-        # LU, then drops the LU before its LDL^T copies the matrix
+        # LU, then drops the LU before its inertia certificate slices the
+        # matrix
         man = small_manifold
         point = ProfilePoint(man, man.build(man.configuration([4.5, 12.0])))
         point.basis, man.pulse.edge_floor
@@ -848,6 +852,27 @@ class TestShiftCeiling:
         self.assert_ceiling(lambda w: context.ritz(w, gamma), metric, held,
                             pencil)
 
+    @settings(max_examples=30, deadline=None)
+    @given(num_points=st.integers(16, 64), count=st.integers(1, 8),
+           seed=st.integers(0, 2**32 - 1))
+    def test_stacked_shifts_are_single_shift_steps(self, num_points, count,
+                                                   seed):
+        # _best_shift reads the ceilings of every shift still to try from one
+        # ritz call; each of its rows is bitwise the step at that shift alone
+        rng = np.random.default_rng(seed)
+        grid = Grid(10.0, num_points, h_max=10.0)
+        w2, zeroth = rng.uniform(-2.0, 2.0, (2, num_points))
+        context = SpectralContext(grid=grid, w2=w2, zeroth=zeroth,
+                                  matrix=np.zeros((0, 0)))
+        metric = h_mode_multipliers(grid, 2)[1:]
+        basis = _metric_basis(rng.standard_normal((num_points - 1, count)),
+                              metric)
+        theta, vecs = context.ritz(basis, np.array(GAMMA_SWEEP))
+        for j, gamma in enumerate(GAMMA_SWEEP):
+            single_theta, single_vecs = context.ritz(basis, gamma)
+            assert np.array_equal(theta[j], single_theta)
+            assert np.array_equal(vecs[j], single_vecs)
+
 
 class TestCoercivityOracle:
     @pytest.mark.parametrize("setup", ["testbed", "desk"])
@@ -973,6 +998,14 @@ class TestModeCoordinates:
         assert_allclose(from_modes(grid, c).values, u.values, rtol=0,
                         atol=1e-12 * np.max(np.abs(u.values)))
 
+    def test_subset_solve_matches_full_blocks(self, well, pulse):
+        # the blocks solved above the threshold only give the full solves'
+        # eigenvalues there, and no others
+        point = single_pulse_point_spectrum(well, pulse)
+        full = full_point_spectrum(well, pulse)
+        assert point.size == full.size
+        assert_allclose(point, full, rtol=0, atol=1e-12)
+
     def test_parity_blocks_match_nodal_solve(self, well, pulse):
         point = single_pulse_point_spectrum(well, pulse)
         nodal = nodal_point_spectrum(well, pulse)
@@ -1012,11 +1045,13 @@ class TestSpectralContextReuse:
     def test_suite_solve_counts(self, testbed, monkeypatch):
         # on the testbed, the suite runs no dense N x N eigensolve: every
         # eigensolve is shift-invert (the gap reports of the subset and of
-        # the two shifted profiles of the continuity check; mu_x, mu_h2 and
-        # the solved gamma shifts of each coercivity report; the symmetrized
-        # gap of each s), and the semigroup check is one LDL^T. The dense LUs
-        # are one per gap report, one per solved shift and one that the
-        # symmetrized gaps share
+        # the slow pairs of the two shifted profiles of the continuity check;
+        # mu_x, mu_h2 and the solved gamma shifts of each coercivity report;
+        # the symmetrized gap of each s), and the semigroup check is one
+        # LDL^T of the K x K block of its inertia certificate (K = 51 of
+        # 255 modes). The dense LUs are one per gap report and shifted
+        # profile, one per solved shift and one that the symmetrized gaps
+        # share
         from fchpulse import spectral
 
         man = testbed
@@ -1056,7 +1091,7 @@ class TestSpectralContextReuse:
             len(s_values))
         assert set(lanczos) == {0.0}
         size = man.grid.num_points - 1
-        assert ldl == [(size, size)]
+        assert ldl == [(51, 51)]
         assert lus == [(size, size)] * ((len(subset) + 2) + shifts + 1)
 
     @pytest.mark.parametrize("count", [2, 3])
@@ -1306,11 +1341,14 @@ class TestProxies:
         man = manifold_factory(num_points=512)
         point = ProfilePoint(man, man.build(man.configuration([12.0, 22.0,
                                                                34.0])))
-        ok, count, edge = semigroup_decay_check(point)
+        ok, count, edge, block, bound = semigroup_decay_check(point)
         assert ok
         assert count == man.n
         assert edge == point.gap.eigenvalues[man.n] == point.gap.stable_edge
         assert edge > 0.3
+        # certified on the low modes, whose symbol bound clears the shift
+        assert block < man.grid.num_points - 1
+        assert bound >= spectral.INERTIA_SYMBOL_MARGIN * edge * (1.0 - 1e-6)
         # the edge is the first stable eigenvalue: just above it the count
         # takes in that eigenvalue, just below it the slow ones alone
         matrix = point.context.matrix
@@ -1347,7 +1385,7 @@ class TestProxies:
         planted = point.context.matrix - (evals[n + 1] - 0.5 * edge) * np.outer(
             v, v)
         point.context = dataclasses.replace(point.context, matrix=planted)
-        ok, count, _ = semigroup_decay_check(point)
+        ok, count = semigroup_decay_check(point)[:2]
         assert not ok and count == n + 1
         assert full_solve_decay_check(planted, n)[0]
         # lowered only just below the edge, past the check's slack, the mode
@@ -1375,18 +1413,83 @@ class TestProxies:
         overlap, hessian = eigenfield_continuity(center)
         n = man.n
         rotation, _ = np.linalg.qr(np.random.default_rng(7).normal(size=(n, n)))
-        real = spectral.spectral_gap_report
+        real = SpectralContext.lowest
+        solved = []
 
-        def rotated(point):
-            rep = real(point)
-            turned = rep.vectors.copy()
-            turned[:, :n] = rep.vectors[:, :n] @ rotation
-            return dataclasses.replace(rep, vectors=turned)
+        def rotated(context, lu, k, *args, **kwargs):
+            theta, w = real(context, lu, k, *args, **kwargs)
+            solved.append(k)
+            return theta, w @ rotation
 
-        monkeypatch.setattr(spectral, "spectral_gap_report", rotated)
+        monkeypatch.setattr(SpectralContext, "lowest", rotated)
         turned_overlap, turned_hessian = eigenfield_continuity(center)
+        # each shifted profile solves its n slow pairs alone
+        assert solved == [n, n]
         assert turned_overlap == pytest.approx(overlap, rel=1e-12)
         assert turned_hessian == pytest.approx(hessian, rel=1e-8)
+
+
+class TestInertiaCertificate:
+    """certified_count against the LDL^T count of the whole zero-mass matrix,
+    negative_count(context.matrix, shift), its oracle."""
+
+    @pytest.mark.parametrize("num_points", [1024, 2048])
+    def test_desk_diagnosed_profiles(self, manifold_factory, num_points):
+        # the profiles that the desk diagnose checks at seeds 0-3: the first
+        # SPECTRAL_SUBSET of each sample, on the diagnostic and the dynamics
+        # grid. Each is certified on its low modes, at K = 255 (d = 587)
+        man = manifold_factory(num_points=num_points)
+        for seed in range(4):
+            sample = man.sample_configurations(8, seed=seed)
+            for config in sample[:spectral.SPECTRAL_SUBSET]:
+                point = ProfilePoint(man, man.build(config))
+                ok, count, edge, block, bound = semigroup_decay_check(point)
+                shift = (1.0 - THRESHOLDS["semigroup_edge_slack"]) * edge
+                assert ok and block == 255 and bound > 500.0
+                assert count == negative_count(point.context.matrix, shift)
+
+    @settings(max_examples=60, deadline=None)
+    @given(num_points=st.integers(16, 96), seed=st.integers(0, 2**32 - 1),
+           smooth=st.booleans(), data=st.data())
+    def test_random_contexts(self, num_points, seed, smooth, data):
+        # with any floor that bounds the count from below, the result is the
+        # count, certified on the low modes only when the bound meets the
+        # floor; smooth coefficients couple the low and high modes weakly,
+        # nodal noise strongly
+        rng = np.random.default_rng(seed)
+        grid = Grid(10.0, num_points, h_max=10.0)
+        if smooth:
+            coeffs = np.zeros((2, num_points))
+            coeffs[:, :6] = rng.standard_normal((2, 6))
+            w2, zeroth = cosine_synth(coeffs.T).T
+        else:
+            w2, zeroth = rng.uniform(-2.0, 2.0, (2, num_points))
+        b = -(np.diag(grid.wavenumbers**2) + mode_matrix(grid, w2))
+        matrix = (b @ b)[1:, 1:] - mode_matrix(grid, zeroth, start=1)
+        context = SpectralContext(grid=grid, w2=w2, zeroth=zeroth,
+                                  matrix=matrix)
+        evals = np.linalg.eigvalsh(matrix)
+        below = data.draw(st.integers(1, min(6, evals.size - 1)))
+        if evals[below] - evals[below - 1] < 1e-6 * (1.0 + abs(evals[below])):
+            return
+        shift = 0.5 * (evals[below - 1] + evals[below])
+        floor = data.draw(st.integers(0, below))
+        count, block, bound = certified_count(context, shift, floor)
+        assert count == below
+        if block < matrix.shape[0]:
+            assert count == floor and bound > shift
+        else:
+            assert np.isnan(bound)
+
+    def test_a_floor_below_the_count_falls_back_to_the_whole_matrix(
+            self, diag_manifold):
+        man = diag_manifold
+        point = ProfilePoint(man, man.build(moderate_config(man)))
+        n = man.n
+        shift = (1.0 - 1e-6) * point.gap.eigenvalues[n]
+        assert certified_count(point.context, shift, n)[:2] == (n, 255)
+        count, block, bound = certified_count(point.context, shift, n - 1)
+        assert (count, block) == (n, 1023) and np.isnan(bound)
 
 
 class TestEigenfieldOrthonormality:

@@ -326,6 +326,31 @@ class TestBackgrounds:
         assert_allclose(bar_jet(bg1, bg1.z[sel], 0)[0], bg1.bar_values[sel],
                         atol=1e-9)
 
+    def test_one_lu_serves_both(self, well, pulse, backgrounds, monkeypatch):
+        # a solve factors L once, and each background is bitwise the solve
+        # that factors L for itself: L B_1 = 1, then L B_2 = B_1
+        real = wellmodel.lu_factor
+        calls = []
+
+        def counted(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(wellmodel, "lu_factor", counted)
+        fresh = wellmodel.solve_background(well, pulse)
+        size = wellmodel.BACKGROUND_POINTS
+        assert calls == [(size, size)]
+        window = 2.0 * pulse.half_width
+        z = fresh[0].z
+        lmat = (wellmodel._half_line_second_derivative(window, size)
+                - np.diag(well.d2W(well.b_minus + pulse.pulse_bar(z))))
+        b = np.ones(size)
+        for bg, ref in zip(fresh, backgrounds):
+            b = wellmodel._refined_solve(lmat, real(lmat), b)
+            assert np.array_equal(bg.values, b)
+            assert np.array_equal(bg.values, ref.values)
+            assert bg.residual_norm == ref.residual_norm
+
     def test_invalid_order(self, pulse):
         x = np.linspace(-30.0, 30.0, 61)
         with pytest.raises(DomainError):
