@@ -62,6 +62,13 @@ def latin_hypercube(count, dim, seed):
     return (perms.T - jitter) / count
 
 
+def mirror_gaps(p, length):
+    """The n + 1 gaps of the increasing positions p on [0, length] with the
+    mirror shadow pulses -p_1 and 2 length - p_n: 2 p_1, the interior gaps,
+    and (2 length - p_n) - p_n."""
+    return np.diff(np.concatenate([[-p[0]], p, [2.0 * length - p[-1]]]))
+
+
 @dataclass(frozen=True)
 class PulseConfiguration:
     """Ordered pulse centers with the admissibility rules baked in.
@@ -96,11 +103,7 @@ class PulseConfiguration:
 
     @property
     def min_gap(self):
-        p = self.positions
-        gaps = [2.0 * p[0], 2.0 * (self.domain_length - p[-1])]
-        if p.size > 1:
-            gaps.extend(np.diff(p))
-        return float(min(gaps))
+        return float(np.min(mirror_gaps(self.positions, self.domain_length)))
 
     def shifted(self, i, delta):
         q = self.positions.copy()
@@ -308,10 +311,11 @@ class PulseManifold:
             mass_bg + masses @ c_bg
         )
         coef = c_u + lam * c_bg
+        # the no-flux residuals, K c taken as the end derivatives of E
+        edge = self._edge_jet(np.array([0.0, self.params.domain_length]), 3)
+        bc = terms @ (1.0, lam) + (coef @ edge[[1, 3]]).T.ravel()
         residual = np.append(
-            terms @ (1.0, lam) + matrix @ coef,
-            mass_pulse + lam * mass_bg + masses @ coef - total_mass,
-        )
+            bc, mass_pulse + lam * mass_bg + masses @ coef - total_mass)
         internal = InternalParams(
             *map(float, coef),
             lam=float(lam),
@@ -322,10 +326,6 @@ class PulseManifold:
         )
         e_vals = self._edge_sum(z, internal)[0]
         phi = ScalarField(self.grid, u_n + internal.lam * bg + e_vals)
-
-        ends = np.array([0.0, self.params.domain_length])
-        e_ends = self._edge_sum(ends, internal, 3)[[1, 3]].T.ravel()
-        bc = terms @ (1.0, internal.lam) + e_ends
         mass_value = mass(phi, self.well.b_minus)
 
         if np.max(np.abs(bc)) > BC_TOL:

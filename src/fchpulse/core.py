@@ -336,8 +336,9 @@ def mean_value(field):
 
 
 def norm(field, kind="l2"):
-    """Norm family: 'l2' or 'h4' (orders 0..4); the H_G1 norm of a gradient
-    family is `GradientFamily.h_norm`."""
+    """Norm family: 'l2' or 'h4' (orders 0..4). The H_G1 norm of a gradient
+    family is the H4 norm of G1's multipliers times the cosine coefficients
+    (`h4_norm_from_coeffs`)."""
     if not np.all(np.isfinite(field.values)):
         raise InvalidFieldError("field contains non-finite values")
     kind = kind.lower()

@@ -31,17 +31,11 @@ from .core import (
     StiffnessError,
     cosine_coeffs,
     cosine_synth,
-    inner_product_x,
     norm,
     parseval_weights,
 )
-from .ansatz import mass as field_mass
-from .operators import (
-    GradientFamily,
-    energy_terms,
-    gradient_coeffs,
-    zero_mass_projection,
-)
+from .ansatz import mass as field_mass, mirror_gaps
+from .operators import energy_terms, gradient_coeffs, to_modes
 from .wellmodel import PairEnergy
 
 DT_MIN = 1e-12
@@ -282,10 +276,7 @@ def run(manifold, family, state, t_final, controls, output_every=50,
                 traj.t_exit = state.time
                 traj.exit_reason = "pulse extraction failed (collision/merger)"
                 break
-            gaps = [2.0 * pos[0], 2.0 * (grid.length - pos[-1])]
-            if n > 1:
-                gaps.extend(np.diff(pos))
-            if min(gaps) < 0.5 * params.min_spacing:
+            if np.min(mirror_gaps(pos, grid.length)) < 0.5 * params.min_spacing:
                 traj.t_exit = state.time
                 traj.exit_reason = "minimum gap fell below ell/2"
                 break
@@ -341,9 +332,9 @@ class ReducedModel:
         """Tail decay rate r = sqrt(alpha_minus)."""
         return self.pair.rate
 
-    def force(self, g, order=0):
-        """Pair force F(g) = -E'(g) / ||phi_h'||^2 (order 0), or F' (order 1)."""
-        return -self.pair(g, order + 1) / self.kernel_norm**2
+    def force(self, g):
+        """Pair force F(g) = -E'(g) / ||phi_h'||^2."""
+        return -self.pair(g, 1) / self.kernel_norm**2
 
     def _check(self, p):
         gaps = self.gaps(p)
@@ -354,9 +345,7 @@ class ReducedModel:
             )
 
     def gaps(self, p):
-        p = np.asarray(p, dtype=float)
-        ext = np.concatenate([[-p[0]], p, [2.0 * self.domain_length - p[-1]]])
-        return np.diff(ext)
+        return mirror_gaps(np.asarray(p, dtype=float), self.domain_length)
 
     def velocity(self, p, check=True):
         p = np.asarray(p, dtype=float)
@@ -371,26 +360,27 @@ class ReducedModel:
 
 
 def pulse_velocity_projection(manifold, config):
-    """Velocity from projecting the quasi-steady residual onto the tangents.
+    """Velocity from projecting the quasi-steady residual R onto the tangents.
 
-    Solves Gram * pdot = <R, dPhi/dp_i> with the full tangent Gram matrix.
+    In the mode coordinates of `to_modes`, where the X inner product is the
+    dot product, solves T^T T pdot = T^T R with T the tangent columns: the
+    full tangent Gram matrix against the projections <R, dPhi/dp_i>.
     """
     profile = manifold.build(config)
-    r_field = manifold.residual_h4(profile)[0]
-    tangents = manifold.tangent_basis(profile)[0]
-    proj = np.array([inner_product_x(r_field, t) for t in tangents])
-    gram = np.array(
-        [[inner_product_x(a, b) for b in tangents] for a in tangents]
-    )
-    return np.linalg.solve(gram, proj)
+    r = to_modes(manifold.residual_h4(profile)[0])
+    t = np.stack([to_modes(f) for f in manifold.tangent_basis(profile)[0]],
+                 axis=1)
+    return np.linalg.solve(t.T @ t, t.T @ r)
 
 
 def alpha_scaling(s, grid, pulse):
-    """alpha(s) = ||G1^{-1} Pi_0 phi_h'||_{L2} for a pulse centred at L/2."""
+    """alpha(s) = ||G1^{-1} Pi_0 phi_h'||_{L2} for a pulse centred at L/2:
+    by Parseval, the square root of sum_{k>=1} c_k (a_k / k^s)^2 over the
+    cosine coefficients a of phi_h', c the Parseval weights."""
     center = 0.5 * grid.length
-    dphi = ScalarField(grid, pulse.pulse_bar_deriv(grid.nodes - center, 1))
-    fam = GradientFamily(grid, s)
-    return norm(fam.apply(zero_mass_projection(dphi), "G1_inv"), "l2")
+    a = cosine_coeffs(pulse.pulse_bar_deriv(grid.nodes - center, 1))[1:]
+    scaled = a / np.arange(1, grid.num_points) ** s
+    return float(np.sqrt(np.sum(parseval_weights(grid)[1:] * scaled**2)))
 
 
 def integrate_reduced(model, p0, t_final, velocity_scale=1.0, t_eval=None):

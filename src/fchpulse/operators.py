@@ -1,6 +1,8 @@
-"""Discrete realizations of the energy, its variations, and the gradients.
+"""Discrete realizations of the energy and its variations, and the symbols
+of the gradient family.
 
-All differential operators act spectrally in the Neumann cosine basis.
+All differential operators act spectrally in the Neumann cosine basis, and
+the scaled-hypothesis diagnostics act on cosine coefficients.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from .core import (
     h4_norm_from_coeffs,
     mean_value,
     mode_norms,
-    norm,
 )
 
 
@@ -103,20 +104,24 @@ def energy_remainder(phi, v, well):
 
 
 # ---------------------------------------------------------------------------
-# The H^{-s} gradient family.
+# The H^{-s} gradient family: its mode symbols.
 # ---------------------------------------------------------------------------
 
 
-MULTIPLIER_POWERS = {"G": 2.0, "G1": 1.0, "G1_inv": -1.0}
+MULTIPLIER_POWERS = {"G": 2.0, "G1": 1.0}
 
 
 @dataclass(frozen=True)
 class GradientFamily:
-    """Spectral family G = lam1^s D^{-s}, G1 = G^{1/2} on the cosine modes.
+    """Spectral family G = lam1^s D^{-s}, G1 = G^{1/2}, as symbols on the
+    cosine modes.
 
     D is the Neumann inverse Laplacian with eigenvalues lam_k = (L/(pi k))^2,
     so G1 multiplies mode k by (lam1/lam_k)^{s/2} = k^s: it fixes the gravest
     mode and amplifies finer ones. Constants form the kernel of every member.
+    The family is its mode multipliers only: every caller acts on cosine
+    coefficients, and the H_G1 norm of w is the H^4 norm of G1's multipliers
+    times w's coefficients (`h4_norm_from_coeffs`).
     """
 
     grid: Grid
@@ -129,48 +134,31 @@ class GradientFamily:
             raise DomainError("gradient exponent s must lie in [0,1]")
 
     def multipliers(self, which):
-        """The mode multipliers of G, G1 or G1_inv: k**(p s) with p = 2, 1,
-        -1, and 0 at mode 0. Each is built on first use and kept as one
-        read-only array per family and direction."""
+        """The mode multipliers of G or G1: k**(p s) with p = 2 or 1, and 0
+        at mode 0. Each is built on first use and kept as one read-only
+        array per family and direction."""
         if which not in self._tables:
             if which not in MULTIPLIER_POWERS:
                 raise DomainError(f"unknown gradient direction {which!r}")
             k = np.arange(self.grid.num_points, dtype=float)
-            k[0] = 1.0  # placeholder; mode 0 handled below
             m = k ** (MULTIPLIER_POWERS[which] * self.s)
             m[0] = 0.0
             m.flags.writeable = False
             self._tables[which] = m
         return self._tables[which]
 
-    def apply(self, fld, which="G"):
-        coeffs = cosine_coeffs(fld.values)
-        if which == "G1_inv":
-            scale = 1.0 + float(np.max(np.abs(fld.values)))
-            if abs(coeffs[0]) > 1e-8 * scale:
-                raise DomainError(
-                    f"{which} requires a zero-mass field, mean = {coeffs[0]:.3e}"
-                )
-        out = coeffs * self.multipliers(which)
-        return ScalarField(fld.grid, cosine_synth(out))
-
-    def h_norm(self, fld):
-        """The norm ||w||_{H_G1} = ||G1 w||_{H^4}, by Parseval."""
-        return h4_norm_from_coeffs(
-            fld.grid, cosine_coeffs(fld.values) * self.multipliers("G1"))
-
 
 # ---------------------------------------------------------------------------
-# Scaled-hypothesis measurement helpers.
+# Scaled-hypothesis measurement helpers. Each acts on cosine coefficients.
 # ---------------------------------------------------------------------------
 
 
 BAND_EDGE_KAPPA = 12.0
 
 
-def band_limited_h_norm(field, multipliers):
-    """H4 norm of the field with its cosine modes scaled by multipliers,
-    restricted to physical wavenumbers kappa <= BAND_EDGE_KAPPA.
+def band_limited_h_norm(grid, coeffs):
+    """H4 norm of the cosine series with coefficients coeffs, restricted to
+    physical wavenumbers kappa <= BAND_EDGE_KAPPA.
 
     Used by the scaled-gradient diagnostics: their symbols k^{2s} are
     unbounded, so beyond the band where the exponentially small signal lives
@@ -178,25 +166,25 @@ def band_limited_h_norm(field, multipliers):
     is fixed in physical units (about ten pulse decay rates), making the
     measurement resolution-independent.
     """
-    grid = field.grid
-    a = cosine_coeffs(field.values) * multipliers
     return h4_norm_from_coeffs(
-        grid, np.where(grid.wavenumbers <= BAND_EDGE_KAPPA, a, 0.0))
+        grid, np.where(grid.wavenumbers <= BAND_EDGE_KAPPA, coeffs, 0.0))
 
 
 def scaled_nonlinearity_constant(phi, well, family, rho, probes):
-    """max over probes w of rho*||G1 N_S(G1 w / rho)||_{H_G1} / ||w||_{H_G1}^2.
+    """max over probes w of rho*||G1 N_S(G1 w / rho)||_{H_G1} / ||w||_{H_G1}^2,
+    each probe given by its cosine coefficients.
 
     Norms are band-limited (see band_limited_h_norm); mode 0 of G1 is 0, so
     they see no mean.
     """
+    grid = phi.grid
     g1 = family.multipliers("G1")
     worst = 0.0
     for w in probes:
-        v = family.apply(w, "G1") * (1.0 / rho)
-        ns = nonlinear_remainder(phi, v, well)
-        lhs = rho * band_limited_h_norm(ns, g1)
-        denom = band_limited_h_norm(w, g1) ** 2
+        v = ScalarField(grid, cosine_synth(g1 * w) * (1.0 / rho))
+        ns = cosine_coeffs(nonlinear_remainder(phi, v, well).values)
+        lhs = rho * band_limited_h_norm(grid, g1 * ns)
+        denom = band_limited_h_norm(grid, g1 * w) ** 2
         worst = max(worst, lhs / denom)
     return worst
 
@@ -204,15 +192,14 @@ def scaled_nonlinearity_constant(phi, well, family, rho, probes):
 def scaled_residual_constant(residual, family, rho, delta):
     """c in ||G1 R||_{H_G1} <= c rho^2 delta, band-limited."""
     mult = family.multipliers("G")
-    return band_limited_h_norm(residual, mult) / (rho**2 * delta)
+    return band_limited_h_norm(
+        residual.grid, cosine_coeffs(residual.values) * mult) / (rho**2 * delta)
 
 
-def tangent_amplification_constant(tangents, family, rho):
-    """c in ||G1 t||_X <= c rho ||t||_X over the tangent fields."""
-    worst = 0.0
-    for t in tangents:
-        t0 = zero_mass_projection(t)
-        worst = max(
-            worst, norm(family.apply(t0, "G1"), "l2") / (rho * norm(t0, "l2"))
-        )
-    return worst
+def tangent_amplification_constant(tangents, g1, rho):
+    """c in ||G1 t||_X <= c rho ||t||_X over the tangent columns: zero-mass
+    mode coordinates, in which the X norm is the Euclidean one and g1, the
+    multipliers of G1 on those modes, is diagonal."""
+    ratios = (np.linalg.norm(g1[:, None] * tangents, axis=0)
+              / (rho * np.linalg.norm(tangents, axis=0)))
+    return float(np.max(ratios))

@@ -208,12 +208,12 @@ class SpectralContext:
         theta, y = np.linalg.eigh(0.5 * (h + np.swapaxes(h, -1, -2)))
         return theta, w @ y
 
-    def residual(self, w, theta, m=None, shift=0.0):
-        """(L + shift) W - diag(m) W diag(theta) (the identity without m),
-        with L W the zero-mass rows of B (B W) - M(Z) W: the factors that
-        `ritz` reads, so a slow pair's residual has no eps*||L|| floor."""
+    def residual(self, w, theta, m=None):
+        """L W - diag(m) W diag(theta) (the identity without m), with L W the
+        zero-mass rows of B (B W) - M(Z) W: the factors that `ritz` reads, so
+        a slow pair's residual has no eps*||L|| floor."""
         bw, zw = self._factors(w)
-        resid = self._apply_b(bw)[1:] - zw[1:] + shift * w
+        resid = self._apply_b(bw)[1:] - zw[1:]
         resid -= (w if m is None else m[:, None] * w) * theta
         return resid
 
@@ -256,8 +256,10 @@ class ProfilePoint:
     the energy-landscape ones (coercivity, trapping radius) read the same
     context, tangent basis, gap report and residual_h4 record (the residual,
     its norms and the energy), and every unshifted solve reads one LU of the
-    context's matrix (`lu`). Each is computed on first read and kept;
-    `release` drops the N^2 arrays.
+    context's matrix (`lu`). The checks read the tangent plane in one
+    coordinate system: `tangents`, the (N-1) x n zero-mass mode coordinates
+    of the basis's fields, one column per tangent. Each is computed on first
+    read and kept; `release` drops the N^2 arrays.
     """
 
     manifold: object
@@ -274,6 +276,10 @@ class ProfilePoint:
     @cached_property
     def basis(self):
         return self.manifold.tangent_basis(self.profile)
+
+    @cached_property
+    def tangents(self):
+        return np.stack([to_modes(t)[1:] for t in self.basis[0]], axis=1)
 
     @cached_property
     def gap(self):
@@ -488,10 +494,9 @@ def coercivity_constant(point):
     mu_tilde = 0.75 * manifold.pulse.edge_floor
     context = point.context
     unconstrained = float(point.gap.eigenvalues[0])
-    t_modes = np.stack([to_modes(t)[1:] for t in point.basis[0]], axis=1)
     h2 = h_mode_multipliers(grid, 2)[1:]
-    mu_x = float(context.lowest(point.lu, 1, t=t_modes)[0][0])
-    mu_h2 = float(context.lowest(point.lu, 1, h2, t_modes)[0][0])
+    mu_x = float(context.lowest(point.lu, 1, t=point.tangents)[0][0])
+    mu_h2 = float(context.lowest(point.lu, 1, h2, point.tangents)[0][0])
     point.release(context=False)
 
     def shifted(gamma):
@@ -530,7 +535,9 @@ class AlignmentReport:
 
 
 def _procrustes_align(slow, tangents):
-    t_mat = np.stack([t / np.linalg.norm(t) for t in tangents], axis=1)
+    """(beta, slow rotated onto the columns of tangents, those columns
+    normalized) by the orthogonal Procrustes rotation of beta."""
+    t_mat = tangents / np.linalg.norm(tangents, axis=0)
     beta = t_mat.T @ slow
     u, _, vt = np.linalg.svd(beta)
     rotated = slow @ (u @ vt).T
@@ -540,8 +547,8 @@ def _procrustes_align(slow, tangents):
 def tangent_alignment(point):
     """Max H4 distance between slow eigenfields and normalized tangents.
 
-    The slow eigenbasis is matched to the tangent directions by the optimal
-    orthogonal transformation (the beta reparameterization); errors are
+    The slow eigenbasis is matched to the point's tangent columns by the
+    optimal orthogonal transformation (the beta reparameterization); errors are
     measured in the H4 norm with the tangent derivatives assembled
     analytically and the eigenfield derivatives synthesized from the rotated
     zero-mass mode coordinates of the gap report (`mode_derivative`).
@@ -555,20 +562,19 @@ def tangent_alignment(point):
             max_error=np.nan, errors=np.full(n, np.nan),
             beta=np.full((n, n), np.nan), beta_defect=np.nan, passed=False,
         )
-    tangents, stacks = point.basis
-    t_modes = [to_modes(t)[1:] for t in tangents]
-    beta, rotated, t_mat = _procrustes_align(report.vectors[:, :n], t_modes)
+    stacks = point.basis[1]
+    t_norms = np.linalg.norm(point.tangents, axis=0)
+    beta, rotated, _ = _procrustes_align(report.vectors[:, :n], point.tangents)
 
     grid = manifold.grid
     coeffs = np.zeros((grid.num_points, n))
     coeffs[1:] = rotated / mode_norms(grid)[1:, None]
     errors = np.empty(n)
     for i in range(n):
-        t_norm = np.linalg.norm(t_modes[i])
         stack = np.empty((5, grid.num_points))
         for m in range(5):
             eig_m = mode_derivative(coeffs[:, i], grid.wavenumbers, m)
-            stack[m] = eig_m - stacks[i][m] / t_norm
+            stack[m] = eig_m - stacks[i][m] / t_norms[i]
         errors[i] = h4_norm_from_stack(grid, stack)
     beta_defect = float(np.linalg.norm(beta.T @ beta - np.eye(n)))
     passed = (
@@ -593,11 +599,12 @@ def symmetrized_gap(point, family):
     """Spectrum of G1*L*G1 on the zero-mass space and its slow alignment.
 
     Asserts n slow eigenvalues of size O(delta_g), a stable remainder, and
-    alignment of the slow eigenfields with the normalized G1^{-1} tangents
-    of the point's basis. G1 is diagonal in modes, so G1 L G1 y = theta y is
-    L w = theta G1^{-2} w with y = G1^{-1} w, solved on the point's LU with
-    the metric G1^{-2} (SpectralContext.lowest); the residuals are those of
-    G1 L G1. At s = 0 this reproduces the plain spectral gap report.
+    alignment of the slow eigenfields with the normalized G1^{-1} tangents,
+    the point's `tangents` over g1. G1 is diagonal in modes, so G1 L G1 y =
+    theta y is L w = theta G1^{-2} w with y = G1^{-1} w, solved on the
+    point's LU with the metric G1^{-2} (SpectralContext.lowest); the
+    residuals are those of G1 L G1. At s = 0 this reproduces the plain
+    spectral gap report.
     """
     manifold = point.manifold
     params = manifold.params
@@ -629,12 +636,9 @@ def symmetrized_gap(point, family):
         failures.append("no clear slow/stable separation")
 
     # alignment of slow eigenfields with normalized G1^{-1} tangents
-    tangents = point.basis[0]
-    t_g = [to_modes(t)[1:] / g1 for t in tangents]
-    beta, rotated, t_mat = _procrustes_align(vecs[:, :n], t_g)
-    errors = np.array(
-        [np.linalg.norm(rotated[:, i] - t_mat[:, i]) for i in range(n)]
-    )
+    _, rotated, t_mat = _procrustes_align(vecs[:, :n], point.tangents
+                                          / g1[:, None])
+    errors = np.linalg.norm(rotated - t_mat, axis=0)
     if np.max(errors) > cap:
         failures.append(
             f"slow-eigenfield alignment error {np.max(errors):.3e} exceeds "
@@ -1012,13 +1016,15 @@ def run_hypothesis_suite(points, s_values=(0.5, 1.0), seed=0):
         base = ProfilePoint(manifold, manifold.build(equi))
     for s in s_values:
         fam = GradientFamily(manifold.grid, s)
+        g1 = fam.multipliers("G1")
         rho = params.gap_rho(s)
 
+        # probes w, as cosine coefficients, with ||w||_{H_G1} = 0.5
         probes = []
         for _ in range(3):
             coeffs = smooth_probe_coeffs(manifold.grid, rng, 4, 120, 2)
-            w = ScalarField(manifold.grid, cosine_synth(coeffs))
-            probes.append(w * (0.5 / fam.h_norm(w)))
+            probes.append(coeffs * (0.5 / h4_norm_from_coeffs(
+                manifold.grid, g1 * coeffs)))
         rho_nl = params.epsilon ** (-2.0 * s) if s > 0 else 1.0
         c_a = scaled_nonlinearity_constant(base.profile.phi, manifold.well,
                                            fam, rho_nl, probes)
@@ -1040,7 +1046,7 @@ def run_hypothesis_suite(points, s_values=(0.5, 1.0), seed=0):
             "scaled_residual", -1, c_res, THRESHOLDS["eh3_residual_cap"],
             c_res <= THRESHOLDS["eh3_residual_cap"], s=s,
         )
-        c_tan = tangent_amplification_constant(base.basis[0], fam, rho)
+        c_tan = tangent_amplification_constant(base.tangents, g1[1:], rho)
         report.add(
             "tangent_amplification", -1, c_tan,
             THRESHOLDS["eh3_tangent_cap"],

@@ -306,6 +306,14 @@ def from_modes(grid, vec):
     return ScalarField(grid, cosine_synth(vec / mode_norms(grid)))
 
 
+def apply_family(family, fld, which="G"):
+    """The field whose cosine coefficients are fld's times the multipliers
+    of G or G1: the family applied at the nodes, by one analysis and one
+    synthesis."""
+    return ScalarField(fld.grid, cosine_synth(
+        cosine_coeffs(fld.values) * family.multipliers(which)))
+
+
 # The nodal weighted-coordinate dense path that the cosine-mode
 # SpectralContext replaced, kept as the oracle. In weighted coordinates
 # u_w = sqrt(w) * u (w the quadrature weights) the X inner product is the
@@ -587,7 +595,8 @@ def jacobian_at_equispaced(model, n):
     eigenvalues are -gamma*(1 + cos(k*pi/(n+1))).
     """
     spacing = model.domain_length / n
-    gamma = -float(model.force(spacing, order=1)) / model.rate
+    # F' = -E'' / ||phi_h'||^2
+    gamma = float(model.pair(spacing, 2) / model.kernel_norm**2) / model.rate
     mat = -gamma * np.eye(n)
     for i in range(n - 1):
         mat[i, i + 1] = 0.5 * gamma

@@ -10,7 +10,9 @@ from fchpulse import (
     AdmissibilityError,
     ExperimentConfig,
     MassSplitError,
+    PulseConfiguration,
     PulseManifold,
+    ReducedModel,
     ScalarField,
     SystemParams,
     inner_product_x,
@@ -48,6 +50,19 @@ class TestConfiguration:
     def test_min_gap_includes_shadows(self, desk_manifold):
         cfg = desk_manifold.configuration([4.5, 30.0, 80.0])
         assert cfg.min_gap == pytest.approx(9.0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(interior=st.lists(st.floats(1.0, 99.0), max_size=3, unique=True),
+           last=st.floats(100.0, 160.0, exclude_max=True))
+    def test_min_gap_is_the_reduced_models_bitwise(self, interior, last):
+        """Admissibility and the reduced model read one mirror-gap rule:
+        2 (L - p_n) and (2 L - p_n) - p_n round differently for about one
+        p_n in five of [100, 160] at L = 160."""
+        p = np.array([*sorted(interior), last])
+        cfg = PulseConfiguration(p, 1e-12, 160.0)
+        model = ReducedModel(pair=None, kernel_norm=1.0, domain_length=160.0,
+                             min_spacing=1e-12)
+        assert cfg.min_gap == np.min(model.gaps(p))
 
     def test_sampling_admissible(self, desk_manifold):
         for cfg in desk_manifold.sample_configurations(16, seed=11):

@@ -47,8 +47,9 @@ from fchpulse.dynamics import (
 )
 from fchpulse.harness import read_checkpoint, write_checkpoint
 
-from conftest import (count_background_work, energy, jacobian_at_equispaced,
-                      spectral_derivative, variational_derivative)
+from conftest import (apply_family, count_background_work, energy,
+                      jacobian_at_equispaced, spectral_derivative,
+                      variational_derivative)
 
 
 @pytest.fixture(scope="module")
@@ -83,8 +84,8 @@ def pair_energy_asymptote(pulse):
 class AttractiveModel(ReducedModel):
     """The reduced law with the sign of the pair force flipped."""
 
-    def force(self, g, order=0):
-        return -super().force(g, order)
+    def force(self, g):
+        return -super().force(g)
 
 
 def noise_field(grid, amplitude, seed=0, kmax=40):
@@ -211,7 +212,8 @@ class TestFusedStep:
             nodal = flow_terms(cosine_coeffs(u.values), u, well, fam)
             assert_allclose(state.dissipation, nodal[2], rtol=1e-10)
             assert_allclose(state.dissipation,
-                            inner_product_x(fam.apply(g, "G"), g), rtol=1e-10)
+                            inner_product_x(apply_family(fam, g, "G"), g),
+                            rtol=1e-10)
             assert_allclose(state.u_hat, cosine_coeffs(u.values), rtol=0,
                             atol=8 * eps * umax)
             assert_allclose(state.grad_hat, cosine_coeffs(g.values), rtol=0,

@@ -18,9 +18,10 @@ from fchpulse import (
     norm,
     zero_mass_projection,
 )
-from fchpulse.core import cosine_coeffs, cosine_synth
+from fchpulse.core import cosine_coeffs, cosine_synth, h4_norm_from_coeffs
 from fchpulse.operators import energy_remainder, scaled_nonlinearity_constant
 from conftest import (
+    apply_family,
     dense_second_variation,
     difference_energy_remainder,
     difference_remainder,
@@ -224,73 +225,91 @@ class TestZeroMassProjection:
 
 
 class TestGradientFamily:
+    """The family is its mode multipliers; `apply_family` (conftest) applies
+    them at the nodes, where the identities below also hold."""
+
     def test_s_zero_is_projection(self, grid):
+        # at s = 0 both symbols are 0 at mode 0 and 1 elsewhere
         fam = GradientFamily(grid, 0.0)
         f = smooth_field(grid, 11) + 2.0
         for which in ("G", "G1"):
-            out = fam.apply(f, which)
+            m = fam.multipliers(which)
+            assert m[0] == 0.0 and np.all(m[1:] == 1.0)
+            out = apply_family(fam, f, which)
             expected = zero_mass_projection(f)
             assert_allclose(out.values, expected.values, atol=1e-11)
 
     def test_gravest_mode_fixed(self, grid):
         for s in (0.25, 0.5, 1.0):
             fam = GradientFamily(grid, s)
+            assert fam.multipliers("G1")[1] == 1.0
             mode = ScalarField(grid, np.cos(np.pi * grid.nodes / grid.length))
-            out = fam.apply(mode, "G1")
+            out = apply_family(fam, mode, "G1")
             assert_allclose(out.values, mode.values, atol=1e-11)
 
     def test_mode_two_amplified_by_formula(self, grid):
-        # (lam_1/lam_2)^{1/2} = 2 at s = 1: the family amplifies mode two
-        fam = GradientFamily(grid, 1.0)
+        # (lam_1/lam_2)^{s/2} = 2^s: the family amplifies mode two
         mode = ScalarField(grid, np.cos(2 * np.pi * grid.nodes / grid.length))
-        out = fam.apply(mode, "G1")
-        assert cosine_coeffs(out.values)[2] == pytest.approx(2.0, rel=1e-12)
+        for s in (0.5, 1.0):
+            fam = GradientFamily(grid, s)
+            assert fam.multipliers("G1")[2] == pytest.approx(2.0**s,
+                                                             rel=1e-15)
+            out = apply_family(fam, mode, "G1")
+            assert cosine_coeffs(out.values)[2] == pytest.approx(2.0**s,
+                                                                 rel=1e-12)
 
     def test_roundtrip(self, grid):
+        # G1 is invertible on the zero-mass modes: dividing by its symbol
+        # undoes it
         fam = GradientFamily(grid, 0.7)
+        g1 = fam.multipliers("G1")
+        assert np.all(g1[1:] > 0.0)
         f = zero_mass_projection(smooth_field(grid, 12))
-        rt = fam.apply(fam.apply(f, "G1_inv"), "G1")
-        assert np.max(np.abs(rt.values - f.values)) < 1e-12
+        a = cosine_coeffs(apply_family(fam, f, "G1").values)
+        a[1:] /= g1[1:]
+        rt = cosine_synth(a)
+        assert np.max(np.abs(rt - f.values)) < 1e-12
 
     def test_sqrt_relation(self, grid):
+        # G1^2 = G, as symbols and at the nodes
         fam = GradientFamily(grid, 0.6)
+        g1, g = fam.multipliers("G1"), fam.multipliers("G")
+        assert_allclose(g1 * g1, g, rtol=4 * np.finfo(float).eps, atol=0)
         f = zero_mass_projection(smooth_field(grid, 13))
-        twice = fam.apply(fam.apply(f, "G1"), "G1")
-        once = fam.apply(f, "G")
+        twice = apply_family(fam, apply_family(fam, f, "G1"), "G1")
+        once = apply_family(fam, f, "G")
         assert np.max(np.abs(twice.values - once.values)) < 1e-10
 
     def test_nonnegative(self, grid):
         fam = GradientFamily(grid, 1.0)
+        assert np.all(fam.multipliers("G") >= 0.0)
         for seed in range(5):
             f = zero_mass_projection(smooth_field(grid, 20 + seed))
-            assert inner_product_x(fam.apply(f, "G"), f) >= -1e-12
+            assert inner_product_x(apply_family(fam, f, "G"), f) >= -1e-12
 
     @pytest.mark.parametrize("s", [0.0, 0.6, 1.0])
     def test_multipliers_are_one_read_only_table(self, grid, s):
         """Each direction's table is built once per family, cannot be written
-        through, and holds k**(2s), k**(±s) with 0 at mode 0, bitwise."""
+        through, and holds k**(2s), k**s with 0 at mode 0, bitwise."""
         fam = GradientFamily(grid, s)
         k = np.arange(grid.num_points, dtype=float)
-        for which, power in (("G", 2.0 * s), ("G1", s), ("G1_inv", -s)):
+        for which, power in (("G", 2.0 * s), ("G1", s)):
             m = fam.multipliers(which)
             assert m is fam.multipliers(which)
             assert not m.flags.writeable
             assert m[0] == 0.0
             assert np.array_equal(m[1:], k[1:] ** power)
-        with pytest.raises(DomainError, match="unknown gradient direction"):
-            fam.multipliers("G2")
-
-    def test_inverse_requires_zero_mass(self, grid):
-        fam = GradientFamily(grid, 0.5)
-        f = smooth_field(grid, 14) + 1.0
-        with pytest.raises(DomainError):
-            fam.apply(f, "G1_inv")
+        for which in ("G2", "G1_inv"):
+            with pytest.raises(DomainError,
+                               match="unknown gradient direction"):
+                fam.multipliers(which)
 
 
 def suite_probes(grid, family, seed):
-    """The three probes w of the hypothesis suite's scaled-nonlinearity
-    check, each scaled to ||w||_{H_G1} = 0.5."""
+    """The cosine coefficients of the three probes w of the hypothesis
+    suite's scaled-nonlinearity check, each scaled to ||w||_{H_G1} = 0.5."""
     rng = np.random.default_rng(seed)
+    g1 = family.multipliers("G1")
     probes = []
     for _ in range(3):
         coeffs = np.zeros(grid.num_points)
@@ -298,8 +317,7 @@ def suite_probes(grid, family, seed):
         coeffs[1 : kmax + 1] = rng.standard_normal(kmax) / (
             1.0 + np.arange(1, kmax + 1) ** 2
         )
-        w = ScalarField(grid, cosine_synth(coeffs))
-        probes.append(w * (0.5 / family.h_norm(w)))
+        probes.append(coeffs * (0.5 / h4_norm_from_coeffs(grid, g1 * coeffs)))
     return probes
 
 
