@@ -327,11 +327,6 @@ class ReducedModel:
             min_spacing=params.min_spacing,
         )
 
-    @property
-    def rate(self):
-        """Tail decay rate r = sqrt(alpha_minus)."""
-        return self.pair.rate
-
     def force(self, g):
         """Pair force F(g) = -E'(g) / ||phi_h'||^2."""
         return -self.pair(g, 1) / self.kernel_norm**2
@@ -353,10 +348,6 @@ class ReducedModel:
             self._check(p)
         f = self.force(self.gaps(p))
         return f[:-1] - f[1:]
-
-    def equispaced(self, n):
-        spacing = self.domain_length / n
-        return (np.arange(1, n + 1) - 0.5) * spacing
 
 
 def pulse_velocity_projection(manifold, config):

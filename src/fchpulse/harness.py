@@ -1,8 +1,9 @@
 """Experiment drivers, configuration, persistence, and the CLI backend.
 
-Every experiment validates its configuration, runs, writes its outputs into
-the output directory, and finishes by writing a run manifest. This module
-writes and reads every file, and each writer (`_write_csv`, `_write_json`,
+`run_experiment` is the one run lifecycle around the bodies of `RUNNERS`,
+the one experiment registry: each body `experiment_<name>(lab, manifest)`
+writes its outputs and returns its summary. This module writes and reads
+every file, and each writer (`_write_csv`, `_write_json`,
 `_write_plot_data`, `write_checkpoint`) records the name it writes in the
 manifest, which is written last: its presence certifies a complete run, and
 it lists exactly the files the run wrote. The config is the one record of a
@@ -60,18 +61,6 @@ from .wellmodel import (
     solve_background,
     solve_homoclinic,
 )
-
-EXPERIMENTS = (
-    "profile",
-    "ansatz",
-    "spectrum",
-    "diagnose",
-    "simulate",
-    "reduce",
-    "compare",
-    "invariance",
-)
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -166,6 +155,13 @@ class ExperimentConfig:
         for s in self.s_values:
             if not 0.0 <= s <= 1.0:
                 raise ValidationError("s values must lie in [0,1]")
+        # an s value's label names its invariance file and summary entry,
+        # and -0.0 is the same entry as 0.0
+        labels = [f"{s + 0.0:g}" for s in self.s_values]
+        repeated = next((x for x in labels if labels.count(x) > 1), None)
+        if repeated is not None:
+            raise ValidationError(
+                f"s_values repeat the label {repeated!r}; each s needs its own")
 
     def as_dict(self):
         doc = asdict(self)
@@ -226,7 +222,7 @@ def config_hash(config):
 class RunManifest:
     """Completeness certificate of a run into the directory out: the name of
     every file the run wrote, recorded by the writer that wrote it, and the
-    summary. `_finish` writes it, without out, last."""
+    summary. `run_experiment` writes it, without out, last."""
 
     out: Path
     config_hash: str
@@ -434,66 +430,41 @@ def _checkpointer(manifest, stride, kappa):
     return checkpoint
 
 
-def _start(config, out_dir):
-    """The manifest of a run into out_dir, after writing its config."""
-    manifest = RunManifest(
-        out=Path(out_dir),
-        config_hash=config_hash(config),
-        version=__version__,
-        started=time.strftime("%Y-%m-%dT%H:%M:%S"),
-    )
-    manifest.out.mkdir(parents=True, exist_ok=True)
-    _write_json(manifest, "config.json", config.as_dict())
-    return manifest
-
-
-def _finish(manifest, summary):
-    """Record the summary and write the manifest, which comes last."""
-    manifest.summary = summary
-    manifest.finished = time.strftime("%Y-%m-%dT%H:%M:%S")
-    doc = asdict(manifest)
-    del doc["out"]
-    _write_json(manifest, "manifest.json", doc)
-    return manifest
-
-
 # ---------------------------------------------------------------------------
 # Experiments.
 # ---------------------------------------------------------------------------
 
 
-def experiment_profile(config, out_dir):
+def experiment_profile(lab, manifest):
     """Solve the pulse and backgrounds; emit their profiles and far-field data."""
-    manifest = _start(config, out_dir)
-    lab = Laboratory.from_config(config)
-    for name, prof in (("pulse.csv", lab.pulse), ("background_1.csv", lab.bg1),
+    pulse = lab.pulse
+    for name, prof in (("pulse.csv", pulse), ("background_1.csv", lab.bg1),
                        ("background_2.csv", lab.bg2)):
         _write_csv(manifest, name, ["z", "value"], zip(prof.z, prof.values))
-    fit = far_field_params(lab.pulse)
-    summary = {
-        "u_star": lab.pulse.u_star,
+    if lab.config.plot_data:
+        _write_plot_data(manifest, "pulse.dat", pulse.z, pulse.values)
+    tail = pulse.z > 0
+    fit = far_field_params(pulse.z[tail], pulse.values[tail] - lab.well.b_minus)
+    return {
+        "pass": True,
+        "u_star": pulse.u_star,
         "phi_max": fit.phi_max,
         "decay_rate": fit.decay_rate,
         "fit_max_log_dev": fit.max_log_dev,
-        "pulse_mass": lab.pulse.mass_h,
-        "kernel_norm": lab.pulse.kernel_norm,
+        "pulse_mass": pulse.mass_h,
+        "kernel_norm": pulse.kernel_norm,
         "background_inf_1": lab.bg1.b_inf,
         "background_inf_2": lab.bg2.b_inf,
         "background_residual_1": lab.bg1.residual_norm,
         "background_residual_2": lab.bg2.residual_norm,
     }
-    if config.plot_data:
-        _write_plot_data(manifest, "pulse.dat", lab.pulse.z, lab.pulse.values)
-    return _finish(manifest, {"pass": True, **summary})
 
 
-def experiment_ansatz(config, out_dir):
+def experiment_ansatz(lab, manifest):
     """Build manifold points over the sample; emit profiles and closures."""
-    manifest = _start(config, out_dir)
-    lab = Laboratory.from_config(config)
     man = lab.manifold
     sample = man.sample_configurations(
-        min(config.sample_size, 8), seed=config.seed
+        min(lab.config.sample_size, 8), seed=lab.config.seed
     )
     rows = []
     for i, cfg in enumerate(sample):
@@ -518,21 +489,19 @@ def experiment_ansatz(config, out_dir):
                ["z", "phi", "u_n", "correction"],
                zip(man.grid.nodes, prof.phi.values, prof.u_n.values, corr))
     _write_json(manifest, "ansatz_internal.json", prof.internal.as_dict())
-    return _finish(manifest, {
+    return {
         "pass": True,
         "max_bc_residual": max(r[man.n + 3] for r in rows),
         "max_mass_error": max(r[man.n + 4] for r in rows),
-    })
+    }
 
 
-def experiment_spectrum(config, out_dir):
+def experiment_spectrum(lab, manifest):
     """Slow/stable splitting of the flow linearization over a small sample."""
-    manifest = _start(config, out_dir)
-    lab = Laboratory.from_config(config)
     man = lab.diag_manifold
     start = lab.initial_configuration()
     sample = [man.configuration(start.positions)] + man.sample_configurations(
-        2, seed=config.seed, include_equispaced=False
+        2, seed=lab.config.seed, include_equispaced=False
     )
     rows, passed = [], True
     for i, cfg in enumerate(sample):
@@ -549,14 +518,12 @@ def experiment_spectrum(config, out_dir):
         + [f"eig_{j}" for j in range(man.n + 3)],
         rows,
     )
-    return _finish(manifest, {"pass": bool(passed)})
+    return {"pass": bool(passed)}
 
 
-def experiment_diagnose(config, out_dir):
+def experiment_diagnose(lab, manifest):
     """Full hypothesis suite plus trapping-radius bounds; report-only."""
-    manifest = _start(config, out_dir)
-    lab = Laboratory.from_config(config)
-    man = lab.diag_manifold
+    config, man = lab.config, lab.diag_manifold
     sample = man.sample_configurations(
         min(config.sample_size, 8), seed=config.seed
     )
@@ -574,13 +541,13 @@ def experiment_diagnose(config, out_dir):
                ["hypothesis", "config_id", "constant", "threshold", "pass"],
                [[r.hypothesis, r.config_id, r.constant, r.threshold, r.passed]
                 for r in report.records])
-    return _finish(manifest, {
+    return {
         "pass": bool(report.all_passed),
         "failed_hypotheses": [r.hypothesis for r in report.failures()],
-    })
+    }
 
 
-def _fresh_start(lab, family):
+def _initial_state(lab, family):
     """(state, controls) of a run under family from the configured start."""
     u0 = lab.manifold.build(lab.initial_configuration()).phi
     if lab.config.perturbation > 0.0:
@@ -590,10 +557,9 @@ def _fresh_start(lab, family):
                                                  dt_max=lab.config.dt_max)
 
 
-def experiment_simulate(config, out_dir):
+def experiment_simulate(lab, manifest):
     """Evolve the gradient flow from the configured or checkpointed state."""
-    manifest = _start(config, out_dir)
-    lab = Laboratory.from_config(config)
+    config = lab.config
     family = GradientFamily(lab.grid, config.s_values[0])
     if config.restart_from:
         # the checkpoint's state and kappa, the config's s and dt_max; the
@@ -602,7 +568,7 @@ def experiment_simulate(config, out_dir):
                                        lab.well, family)
         controls = StepControls(kappa=kappa, dt_max=config.dt_max)
     else:
-        state, controls = _fresh_start(lab, family)
+        state, controls = _initial_state(lab, family)
     traj = run_pde(lab.manifold, family, state, config.t_final, controls,
                    output_every=config.output_every,
                    checkpoint=_checkpointer(manifest, config.checkpoint_stride,
@@ -614,7 +580,7 @@ def experiment_simulate(config, out_dir):
             _write_plot_data(manifest, f"position_{i+1}.dat", t, p[:, i])
     mass_drift = float(np.max(np.abs(m - m[0])) / abs(m[0]))
     energy_monotone = bool(np.all(np.diff(e) <= 1e-10))
-    return _finish(manifest, {
+    return {
         "pass": energy_monotone and mass_drift < 1e-9,
         "steps": traj.final_state.step_index,
         "mass_drift": mass_drift,
@@ -622,7 +588,7 @@ def experiment_simulate(config, out_dir):
         "t_exit": traj.t_exit,
         "exit_reason": traj.exit_reason,
         "w_norm_nan": traj.w_norm_nan,
-    })
+    }
 
 
 def scale_of(lab, s):
@@ -643,14 +609,12 @@ def _reduced_trajectory(lab, s, p0, t_final):
     return model, sol, t_exit, scale
 
 
-def experiment_reduce(config, out_dir):
+def experiment_reduce(lab, manifest):
     """Integrate the reduced pulse ODE from the configured initial positions."""
-    manifest = _start(config, out_dir)
-    lab = Laboratory.from_config(config)
-    s = config.s_values[0]
+    s = lab.config.s_values[0]
     p0 = lab.initial_configuration().positions
     model, sol, t_exit, scale = _reduced_trajectory(
-        lab, s, p0, config.t_final
+        lab, s, p0, lab.config.t_final
     )
     rows = [
         [t, *sol.sol(t)] for t in sol.t
@@ -660,21 +624,20 @@ def experiment_reduce(config, out_dir):
         ["t"] + [f"p_{i+1}" for i in range(len(p0))],
         rows,
     )
-    return _finish(manifest, {
+    return {
         "pass": True,
         "t_exit": t_exit,
         "velocity_scale": scale,
-    })
+    }
 
 
-def experiment_compare(config, out_dir):
+def experiment_compare(lab, manifest):
     """PDE flow vs reduced ODE from the same start: velocities and deviation."""
-    manifest = _start(config, out_dir)
-    lab = Laboratory.from_config(config)
+    config = lab.config
     s = config.s_values[0]
     start = lab.initial_configuration()
     family = GradientFamily(lab.grid, s)
-    state, controls = _fresh_start(lab, family)
+    state, controls = _initial_state(lab, family)
     traj = run_pde(lab.manifold, family, state, config.t_final, controls,
                    output_every=config.output_every)
     _write_trajectory(manifest, "pde_trajectory.csv", traj)
@@ -707,7 +670,7 @@ def experiment_compare(config, out_dir):
 
     # deviation envelope fit ||w|| ~ M0*(eta0*exp(-k t) + delta)
     fit = fit_deviation_envelope(t, w, lab.params.tail_scale)
-    return _finish(manifest, {
+    return {
         "pass": True,
         "velocity_pde": v_pde,
         "velocity_reduced": list(map(float, v_red)),
@@ -715,7 +678,7 @@ def experiment_compare(config, out_dir):
         "deviation_fit": fit,
         "t_exit": traj.t_exit,
         "w_norm_nan": traj.w_norm_nan,
-    })
+    }
 
 
 def fit_deviation_envelope(t, w, delta):
@@ -744,24 +707,22 @@ def fit_deviation_envelope(t, w, delta):
         return {"fitted": False}
 
 
-def experiment_invariance(config, out_dir):
+def experiment_invariance(lab, manifest):
     """Reduced trajectories across s overlaid after time rescaling.
 
     The invariance defect is the sup-distance between each rescaled
     trajectory and the s = 0 reference; pass when below 1% of the spacing
     floor.
     """
-    manifest = _start(config, out_dir)
-    lab = Laboratory.from_config(config)
     p0 = lab.initial_configuration().positions
-    t_final = config.t_final
+    t_final = lab.config.t_final
     base_model, base_sol, base_exit, _ = _reduced_trajectory(
         lab, 0.0, p0, t_final
     )
     t_ref = np.linspace(0.0, t_final if base_exit is None else base_exit, 161)
     ref = base_sol.sol(t_ref)
     defects = {}
-    for s in config.s_values:
+    for s in lab.config.s_values:
         scale = scale_of(lab, s)
         _, sol, _, _ = _reduced_trajectory(lab, s, p0, t_final / scale)
         # map the s-trajectory onto reference time: t_ref = t_s * scale
@@ -782,13 +743,15 @@ def experiment_invariance(config, out_dir):
         ["s", "defect", "threshold"],
         [[s, d, threshold] for s, d in sorted(defects.items())],
     )
-    return _finish(manifest, {
+    return {
         "pass": bool(worst < threshold),
         "defects": {f"{s:g}": d for s, d in defects.items()},
         "threshold": threshold,
-    })
+    }
 
 
+# The one experiment registry: the CLI subcommands and the config check read
+# its names, in this order.
 RUNNERS = {
     "profile": experiment_profile,
     "ansatz": experiment_ansatz,
@@ -799,7 +762,29 @@ RUNNERS = {
     "compare": experiment_compare,
     "invariance": experiment_invariance,
 }
+EXPERIMENTS = tuple(RUNNERS)
 
 
 def run_experiment(config):
-    return RUNNERS[config.experiment](config, Path(config.output_dir))
+    """Run config's experiment into config.output_dir; return its manifest.
+
+    The one run lifecycle: make the manifest, create the directory, write
+    config.json, build the Laboratory, run the experiment body on (lab,
+    manifest), record the summary it returns and the finished stamp, and
+    write manifest.json, without out, last.
+    """
+    manifest = RunManifest(
+        out=Path(config.output_dir),
+        config_hash=config_hash(config),
+        version=__version__,
+        started=time.strftime("%Y-%m-%dT%H:%M:%S"),
+    )
+    manifest.out.mkdir(parents=True, exist_ok=True)
+    _write_json(manifest, "config.json", config.as_dict())
+    lab = Laboratory.from_config(config)
+    manifest.summary = RUNNERS[config.experiment](lab, manifest)
+    manifest.finished = time.strftime("%Y-%m-%dT%H:%M:%S")
+    doc = asdict(manifest)
+    del doc["out"]
+    _write_json(manifest, "manifest.json", doc)
+    return manifest

@@ -486,22 +486,16 @@ class FarFieldFit:
     max_log_dev: float
 
 
-def far_field_params(profile_or_samples):
+def far_field_params(z, bar):
     """Least-squares fit of log phi_bar against -rate*z over the tail window.
 
-    Accepts a PulseProfile or a (z, phi_bar) pair. The window selects samples
-    with phi_bar inside FAR_FIELD_WINDOW; all of them must be positive.
+    z and bar are samples of phi_bar on a half line. The window selects the
+    samples with phi_bar inside FAR_FIELD_WINDOW; all of them must be
+    positive.
     """
     lower, upper = FAR_FIELD_WINDOW
-    if isinstance(profile_or_samples, PulseProfile):
-        z = profile_or_samples.z
-        bar = profile_or_samples.values - profile_or_samples.well.b_minus
-        keep = z > 0
-        z, bar = z[keep], bar[keep]
-    else:
-        z, bar = profile_or_samples
-        z = np.asarray(z, dtype=float)
-        bar = np.asarray(bar, dtype=float)
+    z = np.asarray(z, dtype=float)
+    bar = np.asarray(bar, dtype=float)
     # the window is selected in z: from the first sample below the upper
     # cutoff until the magnitude drops through the lower cutoff
     below = np.nonzero(np.abs(bar) <= upper)[0]
@@ -574,7 +568,7 @@ def solve_homoclinic(well, half_width=None, cheb_degree=220):
     # provisional profile for the tail fit
     z_half = np.arange(0.0, half_width + 0.5 * PULSE_SPACING, PULSE_SPACING)
     bar_half = cheb(z_half)
-    fit = far_field_params((z_half, bar_half))
+    fit = far_field_params(z_half, bar_half)
     phi_max = fit.phi_max
 
     z = np.concatenate([-z_half[:0:-1], z_half])

@@ -583,6 +583,20 @@ def shadow_locations(internal):
             internal.length - right / internal.rate)
 
 
+def reduced_equispaced(model, n):
+    """The n equispaced positions (i - 1/2) L / n, i = 1..n, of a
+    `dynamics.ReducedModel` on its domain [0, L]."""
+    spacing = model.domain_length / n
+    return (np.arange(1, n + 1) - 0.5) * spacing
+
+
+def far_field_samples(pulse):
+    """(z, phi_bar) of a pulse on z > 0: the samples `far_field_params`
+    fits."""
+    tail = pulse.z > 0
+    return pulse.z[tail], pulse.values[tail] - pulse.well.b_minus
+
+
 def jacobian_at_equispaced(model, n):
     """Fixed-shadow tridiagonal form of a `dynamics.ReducedModel`, its
     eigenvalues, and the closed-form set.
@@ -596,7 +610,8 @@ def jacobian_at_equispaced(model, n):
     """
     spacing = model.domain_length / n
     # F' = -E'' / ||phi_h'||^2
-    gamma = float(model.pair(spacing, 2) / model.kernel_norm**2) / model.rate
+    gamma = (float(model.pair(spacing, 2) / model.kernel_norm**2)
+             / model.pair.rate)
     mat = -gamma * np.eye(n)
     for i in range(n - 1):
         mat[i, i + 1] = 0.5 * gamma

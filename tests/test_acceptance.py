@@ -49,8 +49,10 @@ from fchpulse.wellmodel import _fd_residual, far_field_params
 from conftest import (
     cluster_config,
     constrained_negative_index,
+    far_field_samples,
     jacobian_at_equispaced,
     moderate_config,
+    reduced_equispaced,
 )
 
 
@@ -69,7 +71,7 @@ def test_criterion_01_homoclinic(well, pulse):
     fi_defect = float(
         np.max(np.abs(0.5 * pulse.deriv_values**2 - well.W(pulse.values)))
     )
-    fit = far_field_params(pulse)
+    fit = far_field_params(*far_field_samples(pulse))
     rate_err = abs(fit.decay_rate - np.sqrt(well.alpha_minus)) / np.sqrt(
         well.alpha_minus
     )
@@ -385,7 +387,7 @@ def test_criterion_13_pde_vs_ode(small_manifold, pulse, well):
     # perturbed equispaced decay of the antisymmetric amplitude vs the
     # eigenvalue of the linearization of velocity() whose eigenvector is
     # (1, -1)/sqrt(2), chosen by eigenvector rather than by sort position
-    p_eq = model.equispaced(2)
+    p_eq = reduced_equispaced(model, 2)
     prof_pert = small_manifold.build(
         small_manifold.configuration(p_eq + np.array([0.5, 0.0]))
     )

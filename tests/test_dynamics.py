@@ -48,8 +48,8 @@ from fchpulse.dynamics import (
 from fchpulse.harness import read_checkpoint, write_checkpoint
 
 from conftest import (apply_family, count_background_work, energy,
-                      jacobian_at_equispaced, spectral_derivative,
-                      variational_derivative)
+                      jacobian_at_equispaced, reduced_equispaced,
+                      spectral_derivative, variational_derivative)
 
 
 @pytest.fixture(scope="module")
@@ -344,7 +344,7 @@ class TestExtraction:
 
 class TestReducedModel:
     def test_equispaced_stationary(self, reduced, pulse):
-        p_eq = reduced.equispaced(2)
+        p_eq = reduced_equispaced(reduced, 2)
         v = reduced.velocity(p_eq)
         alpha = pulse.well.alpha_minus
         tail_coefficient = 2.0 * alpha * pulse.phi_max**2 / pulse.kernel_norm**2
@@ -480,7 +480,7 @@ class TestIntegrateReduced:
         # finite-difference Jacobian of the actual velocity field (the mirror
         # closure doubles the boundary-gap sensitivity, so this differs from
         # the fixed-shadow tridiagonal form by construction)
-        p_eq = reduced.equispaced(2)
+        p_eq = reduced_equispaced(reduced, 2)
         h = 1e-6
         jac = np.empty((2, 2))
         for j in range(2):

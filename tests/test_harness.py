@@ -80,7 +80,8 @@ class TestConfig:
             parse_config(path)
 
     @settings(max_examples=50, deadline=None)
-    @given(inside=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
+    @given(inside=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4,
+                           unique_by=lambda s: f"{s:g}"),
            outside=st.floats(max_value=0.0, exclude_max=True)
            | st.floats(min_value=1.0, exclude_min=True),
            data=st.data())
@@ -99,6 +100,17 @@ class TestConfig:
         with pytest.raises(ValidationError) as err:
             ExperimentConfig(experiment="invariance", s_values=())
         assert "s_values" in str(err.value)
+
+    @pytest.mark.parametrize("s_values, label", [
+        ((0.0, 0.5, 0.5000001), "0.5"), ((1, 1.0), "1"), ((0.0, 0.0), "0"),
+        ((0.0, -0.0), "0"),
+    ])
+    def test_s_values_must_print_apart(self, s_values, label):
+        # values with one {s:g} label wrote one invariance file twice, and
+        # these and 0.0 with -0.0 kept one summary defect for two s values
+        with pytest.raises(ValidationError) as err:
+            ExperimentConfig(experiment="invariance", s_values=s_values)
+        assert f"label {label!r}" in str(err.value)
 
     @pytest.mark.parametrize("key, value", [
         ("output_every", 0), ("output_every", -5), ("dt_max", 0.0),

@@ -29,8 +29,11 @@ over pulse `positions` calls a translate evaluator (`pulse_jet`,
 names it with its reason: the n translates of a stack are one batched call
 on their (n, size) offsets. In `ansatz`, only the manifold's kernel
 `PulseManifold._translates` calls a translate evaluator, so every consumer
-of Phi reads its translates in one place. And every
-function, method and property of the package is referenced by name in the
+of Phi reads its translates in one place. In `harness`, only
+`run_experiment` runs the lifecycle of a run: it alone constructs the
+`RunManifest`, calls `Laboratory.from_config`, and writes `config.json`
+and `manifest.json`, so every experiment starts and finishes one way. And
+every function, method and property of the package is referenced by name in the
 package or its tests: code that nothing reaches is deleted, not kept.
 """
 
@@ -88,6 +91,11 @@ PER_TRANSLATE_ALLOWED = {
 }
 # The one function of the manifold module that evaluates translates.
 TRANSLATE_KERNEL = "PulseManifold._translates"
+# The steps of a run's lifecycle (calls, and the files a call names), and the
+# one function of harness that takes them.
+LIFECYCLE_CALLS = {"RunManifest", "from_config"}
+LIFECYCLE_FILES = {"config.json", "manifest.json"}
+LIFECYCLE_OWNER = "run_experiment"
 
 
 def unused_imports(source):
@@ -587,6 +595,65 @@ def test_manifold_evaluates_translates_only_in_its_kernel():
     path = Path(fchpulse.__file__).parent / "ansatz.py"
     callers = {scope for scope, _ in evaluator_calls(path.read_text())}
     assert callers == {TRANSLATE_KERNEL}
+
+
+def lifecycle_steps(source):
+    """(function, line, step) of every lifecycle step: a call of a name in
+    LIFECYCLE_CALLS, or a call that passes a name in LIFECYCLE_FILES. function
+    is the qualified name of the innermost class or def around it ('' at
+    module level)."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef,
+                                  ast.AsyncFunctionDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            elif isinstance(child, ast.Call):
+                func = child.func
+                name = func.attr if isinstance(func, ast.Attribute) else (
+                    getattr(func, "id", None))
+                if name in LIFECYCLE_CALLS:
+                    found.append((scope, child.lineno, name))
+                found.extend(
+                    (scope, child.lineno, arg.value)
+                    for arg in [*child.args, *(k.value for k in child.keywords)]
+                    if isinstance(arg, ast.Constant)
+                    and arg.value in LIFECYCLE_FILES)
+            visit(child, inner)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_detects_a_lifecycle_step_outside_its_owner():
+    source = (
+        "def _start(config, out):\n"
+        "    manifest = RunManifest(out=out)\n"
+        "    _write_json(manifest, 'config.json', config.as_dict())\n"
+        "    return manifest\n"
+        "def experiment_profile(config, manifest):\n"
+        "    lab = harness.Laboratory.from_config(config)\n"
+        "    _write_csv(manifest, 'config.csv', [], [])\n"
+        "    _write_json(manifest, name='manifest.json', doc={})\n"
+        "    return lab\n"
+        "def run_experiment(config):\n"
+        "    return RunManifest(out=config.output_dir)\n"
+    )
+    assert lifecycle_steps(source) == [
+        ("_start", 2, "RunManifest"), ("_start", 3, "config.json"),
+        ("experiment_profile", 6, "from_config"),
+        ("experiment_profile", 8, "manifest.json"),
+        ("run_experiment", 11, "RunManifest"),
+    ]
+
+
+def test_only_run_experiment_runs_the_lifecycle():
+    path = Path(fchpulse.__file__).parent / "harness.py"
+    steps = lifecycle_steps(path.read_text())
+    assert {step for _, _, step in steps} == LIFECYCLE_CALLS | LIFECYCLE_FILES
+    assert {scope for scope, _, _ in steps} == {LIFECYCLE_OWNER}
 
 
 def uncalled_definitions(sources, referencing):

@@ -32,6 +32,7 @@ from fchpulse.wellmodel import (
 from conftest import (
     bar_jet,
     exact_tail_amplitude,
+    far_field_samples,
     gauss_panels,
     phi_bar_oracle,
 )
@@ -276,7 +277,7 @@ class TestHomoclinic:
 
 class TestFarField:
     def test_fitted_rate(self, well, pulse):
-        fit = far_field_params(pulse)
+        fit = far_field_params(*far_field_samples(pulse))
         assert fit.decay_rate == pytest.approx(
             np.sqrt(well.alpha_minus), rel=1e-4
         )
@@ -288,14 +289,14 @@ class TestFarField:
         assert pulse.phi_max == pytest.approx(exact, rel=2e-4)
 
     def test_fit_residual_small(self, pulse):
-        fit = far_field_params(pulse)
+        fit = far_field_params(*far_field_samples(pulse))
         assert fit.max_log_dev < 1e-3
 
     def test_window_error(self, pulse):
         z = np.array([1.0, 2.0, 3.0])
         bar = np.array([1e-5, -1e-6, 1e-7])
         with pytest.raises(DomainError):
-            far_field_params((np.concatenate([z] * 4), np.concatenate([bar] * 4)))
+            far_field_params(np.concatenate([z] * 4), np.concatenate([bar] * 4))
 
 
 class TestBackgrounds:
