@@ -58,7 +58,6 @@ from .operators import (
 from .spectral import (
     AlignmentReport,
     CoercivityReport,
-    DiagnosticsReport,
     ProfilePoint,
     SpectrumReport,
     coercivity_constant,

@@ -63,9 +63,9 @@ class SimulationState:
 
     u_hat, the cosine coefficients of u, is the state that `step` advances;
     u is their synthesis. grad_hat holds the coefficients of grad J(u), and
-    energy and dissipation J(u) and <G grad J, grad J>, all formed from
-    u_hat and u by `flow_terms`. `start` and `at` form them for a state that
-    `step` did not return, to the bits that `step` would have carried.
+    energy is J(u), both formed from u_hat and u by `flow_terms`; neither
+    depends on the gradient family. `start` and `at` form them for a state
+    that `step` did not return, to the bits that `step` would have carried.
     """
 
     time: float
@@ -74,24 +74,23 @@ class SimulationState:
     step_index: int
     accept_streak: int
     energy: float
-    dissipation: float
     u_hat: np.ndarray = field(compare=False, repr=False)
     grad_hat: np.ndarray = field(compare=False, repr=False)
 
     @classmethod
-    def at(cls, u, u_hat, well, family, time, dt, step_index, accept_streak):
+    def at(cls, u, u_hat, well, time, dt, step_index, accept_streak):
         """The complete state of u, with cosine coefficients u_hat, at
         `time` (a checkpoint's, say); dt is its next step."""
-        e, g_hat, diss = flow_terms(u_hat, u, well, family)
+        e, g_hat = flow_terms(u_hat, u, well)
         return cls(time=time, u=u, dt=dt, step_index=step_index,
-                   accept_streak=accept_streak, energy=e, dissipation=diss,
-                   u_hat=u_hat, grad_hat=g_hat)
+                   accept_streak=accept_streak, energy=e, u_hat=u_hat,
+                   grad_hat=g_hat)
 
     @classmethod
-    def start(cls, u, well, family, dt):
+    def start(cls, u, well, dt):
         """The state of the initial field u at t = 0, with coefficients
         cosine_coeffs(u) and first step dt (`fresh_dt` for a run)."""
-        return cls.at(u, cosine_coeffs(u.values), well, family, 0.0, dt, 0, 0)
+        return cls.at(u, cosine_coeffs(u.values), well, 0.0, dt, 0, 0)
 
 
 def fresh_dt(grid):
@@ -99,21 +98,12 @@ def fresh_dt(grid):
     return 0.1 * grid.spacing**2
 
 
-def flow_terms(u_hat, u, well, family):
-    """(J, grad_hat, <G grad J, grad J>) of the field u from its cosine
-    coefficients u_hat and its nodal values (three transforms).
-
-    The dissipation is sum_k c_k G_k grad_hat_k^2 with c the Parseval
-    weights, which is exact for the trapezoid rule on the cosine modes.
-    """
+def flow_terms(u_hat, u, well):
+    """(J, grad_hat) of the field u from its cosine coefficients u_hat and
+    its nodal values (three transforms)."""
     grid = u.grid
     w1, e = energy_terms(u_hat, u.values, grid, well)
-    g_hat = gradient_coeffs(u.values, w1, grid, well)
-    return e, g_hat, _dissipation(g_hat, grid, family.multipliers("G"))
-
-
-def _dissipation(g_hat, grid, gmult):
-    return float(np.sum(parseval_weights(grid) * gmult * g_hat * g_hat))
+    return e, gradient_coeffs(u.values, w1, grid, well)
 
 
 def step(state, well, family, controls):
@@ -125,10 +115,10 @@ def step(state, well, family, controls):
     u_hat[0] is carried unchanged and the mass is conserved exactly.
 
     A trial costs two transforms: the synthesis of u_new and that of u_new''
-    for J(u_new). An accepted one adds two for grad_hat, and the dissipation
-    comes from grad_hat by Parseval. The result carries u_hat_new itself and
-    grad_hat, so the next step starts from them; its energy, grad_hat and
-    dissipation are those of `flow_terms` at (u_hat_new, u_new) bit for bit.
+    for J(u_new). An accepted one adds two for grad_hat. The result carries
+    u_hat_new itself and grad_hat, so the next step starts from them; its
+    energy and grad_hat are those of `flow_terms` at (u_hat_new, u_new) bit
+    for bit.
     They agree with the nodal energy and grad J of u_new (the `energy` and
     `variational_derivative` oracles of tests/conftest.py) and with
     `flow_terms` at cosine_coeffs(u_new) to rounding, since those
@@ -169,7 +159,6 @@ def step(state, well, family, controls):
         step_index=state.step_index + 1,
         accept_streak=streak,
         energy=e_new,
-        dissipation=_dissipation(g_hat, grid, gmult),
         u_hat=new_hat,
         grad_hat=g_hat,
     )

@@ -7,9 +7,11 @@ every file, and each writer (`_write_csv`, `_write_json`,
 `_write_plot_data`, `write_checkpoint`) records the name it writes in the
 manifest, which is written last: its presence certifies a complete run, and
 it lists exactly the files the run wrote. The config is the one record of a
-run's s and dt_max; a checkpoint holds only the state and kappa. Hypothesis
+run's s and dt_max; a checkpoint holds only the state and kappa, and
+`_check_types` refuses a value of the wrong type in either. Hypothesis
 failures are recorded in the outputs and summary, never raised, and leave
-the exit status at zero; only execution errors are fatal.
+the exit status at zero; only execution errors are fatal. `diagnose` writes
+the records of the hypothesis suite as the suite returns them.
 """
 
 from __future__ import annotations
@@ -53,14 +55,31 @@ from .dynamics import (
     run as run_pde,
 )
 from .operators import GradientFamily
-from .spectral import (ProfilePoint, el_bounds, run_hypothesis_suite,
-                       spectral_gap_report)
+from .spectral import ProfilePoint, run_hypothesis_suite, spectral_gap_report
 from .wellmodel import (
     default_well,
     far_field_params,
     solve_background,
     solve_homoclinic,
 )
+
+
+def _check_types(integers, reals, finite=True):
+    """Refuse a value of the wrong type with ValidationError naming its key.
+
+    integers and reals are (key, value) pairs. An integer is a JSON integer:
+    no float, bool or numpy scalar. A real is a number: no bool, string or
+    null, and, with finite, no Infinity or NaN (which Python's json parses).
+    """
+    for key, value in integers:
+        if type(value) is not int:
+            raise ValidationError(f"{key} must be an integer, got {value!r}")
+    for key, value in reals:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValidationError(f"{key} must be a number, got {value!r}")
+        if finite and isinstance(value, float) and not math.isfinite(value):
+            raise ValidationError(f"{key} must be finite, got {value!r}")
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -76,7 +95,7 @@ class ExperimentConfig:
     grid_points: int = 2048
     diagnostic_grid_points: int = 1024
     s_values: tuple = (0.0, 0.5, 1.0)
-    sample_size: int = 32
+    sample_size: int = 8
     seed: int = 0
     output_dir: str = "runs"
     t_final: float = 10.0
@@ -94,26 +113,18 @@ class ExperimentConfig:
                 f"unknown experiment {self.experiment!r}; "
                 f"choose from {', '.join(EXPERIMENTS)}"
             )
-        # counts and indices are JSON integers: no float, bool or numpy scalar
-        for key in ("seed", "n_pulses", "grid_points", "diagnostic_grid_points",
-                    "sample_size", "output_every", "checkpoint_stride"):
-            value = getattr(self, key)
-            if type(value) is not int:
-                raise ValidationError(f"{key} must be an integer, got {value!r}")
-        # real values are finite numbers: no bool, string, null or Infinity
-        reals = [(key, getattr(self, key)) for key in (
-            "tau", "epsilon", "domain_d", "min_spacing", "mass_excess_fraction",
-            "t_final", "dt_max", "perturbation")]
-        reals += [("s_values entry", s) for s in self.s_values or ()]
-        reals += [("initial_positions entry", p)
-                  for p in self.initial_positions or ()]
-        for key, value in reals:
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValidationError(f"{key} must be a number, got {value!r}")
-            # an infinite s is refused below, as outside [0, 1]
-            if (isinstance(value, float) and not math.isfinite(value)
-                    and key != "s_values entry"):
-                raise ValidationError(f"{key} must be finite, got {value!r}")
+        _check_types(
+            [(key, getattr(self, key)) for key in (
+                "seed", "n_pulses", "grid_points", "diagnostic_grid_points",
+                "sample_size", "output_every", "checkpoint_stride")],
+            [(key, getattr(self, key)) for key in (
+                "tau", "epsilon", "domain_d", "min_spacing",
+                "mass_excess_fraction", "t_final", "dt_max", "perturbation")]
+            + [("initial_positions entry", p)
+               for p in self.initial_positions or ()])
+        # an infinite s is refused below, as outside [0, 1]
+        _check_types([], [("s_values entry", s) for s in self.s_values or ()],
+                    finite=False)
         if not -1.0 < self.tau < 0.0:
             raise ValidationError("tau must lie in (-1, 0)")
         alpha_minus = 2.0 + 2.0 * self.tau
@@ -367,23 +378,34 @@ def write_checkpoint(manifest, name, state, kappa):
         fh.write(data)
 
 
-def read_checkpoint(path_prefix, grid, well, family):
+def read_checkpoint(path_prefix, grid, well):
     """(state, kappa) of a checkpoint written by `write_checkpoint`: the
-    complete state under family (`SimulationState.at` the written u and
-    u_hat) and the stabilization constant of the run that wrote it.
+    complete state (`SimulationState.at` the written u and u_hat) and the
+    stabilization constant of the run that wrote it.
 
-    A header without one of CHECKPOINT_KEYS cannot continue the run that
-    wrote it and raises FchError, as does one with another layout; a header
-    whose grid size or domain length differs from grid's raises
+    A header that is not a JSON object, or lacks one of CHECKPOINT_KEYS,
+    cannot continue the run that wrote it and raises FchError, as does one
+    with another layout. A value of the wrong type raises ValidationError
+    naming its key (`_check_types`): the step index, accept streak and grid
+    size are integers, the time, dt, kappa and length finite numbers. A
+    header whose grid size or domain length differs from grid's raises
     GridMismatchError, and .bin bytes whose sha256 differs from the header's
     raise ChecksumError.
     """
     header = _read_json(f"{path_prefix}.json")
+    if not isinstance(header, dict):
+        raise FchError(
+            f"checkpoint header {path_prefix}.json is not a JSON object")
     missing = [key for key in CHECKPOINT_KEYS if key not in header]
     if missing:
         raise FchError(
             f"checkpoint header {path_prefix}.json lacks {', '.join(missing)}"
         )
+    _check_types(
+        [(f"{key} of {path_prefix}.json", header[key])
+         for key in ("step_index", "accept_streak", "num_points")],
+        [(f"{key} of {path_prefix}.json", header[key])
+         for key in ("time", "dt", "kappa", "length")])
     if header["layout"] != CHECKPOINT_LAYOUT:
         raise FchError(
             f"checkpoint {path_prefix}.bin has layout {header['layout']!r}, "
@@ -408,7 +430,7 @@ def read_checkpoint(path_prefix, grid, well, family):
             f"checkpoint has {vals.size // 2} points, the grid {n}"
         )
     state = SimulationState.at(
-        ScalarField(grid, vals[:n]), vals[n:], well, family, header["time"],
+        ScalarField(grid, vals[:n]), vals[n:], well, header["time"],
         header["dt"], header["step_index"], header["accept_streak"],
     )
     return state, header["kappa"]
@@ -463,9 +485,8 @@ def experiment_profile(lab, manifest):
 def experiment_ansatz(lab, manifest):
     """Build manifold points over the sample; emit profiles and closures."""
     man = lab.manifold
-    sample = man.sample_configurations(
-        min(lab.config.sample_size, 8), seed=lab.config.seed
-    )
+    sample = man.sample_configurations(lab.config.sample_size,
+                                       seed=lab.config.seed)
     rows = []
     for i, cfg in enumerate(sample):
         prof = man.build(cfg)
@@ -522,37 +543,28 @@ def experiment_spectrum(lab, manifest):
 
 
 def experiment_diagnose(lab, manifest):
-    """Full hypothesis suite plus trapping-radius bounds; report-only."""
+    """The hypothesis suite, trapping radius included; report-only. The
+    suite's records are diagnostics.json; diagnostics.csv holds their
+    columns without the details."""
     config, man = lab.config, lab.diag_manifold
-    sample = man.sample_configurations(
-        min(config.sample_size, 8), seed=config.seed
-    )
+    sample = man.sample_configurations(config.sample_size, seed=config.seed)
     points = [ProfilePoint(man, man.build(c)) for c in sample]
     s_checks = tuple(s for s in config.s_values if s > 0.0) or (0.5, 1.0)
-    report = run_hypothesis_suite(points, s_values=s_checks, seed=config.seed)
-    el = el_bounds(points[:6])
-    report.add(
-        "trapping_radius", -1, el.eta_star, el.eta_upper, el.window_ok,
-        delta0=el.delta0, delta1=el.delta1, delta2=el.delta2, mu2=el.mu2,
-    )
-    _write_json(manifest, "diagnostics.json",
-                [r.as_dict() for r in report.records])
-    _write_csv(manifest, "diagnostics.csv",
-               ["hypothesis", "config_id", "constant", "threshold", "pass"],
-               [[r.hypothesis, r.config_id, r.constant, r.threshold, r.passed]
-                for r in report.records])
-    return {
-        "pass": bool(report.all_passed),
-        "failed_hypotheses": [r.hypothesis for r in report.failures()],
-    }
+    records = run_hypothesis_suite(points, s_values=s_checks, seed=config.seed)
+    _write_json(manifest, "diagnostics.json", records)
+    columns = ["hypothesis", "config_id", "constant", "threshold", "pass"]
+    _write_csv(manifest, "diagnostics.csv", columns,
+               [[r[c] for c in columns] for r in records])
+    failed = [r["hypothesis"] for r in records if not r["pass"]]
+    return {"pass": not failed, "failed_hypotheses": failed}
 
 
-def _initial_state(lab, family):
-    """(state, controls) of a run under family from the configured start."""
+def _initial_state(lab):
+    """(state, controls) of a run from the configured start."""
     u0 = lab.manifold.build(lab.initial_configuration()).phi
     if lab.config.perturbation > 0.0:
         u0 = u0 + lab.zero_mass_noise(lab.config.perturbation)
-    state = SimulationState.start(u0, lab.well, family, fresh_dt(lab.grid))
+    state = SimulationState.start(u0, lab.well, fresh_dt(lab.grid))
     return state, StepControls.for_initial_state(u0, lab.well,
                                                  dt_max=lab.config.dt_max)
 
@@ -565,10 +577,10 @@ def experiment_simulate(lab, manifest):
         # the checkpoint's state and kappa, the config's s and dt_max; the
         # state's time carries on and t_final is absolute
         state, kappa = read_checkpoint(config.restart_from, lab.grid,
-                                       lab.well, family)
+                                       lab.well)
         controls = StepControls(kappa=kappa, dt_max=config.dt_max)
     else:
-        state, controls = _initial_state(lab, family)
+        state, controls = _initial_state(lab)
     traj = run_pde(lab.manifold, family, state, config.t_final, controls,
                    output_every=config.output_every,
                    checkpoint=_checkpointer(manifest, config.checkpoint_stride,
@@ -637,7 +649,7 @@ def experiment_compare(lab, manifest):
     s = config.s_values[0]
     start = lab.initial_configuration()
     family = GradientFamily(lab.grid, s)
-    state, controls = _initial_state(lab, family)
+    state, controls = _initial_state(lab)
     traj = run_pde(lab.manifold, family, state, config.t_final, controls,
                    output_every=config.output_every)
     _write_trajectory(manifest, "pde_trajectory.csv", traj)

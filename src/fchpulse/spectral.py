@@ -3,6 +3,8 @@ tangent alignment, the symmetrized gap, and the trapping-radius bounds.
 
 Hypothesis checks record pass/fail instead of raising: sweeps over the
 configuration sample must complete and report where the assumptions break.
+`run_hypothesis_suite` returns its records in the one form that
+`diagnose` writes, plain JSON dicts, the trapping radius last.
 """
 
 from __future__ import annotations
@@ -320,7 +322,6 @@ class SpectrumReport:
     slow_dim: int = 0
     stable_edge: float = np.nan
     k_s: float = np.nan
-    slow_cap: float = np.nan
     passed: bool = True
     failures: list = field(default_factory=list)
     alignment_errors: np.ndarray | None = None
@@ -376,7 +377,6 @@ def spectral_gap_report(point):
         slow_dim=slow_dim,
         stable_edge=stable_edge,
         k_s=k_s,
-        slow_cap=slow_cap,
         passed=not failures,
         failures=failures,
     )
@@ -654,7 +654,6 @@ def symmetrized_gap(point, family):
         delta=delta_g,
         slow_dim=n,
         stable_edge=stable_edge,
-        slow_cap=cap,
         passed=not failures,
         failures=failures,
         alignment_errors=errors,
@@ -674,8 +673,6 @@ class ElBoundsReport:
     mu2: float
     eta_star: float
     eta_upper: float
-    c1: float
-    c2: float
     rho_exp: float
     window_ok: bool
 
@@ -706,9 +703,10 @@ def el_bounds(points):
     delta of the manifold's parameters; delta2: max residual
     projection constant (the H4-dual norm of Pi_0 grad J, the sharp constant
     of the small-residual pairing bound); mu2: the H2-Gram coercivity minimum
-    (resolution-stable); c2 fits the cubic remainder bound over 4 random
-    probes about points[0]; c1, the projection Lipschitz constant, is the
-    unit proxy, and the window eta_upper is capped at 1.
+    (resolution-stable). The window eta_upper, capped at 1, reads two
+    constants that the report does not keep: c2 fits the cubic remainder
+    bound over 4 random probes about points[0], and c1, the projection
+    Lipschitz constant, is the unit proxy.
     """
     manifold = points[0].manifold
     delta1 = manifold.params.tail_scale
@@ -741,8 +739,6 @@ def el_bounds(points):
         mu2=mu2,
         eta_star=eta_star,
         eta_upper=float(eta_upper),
-        c1=float(c1),
-        c2=float(c2),
         rho_exp=rho_exp,
         window_ok=bool(eta_star < eta_upper),
     )
@@ -876,54 +872,6 @@ def eigenfield_continuity(point):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class HypothesisRecord:
-    hypothesis: str
-    config_id: int
-    constant: float
-    threshold: float
-    passed: bool
-    details: dict = field(default_factory=dict)
-
-    def as_dict(self):
-        return {
-            "hypothesis": self.hypothesis,
-            "config_id": self.config_id,
-            "constant": self.constant,
-            "threshold": self.threshold,
-            "pass": self.passed,
-            "details": {k: _plain(v) for k, v in self.details.items()},
-        }
-
-
-def _plain(v):
-    if isinstance(v, np.ndarray):
-        return v.tolist()
-    if isinstance(v, (np.floating, np.integer)):
-        return v.item()
-    return v
-
-
-@dataclass
-class DiagnosticsReport:
-    records: list = field(default_factory=list)
-
-    def add(self, hypothesis, config_id, constant, threshold, passed, **details):
-        self.records.append(
-            HypothesisRecord(
-                hypothesis, config_id, float(constant), float(threshold),
-                bool(passed), details,
-            )
-        )
-
-    @property
-    def all_passed(self):
-        return all(r.passed for r in self.records)
-
-    def failures(self):
-        return [r for r in self.records if not r.passed]
-
-
 def run_hypothesis_suite(points, s_values=(0.5, 1.0), seed=0):
     """Numerical verification of the standing hypotheses over sample points.
 
@@ -934,10 +882,22 @@ def run_hypothesis_suite(points, s_values=(0.5, 1.0), seed=0):
     gap for each requested s. The spectral checks run on the first
     SPECTRAL_SUBSET points, each of which releases its context after its
     checks; the equispaced point keeps its own until the symmetrized gaps
-    have read it.
+    have read it. The last record is the trapping radius of `el_bounds`
+    over the first six points.
+
+    Returns the records as the plain dicts that diagnostics.json holds:
+    hypothesis, config_id, constant, threshold, pass, and the details that
+    each check adds.
     """
     manifold = points[0].manifold
-    report = DiagnosticsReport()
+    records = []
+
+    def add(hypothesis, config_id, constant, threshold, passed, **details):
+        records.append({"hypothesis": hypothesis, "config_id": config_id,
+                        "constant": float(constant),
+                        "threshold": float(threshold), "pass": bool(passed),
+                        "details": details})
+
     params = manifold.params
     delta = params.tail_scale
 
@@ -945,19 +905,15 @@ def run_hypothesis_suite(points, s_values=(0.5, 1.0), seed=0):
     c0 = 0.0
     for p in points:
         c0 = max(c0, p.residual[1] / delta)
-    report.add(
-        "residual_smallness", -1, c0, THRESHOLDS["residual_cap_over_delta"],
-        c0 <= THRESHOLDS["residual_cap_over_delta"],
-    )
+    add("residual_smallness", -1, c0, THRESHOLDS["residual_cap_over_delta"],
+        c0 <= THRESHOLDS["residual_cap_over_delta"])
 
     # energy flatness over the manifold sample
     energies = [p.energy for p in points]
     delta0 = float(np.max(energies) - np.min(energies))
-    report.add(
-        "energy_flatness", -1, delta0 / delta,
+    add("energy_flatness", -1, delta0 / delta,
         THRESHOLDS["residual_cap_over_delta"],
-        delta0 <= THRESHOLDS["residual_cap_over_delta"] * delta,
-    )
+        delta0 <= THRESHOLDS["residual_cap_over_delta"] * delta)
 
     # invariant-plane membership: pairwise mass differences
     worst_mass = 0.0
@@ -966,7 +922,7 @@ def run_hypothesis_suite(points, s_values=(0.5, 1.0), seed=0):
             worst_mass,
             abs(field_mass(p.profile.phi - points[0].profile.phi, 0.0)),
         )
-    report.add("invariant_plane", -1, worst_mass, 1e-9, worst_mass <= 1e-9)
+    add("invariant_plane", -1, worst_mass, 1e-9, worst_mass <= 1e-9)
 
     # the gradient-family bounds are interior statements: measure them at the
     # equispaced point, away from the admissibility boundary where the
@@ -978,37 +934,29 @@ def run_hypothesis_suite(points, s_values=(0.5, 1.0), seed=0):
     # spectral checks on a subset
     for i, p in enumerate(points[:SPECTRAL_SUBSET]):
         gap = p.gap
-        report.add(
-            "slow_stable_split", i, gap.fitted_c,
+        add("slow_stable_split", i, gap.fitted_c,
             THRESHOLDS["slow_cap_over_delta"], gap.passed,
-            failures=gap.failures, stable_edge=gap.stable_edge, k_s=gap.k_s,
-        )
+            failures=gap.failures, stable_edge=gap.stable_edge, k_s=gap.k_s)
         align = tangent_alignment(p)
-        report.add(
-            "tangent_alignment", i, align.max_error / delta,
+        add("tangent_alignment", i, align.max_error / delta,
             THRESHOLDS["alignment_cap_over_delta"], align.passed,
-            beta_defect=align.beta_defect,
-        )
+            beta_defect=align.beta_defect)
         coer = p.coercivity
-        report.add(
-            "normal_coercivity", i, coer.mu_h2, 0.0,
+        add("normal_coercivity", i, coer.mu_h2, 0.0,
             coer.passed and coer.relation_holds(),
             mu_e=coer.mu_e, gamma_e=coer.gamma_e, bound=coer.bound,
-            mu_x=coer.mu_x, sigma_top=coer.sigma_top,
-        )
+            mu_x=coer.mu_x, sigma_top=coer.sigma_top)
         if i == 0:
             ok, count, edge, block, bound = semigroup_decay_check(p)
         if p is not base:
             p.release()
 
-    report.add("semigroup_decay", 0, count, manifold.n, ok, edge=edge,
-               low_modes=block, symbol_bound=bound)
+    add("semigroup_decay", 0, count, manifold.n, ok, edge=edge,
+        low_modes=block, symbol_bound=bound)
 
     overlap, hess = eigenfield_continuity(points[0])
-    report.add(
-        "eigenfield_regularity", 0, overlap, THRESHOLDS["overlap_floor"],
-        overlap >= THRESHOLDS["overlap_floor"], hessian_norm=hess,
-    )
+    add("eigenfield_regularity", 0, overlap, THRESHOLDS["overlap_floor"],
+        overlap >= THRESHOLDS["overlap_floor"], hessian_norm=hess)
 
     # gradient-family checks
     rng = np.random.default_rng(seed)
@@ -1033,41 +981,33 @@ def run_hypothesis_suite(points, s_values=(0.5, 1.0), seed=0):
         # the quadratic leading order makes c non-increasing in rho, so the
         # rho-uniform bound is witnessed at the smaller rho
         c_eh2 = max(c_a, c_b)
-        report.add(
-            "scaled_nonlinearity", -1, c_eh2,
-            THRESHOLDS["eh2_cap"],
+        add("scaled_nonlinearity", -1, c_eh2, THRESHOLDS["eh2_cap"],
             c_eh2 <= THRESHOLDS["eh2_cap"]
             and c_b <= THRESHOLDS["eh2_stability_factor"] * c_a,
-            s=s, c_small_rho=c_a, c_large_rho=c_b,
-        )
+            s=s, c_small_rho=c_a, c_large_rho=c_b)
 
         c_res = scaled_residual_constant(base.residual[0], fam, rho, delta)
-        report.add(
-            "scaled_residual", -1, c_res, THRESHOLDS["eh3_residual_cap"],
-            c_res <= THRESHOLDS["eh3_residual_cap"], s=s,
-        )
+        add("scaled_residual", -1, c_res, THRESHOLDS["eh3_residual_cap"],
+            c_res <= THRESHOLDS["eh3_residual_cap"], s=s)
         c_tan = tangent_amplification_constant(base.tangents, g1[1:], rho)
-        report.add(
-            "tangent_amplification", -1, c_tan,
-            THRESHOLDS["eh3_tangent_cap"],
-            c_tan <= THRESHOLDS["eh3_tangent_cap"], s=s,
-        )
+        add("tangent_amplification", -1, c_tan, THRESHOLDS["eh3_tangent_cap"],
+            c_tan <= THRESHOLDS["eh3_tangent_cap"], s=s)
         if s > 0.0:
             # outside the regime the check fails with its reason, unsolved
             try:
                 params.require_srn_regime(s)
             except ValidationError as err:
-                report.add(
-                    "symmetrized_gap", 0, np.nan,
+                add("symmetrized_gap", 0, np.nan,
                     THRESHOLDS["symmetrized_cap_over_delta_g"], False,
-                    s=s, gap_delta=params.gap_delta(s), failures=[str(err)],
-                )
+                    s=s, gap_delta=params.gap_delta(s), failures=[str(err)])
                 continue
             sym = symmetrized_gap(base, fam)
-            report.add(
-                "symmetrized_gap", 0, sym.fitted_c,
+            add("symmetrized_gap", 0, sym.fitted_c,
                 THRESHOLDS["symmetrized_cap_over_delta_g"], sym.passed,
-                s=s, failures=sym.failures,
-            )
+                s=s, failures=sym.failures)
     base.release()
-    return report
+
+    el = el_bounds(points[:6])
+    add("trapping_radius", -1, el.eta_star, el.eta_upper, el.window_ok,
+        delta0=el.delta0, delta1=el.delta1, delta2=el.delta2, mu2=el.mu2)
+    return records

@@ -412,7 +412,6 @@ class PulseProfile:
     well: DoubleWell
     z: np.ndarray
     values: np.ndarray
-    deriv_values: np.ndarray
     u_star: float
     half_width: float
     phi_max: float
@@ -574,7 +573,6 @@ def solve_homoclinic(well, half_width=None, cheb_degree=220):
     z = np.concatenate([-z_half[:0:-1], z_half])
     bar = np.concatenate([bar_half[:0:-1], bar_half])
     values = well.b_minus + bar
-    dphi = -np.sign(z) * np.sqrt(np.maximum(2.0 * well.W_bar(bar), 0.0))
 
     mass_core = float(cheb.integ()(half_width) - cheb.integ()(0.0))
     mass_h = 2.0 * (mass_core + phi_max * np.exp(-sqrt_am * half_width) / sqrt_am)
@@ -594,13 +592,12 @@ def solve_homoclinic(well, half_width=None, cheb_degree=220):
         )
 
     # a pulse is shared by every Laboratory of its well: freeze its samples
-    _freeze(z, values, dphi, cheb.coef)
+    _freeze(z, values, cheb.coef)
 
     return PulseProfile(
         well=well,
         z=z,
         values=values,
-        deriv_values=dphi,
         u_star=inv.u_star,
         half_width=float(half_width),
         phi_max=phi_max,
@@ -727,11 +724,9 @@ class BackgroundProfile:
     from one `lattice_table`.
     """
 
-    j: int
     window: float
     z: np.ndarray
     values: np.ndarray
-    bar_values: np.ndarray
     b_inf: float
     mass_bar: float
     residual_norm: float
@@ -852,14 +847,12 @@ def _background(j, b, lmat, grid):
     coeffs = cosine_coeffs(bar)
     keep = np.max(np.nonzero(np.abs(coeffs) > 1e-15 * np.max(np.abs(coeffs)))[0])
     coeffs = coeffs[: keep + 1]
-    _freeze(z, b, bar, coeffs)
+    _freeze(z, b, coeffs)
 
     return BackgroundProfile(
-        j=j,
         window=window,
         z=z,
         values=b,
-        bar_values=bar,
         b_inf=b_inf,
         mass_bar=mass_bar,
         residual_norm=residual_norm,

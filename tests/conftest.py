@@ -32,6 +32,7 @@ from fchpulse.core import (
     mode_matrix,
     mode_norms,
     norm,
+    parseval_weights,
 )
 from fchpulse.harness import well_solution
 from fchpulse.operators import (
@@ -270,6 +271,14 @@ def variational_derivative(u, well):
     """grad J = (d^2 - W''(u)) (u'' - W'(u)), evaluated spectrally."""
     w1 = energy_terms(cosine_coeffs(u.values), u.values, u.grid, well)[0]
     return ScalarField(u.grid, gradient_values(u.values, w1, u.grid, well))
+
+
+def dissipation(state, family):
+    """<G grad J, grad J> of a flow state: sum_k c_k G_k grad_hat_k^2 with c
+    the Parseval weights, exact for the trapezoid rule on the cosine modes."""
+    g_hat = state.grad_hat
+    return float(np.sum(parseval_weights(state.u.grid)
+                        * family.multipliers("G") * g_hat * g_hat))
 
 
 def spectral_derivative(field, order):

@@ -49,6 +49,7 @@ from fchpulse.wellmodel import _fd_residual, far_field_params
 from conftest import (
     cluster_config,
     constrained_negative_index,
+    dissipation,
     far_field_samples,
     jacobian_at_equispaced,
     moderate_config,
@@ -69,7 +70,8 @@ def _report(num, passed, detail):
 def test_criterion_01_homoclinic(well, pulse):
     residual = _fd_residual(pulse.z, pulse.values, well)
     fi_defect = float(
-        np.max(np.abs(0.5 * pulse.deriv_values**2 - well.W(pulse.values)))
+        np.max(np.abs(0.5 * pulse.pulse_jet(pulse.z, 1)[1]**2
+                      - well.W(pulse.values)))
     )
     fit = far_field_params(*far_field_samples(pulse))
     rate_err = abs(fit.decay_rate - np.sqrt(well.alpha_minus)) / np.sqrt(
@@ -328,20 +330,20 @@ def test_criterion_12_pde_flow(small_manifold, well):
         kappa=2.0 * float(np.max(np.abs(well.d2W(u0.values)))) ** 2,
         dt_max=dt,
     )
-    st = SimulationState.start(u0, well, fam, dt)
+    st = SimulationState.start(u0, well, dt)
     m0 = mass(u0, well.b_minus)
     energies = [st.energy]
     drift = 0.0
     rel_errs = []
     for k in range(10_000):
-        prev_e, prev_d = st.energy, st.dissipation
+        prev_e, prev_d = st.energy, dissipation(st, fam)
         st = step(st, well, fam, controls)
         energies.append(st.energy)
         if k % 100 == 0:
             drift = max(drift, abs(mass(st.u, well.b_minus) - m0) / abs(m0))
         if k < 2000 and k % 5 == 0 and prev_d > 1e-8:
             rate = (st.energy - prev_e) / dt
-            midpoint = -0.5 * (prev_d + st.dissipation)
+            midpoint = -0.5 * (prev_d + dissipation(st, fam))
             rel_errs.append(abs(rate - midpoint) / abs(midpoint))
     monotone = bool(np.all(np.diff(energies) <= 1e-10))
     diss_err = float(np.quantile(rel_errs, 0.9))
@@ -372,7 +374,7 @@ def test_criterion_13_pde_vs_ode(small_manifold, pulse, well):
             prof.phi, well, dt_max=0.02 / max(scale, 1.0)
         )
         t_final = 10.0 / scale
-        state = SimulationState.start(prof.phi, well, fam, fresh_dt(grid))
+        state = SimulationState.start(prof.phi, well, fresh_dt(grid))
         traj = run(small_manifold, fam, state, t_final, controls,
                    output_every=40)
         t, p, _, _, _ = traj.as_arrays()
@@ -395,7 +397,7 @@ def test_criterion_13_pde_vs_ode(small_manifold, pulse, well):
     scale1 = a0**2 / alpha_scaling(1.0, grid, pulse) ** 2
     controls = StepControls.for_initial_state(prof_pert.phi, well,
                                               dt_max=0.005)
-    state = SimulationState.start(prof_pert.phi, well, fam1, fresh_dt(grid))
+    state = SimulationState.start(prof_pert.phi, well, fresh_dt(grid))
     traj = run(small_manifold, fam1, state, 120.0, controls,
                output_every=100)
     t, p, _, _, _ = traj.as_arrays()

@@ -24,6 +24,7 @@ from fchpulse import (
     RunManifest,
     ScalarField,
     StepControls,
+    ValidationError,
     alpha_scaling,
     extract_pulse_positions,
     integrate_reduced,
@@ -47,8 +48,8 @@ from fchpulse.dynamics import (
 )
 from fchpulse.harness import read_checkpoint, write_checkpoint
 
-from conftest import (apply_family, count_background_work, energy,
-                      jacobian_at_equispaced, reduced_equispaced,
+from conftest import (apply_family, count_background_work, dissipation,
+                      energy, jacobian_at_equispaced, reduced_equispaced,
                       spectral_derivative, variational_derivative)
 
 
@@ -102,7 +103,7 @@ class TestStep:
         u = ScalarField(grid, np.full(grid.num_points, well.b_minus + 0.01))
         fam = GradientFamily(grid, 0.0)
         controls = StepControls.for_initial_state(u, well)
-        st = SimulationState.start(u, well, fam, 1e-3)
+        st = SimulationState.start(u, well, 1e-3)
         st2 = step(st, well, fam, controls)
         # constants are equilibria of the projected flow
         assert np.max(np.abs(st2.u.values - u.values)) < 1e-12
@@ -113,7 +114,7 @@ class TestStep:
         u0 = prof.phi + noise_field(grid, 1e-3, seed=3)
         fam = GradientFamily(grid, 0.0)
         controls = StepControls.for_initial_state(u0, well)
-        st = SimulationState.start(u0, well, fam, 1e-4)
+        st = SimulationState.start(u0, well, 1e-4)
         energies = [st.energy]
         for _ in range(400):
             st = step(st, well, fam, controls)
@@ -127,7 +128,7 @@ class TestStep:
             fam = GradientFamily(grid, s)
             u0 = prof.phi + noise_field(grid, 1e-4, seed=int(10 * s))
             controls = StepControls.for_initial_state(u0, well, dt_max=1e-3)
-            st = SimulationState.start(u0, well, fam, 1e-4)
+            st = SimulationState.start(u0, well, 1e-4)
             m0 = mass(u0, well.b_minus)
             for _ in range(1500):
                 st = step(st, well, fam, controls)
@@ -143,14 +144,14 @@ class TestStep:
         dt = 2e-4
         controls = StepControls(kappa=2 * float(
             np.max(np.abs(well.d2W(u0.values)))) ** 2, dt_max=dt)
-        st = SimulationState.start(u0, well, fam, dt)
+        st = SimulationState.start(u0, well, dt)
         rel_errs = []
         for k in range(600):
-            prev_e, prev_d = st.energy, st.dissipation
+            prev_e, prev_d = st.energy, dissipation(st, fam)
             st = step(st, well, fam, controls)
             if k % 5 == 0 and prev_d > 1e-8:
                 rate = (st.energy - prev_e) / (st.time - (st.time - dt))
-                midpoint = -0.5 * (prev_d + st.dissipation)
+                midpoint = -0.5 * (prev_d + dissipation(st, fam))
                 rel_errs.append(abs(rate - midpoint) / abs(midpoint))
         assert np.median(rel_errs) < 0.02
         assert np.quantile(rel_errs, 0.9) < 0.02
@@ -167,13 +168,13 @@ def perturbed_testbed(manifold, well, s=0.0, amplitude=1e-3, seed=3):
     u0 = prof.phi + noise_field(manifold.grid, amplitude, seed=seed)
     fam = GradientFamily(manifold.grid, s)
     controls = StepControls.for_initial_state(u0, well)
-    return SimulationState.start(u0, well, fam, 1e-4), fam, controls
+    return SimulationState.start(u0, well, 1e-4), fam, controls
 
 
 class TestFusedStep:
-    """`step` advances the cosine coefficients of u, forms J, grad J and the
-    dissipation from them in one pass, and carries the coefficients of u and
-    grad J to the next step."""
+    """`step` advances the cosine coefficients of u, forms J and grad J from
+    them in one pass, and carries the coefficients of u and grad J to the
+    next step."""
 
     @pytest.mark.parametrize("s", [0.0, 1.0])
     def test_carried_values_equal_the_public_functions(self, small_manifold,
@@ -183,9 +184,8 @@ class TestFusedStep:
         state, fam, controls = perturbed_testbed(small_manifold, well, s)
         for _ in range(3):
             state = step(state, well, fam, controls)
-            e, g_hat, diss = flow_terms(state.u_hat, state.u, well, fam)
+            e, g_hat = flow_terms(state.u_hat, state.u, well)
             assert state.energy == e
-            assert state.dissipation == diss
             assert np.array_equal(state.grad_hat, g_hat)
             assert np.array_equal(state.u.values, cosine_synth(state.u_hat))
 
@@ -209,9 +209,7 @@ class TestFusedStep:
             g = variational_derivative(u, well)
             umax = np.max(np.abs(u.values))
             assert_allclose(state.energy, energy(u, well), rtol=1e-13)
-            nodal = flow_terms(cosine_coeffs(u.values), u, well, fam)
-            assert_allclose(state.dissipation, nodal[2], rtol=1e-10)
-            assert_allclose(state.dissipation,
+            assert_allclose(dissipation(state, fam),
                             inner_product_x(apply_family(fam, g, "G"), g),
                             rtol=1e-10)
             assert_allclose(state.u_hat, cosine_coeffs(u.values), rtol=0,
@@ -531,8 +529,7 @@ def fresh_run(manifold):
     """(state, family, controls) of an s = 0 run from the testbed point."""
     u0 = manifold.build(manifold.configuration([4.5, 12.0])).phi
     fam = GradientFamily(manifold.grid, 0.0)
-    state = SimulationState.start(u0, manifold.well, fam,
-                                  fresh_dt(manifold.grid))
+    state = SimulationState.start(u0, manifold.well, fresh_dt(manifold.grid))
     return state, fam, StepControls.for_initial_state(u0, manifold.well)
 
 
@@ -549,8 +546,7 @@ def write_fresh_checkpoint(manifold, path):
 
 
 def read_fresh_checkpoint(manifold, prefix):
-    return read_checkpoint(prefix, manifold.grid, manifold.well,
-                           GradientFamily(manifold.grid, 0.0))
+    return read_checkpoint(prefix, manifold.grid, manifold.well)
 
 
 class TestRun:
@@ -606,18 +602,16 @@ class TestRun:
     def test_checkpoint_roundtrip(self, small_manifold, tmp_path):
         well = small_manifold.well
         prof = small_manifold.build(small_manifold.configuration([4.5, 12.0]))
-        fam = GradientFamily(small_manifold.grid, 0.5)
         # not cosine_coeffs(u): the read must return the written u_hat
         u_hat = cosine_coeffs(prof.phi.values) * (1.0 + 1e-15)
-        st = SimulationState.at(prof.phi, u_hat, well, fam, 1.25, 3e-4, 17, 3)
+        st = SimulationState.at(prof.phi, u_hat, well, 1.25, 3e-4, 17, 3)
         manifest = output_dir(tmp_path)
         write_checkpoint(manifest, "ck", st, 0.1 + 2e-17)
         assert manifest.files == ["ck.json", "ck.bin"]
         st2, kappa = read_checkpoint(tmp_path / "ck", small_manifold.grid,
-                                     well, fam)
+                                     well)
         # the read state is complete, with the terms of the written one
-        for name in ("time", "dt", "step_index", "accept_streak", "energy",
-                     "dissipation"):
+        for name in ("time", "dt", "step_index", "accept_streak", "energy"):
             assert getattr(st2, name) == getattr(st, name)
         assert np.array_equal(st2.u.values, prof.phi.values)
         assert np.array_equal(st2.u_hat, u_hat)
@@ -634,6 +628,33 @@ class TestRun:
         del header[key]
         path.write_text(json.dumps(header))
         with pytest.raises(FchError, match=f"lacks {key}"):
+            read_fresh_checkpoint(small_manifold, tmp_path / "ck")
+
+    @pytest.mark.parametrize("key, value", [
+        ("dt", "0.01"), ("kappa", None), ("step_index", 2.5),
+        ("length", "16"), ("time", True), ("accept_streak", 1.0),
+        ("num_points", "256"), ("dt", float("inf")), ("kappa", float("nan")),
+    ])
+    def test_checkpoint_value_of_the_wrong_type_refused(self, small_manifold,
+                                                        tmp_path, key, value):
+        # these were read; a restart from them raised a bare TypeError (a
+        # string dt in the step-size comparison, a null kappa) or
+        # ValueError (a float step index in the {:09d} checkpoint name),
+        # and a string length broke the grid-mismatch message's :g format
+        write_fresh_checkpoint(small_manifold, tmp_path)
+        path = tmp_path / "ck.json"
+        header = json.loads(path.read_text())
+        header[key] = value
+        path.write_text(json.dumps(header))
+        with pytest.raises(ValidationError, match=f"^{key} of "):
+            read_fresh_checkpoint(small_manifold, tmp_path / "ck")
+
+    def test_checkpoint_header_not_an_object_refused(self, small_manifold,
+                                                     tmp_path):
+        # a number raised a bare TypeError from the missing-key test
+        write_fresh_checkpoint(small_manifold, tmp_path)
+        (tmp_path / "ck.json").write_text("16")
+        with pytest.raises(FchError, match="not a JSON object"):
             read_fresh_checkpoint(small_manifold, tmp_path / "ck")
 
     def test_checkpoint_in_the_nodal_layout_refused(self, small_manifold,
@@ -676,8 +697,7 @@ class TestRun:
         write_fresh_checkpoint(small_manifold, tmp_path)
         coarse = Grid(small_manifold.grid.length, 129, h_max=0.4)
         with pytest.raises(GridMismatchError, match="256 points.* 129"):
-            read_checkpoint(tmp_path / "ck", coarse, small_manifold.well,
-                            GradientFamily(coarse, 0.0))
+            read_checkpoint(tmp_path / "ck", coarse, small_manifold.well)
 
     def test_checkpoint_length_mismatch(self, small_manifold, tmp_path):
         # the same N on a longer domain has .bin bytes of the right size, and
@@ -685,8 +705,7 @@ class TestRun:
         write_fresh_checkpoint(small_manifold, tmp_path)
         longer = Grid(17.0, small_manifold.grid.num_points, h_max=0.4)
         with pytest.raises(GridMismatchError, match="length 16, .* on 17"):
-            read_checkpoint(tmp_path / "ck", longer, small_manifold.well,
-                            GradientFamily(longer, 0.0))
+            read_checkpoint(tmp_path / "ck", longer, small_manifold.well)
 
 
 class TestPdeRepulsion:

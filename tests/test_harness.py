@@ -239,6 +239,16 @@ class TestManifest:
 
 
 class TestExperiments:
+    def test_ansatz_runs_the_configured_sample_size(self, tmp_path):
+        # the sample was capped at 8, so 9 ran 8 samples and wrote 9 rows
+        # with the equispaced configuration
+        run_experiment(ExperimentConfig(
+            experiment="ansatz", output_dir=str(tmp_path), sample_size=9,
+            **SMALL))
+        rows = np.loadtxt(tmp_path / "ansatz_sample.csv", delimiter=",",
+                          skiprows=1)
+        assert rows.shape[0] == 10
+
     def test_invariance_single_s_defect_zero(self, tmp_path):
         cfg = ExperimentConfig(
             experiment="invariance",
@@ -730,7 +740,7 @@ class TestRestart:
         restarted = run_experiment(cfg)
         lab = Laboratory.from_config(cfg)
         family = GradientFamily(lab.grid, 0.5)
-        state, kappa = read_checkpoint(prefix, lab.grid, lab.well, family)
+        state, kappa = read_checkpoint(prefix, lab.grid, lab.well)
         traj = run(lab.manifold, family, state, cfg.t_final,
                    StepControls(kappa=kappa, dt_max=0.01),
                    output_every=cfg.output_every)

@@ -35,6 +35,10 @@ of Phi reads its translates in one place. In `harness`, only
 and `manifest.json`, so every experiment starts and finishes one way. And
 every function, method and property of the package is referenced by name in the
 package or its tests: code that nothing reaches is deleted, not kept.
+Likewise every field of a package dataclass is read, as an attribute or
+by its name as a string, in the package or its tests, unless `asdict`
+writes the class whole: a value that is stored but never read is work
+for nothing.
 """
 
 import ast
@@ -96,6 +100,8 @@ TRANSLATE_KERNEL = "PulseManifold._translates"
 LIFECYCLE_CALLS = {"RunManifest", "from_config"}
 LIFECYCLE_FILES = {"config.json", "manifest.json"}
 LIFECYCLE_OWNER = "run_experiment"
+# Dataclasses that `asdict` writes whole, so every field of them is read.
+SERIALIZED_WHOLE = {"RunManifest", "ExperimentConfig", "InternalParams"}
 
 
 def unused_imports(source):
@@ -709,3 +715,63 @@ def test_no_uncalled_definition():
     sources = {p.stem: p.read_text() for p in ALL_SOURCES}
     referencing = [*sources.values(), *(p.read_text() for p in TEST_SOURCES)]
     assert uncalled_definitions(sources, referencing) == []
+
+
+def unread_fields(sources, reading):
+    """module.Class.field of every field of a dataclass of sources ({module
+    name: source}) that no attribute read in reading names, nor any string
+    constant there (a `getattr` key). Classes in SERIALIZED_WHOLE are
+    exempt: `asdict` reads each of their fields."""
+    read = set()
+    for source in reading:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx,
+                                                              ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value,
+                                                               str):
+                read.add(node.value)
+    found = []
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if (not isinstance(node, ast.ClassDef)
+                    or node.name in SERIALIZED_WHOLE
+                    or not any(_is_dataclass(d) for d in node.decorator_list)):
+                continue
+            found.extend(
+                f"{module}.{node.name}.{stmt.target.id}" for stmt in node.body
+                if isinstance(stmt, ast.AnnAssign)
+                and isinstance(stmt.target, ast.Name)
+                and stmt.target.id not in read)
+    return found
+
+
+def _is_dataclass(decorator):
+    if isinstance(decorator, ast.Call):
+        decorator = decorator.func
+    return getattr(decorator, "id", getattr(decorator, "attr", None)) == (
+        "dataclass")
+
+
+def test_detects_an_unread_field():
+    library = (
+        "@dataclass(frozen=True)\n"
+        "class Report:\n"
+        "    value: float\n    spare: float\n    named: int = 0\n"
+        "    written: int = 0\n"
+        "@dataclasses.dataclass\nclass Record:\n    stored: float\n"
+        "@dataclass\nclass RunManifest:\n    files: list\n"
+        "class Plain:\n    hint: int\n"
+        "def build():\n"
+        "    r = Report(value=1.0, spare=2.0)\n    r.written = 1\n"
+        "    return r.value, getattr(r, 'named')\n"
+    )
+    assert unread_fields({"lib": library}, [library]) == [
+        "lib.Report.spare", "lib.Report.written", "lib.Record.stored",
+    ]
+
+
+def test_no_unread_field():
+    sources = {p.stem: p.read_text() for p in ALL_SOURCES}
+    reading = [*sources.values(), *(p.read_text() for p in TEST_SOURCES)]
+    assert unread_fields(sources, reading) == []
