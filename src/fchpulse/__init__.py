@@ -51,7 +51,7 @@ from .ansatz import (
     mass,
 )
 from .operators import (
-    GradientFamily,
+    gradient_symbols,
     nonlinear_remainder,
     zero_mass_projection,
 )

@@ -1,8 +1,9 @@
 """Time integration of the gradient flow and the reduced pulse-position ODE.
 
 The PDE stepper is linearly implicit: the stiff constant-coefficient part
-G(d^4/dz^4 + kappa) is inverted diagonally in the cosine basis, the remainder
-is explicit, and a step is accepted only if the energy did not increase beyond
+G(d^4/dz^4 + kappa) is inverted diagonally in the cosine basis, where G acts
+as its mode symbol g (`operators.gradient_symbols`), the remainder is
+explicit, and a step is accepted only if the energy did not increase beyond
 a fixed slack. The state is the cosine coefficients of u: a step updates
 them, synthesizes u from them, and carries them with those of grad J(u) to
 the next step. Every `SimulationState` is complete: a run starts from
@@ -35,7 +36,7 @@ from .core import (
     parseval_weights,
 )
 from .ansatz import mass as field_mass, mirror_gaps
-from .operators import energy_terms, gradient_coeffs, to_modes
+from .operators import energy_terms, gradient_coeffs, gradient_symbols, to_modes
 from .wellmodel import PairEnergy
 
 DT_MIN = 1e-12
@@ -106,11 +107,11 @@ def flow_terms(u_hat, u, well):
     return e, gradient_coeffs(u.values, w1, grid, well)
 
 
-def step(state, well, family, controls):
+def step(state, well, g, controls):
     """One accepted semi-implicit step; halves dt until the energy decreases.
 
-    The update reads, mode by mode,
-        u_hat_new = u_hat - dt * (G grad J)_hat / (1 + dt * g_k (kappa_k^4 + kappa)),
+    The update reads, mode by mode, with g the symbol of G (`gradient_symbols`),
+        u_hat_new = u_hat - dt * g_k grad_hat_k / (1 + dt * g_k (kappa_k^4 + kappa)),
     which treats G(d^4 + kappa)(u_new - u_old) implicitly. g_0 = 0, so
     u_hat[0] is carried unchanged and the mass is conserved exactly.
 
@@ -125,11 +126,9 @@ def step(state, well, family, controls):
     coefficients differ from u_hat_new by the rounding of one transform pair.
     """
     grid = state.u.grid
-    kap4 = grid.wavenumbers**4
-    gmult = family.multipliers("G")
-    denom_base = gmult * (kap4 + controls.kappa)
+    denom_base = g * (grid.wavenumbers**4 + controls.kappa)
 
-    flow_hat = gmult * state.grad_hat
+    flow_hat = g * state.grad_hat
 
     dt = state.dt
     while True:
@@ -212,10 +211,10 @@ class Trajectory:
         )
 
 
-def run(manifold, family, state, t_final, controls, output_every=50,
+def run(manifold, g, state, t_final, controls, output_every=50,
         checkpoint=None):
     """Evolve u_t = -G grad J(u) from state under controls, recording pulse
-    diagnostics.
+    diagnostics; g is the mode symbol of G, as `step` reads it.
 
     The state is `SimulationState.start` of an initial field or a
     checkpoint's: its time, step index, dt and accept streak carry on, so
@@ -258,7 +257,7 @@ def run(manifold, family, state, t_final, controls, output_every=50,
 
     state = replace(state, dt=min(state.dt, controls.dt_max))
     while state.time < t_final:
-        state = step(state, well, family, controls)
+        state = step(state, well, g, controls)
         if state.step_index % output_every == 0 or state.time >= t_final:
             pos = record(state)
             if pos is None:
@@ -355,11 +354,11 @@ def pulse_velocity_projection(manifold, config):
 
 def alpha_scaling(s, grid, pulse):
     """alpha(s) = ||G1^{-1} Pi_0 phi_h'||_{L2} for a pulse centred at L/2:
-    by Parseval, the square root of sum_{k>=1} c_k (a_k / k^s)^2 over the
-    cosine coefficients a of phi_h', c the Parseval weights."""
+    by Parseval, the square root of sum_{k>=1} c_k (a_k / g1_k)^2 over the
+    cosine coefficients a of phi_h', c the Parseval weights, g1 G1's symbol."""
     center = 0.5 * grid.length
     a = cosine_coeffs(pulse.pulse_bar_deriv(grid.nodes - center, 1))[1:]
-    scaled = a / np.arange(1, grid.num_points) ** s
+    scaled = a / gradient_symbols(grid, s)[1][1:]
     return float(np.sqrt(np.sum(parseval_weights(grid)[1:] * scaled**2)))
 
 

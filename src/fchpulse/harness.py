@@ -54,7 +54,7 @@ from .dynamics import (
     pulse_velocity_projection,
     run as run_pde,
 )
-from .operators import GradientFamily
+from .operators import gradient_symbols
 from .spectral import ProfilePoint, run_hypothesis_suite, spectral_gap_report
 from .wellmodel import (
     default_well,
@@ -64,12 +64,14 @@ from .wellmodel import (
 )
 
 
-def _check_types(integers, reals, finite=True):
+def _check_types(integers, reals, finite=True, booleans=(), strings=()):
     """Refuse a value of the wrong type with ValidationError naming its key.
 
-    integers and reals are (key, value) pairs. An integer is a JSON integer:
-    no float, bool or numpy scalar. A real is a number: no bool, string or
-    null, and, with finite, no Infinity or NaN (which Python's json parses).
+    integers, reals, booleans and strings are (key, value) pairs. An integer
+    is a JSON integer: no float, bool or numpy scalar. A real is a number: no
+    bool, string or null, and, with finite, no Infinity or NaN (which
+    Python's json parses). A boolean is JSON true or false, a string a JSON
+    string.
     """
     for key, value in integers:
         if type(value) is not int:
@@ -79,6 +81,12 @@ def _check_types(integers, reals, finite=True):
             raise ValidationError(f"{key} must be a number, got {value!r}")
         if finite and isinstance(value, float) and not math.isfinite(value):
             raise ValidationError(f"{key} must be finite, got {value!r}")
+    for key, value in booleans:
+        if type(value) is not bool:
+            raise ValidationError(f"{key} must be true or false, got {value!r}")
+    for key, value in strings:
+        if not isinstance(value, str):
+            raise ValidationError(f"{key} must be a string, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -121,7 +129,12 @@ class ExperimentConfig:
                 "tau", "epsilon", "domain_d", "min_spacing",
                 "mass_excess_fraction", "t_final", "dt_max", "perturbation")]
             + [("initial_positions entry", p)
-               for p in self.initial_positions or ()])
+               for p in self.initial_positions or ()],
+            booleans=[("plot_data", self.plot_data)],
+            # a null restart_from starts the run fresh
+            strings=[("output_dir", self.output_dir)]
+            + ([] if self.restart_from is None
+               else [("restart_from", self.restart_from)]))
         # an infinite s is refused below, as outside [0, 1]
         _check_types([], [("s_values entry", s) for s in self.s_values or ()],
                     finite=False)
@@ -572,7 +585,7 @@ def _initial_state(lab):
 def experiment_simulate(lab, manifest):
     """Evolve the gradient flow from the configured or checkpointed state."""
     config = lab.config
-    family = GradientFamily(lab.grid, config.s_values[0])
+    g = gradient_symbols(lab.grid, config.s_values[0])[0]
     if config.restart_from:
         # the checkpoint's state and kappa, the config's s and dt_max; the
         # state's time carries on and t_final is absolute
@@ -581,7 +594,7 @@ def experiment_simulate(lab, manifest):
         controls = StepControls(kappa=kappa, dt_max=config.dt_max)
     else:
         state, controls = _initial_state(lab)
-    traj = run_pde(lab.manifold, family, state, config.t_final, controls,
+    traj = run_pde(lab.manifold, g, state, config.t_final, controls,
                    output_every=config.output_every,
                    checkpoint=_checkpointer(manifest, config.checkpoint_stride,
                                             controls.kappa))
@@ -648,9 +661,9 @@ def experiment_compare(lab, manifest):
     config = lab.config
     s = config.s_values[0]
     start = lab.initial_configuration()
-    family = GradientFamily(lab.grid, s)
+    g = gradient_symbols(lab.grid, s)[0]
     state, controls = _initial_state(lab)
-    traj = run_pde(lab.manifold, family, state, config.t_final, controls,
+    traj = run_pde(lab.manifold, g, state, config.t_final, controls,
                    output_every=config.output_every)
     _write_trajectory(manifest, "pde_trajectory.csv", traj)
     t, p, e, m, w = traj.as_arrays()

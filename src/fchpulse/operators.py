@@ -2,18 +2,17 @@
 of the gradient family.
 
 All differential operators act spectrally in the Neumann cosine basis, and
-the scaled-hypothesis diagnostics act on cosine coefficients.
+the scaled-hypothesis diagnostics act on cosine coefficients. The gradient
+family G = lam1^s D^{-s} is its two mode symbols, `gradient_symbols(grid, s)`:
+each caller takes the array it reads, g of G or g1 of G1 = G^{1/2}.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import (
     DomainError,
-    Grid,
     ScalarField,
     cosine_coeffs,
     cosine_synth,
@@ -108,44 +107,24 @@ def energy_remainder(phi, v, well):
 # ---------------------------------------------------------------------------
 
 
-MULTIPLIER_POWERS = {"G": 2.0, "G1": 1.0}
-
-
-@dataclass(frozen=True)
-class GradientFamily:
-    """Spectral family G = lam1^s D^{-s}, G1 = G^{1/2}, as symbols on the
-    cosine modes.
+def gradient_symbols(grid, s):
+    """(g, g1): the mode symbols k**(2s) of G = lam1^s D^{-s} and k**s of
+    G1 = G^{1/2} on the N cosine modes, each 0 at mode 0 and read-only.
 
     D is the Neumann inverse Laplacian with eigenvalues lam_k = (L/(pi k))^2,
     so G1 multiplies mode k by (lam1/lam_k)^{s/2} = k^s: it fixes the gravest
     mode and amplifies finer ones. Constants form the kernel of every member.
-    The family is its mode multipliers only: every caller acts on cosine
-    coefficients, and the H_G1 norm of w is the H^4 norm of G1's multipliers
-    times w's coefficients (`h4_norm_from_coeffs`).
+    Every caller acts on cosine coefficients, and the H_G1 norm of w is the
+    H^4 norm of g1 times w's coefficients (`h4_norm_from_coeffs`).
     """
-
-    grid: Grid
-    s: float
-    _tables: dict = field(default_factory=dict, init=False, repr=False,
-                          compare=False)
-
-    def __post_init__(self):
-        if not 0.0 <= self.s <= 1.0:
-            raise DomainError("gradient exponent s must lie in [0,1]")
-
-    def multipliers(self, which):
-        """The mode multipliers of G or G1: k**(p s) with p = 2 or 1, and 0
-        at mode 0. Each is built on first use and kept as one read-only
-        array per family and direction."""
-        if which not in self._tables:
-            if which not in MULTIPLIER_POWERS:
-                raise DomainError(f"unknown gradient direction {which!r}")
-            k = np.arange(self.grid.num_points, dtype=float)
-            m = k ** (MULTIPLIER_POWERS[which] * self.s)
-            m[0] = 0.0
-            m.flags.writeable = False
-            self._tables[which] = m
-        return self._tables[which]
+    if not 0.0 <= s <= 1.0:
+        raise DomainError("gradient exponent s must lie in [0,1]")
+    k = np.arange(grid.num_points, dtype=float)
+    g, g1 = k ** (2.0 * s), k ** (1.0 * s)
+    for m in (g, g1):
+        m[0] = 0.0
+        m.flags.writeable = False
+    return g, g1
 
 
 # ---------------------------------------------------------------------------
@@ -170,15 +149,14 @@ def band_limited_h_norm(grid, coeffs):
         grid, np.where(grid.wavenumbers <= BAND_EDGE_KAPPA, coeffs, 0.0))
 
 
-def scaled_nonlinearity_constant(phi, well, family, rho, probes):
+def scaled_nonlinearity_constant(phi, well, g1, rho, probes):
     """max over probes w of rho*||G1 N_S(G1 w / rho)||_{H_G1} / ||w||_{H_G1}^2,
-    each probe given by its cosine coefficients.
+    each probe given by its cosine coefficients and g1 the symbol of G1.
 
     Norms are band-limited (see band_limited_h_norm); mode 0 of G1 is 0, so
     they see no mean.
     """
     grid = phi.grid
-    g1 = family.multipliers("G1")
     worst = 0.0
     for w in probes:
         v = ScalarField(grid, cosine_synth(g1 * w) * (1.0 / rho))
@@ -189,11 +167,10 @@ def scaled_nonlinearity_constant(phi, well, family, rho, probes):
     return worst
 
 
-def scaled_residual_constant(residual, family, rho, delta):
-    """c in ||G1 R||_{H_G1} <= c rho^2 delta, band-limited."""
-    mult = family.multipliers("G")
+def scaled_residual_constant(residual, g, rho, delta):
+    """c in ||G1 R||_{H_G1} <= c rho^2 delta, band-limited; g is G's symbol."""
     return band_limited_h_norm(
-        residual.grid, cosine_coeffs(residual.values) * mult) / (rho**2 * delta)
+        residual.grid, cosine_coeffs(residual.values) * g) / (rho**2 * delta)
 
 
 def tangent_amplification_constant(tangents, g1, rho):

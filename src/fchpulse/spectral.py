@@ -33,8 +33,8 @@ from .core import (
 )
 from .ansatz import h4_norm_from_stack, mass as field_mass
 from .operators import (
-    GradientFamily,
     energy_remainder,
+    gradient_symbols,
     scaled_nonlinearity_constant,
     scaled_residual_constant,
     second_variation_coefficients,
@@ -595,25 +595,24 @@ def tangent_alignment(point):
 # ---------------------------------------------------------------------------
 
 
-def symmetrized_gap(point, family):
+def symmetrized_gap(point, s):
     """Spectrum of G1*L*G1 on the zero-mass space and its slow alignment.
 
     Asserts n slow eigenvalues of size O(delta_g), a stable remainder, and
     alignment of the slow eigenfields with the normalized G1^{-1} tangents,
-    the point's `tangents` over g1. G1 is diagonal in modes, so G1 L G1 y =
-    theta y is L w = theta G1^{-2} w with y = G1^{-1} w, solved on the
-    point's LU with the metric G1^{-2} (SpectralContext.lowest); the
-    residuals are those of G1 L G1. At s = 0 this reproduces the plain
-    spectral gap report.
+    the point's `tangents` over g1 = k^s (`gradient_symbols`). G1 is
+    diagonal in modes, so G1 L G1 y = theta y is L w = theta G1^{-2} w with
+    y = G1^{-1} w, solved on the point's LU with the metric G1^{-2}
+    (SpectralContext.lowest); the residuals are those of G1 L G1. At s = 0
+    this reproduces the plain spectral gap report.
     """
     manifold = point.manifold
     params = manifold.params
-    s = family.s
     delta_g = params.require_srn_regime(s)
     n = manifold.n
 
     context = point.context
-    g1 = family.multipliers("G1")[1:]
+    g1 = gradient_symbols(manifold.grid, s)[1][1:]
     metric = g1**-2.0
     k = n + SYMMETRIZED_STABLE_PAIRS
     evals, w = context.lowest(point.lu, k, metric)
@@ -883,7 +882,7 @@ def run_hypothesis_suite(points, s_values=(0.5, 1.0), seed=0):
     SPECTRAL_SUBSET points, each of which releases its context after its
     checks; the equispaced point keeps its own until the symmetrized gaps
     have read it. The last record is the trapping radius of `el_bounds`
-    over the first six points.
+    over all the points, so it reads the same delta0 as energy flatness.
 
     Returns the records as the plain dicts that diagnostics.json holds:
     hypothesis, config_id, constant, threshold, pass, and the details that
@@ -963,8 +962,7 @@ def run_hypothesis_suite(points, s_values=(0.5, 1.0), seed=0):
     if base is None:
         base = ProfilePoint(manifold, manifold.build(equi))
     for s in s_values:
-        fam = GradientFamily(manifold.grid, s)
-        g1 = fam.multipliers("G1")
+        g, g1 = gradient_symbols(manifold.grid, s)
         rho = params.gap_rho(s)
 
         # probes w, as cosine coefficients, with ||w||_{H_G1} = 0.5
@@ -973,11 +971,11 @@ def run_hypothesis_suite(points, s_values=(0.5, 1.0), seed=0):
             coeffs = smooth_probe_coeffs(manifold.grid, rng, 4, 120, 2)
             probes.append(coeffs * (0.5 / h4_norm_from_coeffs(
                 manifold.grid, g1 * coeffs)))
-        rho_nl = params.epsilon ** (-2.0 * s) if s > 0 else 1.0
+        rho_nl = params.gap_rho(2.0 * s)
         c_a = scaled_nonlinearity_constant(base.profile.phi, manifold.well,
-                                           fam, rho_nl, probes)
+                                           g1, rho_nl, probes)
         c_b = scaled_nonlinearity_constant(base.profile.phi, manifold.well,
-                                           fam, 2.0 * rho_nl, probes)
+                                           g1, 2.0 * rho_nl, probes)
         # the quadratic leading order makes c non-increasing in rho, so the
         # rho-uniform bound is witnessed at the smaller rho
         c_eh2 = max(c_a, c_b)
@@ -986,7 +984,7 @@ def run_hypothesis_suite(points, s_values=(0.5, 1.0), seed=0):
             and c_b <= THRESHOLDS["eh2_stability_factor"] * c_a,
             s=s, c_small_rho=c_a, c_large_rho=c_b)
 
-        c_res = scaled_residual_constant(base.residual[0], fam, rho, delta)
+        c_res = scaled_residual_constant(base.residual[0], g, rho, delta)
         add("scaled_residual", -1, c_res, THRESHOLDS["eh3_residual_cap"],
             c_res <= THRESHOLDS["eh3_residual_cap"], s=s)
         c_tan = tangent_amplification_constant(base.tangents, g1[1:], rho)
@@ -1001,13 +999,13 @@ def run_hypothesis_suite(points, s_values=(0.5, 1.0), seed=0):
                     THRESHOLDS["symmetrized_cap_over_delta_g"], False,
                     s=s, gap_delta=params.gap_delta(s), failures=[str(err)])
                 continue
-            sym = symmetrized_gap(base, fam)
+            sym = symmetrized_gap(base, s)
             add("symmetrized_gap", 0, sym.fitted_c,
                 THRESHOLDS["symmetrized_cap_over_delta_g"], sym.passed,
                 s=s, failures=sym.failures)
     base.release()
 
-    el = el_bounds(points[:6])
+    el = el_bounds(points)
     add("trapping_radius", -1, el.eta_star, el.eta_upper, el.window_ok,
         delta0=el.delta0, delta1=el.delta1, delta2=el.delta2, mu2=el.mu2)
     return records

@@ -273,12 +273,12 @@ def variational_derivative(u, well):
     return ScalarField(u.grid, gradient_values(u.values, w1, u.grid, well))
 
 
-def dissipation(state, family):
-    """<G grad J, grad J> of a flow state: sum_k c_k G_k grad_hat_k^2 with c
-    the Parseval weights, exact for the trapezoid rule on the cosine modes."""
+def dissipation(state, g):
+    """<G grad J, grad J> of a flow state: sum_k c_k g_k grad_hat_k^2 with c
+    the Parseval weights and g the symbol of G, exact for the trapezoid rule
+    on the cosine modes."""
     g_hat = state.grad_hat
-    return float(np.sum(parseval_weights(state.u.grid)
-                        * family.multipliers("G") * g_hat * g_hat))
+    return float(np.sum(parseval_weights(state.u.grid) * g * g_hat * g_hat))
 
 
 def spectral_derivative(field, order):
@@ -315,12 +315,12 @@ def from_modes(grid, vec):
     return ScalarField(grid, cosine_synth(vec / mode_norms(grid)))
 
 
-def apply_family(family, fld, which="G"):
-    """The field whose cosine coefficients are fld's times the multipliers
-    of G or G1: the family applied at the nodes, by one analysis and one
-    synthesis."""
-    return ScalarField(fld.grid, cosine_synth(
-        cosine_coeffs(fld.values) * family.multipliers(which)))
+def apply_symbol(symbol, fld):
+    """The field whose cosine coefficients are fld's times symbol (g or g1 of
+    `gradient_symbols`): G or G1 applied at the nodes, by one analysis and
+    one synthesis."""
+    return ScalarField(fld.grid, cosine_synth(cosine_coeffs(fld.values)
+                                              * symbol))
 
 
 # The nodal weighted-coordinate dense path that the cosine-mode

@@ -16,17 +16,19 @@ Criterion 13 fails and prints its numbers. Its decay half compares the
 antisymmetric PDE amplitude with the antisymmetric eigenvalue of the
 linearized law: 0.0053 against 0.0221. Its velocity half is 0.35 (s=0) and
 0.60 (s=1) away from the law, and the tangent projection is itself 0.36 and
-0.61 away from the PDE: the PDE leaves the manifold (at s=0, t=20 its energy
-is 3.4e-4 against J = 2.8e-3 on the manifold at the extracted positions),
-and at s=1 the scalar time rescaling does not hold pulse by pulse. The model
-description does not settle which reduced law the flow follows off the
-manifold, so the tolerances stay as they are.
+0.61 away from the PDE: the PDE leaves the manifold (at s=0, t=10 its energy
+is 4.3e-4 against J = 3.0e-3 on the manifold at the extracted positions),
+and at s=1 the scalar time rescaling alpha(0)^2/alpha(1)^2 = 4.90 does not
+hold pulse by pulse (the PDE velocity ratios are 2.98 and 5.69). The s=1
+runs are outside the SRN regime: delta_g(1) = 21.6 on this testbed, against
+delta_g < 1. The test computes each of these numbers from its own runs. The
+model description does not settle which reduced law the flow follows off
+the manifold, so the tolerances stay as they are.
 """
 
 import numpy as np
 
 from fchpulse import (
-    GradientFamily,
     Grid,
     ProfilePoint,
     ReducedModel,
@@ -34,6 +36,7 @@ from fchpulse import (
     alpha_scaling,
     coercivity_constant,
     el_bounds,
+    gradient_symbols,
     integrate_reduced,
     mass,
     norm,
@@ -246,8 +249,7 @@ def test_criterion_09_symmetrized_gap(diag_manifold):
     results = {}
     ok = True
     for s in (0.5, 1.0):
-        fam = GradientFamily(diag_manifold.grid, s)
-        rep = symmetrized_gap(ProfilePoint(diag_manifold, prof), fam)
+        rep = symmetrized_gap(ProfilePoint(diag_manifold, prof), s)
         results[s] = rep.fitted_c
         ok = ok and rep.passed and rep.slow_dim == 3
     passed = ok and max(results.values()) <= 15.0
@@ -323,7 +325,7 @@ def test_criterion_12_pde_flow(small_manifold, well):
     coeffs[3:43] = rng.standard_normal(40)
     noise = ScalarField(grid, cosine_synth(coeffs))
     u0 = prof.phi + noise * (1e-3 / norm(noise, "l2"))
-    fam = GradientFamily(grid, 0.0)
+    g_sym = gradient_symbols(grid, 0.0)[0]
 
     dt = 2e-4
     controls = StepControls(
@@ -336,14 +338,14 @@ def test_criterion_12_pde_flow(small_manifold, well):
     drift = 0.0
     rel_errs = []
     for k in range(10_000):
-        prev_e, prev_d = st.energy, dissipation(st, fam)
-        st = step(st, well, fam, controls)
+        prev_e, prev_d = st.energy, dissipation(st, g_sym)
+        st = step(st, well, g_sym, controls)
         energies.append(st.energy)
         if k % 100 == 0:
             drift = max(drift, abs(mass(st.u, well.b_minus) - m0) / abs(m0))
         if k < 2000 and k % 5 == 0 and prev_d > 1e-8:
             rate = (st.energy - prev_e) / dt
-            midpoint = -0.5 * (prev_d + dissipation(st, fam))
+            midpoint = -0.5 * (prev_d + dissipation(st, g_sym))
             rel_errs.append(abs(rate - midpoint) / abs(midpoint))
     monotone = bool(np.all(np.diff(energies) <= 1e-10))
     diss_err = float(np.quantile(rel_errs, 0.9))
@@ -366,16 +368,16 @@ def test_criterion_13_pde_vs_ode(small_manifold, pulse, well):
     prof = small_manifold.build(start)
     a0 = alpha_scaling(0.0, grid, pulse)
 
-    vel_dev = {}
+    vel_dev, proj_dev, v_runs = {}, {}, {}
     for s in (0.0, 1.0):
-        fam = GradientFamily(grid, s)
+        g_sym = gradient_symbols(grid, s)[0]
         scale = 1.0 if s == 0.0 else a0**2 / alpha_scaling(s, grid, pulse) ** 2
         controls = StepControls.for_initial_state(
             prof.phi, well, dt_max=0.02 / max(scale, 1.0)
         )
         t_final = 10.0 / scale
         state = SimulationState.start(prof.phi, well, fresh_dt(grid))
-        traj = run(small_manifold, fam, state, t_final, controls,
+        traj = run(small_manifold, g_sym, state, t_final, controls,
                    output_every=40)
         t, p, _, _, _ = traj.as_arrays()
         window = t >= 0.3 * t_final
@@ -385,6 +387,18 @@ def test_criterion_13_pde_vs_ode(small_manifold, pulse, well):
         p_mid = p[window].mean(axis=0)
         v_model = scale * model.velocity(p_mid, check=False)
         vel_dev[s] = float(np.max(np.abs(v_pde - v_model) / np.abs(v_model)))
+        # the measured cause: the tangent projection at p_mid, the PDE
+        # velocities per pulse, and at s = 0 the energy the run ends at
+        v_proj = scale * pulse_velocity_projection(
+            small_manifold, small_manifold.configuration(p_mid))
+        proj_dev[s] = float(np.max(np.abs(v_pde - v_proj) / np.abs(v_proj)))
+        v_runs[s] = v_pde
+        if s == 0.0:
+            t_end, e_pde = traj.final_state.time, traj.final_state.energy
+            j_manifold = small_manifold.residual_h4(small_manifold.build(
+                small_manifold.configuration(p[-1])))[3]
+    ratios = v_runs[1.0] / v_runs[0.0]
+    delta_g1 = small_manifold.params.gap_delta(1.0)
 
     # perturbed equispaced decay of the antisymmetric amplitude vs the
     # eigenvalue of the linearization of velocity() whose eigenvector is
@@ -393,12 +407,12 @@ def test_criterion_13_pde_vs_ode(small_manifold, pulse, well):
     prof_pert = small_manifold.build(
         small_manifold.configuration(p_eq + np.array([0.5, 0.0]))
     )
-    fam1 = GradientFamily(grid, 1.0)
+    g_sym1 = gradient_symbols(grid, 1.0)[0]
     scale1 = a0**2 / alpha_scaling(1.0, grid, pulse) ** 2
     controls = StepControls.for_initial_state(prof_pert.phi, well,
                                               dt_max=0.005)
     state = SimulationState.start(prof_pert.phi, well, fresh_dt(grid))
-    traj = run(small_manifold, fam1, state, 120.0, controls,
+    traj = run(small_manifold, g_sym1, state, 120.0, controls,
                output_every=100)
     t, p, _, _, _ = traj.as_arrays()
     amp = 0.5 * (p[:, 0] - p_eq[0] - (p[:, 1] - p_eq[1]))
@@ -420,11 +434,15 @@ def test_criterion_13_pde_vs_ode(small_manifold, pulse, well):
         f"PDE-vs-reduced velocities: deviation {vel_dev[0.0]:.2f} (s=0), "
         f"{vel_dev[1.0]:.2f} (s=1) against the pair-force law (required "
         "<=0.25; measured cause: the PDE leaves the manifold, at s=0 and "
-        "t=20 its energy is 3.4e-4 against J = 2.8e-3 on the manifold at "
-        "the extracted positions, and the tangent projection is itself "
-        "0.36 (s=0) and 0.61 (s=1) away from the PDE; at s=1 the scalar "
-        "rescaling alpha(0)^2/alpha(1)^2 = 4.90 does not hold pulse by "
-        "pulse, the PDE velocity ratios s=1 over s=0 being 2.98 and 5.69); "
+        f"t={t_end:.0f} its energy is {e_pde:.1e} against J = "
+        f"{j_manifold:.1e} on the manifold at the extracted positions, and "
+        f"the tangent projection is itself {proj_dev[0.0]:.2f} (s=0) and "
+        f"{proj_dev[1.0]:.2f} (s=1) away from the PDE; at s=1 the scalar "
+        f"rescaling alpha(0)^2/alpha(1)^2 = {scale1:.2f} does not hold pulse "
+        f"by pulse, the PDE velocity ratios s=1 over s=0 being "
+        f"{ratios[0]:.2f} and {ratios[1]:.2f}, and delta_g(1) = "
+        f"{delta_g1:.1f} puts the s=1 runs outside the SRN regime "
+        "(delta_g < 1)); "
         f"equispaced antisymmetric decay rate {rate:.4f} vs antisymmetric "
         f"eigenvalue {lam:.4f}, deviation {rate_dev:.2f} (required <=0.30)",
     )

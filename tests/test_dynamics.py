@@ -15,7 +15,6 @@ from fchpulse import (
     ChecksumError,
     ExtractionError,
     FchError,
-    GradientFamily,
     Grid,
     GridMismatchError,
     InvalidFieldError,
@@ -27,6 +26,7 @@ from fchpulse import (
     ValidationError,
     alpha_scaling,
     extract_pulse_positions,
+    gradient_symbols,
     integrate_reduced,
     mass,
     norm,
@@ -48,7 +48,7 @@ from fchpulse.dynamics import (
 )
 from fchpulse.harness import read_checkpoint, write_checkpoint
 
-from conftest import (apply_family, count_background_work, dissipation,
+from conftest import (apply_symbol, count_background_work, dissipation,
                       energy, jacobian_at_equispaced, reduced_equispaced,
                       spectral_derivative, variational_derivative)
 
@@ -101,10 +101,10 @@ class TestStep:
     def test_constant_equilibrium(self, small_manifold, well):
         grid = small_manifold.grid
         u = ScalarField(grid, np.full(grid.num_points, well.b_minus + 0.01))
-        fam = GradientFamily(grid, 0.0)
+        g_sym = gradient_symbols(grid, 0.0)[0]
         controls = StepControls.for_initial_state(u, well)
         st = SimulationState.start(u, well, 1e-3)
-        st2 = step(st, well, fam, controls)
+        st2 = step(st, well, g_sym, controls)
         # constants are equilibria of the projected flow
         assert np.max(np.abs(st2.u.values - u.values)) < 1e-12
 
@@ -112,12 +112,12 @@ class TestStep:
         prof = small_manifold.build(small_manifold.configuration([4.5, 12.0]))
         grid = small_manifold.grid
         u0 = prof.phi + noise_field(grid, 1e-3, seed=3)
-        fam = GradientFamily(grid, 0.0)
+        g_sym = gradient_symbols(grid, 0.0)[0]
         controls = StepControls.for_initial_state(u0, well)
         st = SimulationState.start(u0, well, 1e-4)
         energies = [st.energy]
         for _ in range(400):
-            st = step(st, well, fam, controls)
+            st = step(st, well, g_sym, controls)
             energies.append(st.energy)
         assert np.all(np.diff(energies) <= 1e-10)
 
@@ -125,13 +125,13 @@ class TestStep:
         prof = small_manifold.build(small_manifold.configuration([4.5, 12.0]))
         grid = small_manifold.grid
         for s in (0.0, 0.5, 1.0):
-            fam = GradientFamily(grid, s)
+            g_sym = gradient_symbols(grid, s)[0]
             u0 = prof.phi + noise_field(grid, 1e-4, seed=int(10 * s))
             controls = StepControls.for_initial_state(u0, well, dt_max=1e-3)
             st = SimulationState.start(u0, well, 1e-4)
             m0 = mass(u0, well.b_minus)
             for _ in range(1500):
-                st = step(st, well, fam, controls)
+                st = step(st, well, g_sym, controls)
             drift = abs(mass(st.u, well.b_minus) - m0) / abs(m0)
             assert drift < 1e-9
 
@@ -139,7 +139,7 @@ class TestStep:
         # dJ/dt = -||G1 grad J||^2 within 2% on a resolved transient
         prof = small_manifold.build(small_manifold.configuration([4.5, 12.0]))
         grid = small_manifold.grid
-        fam = GradientFamily(grid, 0.0)
+        g_sym = gradient_symbols(grid, 0.0)[0]
         u0 = prof.phi + noise_field(grid, 1e-3, seed=5)
         dt = 2e-4
         controls = StepControls(kappa=2 * float(
@@ -147,11 +147,11 @@ class TestStep:
         st = SimulationState.start(u0, well, dt)
         rel_errs = []
         for k in range(600):
-            prev_e, prev_d = st.energy, dissipation(st, fam)
-            st = step(st, well, fam, controls)
+            prev_e, prev_d = st.energy, dissipation(st, g_sym)
+            st = step(st, well, g_sym, controls)
             if k % 5 == 0 and prev_d > 1e-8:
                 rate = (st.energy - prev_e) / (st.time - (st.time - dt))
-                midpoint = -0.5 * (prev_d + dissipation(st, fam))
+                midpoint = -0.5 * (prev_d + dissipation(st, g_sym))
                 rel_errs.append(abs(rate - midpoint) / abs(midpoint))
         assert np.median(rel_errs) < 0.02
         assert np.quantile(rel_errs, 0.9) < 0.02
@@ -163,12 +163,12 @@ def halvings(state, nxt):
 
 
 def perturbed_testbed(manifold, well, s=0.0, amplitude=1e-3, seed=3):
-    """(state, family, controls) at the perturbed two-pulse testbed point."""
+    """(state, G's symbol, controls) at the perturbed testbed point."""
     prof = manifold.build(manifold.configuration([4.5, 12.0]))
     u0 = prof.phi + noise_field(manifold.grid, amplitude, seed=seed)
-    fam = GradientFamily(manifold.grid, s)
+    g_sym = gradient_symbols(manifold.grid, s)[0]
     controls = StepControls.for_initial_state(u0, well)
-    return SimulationState.start(u0, well, 1e-4), fam, controls
+    return SimulationState.start(u0, well, 1e-4), g_sym, controls
 
 
 class TestFusedStep:
@@ -181,9 +181,9 @@ class TestFusedStep:
                                                        well, s):
         """Bit for bit those of `flow_terms` at the carried coefficients, and
         u is their synthesis."""
-        state, fam, controls = perturbed_testbed(small_manifold, well, s)
+        state, g_sym, controls = perturbed_testbed(small_manifold, well, s)
         for _ in range(3):
-            state = step(state, well, fam, controls)
+            state = step(state, well, g_sym, controls)
             e, g_hat = flow_terms(state.u_hat, state.u, well)
             assert state.energy == e
             assert np.array_equal(state.grad_hat, g_hat)
@@ -200,17 +200,17 @@ class TestFusedStep:
         grad_hat, and 1.4e-11 relative in the dissipation (at s = 1, where
         G = k^2 weighs the finest modes' rounding most); the bounds below
         leave room above those."""
-        state, fam, controls = perturbed_testbed(small_manifold, well, s)
+        state, g_sym, controls = perturbed_testbed(small_manifold, well, s)
         eps = np.finfo(float).eps
         kappa4 = small_manifold.grid.wavenumbers[-1] ** 4
         for _ in range(3):
-            state = step(state, well, fam, controls)
+            state = step(state, well, g_sym, controls)
             u = state.u
             g = variational_derivative(u, well)
             umax = np.max(np.abs(u.values))
             assert_allclose(state.energy, energy(u, well), rtol=1e-13)
-            assert_allclose(dissipation(state, fam),
-                            inner_product_x(apply_family(fam, g, "G"), g),
+            assert_allclose(dissipation(state, g_sym),
+                            inner_product_x(apply_symbol(g_sym, g), g),
                             rtol=1e-10)
             assert_allclose(state.u_hat, cosine_coeffs(u.values), rtol=0,
                             atol=8 * eps * umax)
@@ -231,8 +231,8 @@ class TestFusedStep:
         """4 cosine transforms for a step accepted at its first trial, and 2
         more for each rejected trial. Without stabilization (kappa = 0) a
         step of dt = 1e4 raises the energy, so its trial is rejected."""
-        state, fam, controls = perturbed_testbed(small_manifold, well)
-        state = step(state, well, fam, controls)
+        state, g_sym, controls = perturbed_testbed(small_manifold, well)
+        state = step(state, well, g_sym, controls)
         calls = []
         real = core.dct
 
@@ -241,12 +241,12 @@ class TestFusedStep:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(core, "dct", counting)
-        nxt = step(state, well, fam, controls)
+        nxt = step(state, well, g_sym, controls)
         assert halvings(state, nxt) == 0
         assert len(calls) == 4
         calls.clear()
         big = dataclasses.replace(state, dt=1e4)
-        nxt = step(big, well, fam, StepControls(kappa=0.0))
+        nxt = step(big, well, g_sym, StepControls(kappa=0.0))
         rejected = halvings(big, nxt)
         assert rejected >= 1
         assert len(calls) == 4 + 2 * rejected
@@ -270,12 +270,12 @@ class TestStepProperties:
            dt=st.floats(1e-5, 2e-2), s=st.sampled_from([0.0, 0.5, 1.0]))
     def test_mass_kept_and_energy_never_rises(self, small_manifold, well,
                                               seed, amplitude, dt, s):
-        state, fam, controls = perturbed_testbed(small_manifold, well, s,
+        state, g_sym, controls = perturbed_testbed(small_manifold, well, s,
                                              amplitude, seed)
         state = dataclasses.replace(state, dt=dt)
         m0 = mass(state.u, well.b_minus)
         for _ in range(3):
-            nxt = step(state, well, fam, controls)
+            nxt = step(state, well, g_sym, controls)
             assert energy(nxt.u, well) <= energy(state.u, well) + ENERGY_SLACK
             assert abs(mass(nxt.u, well.b_minus) - m0) <= 1e-12 * abs(m0)
             state = nxt
@@ -289,18 +289,18 @@ class TestStepProperties:
         """g_0 = 0, so u_hat[0] (the mass) keeps its bits, also across
         rejected trials: the third step has dt = 1e4 without stabilization,
         which halves dt before a trial lowers the energy."""
-        state, fam, controls = perturbed_testbed(small_manifold, well, s,
+        state, g_sym, controls = perturbed_testbed(small_manifold, well, s,
                                                  amplitude, seed)
-        state = step(dataclasses.replace(state, dt=dt), well, fam, controls)
+        state = step(dataclasses.replace(state, dt=dt), well, g_sym, controls)
         a0 = state.u_hat[0]
         rejected = 0
         for k in range(5):
             if k == 2:
                 prev = dataclasses.replace(state, dt=1e4)
-                nxt = step(prev, well, fam, StepControls(kappa=0.0))
+                nxt = step(prev, well, g_sym, StepControls(kappa=0.0))
             else:
                 prev = state
-                nxt = step(prev, well, fam, controls)
+                nxt = step(prev, well, g_sym, controls)
             rejected += halvings(prev, nxt)
             assert nxt.u_hat[0] == a0
             assert nxt.energy <= state.energy + ENERGY_SLACK
@@ -526,11 +526,11 @@ class TestIntegrateReduced:
 
 
 def fresh_run(manifold):
-    """(state, family, controls) of an s = 0 run from the testbed point."""
+    """(state, G's symbol, controls) of an s = 0 run from the testbed point."""
     u0 = manifold.build(manifold.configuration([4.5, 12.0])).phi
-    fam = GradientFamily(manifold.grid, 0.0)
+    g_sym = gradient_symbols(manifold.grid, 0.0)[0]
     state = SimulationState.start(u0, manifold.well, fresh_dt(manifold.grid))
-    return state, fam, StepControls.for_initial_state(u0, manifold.well)
+    return state, g_sym, StepControls.for_initial_state(u0, manifold.well)
 
 
 def output_dir(path):
@@ -551,8 +551,8 @@ def read_fresh_checkpoint(manifold, prefix):
 
 class TestRun:
     def test_trajectory_records_and_exit_fields(self, small_manifold):
-        state, fam, controls = fresh_run(small_manifold)
-        traj = run(small_manifold, fam, state, 0.5, controls,
+        state, g_sym, controls = fresh_run(small_manifold)
+        traj = run(small_manifold, g_sym, state, 0.5, controls,
                    output_every=10)
         t, p, e, m, w = traj.as_arrays()
         assert len(t) == len(p) == len(e)
@@ -563,13 +563,13 @@ class TestRun:
                                                        monkeypatch):
         # extracted positions whose closure fails record a NaN distance to
         # the manifold with the time and the message, and the run goes on
-        state, fam, controls = fresh_run(small_manifold)
+        state, g_sym, controls = fresh_run(small_manifold)
 
         def refuse(self, config):
             raise RefinementError("boundary residuals exceed the tolerance")
 
         monkeypatch.setattr(type(small_manifold), "build", refuse)
-        traj = run(small_manifold, fam, state, 0.05, controls,
+        traj = run(small_manifold, g_sym, state, 0.05, controls,
                    output_every=10)
         w = traj.as_arrays()[4]
         assert len(w) > 1 and np.all(np.isnan(w))
@@ -580,20 +580,20 @@ class TestRun:
     def test_record_passes_other_errors_on(self, small_manifold, monkeypatch):
         # only a configuration without a manifold point reads NaN: any other
         # error of the build is a fault, and the run raises it
-        state, fam, controls = fresh_run(small_manifold)
+        state, g_sym, controls = fresh_run(small_manifold)
 
         def broken(self, config):
             raise InvalidFieldError("field has non-finite values")
 
         monkeypatch.setattr(type(small_manifold), "build", broken)
         with pytest.raises(InvalidFieldError):
-            run(small_manifold, fam, state, 0.05, controls, output_every=10)
+            run(small_manifold, g_sym, state, 0.05, controls, output_every=10)
 
     def test_no_step_exceeds_dt_max(self, small_manifold):
         # a state whose next dt exceeds dt_max (a checkpoint restarted at a
         # smaller dt_max, say) takes its first step at dt_max
-        state, fam, controls = fresh_run(small_manifold)
-        traj = run(small_manifold, fam, dataclasses.replace(state, dt=0.05),
+        state, g_sym, controls = fresh_run(small_manifold)
+        traj = run(small_manifold, g_sym, dataclasses.replace(state, dt=0.05),
                    3e-3, StepControls(kappa=controls.kappa, dt_max=1e-3),
                    output_every=1)
         assert np.all(np.diff(traj.times) <= 1e-3)
@@ -711,8 +711,8 @@ class TestRun:
 class TestPdeRepulsion:
     def test_extracted_velocity_pushes_pulses_apart(self, small_manifold):
         # interior gap tighter than the wall gaps: the pair separates
-        state, fam, controls = fresh_run(small_manifold)
-        traj = run(small_manifold, fam, state, 4.0, controls,
+        state, g_sym, controls = fresh_run(small_manifold)
+        traj = run(small_manifold, g_sym, state, 4.0, controls,
                    output_every=25)
         t, p, _, _, _ = traj.as_arrays()
         sel = t >= 2.0

@@ -1,7 +1,7 @@
 """Configuration, manifests, determinism, and the CLI contract."""
 
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 from functools import lru_cache
 
 import numpy as np
@@ -12,12 +12,12 @@ from hypothesis import strategies as st
 from fchpulse import (
     ConfigError,
     ExperimentConfig,
-    GradientFamily,
     Laboratory,
     PulseManifold,
     RefinementError,
     StepControls,
     ValidationError,
+    gradient_symbols,
     parse_config,
     run,
 )
@@ -162,6 +162,17 @@ class TestConfig:
         with pytest.raises(ValidationError) as err:
             ExperimentConfig.from_dict({**SMALL, "experiment": "simulate",
                                         key: value})
+        assert key in str(err.value)
+
+    @pytest.mark.parametrize("key", [f.name for f in fields(ExperimentConfig)
+                                     if f.name != "experiment"])
+    def test_every_key_refuses_a_json_object(self, key):
+        # a JSON object has the wrong type for every key; plot_data "false"
+        # was truthy and wrote pulse.dat, output_dir 5 ended the CLI in a
+        # TypeError traceback and restart_from {} started simulate afresh
+        with pytest.raises(ValidationError) as err:
+            ExperimentConfig.from_dict({**SMALL, "experiment": "simulate",
+                                        key: {}})
         assert key in str(err.value)
 
     def test_initial_positions_must_number_n_pulses(self):
@@ -739,9 +750,9 @@ class TestRestart:
         )
         restarted = run_experiment(cfg)
         lab = Laboratory.from_config(cfg)
-        family = GradientFamily(lab.grid, 0.5)
+        g_sym = gradient_symbols(lab.grid, 0.5)[0]
         state, kappa = read_checkpoint(prefix, lab.grid, lab.well)
-        traj = run(lab.manifold, family, state, cfg.t_final,
+        traj = run(lab.manifold, g_sym, state, cfg.t_final,
                    StepControls(kappa=kappa, dt_max=0.01),
                    output_every=cfg.output_every)
         assert restarted.summary["steps"] == traj.final_state.step_index

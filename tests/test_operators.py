@@ -10,9 +10,9 @@ from numpy.testing import assert_allclose
 import fchpulse.operators as operators
 from fchpulse import (
     DomainError,
-    GradientFamily,
     Grid,
     ScalarField,
+    gradient_symbols,
     inner_product_x,
     nonlinear_remainder,
     norm,
@@ -21,7 +21,7 @@ from fchpulse import (
 from fchpulse.core import cosine_coeffs, cosine_synth, h4_norm_from_coeffs
 from fchpulse.operators import energy_remainder, scaled_nonlinearity_constant
 from conftest import (
-    apply_family,
+    apply_symbol,
     dense_second_variation,
     difference_energy_remainder,
     difference_remainder,
@@ -225,91 +225,88 @@ class TestZeroMassProjection:
 
 
 class TestGradientFamily:
-    """The family is its mode multipliers; `apply_family` (conftest) applies
-    them at the nodes, where the identities below also hold."""
+    """The family is its two mode symbols, `gradient_symbols`; `apply_symbol`
+    (conftest) applies one at the nodes, where the identities below also
+    hold."""
 
     def test_s_zero_is_projection(self, grid):
         # at s = 0 both symbols are 0 at mode 0 and 1 elsewhere
-        fam = GradientFamily(grid, 0.0)
         f = smooth_field(grid, 11) + 2.0
-        for which in ("G", "G1"):
-            m = fam.multipliers(which)
+        for m in gradient_symbols(grid, 0.0):
             assert m[0] == 0.0 and np.all(m[1:] == 1.0)
-            out = apply_family(fam, f, which)
+            out = apply_symbol(m, f)
             expected = zero_mass_projection(f)
             assert_allclose(out.values, expected.values, atol=1e-11)
 
     def test_gravest_mode_fixed(self, grid):
         for s in (0.25, 0.5, 1.0):
-            fam = GradientFamily(grid, s)
-            assert fam.multipliers("G1")[1] == 1.0
+            g1 = gradient_symbols(grid, s)[1]
+            assert g1[1] == 1.0
             mode = ScalarField(grid, np.cos(np.pi * grid.nodes / grid.length))
-            out = apply_family(fam, mode, "G1")
+            out = apply_symbol(g1, mode)
             assert_allclose(out.values, mode.values, atol=1e-11)
 
     def test_mode_two_amplified_by_formula(self, grid):
         # (lam_1/lam_2)^{s/2} = 2^s: the family amplifies mode two
         mode = ScalarField(grid, np.cos(2 * np.pi * grid.nodes / grid.length))
         for s in (0.5, 1.0):
-            fam = GradientFamily(grid, s)
-            assert fam.multipliers("G1")[2] == pytest.approx(2.0**s,
-                                                             rel=1e-15)
-            out = apply_family(fam, mode, "G1")
+            g1 = gradient_symbols(grid, s)[1]
+            assert g1[2] == pytest.approx(2.0**s, rel=1e-15)
+            out = apply_symbol(g1, mode)
             assert cosine_coeffs(out.values)[2] == pytest.approx(2.0**s,
                                                                  rel=1e-12)
 
     def test_roundtrip(self, grid):
         # G1 is invertible on the zero-mass modes: dividing by its symbol
         # undoes it
-        fam = GradientFamily(grid, 0.7)
-        g1 = fam.multipliers("G1")
+        g1 = gradient_symbols(grid, 0.7)[1]
         assert np.all(g1[1:] > 0.0)
         f = zero_mass_projection(smooth_field(grid, 12))
-        a = cosine_coeffs(apply_family(fam, f, "G1").values)
+        a = cosine_coeffs(apply_symbol(g1, f).values)
         a[1:] /= g1[1:]
         rt = cosine_synth(a)
         assert np.max(np.abs(rt - f.values)) < 1e-12
 
     def test_sqrt_relation(self, grid):
         # G1^2 = G, as symbols and at the nodes
-        fam = GradientFamily(grid, 0.6)
-        g1, g = fam.multipliers("G1"), fam.multipliers("G")
+        g, g1 = gradient_symbols(grid, 0.6)
         assert_allclose(g1 * g1, g, rtol=4 * np.finfo(float).eps, atol=0)
         f = zero_mass_projection(smooth_field(grid, 13))
-        twice = apply_family(fam, apply_family(fam, f, "G1"), "G1")
-        once = apply_family(fam, f, "G")
+        twice = apply_symbol(g1, apply_symbol(g1, f))
+        once = apply_symbol(g, f)
         assert np.max(np.abs(twice.values - once.values)) < 1e-10
 
     def test_nonnegative(self, grid):
-        fam = GradientFamily(grid, 1.0)
-        assert np.all(fam.multipliers("G") >= 0.0)
+        g = gradient_symbols(grid, 1.0)[0]
+        assert np.all(g >= 0.0)
         for seed in range(5):
             f = zero_mass_projection(smooth_field(grid, 20 + seed))
-            assert inner_product_x(apply_family(fam, f, "G"), f) >= -1e-12
+            assert inner_product_x(apply_symbol(g, f), f) >= -1e-12
 
     @pytest.mark.parametrize("s", [0.0, 0.6, 1.0])
-    def test_multipliers_are_one_read_only_table(self, grid, s):
-        """Each direction's table is built once per family, cannot be written
-        through, and holds k**(2s), k**s with 0 at mode 0, bitwise."""
-        fam = GradientFamily(grid, s)
+    def test_symbols_are_read_only_powers(self, grid, s):
+        """k**(2s) and k**s over the N modes, bitwise, with 0 at mode 0, and
+        neither can be written through."""
         k = np.arange(grid.num_points, dtype=float)
-        for which, power in (("G", 2.0 * s), ("G1", s)):
-            m = fam.multipliers(which)
-            assert m is fam.multipliers(which)
+        for m, power in zip(gradient_symbols(grid, s), (2.0 * s, s)):
+            assert m.shape == (grid.num_points,)
             assert not m.flags.writeable
+            with pytest.raises(ValueError):
+                m[1] = 2.0
             assert m[0] == 0.0
             assert np.array_equal(m[1:], k[1:] ** power)
-        for which in ("G2", "G1_inv"):
-            with pytest.raises(DomainError,
-                               match="unknown gradient direction"):
-                fam.multipliers(which)
+
+    @pytest.mark.parametrize("s", [-1e-12, 1.0 + 1e-12, np.inf, np.nan])
+    def test_s_outside_unit_interval_refused(self, grid, s):
+        with pytest.raises(DomainError, match=r"must lie in \[0,1\]"):
+            gradient_symbols(grid, s)
 
 
-def suite_probes(grid, family, seed):
+def suite_probes(grid, g1, seed):
     """The cosine coefficients of the three probes w of the hypothesis
-    suite's scaled-nonlinearity check, each scaled to ||w||_{H_G1} = 0.5."""
+    suite's scaled-nonlinearity check, each scaled to ||w||_{H_G1} = 0.5 for
+    g1 the symbol of G1."""
     rng = np.random.default_rng(seed)
-    g1 = family.multipliers("G1")
     probes = []
     for _ in range(3):
         coeffs = np.zeros(grid.num_points)
@@ -364,13 +361,12 @@ class TestNonlinearRemainder:
                                                              seed, s):
         # at rho = 1 the difference of flows cancels little, so the oracle
         # holds there
-        family = GradientFamily(phi.grid, s)
-        probes = suite_probes(phi.grid, family, seed)
-        exact = scaled_nonlinearity_constant(phi, well, family, 1.0, probes)
+        g1 = gradient_symbols(phi.grid, s)[1]
+        probes = suite_probes(phi.grid, g1, seed)
+        exact = scaled_nonlinearity_constant(phi, well, g1, 1.0, probes)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(operators, "nonlinear_remainder", difference_remainder)
-            oracle = scaled_nonlinearity_constant(phi, well, family, 1.0,
-                                                  probes)
+            oracle = scaled_nonlinearity_constant(phi, well, g1, 1.0, probes)
         assert abs(exact - oracle) <= 1e-10 * oracle
 
     @settings(max_examples=4, deadline=None)
@@ -383,12 +379,12 @@ class TestNonlinearRemainder:
         noisy = ScalarField(phi.grid, phi.values * (
             1.0 + 1e-14 * rng.standard_normal(phi.grid.num_points)))
         for s in (0.5, 1.0):
-            family = GradientFamily(phi.grid, s)
-            probes = suite_probes(phi.grid, family, seed)
+            g1 = gradient_symbols(phi.grid, s)[1]
+            probes = suite_probes(phi.grid, g1, seed)
             for rho in (0.05 ** (-2.0 * s), 2.0 * 0.05 ** (-2.0 * s)):
-                clean = scaled_nonlinearity_constant(phi, well, family, rho,
+                clean = scaled_nonlinearity_constant(phi, well, g1, rho,
                                                      probes)
-                moved = scaled_nonlinearity_constant(noisy, well, family, rho,
+                moved = scaled_nonlinearity_constant(noisy, well, g1, rho,
                                                      probes)
                 assert abs(moved - clean) <= 1e-10 * clean
 
