@@ -70,7 +70,6 @@ from .spectral import (
 from .dynamics import (
     ReducedModel,
     SimulationState,
-    StepControls,
     Trajectory,
     alpha_scaling,
     extract_pulse_positions,
@@ -78,6 +77,7 @@ from .dynamics import (
     pulse_velocity_projection,
     run,
     step,
+    velocity_scale,
 )
 from .harness import (
     ExperimentConfig,

@@ -204,7 +204,7 @@ class PulseManifold:
         idx = np.arange(1, self.n + 1)
         return self.configuration((2.0 * idx - 1.0) * length / (2.0 * self.n))
 
-    def sample_configurations(self, count=32, seed=0, include_equispaced=True):
+    def sample_configurations(self, count, seed, include_equispaced=True):
         """Latin-hypercube sample of the admissible set plus the equispaced point."""
         length = self.params.domain_length
         ell = self.params.min_spacing

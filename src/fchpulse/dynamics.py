@@ -10,11 +10,13 @@ the next step. Every `SimulationState` is complete: a run starts from
 `SimulationState.start` or a checkpoint's `SimulationState.at`, both of which
 form its energy and gradient by `flow_terms`, and `step` returns the next one.
 An accepted step costs 4 cosine transforms, a rejected trial 2, and mode 0,
-the mass, is never changed. The module opens no file: `run` hands each
-recorded state it continues from to its caller's `checkpoint`, and `harness`
-writes and reads the checkpoints. The reduced model is the nearest-neighbour
-pair-force ODE: the force comes from the pair interaction energy of J, and
-mirror shadow pulses close the boundary terms.
+the mass, is never changed. A state carries its run's kappa, which `start`
+forms from the initial field. The module opens no file: `run` hands each
+recorded state it continues from to its caller's `checkpoint`, and
+`harness` writes and reads the checkpoints. The reduced model is the
+nearest-neighbour pair-force ODE: the force comes from the pair interaction
+energy of J, mirror shadow pulses close the boundary terms, and
+`velocity_scale` is its factor at s.
 """
 
 from __future__ import annotations
@@ -46,19 +48,6 @@ GROWTH_PATIENCE = 5
 
 
 @dataclass(frozen=True)
-class StepControls:
-    """Stabilization constant and largest step of the semi-implicit stepper."""
-
-    kappa: float
-    dt_max: float = 0.02
-
-    @classmethod
-    def for_initial_state(cls, u, well, dt_max=0.02):
-        kappa = 2.0 * float(np.max(np.abs(well.d2W(u.values)))) ** 2
-        return cls(kappa=kappa, dt_max=dt_max)
-
-
-@dataclass(frozen=True)
 class SimulationState:
     """One accepted point of a gradient-flow trajectory.
 
@@ -67,36 +56,36 @@ class SimulationState:
     energy is J(u), both formed from u_hat and u by `flow_terms`; neither
     depends on the gradient family. `start` and `at` form them for a state
     that `step` did not return, to the bits that `step` would have carried.
+    kappa is its run's stabilization constant. Equality compares the scalars.
     """
 
     time: float
-    u: ScalarField
+    u: ScalarField = field(compare=False)
     dt: float
     step_index: int
     accept_streak: int
+    kappa: float
     energy: float
     u_hat: np.ndarray = field(compare=False, repr=False)
     grad_hat: np.ndarray = field(compare=False, repr=False)
 
     @classmethod
-    def at(cls, u, u_hat, well, time, dt, step_index, accept_streak):
+    def at(cls, u, u_hat, well, time, dt, step_index, accept_streak, kappa):
         """The complete state of u, with cosine coefficients u_hat, at
-        `time` (a checkpoint's, say); dt is its next step."""
+        `time` (a checkpoint's, say); dt is its next step, kappa its run's."""
         e, g_hat = flow_terms(u_hat, u, well)
         return cls(time=time, u=u, dt=dt, step_index=step_index,
-                   accept_streak=accept_streak, energy=e, u_hat=u_hat,
-                   grad_hat=g_hat)
+                   accept_streak=accept_streak, kappa=kappa, energy=e,
+                   u_hat=u_hat, grad_hat=g_hat)
 
     @classmethod
-    def start(cls, u, well, dt):
+    def start(cls, u, well):
         """The state of the initial field u at t = 0, with coefficients
-        cosine_coeffs(u) and first step dt (`fresh_dt` for a run)."""
-        return cls.at(u, cosine_coeffs(u.values), well, 0.0, dt, 0, 0)
-
-
-def fresh_dt(grid):
-    """The first step of a run from an initial field: 0.1 h^2."""
-    return 0.1 * grid.spacing**2
+        cosine_coeffs(u), first step 0.1 h^2 and the run's stabilization
+        constant kappa = 2 max|W''(u)|^2."""
+        kappa = 2.0 * float(np.max(np.abs(well.d2W(u.values)))) ** 2
+        return cls.at(u, cosine_coeffs(u.values), well, 0.0,
+                      0.1 * u.grid.spacing**2, 0, 0, kappa)
 
 
 def flow_terms(u_hat, u, well):
@@ -107,13 +96,13 @@ def flow_terms(u_hat, u, well):
     return e, gradient_coeffs(u.values, w1, grid, well)
 
 
-def step(state, well, g, controls):
+def step(state, well, g, dt_max):
     """One accepted semi-implicit step; halves dt until the energy decreases.
 
     The update reads, mode by mode, with g the symbol of G (`gradient_symbols`),
         u_hat_new = u_hat - dt * g_k grad_hat_k / (1 + dt * g_k (kappa_k^4 + kappa)),
-    which treats G(d^4 + kappa)(u_new - u_old) implicitly. g_0 = 0, so
-    u_hat[0] is carried unchanged and the mass is conserved exactly.
+    which treats G(d^4 + kappa)(u_new - u_old) implicitly with state.kappa.
+    g_0 = 0, so u_hat[0] is carried unchanged and the mass is conserved exactly.
 
     A trial costs two transforms: the synthesis of u_new and that of u_new''
     for J(u_new). An accepted one adds two for grad_hat. The result carries
@@ -126,7 +115,7 @@ def step(state, well, g, controls):
     coefficients differ from u_hat_new by the rounding of one transform pair.
     """
     grid = state.u.grid
-    denom_base = g * (grid.wavenumbers**4 + controls.kappa)
+    denom_base = g * (grid.wavenumbers**4 + state.kappa)
 
     flow_hat = g * state.grad_hat
 
@@ -148,7 +137,7 @@ def step(state, well, g, controls):
     streak = state.accept_streak + 1 if first_try else 0
     dt_next = dt
     if streak >= GROWTH_PATIENCE:
-        dt_next = min(2.0 * dt, controls.dt_max)
+        dt_next = min(2.0 * dt, dt_max)
         streak = 0
     g_hat = gradient_coeffs(u_new.values, w1, grid, well)
     return SimulationState(
@@ -157,6 +146,7 @@ def step(state, well, g, controls):
         dt=dt_next,
         step_index=state.step_index + 1,
         accept_streak=streak,
+        kappa=state.kappa,
         energy=e_new,
         u_hat=new_hat,
         grad_hat=g_hat,
@@ -211,17 +201,16 @@ class Trajectory:
         )
 
 
-def run(manifold, g, state, t_final, controls, output_every=50,
-        checkpoint=None):
-    """Evolve u_t = -G grad J(u) from state under controls, recording pulse
-    diagnostics; g is the mode symbol of G, as `step` reads it.
+def run(manifold, g, state, t_final, dt_max, output_every, checkpoint=None):
+    """Evolve u_t = -G grad J(u) from state, recording pulse diagnostics at
+    every output_every-th step; g is the mode symbol of G, as `step` reads it.
 
     The state is `SimulationState.start` of an initial field or a
-    checkpoint's: its time, step index, dt and accept streak carry on, so
-    with the same controls a resumed run takes the steps of the
-    uninterrupted one. No step exceeds controls.dt_max, the first one
-    included. t_final is absolute. checkpoint, if given, is called with
-    every recorded state that the run continues from.
+    checkpoint's: its time, step index, dt, accept streak and kappa carry
+    on, so with the same dt_max a resumed run takes the steps of the
+    uninterrupted one. No step exceeds dt_max, the first one included.
+    t_final is absolute. checkpoint, if given, is called with every
+    recorded state that the run continues from.
 
     Exits early (recording t_exit) when pulse extraction fails or the minimum
     gap falls below half the admissible spacing.
@@ -255,9 +244,9 @@ def run(manifold, g, state, t_final, controls, output_every=50,
     if pos is None:
         raise ExtractionError("initial state has no recognizable pulse train")
 
-    state = replace(state, dt=min(state.dt, controls.dt_max))
+    state = replace(state, dt=min(state.dt, dt_max))
     while state.time < t_final:
-        state = step(state, well, g, controls)
+        state = step(state, well, g, dt_max)
         if state.step_index % output_every == 0 or state.time >= t_final:
             pos = record(state)
             if pos is None:
@@ -362,13 +351,22 @@ def alpha_scaling(s, grid, pulse):
     return float(np.sqrt(np.sum(parseval_weights(grid)[1:] * scaled**2)))
 
 
+def velocity_scale(s, grid, pulse):
+    """alpha(0)^2 / alpha(s)^2, the reduced velocity factor of the s-flow;
+    exactly 1.0 at s = 0."""
+    if s == 0.0:
+        return 1.0
+    alpha0 = alpha_scaling(0.0, grid, pulse)
+    return alpha0**2 / alpha_scaling(s, grid, pulse) ** 2
+
+
 def integrate_reduced(model, p0, t_final, velocity_scale=1.0, t_eval=None):
     """Adaptive RK45 integration of pdot = velocity_scale * velocity(p), at
     rtol 1e-10 and atol 1e-12.
 
-    velocity_scale carries the alpha(0)^2/alpha(s)^2 gradient rescaling; at
-    s = 0 the caller passes exactly 1.0 so the integrator path is identical
-    to the unscaled flow. Integration stops at the admissibility boundary.
+    velocity_scale is the s-flow's `velocity_scale(s, grid, pulse)`, exactly
+    1.0 at s = 0, so that integrator path is identical to the unscaled flow.
+    Integration stops at the admissibility boundary.
     """
     p0 = np.asarray(p0, dtype=float)
     model._check(p0)

@@ -7,7 +7,7 @@ every file, and each writer (`_write_csv`, `_write_json`,
 `_write_plot_data`, `write_checkpoint`) records the name it writes in the
 manifest, which is written last: its presence certifies a complete run, and
 it lists exactly the files the run wrote. The config is the one record of a
-run's s and dt_max; a checkpoint holds only the state and kappa, and
+run's s and dt_max; a checkpoint holds only the state, kappa included, and
 `_check_types` refuses a value of the wrong type in either. Hypothesis
 failures are recorded in the outputs and summary, never raised, and leave
 the exit status at zero; only execution errors are fatal. `diagnose` writes
@@ -47,12 +47,10 @@ from .core import (
 from .dynamics import (
     ReducedModel,
     SimulationState,
-    StepControls,
-    alpha_scaling,
-    fresh_dt,
     integrate_reduced,
     pulse_velocity_projection,
     run as run_pde,
+    velocity_scale,
 )
 from .operators import gradient_symbols
 from .spectral import ProfilePoint, run_hypothesis_suite, spectral_gap_report
@@ -70,8 +68,8 @@ def _check_types(integers, reals, finite=True, booleans=(), strings=()):
     integers, reals, booleans and strings are (key, value) pairs. An integer
     is a JSON integer: no float, bool or numpy scalar. A real is a number: no
     bool, string or null, and, with finite, no Infinity or NaN (which
-    Python's json parses). A boolean is JSON true or false, a string a JSON
-    string.
+    Python's json parses). A boolean is JSON true or false, a string a
+    non-empty JSON string.
     """
     for key, value in integers:
         if type(value) is not int:
@@ -85,8 +83,9 @@ def _check_types(integers, reals, finite=True, booleans=(), strings=()):
         if type(value) is not bool:
             raise ValidationError(f"{key} must be true or false, got {value!r}")
     for key, value in strings:
-        if not isinstance(value, str):
-            raise ValidationError(f"{key} must be a string, got {value!r}")
+        if not isinstance(value, str) or not value:
+            raise ValidationError(
+                f"{key} must be a non-empty string, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -163,8 +162,9 @@ class ExperimentConfig:
                 raise ValidationError(f"{key} must not be negative")
         # only simulate writes checkpoints or continues from one
         if self.experiment != "simulate":
-            for key in ("checkpoint_stride", "restart_from"):
-                if getattr(self, key):
+            for key, used in (("checkpoint_stride", self.checkpoint_stride),
+                              ("restart_from", self.restart_from is not None)):
+                if used:
                     raise ValidationError(
                         f"{key} is read by simulate only, not by "
                         f"{self.experiment}"
@@ -366,12 +366,12 @@ CHECKPOINT_KEYS = ("time", "dt", "step_index", "accept_streak", "kappa",
                    "num_points", "length", "layout", "sha256")
 
 
-def write_checkpoint(manifest, name, state, kappa):
+def write_checkpoint(manifest, name, state):
     """Write u and its cosine coefficients u_hat, one after the other, as
     little-endian float64 to name.bin, and the header name.json.
 
     The header holds what, with the run's config, continues the same run:
-    the state's time, dt, step index and accept streak, kappa (formed from
+    the state's time, dt, step index, accept streak and kappa (formed from
     the initial field, which a restart does not have), the grid size, the
     .bin layout and the sha256 of the .bin bytes.
     """
@@ -381,7 +381,7 @@ def write_checkpoint(manifest, name, state, kappa):
         "dt": state.dt,
         "step_index": state.step_index,
         "accept_streak": state.accept_streak,
-        "kappa": kappa,
+        "kappa": state.kappa,
         "num_points": state.u.grid.num_points,
         "length": state.u.grid.length,
         "layout": CHECKPOINT_LAYOUT,
@@ -392,9 +392,9 @@ def write_checkpoint(manifest, name, state, kappa):
 
 
 def read_checkpoint(path_prefix, grid, well):
-    """(state, kappa) of a checkpoint written by `write_checkpoint`: the
-    complete state (`SimulationState.at` the written u and u_hat) and the
-    stabilization constant of the run that wrote it.
+    """The complete state of a checkpoint written by `write_checkpoint`:
+    `SimulationState.at` the written u and u_hat, with the stabilization
+    constant kappa of the run that wrote it.
 
     A header that is not a JSON object, or lacks one of CHECKPOINT_KEYS,
     cannot continue the run that wrote it and raises FchError, as does one
@@ -442,14 +442,14 @@ def read_checkpoint(path_prefix, grid, well):
         raise GridMismatchError(
             f"checkpoint has {vals.size // 2} points, the grid {n}"
         )
-    state = SimulationState.at(
+    return SimulationState.at(
         ScalarField(grid, vals[:n]), vals[n:], well, header["time"],
         header["dt"], header["step_index"], header["accept_streak"],
+        header["kappa"],
     )
-    return state, header["kappa"]
 
 
-def _checkpointer(manifest, stride, kappa):
+def _checkpointer(manifest, stride):
     """The `checkpoint` callable of a run: of the recorded states that `run`
     hands it, every stride-th is written as checkpoint_<step index>. None at
     stride 0, which writes none."""
@@ -460,7 +460,7 @@ def _checkpointer(manifest, stride, kappa):
     def checkpoint(state):
         if next(records) % stride == 0:
             write_checkpoint(manifest, f"checkpoint_{state.step_index:09d}",
-                             state, kappa)
+                             state)
 
     return checkpoint
 
@@ -563,7 +563,7 @@ def experiment_diagnose(lab, manifest):
     sample = man.sample_configurations(config.sample_size, seed=config.seed)
     points = [ProfilePoint(man, man.build(c)) for c in sample]
     s_checks = tuple(s for s in config.s_values if s > 0.0) or (0.5, 1.0)
-    records = run_hypothesis_suite(points, s_values=s_checks, seed=config.seed)
+    records = run_hypothesis_suite(points, s_checks, config.seed)
     _write_json(manifest, "diagnostics.json", records)
     columns = ["hypothesis", "config_id", "constant", "threshold", "pass"]
     _write_csv(manifest, "diagnostics.csv", columns,
@@ -573,31 +573,26 @@ def experiment_diagnose(lab, manifest):
 
 
 def _initial_state(lab):
-    """(state, controls) of a run from the configured start."""
+    """The state of a run from the configured start."""
     u0 = lab.manifold.build(lab.initial_configuration()).phi
     if lab.config.perturbation > 0.0:
         u0 = u0 + lab.zero_mass_noise(lab.config.perturbation)
-    state = SimulationState.start(u0, lab.well, fresh_dt(lab.grid))
-    return state, StepControls.for_initial_state(u0, lab.well,
-                                                 dt_max=lab.config.dt_max)
+    return SimulationState.start(u0, lab.well)
 
 
 def experiment_simulate(lab, manifest):
     """Evolve the gradient flow from the configured or checkpointed state."""
     config = lab.config
     g = gradient_symbols(lab.grid, config.s_values[0])[0]
-    if config.restart_from:
-        # the checkpoint's state and kappa, the config's s and dt_max; the
-        # state's time carries on and t_final is absolute
-        state, kappa = read_checkpoint(config.restart_from, lab.grid,
-                                       lab.well)
-        controls = StepControls(kappa=kappa, dt_max=config.dt_max)
+    if config.restart_from is not None:
+        # the checkpoint's state, kappa included, and the config's s and
+        # dt_max; the state's time carries on and t_final is absolute
+        state = read_checkpoint(config.restart_from, lab.grid, lab.well)
     else:
-        state, controls = _initial_state(lab)
-    traj = run_pde(lab.manifold, g, state, config.t_final, controls,
-                   output_every=config.output_every,
-                   checkpoint=_checkpointer(manifest, config.checkpoint_stride,
-                                            controls.kappa))
+        state = _initial_state(lab)
+    traj = run_pde(lab.manifold, g, state, config.t_final, config.dt_max,
+                   config.output_every,
+                   _checkpointer(manifest, config.checkpoint_stride))
     _write_trajectory(manifest, "trajectory.csv", traj)
     t, p, e, m, w = traj.as_arrays()
     if config.plot_data:
@@ -616,17 +611,9 @@ def experiment_simulate(lab, manifest):
     }
 
 
-def scale_of(lab, s):
-    """Reduced-velocity factor alpha(0)^2 / alpha(s)^2 of the s-flow."""
-    if s == 0.0:
-        return 1.0
-    alpha0 = alpha_scaling(0.0, lab.grid, lab.pulse)
-    return alpha0**2 / alpha_scaling(s, lab.grid, lab.pulse) ** 2
-
-
 def _reduced_trajectory(lab, s, p0, t_final):
     model = ReducedModel.from_pulse(lab.pulse, lab.params)
-    scale = scale_of(lab, s)
+    scale = velocity_scale(s, lab.grid, lab.pulse)
     t_eval = np.linspace(0.0, t_final, 201)
     sol, t_exit = integrate_reduced(
         model, p0, t_final, velocity_scale=scale, t_eval=t_eval
@@ -662,9 +649,8 @@ def experiment_compare(lab, manifest):
     s = config.s_values[0]
     start = lab.initial_configuration()
     g = gradient_symbols(lab.grid, s)[0]
-    state, controls = _initial_state(lab)
-    traj = run_pde(lab.manifold, g, state, config.t_final, controls,
-                   output_every=config.output_every)
+    traj = run_pde(lab.manifold, g, _initial_state(lab), config.t_final,
+                   config.dt_max, config.output_every)
     _write_trajectory(manifest, "pde_trajectory.csv", traj)
     t, p, e, m, w = traj.as_arrays()
 
@@ -748,7 +734,7 @@ def experiment_invariance(lab, manifest):
     ref = base_sol.sol(t_ref)
     defects = {}
     for s in lab.config.s_values:
-        scale = scale_of(lab, s)
+        scale = velocity_scale(s, lab.grid, lab.pulse)
         _, sol, _, _ = _reduced_trajectory(lab, s, p0, t_final / scale)
         # map the s-trajectory onto reference time: t_ref = t_s * scale
         t_s = t_ref / scale

@@ -871,7 +871,7 @@ def eigenfield_continuity(point):
 # ---------------------------------------------------------------------------
 
 
-def run_hypothesis_suite(points, s_values=(0.5, 1.0), seed=0):
+def run_hypothesis_suite(points, s_values, seed):
     """Numerical verification of the standing hypotheses over sample points.
 
     Covers: quasi-steady residual smallness, slow/stable dichotomy, semigroup

@@ -26,6 +26,8 @@ model description does not settle which reduced law the flow follows off
 the manifold, so the tolerances stay as they are.
 """
 
+import dataclasses
+
 import numpy as np
 
 from fchpulse import (
@@ -47,7 +49,7 @@ from fchpulse import (
     tangent_alignment,
 )
 from fchpulse.core import cosine_synth
-from fchpulse.dynamics import SimulationState, StepControls, fresh_dt, step
+from fchpulse.dynamics import SimulationState, step, velocity_scale
 from fchpulse.wellmodel import _fd_residual, far_field_params
 from conftest import (
     cluster_config,
@@ -328,18 +330,14 @@ def test_criterion_12_pde_flow(small_manifold, well):
     g_sym = gradient_symbols(grid, 0.0)[0]
 
     dt = 2e-4
-    controls = StepControls(
-        kappa=2.0 * float(np.max(np.abs(well.d2W(u0.values)))) ** 2,
-        dt_max=dt,
-    )
-    st = SimulationState.start(u0, well, dt)
+    st = dataclasses.replace(SimulationState.start(u0, well), dt=dt)
     m0 = mass(u0, well.b_minus)
     energies = [st.energy]
     drift = 0.0
     rel_errs = []
     for k in range(10_000):
         prev_e, prev_d = st.energy, dissipation(st, g_sym)
-        st = step(st, well, g_sym, controls)
+        st = step(st, well, g_sym, dt)
         energies.append(st.energy)
         if k % 100 == 0:
             drift = max(drift, abs(mass(st.u, well.b_minus) - m0) / abs(m0))
@@ -366,19 +364,15 @@ def test_criterion_13_pde_vs_ode(small_manifold, pulse, well):
     model = ReducedModel.from_pulse(pulse, small_manifold.params)
     start = small_manifold.configuration([4.5, 12.0])
     prof = small_manifold.build(start)
-    a0 = alpha_scaling(0.0, grid, pulse)
 
     vel_dev, proj_dev, v_runs = {}, {}, {}
     for s in (0.0, 1.0):
         g_sym = gradient_symbols(grid, s)[0]
-        scale = 1.0 if s == 0.0 else a0**2 / alpha_scaling(s, grid, pulse) ** 2
-        controls = StepControls.for_initial_state(
-            prof.phi, well, dt_max=0.02 / max(scale, 1.0)
-        )
+        scale = velocity_scale(s, grid, pulse)
         t_final = 10.0 / scale
-        state = SimulationState.start(prof.phi, well, fresh_dt(grid))
-        traj = run(small_manifold, g_sym, state, t_final, controls,
-                   output_every=40)
+        state = SimulationState.start(prof.phi, well)
+        traj = run(small_manifold, g_sym, state, t_final,
+                   0.02 / max(scale, 1.0), 40)
         t, p, _, _, _ = traj.as_arrays()
         window = t >= 0.3 * t_final
         v_pde = np.array(
@@ -408,12 +402,9 @@ def test_criterion_13_pde_vs_ode(small_manifold, pulse, well):
         small_manifold.configuration(p_eq + np.array([0.5, 0.0]))
     )
     g_sym1 = gradient_symbols(grid, 1.0)[0]
-    scale1 = a0**2 / alpha_scaling(1.0, grid, pulse) ** 2
-    controls = StepControls.for_initial_state(prof_pert.phi, well,
-                                              dt_max=0.005)
-    state = SimulationState.start(prof_pert.phi, well, fresh_dt(grid))
-    traj = run(small_manifold, g_sym1, state, 120.0, controls,
-               output_every=100)
+    scale1 = velocity_scale(1.0, grid, pulse)
+    state = SimulationState.start(prof_pert.phi, well)
+    traj = run(small_manifold, g_sym1, state, 120.0, 0.005, 100)
     t, p, _, _, _ = traj.as_arrays()
     amp = 0.5 * (p[:, 0] - p_eq[0] - (p[:, 1] - p_eq[1]))
     sel = (t > 20.0) & (np.abs(amp) > 1e-4)
@@ -460,10 +451,9 @@ def test_criterion_14_gradient_invariance(manifold_factory, pulse):
     t_ref = np.linspace(0.0, t_final, 161)
     sol0, _ = integrate_reduced(model, p0, t_final,
                                 velocity_scale=1.0, t_eval=t_ref)
-    a0 = alpha_scaling(0.0, grid, pulse)
     defect = 0.0
     for s in (0.5, 1.0):
-        scale = a0**2 / alpha_scaling(s, grid, pulse) ** 2
+        scale = velocity_scale(s, grid, pulse)
         sol_s, _ = integrate_reduced(model, p0, t_final / scale,
                                      velocity_scale=scale)
         vals = sol_s.sol(t_ref / scale)

@@ -22,7 +22,6 @@ from fchpulse import (
     RefinementError,
     RunManifest,
     ScalarField,
-    StepControls,
     ValidationError,
     alpha_scaling,
     extract_pulse_positions,
@@ -33,6 +32,7 @@ from fchpulse import (
     pulse_velocity_projection,
     run,
     step,
+    velocity_scale,
 )
 from fchpulse import core
 from fchpulse.core import (
@@ -44,13 +44,15 @@ from fchpulse.dynamics import (
     ENERGY_SLACK,
     SimulationState,
     flow_terms,
-    fresh_dt,
 )
 from fchpulse.harness import read_checkpoint, write_checkpoint
 
 from conftest import (apply_symbol, count_background_work, dissipation,
                       energy, jacobian_at_equispaced, reduced_equispaced,
                       spectral_derivative, variational_derivative)
+
+# The largest step of a run at the config default (ExperimentConfig.dt_max).
+DT_MAX = 0.02
 
 
 @pytest.fixture(scope="module")
@@ -98,13 +100,22 @@ def noise_field(grid, amplitude, seed=0, kmax=40):
 
 
 class TestStep:
+    def test_start_forms_the_run_constants(self, small_manifold, well):
+        """kappa = 2 max|W''(u)|^2 of the initial field; first dt 0.1 h^2."""
+        prof = small_manifold.build(small_manifold.configuration([4.5, 12.0]))
+        u0 = prof.phi + noise_field(small_manifold.grid, 1e-3, seed=3)
+        st = SimulationState.start(u0, well)
+        kappa = 2.0 * float(np.max(np.abs(well.d2W(u0.values)))) ** 2
+        assert st.kappa == kappa
+        assert st.dt == 0.1 * small_manifold.grid.spacing**2
+        assert (st.time, st.step_index, st.accept_streak) == (0.0, 0, 0)
+
     def test_constant_equilibrium(self, small_manifold, well):
         grid = small_manifold.grid
         u = ScalarField(grid, np.full(grid.num_points, well.b_minus + 0.01))
         g_sym = gradient_symbols(grid, 0.0)[0]
-        controls = StepControls.for_initial_state(u, well)
-        st = SimulationState.start(u, well, 1e-3)
-        st2 = step(st, well, g_sym, controls)
+        st = dataclasses.replace(SimulationState.start(u, well), dt=1e-3)
+        st2 = step(st, well, g_sym, DT_MAX)
         # constants are equilibria of the projected flow
         assert np.max(np.abs(st2.u.values - u.values)) < 1e-12
 
@@ -113,11 +124,10 @@ class TestStep:
         grid = small_manifold.grid
         u0 = prof.phi + noise_field(grid, 1e-3, seed=3)
         g_sym = gradient_symbols(grid, 0.0)[0]
-        controls = StepControls.for_initial_state(u0, well)
-        st = SimulationState.start(u0, well, 1e-4)
+        st = dataclasses.replace(SimulationState.start(u0, well), dt=1e-4)
         energies = [st.energy]
         for _ in range(400):
-            st = step(st, well, g_sym, controls)
+            st = step(st, well, g_sym, DT_MAX)
             energies.append(st.energy)
         assert np.all(np.diff(energies) <= 1e-10)
 
@@ -127,11 +137,11 @@ class TestStep:
         for s in (0.0, 0.5, 1.0):
             g_sym = gradient_symbols(grid, s)[0]
             u0 = prof.phi + noise_field(grid, 1e-4, seed=int(10 * s))
-            controls = StepControls.for_initial_state(u0, well, dt_max=1e-3)
-            st = SimulationState.start(u0, well, 1e-4)
+            st = dataclasses.replace(SimulationState.start(u0, well),
+                                     dt=1e-4)
             m0 = mass(u0, well.b_minus)
             for _ in range(1500):
-                st = step(st, well, g_sym, controls)
+                st = step(st, well, g_sym, 1e-3)
             drift = abs(mass(st.u, well.b_minus) - m0) / abs(m0)
             assert drift < 1e-9
 
@@ -142,13 +152,11 @@ class TestStep:
         g_sym = gradient_symbols(grid, 0.0)[0]
         u0 = prof.phi + noise_field(grid, 1e-3, seed=5)
         dt = 2e-4
-        controls = StepControls(kappa=2 * float(
-            np.max(np.abs(well.d2W(u0.values)))) ** 2, dt_max=dt)
-        st = SimulationState.start(u0, well, dt)
+        st = dataclasses.replace(SimulationState.start(u0, well), dt=dt)
         rel_errs = []
         for k in range(600):
             prev_e, prev_d = st.energy, dissipation(st, g_sym)
-            st = step(st, well, g_sym, controls)
+            st = step(st, well, g_sym, dt)
             if k % 5 == 0 and prev_d > 1e-8:
                 rate = (st.energy - prev_e) / (st.time - (st.time - dt))
                 midpoint = -0.5 * (prev_d + dissipation(st, g_sym))
@@ -163,12 +171,11 @@ def halvings(state, nxt):
 
 
 def perturbed_testbed(manifold, well, s=0.0, amplitude=1e-3, seed=3):
-    """(state, G's symbol, controls) at the perturbed testbed point."""
+    """(state, G's symbol) at the perturbed testbed point."""
     prof = manifold.build(manifold.configuration([4.5, 12.0]))
     u0 = prof.phi + noise_field(manifold.grid, amplitude, seed=seed)
     g_sym = gradient_symbols(manifold.grid, s)[0]
-    controls = StepControls.for_initial_state(u0, well)
-    return SimulationState.start(u0, well, 1e-4), g_sym, controls
+    return dataclasses.replace(SimulationState.start(u0, well), dt=1e-4), g_sym
 
 
 class TestFusedStep:
@@ -181,9 +188,9 @@ class TestFusedStep:
                                                        well, s):
         """Bit for bit those of `flow_terms` at the carried coefficients, and
         u is their synthesis."""
-        state, g_sym, controls = perturbed_testbed(small_manifold, well, s)
+        state, g_sym = perturbed_testbed(small_manifold, well, s)
         for _ in range(3):
-            state = step(state, well, g_sym, controls)
+            state = step(state, well, g_sym, DT_MAX)
             e, g_hat = flow_terms(state.u_hat, state.u, well)
             assert state.energy == e
             assert np.array_equal(state.grad_hat, g_hat)
@@ -200,11 +207,11 @@ class TestFusedStep:
         grad_hat, and 1.4e-11 relative in the dissipation (at s = 1, where
         G = k^2 weighs the finest modes' rounding most); the bounds below
         leave room above those."""
-        state, g_sym, controls = perturbed_testbed(small_manifold, well, s)
+        state, g_sym = perturbed_testbed(small_manifold, well, s)
         eps = np.finfo(float).eps
         kappa4 = small_manifold.grid.wavenumbers[-1] ** 4
         for _ in range(3):
-            state = step(state, well, g_sym, controls)
+            state = step(state, well, g_sym, DT_MAX)
             u = state.u
             g = variational_derivative(u, well)
             umax = np.max(np.abs(u.values))
@@ -231,8 +238,8 @@ class TestFusedStep:
         """4 cosine transforms for a step accepted at its first trial, and 2
         more for each rejected trial. Without stabilization (kappa = 0) a
         step of dt = 1e4 raises the energy, so its trial is rejected."""
-        state, g_sym, controls = perturbed_testbed(small_manifold, well)
-        state = step(state, well, g_sym, controls)
+        state, g_sym = perturbed_testbed(small_manifold, well)
+        state = step(state, well, g_sym, DT_MAX)
         calls = []
         real = core.dct
 
@@ -241,12 +248,12 @@ class TestFusedStep:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(core, "dct", counting)
-        nxt = step(state, well, g_sym, controls)
+        nxt = step(state, well, g_sym, DT_MAX)
         assert halvings(state, nxt) == 0
         assert len(calls) == 4
         calls.clear()
-        big = dataclasses.replace(state, dt=1e4)
-        nxt = step(big, well, g_sym, StepControls(kappa=0.0))
+        big = dataclasses.replace(state, dt=1e4, kappa=0.0)
+        nxt = step(big, well, g_sym, DT_MAX)
         rejected = halvings(big, nxt)
         assert rejected >= 1
         assert len(calls) == 4 + 2 * rejected
@@ -270,12 +277,12 @@ class TestStepProperties:
            dt=st.floats(1e-5, 2e-2), s=st.sampled_from([0.0, 0.5, 1.0]))
     def test_mass_kept_and_energy_never_rises(self, small_manifold, well,
                                               seed, amplitude, dt, s):
-        state, g_sym, controls = perturbed_testbed(small_manifold, well, s,
-                                             amplitude, seed)
+        state, g_sym = perturbed_testbed(small_manifold, well, s, amplitude,
+                                         seed)
         state = dataclasses.replace(state, dt=dt)
         m0 = mass(state.u, well.b_minus)
         for _ in range(3):
-            nxt = step(state, well, g_sym, controls)
+            nxt = step(state, well, g_sym, DT_MAX)
             assert energy(nxt.u, well) <= energy(state.u, well) + ENERGY_SLACK
             assert abs(mass(nxt.u, well.b_minus) - m0) <= 1e-12 * abs(m0)
             state = nxt
@@ -289,18 +296,17 @@ class TestStepProperties:
         """g_0 = 0, so u_hat[0] (the mass) keeps its bits, also across
         rejected trials: the third step has dt = 1e4 without stabilization,
         which halves dt before a trial lowers the energy."""
-        state, g_sym, controls = perturbed_testbed(small_manifold, well, s,
-                                                 amplitude, seed)
-        state = step(dataclasses.replace(state, dt=dt), well, g_sym, controls)
+        state, g_sym = perturbed_testbed(small_manifold, well, s, amplitude,
+                                         seed)
+        state = step(dataclasses.replace(state, dt=dt), well, g_sym, DT_MAX)
         a0 = state.u_hat[0]
         rejected = 0
         for k in range(5):
-            if k == 2:
-                prev = dataclasses.replace(state, dt=1e4)
-                nxt = step(prev, well, g_sym, StepControls(kappa=0.0))
-            else:
-                prev = state
-                nxt = step(prev, well, g_sym, controls)
+            prev = (dataclasses.replace(state, dt=1e4, kappa=0.0) if k == 2
+                    else state)
+            # the steps after the unstabilized one are stabilized again
+            nxt = dataclasses.replace(step(prev, well, g_sym, DT_MAX),
+                                      kappa=state.kappa)
             rejected += halvings(prev, nxt)
             assert nxt.u_hat[0] == a0
             assert nxt.energy <= state.energy + ENERGY_SLACK
@@ -462,10 +468,9 @@ class TestIntegrateReduced:
         t_ref = np.linspace(0.0, t_final, 41)
         sol0, _ = integrate_reduced(reduced, p0, t_final,
                                     velocity_scale=1.0, t_eval=t_ref)
-        a0 = alpha_scaling(0.0, grid, pulse)
         worst = 0.0
         for s in (0.5, 1.0):
-            scale = a0**2 / alpha_scaling(s, grid, pulse) ** 2
+            scale = velocity_scale(s, grid, pulse)
             sol_s, _ = integrate_reduced(
                 reduced, p0, t_final / scale, velocity_scale=scale
             )
@@ -526,11 +531,10 @@ class TestIntegrateReduced:
 
 
 def fresh_run(manifold):
-    """(state, G's symbol, controls) of an s = 0 run from the testbed point."""
+    """(state, G's symbol) of an s = 0 run from the testbed point."""
     u0 = manifold.build(manifold.configuration([4.5, 12.0])).phi
     g_sym = gradient_symbols(manifold.grid, 0.0)[0]
-    state = SimulationState.start(u0, manifold.well, fresh_dt(manifold.grid))
-    return state, g_sym, StepControls.for_initial_state(u0, manifold.well)
+    return SimulationState.start(u0, manifold.well), g_sym
 
 
 def output_dir(path):
@@ -540,8 +544,8 @@ def output_dir(path):
 
 def write_fresh_checkpoint(manifold, path):
     """Write the start of `fresh_run` as the checkpoint path/ck; return it."""
-    state, _, controls = fresh_run(manifold)
-    write_checkpoint(output_dir(path), "ck", state, controls.kappa)
+    state = fresh_run(manifold)[0]
+    write_checkpoint(output_dir(path), "ck", state)
     return state
 
 
@@ -551,26 +555,33 @@ def read_fresh_checkpoint(manifold, prefix):
 
 class TestRun:
     def test_trajectory_records_and_exit_fields(self, small_manifold):
-        state, g_sym, controls = fresh_run(small_manifold)
-        traj = run(small_manifold, g_sym, state, 0.5, controls,
-                   output_every=10)
+        state, g_sym = fresh_run(small_manifold)
+        traj = run(small_manifold, g_sym, state, 0.5, DT_MAX, 10)
         t, p, e, m, w = traj.as_arrays()
         assert len(t) == len(p) == len(e)
         assert np.all(np.diff(e) <= 1e-10)
         assert traj.t_exit is None
 
+    def test_kappa_is_carried_along_a_run(self, small_manifold):
+        state, g_sym = fresh_run(small_manifold)
+        recorded = []
+        traj = run(small_manifold, g_sym, state, 0.5, DT_MAX, 10,
+                   recorded.append)
+        assert len(recorded) > 1
+        assert {st.kappa for st in recorded + [traj.final_state]} == {
+            state.kappa}
+
     def test_record_without_a_manifold_point_reads_nan(self, small_manifold,
                                                        monkeypatch):
         # extracted positions whose closure fails record a NaN distance to
         # the manifold with the time and the message, and the run goes on
-        state, g_sym, controls = fresh_run(small_manifold)
+        state, g_sym = fresh_run(small_manifold)
 
         def refuse(self, config):
             raise RefinementError("boundary residuals exceed the tolerance")
 
         monkeypatch.setattr(type(small_manifold), "build", refuse)
-        traj = run(small_manifold, g_sym, state, 0.05, controls,
-                   output_every=10)
+        traj = run(small_manifold, g_sym, state, 0.05, DT_MAX, 10)
         w = traj.as_arrays()[4]
         assert len(w) > 1 and np.all(np.isnan(w))
         assert traj.w_norm_nan == [
@@ -580,22 +591,21 @@ class TestRun:
     def test_record_passes_other_errors_on(self, small_manifold, monkeypatch):
         # only a configuration without a manifold point reads NaN: any other
         # error of the build is a fault, and the run raises it
-        state, g_sym, controls = fresh_run(small_manifold)
+        state, g_sym = fresh_run(small_manifold)
 
         def broken(self, config):
             raise InvalidFieldError("field has non-finite values")
 
         monkeypatch.setattr(type(small_manifold), "build", broken)
         with pytest.raises(InvalidFieldError):
-            run(small_manifold, g_sym, state, 0.05, controls, output_every=10)
+            run(small_manifold, g_sym, state, 0.05, DT_MAX, 10)
 
     def test_no_step_exceeds_dt_max(self, small_manifold):
         # a state whose next dt exceeds dt_max (a checkpoint restarted at a
         # smaller dt_max, say) takes its first step at dt_max
-        state, g_sym, controls = fresh_run(small_manifold)
+        state, g_sym = fresh_run(small_manifold)
         traj = run(small_manifold, g_sym, dataclasses.replace(state, dt=0.05),
-                   3e-3, StepControls(kappa=controls.kappa, dt_max=1e-3),
-                   output_every=1)
+                   3e-3, 1e-3, 1)
         assert np.all(np.diff(traj.times) <= 1e-3)
         assert traj.final_state.step_index == 3
 
@@ -604,19 +614,18 @@ class TestRun:
         prof = small_manifold.build(small_manifold.configuration([4.5, 12.0]))
         # not cosine_coeffs(u): the read must return the written u_hat
         u_hat = cosine_coeffs(prof.phi.values) * (1.0 + 1e-15)
-        st = SimulationState.at(prof.phi, u_hat, well, 1.25, 3e-4, 17, 3)
+        st = SimulationState.at(prof.phi, u_hat, well, 1.25, 3e-4, 17, 3,
+                                0.1 + 2e-17)
         manifest = output_dir(tmp_path)
-        write_checkpoint(manifest, "ck", st, 0.1 + 2e-17)
+        write_checkpoint(manifest, "ck", st)
         assert manifest.files == ["ck.json", "ck.bin"]
-        st2, kappa = read_checkpoint(tmp_path / "ck", small_manifold.grid,
-                                     well)
-        # the read state is complete, with the terms of the written one
-        for name in ("time", "dt", "step_index", "accept_streak", "energy"):
-            assert getattr(st2, name) == getattr(st, name)
+        st2 = read_checkpoint(tmp_path / "ck", small_manifold.grid, well)
+        # the read state is complete, with the terms of the written one:
+        # equality holds time, dt, step index, accept streak, kappa and energy
+        assert st2 == st
         assert np.array_equal(st2.u.values, prof.phi.values)
         assert np.array_equal(st2.u_hat, u_hat)
         assert np.array_equal(st2.grad_hat, st.grad_hat)
-        assert kappa == 0.1 + 2e-17
 
     @pytest.mark.parametrize("key", ["kappa", "accept_streak", "num_points",
                                      "length", "layout", "sha256"])
@@ -711,9 +720,8 @@ class TestRun:
 class TestPdeRepulsion:
     def test_extracted_velocity_pushes_pulses_apart(self, small_manifold):
         # interior gap tighter than the wall gaps: the pair separates
-        state, g_sym, controls = fresh_run(small_manifold)
-        traj = run(small_manifold, g_sym, state, 4.0, controls,
-                   output_every=25)
+        state, g_sym = fresh_run(small_manifold)
+        traj = run(small_manifold, g_sym, state, 4.0, DT_MAX, 25)
         t, p, _, _, _ = traj.as_arrays()
         sel = t >= 2.0
         v1 = np.polyfit(t[sel], p[sel, 0], 1)[0]

@@ -15,7 +15,6 @@ from fchpulse import (
     Laboratory,
     PulseManifold,
     RefinementError,
-    StepControls,
     ValidationError,
     gradient_symbols,
     parse_config,
@@ -173,6 +172,15 @@ class TestConfig:
         with pytest.raises(ValidationError) as err:
             ExperimentConfig.from_dict({**SMALL, "experiment": "simulate",
                                         key: {}})
+        assert key in str(err.value)
+
+    @pytest.mark.parametrize("experiment", ["simulate", "profile"])
+    @pytest.mark.parametrize("key", ["output_dir", "restart_from"])
+    def test_empty_paths_refused(self, experiment, key):
+        # restart_from "" started simulate afresh and passed the simulate-only
+        # guard of profile; output_dir "" wrote into the working directory
+        with pytest.raises(ValidationError) as err:
+            ExperimentConfig(experiment=experiment, **{**SMALL, key: ""})
         assert key in str(err.value)
 
     def test_initial_positions_must_number_n_pulses(self):
@@ -751,10 +759,9 @@ class TestRestart:
         restarted = run_experiment(cfg)
         lab = Laboratory.from_config(cfg)
         g_sym = gradient_symbols(lab.grid, 0.5)[0]
-        state, kappa = read_checkpoint(prefix, lab.grid, lab.well)
-        traj = run(lab.manifold, g_sym, state, cfg.t_final,
-                   StepControls(kappa=kappa, dt_max=0.01),
-                   output_every=cfg.output_every)
+        state = read_checkpoint(prefix, lab.grid, lab.well)
+        traj = run(lab.manifold, g_sym, state, cfg.t_final, 0.01,
+                   cfg.output_every)
         assert restarted.summary["steps"] == traj.final_state.step_index
         rows = np.loadtxt(tmp_path / "second" / "trajectory.csv",
                           delimiter=",", skiprows=1)

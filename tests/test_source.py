@@ -14,9 +14,12 @@ of a package function is passed by some call in the package: an option
 that no caller in the program varies is a constant. The few that only tests
 vary are named in an allow-list below, with the reason. No package function
 has a parameter that its body never reads: callers would pass a value that
-changes nothing. Every iterative eigensolver call (`eigsh`, `lobpcg`)
-passes its start explicitly (`v0=`, `X=`): without one ARPACK draws its own
-start vector, and runs stop repeating bit for bit. Every dense
+changes nothing. No package function gives a default to a parameter named
+like an `ExperimentConfig` field: the config owns those defaults, and a
+second one drifts from it unseen. Every iterative eigensolver call
+(`eigsh`, `lobpcg`) passes its start explicitly (`v0=`, `X=`): without one
+ARPACK draws its own start vector, and runs stop repeating bit for bit.
+Every dense
 eigensolve or SVD (`eigh`, `eigvalsh`, `eigvalsh_tridiagonal`, `svd`,
 `null_space`) lies in a function that the allow-list below names, each of
 them small or run once: the diagnostic path solves N x N spectra by
@@ -43,11 +46,13 @@ for nothing.
 
 import ast
 import math
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 import fchpulse
+from fchpulse import ExperimentConfig
 from conftest import fresh_python
 
 ALL_SOURCES = sorted(Path(fchpulse.__file__).parent.glob("*.py"))
@@ -312,6 +317,35 @@ def test_no_option_without_a_caller():
     # an allow-listed option that the program passes is listed no longer
     assert sorted(options_without_a_caller(sources, sources.values())) == (
         sorted(TEST_OPTIONS))
+
+
+def config_defaults_repeated(source, module, config_fields):
+    """module.function(parameter) of every defaulted parameter named like
+    one of config_fields."""
+    return [f"{qual}({param})" for qual, _, param, _ in
+            defaulted_parameters(source, module) if param in config_fields]
+
+
+def test_detects_a_repeated_config_default():
+    library = (
+        "class Manifold:\n"
+        "    def sample(self, count, seed=0, shuffle=True):\n"
+        "        return count\n"
+        "def run(u, t_final, dt_max=0.02, *, output_every=50, every=5):\n"
+        "    return u\n"
+    )
+    assert config_defaults_repeated(
+        library, "lib", {"seed", "dt_max", "output_every", "t_final"}) == [
+        "lib.Manifold.sample(seed)", "lib.run(dt_max)", "lib.run(output_every)",
+    ]
+
+
+def test_no_library_default_repeats_a_config_default():
+    """The config owns its defaults: every run passes them, so a library
+    default of the same name is never used and drifts from the config's."""
+    names = {f.name for f in fields(ExperimentConfig)}
+    assert [found for p in ALL_SOURCES for found in config_defaults_repeated(
+        p.read_text(), p.stem, names)] == []
 
 
 def unread_parameters(source):

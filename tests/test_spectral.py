@@ -1079,7 +1079,7 @@ class TestSpectralContextReuse:
         monkeypatch.setattr(spectral.sla, "lu_factor", counted_lu)
         monkeypatch.setattr(spectral, "eigsh", counted_eigsh)
         s_values = (0.5, 1.0)
-        spectral.run_hypothesis_suite(points, s_values=s_values)
+        spectral.run_hypothesis_suite(points, s_values, 0)
         subset = points[:spectral.SPECTRAL_SUBSET]
         shifts = sum(len(p.coercivity.gammas_solved) for p in subset)
         assert dense == []
@@ -1123,7 +1123,7 @@ class TestSpectralContextReuse:
         monkeypatch.setattr(spectral, "spectral_context", counted_context)
         for name in ("tangent_basis", "residual_h4"):
             monkeypatch.setattr(PulseManifold, name, counted(name))
-        spectral.run_hypothesis_suite(points)
+        spectral.run_hypothesis_suite(points, (0.5, 1.0), 0)
         assert not any("context" in vars(p) for p in subset)
         el = spectral.el_bounds(points)
 
