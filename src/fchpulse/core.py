@@ -235,8 +235,8 @@ class ScalarField:
 # ---------------------------------------------------------------------------
 # Cosine-basis transforms. Coefficients a_k satisfy
 #   u(z_j) = sum_{k=0}^{N-1} a_k cos(k*pi*z_j/L)
-# exactly at the collocation nodes (DCT-I). Both transforms act along axis 0,
-# so a 2-D array is a stack of columns, one field or coefficient vector each.
+# exactly at the collocation nodes (DCT-I). The transforms and mode_derivative
+# act along axis 0, so a 2-D array is a stack of fields or coefficient vectors.
 # ---------------------------------------------------------------------------
 
 
@@ -256,10 +256,10 @@ def cosine_synth(coeffs):
 
 def sine_synth(coeffs):
     """Evaluate sum_{k=1}^{N-2} b_k sin(k*pi*z_j/L) at the nodes."""
-    n = len(coeffs)
-    out = np.zeros(n)
-    if n > 2:
-        out[1:-1] = 0.5 * dst(np.asarray(coeffs[1:-1], dtype=float), type=1)
+    b = np.asarray(coeffs, dtype=float)
+    out = np.zeros(b.shape)
+    if len(b) > 2:
+        out[1:-1] = 0.5 * dst(b[1:-1], type=1, axis=0)
     return out
 
 
@@ -308,6 +308,7 @@ def mode_matrix(grid, f, start=0, step=1):
 def mode_derivative(coeffs, kappa, order):
     """Nodal values of d^order/dz^order of the cosine series with coefficients
     coeffs and wavenumbers kappa; odd orders are sine series."""
+    kappa = np.reshape(kappa, (-1,) + (1,) * (np.ndim(coeffs) - 1))
     if order % 2 == 0:
         sign = (-1.0) ** (order // 2)
         return cosine_synth(sign * coeffs * kappa**order)

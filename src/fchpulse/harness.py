@@ -45,6 +45,7 @@ from .core import (
     smooth_probe_coeffs,
 )
 from .dynamics import (
+    ENERGY_SLACK,
     ReducedModel,
     SimulationState,
     integrate_reduced,
@@ -599,7 +600,7 @@ def experiment_simulate(lab, manifest):
         for i in range(p.shape[1]):
             _write_plot_data(manifest, f"position_{i+1}.dat", t, p[:, i])
     mass_drift = float(np.max(np.abs(m - m[0])) / abs(m[0]))
-    energy_monotone = bool(np.all(np.diff(e) <= 1e-10))
+    energy_monotone = bool(np.all(np.diff(e) <= ENERGY_SLACK))
     return {
         "pass": energy_monotone and mass_drift < 1e-9,
         "steps": traj.final_state.step_index,
@@ -790,7 +791,11 @@ def run_experiment(config):
         version=__version__,
         started=time.strftime("%Y-%m-%dT%H:%M:%S"),
     )
-    manifest.out.mkdir(parents=True, exist_ok=True)
+    try:
+        manifest.out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(
+            f"cannot create output_dir {manifest.out}: {exc.strerror}") from exc
     _write_json(manifest, "config.json", config.as_dict())
     lab = Laboratory.from_config(config)
     manifest.summary = RUNNERS[config.experiment](lab, manifest)

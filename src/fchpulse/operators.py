@@ -18,6 +18,7 @@ from .core import (
     cosine_synth,
     h4_norm_from_coeffs,
     mean_value,
+    mode_derivative,
     mode_norms,
 )
 
@@ -36,13 +37,13 @@ def to_modes(field):
 def energy_terms(u_hat, values, grid, well):
     """(w1, J): w1 = u'' - W'(u) at the nodes and J(u) = int (1/2) w1^2 dz,
     from the cosine coefficients and the nodal values of u (one transform)."""
-    w1 = cosine_synth(-1.0 * u_hat * grid.wavenumbers**2) - well.dW(values)
+    w1 = mode_derivative(u_hat, grid.wavenumbers, 2) - well.dW(values)
     return w1, 0.5 * float(np.sum(grid.quad_weights * w1 * w1))
 
 
 def gradient_values(values, f, grid, well):
     """(d^2 - W''(u)) f at the nodes, grad J for f = w1 (two transforms)."""
-    return (cosine_synth(-1.0 * cosine_coeffs(f) * grid.wavenumbers**2)
+    return (mode_derivative(cosine_coeffs(f), grid.wavenumbers, 2)
             - well.d2W(values) * f)
 
 

@@ -569,13 +569,10 @@ def tangent_alignment(point):
     grid = manifold.grid
     coeffs = np.zeros((grid.num_points, n))
     coeffs[1:] = rotated / mode_norms(grid)[1:, None]
-    errors = np.empty(n)
-    for i in range(n):
-        stack = np.empty((5, grid.num_points))
-        for m in range(5):
-            eig_m = mode_derivative(coeffs[:, i], grid.wavenumbers, m)
-            stack[m] = eig_m - stacks[i][m] / t_norms[i]
-        errors[i] = h4_norm_from_stack(grid, stack)
+    eig = np.stack([mode_derivative(coeffs, grid.wavenumbers, m)
+                    for m in range(5)])
+    errors = np.array([h4_norm_from_stack(grid, eig[..., i] - stacks[i] / t)
+                       for i, t in enumerate(t_norms)])
     beta_defect = float(np.linalg.norm(beta.T @ beta - np.eye(n)))
     passed = (
         float(np.max(errors)) <= THRESHOLDS["alignment_cap_over_delta"] * delta
@@ -881,8 +878,8 @@ def run_hypothesis_suite(points, s_values, seed):
     gap for each requested s. The spectral checks run on the first
     SPECTRAL_SUBSET points, each of which releases its context after its
     checks; the equispaced point keeps its own until the symmetrized gaps
-    have read it. The last record is the trapping radius of `el_bounds`
-    over all the points, so it reads the same delta0 as energy flatness.
+    have read it. One `el_bounds` over all the points gives the delta0 of
+    energy flatness and the last record, the trapping radius.
 
     Returns the records as the plain dicts that diagnostics.json holds:
     hypothesis, config_id, constant, threshold, pass, and the details that
@@ -908,11 +905,10 @@ def run_hypothesis_suite(points, s_values, seed):
         c0 <= THRESHOLDS["residual_cap_over_delta"])
 
     # energy flatness over the manifold sample
-    energies = [p.energy for p in points]
-    delta0 = float(np.max(energies) - np.min(energies))
-    add("energy_flatness", -1, delta0 / delta,
+    el = el_bounds(points)
+    add("energy_flatness", -1, el.delta0 / delta,
         THRESHOLDS["residual_cap_over_delta"],
-        delta0 <= THRESHOLDS["residual_cap_over_delta"] * delta)
+        el.delta0 <= THRESHOLDS["residual_cap_over_delta"] * delta)
 
     # invariant-plane membership: pairwise mass differences
     worst_mass = 0.0
@@ -1005,7 +1001,6 @@ def run_hypothesis_suite(points, s_values, seed):
                 s=s, failures=sym.failures)
     base.release()
 
-    el = el_bounds(points)
     add("trapping_radius", -1, el.eta_star, el.eta_upper, el.window_ok,
         delta0=el.delta0, delta1=el.delta1, delta2=el.delta2, mu2=el.mu2)
     return records

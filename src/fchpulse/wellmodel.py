@@ -16,7 +16,6 @@ from math import comb, factorial
 
 import numpy as np
 from numpy.polynomial import chebyshev
-from scipy.fft import dct
 from scipy.interpolate import CubicHermiteSpline
 from scipy.linalg import eigh, lu_factor, lu_solve
 from scipy.optimize import brentq
@@ -28,6 +27,7 @@ from .core import (
     ToleranceError,
     WellError,
     cosine_coeffs,
+    mode_derivative,
     mode_matrix,
 )
 
@@ -794,17 +794,6 @@ def _refined_solve(a, lu_piv, rhs):
     return x
 
 
-def _half_line_second_derivative(window, num_points):
-    kap = np.arange(num_points) * np.pi / window
-    eye = np.eye(num_points)
-    coeffs = dct(eye, type=1, axis=0) / (num_points - 1)
-    coeffs[0] *= 0.5
-    coeffs[-1] *= 0.5
-    block = -(kap[:, None] ** 2) * coeffs
-    block[1:-1] *= 0.5
-    return dct(block, type=1, axis=0)
-
-
 def solve_background(well, profile):
     """(B_1, B_2): the solutions of L B_1 = 1 and L^2 B_2 = 1 on a window 2x
     the pulse window, via the even sector.
@@ -817,7 +806,8 @@ def solve_background(well, profile):
     window = 2.0 * profile.half_width
     grid = Grid(window, BACKGROUND_POINTS, h_max=0.2)
     q = well.d2W(well.b_minus + profile.pulse_bar(grid.nodes))
-    lmat = _half_line_second_derivative(window, BACKGROUND_POINTS) - np.diag(q)
+    lmat = (mode_derivative(cosine_coeffs(np.eye(BACKGROUND_POINTS)),
+                            grid.wavenumbers, 2) - np.diag(q))
     lu_piv = lu_factor(lmat)
     b1 = _refined_solve(lmat, lu_piv, np.ones(BACKGROUND_POINTS))
     b2 = _refined_solve(lmat, lu_piv, b1)

@@ -21,6 +21,8 @@ from fchpulse.core import (
     cosine_synth,
     h4_norm_from_coeffs,
     integral,
+    mode_derivative,
+    sine_synth,
 )
 from conftest import apply_symbol, nodal_h4_norm, spectral_derivative
 
@@ -114,13 +116,18 @@ class TestTransformProperties:
         assert np.max(np.abs(back - v)) <= 1e-12 * np.max(np.abs(v))
 
     @settings(max_examples=25, deadline=None)
-    @given(n=st.integers(16, 1024), cols=st.integers(1, 9),
-           seed=st.integers(0, 2**16))
-    def test_column_stacks_transform_column_by_column(self, n, cols, seed):
+    @given(n=st.integers(3, 1024), cols=st.integers(1, 9),
+           length=st.floats(1.0, 500.0), seed=st.integers(0, 2**16))
+    def test_column_stacks_transform_column_by_column(self, n, cols, length,
+                                                      seed):
         # a 2-D array is a stack of columns along axis 0, each transformed
-        # bit for bit as by a 1-D call
+        # and differentiated bit for bit as by a 1-D call
         stack = np.random.default_rng(seed).standard_normal((n, cols))
-        for transform in (cosine_coeffs, cosine_synth):
+        kappa = np.arange(n) * np.pi / length
+        transforms = [cosine_coeffs, cosine_synth, sine_synth]
+        transforms += [lambda a, m=m: mode_derivative(a, kappa, m)
+                       for m in range(9)]
+        for transform in transforms:
             out = transform(stack)
             for j in range(cols):
                 assert np.array_equal(out[:, j], transform(stack[:, j]))

@@ -658,6 +658,23 @@ class TestCli:
         named = config if case == "config" else f"{restart}.json"
         assert err.startswith("error: ") and str(named) in err
 
+    @pytest.mark.parametrize("sub", ["", "sub"],
+                             ids=["file", "under_a_file"])
+    def test_exit_one_on_an_output_dir_that_cannot_be_made(self, tmp_path,
+                                                           capsys, sub):
+        # an existing file as the directory or as its parent raised
+        # FileExistsError or NotADirectoryError from mkdir
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        out = taken / sub
+        with pytest.raises(ConfigError, match="output_dir"):
+            run_experiment(ExperimentConfig(experiment="profile",
+                                            output_dir=str(out)))
+        assert cli_main(["profile", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out) in err
+        assert "Traceback" not in err
+
     def test_exit_one_on_a_config_without_experiment(self, tmp_path, capsys):
         # the missing key raised TypeError from the dataclass constructor
         cfgfile = tmp_path / "c.json"

@@ -35,7 +35,10 @@ on their (n, size) offsets. In `ansatz`, only the manifold's kernel
 of Phi reads its translates in one place. In `harness`, only
 `run_experiment` runs the lifecycle of a run: it alone constructs the
 `RunManifest`, calls `Laboratory.from_config`, and writes `config.json`
-and `manifest.json`, so every experiment starts and finishes one way. And
+and `manifest.json`, so every experiment starts and finishes one way. Only
+`core` imports `scipy.fft` or `numpy.fft`: the DCT-I normalization and the
+cosine-series derivative are written once, and every other module calls
+`core`'s transforms and `mode_derivative`, which act on column stacks. And
 every function, method and property of the package is referenced by name in the
 package or its tests: code that nothing reaches is deleted, not kept.
 Likewise every field of a package dataclass is read, as an attribute or
@@ -500,6 +503,50 @@ def test_json_and_hashlib_only_where_owned(path):
     for name in ("json", "hashlib"):
         if name in imported:
             assert path.stem in IMPORT_OWNERS[name], name
+
+
+def fft_uses(source):
+    """Lines that import scipy.fft or numpy.fft (or fftpack), or reach either
+    as an attribute of an imported numpy or scipy."""
+    fft = ("fft", "fftpack")
+    tree = ast.parse(source)
+    roots, lines = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] in ("numpy", "scipy"):
+                    roots.add(alias.asname or parts[0])
+                    if parts[1:2] and parts[1] in fft:
+                        lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            parts = node.module.split(".")
+            if parts[0] in ("numpy", "scipy") and (
+                    parts[1:2] and parts[1] in fft
+                    or any(a.name in fft for a in node.names)):
+                lines.append(node.lineno)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr in fft
+                and isinstance(node.value, ast.Name)
+                and node.value.id in roots):
+            lines.append(node.lineno)
+    return sorted(set(lines))
+
+
+def test_detects_an_fft_import():
+    source = ("import numpy as np\nfrom scipy.fft import dct\n"
+              "from scipy import fftpack, linalg\nimport numpy.fft\n"
+              "x = np.fft.rfft(np.ones(4))\nfrom .fftlike import f\n"
+              "from scipy.linalg import eigh\nself.fft = linalg\n")
+    assert fft_uses(source) == [2, 3, 4, 5]
+
+
+def test_only_core_imports_scipy_fft():
+    """The cosine transforms and their normalization are written once, in
+    core: every other module differentiates and synthesizes through it."""
+    uses = {p.stem: fft_uses(p.read_text()) for p in ALL_SOURCES}
+    assert {stem: lines for stem, lines in uses.items()
+            if lines and stem != "core"} == {}
 
 
 def open_calls(source):

@@ -24,9 +24,11 @@ from fchpulse import (
 )
 from fchpulse.ansatz import h4_norm_from_stack
 from fchpulse.core import (
+    cosine_coeffs,
     cosine_synth,
     h_mode_multipliers,
     integral,
+    mode_derivative,
     mode_matrix,
 )
 from fchpulse.operators import second_variation_coefficients, to_modes
@@ -47,10 +49,7 @@ from fchpulse.spectral import (
     semigroup_decay_check,
     spectral_context,
 )
-from fchpulse.wellmodel import (
-    _half_line_second_derivative,
-    single_pulse_point_spectrum,
-)
+from fchpulse.wellmodel import single_pulse_point_spectrum
 from conftest import (
     cluster_config,
     constrained_negative_index,
@@ -934,7 +933,8 @@ def nodal_point_spectrum(well, pulse, num_points=1600):
     window = 2.0 * pulse.half_width
     grid = Grid(2.0 * window, num_points, h_max=0.2)
     q = well.d2W(well.b_minus + pulse.pulse_bar(grid.nodes - window))
-    lmat = _half_line_second_derivative(grid.length, num_points) - np.diag(q)
+    lmat = (mode_derivative(cosine_coeffs(np.eye(num_points)),
+                            grid.wavenumbers, 2) - np.diag(q))
     sw = np.sqrt(grid.quad_weights)
     lsym = (sw[:, None] * lmat) / sw[None, :]
     evals = np.linalg.eigvalsh(0.5 * (lsym + lsym.T))

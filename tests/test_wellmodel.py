@@ -22,6 +22,7 @@ from fchpulse import (
     solve_background,
     solve_homoclinic,
 )
+from fchpulse.core import Grid, cosine_coeffs, mode_derivative
 from fchpulse.wellmodel import (
     _GL_NODES,
     _GL_WEIGHTS,
@@ -353,10 +354,10 @@ class TestBackgrounds:
         fresh = wellmodel.solve_background(well, pulse)
         size = wellmodel.BACKGROUND_POINTS
         assert calls == [(size, size)]
-        window = 2.0 * pulse.half_width
-        z = fresh[0].z
-        lmat = (wellmodel._half_line_second_derivative(window, size)
-                - np.diag(well.d2W(well.b_minus + pulse.pulse_bar(z))))
+        grid = Grid(2.0 * pulse.half_width, size, h_max=0.2)
+        q = well.d2W(well.b_minus + pulse.pulse_bar(grid.nodes))
+        lmat = (mode_derivative(cosine_coeffs(np.eye(size)),
+                                grid.wavenumbers, 2) - np.diag(q))
         b = np.ones(size)
         for bg, ref in zip(fresh, backgrounds):
             b = wellmodel._refined_solve(lmat, real(lmat), b)
